@@ -18,7 +18,6 @@ import time
 from benchmarks.conftest import FAST
 from repro.mitigations.moat import MoatPolicy
 from repro.report.tables import format_table
-from repro.sim.backend import numba_available
 from repro.sim.engine import SimConfig, SubchannelSim
 from repro.workloads.generator import generate_schedule
 from repro.workloads.profiles import profile_by_name
@@ -28,10 +27,10 @@ ROUNDS = 3
 REQUIRED_SPEEDUP = 1.5
 
 
-def _drive(schedule, dense: bool, batched: bool, backend=None) -> float:
+def _drive(schedule, dense: bool, batched: bool) -> float:
     """One timed run; returns seconds. Asserts the runs agree."""
     sim = SubchannelSim(
-        SimConfig(track_danger=False, dense_counters=dense, backend=backend),
+        SimConfig(track_danger=False, dense_counters=dense),
         lambda: MoatPolicy(ath=64),
     )
     trefi = sim.timing.t_refi
@@ -69,31 +68,14 @@ def test_engine_hotpath_speedup(report, record_json):
     legacy_us = legacy / N_TREFI * 1e6
     fast_us = fast / N_TREFI * 1e6
 
-    # Kernel-backend rows ride along informationally: interpreted, the
-    # ACT-burst kernel is numpy-scalar bound (slower than the list
-    # path); compiled under numba it is the fastest path. Equivalence
-    # is pinned by tests/sim/test_engine_batch.py.
-    backend_us = {}
-    for backend in ("kernel", "numba") if numba_available() else ("kernel",):
-        elapsed = min(
-            _drive(schedule, dense=True, batched=True, backend=backend)
-            for _ in range(ROUNDS)
-        )
-        backend_us[backend] = elapsed / N_TREFI * 1e6
-
-    rows = [
-        ("seed per-ACT loop (sparse dicts)", f"{legacy_us:.1f}"),
-        ("array-backed activate_many", f"{fast_us:.1f}"),
-    ]
-    rows.extend(
-        (f"activate_many ({backend} backend)", f"{us:.1f}")
-        for backend, us in backend_us.items()
-    )
-    rows.append(("speedup (array-backed vs seed)", f"{speedup:.2f}x"))
     report(
         format_table(
             ["engine path", "us / simulated tREFI"],
-            rows,
+            [
+                ("seed per-ACT loop (sparse dicts)", f"{legacy_us:.1f}"),
+                ("array-backed activate_many", f"{fast_us:.1f}"),
+                ("speedup (array-backed vs seed)", f"{speedup:.2f}x"),
+            ],
             title="Engine hot path - batched array-backed vs seed loop",
         )
     )
@@ -101,8 +83,6 @@ def test_engine_hotpath_speedup(report, record_json):
         {
             "legacy_us_per_trefi": legacy_us,
             "fast_us_per_trefi": fast_us,
-            "backend_us_per_trefi": backend_us,
-            "numba_available": numba_available(),
             "speedup": speedup,
             "required_speedup": REQUIRED_SPEEDUP,
             "n_trefi": N_TREFI,

@@ -10,14 +10,9 @@ Two measurements pin the closed-loop subsystem's speed:
   bit-for-bit (the run is deterministic by contract).
 * ``test_mc_backend_speedups`` serves one pre-generated stream through
   the retained scalar reference (``run_streams_reference``) and
-  through the struct-of-arrays fast path under each backend, asserts
-  the completions are identical, and pins the speedups: the pure
-  SoA rewrite must be at least 2x the scalar loop, and the compiled
-  ``numba`` backend at least 10x (asserted only where numba is
-  installed). The interpreted ``kernel`` backend is recorded but not
-  gated — it exists to execute the numba kernel *code path* without
-  numba, where numpy scalar indexing makes it slower than plain
-  Python lists.
+  through the struct-of-arrays fast path, asserts the completions are
+  identical, and pins the speedup: the SoA loop must be at least 2x
+  the scalar loop.
 
 Like ``test_engine_hotpath.py``, this deliberately bypasses the
 artifact caches: it *measures* the subsystem, so replaying a cached
@@ -34,7 +29,6 @@ from benchmarks.conftest import FAST
 from repro.mc.controller import MemoryController
 from repro.obs import TraceRecorder
 from repro.report.tables import format_table
-from repro.sim.backend import numba_available
 from repro.sim.mc import McRunConfig, build_mc_channel, run_mc
 from repro.sweep.mc_spec import HAMMER_WORKLOAD
 from repro.workloads.requests import generate_requests
@@ -44,17 +38,14 @@ ROUNDS = 3
 #: Catastrophe floor, far below the ~300k req/s a laptop core sustains
 #: on the struct-of-arrays path.
 REQUIRED_REQUESTS_PER_S = 2000.0
-#: The struct-of-arrays rewrite of the serve loop (plain Python, no
-#: compilation) against the retained scalar reference.
-REQUIRED_PURE_SPEEDUP = 2.0
-#: The numba-compiled kernel against the scalar reference.
-REQUIRED_NUMBA_SPEEDUP = 10.0
+#: The struct-of-arrays rewrite of the serve loop against the retained
+#: scalar reference.
+REQUIRED_SOA_SPEEDUP = 2.0
 
 
-def _hammer_config(backend=None) -> McRunConfig:
+def _hammer_config() -> McRunConfig:
     return McRunConfig(
         ath=32, workload=HAMMER_WORKLOAD, banks=4, n_trefi=N_TREFI,
-        backend=backend,
     )
 
 
@@ -184,14 +175,14 @@ def test_mc_tracing_overhead(report, record_json):
     )
 
 
-def _serve_timed(requests, backend, reference=False):
+def _serve_timed(requests, reference=False):
     """Best-of-N serve of one stream; returns (seconds, completions).
 
     A fresh channel/controller per round keeps every measurement a
     cold, pristine-channel run — the configuration the fast path
     dispatches on.
     """
-    config = _hammer_config(backend=backend)
+    config = _hammer_config()
     best_s = None
     completions = None
     for _ in range(ROUNDS):
@@ -222,34 +213,20 @@ def test_mc_backend_speedups(report, record_json):
         trefi_ns=config.timing.t_refi,
     )
 
-    ref_s, ref_out = _serve_timed(requests, backend=None, reference=True)
-    backends = ["pure", "kernel"]
-    if numba_available():
-        backends.append("numba")
-
-    rows = [
-        ("scalar reference", f"{len(requests) / ref_s:,.0f}", "1.00x"),
-    ]
-    measured = {}
-    for backend in backends:
-        elapsed, out = _serve_timed(requests, backend=backend)
-        assert out == ref_out, (
-            f"backend {backend!r} diverged from the scalar reference"
-        )
-        speedup = ref_s / elapsed
-        measured[backend] = {
-            "requests_per_s": len(requests) / elapsed,
-            "speedup_vs_reference": speedup,
-        }
-        rows.append(
-            (backend, f"{len(requests) / elapsed:,.0f}", f"{speedup:.2f}x")
-        )
+    ref_s, ref_out = _serve_timed(requests, reference=True)
+    soa_s, soa_out = _serve_timed(requests)
+    assert soa_out == ref_out, "SoA serve loop diverged from the scalar reference"
+    speedup = ref_s / soa_s
 
     report(
         format_table(
             ["serve path", "requests / s", "speedup"],
-            rows,
-            title="MC backends - SoA serve loop vs scalar reference "
+            [
+                ("scalar reference", f"{len(requests) / ref_s:,.0f}", "1.00x"),
+                ("struct-of-arrays", f"{len(requests) / soa_s:,.0f}",
+                 f"{speedup:.2f}x"),
+            ],
+            title="MC serve loop - SoA vs scalar reference "
             f"({len(requests):,} requests, identical completions)",
         )
     )
@@ -257,21 +234,13 @@ def test_mc_backend_speedups(report, record_json):
         {
             "requests": len(requests),
             "reference_requests_per_s": len(requests) / ref_s,
-            "backends": measured,
-            "numba_available": numba_available(),
-            "required_pure_speedup": REQUIRED_PURE_SPEEDUP,
-            "required_numba_speedup": REQUIRED_NUMBA_SPEEDUP,
+            "soa_requests_per_s": len(requests) / soa_s,
+            "speedup_vs_reference": speedup,
+            "required_speedup": REQUIRED_SOA_SPEEDUP,
         },
-        key="mc_backends",
+        key="mc_serve_paths",
     )
-    pure = measured["pure"]["speedup_vs_reference"]
-    assert pure >= REQUIRED_PURE_SPEEDUP, (
-        f"pure SoA serve loop only {pure:.2f}x the scalar reference "
-        f"(need {REQUIRED_PURE_SPEEDUP}x)"
+    assert speedup >= REQUIRED_SOA_SPEEDUP, (
+        f"SoA serve loop only {speedup:.2f}x the scalar reference "
+        f"(need {REQUIRED_SOA_SPEEDUP}x)"
     )
-    if numba_available():
-        compiled = measured["numba"]["speedup_vs_reference"]
-        assert compiled >= REQUIRED_NUMBA_SPEEDUP, (
-            f"numba serve loop only {compiled:.2f}x the scalar "
-            f"reference (need {REQUIRED_NUMBA_SPEEDUP}x)"
-        )

@@ -47,10 +47,6 @@ setup(
     entry_points={"console_scripts": ["repro=repro.cli:main"]},
     extras_require={
         "test": ["pytest", "pytest-benchmark", "pytest-xdist", "hypothesis"],
-        # Optional compiled hot-path kernels (REPRO_BACKEND=numba /
-        # --backend numba). Pure-python runs need neither package and
-        # produce bit-identical results.
-        "fast": ["numpy", "numba"],
     },
     classifiers=[
         "Development Status :: 4 - Beta",

@@ -1,10 +1,10 @@
 """``repro lint``: registry-driven static analysis of repo invariants.
 
-Six AST/reflection rules enforce the contracts the test suite cannot
+Five AST/reflection rules enforce the contracts the test suite cannot
 see from the outside: determinism of simulation code, hash-neutrality
-of sweep spec fields, the numba-compatible kernel subset, full
-registry coverage (descriptions, CLI reachability, committed
-baselines), listener-attachment hygiene, and telemetry purity
+of sweep spec fields, full registry coverage (descriptions, CLI
+reachability, committed baselines), listener-attachment hygiene, and
+telemetry purity
 (wall-clock reads confined to the sanctioned telemetry scopes). See
 ``repro lint --list-rules`` and the "Static analysis" section of the
 README.

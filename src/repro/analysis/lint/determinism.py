@@ -1,7 +1,7 @@
 """The ``determinism`` rule: no hidden entropy inside simulation code.
 
 Every equivalence claim the repo makes — parallel == serial sweeps,
-``pure`` == ``kernel`` == ``numba`` backends, zero-tolerance baseline
+struct-of-arrays loops == scalar references, zero-tolerance baseline
 gates — holds only if simulation results are a pure function of their
 config. This rule flags the constructs that silently break that inside
 the simulation packages (``sim``, ``mc``, ``system``, ``attacks``,

@@ -33,7 +33,6 @@ from repro.analysis.lint import (
     determinism,
     hash_neutrality,
     listener_hygiene,
-    numba_subset,
     registry_coverage,
     telemetry_purity,
 )
@@ -86,12 +85,6 @@ _REGISTRY: Dict[str, RuleSpec] = {
             checker=hash_neutrality.check,
             description=hash_neutrality.DESCRIPTION,
             params=(("exempt", hash_neutrality.DEFAULT_EXEMPT),),
-        ),
-        RuleSpec(
-            name=numba_subset.NAME,
-            scope="file",
-            checker=numba_subset.check,
-            description=numba_subset.DESCRIPTION,
         ),
         RuleSpec(
             name=registry_coverage.NAME,

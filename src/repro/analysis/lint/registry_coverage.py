@@ -1,7 +1,7 @@
 """The ``registry-coverage`` rule: registries stay fully wired.
 
 Every behavior in this repo is registered somewhere — mitigation
-policies, attack kinds, schedulers, backends, analytic model kinds,
+policies, attack kinds, schedulers, analytic model kinds,
 sweep families/presets, paper figures — and each registration carries
 three promises:
 
@@ -108,7 +108,6 @@ def collect_state(root: Path) -> Dict[str, object]:
     from repro.mc import sched as sched_module
     from repro.mitigations import registry as mitigation_module
     from repro.report import figures as figures_module
-    from repro.sim import backend as backend_module
     from repro.sweep import family as family_module
     from repro.sweep import model_spec as model_module
 
@@ -135,14 +134,6 @@ def collect_state(root: Path) -> Dict[str, object]:
                 kind: str(info.get("description", ""))
                 for kind, info in
                 sched_module.sched_descriptions().items()
-            },
-        },
-        "backend": {
-            "source": _module_rel_path(backend_module, root),
-            "kinds": {
-                kind: str(info.get("description", ""))
-                for kind, info in
-                backend_module.backend_descriptions().items()
             },
         },
         "model": {

@@ -82,7 +82,6 @@ from repro.report.tables import format_table
 from repro.mc.controller import ROW_POLICIES, SCHEDULERS
 from repro.mc.sched import sched_descriptions
 from repro.sim.attack_perf import run_attack
-from repro.sim.backend import BACKEND_ENV, BACKEND_NAMES
 from repro.sim.mapping import CoffeeLakeMapping
 from repro.sim.mc import McRunConfig, run_mc, run_mc_trace
 from repro.sim.perf import RunConfig, run_trace, run_workload
@@ -1169,22 +1168,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 _PROFILE_TOP_N = 25
 
 
-def _add_backend_flag(parser: argparse.ArgumentParser) -> None:
-    """Attach the shared ``--backend`` selector.
-
-    The choice is exported through :data:`BACKEND_ENV` rather than
-    threaded through every config object, so process-pool workers
-    inherit it; every backend is bit-identical by contract (and by
-    test), so the flag never changes a result — only its speed.
-    """
-    parser.add_argument(
-        "--backend", choices=list(BACKEND_NAMES), default=None,
-        help="hot-path kernel backend (default: $REPRO_BACKEND or "
-        "'pure'; 'numba' falls back to 'kernel' semantics in pure "
-        "Python if numba is not installed — results are bit-identical "
-        "on every backend)")
-
-
 def _add_profile_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--profile", action="store_true",
@@ -1255,7 +1238,6 @@ def _add_sweep_common_flags(
                         "backend, seed schedule, cache hit/miss "
                         "statistics, per-run timing) into the "
                         "artifact's provenance block")
-    _add_backend_flag(parser)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1340,7 +1322,6 @@ def build_parser() -> argparse.ArgumentParser:
                       "synthetic workload (see `repro trace synth`)")
     perf.add_argument("--trefi", type=int, default=4096,
                       help="simulated tREFI intervals (8192 = full window)")
-    _add_backend_flag(perf)
     _add_profile_flag(perf)
     perf.set_defaults(func=_cmd_perf)
 
@@ -1405,7 +1386,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="replay a recorded address trace as the "
                         "request stream (geometry from the mapping; "
                         "see `repro trace synth`)")
-    _add_backend_flag(mc_run)
     _add_profile_flag(mc_run)
     _add_obs_flags(mc_run)
     mc_run.set_defaults(func=_cmd_mc_run)
@@ -1498,7 +1478,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "(default: no cache)")
     system_run.add_argument("--quiet", action="store_true",
                             help="suppress per-shard progress on stderr")
-    _add_backend_flag(system_run)
     _add_obs_flags(system_run)
     system_run.set_defaults(func=_cmd_system_run)
 
@@ -1588,7 +1567,6 @@ def build_parser() -> argparse.ArgumentParser:
                                 help="disable the per-point result caches")
         sub_parser.add_argument("--quiet", action="store_true",
                                 help="suppress per-point progress on stderr")
-        _add_backend_flag(sub_parser)
     report_list = report_sub.add_parser(
         "list", help="list the registered paper figures/tables"
     )
@@ -1656,8 +1634,8 @@ def build_parser() -> argparse.ArgumentParser:
     lint = sub.add_parser(
         "lint",
         help="run the repo's static-analysis rules (determinism, "
-        "hash-neutrality, numba-subset, registry-coverage, "
-        "listener-hygiene, telemetry-purity)",
+        "hash-neutrality, registry-coverage, listener-hygiene, "
+        "telemetry-purity)",
     )
     lint.add_argument("paths", nargs="*", metavar="PATH",
                       help="files or directories to lint "
@@ -1705,12 +1683,6 @@ def _run_profiled(args: argparse.Namespace) -> int:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "backend", None):
-        # Exported via the environment rather than threaded through the
-        # config objects so sweep process-pool workers inherit the
-        # selection; bit-identity across backends means this can never
-        # change a result or a cache/baseline identity.
-        os.environ[BACKEND_ENV] = args.backend
     try:
         if getattr(args, "profile", False):
             return _run_profiled(args)

@@ -60,14 +60,6 @@ class Bank:
             Defaults to zero. Incompatible with ``dense_counters``.
         dense_counters: Store PRAC counters in a preallocated flat
             array instead of a sparse dict (see module docstring).
-        counter_store: Optional externally owned dense counter storage
-            (a writable flat int64 buffer of length ``num_rows``,
-            typically a ``memoryview`` slice of one engine-level block).
-            Lets the engine place every bank's counters in one
-            contiguous allocation so compiled kernels can address the
-            whole sub-channel as a 2-D struct-of-arrays view. Requires
-            ``dense_counters``; semantics are identical to the
-            bank-owned array.
     """
 
     def __init__(
@@ -77,7 +69,6 @@ class Bank:
         track_danger: bool = True,
         initial_counter: Optional[Callable[[int], int]] = None,
         dense_counters: bool = False,
-        counter_store=None,
     ) -> None:
         if num_rows <= 0:
             raise ValueError("num_rows must be positive")
@@ -88,14 +79,6 @@ class Bank:
                 "dense_counters starts all-zero; initial_counter needs the "
                 "sparse layout"
             )
-        if counter_store is not None:
-            if not dense_counters:
-                raise ValueError("counter_store requires dense_counters")
-            if len(counter_store) != num_rows:
-                raise ValueError(
-                    f"counter_store holds {len(counter_store)} slots for "
-                    f"{num_rows} rows"
-                )
         self.num_rows = num_rows
         self.blast_radius = blast_radius
         self.track_danger = track_danger
@@ -104,10 +87,7 @@ class Bank:
         #: PRAC storage: flat array (dense) or row-keyed dict (sparse).
         #: The engine's batched activate loop indexes the array
         #: directly, so the dense layout must stay a plain sequence.
-        if counter_store is not None:
-            self._prac = counter_store
-        else:
-            self._prac = array("q", bytes(8 * num_rows)) if dense_counters else {}
+        self._prac = array("q", bytes(8 * num_rows)) if dense_counters else {}
         self._danger: Dict[int, int] = {}
         #: Total ACT commands this bank has performed (for energy model).
         self.total_activations = 0

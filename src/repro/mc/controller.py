@@ -63,24 +63,6 @@ from repro.mc.sched import (
     validate_sched,
 )
 from repro.obs.recorder import NULL_RECORDER, record_batch_events
-from repro.sim.backend import (
-    F_ADMIT,
-    F_CMD_FREE,
-    F_E_CHFREE,
-    F_E_NOW,
-    F_LAST,
-    F_NOW,
-    I_ACTS,
-    I_ALERT,
-    I_NEXT,
-    I_OUT,
-    I_QUEUED,
-    I_SEQ,
-    SERVE_ADVANCE,
-    SERVE_ALERT,
-    SERVE_DONE,
-    resolve_backend,
-)
 from repro.sim.channel import ChannelSim
 
 #: Implemented row-buffer policies.
@@ -135,7 +117,7 @@ class ServedBatch:
 
     The hot serving paths record completions as parallel flat arrays
     (request index, enqueue, start, complete) instead of allocating one
-    :class:`CompletedRequest` per request — at compiled-backend
+    :class:`CompletedRequest` per request — at struct-of-arrays
     throughput the per-completion object construction would dominate
     the run. :meth:`completions` materializes the classic object list
     on demand (API compatibility); the summary helpers below compute
@@ -239,9 +221,6 @@ class MemoryController:
             channel.timing.t_act if config.t_col is None else config.t_col
         )
         self._t_cmd_gap = channel.config.t_cmd_gap_resolved
-        #: Kernel backend shared with the engine (same resolution, so
-        #: the controller and its channel always agree on a choice).
-        self._backend = resolve_backend(channel.config.sim.backend)
         #: Observability sink (:mod:`repro.obs`). Queue events are
         #: derived post hoc from the served batch, so recorder presence
         #: never changes dispatch and never touches the serving loops.
@@ -303,8 +282,7 @@ class MemoryController:
         case on an untouched channel with dense counters — the
         configuration of every ``run_mc`` workload point — runs through
         :meth:`_run_fast`, a struct-of-arrays reimplementation of the
-        serving loop (optionally kernel-backed, see
-        :mod:`repro.sim.backend`). Everything else (crossbars, open
+        serving loop. Everything else (crossbars, open
         page, unbounded queues, danger tracking, pre-driven channels)
         stays on :meth:`run_streams_reference`, the pinned scalar
         reference. Both paths are bit-identical by construction and by
@@ -358,7 +336,7 @@ class MemoryController:
         One request at a time through per-bank tuple queues and
         :meth:`ChannelSim.activate` — the implementation every
         committed baseline was produced with, retained verbatim as the
-        equivalence oracle for :meth:`_run_fast` (see the backend
+        equivalence oracle for :meth:`_run_fast` (see the fast-path
         property tests) and as the general path for configurations the
         fast path does not cover.
         """
@@ -570,12 +548,6 @@ class MemoryController:
         is always entered from exactly the state the reference would
         have. ABO activation counts are accumulated locally and flushed
         before anything that may consult ``can_assert``.
-
-        Under a kernel backend the whole
-        admit/pick/issue/policy-observe step additionally runs inside
-        :func:`repro.sim.backend._serve_closed` over zero-copy views
-        (2-D dense-counter block, SAFE-shadow registers, MOAT tracker
-        file) until a stop code hands an event back to this wrapper.
         """
         ordered = sorted(stream, key=lambda r: r.issue_ns)
         for req in ordered:
@@ -604,73 +576,21 @@ class MemoryController:
         e_bank_free = sub._bank_free
         INF = float("inf")
 
-        # Serve-kernel eligibility: every bank on a kernel-supported
-        # policy (MOAT or the unprotected baseline), homogeneous across
-        # banks (the kernel specializes one level/threshold set).
-        backend = self._backend
-        use_kernel = (
-            backend.use_kernels
-            and getattr(sub, "_use_kernels", False)
-            and all(lv >= 0 for lv in sub._kernel_levels)
-            and len(set(sub._kernel_levels)) == 1
-        )
-        level = sub._kernel_levels[0] if use_kernel else 0
-        eth = ath = 0
-        if use_kernel and level > 0:
-            eth, ath = policies[0].eth, policies[0].ath
-            if not all(p.eth == eth and p.ath == ath for p in policies):
-                use_kernel = False
-                level = 0
-
-        if use_kernel:
-            import numpy as np
-
-            serve_kernel = backend.serve_closed
-            issue = np.array([r.issue_ns for r in ordered], dtype=np.float64)
-            rbank = np.array([r.bank for r in ordered], dtype=np.int64)
-            rrow = np.array([r.row for r in ordered], dtype=np.int64)
-            q_seq = np.zeros(n_banks * cap, dtype=np.int64)
-            q_ridx = np.zeros(n_banks * cap, dtype=np.int64)
-            q_enq = np.zeros(n_banks * cap, dtype=np.float64)
-            q_head = np.zeros(n_banks, dtype=np.int64)
-            q_count = np.zeros(n_banks, dtype=np.int64)
-            freed = np.zeros(n_banks, dtype=np.float64)
-            bank_free = np.zeros(n_banks, dtype=np.float64)
-            acts_bank = np.zeros(n_banks, dtype=np.int64)
-            out_ridx = np.zeros(n, dtype=np.int64)
-            out_enq = np.zeros(n, dtype=np.float64)
-            out_start = np.zeros(n, dtype=np.float64)
-            out_complete = np.zeros(n, dtype=np.float64)
-            prac2 = np.frombuffer(
-                sub._counter_block, dtype=np.int64
-            ).reshape(n_banks, sub.config.rows_per_bank)
-            blast = sub.config.blast_radius
-            sh_rows2 = np.empty((n_banks, blast), dtype=np.int64)
-            sh_counts2 = np.empty((n_banks, blast), dtype=np.int64)
-            sh_n = [0] * n_banks
-            slots = max(level, 1)
-            m_rows2 = np.zeros((n_banks, slots), dtype=np.int64)
-            m_counts2 = np.zeros((n_banks, slots), dtype=np.int64)
-            pfill = np.zeros(n_banks, dtype=np.int64)
-            fstate = np.zeros(8, dtype=np.float64)
-            istate = np.zeros(8, dtype=np.int64)
-        else:
-            serve_kernel = None
-            issue = [r.issue_ns for r in ordered]
-            rbank = [r.bank for r in ordered]
-            rrow = [r.row for r in ordered]
-            q_seq = [0] * (n_banks * cap)
-            q_ridx = [0] * (n_banks * cap)
-            q_enq = [0.0] * (n_banks * cap)
-            q_head = [0] * n_banks
-            q_count = [0] * n_banks
-            freed = [0.0] * n_banks
-            bank_free = [0.0] * n_banks
-            acts_bank = [0] * n_banks
-            out_ridx = [0] * n
-            out_enq = [0.0] * n
-            out_start = [0.0] * n
-            out_complete = [0.0] * n
+        issue = [r.issue_ns for r in ordered]
+        rbank = [r.bank for r in ordered]
+        rrow = [r.row for r in ordered]
+        q_seq = [0] * (n_banks * cap)
+        q_ridx = [0] * (n_banks * cap)
+        q_enq = [0.0] * (n_banks * cap)
+        q_head = [0] * n_banks
+        q_count = [0] * n_banks
+        freed = [0.0] * n_banks
+        bank_free = [0.0] * n_banks
+        acts_bank = [0] * n_banks
+        out_ridx = [0] * n
+        out_enq = [0.0] * n
+        out_start = [0.0] * n
+        out_complete = [0.0] * n
 
         # Local mirrors of the controller view (now/cmd_free/admit) and
         # the engine scalars (e_now/e_chfree + the shared bank_free —
@@ -697,96 +617,6 @@ class MemoryController:
         )
 
         while out_n < n:
-            if serve_kernel is not None and not abo._pending:
-                # Pack mutable policy/shadow state, run the kernel to
-                # the next stop code, unpack immediately (the wrapper's
-                # event handling below reads and writes the originals).
-                for qi in range(n_banks):
-                    shadow = shadows[qi]
-                    k = 0
-                    for s_row, s_count in shadow.items():
-                        sh_rows2[qi, k] = s_row
-                        sh_counts2[qi, k] = s_count
-                        k += 1
-                    sh_n[qi] = k
-                    if k < blast:
-                        sh_rows2[qi, k:] = -1
-                    if level > 0:
-                        policy = policies[qi]
-                        v_rows, v_counts = policy.state_views()
-                        m_rows2[qi, :] = v_rows
-                        m_counts2[qi, :] = v_counts
-                        pfill[qi] = policy._fill
-                fstate[F_NOW] = now
-                fstate[F_CMD_FREE] = cmd_free
-                fstate[F_ADMIT] = admit_floor
-                fstate[F_E_NOW] = e_now
-                fstate[F_E_CHFREE] = e_chfree
-                istate[I_NEXT] = next_i
-                istate[I_SEQ] = seq
-                istate[I_QUEUED] = queued
-                istate[I_OUT] = out_n
-                istate[I_ACTS] = 0
-                code = serve_kernel(
-                    issue, rbank, rrow,
-                    q_seq, q_ridx, q_enq, q_head, q_count, freed,
-                    out_ridx, out_enq, out_start, out_complete,
-                    prac2, sh_rows2, sh_counts2,
-                    m_rows2, m_counts2, pfill, bank_free, acts_bank,
-                    fstate, istate,
-                    cap, n_banks, frfcfs, t_rc, gap, t_cmd_gap,
-                    eth, ath, level, next_ref_s, next_ext_s,
-                    window_end_s,
-                )
-                next_i = int(istate[I_NEXT])
-                seq = int(istate[I_SEQ])
-                queued = int(istate[I_QUEUED])
-                out_n = int(istate[I_OUT])
-                pending_acts += int(istate[I_ACTS])
-                now = float(fstate[F_NOW])
-                cmd_free = float(fstate[F_CMD_FREE])
-                admit_floor = float(fstate[F_ADMIT])
-                e_now = float(fstate[F_E_NOW])
-                e_chfree = float(fstate[F_E_CHFREE])
-                for qi in range(n_banks):
-                    shadow = shadows[qi]
-                    for k in range(sh_n[qi]):
-                        shadow[int(sh_rows2[qi, k])] = int(sh_counts2[qi, k])
-                    if level > 0:
-                        policy = policies[qi]
-                        v_rows, v_counts = policy.state_views()
-                        v_rows[:] = m_rows2[qi]
-                        v_counts[:] = m_counts2[qi]
-                        policy._fill = int(pfill[qi])
-                if code == SERVE_DONE:
-                    break
-                if code == SERVE_ALERT:
-                    # The triggering ACT committed inside the kernel;
-                    # latch the request exactly as the pure step does.
-                    policies[int(istate[I_ALERT])].alerts_requested += 1
-                    if pending_acts:
-                        abo.note_activations(pending_acts)
-                        sub.total_acts += pending_acts
-                        pending_acts = 0
-                    sub.now = float(e_now)
-                    sub._channel_free = float(e_chfree)
-                    for b in range(n_banks):
-                        e_bank_free[b] = float(bank_free[b])
-                    channel._cmd_free = float(cmd_free)
-                    abo.request_alert()
-                    sub._maybe_assert_alert(float(fstate[F_LAST]))
-                    episode = sub._episode
-                    window_end_s = (
-                        episode.window_end
-                        if episode is not None and not episode.processed
-                        else INF
-                    )
-                    continue
-                # SERVE_ADVANCE / SERVE_EVENT: one scalar step below
-                # re-derives the same decision and hands the engine
-                # whatever stopped the kernel.
-
-            # -- one reference-equivalent scalar step ----------------
             # In-order admission of every arrival at or before `now`.
             while next_i < n:
                 t = issue[next_i]
@@ -1005,14 +835,6 @@ class MemoryController:
             e_bank_free[b] = float(bank_free[b])
         channel._cmd_free = float(cmd_free)
         channel.flush()
-        if serve_kernel is not None:
-            return ServedBatch(
-                requests=ordered,
-                ridx=out_ridx.tolist(),
-                enqueue_ns=out_enq.tolist(),
-                start_ns=out_start.tolist(),
-                complete_ns=out_complete.tolist(),
-            )
         return ServedBatch(
             requests=ordered, ridx=out_ridx, enqueue_ns=out_enq,
             start_ns=out_start, complete_ns=out_complete,

@@ -122,19 +122,6 @@ class CounterTable:
         """Dict snapshot in first-touch order (tests, reporting)."""
         return dict(self.items())
 
-    def counts_view(self):
-        """Zero-copy int64 numpy view of the flat counter table.
-
-        The view aliases :attr:`counts`, so scatter/gather updates
-        through it are visible to the table (and vice versa); the
-        order bookkeeping is untouched, so kernels must only update
-        rows that are already tracked. Requires numpy (kernel
-        backends only — the pure path never calls this).
-        """
-        import numpy as np
-
-        return np.frombuffer(self.counts, dtype=np.int64)
-
 
 class MitigationPolicy(abc.ABC):
     """Abstract in-DRAM Rowhammer mitigation policy (one per bank)."""

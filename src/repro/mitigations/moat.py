@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from repro.mitigations.base import MitigationPolicy
 
@@ -77,14 +77,10 @@ class MoatPolicy(MitigationPolicy):
         self.name = f"MOAT-L{level}(ATH={ath},ETH={self.eth})"
         #: Tracker register file: preallocated parallel arrays (row
         #: address, counter copy), ``_fill`` slots live. Flat state
-        #: keeps the per-ACT hot path free of object allocation; the
-        #: ``array('q')`` layout additionally exposes the registers to
-        #: compiled kernels as zero-copy int64 views (see
-        #: :meth:`state_views`).
+        #: keeps the per-ACT hot path free of object allocation.
         self._rows = array("q", bytes(8 * level))
         self._counts = array("q", bytes(8 * level))
         self._fill = 0
-        self._views: Optional[Tuple] = None
         #: Row currently undergoing proactive mitigation (CMA register).
         self.cma: Optional[int] = None
         #: Count of ALERT requests raised (episodes, not rows).
@@ -97,23 +93,6 @@ class MoatPolicy(MitigationPolicy):
             TrackerEntry(self._rows[i], self._counts[i])
             for i in range(self._fill)
         ]
-
-    def state_views(self):
-        """Zero-copy int64 numpy views ``(rows, counts)`` of the tracker.
-
-        The views alias the live register file, so a kernel that
-        mutates them mutates the policy; only :attr:`_fill` needs
-        explicit synchronization after a kernel call. Requires numpy
-        (kernel backends only — the pure path never calls this).
-        """
-        if self._views is None:
-            import numpy as np
-
-            self._views = (
-                np.frombuffer(self._rows, dtype=np.int64),
-                np.frombuffer(self._counts, dtype=np.int64),
-            )
-        return self._views
 
     # ------------------------------------------------------------------
     # Tracking

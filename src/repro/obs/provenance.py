@@ -1,7 +1,7 @@
 """Run provenance: who produced a result, with what, from where.
 
 A provenance block answers the questions drift debugging always starts
-with — which package version, which kernel backend, which git state,
+with — which package version, which backend, which git state,
 which seed schedule, and (for sweeps) how much of the run came from
 the cache. It is **injected** into artifacts as a separate top-level
 key: :func:`repro.sweep.artifacts.diff_artifacts` compares ``points``
@@ -23,7 +23,6 @@ PROVENANCE_VERSION = 1
 
 
 def run_provenance(
-    backend: Optional[str] = None,
     config_hash: Optional[str] = None,
     seeds: Optional[Dict[str, object]] = None,
     cache: Optional[Dict[str, object]] = None,
@@ -32,9 +31,6 @@ def run_provenance(
     """Assemble a provenance block for an artifact.
 
     Args:
-        backend: Requested backend name (``None`` resolves through
-            ``REPRO_BACKEND`` exactly like the simulators do, so the
-            recorded name is the one that actually ran).
         config_hash: Identity hash of the run's configuration.
         seeds: Seed schedule (e.g. ``{"seed": 0}`` or a per-client
             map) — whatever fully determines the run's randomness.
@@ -51,7 +47,7 @@ def run_provenance(
         "provenance_version": PROVENANCE_VERSION,
         "package_version": __version__,
         "python_version": platform.python_version(),
-        "backend": resolve_backend(backend).name,
+        "backend": resolve_backend().name,
         "git_describe": git_describe(),
         "created_utc": utc_now(),
     }

@@ -26,7 +26,6 @@ Timing rules implemented (paper Sections 2.2, 2.6):
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
@@ -35,20 +34,7 @@ from repro.dram.bank import Bank
 from repro.dram.refresh import CounterResetPolicy, RefreshEngine
 from repro.dram.timing import DramTiming, DDR5_PRAC_TIMING
 from repro.mitigations.base import MitigationPolicy
-from repro.mitigations.moat import MoatPolicy
-from repro.mitigations.null import NullPolicy
 from repro.obs.recorder import NULL_RECORDER
-from repro.sim.backend import (
-    F_CMD_FREE,
-    F_E_NOW,
-    F_LAST,
-    F_NOW,
-    I_ACTS,
-    I_ALERT,
-    I_FILL,
-    I_NEXT,
-    resolve_backend,
-)
 
 #: Signature of mitigation listeners: (bank_index, row, reactive, time).
 MitigationListener = Callable[[int, int, bool, float], None]
@@ -93,13 +79,6 @@ class SimConfig:
     #: counter semantics are identical either way. Incompatible with
     #: ``initial_counter``.
     dense_counters: bool = False
-    #: Kernel backend for the batched hot loops: ``"pure"``,
-    #: ``"kernel"``, or ``"numba"`` (see :mod:`repro.sim.backend`).
-    #: ``None`` defers to the ``REPRO_BACKEND`` environment variable,
-    #: then ``"pure"``. Backends are equivalence-gated: every choice
-    #: is bit-identical, so this knob is hashed out of sweep-point
-    #: identities.
-    backend: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -137,25 +116,6 @@ class SubchannelSim:
         self.config = config
         timing = config.timing
         self.timing = timing
-        self._backend = resolve_backend(config.backend)
-        if config.dense_counters:
-            # One contiguous int64 block holds every bank's PRAC
-            # counters (struct-of-arrays across banks): each bank
-            # indexes its own memoryview slice exactly like a private
-            # array, while kernel backends address the whole
-            # sub-channel as one 2-D view.
-            rows = config.rows_per_bank
-            self._counter_block = array(
-                "q", bytes(8 * config.num_banks * rows)
-            )
-            block_view = memoryview(self._counter_block)
-            stores = [
-                block_view[bank * rows:(bank + 1) * rows]
-                for bank in range(config.num_banks)
-            ]
-        else:
-            self._counter_block = None
-            stores = [None] * config.num_banks
         self.banks: List[Bank] = [
             Bank(
                 num_rows=config.rows_per_bank,
@@ -163,9 +123,8 @@ class SubchannelSim:
                 track_danger=config.track_danger,
                 initial_counter=config.initial_counter,
                 dense_counters=config.dense_counters,
-                counter_store=store,
             )
-            for store in stores
+            for _ in range(config.num_banks)
         ]
         self.refresh: List[RefreshEngine] = [
             RefreshEngine(
@@ -195,42 +154,6 @@ class SubchannelSim:
         ]
         self._t_rc = timing.t_rc
         self._t_issue_gap = config.t_issue_gap
-        # Kernel backend wiring. The compiled/interpeted kernels cover
-        # the narrow hot case (dense counters, MOAT or the unprotected
-        # baseline); every other policy keeps the pure batched loop,
-        # bank by bank. ``_kernel_levels[bank]`` is the MOAT tracker
-        # size (0 = null policy, -1 = unsupported -> pure loop).
-        self._use_kernels = (
-            self._backend.use_kernels
-            and config.dense_counters
-            and not config.track_danger
-        )
-        if self._use_kernels:
-            import numpy as np
-
-            levels: List[int] = []
-            views = []
-            for policy in self.policies:
-                if type(policy) is MoatPolicy:
-                    levels.append(policy.level)
-                    views.append(policy.state_views())
-                elif type(policy) is NullPolicy:
-                    levels.append(0)
-                    views.append(None)
-                else:
-                    levels.append(-1)
-                    views.append(None)
-            self._kernel_levels = levels
-            self._policy_views = views
-            self._dummy_slot = np.zeros(1, dtype=np.int64)
-            self._prac_views = [
-                np.frombuffer(bank._prac, dtype=np.int64)
-                for bank in self.banks
-            ]
-            self._sh_rows = np.empty(config.blast_radius, dtype=np.int64)
-            self._sh_counts = np.empty(config.blast_radius, dtype=np.int64)
-            self._kf = np.zeros(8, dtype=np.float64)
-            self._ki = np.zeros(8, dtype=np.int64)
         self.abo = AboProtocol(AboConfig(level=config.abo_level, timing=timing))
         self.now = 0.0
         self._channel_free = 0.0
@@ -324,8 +247,6 @@ class SubchannelSim:
             for row in rows:
                 last_start = self.activate(row, bank, not_before).time
             return last_start
-        if self._use_kernels and self._kernel_levels[bank] >= 0:
-            return self._activate_many_kernel(rows, bank, not_before)
 
         t_rc = self._t_rc
         gap = self._t_issue_gap
@@ -402,106 +323,6 @@ class SubchannelSim:
             if acts == 0 and i < n:
                 # Next ACT overlaps a scheduled event: slow path for one.
                 last_start = self.activate(rows[i], bank, not_before).time
-                i += 1
-        return last_start
-
-    def _activate_many_kernel(
-        self, rows: List[int], bank: int, not_before: float
-    ) -> Optional[float]:
-        """Kernel-backed body of :meth:`activate_many`.
-
-        Same outer structure as the pure batched loop — snapshot event
-        state, burst until the next scheduled event, flush statistics,
-        handle ALERT requests — with the inner burst executed by the
-        backend's ACT kernel over zero-copy views of the bank's dense
-        counter slice, the SAFE-reset shadow registers, and the MOAT
-        tracker register file. Bit-identical by construction: the
-        kernel replays the exact per-ACT recurrences of the pure loop.
-        """
-        import numpy as np
-
-        rows_arr = np.asarray(rows, dtype=np.int64)
-        n = rows_arr.shape[0]
-        kernel = self._backend.act_burst
-        prac_row = self._prac_views[bank]
-        refresh = self.refresh[bank]
-        bank_obj = self.banks[bank]
-        policy = self.policies[bank]
-        level = self._kernel_levels[bank]
-        if level > 0:
-            m_rows, m_counts = self._policy_views[bank]
-            eth, ath = policy.eth, policy.ath
-        else:
-            m_rows = m_counts = self._dummy_slot
-            eth = ath = 0
-        sh_rows, sh_counts = self._sh_rows, self._sh_counts
-        fstate, istate = self._kf, self._ki
-        abo = self.abo
-        t_rc = self._t_rc
-        gap = self._t_issue_gap
-        last_start: Optional[float] = None
-        i = 0
-        while i < n:
-            if abo.alert_pending:
-                # A latched request may assert on any ACT: stay on the
-                # slow path until the episode machinery settles.
-                last_start = self.activate(int(rows_arr[i]), bank, not_before).time
-                i += 1
-                continue
-            episode = self._episode
-            window_end = (
-                episode.window_end
-                if episode is not None and not episode.processed
-                else float("inf")
-            )
-            shadow = refresh.shadow
-            n_sh = 0
-            for s_row, s_count in shadow.items():
-                sh_rows[n_sh] = s_row
-                sh_counts[n_sh] = s_count
-                n_sh += 1
-            sh_rows[n_sh:] = -1
-            fstate[F_NOW] = self.now
-            fstate[F_CMD_FREE] = self._channel_free
-            fstate[F_E_NOW] = self._bank_free[bank]
-            istate[I_NEXT] = i
-            istate[I_FILL] = policy._fill if level > 0 else 0
-            istate[I_ALERT] = 0
-            kernel(
-                rows_arr, prac_row, sh_rows, sh_counts, m_rows, m_counts,
-                fstate, istate, t_rc, gap, not_before,
-                self._next_ref, self._next_external, window_end,
-                eth, ath, level,
-            )
-            i = int(istate[I_NEXT])
-            acts = int(istate[I_ACTS])
-            self.now = float(fstate[F_NOW])
-            self._channel_free = float(fstate[F_CMD_FREE])
-            self._bank_free[bank] = float(fstate[F_E_NOW])
-            if level > 0:
-                policy._fill = int(istate[I_FILL])
-            for k in range(n_sh):
-                shadow[int(sh_rows[k])] = int(sh_counts[k])
-            if acts:
-                last_start = float(fstate[F_LAST])
-                self.total_acts += acts
-                bank_obj.note_activations(acts)
-                abo.note_activations(acts)
-                if self.recorder.enabled:
-                    self.recorder.emit("act-burst", last_start,
-                                       sub=self._rec_sub, bank=bank,
-                                       value=float(acts))
-            if istate[I_ALERT]:
-                # The triggering ACT already committed inside the
-                # kernel; request the ALERT exactly as the pure loop
-                # does after on_activate sets alert_requested.
-                policy.alerts_requested += 1
-                abo.request_alert()
-                self._maybe_assert_alert(self._bank_free[bank])
-                continue
-            if acts == 0 and i < n:
-                # Next ACT overlaps a scheduled event: slow path for one.
-                last_start = self.activate(int(rows_arr[i]), bank, not_before).time
                 i += 1
         return last_start
 

@@ -76,11 +76,6 @@ class RunConfig:
     #: why real 32-bank systems see low ALERT rates).
     model_cross_bank_service: bool = True
     fixed_point_iterations: int = 5
-    #: Kernel backend for the batched hot loops (``"pure"``,
-    #: ``"kernel"``, ``"numba"``; ``None`` defers to ``REPRO_BACKEND``
-    #: then ``"pure"``). Equivalence-gated — results are bit-identical
-    #: across backends, so this is hashed out of sweep identities.
-    backend: Optional[str] = None
 
     @property
     def eth_resolved(self) -> int:
@@ -259,7 +254,6 @@ def _run_once(
         track_danger=False,
         external_service_interval_ns=external_interval,
         dense_counters=True,
-        backend=config.backend,
     )
     eth = config.eth_resolved
     run_params = RunParams(
@@ -347,7 +341,6 @@ def run_trace(
         abo_level=config.abo_level,
         track_danger=False,
         dense_counters=True,
-        backend=config.backend,
     )
     eth = config.eth_resolved
     run_params = RunParams(

@@ -88,10 +88,6 @@ class McSweepPoint:
         config["trefi_per_mitigation"] = (
             self.config.trefi_per_mitigation_resolved
         )
-        # The kernel backend is equivalence-gated (bit-identical by
-        # contract and by test), so it can never be part of a result's
-        # identity — pure and compiled runs share one cache entry.
-        config.pop("backend", None)
         if self.config.workload.process != "bursty":
             config["workload"]["burst_trefi"] = 8.0
             config["workload"]["idle_trefi"] = 8.0

@@ -96,10 +96,6 @@ class SweepPoint:
         config = _canonical(self.config)
         config["eth"] = self.config.eth_resolved
         config["trefi_per_mitigation"] = self.config.trefi_per_mitigation_resolved
-        # The kernel backend is equivalence-gated (bit-identical by
-        # contract and by test), so it can never be part of a result's
-        # identity — pure and compiled runs share one cache entry.
-        config.pop("backend", None)
         for name, neutral in _NEUTRAL_AXES.items():
             if config.get(name) == neutral:
                 del config[name]

@@ -23,7 +23,6 @@ from repro.cli import main
 EXPECTED_RULES = (
     "determinism",
     "hash-neutrality",
-    "numba-subset",
     "registry-coverage",
     "listener-hygiene",
     "telemetry-purity",
@@ -41,8 +40,8 @@ def test_rule_registry_complete():
 def test_resolve_select_and_ignore():
     assert [s.name for s in resolve_rules(select=["determinism"])] == [
         "determinism"]
-    assert "numba-subset" not in [
-        s.name for s in resolve_rules(ignore=["numba-subset"])]
+    assert "hash-neutrality" not in [
+        s.name for s in resolve_rules(ignore=["hash-neutrality"])]
 
 
 def test_resolve_unknown_rule_message():
@@ -50,8 +49,8 @@ def test_resolve_unknown_rule_message():
         resolve_rules(select=["nope"])
     assert str(exc.value) == (
         "unknown lint rule(s): nope (known: determinism, "
-        "hash-neutrality, numba-subset, registry-coverage, "
-        "listener-hygiene, telemetry-purity)"
+        "hash-neutrality, registry-coverage, listener-hygiene, "
+        "telemetry-purity)"
     )
 
 
@@ -66,13 +65,13 @@ def test_parse_suppressions():
     source = (
         "x = 1\n"
         "y = 2  # repro-lint: disable=determinism\n"
-        "z = 3  # repro-lint: disable=determinism,numba-subset\n"
+        "z = 3  # repro-lint: disable=determinism,hash-neutrality\n"
         "w = 4  # repro-lint: disable=all\n"
     )
     sup = parse_suppressions(source)
     assert sup == {
         2: {"determinism"},
-        3: {"determinism", "numba-subset"},
+        3: {"determinism", "hash-neutrality"},
         4: {"all"},
     }
 

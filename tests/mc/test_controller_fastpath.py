@@ -2,18 +2,17 @@
 
 :meth:`MemoryController.serve_streams` dispatches eligible runs (one
 client, closed page, bounded queues, one sub-channel, pristine
-channel) to a struct-of-arrays fast path, optionally kernel-backed;
-everything else stays on :meth:`run_streams_reference`, the pinned
-scalar loop. These tests pin the two halves of that design:
+channel) to a struct-of-arrays fast path; everything else stays on
+:meth:`run_streams_reference`, the pinned scalar loop. These tests pin
+the two halves of that design:
 
-* **Equivalence** — the fast path (under every backend) produces
-  completions, policy state, and engine state bit-identical to the
-  reference, across policies, schedulers, queue depths, and
-  hypothesis-random request streams.
-* **Dispatch** — eligible configurations actually take the fast path,
-  and every ineligible shape (multi-stream, open page, unbounded
-  queue, pre-driven channel) falls back to the reference rather than
-  producing a subtly wrong fast run.
+* **Equivalence** — the fast path produces completions, policy state,
+  and engine state bit-identical to the reference, across policies,
+  schedulers, queue depths, and hypothesis-random request streams.
+* **Dispatch** — eligible configurations actually take the fast path
+  under every policy, and every ineligible shape (multi-stream, open
+  page, unbounded queue, pre-driven channel) falls back to the
+  reference rather than producing a subtly wrong fast run.
 """
 
 import dataclasses
@@ -27,18 +26,14 @@ from repro.mitigations.registry import policy_kinds, PolicySpec
 from repro.sim.mc import McRunConfig, build_mc_channel
 from repro.workloads.requests import McWorkload, generate_requests
 
-BACKENDS = ("pure", "kernel", "numba")
-
 #: A mix hot enough to drive MOAT past ATH=16 within a short window.
 HOT_WORKLOAD = McWorkload(
     reads_per_trefi_per_bank=30.0, hot_fraction=0.6, hot_rows=2
 )
 
 
-def make_config(backend=None, **overrides) -> McRunConfig:
-    params = dict(
-        ath=16, workload=HOT_WORKLOAD, banks=2, n_trefi=48, backend=backend
-    )
+def make_config(**overrides) -> McRunConfig:
+    params = dict(ath=16, workload=HOT_WORKLOAD, banks=2, n_trefi=48)
     params.update(overrides)
     return McRunConfig(**params)
 
@@ -91,60 +86,59 @@ def run_fast(config, requests):
     return completion_key(batch.completions()), sub.stats(), channel.now
 
 
+def spy_fast_path(monkeypatch):
+    """Record the stream length of every ``_run_fast`` call."""
+    calls = []
+    original = MemoryController._run_fast
+
+    def wrapper(self, stream):
+        calls.append(len(stream))
+        return original(self, stream)
+
+    monkeypatch.setattr(MemoryController, "_run_fast", wrapper)
+    return calls
+
+
 class TestEquivalence:
-    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("kind", sorted(policy_kinds()))
-    def test_every_policy_kind(self, kind, backend):
+    def test_every_policy_kind(self, kind):
         config = make_config(policy=PolicySpec(kind))
         requests = make_requests(config)
-        reference = run_reference(config, requests)
-        fast = run_fast(make_config(backend=backend,
-                                    policy=PolicySpec(kind)), requests)
-        assert fast == reference
+        assert run_fast(config, requests) == run_reference(config, requests)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("scheduler", ["fcfs", "frfcfs"])
     @pytest.mark.parametrize("depth", [4, 32])
-    def test_schedulers_and_depths(self, scheduler, depth, backend):
+    def test_schedulers_and_depths(self, scheduler, depth):
         config = make_config(scheduler=scheduler, queue_depth=depth)
         requests = make_requests(config)
-        reference = run_reference(config, requests)
-        fast = run_fast(
-            make_config(backend=backend, scheduler=scheduler,
-                        queue_depth=depth),
-            requests,
-        )
-        assert fast == reference
+        assert run_fast(config, requests) == run_reference(config, requests)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_abo_level_4(self, backend):
+    def test_abo_level_4(self):
         config = make_config(abo_level=4)
         requests = make_requests(config)
-        assert run_fast(
-            make_config(backend=backend, abo_level=4), requests
-        ) == run_reference(config, requests)
+        assert run_fast(config, requests) == run_reference(config, requests)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_writes_in_the_mix(self, backend):
+    def test_writes_in_the_mix(self):
         workload = McWorkload(
             reads_per_trefi_per_bank=30.0, hot_fraction=0.5, hot_rows=4,
             write_fraction=0.3,
         )
         config = make_config(workload=workload)
         requests = make_requests(config)
-        assert run_fast(
-            make_config(backend=backend, workload=workload), requests
-        ) == run_reference(config, requests)
+        assert run_fast(config, requests) == run_reference(config, requests)
 
-    def test_batch_summaries_match_completions(self):
+    def test_batch_summaries_match_completions(self, monkeypatch):
         """The ServedBatch summary helpers (used by ``_summarize``)
         must replicate the reference's float-summation order exactly,
-        on both the fast and the fallback path."""
-        config = make_config()
-        requests = make_requests(config)
-        for cfg in (config, make_config(backend="kernel")):
-            _, controller = build(cfg)
+        on both the fast and the fallback path (an unbounded queue is
+        ineligible, so its batch is built by ``from_completions``)."""
+        calls = spy_fast_path(monkeypatch)
+        requests = make_requests(make_config())
+        for depth, fast in ((32, True), (None, False)):
+            calls.clear()
+            _, controller = build(make_config(queue_depth=depth))
             batch = controller.serve(list(requests))
+            assert bool(calls) == fast
             completed = batch.completions()
             reads = [c for c in completed if not c.request.is_write]
             assert batch.read_latencies_sorted() == sorted(
@@ -177,42 +171,29 @@ class TestRandomStreams:
     @given(
         reqs=random_requests,
         scheduler=st.sampled_from(["fcfs", "frfcfs"]),
-        backend=st.sampled_from(BACKENDS),
     )
     @settings(max_examples=40, deadline=None)
-    def test_random_streams_bit_identical(self, reqs, scheduler, backend):
+    def test_random_streams_bit_identical(self, reqs, scheduler):
         requests = [
             Request(issue_ns=t, bank=bank, row=row, is_write=write)
             for t, bank, row, write in reqs
         ]
         config = make_config(scheduler=scheduler, queue_depth=4, ath=8)
-        reference = run_reference(config, requests)
-        fast = run_fast(
-            make_config(backend=backend, scheduler=scheduler,
-                        queue_depth=4, ath=8),
-            requests,
-        )
-        assert fast == reference
+        assert run_fast(config, requests) == run_reference(config, requests)
 
 
 class TestDispatch:
-    def _spy(self, monkeypatch):
-        calls = []
-        original = MemoryController._run_fast
-
-        def wrapper(self, stream):
-            calls.append(len(stream))
-            return original(self, stream)
-
-        monkeypatch.setattr(MemoryController, "_run_fast", wrapper)
-        return calls
-
-    def test_eligible_config_takes_fast_path(self, monkeypatch):
-        calls = self._spy(monkeypatch)
-        config = make_config()
+    @pytest.mark.parametrize("kind", sorted(policy_kinds()))
+    def test_eligible_config_takes_fast_path(self, monkeypatch, kind):
+        """Every policy is served by the fast path; a policy that fell
+        back to the reference loop would still pass the equivalence
+        suites, only slower."""
+        calls = spy_fast_path(monkeypatch)
+        config = make_config(policy=PolicySpec(kind))
+        requests = make_requests(config)
         _, controller = build(config)
-        controller.serve(make_requests(config))
-        assert calls
+        controller.serve(list(requests))
+        assert calls == [len(requests)]
 
     @pytest.mark.parametrize(
         "overrides",
@@ -223,7 +204,7 @@ class TestDispatch:
         ids=["open-page", "unbounded-queue"],
     )
     def test_ineligible_config_falls_back(self, monkeypatch, overrides):
-        calls = self._spy(monkeypatch)
+        calls = spy_fast_path(monkeypatch)
         config = make_config(**overrides)
         requests = make_requests(config)
         _, controller = build(config)
@@ -233,7 +214,7 @@ class TestDispatch:
         assert len(batch) == len(requests)
 
     def test_multi_stream_falls_back(self, monkeypatch):
-        calls = self._spy(monkeypatch)
+        calls = spy_fast_path(monkeypatch)
         config = make_config()
         requests = make_requests(config)
         _, controller = build(config)
@@ -248,7 +229,7 @@ class TestDispatch:
         """Once the channel has served anything, the pristine-state
         mirrors the fast path relies on no longer hold — the dispatch
         must notice and stay on the reference."""
-        calls = self._spy(monkeypatch)
+        calls = spy_fast_path(monkeypatch)
         config = make_config()
         requests = make_requests(config)
         channel, controller = build(config)
@@ -291,11 +272,10 @@ class TestDispatch:
 
 
 class TestResultPurity:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_batch_fields_are_plain_python(self, backend):
-        """Kernel-mode numpy scalars must not leak into results (they
-        would break JSON artifact serialization downstream)."""
-        config = make_config(backend=backend)
+    def test_batch_fields_are_plain_python(self):
+        """Batch fields are plain Python floats and ints, which JSON
+        artifact serialization downstream relies on."""
+        config = make_config()
         _, controller = build(config)
         batch = controller.serve(make_requests(config))
         for values in (batch.enqueue_ns, batch.start_ns, batch.complete_ns):
@@ -306,14 +286,3 @@ class TestResultPurity:
             type(c.start_ns) is float and type(c.complete_ns) is float
             for c in completed
         )
-
-    def test_config_hash_ignores_backend(self):
-        """Backends are equivalence-gated, so they can never split a
-        sweep cache or baseline identity."""
-        from repro.sweep.mc_spec import McSweepPoint
-
-        base = McSweepPoint(config=make_config())
-        for backend in BACKENDS:
-            point = McSweepPoint(config=make_config(backend=backend))
-            assert point.config_hash() == base.config_hash()
-            assert point.key == base.key

@@ -300,9 +300,8 @@ moat_observations = st.lists(
 
 
 class TestMoatRegisterFileProperties:
-    """The ``array('q')``-backed MOAT tracker (the storage the kernel
-    backends alias through :meth:`state_views`) must keep the exact
-    slot semantics of the documented register file."""
+    """The ``array('q')``-backed MOAT tracker must keep the exact slot
+    semantics of the documented register file."""
 
     @given(obs=moat_observations, level=st.sampled_from([1, 2, 4]))
     @settings(max_examples=60, deadline=None)
@@ -336,24 +335,3 @@ class TestMoatRegisterFileProperties:
                 assert [
                     [e.row, e.count] for e in policy.tracker
                 ] == reference.entries
-
-    @given(obs=moat_observations, level=st.sampled_from([1, 2, 4]))
-    @settings(max_examples=40, deadline=None)
-    def test_state_views_alias_live_storage(self, obs, level):
-        """The numpy views the kernels mutate are the policy's own
-        register file: reads agree with the tracker at every step, and
-        a write through the view is a write to the policy."""
-        policy = MoatPolicy(ath=24, eth=12, level=level)
-        rows_view, counts_view = policy.state_views()
-        assert len(rows_view) == len(counts_view) == level
-        for row, count in obs:
-            policy.on_activate(row, count)
-            fill = policy._fill
-            assert [
-                [e.row, e.count] for e in policy.tracker
-            ] == [
-                [int(rows_view[i]), int(counts_view[i])] for i in range(fill)
-            ]
-        if policy._fill:
-            counts_view[0] = 77
-            assert policy.tracker[0].count == 77

@@ -4,8 +4,8 @@ The null-object contract: every component defaults to
 :data:`repro.obs.NULL_RECORDER`, emission sites are guarded on cold
 paths only, and ``serve_streams`` dispatch is recorder-blind. So a run
 with a live :class:`~repro.obs.TraceRecorder` must be bit-identical to
-the same run without one — across every mitigation policy, kernel
-backend, and scheduling policy — and the ALERT events must reconcile
+the same run without one — across every mitigation policy and
+scheduling policy — and the ALERT events must reconcile
 exactly with the run's ``alerts`` counter (every execution path
 funnels ALERT assertion through ``_maybe_assert_alert``, the single
 emission site).
@@ -20,7 +20,6 @@ from hypothesis import given, settings, strategies as st
 from repro.mc.sched import sched_kinds
 from repro.mitigations.registry import PolicySpec, policy_kinds
 from repro.obs import EVENT_KINDS, TraceRecorder
-from repro.sim.backend import BACKEND_NAMES
 from repro.sim.mc import McRunConfig, run_mc
 from repro.sweep.mc_spec import HAMMER_WORKLOAD
 from repro.system import ClientSpec, SystemRunConfig, run_system
@@ -30,7 +29,7 @@ from repro.system import ClientSpec, SystemRunConfig, run_system
 _N_TREFI = 48
 
 
-def _config(policy: str, backend: str, scheduler: str) -> McRunConfig:
+def _config(policy: str, scheduler: str) -> McRunConfig:
     return McRunConfig(
         ath=16,
         policy=PolicySpec(policy),
@@ -38,18 +37,16 @@ def _config(policy: str, backend: str, scheduler: str) -> McRunConfig:
         scheduler=scheduler,
         banks=2,
         n_trefi=_N_TREFI,
-        backend=backend,
     )
 
 
 @given(
     policy=st.sampled_from(sorted(policy_kinds())),
-    backend=st.sampled_from(BACKEND_NAMES),
     scheduler=st.sampled_from(sorted(sched_kinds())),
 )
 @settings(max_examples=20, deadline=None)
-def test_recorder_never_changes_mc_results(policy, backend, scheduler):
-    config = _config(policy, backend, scheduler)
+def test_recorder_never_changes_mc_results(policy, scheduler):
+    config = _config(policy, scheduler)
     plain = run_mc(config)
     recorder = TraceRecorder()
     traced = run_mc(config, recorder=recorder)
@@ -61,7 +58,7 @@ def test_recorder_never_changes_mc_results(policy, backend, scheduler):
 
 def test_alert_events_reconcile_under_pressure():
     """A run with many ALERTs: one event per counter increment."""
-    config = _config("moat", "pure", "frfcfs")
+    config = _config("moat", "frfcfs")
     recorder = TraceRecorder()
     result = run_mc(config, recorder=recorder)
     assert result.alerts > 0
@@ -74,7 +71,7 @@ def test_alert_events_reconcile_under_pressure():
 
 def test_ref_events_follow_the_refresh_schedule():
     recorder = TraceRecorder()
-    result = run_mc(_config("moat", "pure", "frfcfs"), recorder=recorder)
+    result = run_mc(_config("moat", "frfcfs"), recorder=recorder)
     refs = recorder.of_kind("ref")
     # One REF per elapsed tREFI per sub-channel (minus edge windows).
     assert result.requests > 0

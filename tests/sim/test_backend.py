@@ -1,107 +1,22 @@
-"""Backend registry resolution: precedence, gating, graceful fallback.
+"""The backend stub: one implementation, named ``pure``.
 
-The backend layer's contract is purely operational — which
-implementation of the hot-loop kernels runs — never semantic: every
-backend is bit-identical (pinned by the engine/controller equivalence
-suites). These tests pin the *selection* rules: explicit name beats
-the ``REPRO_BACKEND`` environment variable beats the ``pure`` default,
-unknown names fail loudly, and a ``numba`` request degrades to
-``pure`` with a single per-process warning when numba is missing, so
-configs and CI matrices can name it unconditionally.
+The struct-of-arrays loops and the scalar references are the only
+implementations of the hot loops, so the name that benchmark records
+and provenance blocks carry is always ``pure``, and asking for any
+other implementation fails loudly instead of silently running ``pure``.
 """
 
 import pytest
 
-import repro.sim.backend as backend_mod
-from repro.sim.backend import (
-    BACKEND_ENV,
-    BACKEND_NAMES,
-    numba_available,
-    resolve_backend,
-)
-from repro.sim.engine import SimConfig, SubchannelSim
-from repro.mitigations.null import NullPolicy
+from repro.sim.backend import resolve_backend
 
 
 class TestResolution:
-    def test_default_is_pure(self, monkeypatch):
-        monkeypatch.delenv(BACKEND_ENV, raising=False)
-        backend = resolve_backend()
-        assert backend.name == "pure"
-        assert not backend.use_kernels
-        assert backend.act_burst is None and backend.serve_closed is None
-
-    def test_empty_env_is_pure(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "")
+    def test_default_is_pure(self):
         assert resolve_backend().name == "pure"
-
-    def test_env_selects_backend(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "kernel")
-        backend = resolve_backend()
-        assert backend.name == "kernel"
-        assert backend.use_kernels and not backend.compiled
-        assert callable(backend.act_burst)
-        assert callable(backend.serve_closed)
-
-    def test_explicit_name_beats_env(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "kernel")
         assert resolve_backend("pure").name == "pure"
 
     def test_unknown_name_raises(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            resolve_backend("cython")
-
-    def test_unknown_env_raises(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "turbo")
-        with pytest.raises(ValueError, match="turbo"):
-            resolve_backend()
-
-    def test_names_registry_is_exhaustive(self):
-        for name in BACKEND_NAMES:
-            assert resolve_backend(name) is not None
-
-
-class TestNumbaGating:
-    def test_numba_resolves_or_degrades(self, monkeypatch, capsys):
-        monkeypatch.setattr(backend_mod, "_WARNED_FALLBACK", False)
-        backend = resolve_backend("numba")
-        if numba_available():
-            assert backend.name == "numba"
-            assert backend.use_kernels and backend.compiled
-        else:
-            assert backend.name == "pure"
-            assert "falling back" in capsys.readouterr().err
-
-    def test_fallback_warns_once_per_process(self, monkeypatch, capsys):
-        if numba_available():
-            pytest.skip("numba installed; the fallback path is unreachable")
-        monkeypatch.setattr(backend_mod, "_WARNED_FALLBACK", False)
-        resolve_backend("numba")
-        resolve_backend("numba")
-        assert capsys.readouterr().err.count("falling back") == 1
-
-
-class TestEngineWiring:
-    def test_config_backend_reaches_engine(self):
-        sim = SubchannelSim(
-            SimConfig(track_danger=False, dense_counters=True,
-                      backend="kernel"),
-            NullPolicy,
-        )
-        assert sim._use_kernels
-
-    def test_pure_engine_keeps_kernels_off(self, monkeypatch):
-        monkeypatch.delenv(BACKEND_ENV, raising=False)
-        sim = SubchannelSim(
-            SimConfig(track_danger=False, dense_counters=True),
-            NullPolicy,
-        )
-        assert not sim._use_kernels
-
-    def test_unknown_config_backend_raises(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            SubchannelSim(
-                SimConfig(track_danger=False, dense_counters=True,
-                          backend="turbo"),
-                NullPolicy,
-            )
+        for name in ("numba", "kernel", "cython"):
+            with pytest.raises(ValueError, match="unknown backend"):
+                resolve_backend(name)

@@ -12,17 +12,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.mitigations.registry import PolicySpec, RunParams, policy_kinds
+from repro.sim.backend import resolve_backend
 from repro.sim.engine import SimConfig, SubchannelSim
 from repro.workloads.generator import generate_schedule
 from repro.workloads.profiles import profile_by_name
 
 TREFI = 3900.0
 
-#: All registered kernel backends. ``numba`` silently degrades to
-#: ``pure`` where numba is not installed, so parametrizing over it is
-#: always safe — it tests the compiled kernels exactly where they can
-#: compile and the fallback contract everywhere else.
-BACKENDS = ("pure", "kernel", "numba")
+#: The implementations :func:`resolve_backend` can name. Only the pure
+#: struct-of-arrays loop remains; the parameter labels each case with
+#: the name benchmark records and provenance blocks report for it.
+BACKENDS = (resolve_backend().name,)
 
 
 def drive(sim, schedule, batched: bool) -> dict:
@@ -122,39 +122,32 @@ class TestBatchedEquivalence:
 
 
 class TestBackendEquivalence:
-    """Every backend's batch path must match the scalar per-ACT
-    reference bit for bit — the contract that lets sweep identities
-    hash the backend out entirely (one cache entry, one baseline)."""
+    """The batch path of every implementation :func:`resolve_backend`
+    can name must match the scalar per-ACT reference bit for bit — the
+    contract that lets benchmark records and provenance blocks carry
+    the backend name without it entering any sweep identity."""
 
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("kind", sorted(policy_kinds()))
     def test_every_policy_kind(self, kind, backend):
+        assert resolve_backend(backend).name == backend
         schedule = workload_schedule(n_trefi=128)
         factory = PolicySpec(kind).make_factory(RunParams(ath=64, eth=32))
         config = SimConfig(track_danger=False, dense_counters=True)
         serial = drive(SubchannelSim(config, factory), schedule, batched=False)
         factory2 = PolicySpec(kind).make_factory(RunParams(ath=64, eth=32))
-        kernel_config = SimConfig(
-            track_danger=False, dense_counters=True, backend=backend
-        )
-        batched = drive(
-            SubchannelSim(kernel_config, factory2), schedule, batched=True
-        )
+        batched = drive(SubchannelSim(config, factory2), schedule, batched=True)
         assert serial == batched
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_alert_heavy_run(self, backend):
+        assert resolve_backend(backend).name == backend
         schedule = [[7, 7, 7, 9, 7] for _ in range(300)]
         factory = PolicySpec("moat").make_factory(RunParams(ath=32, eth=16))
         config = SimConfig(track_danger=False, dense_counters=True)
         serial = drive(SubchannelSim(config, factory), schedule, batched=False)
         factory2 = PolicySpec("moat").make_factory(RunParams(ath=32, eth=16))
-        kernel_config = SimConfig(
-            track_danger=False, dense_counters=True, backend=backend
-        )
-        batched = drive(
-            SubchannelSim(kernel_config, factory2), schedule, batched=True
-        )
+        batched = drive(SubchannelSim(config, factory2), schedule, batched=True)
         assert serial == batched
         assert serial["alerts"] > 0
 
@@ -167,28 +160,22 @@ random_schedules = st.lists(
 )
 
 
-class TestBackendProperties:
+class TestBatchedProperties:
     @given(
         schedule=random_schedules,
         kind=st.sampled_from(sorted(policy_kinds())),
-        backend=st.sampled_from(BACKENDS),
     )
     @settings(max_examples=50, deadline=None)
-    def test_random_schedules_bit_identical(self, schedule, kind, backend):
-        """Arbitrary schedules, every policy, every backend: the batch
-        path equals the scalar reference. A low ATH makes even short
-        random streams cross the ALERT machinery."""
+    def test_random_schedules_bit_identical(self, schedule, kind):
+        """Arbitrary schedules, every policy: the batch path equals the
+        scalar reference. A low ATH makes even short random streams
+        cross the ALERT machinery."""
         params = RunParams(ath=12, eth=6)
         factory = PolicySpec(kind).make_factory(params)
         config = SimConfig(track_danger=False, dense_counters=True)
         serial = drive(SubchannelSim(config, factory), schedule, batched=False)
         factory2 = PolicySpec(kind).make_factory(params)
-        kernel_config = SimConfig(
-            track_danger=False, dense_counters=True, backend=backend
-        )
-        batched = drive(
-            SubchannelSim(kernel_config, factory2), schedule, batched=True
-        )
+        batched = drive(SubchannelSim(config, factory2), schedule, batched=True)
         assert serial == batched
 
 

@@ -4,9 +4,9 @@ This is the enforcement half of the static-analysis subsystem: the
 rules themselves live in ``repro.analysis.lint`` and are unit-tested
 against fixtures in ``tests/analysis/``; this test pins the *repo* to
 a clean state so a PR that introduces an unseeded RNG, an unhashed
-sweep axis, a non-numba kernel construct, an unregistered/undescribed
-kind, or a leaky listener attachment fails CI even when no behavioral
-test happens to cover the new code path.
+sweep axis, an unregistered/undescribed kind, or a leaky listener
+attachment fails CI even when no behavioral test happens to cover the
+new code path.
 """
 
 from __future__ import annotations
