@@ -50,10 +50,9 @@ from repro.workloads.profiles import TABLE4_PROFILES, WorkloadProfile
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
 #: Root of the on-disk point caches shared with the ``repro`` CLI when
-#: run from the repo root (``.repro-cache/{sweep,attack,model}``).
-#: Cache identity is the point config hash plus the family's
-#: RESULT_VERSION constant; bump those whenever simulator, attack, or
-#: evaluator semantics change, or stale points will be replayed.
+#: run from the repo root (``.repro-cache/{sweep,attack,model,system}``).
+#: Entries are keyed on the point config hash and stamped with the
+#: package's source fingerprint, so code changes recompute them.
 CACHE_ROOT = pathlib.Path(__file__).parent.parent / ".repro-cache"
 
 #: Sweep-family cache (kept for the direct sweep-runner benchmarks).

@@ -29,7 +29,8 @@ def test_ablation_queue_size(benchmark, report):
             cache_dir=CACHE_ROOT / "attack",
         )
         return {
-            r.params["queue_entries"]: r.metrics["acts_on_attack_row"]
+            r.identity["params"]["queue_entries"]:
+                r.metrics["acts_on_attack_row"]
             for r in result.results
         }
 

@@ -39,15 +39,6 @@ DESCRIPTION = (
     "every sweep preset has a committed baseline"
 )
 
-#: Figure source families -> sweep-family registry names.
-_FIGURE_FAMILY_MAP = {
-    "sweep": "sweep",
-    "attack": "attack",
-    "model": "model",
-    "system": "system",
-}
-
-
 def _parser_choices(parser: argparse.ArgumentParser) -> Set[str]:
     """Every ``choices=`` string and subcommand name under a parser."""
     out: Set[str] = set()
@@ -179,7 +170,6 @@ def collect_state(root: Path) -> Dict[str, object]:
         "figures": figures,
         "cli_choices": _parser_choices(cli.build_parser()),
         "preset_kind_refs": _preset_kind_refs(family_module.FAMILIES),
-        "list_titles": set(cli._LIST_TITLES),
     }
 
 
@@ -193,7 +183,6 @@ def coverage_findings(state: Dict[str, object],
 
     cli_choices: Set[str] = set(state.get("cli_choices", ()))
     kind_refs: Set[str] = set(state.get("preset_kind_refs", ()))
-    list_titles: Set[str] = set(state.get("list_titles", ()))
 
     for label, registry in sorted(state.get("registries", {}).items()):
         source = registry["source"]
@@ -217,12 +206,6 @@ def coverage_findings(state: Dict[str, object],
             yield Finding(NAME, source, anchored(source, name), 1, (
                 f"sweep family '{name}' has no description"
             ))
-        if name not in list_titles:
-            yield Finding(NAME, source, anchored(source, name), 1, (
-                f"sweep family '{name}' has no CLI listing title "
-                "(cli._LIST_TITLES); its list-presets command cannot "
-                "render"
-            ))
         for preset, info in sorted(family["presets"].items()):
             if not info["exists"]:
                 yield Finding(NAME, source, anchored(source, preset), 1, (
@@ -242,9 +225,7 @@ def coverage_findings(state: Dict[str, object],
             ))
         for source_key in figure.get("sources", ()):
             family_name, _, preset = str(source_key).partition(":")
-            mapped = _FIGURE_FAMILY_MAP.get(family_name)
-            presets = (families.get(mapped, {}).get("presets", {})
-                       if mapped else {})
+            presets = families.get(family_name, {}).get("presets", {})
             if preset not in presets:
                 yield Finding(NAME, source, anchored(source, name), 1, (
                     f"figure '{name}' references source "

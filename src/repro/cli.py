@@ -90,7 +90,6 @@ from repro.trace import AddressTrace, load_trace
 from repro.sweep.artifacts import (
     DEFAULT_ATOL,
     DEFAULT_RTOL,
-    git_toplevel,
     write_artifact,
 )
 from repro.sweep.family import (
@@ -242,8 +241,8 @@ def _render_attack_table(result, args: argparse.Namespace) -> None:
 
     rows = [
         (
-            r.attack,
-            r.figure,
+            r.identity["attack"],
+            r.identity["figure"],
             f"{r.metrics.get('acts_on_attack_row', 0.0):.0f}",
             f"{r.metrics.get('max_danger', 0.0):.0f}",
             f"{r.metrics.get('alerts', 0.0):.0f}",
@@ -378,18 +377,18 @@ def _render_perf_table(result, args: argparse.Namespace) -> None:
     spec = result.spec
     rows = [
         (
-            r.workload,
-            r.policy,
-            r.ath,
-            r.eth,
-            f"L{r.abo_level}",
+            r.identity["workload"],
+            r.identity["policy"],
+            r.identity["ath"],
+            r.identity["eth"],
+            f"L{r.identity['abo_level']}",
             f"{r.metrics['slowdown'] * 100:.3f}%",
             f"{r.metrics['alerts_per_trefi']:.4f}",
             "hit" if r.cached else f"{r.wall_clock_s:.1f}s",
         )
         for r in result.results
     ]
-    agg = result.aggregates()
+    agg = PERF_FAMILY.aggregate(result.results)
     rows.append(
         (
             "AVERAGE",
@@ -716,10 +715,10 @@ def _render_mc_table(result, args: argparse.Namespace) -> None:
     spec = result.spec
     rows = [
         (
-            r.workload,
-            r.policy,
-            f"L{r.abo_level}",
-            f"{r.scheduler}/{r.row_policy}",
+            r.identity["workload"],
+            r.identity["policy"],
+            f"L{r.identity['abo_level']}",
+            f"{r.identity['scheduler']}/{r.identity['row_policy']}",
             f"{r.metrics['read_p50_ns']:.0f}",
             f"{r.metrics['read_p99_ns']:.0f}",
             f"{r.metrics['achieved_gbps']:.2f}",
@@ -745,10 +744,6 @@ def _cmd_mc_sweep(args: argparse.Namespace) -> int:
     )
 
 
-def _cmd_mc_list(_args: argparse.Namespace) -> int:
-    return _list_family_presets(MC_FAMILY)
-
-
 def _model_overrides(spec, args: argparse.Namespace):
     # Model points are scale-free except workload-stats; no seed axis.
     if args.trefi is not None and args.trefi <= 0:
@@ -766,8 +761,8 @@ def _render_model_table(result, args: argparse.Namespace) -> None:
 
     rows = [
         (
-            r.kind,
-            param_summary(r.params),
+            r.identity["kind"],
+            param_summary(r.identity["params"]),
             len(r.metrics),
             "hit" if r.cached else f"{r.wall_clock_s:.1f}s",
         )
@@ -789,18 +784,14 @@ def _cmd_model_sweep(args: argparse.Namespace) -> int:
     )
 
 
-def _cmd_model_list(_args: argparse.Namespace) -> int:
-    return _list_family_presets(MODEL_FAMILY)
-
-
 def _render_system_table(result, args: argparse.Namespace) -> None:
     spec = result.spec
     rows = [
         (
-            r.scenario,
-            len(r.clients),
-            r.policy,
-            f"ch{r.channels}",
+            r.identity["scenario"],
+            len(r.identity["clients"]),
+            r.identity["policy"],
+            f"ch{r.identity['channels']}",
             f"{r.metrics['read_p50_ns']:.0f}",
             f"{r.metrics['read_p99_ns']:.0f}",
             f"{r.metrics['achieved_gbps']:.2f}",
@@ -826,28 +817,13 @@ def _cmd_system_sweep(args: argparse.Namespace) -> int:
     )
 
 
-def _cmd_system_list(_args: argparse.Namespace) -> int:
-    return _list_family_presets(SYSTEM_FAMILY)
-
-
-#: Listing titles of the per-family ``list-presets`` commands (the
-#: perf/attack/mc spellings predate the registry and stay stable).
-_LIST_TITLES = {
-    "sweep": "Sweep presets",
-    "attack": "Attack sweep presets",
-    "model": "Model sweep presets",
-    "mc": "Memory-controller sweep presets",
-    "system": "System sweep presets",
-}
-
-
 def _list_family_presets(family: SweepFamily) -> int:
     rows = [
         (spec.name, len(spec.points()), spec.description)
         for spec in family.presets.values()
     ]
     print(format_table(["preset", "points", "description"], rows,
-                       title=_LIST_TITLES[family.name]))
+                       title=family.list_title))
     return 0
 
 
@@ -935,19 +911,8 @@ def _emit_artifact_and_gate(
     write_artifact(out_path, artifact)
     print(f"artifact: {out_path}", file=sys.stderr)
 
-    if args.baseline:
-        baseline = Path(args.baseline)
-    else:
-        # Committed baselines live in the repo; anchor at the git
-        # toplevel so the installed `repro` script finds them from
-        # any working directory inside the checkout.
-        baseline = family.default_baseline_path(preset_name)
-        if not baseline.is_file():
-            toplevel = git_toplevel()
-            if toplevel is not None:
-                baseline = family.default_baseline_path(
-                    preset_name, root=toplevel
-                )
+    baseline = (Path(args.baseline) if args.baseline
+                else family.default_baseline_path(preset_name))
     if args.write_baseline:
         write_artifact(baseline, artifact)
         print(f"baseline written: {baseline}", file=sys.stderr)
@@ -1405,7 +1370,7 @@ def build_parser() -> argparse.ArgumentParser:
     mc_list = mc_sub.add_parser(
         "list-presets", help="list the mc sweep presets"
     )
-    mc_list.set_defaults(func=_cmd_mc_list)
+    mc_list.set_defaults(func=lambda _args: _list_family_presets(MC_FAMILY))
 
     mc_list_scheds = mc_sub.add_parser(
         "list-scheds",
@@ -1496,7 +1461,9 @@ def build_parser() -> argparse.ArgumentParser:
     system_list = system_sub.add_parser(
         "list-presets", help="list the system sweep presets"
     )
-    system_list.set_defaults(func=_cmd_system_list)
+    system_list.set_defaults(
+        func=lambda _args: _list_family_presets(SYSTEM_FAMILY)
+    )
 
     sweep = sub.add_parser(
         "sweep",
@@ -1602,7 +1569,9 @@ def build_parser() -> argparse.ArgumentParser:
     model_list = model_sub.add_parser(
         "list-presets", help="list the model sweep presets"
     )
-    model_list.set_defaults(func=_cmd_model_list)
+    model_list.set_defaults(
+        func=lambda _args: _list_family_presets(MODEL_FAMILY)
+    )
 
     workloads = sub.add_parser("workloads", help="list Table 4 profiles")
     workloads.set_defaults(func=_cmd_workloads)

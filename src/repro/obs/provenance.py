@@ -36,7 +36,7 @@ def run_provenance(
             map) — whatever fully determines the run's randomness.
         cache: Cache statistics from
             :func:`repro.sweep.runner.run_cached_grid` (hits, misses,
-            recomputes, elapsed time).
+            recomputes, stale_code, elapsed time).
         extra: Additional identity fields merged in verbatim.
     """
     from repro import __version__

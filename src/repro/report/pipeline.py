@@ -1,20 +1,21 @@
 """The paper-report pipeline: registry -> cached artifacts -> report.
 
 Orchestrates the figure registry (:mod:`repro.report.figures`) over the
-three sweep families. For each requested figure it resolves the source
-presets, executes them through the shared ``run_cached_grid`` cache/pool
-core (one artifact per preset per run, shared between figures that
-reference the same preset), applies the figure's extraction, and
-assembles a :class:`FigureResult`.
+four source families (``sweep``, ``attack``, ``model``, ``system``).
+For each requested figure it resolves the source presets, executes
+them through the shared ``run_cached_grid`` cache/pool core (one
+artifact per preset per run, shared between figures that reference the
+same preset), applies the figure's extraction, and assembles a
+:class:`FigureResult`.
 
 A report run renders two forms: plain-text/markdown tables for humans
 and a machine-readable ``BENCH_report.json`` (schema
 :data:`REPORT_SCHEMA`) whose rows carry per-figure relative deltas
 against the paper values. ``check`` mode gates every source artifact
-against its committed smoke baseline — the same files the ``repro
-sweep``/``repro attack sweep`` gates use, plus ``model_<preset>.json``
-for the analytic family — so paper-report drift fails CI exactly like
-any other sweep regression.
+against its committed smoke baseline — the same files and the same
+family registry entries (:func:`~repro.sweep.family.get_family`) the
+``repro <family> sweep --check`` gates use — so paper-report drift
+fails CI exactly like any other sweep regression.
 """
 
 from __future__ import annotations
@@ -27,32 +28,19 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from repro.report.figures import FIGURES, FigureSpec, SourceRef, figure
 from repro.report.tables import format_table
 from repro.sweep.artifacts import (
-    ATTACK_GATED_METRICS,
-    ATTACK_SCHEMA,
     BASELINE_DIR,
     DEFAULT_ATOL,
     DEFAULT_RTOL,
-    GATED_METRICS,
-    MODEL_GATED_METRICS,
-    MODEL_SCHEMA,
-    SCHEMA,
-    SYSTEM_GATED_METRICS,
-    SYSTEM_SCHEMA,
-    check_against_baseline,
-    default_baseline_path,
     git_revision,
     git_toplevel,
     utc_now,
     write_artifact,
 )
 from repro.sweep.attack_runner import run_attack_sweep
-from repro.sweep.attack_spec import attack_preset
+from repro.sweep.family import get_family
 from repro.sweep.model_runner import run_model_sweep
-from repro.sweep.model_spec import model_preset
 from repro.sweep.runner import ProgressFn, run_sweep
-from repro.sweep.spec import preset as sweep_preset
 from repro.sweep.system_runner import run_system_sweep
-from repro.sweep.system_spec import system_preset
 
 #: Schema of the machine-readable report artifact.
 REPORT_SCHEMA = "repro.report/v1"
@@ -70,7 +58,7 @@ class ReportOptions:
     n_trefi: int = SMOKE_N_TREFI
     jobs: int = 1
     #: Root of the per-family point caches (``<root>/{sweep,attack,
-    #: model}``); ``None`` disables caching.
+    #: model,system}``); ``None`` disables caching.
     cache_root: Optional[Path] = Path(".repro-cache")
     #: Optional workload subset (REPRO_FAST benchmarks); ``None`` runs
     #: each preset's full workload list.
@@ -109,103 +97,54 @@ class FigureResult:
         return not self.problems
 
 
-def _run_sweep_source(ref: SourceRef, options: ReportOptions) -> Dict:
-    from repro.sweep.artifacts import make_artifact
-
-    spec = sweep_preset(ref.preset).with_overrides(
-        n_trefi=options.n_trefi, workloads=options.workloads
-    )
-    result = run_sweep(
-        spec,
-        jobs=options.jobs,
-        cache_dir=options.cache_dir("sweep"),
-        progress=options.progress,
-    )
-    return make_artifact(result)
-
-
-def _run_attack_source(ref: SourceRef, options: ReportOptions) -> Dict:
-    from repro.sweep.artifacts import make_attack_artifact
-
-    result = run_attack_sweep(
-        attack_preset(ref.preset),
-        jobs=options.jobs,
-        cache_dir=options.cache_dir("attack"),
-        progress=options.progress,
-    )
-    return make_attack_artifact(result)
-
-
-def _run_model_source(ref: SourceRef, options: ReportOptions) -> Dict:
-    from repro.sweep.artifacts import make_model_artifact
-
-    spec = model_preset(ref.preset).with_overrides(n_trefi=options.n_trefi)
-    if options.workloads is not None:
-        spec = dataclasses.replace(
-            spec,
-            models=tuple(
-                m
-                for m in spec.models
-                if m.kind != "workload-stats"
-                or m.param_dict().get("workload") in options.workloads
-            ),
+def _source_spec(ref: SourceRef, options: ReportOptions):
+    """The source preset at the report's scale and workload subset."""
+    spec = get_family(ref.family).preset(ref.preset)
+    if ref.family == "sweep":
+        return spec.with_overrides(
+            n_trefi=options.n_trefi, workloads=options.workloads
         )
-    result = run_model_sweep(
-        spec,
-        jobs=options.jobs,
-        cache_dir=options.cache_dir("model"),
-        progress=options.progress,
-    )
-    return make_model_artifact(result)
-
-
-def _run_system_source(ref: SourceRef, options: ReportOptions) -> Dict:
-    from repro.sweep.artifacts import make_system_artifact
-
+    if ref.family == "model":
+        spec = spec.with_overrides(n_trefi=options.n_trefi)
+        if options.workloads is not None:
+            spec = dataclasses.replace(
+                spec,
+                models=tuple(
+                    m
+                    for m in spec.models
+                    if m.kind != "workload-stats"
+                    or m.param_dict().get("workload") in options.workloads
+                ),
+            )
+        return spec
     # Scenarios pin their own scale; only an explicit non-smoke
     # ``n_trefi`` rescales them (the committed baselines are generated
     # at the scenarios' native scale).
-    spec = system_preset(ref.preset)
-    if options.n_trefi != SMOKE_N_TREFI:
-        spec = spec.with_overrides(n_trefi=options.n_trefi)
-    result = run_system_sweep(
-        spec,
+    if ref.family == "system" and options.n_trefi != SMOKE_N_TREFI:
+        return spec.with_overrides(n_trefi=options.n_trefi)
+    return spec
+
+
+def _run_source(ref: SourceRef, options: ReportOptions) -> Dict:
+    """Run one source preset into its family's artifact.
+
+    The family runners are looked up in this module's namespace at call
+    time, so instrumentation that wraps them here sees every call.
+    """
+    run = {
+        "sweep": run_sweep,
+        "attack": run_attack_sweep,
+        "model": run_model_sweep,
+        "system": run_system_sweep,
+    }[ref.family]
+    family = get_family(ref.family)
+    result = run(
+        _source_spec(ref, options),
         jobs=options.jobs,
-        cache_dir=options.cache_dir("system"),
+        cache_dir=options.cache_dir(family.cache_subdir),
         progress=options.progress,
     )
-    return make_system_artifact(result)
-
-
-#: family -> (source runner, baseline file stem, schema, gated metrics).
-_FAMILIES = {
-    "sweep": (_run_sweep_source, "{0}", SCHEMA, GATED_METRICS),
-    "attack": (_run_attack_source, "attack_{0}", ATTACK_SCHEMA,
-               ATTACK_GATED_METRICS),
-    "model": (_run_model_source, "model_{0}", MODEL_SCHEMA,
-              MODEL_GATED_METRICS),
-    "system": (_run_system_source, "system_{0}", SYSTEM_SCHEMA,
-               SYSTEM_GATED_METRICS),
-}
-
-
-def baseline_name(ref: SourceRef) -> str:
-    """Stem of the committed baseline file for one source preset."""
-    return _FAMILIES[ref.family][1].format(ref.preset)
-
-
-def resolve_baseline_path(
-    ref: SourceRef, root: Optional[Path] = None
-) -> Path:
-    """Committed-baseline location of a source, CWD- then repo-anchored."""
-    if root is not None:
-        return default_baseline_path(baseline_name(ref), root=root)
-    path = default_baseline_path(baseline_name(ref))
-    if not path.is_file():
-        toplevel = git_toplevel()
-        if toplevel is not None:
-            return default_baseline_path(baseline_name(ref), root=toplevel)
-    return path
+    return family.make_artifact(result)
 
 
 def run_figures(
@@ -227,8 +166,7 @@ def run_figures(
         artifacts: Dict[str, Dict] = {}
         for ref in spec.sources:
             if ref.key not in produced:
-                runner = _FAMILIES[ref.family][0]
-                produced[ref.key] = runner(ref, options)
+                produced[ref.key] = _run_source(ref, options)
             artifacts[ref.key] = produced[ref.key]
         results.append(
             FigureResult(
@@ -267,15 +205,14 @@ def check_results(
         problems: List[str] = []
         for ref in result.spec.sources:
             if ref.key not in findings_by_source:
-                _, _, schema, gated = _FAMILIES[ref.family]
-                path = resolve_baseline_path(ref, root=baseline_root)
-                ok, findings = check_against_baseline(
+                family = get_family(ref.family)
+                ok, findings = family.check_against_baseline(
                     result.artifacts[ref.key],
-                    path,
+                    family.default_baseline_path(
+                        ref.preset, root=baseline_root
+                    ),
                     rtol=rtol,
                     atol=atol,
-                    schema=schema,
-                    gated_metrics=gated,
                 )
                 findings_by_source[ref.key] = (
                     [] if ok else [f"{ref.key}: {f}" for f in findings]
@@ -317,7 +254,9 @@ def write_baselines(
         for ref in result.spec.sources:
             if ref.key in written:
                 continue
-            path = default_baseline_path(baseline_name(ref), root=root)
+            path = get_family(ref.family).default_baseline_path(
+                ref.preset, root=root
+            )
             write_artifact(path, result.artifacts[ref.key])
             written[ref.key] = path
     return list(written.values())

@@ -14,43 +14,25 @@ declarative, cacheable, parallel evaluation backbone:
 * :mod:`repro.sweep.system_spec` — named multi-client, multi-channel
   system scenarios (``system-smoke``, ``system-shard``,
   ``system-noisy``) over :class:`~repro.system.sim.SystemRunConfig`.
-* :mod:`repro.sweep.runner` / :mod:`repro.sweep.attack_runner` /
-  :mod:`repro.sweep.system_runner` —
-  ``ProcessPoolExecutor``-based runners with per-point result caching
-  keyed on a config hash, deterministic seeding (parallel == serial),
-  and resume-on-rerun.
-* :mod:`repro.sweep.artifacts` — ``BENCH_sweep.json`` /
-  ``BENCH_attack.json`` artifact emission and baseline diffing for CI
-  gating (``repro sweep <preset> --check``,
+* :mod:`repro.sweep.runner` — the one :class:`PointResult`/
+  :class:`SweepResult` pair and the ``ProcessPoolExecutor``-based
+  :func:`~repro.sweep.runner.run_grid` every family runs through, with
+  per-point result caching keyed on a config hash and stamped with a
+  source fingerprint, deterministic seeding (parallel == serial), and
+  resume-on-rerun. Each ``*_runner`` module adds only its family's
+  point executor.
+* :mod:`repro.sweep.artifacts` — ``BENCH_*.json`` artifact IO and
+  baseline diffing for CI gating (``repro sweep <preset> --check``,
   ``repro attack sweep <preset> --check``).
 * :mod:`repro.sweep.family` — the :class:`~repro.sweep.family.
   SweepFamily` registry tying each family's spec class, presets,
-  runner, schema, gated metrics, and baseline prefix into one table
-  (the CLI and artifact builder derive from it).
+  runner, schema, gated metrics, aggregates, and baseline prefix into
+  one table (the CLI, report pipeline, and artifact builder derive
+  from it).
 """
 
-from repro.sweep.artifacts import (
-    ATTACK_SCHEMA,
-    MC_SCHEMA,
-    MODEL_SCHEMA,
-    SCHEMA,
-    SYSTEM_SCHEMA,
-    check_against_baseline,
-    default_baseline_path,
-    diff_artifacts,
-    load_artifact,
-    make_artifact,
-    make_attack_artifact,
-    make_mc_artifact,
-    make_model_artifact,
-    make_system_artifact,
-    write_artifact,
-)
-from repro.sweep.attack_runner import (
-    AttackPointResult,
-    AttackSweepResult,
-    run_attack_sweep,
-)
+from repro.sweep.artifacts import diff_artifacts, load_artifact, write_artifact
+from repro.sweep.attack_runner import run_attack_sweep
 from repro.sweep.attack_spec import (
     ATTACK_PRESETS,
     AttackSweepPoint,
@@ -65,11 +47,7 @@ from repro.sweep.spec import (
     SweepSpec,
     preset,
 )
-from repro.sweep.system_runner import (
-    SystemPointResult,
-    SystemSweepResult,
-    run_system_sweep,
-)
+from repro.sweep.system_runner import run_system_sweep
 from repro.sweep.system_spec import (
     SYSTEM_PRESETS,
     SystemSweepPoint,
@@ -82,45 +60,27 @@ from repro.sweep.family import (
     FAMILIES,
     SweepFamily,
     get_family,
-    make_family_artifact,
 )
 
 __all__ = [
     "ATTACK_PRESETS",
-    "ATTACK_SCHEMA",
     "FAMILIES",
-    "MC_SCHEMA",
-    "MODEL_SCHEMA",
     "PRESETS",
-    "SCHEMA",
     "SWEEP_WORKLOADS",
     "SYSTEM_PRESETS",
-    "SYSTEM_SCHEMA",
-    "AttackPointResult",
     "AttackSweepPoint",
-    "AttackSweepResult",
     "AttackSweepSpec",
     "PointResult",
     "SweepFamily",
     "SweepPoint",
     "SweepResult",
     "SweepSpec",
-    "SystemPointResult",
     "SystemSweepPoint",
-    "SystemSweepResult",
     "SystemSweepSpec",
     "attack_preset",
-    "check_against_baseline",
-    "default_baseline_path",
     "diff_artifacts",
     "get_family",
     "load_artifact",
-    "make_artifact",
-    "make_attack_artifact",
-    "make_family_artifact",
-    "make_mc_artifact",
-    "make_model_artifact",
-    "make_system_artifact",
     "preset",
     "run_attack_sweep",
     "run_sweep",

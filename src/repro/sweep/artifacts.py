@@ -1,21 +1,11 @@
 """Machine-readable sweep artifacts and baseline gating.
 
-Five artifact families share this machinery (each registered as a
-:class:`~repro.sweep.family.SweepFamily`, which owns the schema id,
-gated-metric set, and baseline prefix listed below; the ``make_*``
-functions here delegate to the registry's single schema-parametrized
-builder): performance sweeps
-serialize to ``BENCH_sweep.json`` (schema :data:`SCHEMA`, gated on
-:data:`GATED_METRICS`), attack sweeps to ``BENCH_attack.json``
-(schema :data:`ATTACK_SCHEMA`, gated on :data:`ATTACK_GATED_METRICS`,
-built by :func:`make_attack_artifact`), analytic model sweeps to
-``BENCH_model.json`` (schema :data:`MODEL_SCHEMA`, gating every
-baseline metric), and closed-loop memory-controller sweeps to
-``BENCH_mc.json`` (schema :data:`MC_SCHEMA`, gated on
-:data:`MC_GATED_METRICS`, built by :func:`make_mc_artifact`), and
-multi-client system sweeps to ``BENCH_system.json`` (schema
-:data:`SYSTEM_SCHEMA`, gating every baseline metric, built by
-:func:`make_system_artifact`). A performance artifact looks like:
+Every sweep family serializes to a ``BENCH_<family>_<preset>.json``
+artifact of one shared layout; the family-specific parts (schema id,
+gated metrics, baseline prefix, aggregates) live on its
+:class:`~repro.sweep.family.SweepFamily` registry entry, whose
+:meth:`~repro.sweep.family.SweepFamily.make_artifact` builds the
+artifact. A performance artifact looks like:
 
 .. code-block:: json
 
@@ -57,89 +47,8 @@ import time
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
-from repro.sweep.runner import SweepResult
-
-SCHEMA = "repro.sweep/v1"
-
-#: Schema of ``BENCH_attack.json`` artifacts (attack sweeps).
-ATTACK_SCHEMA = "repro.attack/v1"
-
-#: Schema of ``BENCH_model.json`` artifacts (analytic model sweeps).
-MODEL_SCHEMA = "repro.model/v1"
-
-#: Schema of ``BENCH_mc.json`` artifacts (closed-loop memory-controller
-#: sweeps, built by :func:`make_mc_artifact`).
-MC_SCHEMA = "repro.mc/v1"
-
-#: Schema of ``BENCH_system.json`` artifacts (multi-client system
-#: sweeps, built through the family registry).
-SYSTEM_SCHEMA = "repro.system/v1"
-
 #: Default relative location of committed baselines.
 BASELINE_DIR = Path("benchmarks") / "baselines"
-
-#: Metrics that gate the baseline check. Wall-clock is recorded but
-#: never gated (machine-dependent).
-GATED_METRICS = (
-    "alerts",
-    "alerts_per_trefi",
-    "slowdown",
-    "normalized_performance",
-    "mitigations_per_trefw_per_bank",
-    "activation_overhead",
-    "total_acts",
-    "proactive_mitigations",
-    "reactive_mitigations",
-)
-
-#: Model artifacts gate on ``None``: every metric recorded in the
-#: baseline is checked (the evaluators are pure functions, so any
-#: metric they emit is a stable, gateable quantity).
-MODEL_GATED_METRICS = None
-
-#: Gated metrics of attack artifacts. Everything a deterministic
-#: attack reports is gateable; per-attack ``detail:`` metrics missing
-#: from a point are simply skipped by the diff.
-ATTACK_GATED_METRICS = (
-    "acts_on_attack_row",
-    "max_danger",
-    "alerts",
-    "total_acts",
-    "elapsed_ns",
-    "throughput",
-    "detail:throughput_loss",
-    "detail:normalized_throughput",
-    "detail:baseline_ns",
-    "detail:survivors",
-)
-
-#: Gated metrics of mc artifacts. The closed-loop simulations are
-#: fully deterministic (request streams and stochastic policies derive
-#: from the point config), so every latency/bandwidth/queueing metric
-#: is gateable; wall-clock stays ungated as always.
-MC_GATED_METRICS = (
-    "requests",
-    "reads",
-    "read_mean_ns",
-    "read_p50_ns",
-    "read_p99_ns",
-    "read_max_ns",
-    "avg_queue_ns",
-    "avg_queue_occupancy",
-    "achieved_gbps",
-    "requests_per_trefi",
-    "row_hit_rate",
-    "alerts",
-    "alerts_per_trefi",
-    "stall_fraction",
-    "total_acts",
-)
-
-#: System artifacts gate on ``None``, like the model family: the
-#: per-client metric columns (``"{client}:read_p99_ns"`` …) vary by
-#: scenario, so the gate checks every metric the baseline recorded —
-#: the runs are fully deterministic, hence all of them are gateable.
-SYSTEM_GATED_METRICS = None
 
 DEFAULT_RTOL = 0.05
 DEFAULT_ATOL = 1e-6
@@ -150,26 +59,31 @@ def utc_now() -> str:
     return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
 
 
-def git_revision(cwd: Optional[Path] = None) -> str:
-    """Revision of the repro checkout, or ``"unknown"``.
+def _git(*args: str, cwd: Optional[Path] = None) -> Optional[str]:
+    """Stripped stdout of a ``git`` command, or ``None`` on failure.
 
-    Anchored at this module's location (not the process CWD) so
-    artifacts record the provenance of the *code that produced them*,
-    even when ``repro`` runs from inside an unrelated repository; a
-    site-packages install correctly reports ``"unknown"``.
+    Anchored at this module's location (not the process CWD) by
+    default, so artifacts record the provenance of the *code that
+    produced them*, even when ``repro`` runs from inside an unrelated
+    repository; a site-packages install has no checkout at all.
     """
     try:
         out = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
+            ["git", *args],
             cwd=cwd or Path(__file__).parent,
             capture_output=True,
             text=True,
             timeout=10,
             check=True,
         )
-        return out.stdout.strip() or "unknown"
     except (OSError, subprocess.SubprocessError):
-        return "unknown"
+        return None
+    return out.stdout.strip() or None
+
+
+def git_revision(cwd: Optional[Path] = None) -> str:
+    """Revision of the repro checkout, or ``"unknown"``."""
+    return _git("rev-parse", "--short", "HEAD", cwd=cwd) or "unknown"
 
 
 def git_describe(cwd: Optional[Path] = None) -> str:
@@ -177,104 +91,17 @@ def git_describe(cwd: Optional[Path] = None) -> str:
 
     Richer than :func:`git_revision` — provenance blocks use it to
     record distance from the last tag and whether the working tree was
-    dirty when the artifact was produced. Anchored at this module's
-    location for the same reason.
+    dirty when the artifact was produced.
     """
-    try:
-        out = subprocess.run(
-            ["git", "describe", "--always", "--dirty"],
-            cwd=cwd or Path(__file__).parent,
-            capture_output=True,
-            text=True,
-            timeout=10,
-            check=True,
-        )
-        return out.stdout.strip() or "unknown"
-    except (OSError, subprocess.SubprocessError):
-        return "unknown"
+    return _git("describe", "--always", "--dirty", cwd=cwd) or "unknown"
 
 
 def git_toplevel(cwd: Optional[Path] = None) -> Optional[Path]:
-    """Root of the repro checkout, or ``None`` for non-repo installs.
-
-    Anchored at this module's location by default (see
-    :func:`git_revision`), so baseline resolution finds the checkout's
-    ``benchmarks/baselines/`` regardless of the process CWD.
-    """
-    try:
-        out = subprocess.run(
-            ["git", "rev-parse", "--show-toplevel"],
-            cwd=cwd or Path(__file__).parent,
-            capture_output=True,
-            text=True,
-            timeout=10,
-            check=True,
-        )
-        top = out.stdout.strip()
-        return Path(top) if top else None
-    except (OSError, subprocess.SubprocessError):
-        return None
-
-
-def make_artifact(result: SweepResult, git_rev: Optional[str] = None) -> Dict:
-    """Serialize a sweep result into the ``BENCH_sweep.json`` schema.
-
-    Delegates to the family registry's single schema-parametrized
-    builder (:func:`repro.sweep.family.make_family_artifact`); kept as
-    the stable public entry point. Imported lazily — the registry
-    imports this module for the shared schema/gate machinery.
-    """
-    from repro.sweep.family import PERF_FAMILY, make_family_artifact
-
-    return make_family_artifact(PERF_FAMILY, result, git_rev=git_rev)
-
-
-def make_attack_artifact(result, git_rev: Optional[str] = None) -> Dict:
-    """Serialize an attack sweep into the ``BENCH_attack.json`` schema.
-
-    Same layout as :func:`make_artifact`, with attack identity fields
-    (``attack``, ``kind``, ``figure``, ``subchannels``) in place of the
-    performance sweep's workload/policy columns.
-    """
-    from repro.sweep.family import ATTACK_FAMILY, make_family_artifact
-
-    return make_family_artifact(ATTACK_FAMILY, result, git_rev=git_rev)
-
-
-def make_model_artifact(result, git_rev: Optional[str] = None) -> Dict:
-    """Serialize a model sweep into the ``BENCH_model.json`` schema.
-
-    Same layout as :func:`make_artifact` for the analytic family; model
-    points are scale-free (no ``n_trefi``/``seed`` at the top level —
-    scale-aware kinds carry their window length as a point parameter).
-    """
-    from repro.sweep.family import MODEL_FAMILY, make_family_artifact
-
-    return make_family_artifact(MODEL_FAMILY, result, git_rev=git_rev)
-
-
-def make_mc_artifact(result, git_rev: Optional[str] = None) -> Dict:
-    """Serialize an mc sweep into the ``BENCH_mc.json`` schema.
-
-    Same layout as :func:`make_artifact`, with the closed-loop identity
-    fields (arrival workload, scheduler, row policy, queue depth,
-    geometry) in place of the performance sweep's columns.
-    """
-    from repro.sweep.family import MC_FAMILY, make_family_artifact
-
-    return make_family_artifact(MC_FAMILY, result, git_rev=git_rev)
-
-
-def make_system_artifact(result, git_rev: Optional[str] = None) -> Dict:
-    """Serialize a system sweep into the ``BENCH_system.json`` schema.
-
-    Scenario identity fields (client roster, channel count, per-point
-    scale/seed) in place of grid coordinates; metrics carry the
-    flattened per-client columns next to the system aggregate.
-    """
-    from repro.sweep.family import SYSTEM_FAMILY, make_family_artifact
-
-    return make_family_artifact(SYSTEM_FAMILY, result, git_rev=git_rev)
+    """Root of the repro checkout, or ``None`` for non-repo installs
+    (baseline resolution finds the checkout's ``benchmarks/baselines/``
+    regardless of the process CWD)."""
+    top = _git("rev-parse", "--show-toplevel", cwd=cwd)
+    return Path(top) if top else None
 
 
 def write_artifact(path: Path, artifact: Dict) -> None:
@@ -283,7 +110,7 @@ def write_artifact(path: Path, artifact: Dict) -> None:
     path.write_text(json.dumps(artifact, indent=1, sort_keys=True) + "\n")
 
 
-def load_artifact(path: Path, schema: str = SCHEMA) -> Dict:
+def load_artifact(path: Path, schema: str) -> Dict:
     data = json.loads(Path(path).read_text())
     if data.get("schema") != schema:
         raise ValueError(
@@ -293,25 +120,19 @@ def load_artifact(path: Path, schema: str = SCHEMA) -> Dict:
     return data
 
 
-def default_baseline_path(preset_name: str, root: Optional[Path] = None) -> Path:
-    """Committed baseline location for a preset (``--check`` default)."""
-    base = Path(root) if root is not None else Path(".")
-    return base / BASELINE_DIR / f"{preset_name}.json"
-
-
 def diff_artifacts(
     baseline: Dict,
     current: Dict,
     rtol: float = DEFAULT_RTOL,
     atol: float = DEFAULT_ATOL,
-    gated_metrics: Optional[Tuple[str, ...]] = GATED_METRICS,
+    gated_metrics: Optional[Tuple[str, ...]] = None,
 ) -> List[str]:
     """Compare ``current`` against ``baseline``; returns problems.
 
     An empty list means the run matches the baseline. Problems are
     human-readable strings: missing points, config-hash drift, or
     out-of-tolerance metrics. ``gated_metrics=None`` gates every metric
-    recorded in the baseline point (the model-family convention).
+    recorded in the baseline point.
     """
     problems: List[str] = []
     base_points = baseline.get("points", {})
@@ -374,33 +195,3 @@ def diff_artifacts(
                 )
     return problems
 
-
-def check_against_baseline(
-    artifact: Dict,
-    baseline_path: Path,
-    rtol: float = DEFAULT_RTOL,
-    atol: float = DEFAULT_ATOL,
-    schema: str = SCHEMA,
-    gated_metrics: Optional[Tuple[str, ...]] = GATED_METRICS,
-) -> Tuple[bool, List[str]]:
-    """Gate an already-serialized sweep artifact on a baseline file.
-
-    Works for both artifact families: pass ``schema=ATTACK_SCHEMA`` and
-    ``gated_metrics=ATTACK_GATED_METRICS`` for attack sweeps.
-    """
-    path = Path(baseline_path)
-    if not path.is_file():
-        return False, [
-            f"baseline not found: {path} (generate one with "
-            "`repro sweep ... --write-baseline`)"
-        ]
-    try:
-        baseline = load_artifact(path, schema=schema)
-    except (OSError, ValueError) as exc:
-        # Truncated, hand-edited, or wrong-schema baselines must fail
-        # the gate with a problem line, not a traceback.
-        return False, [f"unreadable baseline: {exc}"]
-    problems = diff_artifacts(
-        baseline, artifact, rtol=rtol, atol=atol, gated_metrics=gated_metrics
-    )
-    return not problems, problems

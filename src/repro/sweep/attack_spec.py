@@ -32,8 +32,9 @@ from repro.attacks.base import AttackRunConfig
 from repro.attacks.registry import AttackSpec
 from repro.sweep.spec import _canonical
 
-#: Bump when attack or engine semantics change in a way that
-#: invalidates previously cached attack points.
+#: Part of every attack point's config hash; bump it only to retire the
+#: committed baselines on a deliberate semantic change (the point cache
+#: already recomputes after any code change, see ``source_fingerprint``).
 ATTACK_RESULT_VERSION = 1
 
 #: Axes mapped to the neutral value at which they leave the simulation

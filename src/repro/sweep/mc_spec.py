@@ -38,8 +38,9 @@ from repro.sim.mc import McRunConfig
 from repro.sweep.spec import _canonical
 from repro.workloads.requests import McWorkload
 
-#: Bump when controller or engine semantics change in a way that
-#: invalidates previously cached mc points.
+#: Part of every mc point's config hash; bump it only to retire the
+#: committed baselines on a deliberate semantic change (the point cache
+#: already recomputes after any code change, see ``source_fingerprint``).
 MC_RESULT_VERSION = 1
 
 #: Additive axes mapped to their neutral value (same convention as the

@@ -45,8 +45,9 @@ from repro.mitigations.trr import TrrTracker
 from repro.workloads.generator import generate_schedule, measure_characteristics
 from repro.workloads.profiles import profile_by_name
 
-#: Bump when a registered evaluator's semantics change in a way that
-#: invalidates previously cached model points.
+#: Part of every model point's config hash; bump it only to retire the
+#: committed baselines on a deliberate semantic change (the point cache
+#: already recomputes after any code change, see ``source_fingerprint``).
 MODEL_RESULT_VERSION = 1
 
 ModelEvaluator = Callable[..., Dict[str, float]]

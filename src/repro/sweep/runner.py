@@ -1,4 +1,4 @@
-"""Parallel, cached execution of sweep specs.
+"""Parallel, cached execution of sweep specs — shared by all families.
 
 Points are independent simulations with fully deterministic seeding
 (the schedule generator and every stochastic policy derive their RNG
@@ -7,15 +7,25 @@ streams from the point's config), so executing them across a
 run — the runner asserts nothing about ordering and reassembles
 results in spec order.
 
+Every family's point executor returns the one :class:`PointResult`
+type and every family's sweep runs through :func:`run_grid`, so a
+family contributes only its point executor, its cache directory, and
+its registry entry (:mod:`repro.sweep.family`).
+
 Completed points are persisted to a cache directory keyed on the
 point's config hash; reruns (including a sweep interrupted halfway)
 skip straight past them. The hash covers the workload, the policy
-spec, every grid parameter, and a result-version constant, so any
-semantic change to the simulator invalidates the cache wholesale.
+spec, every grid parameter, and a result-version constant. Each entry
+is additionally stamped with :func:`source_fingerprint`, a hash of the
+package source that can run inside a point, so an entry written by
+different code is recomputed (counted as ``stale_code``) instead of
+replayed.
 """
 
 from __future__ import annotations
 
+import functools
+import hashlib
 import json
 import os
 import sys
@@ -23,7 +33,7 @@ import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.sim.perf import run_workload
 from repro.sweep.spec import SweepPoint, SweepSpec
@@ -31,6 +41,11 @@ from repro.workloads.profiles import profile_by_name
 
 #: Default on-disk cache location (relative to the working directory).
 DEFAULT_CACHE_DIR = Path(".repro-cache") / "sweep"
+
+#: Package sources that never run inside a point; every other ``.py``
+#: file of the package (a new simulation module included) is covered
+#: by :func:`source_fingerprint`.
+_FINGERPRINT_EXCLUDES = ("cli.py", "__main__.py", "report/", "analysis/lint/")
 
 ProgressFn = Callable[[str], None]
 
@@ -65,20 +80,40 @@ def stderr_progress(quiet: bool = False) -> Optional[ProgressFn]:
     return progress
 
 
+def hash_sources(package: Path) -> str:
+    """Hash every ``.py`` file under ``package`` except
+    :data:`_FINGERPRINT_EXCLUDES` (paths relative to ``package``)."""
+    digest = hashlib.sha256()
+    for path in sorted(package.rglob("*.py")):
+        rel = path.relative_to(package).as_posix()
+        if rel.startswith(_FINGERPRINT_EXCLUDES):
+            continue
+        digest.update(rel.encode() + b"\0" + path.read_bytes() + b"\0")
+    return digest.hexdigest()[:16]
+
+
+@functools.lru_cache(maxsize=None)
+def source_fingerprint() -> str:
+    """Hash of the package source a point can execute (once per process).
+
+    Cache entries stamped with another fingerprint were computed by
+    different code and are recomputed.
+    """
+    return hash_sources(Path(__file__).resolve().parents[1])
+
+
 @dataclass
 class PointResult:
-    """Outcome of one sweep point (metrics plus provenance)."""
+    """Outcome of one sweep point of any family.
+
+    ``identity`` holds exactly the columns the family's artifact writes
+    next to the metrics (the point's resolved coordinates, e.g.
+    ``workload``/``policy``/``ath`` or ``kind``/``params``).
+    """
 
     key: str
     config_hash: str
-    workload: str
-    policy: str
-    ath: int
-    eth: int
-    abo_level: int
-    trefi_per_mitigation: int
-    n_trefi: int
-    seed: int
+    identity: Dict[str, Any]
     metrics: Dict[str, float]
     wall_clock_s: float
     cached: bool = False
@@ -87,14 +122,7 @@ class PointResult:
         return {
             "key": self.key,
             "config_hash": self.config_hash,
-            "workload": self.workload,
-            "policy": self.policy,
-            "ath": self.ath,
-            "eth": self.eth,
-            "abo_level": self.abo_level,
-            "trefi_per_mitigation": self.trefi_per_mitigation,
-            "n_trefi": self.n_trefi,
-            "seed": self.seed,
+            "identity": self.identity,
             "metrics": self.metrics,
             "wall_clock_s": self.wall_clock_s,
         }
@@ -104,14 +132,7 @@ class PointResult:
         return PointResult(
             key=str(data["key"]),
             config_hash=str(data["config_hash"]),
-            workload=str(data["workload"]),
-            policy=str(data["policy"]),
-            ath=int(data["ath"]),
-            eth=int(data["eth"]),
-            abo_level=int(data["abo_level"]),
-            trefi_per_mitigation=int(data["trefi_per_mitigation"]),
-            n_trefi=int(data["n_trefi"]),
-            seed=int(data["seed"]),
+            identity=dict(data["identity"]),
             metrics={k: float(v) for k, v in dict(data["metrics"]).items()},
             wall_clock_s=float(data["wall_clock_s"]),
             cached=cached,
@@ -122,12 +143,13 @@ class PointResult:
 class SweepResult:
     """All point results of one sweep, in spec order."""
 
-    spec: SweepSpec
+    spec: Any
     results: List[PointResult] = field(default_factory=list)
     wall_clock_s: float = 0.0
     jobs: int = 1
     #: Cache statistics from :func:`run_cached_grid` (hits, misses,
-    #: recomputes, elapsed time) — recorded into artifact provenance.
+    #: recomputes, stale_code, elapsed time) — recorded into artifact
+    #: provenance.
     cache_stats: Dict[str, object] = field(default_factory=dict)
 
     @property
@@ -145,43 +167,25 @@ class SweepResult:
     def by_key(self) -> Dict[str, PointResult]:
         return {r.key: r for r in self.results}
 
-    def aggregates(self) -> Dict[str, float]:
-        """Cross-point summary metrics (artifact ``aggregates`` block)."""
-        n = len(self.results)
-        if n == 0:
-            return {}
-        gmean = 1.0
-        for r in self.results:
-            gmean *= max(r.metrics.get("normalized_performance", 1.0), 1e-12)
-        return {
-            "points": float(n),
-            "avg_slowdown": sum(r.metrics.get("slowdown", 0.0) for r in self.results) / n,
-            "avg_alerts_per_trefi": sum(
-                r.metrics.get("alerts_per_trefi", 0.0) for r in self.results
-            )
-            / n,
-            "gmean_normalized_performance": gmean ** (1.0 / n),
-        }
-
 
 def execute_point(point: SweepPoint) -> PointResult:
-    """Run one sweep point in the current process (worker entry)."""
-    started = time.perf_counter()
+    """Run one perf sweep point in the current process (worker entry)."""
+    started = wall_timer()
     result = run_workload(profile_by_name(point.workload), point.config)
     config = point.config
     return PointResult(
         key=point.key,
         config_hash=point.config_hash(),
-        workload=point.workload,
-        policy=config.policy.display_name(),
-        ath=config.ath,
-        eth=config.eth_resolved,
-        abo_level=config.abo_level,
-        trefi_per_mitigation=config.trefi_per_mitigation_resolved,
-        n_trefi=config.n_trefi,
-        seed=config.seed,
+        identity={
+            "workload": point.workload,
+            "policy": config.policy.display_name(),
+            "ath": config.ath,
+            "eth": config.eth_resolved,
+            "abo_level": config.abo_level,
+            "trefi_per_mitigation": config.trefi_per_mitigation_resolved,
+        },
         metrics=result.as_metrics(),
-        wall_clock_s=time.perf_counter() - started,
+        wall_clock_s=wall_timer() - started,
     )
 
 
@@ -190,26 +194,31 @@ def _cache_path(cache_dir: Path, config_hash: str) -> Path:
 
 
 def _load_cached(cache_dir: Path, config_hash: str, from_json):
+    """Revive one cache entry: ``(result or None, outcome)``, where the
+    outcome names the statistic it counts toward."""
     path = _cache_path(cache_dir, config_hash)
     if not path.is_file():
-        return None
+        return None, "misses"
     try:
         data = json.loads(path.read_text())
     except (OSError, ValueError):
-        return None
+        return None, "recomputes"
     if data.get("config_hash") != config_hash:
-        return None  # stale/corrupt entry; recompute
+        return None, "recomputes"  # stale/corrupt entry
+    if data.get("source") != source_fingerprint():
+        return None, "stale_code"  # written by different code
     try:
-        return from_json(data, cached=True)
+        return from_json(data, cached=True), "hits"
     except (KeyError, TypeError, ValueError):
-        return None
+        return None, "recomputes"
 
 
 def _store_cached(cache_dir: Path, result) -> None:
     cache_dir.mkdir(parents=True, exist_ok=True)
     path = _cache_path(cache_dir, result.config_hash)
     tmp = path.with_suffix(f".tmp.{os.getpid()}")
-    tmp.write_text(json.dumps(result.to_json(), indent=1, sort_keys=True))
+    entry = dict(result.to_json(), source=source_fingerprint())
+    tmp.write_text(json.dumps(entry, indent=1, sort_keys=True))
     os.replace(tmp, path)
 
 
@@ -222,7 +231,7 @@ def run_cached_grid(
     progress: Optional[ProgressFn] = None,
     stats: Optional[Dict[str, object]] = None,
 ):
-    """Shared cache/pool orchestration for both sweep families.
+    """Shared cache/pool orchestration for sweeps and system shards.
 
     Probes the on-disk cache for every point, runs the misses through a
     ``ProcessPoolExecutor`` (or in-process when ``jobs == 1``), stores
@@ -242,13 +251,15 @@ def run_cached_grid(
             cache/throughput summary line.
         stats: Optional dict the runner fills with cache statistics:
             ``hits`` (revived from cache), ``misses`` (no cache
-            entry), ``recomputes`` (entry present but stale or
-            unreadable), ``executed``, ``elapsed_s``, ``points_per_s``.
+            entry), ``recomputes`` (entry unreadable or for another
+            config hash), ``stale_code`` (entry written under another
+            :func:`source_fingerprint`), ``executed``, ``elapsed_s``,
+            ``points_per_s``.
 
     Returns:
         Results in the same order as ``points``.
     """
-    started = time.perf_counter()
+    started = wall_timer()
     total = len(points)
     results: Dict[int, object] = {}
 
@@ -258,27 +269,19 @@ def run_cached_grid(
             status = "cached" if result.cached else f"{result.wall_clock_s:.1f}s"
             progress(f"[{len(results)}/{total}] {result.key} ({status})")
 
-    hits = misses = recomputes = 0
+    counts = dict.fromkeys(("hits", "misses", "recomputes", "stale_code"), 0)
     pending: List[int] = []
     for index, point in enumerate(points):
-        if cache_dir:
-            config_hash = point.config_hash()
-            had_entry = _cache_path(cache_dir, config_hash).is_file()
-            cached = _load_cached(cache_dir, config_hash, from_json)
-        else:
-            had_entry = False
-            cached = None
+        cached, outcome = (
+            _load_cached(cache_dir, point.config_hash(), from_json)
+            if cache_dir else (None, "misses")
+        )
+        # Recomputes and stale_code are counted apart from plain
+        # misses: unexpected ones are the cache-invalidation signal.
+        counts[outcome] += 1
         if cached is not None:
-            hits += 1
             note(index, cached)
-        elif had_entry:
-            # An entry existed but failed revival (stale hash, corrupt
-            # JSON, codec drift): counted apart from plain misses —
-            # unexpected recomputes are the cache-invalidation signal.
-            recomputes += 1
-            pending.append(index)
         else:
-            misses += 1
             pending.append(index)
 
     if pending and jobs > 1:
@@ -300,47 +303,49 @@ def run_cached_grid(
                 _store_cached(cache_dir, result)
             note(index, result)
 
-    elapsed_s = time.perf_counter() - started
+    elapsed_s = wall_timer() - started
     rate = total / elapsed_s if elapsed_s > 0 else 0.0
     if stats is not None:
+        stats.update(counts)
         stats.update({
-            "hits": hits,
-            "misses": misses,
-            "recomputes": recomputes,
             "executed": len(pending),
             "elapsed_s": elapsed_s,
             "points_per_s": rate,
         })
     if progress is not None and total:
         progress(
-            f"cache: {hits} hits, {misses} misses, {recomputes} "
-            f"recomputes; {total} points in {elapsed_s:.1f}s "
+            f"cache: {counts['hits']} hits, {counts['misses']} misses, "
+            f"{counts['recomputes']} recomputes, {counts['stale_code']} "
+            f"stale_code; {total} points in {elapsed_s:.1f}s "
             f"({rate:.1f} points/s)"
         )
 
     return [results[i] for i in range(total)]
 
 
-def run_sweep(
-    spec: SweepSpec,
+def run_grid(
+    spec,
+    execute: Callable[[Any], PointResult],
     jobs: int = 1,
-    cache_dir: Optional[Path] = DEFAULT_CACHE_DIR,
+    cache_dir: Optional[Path] = None,
     progress: Optional[ProgressFn] = None,
 ) -> SweepResult:
-    """Execute every point of ``spec``; parallel when ``jobs > 1``.
+    """Execute every point of any family's ``spec``; parallel when
+    ``jobs > 1``.
 
     Args:
-        spec: The grid to run.
+        spec: The grid to run (exposes ``points()``).
+        execute: The family's module-level point executor.
         jobs: Worker processes (``1`` = serial, in-process).
         cache_dir: Per-point result cache; ``None`` disables caching.
         progress: Optional callback receiving one line per finished
             point (``[done/total] key (cached|12.3s)``).
     """
-    started = time.perf_counter()
+    started = wall_timer()
     cache_stats: Dict[str, object] = {}
     ordered = run_cached_grid(
         spec.points(),
-        execute_point,
+        execute,
         PointResult.from_json,
         jobs=jobs,
         cache_dir=cache_dir,
@@ -350,7 +355,17 @@ def run_sweep(
     return SweepResult(
         spec=spec,
         results=ordered,
-        wall_clock_s=time.perf_counter() - started,
+        wall_clock_s=wall_timer() - started,
         jobs=jobs,
         cache_stats=cache_stats,
     )
+
+
+def run_sweep(
+    spec: SweepSpec,
+    jobs: int = 1,
+    cache_dir: Optional[Path] = DEFAULT_CACHE_DIR,
+    progress: Optional[ProgressFn] = None,
+) -> SweepResult:
+    """Execute every point of a perf ``spec`` (see :func:`run_grid`)."""
+    return run_grid(spec, execute_point, jobs, cache_dir, progress)

@@ -42,8 +42,9 @@ SWEEP_WORKLOADS: Tuple[str, ...] = (
 
 ALL_WORKLOADS: Tuple[str, ...] = tuple(p.name for p in TABLE4_PROFILES)
 
-#: Bump when the schedule generator or engine semantics change in a
-#: way that invalidates previously cached sweep points.
+#: Part of every sweep point's config hash; bump it only to retire the
+#: committed baselines on a deliberate semantic change (the point cache
+#: already recomputes after any code change, see ``source_fingerprint``).
 RESULT_VERSION = 1
 
 #: Axes added after the first baselines were committed, mapped to the

@@ -1,148 +1,39 @@
-"""Parallel, cached execution of system sweeps.
+"""System-family point executor over the shared sweep runner.
 
-Mirrors the other family runners over the shared
-:func:`repro.sweep.runner.run_cached_grid` core. One nesting rule:
-each sweep point runs its :class:`~repro.system.sim.SystemSim`
-*serially and uncached* (``jobs=1, cache_dir=None``) — the sweep pool
-is the only process pool, and the sweep point cache the only cache, so
-points stay single-process workers and the sharding machinery never
-nests. ``SystemSim``'s own sharded pool/cache serve the direct API and
+One nesting rule: each sweep point runs its
+:class:`~repro.system.sim.SystemSim` *serially and uncached*
+(``jobs=1, cache_dir=None``) — the sweep pool is the only process
+pool, and the sweep point cache the only cache, so points stay
+single-process workers and the sharding machinery never nests.
+``SystemSim``'s own sharded pool/cache serve the direct API and
 ``repro system run``, where there is no outer pool.
+
+A point's ``metrics`` is the flattened
+:meth:`~repro.system.sim.SystemResult.as_metrics` view: system
+aggregates at bare names plus ``"{client}:{metric}"`` per client, so
+baselines gate per-client tails, not just the mean.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Optional
 
 from repro.system.sim import run_system
 from repro.sweep.system_spec import SystemSweepPoint, SystemSweepSpec
-from repro.sweep.runner import ProgressFn, run_cached_grid, wall_timer
+from repro.sweep.runner import (
+    PointResult,
+    ProgressFn,
+    SweepResult,
+    run_grid,
+    wall_timer,
+)
 
 #: Default on-disk cache location (sibling of the other family caches).
 DEFAULT_SYSTEM_CACHE_DIR = Path(".repro-cache") / "system"
 
 
-@dataclass
-class SystemPointResult:
-    """Outcome of one system scenario (metrics plus provenance).
-
-    ``metrics`` is the flattened :meth:`SystemResult.as_metrics` view:
-    system aggregates at bare names plus ``"{client}:{metric}"`` per
-    client, so baselines gate per-client tails, not just the mean.
-    """
-
-    key: str
-    config_hash: str
-    scenario: str
-    clients: List[str]
-    policy: str
-    scheduler: str
-    ath: int
-    eth: int
-    abo_level: int
-    channels: int
-    banks: int
-    n_trefi: int
-    seed: int
-    metrics: Dict[str, float]
-    wall_clock_s: float
-    cached: bool = False
-
-    def to_json(self) -> Dict[str, object]:
-        return {
-            "key": self.key,
-            "config_hash": self.config_hash,
-            "scenario": self.scenario,
-            "clients": self.clients,
-            "policy": self.policy,
-            "scheduler": self.scheduler,
-            "ath": self.ath,
-            "eth": self.eth,
-            "abo_level": self.abo_level,
-            "channels": self.channels,
-            "banks": self.banks,
-            "n_trefi": self.n_trefi,
-            "seed": self.seed,
-            "metrics": self.metrics,
-            "wall_clock_s": self.wall_clock_s,
-        }
-
-    @staticmethod
-    def from_json(
-        data: Dict[str, object], cached: bool = False
-    ) -> "SystemPointResult":
-        return SystemPointResult(
-            key=str(data["key"]),
-            config_hash=str(data["config_hash"]),
-            scenario=str(data["scenario"]),
-            clients=[str(name) for name in data["clients"]],
-            policy=str(data["policy"]),
-            # Pre-QoS artifacts carried no scheduler field; every one
-            # of them ran the then-hardwired FR-FCFS.
-            scheduler=str(data.get("scheduler", "frfcfs")),
-            ath=int(data["ath"]),
-            eth=int(data["eth"]),
-            abo_level=int(data["abo_level"]),
-            channels=int(data["channels"]),
-            banks=int(data["banks"]),
-            n_trefi=int(data["n_trefi"]),
-            seed=int(data["seed"]),
-            metrics={k: float(v) for k, v in dict(data["metrics"]).items()},
-            wall_clock_s=float(data["wall_clock_s"]),
-            cached=cached,
-        )
-
-
-@dataclass
-class SystemSweepResult:
-    """All scenario results of one system sweep, in spec order."""
-
-    spec: SystemSweepSpec
-    results: List[SystemPointResult] = field(default_factory=list)
-    wall_clock_s: float = 0.0
-    jobs: int = 1
-    #: Cache statistics from :func:`run_cached_grid` (hits, misses,
-    #: recomputes, elapsed time) — recorded into artifact provenance.
-    cache_stats: Dict[str, object] = field(default_factory=dict)
-
-    @property
-    def cache_hits(self) -> int:
-        return sum(1 for r in self.results if r.cached)
-
-    @property
-    def compute_time_s(self) -> float:
-        """Summed per-point simulation time (cached points keep the
-        wall-clock of their original computation)."""
-        return sum(r.wall_clock_s for r in self.results)
-
-    def by_key(self) -> Dict[str, SystemPointResult]:
-        return {r.key: r for r in self.results}
-
-    def aggregates(self) -> Dict[str, float]:
-        """Cross-point summary (artifact ``aggregates`` block)."""
-        n = len(self.results)
-        if n == 0:
-            return {}
-        return {
-            "points": float(n),
-            "avg_read_p99_ns": sum(
-                r.metrics.get("read_p99_ns", 0.0) for r in self.results
-            ) / n,
-            "avg_achieved_gbps": sum(
-                r.metrics.get("achieved_gbps", 0.0) for r in self.results
-            ) / n,
-            "avg_stall_fraction": sum(
-                r.metrics.get("stall_fraction", 0.0) for r in self.results
-            ) / n,
-            "total_alerts": sum(
-                r.metrics.get("alerts", 0.0) for r in self.results
-            ),
-        }
-
-
-def execute_system_point(point: SystemSweepPoint) -> SystemPointResult:
+def execute_system_point(point: SystemSweepPoint) -> PointResult:
     """Run one system scenario in the current process (worker entry).
 
     Serial and uncached by design — see the module docstring.
@@ -150,20 +41,22 @@ def execute_system_point(point: SystemSweepPoint) -> SystemPointResult:
     started = wall_timer()
     result = run_system(point.config, jobs=1, cache_dir=None)
     config = point.config
-    return SystemPointResult(
+    return PointResult(
         key=point.key,
         config_hash=point.config_hash(),
-        scenario=point.scenario,
-        clients=[client.name for client in config.clients],
-        policy=config.policy.display_name(),
-        scheduler=config.sched_display(),
-        ath=config.ath,
-        eth=config.eth_resolved,
-        abo_level=config.abo_level,
-        channels=config.channels,
-        banks=config.banks,
-        n_trefi=config.n_trefi,
-        seed=config.seed,
+        identity={
+            "scenario": point.scenario,
+            "clients": [client.name for client in config.clients],
+            "policy": config.policy.display_name(),
+            "scheduler": config.sched_display(),
+            "ath": config.ath,
+            "eth": config.eth_resolved,
+            "abo_level": config.abo_level,
+            "channels": config.channels,
+            "banks": config.banks,
+            "n_trefi": config.n_trefi,
+            "seed": config.seed,
+        },
         metrics=result.as_metrics(),
         wall_clock_s=wall_timer() - started,
     )
@@ -174,31 +67,6 @@ def run_system_sweep(
     jobs: int = 1,
     cache_dir: Optional[Path] = DEFAULT_SYSTEM_CACHE_DIR,
     progress: Optional[ProgressFn] = None,
-) -> SystemSweepResult:
-    """Execute every scenario of ``spec``; parallel when ``jobs > 1``.
-
-    Args:
-        spec: The scenario set to run.
-        jobs: Worker processes (``1`` = serial, in-process).
-        cache_dir: Per-point result cache; ``None`` disables caching.
-        progress: Optional callback receiving one line per finished
-            point (``[done/total] key (cached|12.3s)``).
-    """
-    started = wall_timer()
-    cache_stats: Dict[str, object] = {}
-    ordered = run_cached_grid(
-        spec.points(),
-        execute_system_point,
-        SystemPointResult.from_json,
-        jobs=jobs,
-        cache_dir=cache_dir,
-        progress=progress,
-        stats=cache_stats,
-    )
-    return SystemSweepResult(
-        spec=spec,
-        results=ordered,
-        wall_clock_s=wall_timer() - started,
-        jobs=jobs,
-        cache_stats=cache_stats,
-    )
+) -> SweepResult:
+    """Execute every scenario of a system ``spec`` (see ``run_grid``)."""
+    return run_grid(spec, execute_system_point, jobs, cache_dir, progress)

@@ -57,8 +57,10 @@ from repro.sweep.runner import wall_timer
 from repro.system.crossbar import ClientSpec, client_requests, record_crossbar_grants
 from repro.workloads.requests import McWorkload
 
-#: Bump when controller, crossbar, or engine semantics change in a way
-#: that invalidates previously cached system shards.
+#: Part of every system shard's and scenario's config hash; bump it
+#: only to retire the committed baselines on a deliberate semantic
+#: change (cached shards already recompute after any code change, see
+#: ``repro.sweep.runner.source_fingerprint``).
 SYSTEM_RESULT_VERSION = 1
 
 

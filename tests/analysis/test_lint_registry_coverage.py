@@ -48,68 +48,50 @@ def _base_state():
         },
         "cli_choices": {"alpha"},
         "preset_kind_refs": set(),
-        "list_titles": {"demo"},
     }
 
 
-# The fabricated figure state maps its family through the real
-# figure-family table, so reuse a mapped name.
-def _mapped_state():
-    state = _base_state()
-    state["families"]["sweep"] = state["families"].pop("demo")
-    state["figures"]["fig1"]["sources"] = ["sweep:p1"]
-    state["list_titles"] = {"sweep"}
-    return state
-
-
 def test_clean_state_yields_nothing():
-    assert list(coverage_findings(_mapped_state())) == []
+    assert list(coverage_findings(_base_state())) == []
 
 
 def test_missing_description_flagged():
-    state = _mapped_state()
+    state = _base_state()
     state["registries"]["widget"]["kinds"]["alpha"] = "  "
     findings = list(coverage_findings(state))
     assert any("has no description" in f.message for f in findings)
 
 
 def test_unreachable_kind_flagged():
-    state = _mapped_state()
+    state = _base_state()
     state["cli_choices"] = set()
     findings = list(coverage_findings(state))
     assert any("not CLI-reachable" in f.message for f in findings)
 
 
 def test_preset_reachability_counts():
-    state = _mapped_state()
+    state = _base_state()
     state["cli_choices"] = set()
     state["preset_kind_refs"] = {"alpha"}
     assert list(coverage_findings(state)) == []
 
 
 def test_missing_baseline_flagged():
-    state = _mapped_state()
-    state["families"]["sweep"]["presets"]["p1"]["exists"] = False
+    state = _base_state()
+    state["families"]["demo"]["presets"]["p1"]["exists"] = False
     findings = list(coverage_findings(state))
     assert any("no committed baseline" in f.message for f in findings)
 
 
-def test_unlisted_family_flagged():
-    state = _mapped_state()
-    state["list_titles"] = set()
-    findings = list(coverage_findings(state))
-    assert any("_LIST_TITLES" in f.message for f in findings)
-
-
 def test_dangling_figure_source_flagged():
-    state = _mapped_state()
-    state["figures"]["fig1"]["sources"] = ["sweep:nope"]
+    state = _base_state()
+    state["figures"]["fig1"]["sources"] = ["demo:nope"]
     findings = list(coverage_findings(state))
     assert any("no such preset" in f.message for f in findings)
 
 
 def test_untitled_figure_flagged():
-    state = _mapped_state()
+    state = _base_state()
     state["figures"]["fig1"]["title"] = ""
     findings = list(coverage_findings(state))
     assert any("missing its title" in f.message for f in findings)

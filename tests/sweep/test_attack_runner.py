@@ -5,15 +5,9 @@ import json
 import pytest
 
 from repro.attacks.registry import AttackSpec
-from repro.sweep.artifacts import (
-    ATTACK_GATED_METRICS,
-    ATTACK_SCHEMA,
-    check_against_baseline,
-    diff_artifacts,
-    make_attack_artifact,
-    write_artifact,
-)
+from repro.sweep.artifacts import diff_artifacts, write_artifact
 from repro.sweep.attack_runner import run_attack_sweep
+from repro.sweep.family import ATTACK_FAMILY
 from repro.sweep.attack_spec import AttackSweepSpec
 
 
@@ -67,7 +61,7 @@ class TestRunner:
 
     def test_aggregates(self, spec):
         result = run_attack_sweep(spec, jobs=1, cache_dir=None)
-        agg = result.aggregates()
+        agg = ATTACK_FAMILY.aggregate(result.results)
         assert agg["points"] == len(spec.points())
         assert agg["max_acts_on_attack_row"] >= 64
 
@@ -75,8 +69,8 @@ class TestRunner:
 class TestArtifacts:
     def test_schema_and_points(self, spec):
         result = run_attack_sweep(spec, jobs=1, cache_dir=None)
-        artifact = make_attack_artifact(result, git_rev="test")
-        assert artifact["schema"] == ATTACK_SCHEMA
+        artifact = ATTACK_FAMILY.make_artifact(result, git_rev="test")
+        assert artifact["schema"] == ATTACK_FAMILY.schema
         assert artifact["preset"] == "smoke"
         assert artifact["sweep_hash"] == spec.sweep_hash()
         assert set(artifact["points"]) == {p.key for p in spec.points()}
@@ -87,44 +81,38 @@ class TestArtifacts:
 
     def test_self_diff_is_clean(self, spec):
         result = run_attack_sweep(spec, jobs=1, cache_dir=None)
-        artifact = make_attack_artifact(result, git_rev="test")
+        artifact = ATTACK_FAMILY.make_artifact(result, git_rev="test")
         assert diff_artifacts(
-            artifact, artifact, gated_metrics=ATTACK_GATED_METRICS
+            artifact, artifact, gated_metrics=ATTACK_FAMILY.gated_metrics
         ) == []
 
     def test_metric_regression_detected(self, spec):
         result = run_attack_sweep(spec, jobs=1, cache_dir=None)
-        baseline = make_attack_artifact(result, git_rev="test")
+        baseline = ATTACK_FAMILY.make_artifact(result, git_rev="test")
         current = json.loads(json.dumps(baseline))
         key = next(iter(current["points"]))
         current["points"][key]["metrics"]["acts_on_attack_row"] += 50
         problems = diff_artifacts(
-            baseline, current, gated_metrics=ATTACK_GATED_METRICS
+            baseline, current, gated_metrics=ATTACK_FAMILY.gated_metrics
         )
         assert any("acts_on_attack_row" in p for p in problems)
 
     def test_baseline_gate_roundtrip(self, spec, tmp_path):
         result = run_attack_sweep(spec, jobs=1, cache_dir=None)
-        artifact = make_attack_artifact(result, git_rev="test")
+        artifact = ATTACK_FAMILY.make_artifact(result, git_rev="test")
         path = tmp_path / "attack_smoke.json"
         write_artifact(path, artifact)
-        ok, problems = check_against_baseline(
-            artifact, path,
-            schema=ATTACK_SCHEMA, gated_metrics=ATTACK_GATED_METRICS,
-        )
+        ok, problems = ATTACK_FAMILY.check_against_baseline(artifact, path)
         assert ok, problems
 
     def test_perf_schema_baseline_rejected(self, spec, tmp_path):
         # An attack artifact checked against a perf baseline (or vice
         # versa) must fail the gate, not silently pass.
         result = run_attack_sweep(spec, jobs=1, cache_dir=None)
-        artifact = make_attack_artifact(result, git_rev="test")
+        artifact = ATTACK_FAMILY.make_artifact(result, git_rev="test")
         path = tmp_path / "wrong.json"
         wrong = dict(artifact, schema="repro.sweep/v1")
         write_artifact(path, wrong)
-        ok, problems = check_against_baseline(
-            artifact, path,
-            schema=ATTACK_SCHEMA, gated_metrics=ATTACK_GATED_METRICS,
-        )
+        ok, problems = ATTACK_FAMILY.check_against_baseline(artifact, path)
         assert not ok
         assert any("schema" in p for p in problems)

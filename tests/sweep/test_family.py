@@ -1,19 +1,13 @@
 """Tests of the sweep-family registry: completeness, artifact
-equivalence with the legacy builders, and baseline coverage."""
+identity columns against the committed baselines, and baseline
+coverage."""
 
 import json
 from pathlib import Path
 
 import pytest
 
-from repro.sweep.artifacts import (
-    load_artifact,
-    make_artifact,
-    make_attack_artifact,
-    make_mc_artifact,
-    make_model_artifact,
-    make_system_artifact,
-)
+from repro.sweep.artifacts import load_artifact
 from repro.sweep.family import (
     ATTACK_FAMILY,
     FAMILIES,
@@ -22,7 +16,6 @@ from repro.sweep.family import (
     PERF_FAMILY,
     SYSTEM_FAMILY,
     get_family,
-    make_family_artifact,
 )
 
 BASELINE_ROOT = Path(__file__).resolve().parents[2]
@@ -54,7 +47,8 @@ class TestRegistry:
             assert family.presets, family.name
             assert callable(family.run)
             assert callable(family.top_fields)
-            assert callable(family.point_payload)
+            assert callable(family.aggregate)
+            assert family.list_title
             assert family.cache_subdir
             assert family.description
             for name, spec in family.presets.items():
@@ -102,57 +96,53 @@ class TestCommittedBaselines:
 
 
 class TestArtifactEquivalence:
-    """The registry-driven builder emits byte-for-byte what the legacy
-    per-family builders emit (they now delegate, and this pins it)."""
+    """Each family's artifact carries exactly the committed baseline's
+    identity columns — every point field but the metrics and wall
+    clock — which the report extractions select points by."""
 
-    def canonical(self, artifact):
-        artifact = dict(artifact)
-        artifact.pop("created_utc")
-        return json.dumps(artifact, sort_keys=True)
+    #: Columns added after some baselines were committed, with the
+    #: value those baselines imply (pre-QoS system scenarios all ran
+    #: the then-hardwired FR-FCFS scheduler).
+    LATER_COLUMNS = {"scheduler": "frfcfs"}
 
-    def assert_equivalent(self, family, legacy_builder, result):
-        via_family = make_family_artifact(family, result, git_rev="x")
-        via_legacy = legacy_builder(result, git_rev="x")
-        assert (self.canonical(via_family)
-                == self.canonical(via_legacy))
-        assert (self.canonical(family.make_artifact(result, git_rev="x"))
-                == self.canonical(via_legacy))
+    def assert_identity_matches_baseline(self, family, spec):
+        result = family.run(spec, jobs=2, cache_dir=None)
+        artifact = json.loads(json.dumps(family.make_artifact(result)))
+        baseline = load_artifact(
+            family.default_baseline_path(spec.name, root=BASELINE_ROOT),
+            family.schema,
+        )
+        assert set(artifact["points"]) == set(baseline["points"])
+        for key, point in artifact["points"].items():
+            got = {k: v for k, v in point.items()
+                   if k not in ("metrics", "wall_clock_s")}
+            want = {k: v for k, v in baseline["points"][key].items()
+                    if k not in ("metrics", "wall_clock_s")}
+            for column, implied in self.LATER_COLUMNS.items():
+                if column in got:
+                    want.setdefault(column, implied)
+            assert got == want, key
 
     def test_mc(self):
-        from repro.sweep.mc_runner import run_mc_sweep
-        spec = MC_FAMILY.preset("mc-smoke").with_overrides(n_trefi=32)
-        result = run_mc_sweep(spec, jobs=1, cache_dir=None)
-        self.assert_equivalent(MC_FAMILY, make_mc_artifact, result)
+        self.assert_identity_matches_baseline(
+            MC_FAMILY, MC_FAMILY.preset("mc-smoke"))
 
     def test_model(self):
-        from repro.sweep.model_runner import run_model_sweep
-        spec = next(iter(MODEL_FAMILY.presets.values()))
-        result = run_model_sweep(spec, jobs=1, cache_dir=None)
-        self.assert_equivalent(MODEL_FAMILY, make_model_artifact, result)
+        self.assert_identity_matches_baseline(
+            MODEL_FAMILY, MODEL_FAMILY.preset("fig15"))
 
     def test_system(self):
-        from repro.sweep.system_runner import run_system_sweep
-        spec = SYSTEM_FAMILY.preset("system-smoke").with_overrides(
-            n_trefi=32
-        )
-        result = run_system_sweep(spec, jobs=1, cache_dir=None)
-        self.assert_equivalent(SYSTEM_FAMILY, make_system_artifact,
-                               result)
+        self.assert_identity_matches_baseline(
+            SYSTEM_FAMILY, SYSTEM_FAMILY.preset("system-smoke"))
 
     def test_perf(self):
-        from repro.sweep.runner import run_sweep
-        spec = PERF_FAMILY.preset("fig11").with_overrides(
-            n_trefi=16, workloads=("mcf",)
-        )
-        result = run_sweep(spec, jobs=1, cache_dir=None)
-        self.assert_equivalent(PERF_FAMILY, make_artifact, result)
+        self.assert_identity_matches_baseline(
+            PERF_FAMILY,
+            PERF_FAMILY.preset("sec65").with_overrides(n_trefi=512))
 
     def test_attack(self):
-        from repro.sweep.attack_runner import run_attack_sweep
-        spec = ATTACK_FAMILY.preset("fig5")
-        result = run_attack_sweep(spec, jobs=1, cache_dir=None)
-        self.assert_equivalent(ATTACK_FAMILY, make_attack_artifact,
-                               result)
+        self.assert_identity_matches_baseline(
+            ATTACK_FAMILY, ATTACK_FAMILY.preset("fig5"))
 
 
 class TestFamilyGate:

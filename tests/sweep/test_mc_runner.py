@@ -1,18 +1,10 @@
 """Tests of the mc sweep runner: parallel identity, caching, artifacts."""
 
 from repro.mitigations.registry import PolicySpec
-from repro.sweep.artifacts import (
-    MC_GATED_METRICS,
-    MC_SCHEMA,
-    check_against_baseline,
-    make_mc_artifact,
-    write_artifact,
-)
-from repro.sweep.mc_runner import (
-    McPointResult,
-    execute_mc_point,
-    run_mc_sweep,
-)
+from repro.sweep.artifacts import write_artifact
+from repro.sweep.family import MC_FAMILY
+from repro.sweep.mc_runner import execute_mc_point, run_mc_sweep
+from repro.sweep.runner import PointResult
 from repro.sweep.mc_spec import McSweepSpec
 from repro.workloads.requests import McWorkload
 
@@ -42,7 +34,9 @@ class TestRunner:
             p.key for p in TINY.points()
         ]
         assert all(not r.cached for r in result.results)
-        assert result.aggregates()["points"] == len(TINY.points())
+        assert MC_FAMILY.aggregate(result.results)["points"] == len(
+            TINY.points()
+        )
 
     def test_parallel_matches_serial_bit_for_bit(self):
         serial = run_mc_sweep(TINY, jobs=1, cache_dir=None)
@@ -60,10 +54,10 @@ class TestRunner:
     def test_point_result_json_round_trip(self):
         point = TINY.points()[0]
         result = execute_mc_point(point)
-        revived = McPointResult.from_json(result.to_json(), cached=True)
+        revived = PointResult.from_json(result.to_json(), cached=True)
         assert revived.key == result.key
         assert revived.metrics == result.metrics
-        assert revived.queue_depth == result.queue_depth
+        assert revived.identity["queue_depth"] == result.identity["queue_depth"]
         assert revived.cached
 
     def test_moat_point_alerts_null_does_not(self):
@@ -78,39 +72,35 @@ class TestRunner:
 class TestArtifact:
     def test_schema_and_layout(self):
         result = run_mc_sweep(TINY, jobs=1, cache_dir=None)
-        artifact = make_mc_artifact(result, git_rev="test")
-        assert artifact["schema"] == MC_SCHEMA
+        artifact = MC_FAMILY.make_artifact(result, git_rev="test")
+        assert artifact["schema"] == MC_FAMILY.schema
         assert artifact["preset"] == "tiny"
         assert artifact["n_trefi"] == TINY.n_trefi
         assert set(artifact["points"]) == {p.key for p in TINY.points()}
         point = next(iter(artifact["points"].values()))
         assert {"config_hash", "workload", "policy", "scheduler",
                 "row_policy", "queue_depth", "metrics"} <= set(point)
-        for metric in MC_GATED_METRICS:
+        for metric in MC_FAMILY.gated_metrics:
             assert metric in point["metrics"], metric
 
     def test_baseline_gate_round_trip(self, tmp_path):
         result = run_mc_sweep(TINY, jobs=1, cache_dir=None)
-        artifact = make_mc_artifact(result, git_rev="test")
+        artifact = MC_FAMILY.make_artifact(result, git_rev="test")
         baseline = tmp_path / "mc_tiny.json"
         write_artifact(baseline, artifact)
-        ok, problems = check_against_baseline(
+        ok, problems = MC_FAMILY.check_against_baseline(
             artifact, baseline, rtol=0.0, atol=0.0,
-            schema=MC_SCHEMA, gated_metrics=MC_GATED_METRICS,
         )
         assert ok, problems
 
     def test_baseline_gate_catches_regression(self, tmp_path):
         result = run_mc_sweep(TINY, jobs=1, cache_dir=None)
-        artifact = make_mc_artifact(result, git_rev="test")
-        baseline_data = make_mc_artifact(result, git_rev="test")
+        artifact = MC_FAMILY.make_artifact(result, git_rev="test")
+        baseline_data = MC_FAMILY.make_artifact(result, git_rev="test")
         key = next(iter(baseline_data["points"]))
         baseline_data["points"][key]["metrics"]["read_p99_ns"] *= 2.0
         baseline = tmp_path / "mc_tiny.json"
         write_artifact(baseline, baseline_data)
-        ok, problems = check_against_baseline(
-            artifact, baseline,
-            schema=MC_SCHEMA, gated_metrics=MC_GATED_METRICS,
-        )
+        ok, problems = MC_FAMILY.check_against_baseline(artifact, baseline)
         assert not ok
         assert any("read_p99_ns" in p for p in problems)

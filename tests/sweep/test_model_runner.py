@@ -1,11 +1,8 @@
 """Tests for the cached model-sweep runner."""
 
-from repro.sweep.artifacts import MODEL_SCHEMA, make_model_artifact
-from repro.sweep.model_runner import (
-    ModelPointResult,
-    execute_model_point,
-    run_model_sweep,
-)
+from repro.sweep.family import MODEL_FAMILY
+from repro.sweep.model_runner import execute_model_point, run_model_sweep
+from repro.sweep.runner import PointResult
 from repro.sweep.model_spec import ModelSpec, ModelSweepSpec
 
 SPEC = ModelSweepSpec(
@@ -32,7 +29,7 @@ class TestRunner:
         for point, got in zip(SPEC.points(), result.results):
             want = execute_model_point(point)
             assert got.metrics == want.metrics
-            assert got.params == point.model.param_dict()
+            assert got.identity["params"] == point.model.param_dict()
 
     def test_rerun_hits_cache_with_identical_metrics(self, tmp_path):
         first = run_model_sweep(SPEC, cache_dir=tmp_path)
@@ -52,7 +49,7 @@ class TestRunner:
     def test_from_json_round_trip(self):
         point = SPEC.points()[0]
         result = execute_model_point(point)
-        revived = ModelPointResult.from_json(result.to_json(), cached=True)
+        revived = PointResult.from_json(result.to_json(), cached=True)
         assert revived.metrics == result.metrics
         assert revived.cached
 
@@ -60,8 +57,8 @@ class TestRunner:
 class TestArtifact:
     def test_schema_and_points(self, tmp_path):
         result = run_model_sweep(SPEC, cache_dir=None)
-        artifact = make_model_artifact(result, git_rev="test")
-        assert artifact["schema"] == MODEL_SCHEMA
+        artifact = MODEL_FAMILY.make_artifact(result, git_rev="test")
+        assert artifact["schema"] == MODEL_FAMILY.schema
         assert artifact["preset"] == "unit"
         assert set(artifact["points"]) == {p.key for p in SPEC.points()}
         point = artifact["points"]["abo-config(level=2)"]

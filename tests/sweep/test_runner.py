@@ -1,11 +1,21 @@
 """Tests for the parallel cached sweep runner."""
 
 import json
+import shutil
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.mitigations.registry import PolicySpec
-from repro.sweep.runner import execute_point, run_sweep
+from repro.sweep import runner
+from repro.sweep.family import PERF_FAMILY
+from repro.sweep.runner import (
+    execute_point,
+    hash_sources,
+    run_sweep,
+    source_fingerprint,
+)
 from repro.sweep.spec import SweepSpec
 
 
@@ -26,7 +36,7 @@ class TestSerialRunner:
         result = run_sweep(spec, jobs=1, cache_dir=tmp_path / "cache")
         assert [r.key for r in result.results] == [p.key for p in spec.points()]
         assert all(not r.cached for r in result.results)
-        assert result.aggregates()["points"] == 4.0
+        assert PERF_FAMILY.aggregate(result.results)["points"] == 4.0
 
     def test_metrics_match_direct_execution(self, tmp_path):
         spec = tiny_spec()
@@ -69,7 +79,7 @@ class TestCache:
         combined = run_sweep(tiny_spec(workloads=("tc", "roms")), jobs=1,
                              cache_dir=cache)
         assert combined.cache_hits == 1
-        flags = {r.workload: r.cached for r in combined.results}
+        flags = {r.identity["workload"]: r.cached for r in combined.results}
         assert flags == {"tc": True, "roms": False}
 
     def test_corrupt_cache_entry_recomputed(self, tmp_path):
@@ -132,7 +142,7 @@ class TestPolicyGenericPoints:
         spec = tiny_spec(workloads=("tc",), policies=(PolicySpec(kind),),
                          n_trefi=64)
         result = run_sweep(spec, jobs=1, cache_dir=None).results[0]
-        assert result.policy == kind
+        assert result.identity["policy"] == kind
         assert result.metrics["total_acts"] > 0
         assert 0.0 <= result.metrics["slowdown"] <= 1.0
 
@@ -142,3 +152,64 @@ class TestPolicyGenericPoints:
         assert result.metrics["proactive_mitigations"] == 0
         assert result.metrics["reactive_mitigations"] == 0
         assert result.metrics["alerts"] == 0
+
+
+class TestSourceFingerprint:
+    """Cache entries replay only results computed by the same code."""
+
+    SPEC = tiny_spec(workloads=("tc",), ath=(64, 128), n_trefi=64)
+
+    def entries(self, cache):
+        return [
+            json.loads((cache / f"{p.config_hash()}.json").read_text())
+            for p in self.SPEC.points()
+        ]
+
+    def test_warm_rerun_revives_every_point(self, tmp_path):
+        cache = tmp_path / "cache"
+        run_sweep(self.SPEC, jobs=1, cache_dir=cache)
+        warm = run_sweep(self.SPEC, jobs=1, cache_dir=cache)
+        stats = warm.cache_stats
+        assert stats["hits"] == len(self.SPEC.points())
+        assert stats["recomputes"] == 0
+        assert stats["stale_code"] == 0
+        assert all(e["source"] == source_fingerprint()
+                   for e in self.entries(cache))
+
+    def test_changed_fingerprint_recomputes_as_stale_code(
+        self, tmp_path, monkeypatch
+    ):
+        cache = tmp_path / "cache"
+        cold = run_sweep(self.SPEC, jobs=1, cache_dir=cache)
+        monkeypatch.setattr(runner, "source_fingerprint", lambda: "f" * 16)
+        lines = []
+        stale = run_sweep(self.SPEC, jobs=1, cache_dir=cache,
+                          progress=lines.append)
+        n = len(self.SPEC.points())
+        stats = stale.cache_stats
+        assert (stats["stale_code"], stats["executed"]) == (n, n)
+        assert (stats["hits"], stats["misses"], stats["recomputes"]) == (
+            0, 0, 0)
+        assert f"0 recomputes, {n} stale_code;" in lines[-1]
+        assert [r.metrics for r in stale.results] == [
+            r.metrics for r in cold.results
+        ]
+        # Recomputed entries are re-stamped, so the next run hits.
+        assert all(e["source"] == "f" * 16 for e in self.entries(cache))
+        again = run_sweep(self.SPEC, jobs=1, cache_dir=cache)
+        assert again.cache_stats["hits"] == n
+        assert again.cache_stats["stale_code"] == 0
+
+    def test_covers_simulation_code_but_not_cli_or_report(self, tmp_path):
+        package = tmp_path / "repro"
+        shutil.copytree(Path(repro.__file__).parent, package,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        base = hash_sources(package)
+        assert base == source_fingerprint()
+        for rel in ("cli.py", "__main__.py", "report/figures.py",
+                    "analysis/lint/core.py"):
+            with open(package / rel, "a") as handle:
+                handle.write("# edited\n")
+        assert hash_sources(package) == base
+        (package / "sim" / "new_model.py").write_text("X = 1\n")
+        assert hash_sources(package) != base

@@ -1,17 +1,10 @@
 """Tests of the system sweep runner: parallel identity, caching, and
 the artifact/baseline gate."""
 
-from repro.sweep.artifacts import (
-    SYSTEM_SCHEMA,
-    check_against_baseline,
-    make_system_artifact,
-    write_artifact,
-)
-from repro.sweep.system_runner import (
-    SystemPointResult,
-    execute_system_point,
-    run_system_sweep,
-)
+from repro.sweep.artifacts import write_artifact
+from repro.sweep.family import SYSTEM_FAMILY
+from repro.sweep.runner import PointResult
+from repro.sweep.system_runner import execute_system_point, run_system_sweep
 from repro.sweep.system_spec import (
     DUO_CLIENTS,
     SystemSweepSpec,
@@ -47,7 +40,9 @@ class TestRunner:
         assert [r.key for r in result.results] == [
             p.key for p in TINY.points()
         ]
-        assert result.aggregates()["points"] == len(TINY.points())
+        assert SYSTEM_FAMILY.aggregate(result.results)["points"] == len(
+            TINY.points()
+        )
 
     def test_parallel_matches_serial_bit_for_bit(self):
         serial = run_system_sweep(TINY, jobs=1, cache_dir=None)
@@ -64,18 +59,16 @@ class TestRunner:
 
     def test_point_result_json_round_trip(self):
         result = execute_system_point(TINY.points()[0])
-        revived = SystemPointResult.from_json(
-            result.to_json(), cached=True
-        )
+        revived = PointResult.from_json(result.to_json(), cached=True)
         assert revived.key == result.key
         assert revived.metrics == result.metrics
-        assert revived.clients == ["tenant0", "tenant1"]
+        assert revived.identity["clients"] == ["tenant0", "tenant1"]
         assert revived.cached
 
     def test_per_client_metrics_present(self):
         result = run_system_sweep(TINY, jobs=1, cache_dir=None)
         for point in result.results:
-            for client in point.clients:
+            for client in point.identity["clients"]:
                 assert f"{client}:read_p99_ns" in point.metrics
                 assert f"{client}:achieved_gbps" in point.metrics
 
@@ -92,8 +85,8 @@ class TestRunner:
 class TestArtifact:
     def test_schema_and_layout(self):
         result = run_system_sweep(TINY, jobs=1, cache_dir=None)
-        artifact = make_system_artifact(result, git_rev="test")
-        assert artifact["schema"] == SYSTEM_SCHEMA
+        artifact = SYSTEM_FAMILY.make_artifact(result, git_rev="test")
+        assert artifact["schema"] == SYSTEM_FAMILY.schema
         assert artifact["preset"] == "tiny"
         assert set(artifact["points"]) == {p.key for p in TINY.points()}
         point = next(iter(artifact["points"].values()))
@@ -102,12 +95,11 @@ class TestArtifact:
 
     def test_baseline_gate_round_trip(self, tmp_path):
         result = run_system_sweep(TINY, jobs=1, cache_dir=None)
-        artifact = make_system_artifact(result, git_rev="test")
+        artifact = SYSTEM_FAMILY.make_artifact(result, git_rev="test")
         baseline = tmp_path / "system_tiny.json"
         write_artifact(baseline, artifact)
-        ok, problems = check_against_baseline(
+        ok, problems = SYSTEM_FAMILY.check_against_baseline(
             artifact, baseline, rtol=0.0, atol=0.0,
-            schema=SYSTEM_SCHEMA, gated_metrics=None,
         )
         assert ok, problems
 
@@ -115,15 +107,14 @@ class TestArtifact:
         """gated_metrics=None gates every metric — including the
         per-client prefixed tails."""
         result = run_system_sweep(TINY, jobs=1, cache_dir=None)
-        artifact = make_system_artifact(result, git_rev="test")
-        baseline_data = make_system_artifact(result, git_rev="test")
+        artifact = SYSTEM_FAMILY.make_artifact(result, git_rev="test")
+        baseline_data = SYSTEM_FAMILY.make_artifact(result, git_rev="test")
         key = next(iter(baseline_data["points"]))
         baseline_data["points"][key]["metrics"]["tenant1:read_p99_ns"] += 500.0
         baseline = tmp_path / "system_tiny.json"
         write_artifact(baseline, baseline_data)
-        ok, problems = check_against_baseline(
-            artifact, baseline,
-            schema=SYSTEM_SCHEMA, gated_metrics=None,
+        ok, problems = SYSTEM_FAMILY.check_against_baseline(
+            artifact, baseline
         )
         assert not ok
         assert any("tenant1:read_p99_ns" in p for p in problems)
@@ -135,7 +126,7 @@ class TestNoisyPreset:
         victims show measurably degraded p99 vs the quiet scenario."""
         spec = system_preset("system-noisy").with_overrides(n_trefi=256)
         by_scenario = {
-            r.scenario: r.metrics
+            r.identity["scenario"]: r.metrics
             for r in run_system_sweep(spec, jobs=2, cache_dir=None).results
         }
         for victim in ("victim0", "victim1"):
