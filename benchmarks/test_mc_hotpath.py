@@ -10,9 +10,12 @@ Two measurements pin the closed-loop subsystem's speed:
   bit-for-bit (the run is deterministic by contract).
 * ``test_mc_backend_speedups`` serves one pre-generated stream through
   the retained scalar reference (``run_streams_reference``) and
-  through the struct-of-arrays fast path, asserts the completions are
+  through the struct-of-arrays serve loop, asserts the completions are
   identical, and pins the speedup: the SoA loop must be at least 2x
   the scalar loop.
+* ``test_mc_qos_serve_speedup`` does the same for the system-qos
+  noisy-priority shape: two prioritized victims and an ALERT-storming
+  attacker through one crossbar under the ``priority`` scheduler.
 
 Like ``test_engine_hotpath.py``, this deliberately bypasses the
 artifact caches: it *measures* the subsystem, so replaying a cached
@@ -31,6 +34,8 @@ from repro.obs import TraceRecorder
 from repro.report.tables import format_table
 from repro.sim.mc import McRunConfig, build_mc_channel, run_mc
 from repro.sweep.mc_spec import HAMMER_WORKLOAD
+from repro.sweep.system_spec import system_preset
+from repro.system.crossbar import client_requests
 from repro.workloads.requests import generate_requests
 
 N_TREFI = 512 if FAST else 1024
@@ -175,14 +180,13 @@ def test_mc_tracing_overhead(report, record_json):
     )
 
 
-def _serve_timed(requests, reference=False):
-    """Best-of-N serve of one stream; returns (seconds, completions).
+def _serve_timed(config, streams, priorities=None, reference=False):
+    """Best-of-N serve of client streams; returns (seconds, completions).
 
     A fresh channel/controller per round keeps every measurement a
-    cold, pristine-channel run — the configuration the fast path
+    cold, pristine-channel run — the configuration the SoA loop
     dispatches on.
     """
-    config = _hammer_config()
     best_s = None
     completions = None
     for _ in range(ROUNDS):
@@ -190,15 +194,50 @@ def _serve_timed(requests, reference=False):
         controller = MemoryController(channel, config.mc_config())
         started = time.perf_counter()
         if reference:
-            served = controller.run_streams_reference([list(requests)])
-            out = [(c.start_ns, c.complete_ns) for c in served]
+            completed = controller.run_streams_reference(streams, priorities)
         else:
-            batch = controller.serve(list(requests))
-            out = list(zip(batch.start_ns, batch.complete_ns))
+            batch = controller.serve_streams(streams, priorities)
         elapsed = time.perf_counter() - started
+        if not reference:
+            assert batch.path == "soa", batch.path
+            completed = batch.completions()
         if best_s is None or elapsed < best_s:
-            best_s, completions = elapsed, out
+            best_s = elapsed
+            completions = [
+                (c.request, c.start_ns, c.complete_ns) for c in completed
+            ]
     return best_s, completions
+
+
+def _speedup_report(report, record_json, key, title, n_requests,
+                    ref_s, soa_s):
+    speedup = ref_s / soa_s
+    report(
+        format_table(
+            ["serve path", "requests / s", "speedup"],
+            [
+                ("scalar reference", f"{n_requests / ref_s:,.0f}", "1.00x"),
+                ("struct-of-arrays", f"{n_requests / soa_s:,.0f}",
+                 f"{speedup:.2f}x"),
+            ],
+            title=f"{title} ({n_requests:,} requests, identical "
+            "completions)",
+        )
+    )
+    record_json(
+        {
+            "requests": n_requests,
+            "reference_requests_per_s": n_requests / ref_s,
+            "soa_requests_per_s": n_requests / soa_s,
+            "speedup_vs_reference": speedup,
+            "required_speedup": REQUIRED_SOA_SPEEDUP,
+        },
+        key=key,
+    )
+    assert speedup >= REQUIRED_SOA_SPEEDUP, (
+        f"SoA serve loop only {speedup:.2f}x the scalar reference "
+        f"(need {REQUIRED_SOA_SPEEDUP}x)"
+    )
 
 
 def test_mc_backend_speedups(report, record_json):
@@ -213,34 +252,44 @@ def test_mc_backend_speedups(report, record_json):
         trefi_ns=config.timing.t_refi,
     )
 
-    ref_s, ref_out = _serve_timed(requests, reference=True)
-    soa_s, soa_out = _serve_timed(requests)
+    ref_s, ref_out = _serve_timed(config, [requests], reference=True)
+    soa_s, soa_out = _serve_timed(config, [requests])
     assert soa_out == ref_out, "SoA serve loop diverged from the scalar reference"
-    speedup = ref_s / soa_s
+    _speedup_report(
+        report, record_json, "mc_serve_paths",
+        "MC serve loop - SoA vs scalar reference",
+        len(requests), ref_s, soa_s,
+    )
 
-    report(
-        format_table(
-            ["serve path", "requests / s", "speedup"],
-            [
-                ("scalar reference", f"{len(requests) / ref_s:,.0f}", "1.00x"),
-                ("struct-of-arrays", f"{len(requests) / soa_s:,.0f}",
-                 f"{speedup:.2f}x"),
-            ],
-            title="MC serve loop - SoA vs scalar reference "
-            f"({len(requests):,} requests, identical completions)",
+
+def test_mc_qos_serve_speedup(report, record_json):
+    """The noisy-priority scenario's three client streams: the
+    crossbar grant loop, the priority pick and the ALERT storm."""
+    system = dict(system_preset("system-qos").scenarios)["noisy-priority"]
+    if FAST:
+        system = dataclasses.replace(system, n_trefi=system.n_trefi // 2)
+    streams = [
+        client_requests(
+            client, index,
+            subchannels=system.subchannels,
+            banks=system.banks,
+            n_trefi=system.n_trefi,
+            rows_per_bank=system.rows_per_bank,
+            seed=system.seed,
+            channel=0,
+            timing=system.timing,
         )
-    )
-    record_json(
-        {
-            "requests": len(requests),
-            "reference_requests_per_s": len(requests) / ref_s,
-            "soa_requests_per_s": len(requests) / soa_s,
-            "speedup_vs_reference": speedup,
-            "required_speedup": REQUIRED_SOA_SPEEDUP,
-        },
-        key="mc_serve_paths",
-    )
-    assert speedup >= REQUIRED_SOA_SPEEDUP, (
-        f"SoA serve loop only {speedup:.2f}x the scalar reference "
-        f"(need {REQUIRED_SOA_SPEEDUP}x)"
+        for index, client in enumerate(system.clients)
+    ]
+    priorities = [client.priority for client in system.clients]
+    config = system.mc_run_config()
+
+    ref_s, ref_out = _serve_timed(config, streams, priorities,
+                                  reference=True)
+    soa_s, soa_out = _serve_timed(config, streams, priorities)
+    assert soa_out == ref_out, "SoA serve loop diverged from the scalar reference"
+    _speedup_report(
+        report, record_json, "mc_serve_paths_qos",
+        "MC serve loop, noisy-priority crossbar - SoA vs scalar reference",
+        sum(len(stream) for stream in streams), ref_s, soa_s,
     )

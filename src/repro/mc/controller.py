@@ -18,8 +18,11 @@ Layering:
   bank — while the other clients keep admitting; simultaneous
   admissions arbitrate by priority, round-robin among equals.
   :meth:`MemoryController.run` is the single-client special case.
+  Every request's ``client`` tag must equal its stream's index.
 * **Queues** — one FIFO per (sub-channel, bank), depth
-  :attr:`McConfig.queue_depth` (``None`` = unbounded).
+  :attr:`McConfig.queue_depth` (``None`` = unbounded). The
+  struct-of-arrays loop splits each into one FIFO per client
+  (:meth:`MemoryController._serve_soa`).
 * **Scheduler** — a pluggable policy from the :mod:`repro.mc.sched`
   registry. ``"fcfs"`` issues strictly in arrival order (replaying a
   trace through it is bit-identical to
@@ -56,8 +59,8 @@ from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.mc.request import CompletedRequest, Request
 from repro.mc.sched import (
+    BOOST,
     SCHEDULERS,
-    is_fast_path_sched,
     make_sched,
     normalize_sched_params,
     validate_sched,
@@ -126,10 +129,12 @@ class ServedBatch:
     stay bit-identical.
 
     All sequences are in completion order. ``row_hit`` may be ``None``
-    when no request hit an open row (the closed-page fast path).
+    when no request hit an open row (the closed-page SoA loop).
     """
 
-    #: The served stream, sorted by ``issue_ns`` (admission order).
+    #: The served requests: each client's stream sorted by
+    #: ``issue_ns``, concatenated in client order (the SoA loop), or
+    #: the completed requests in completion order (the reference).
     requests: List[Request]
     #: Index into :attr:`requests` per completion.
     ridx: List[int]
@@ -137,6 +142,10 @@ class ServedBatch:
     start_ns: List[float]
     complete_ns: List[float]
     row_hit: Optional[List[bool]] = None
+    #: Which loop served the batch: ``"soa"``, or
+    #: ``"reference:<first failing predicate>"`` (set by
+    #: :meth:`MemoryController.serve_streams`).
+    path: str = ""
     _completed: Optional[List[CompletedRequest]] = field(
         default=None, repr=False
     )
@@ -278,52 +287,47 @@ class MemoryController:
     ) -> ServedBatch:
         """Serve client streams, dispatching to the fastest eligible path.
 
-        The single-client, closed-page, bounded-queue, one-sub-channel
-        case on an untouched channel with dense counters — the
-        configuration of every ``run_mc`` workload point — runs through
-        :meth:`_run_fast`, a struct-of-arrays reimplementation of the
-        serving loop. Everything else (crossbars, open
-        page, unbounded queues, danger tracking, pre-driven channels)
-        stays on :meth:`run_streams_reference`, the pinned scalar
-        reference. Both paths are bit-identical by construction and by
-        test; the dispatch can change wall-clock only.
+        Closed-page, bounded-queue, one-sub-channel runs on an
+        untouched channel with dense counters (every ``run_mc`` point
+        and every system scenario) run through :meth:`_serve_soa`, a
+        struct-of-arrays reimplementation of the serving loop for any
+        number of crossbar clients under every scheduler kind.
+        Everything else (open page, unbounded queues, several
+        sub-channels, sparse counters, danger tracking, postponed REFs,
+        pre-driven channels) stays on :meth:`run_streams_reference`,
+        the pinned scalar reference. Both paths are bit-identical by
+        construction and by test; the dispatch can change wall-clock
+        only.
+
+        The served path is recorded as :attr:`ServedBatch.path` and,
+        with a recorder attached, counted into
+        ``recorder.meta["serve_paths"]``.
         """
         n_clients = len(streams)
         if n_clients < 1:
             raise ValueError("run_streams needs at least one stream")
-        if priorities is not None and len(priorities) != n_clients:
+        if priorities is None:
+            priorities = [0] * n_clients
+        if len(priorities) != n_clients:
             raise ValueError(
                 f"got {len(priorities)} priorities for {n_clients} streams"
             )
-        channel = self.channel
-        sub = channel.subchannels[0]
-        if (
-            n_clients == 1
-            and is_fast_path_sched(self.config.scheduler)
-            and self.config.row_policy == "closed"
-            and self.config.queue_depth is not None
-            and self._num_subchannels == 1
-            and channel.config.sim.dense_counters
-            and not channel.config.sim.track_danger
-            and not sub.postpone_refs
-            # The fast path mirrors engine state instead of re-reading
-            # it per command, which is valid only from the pristine
-            # state every run_mc/system run starts in.
-            and sub.now == 0.0
-            and sub._channel_free == 0.0
-            and channel._cmd_free == 0.0
-            and not any(sub._bank_free)
-        ):
-            batch = self._run_fast(list(streams[0]))
+        path = self._serve_path()
+        if path == "soa":
+            batch = self._serve_soa(streams, priorities)
         else:
             batch = ServedBatch.from_completions(
                 self.run_streams_reference(streams, priorities)
             )
+        batch.path = path
         # Post-hoc event derivation: one linear pass over the SoA batch
         # when tracing is on, one attribute read when it is off. The
         # dispatch above is recorder-blind by construction.
-        if self.recorder.enabled:
-            record_batch_events(self.recorder, batch)
+        recorder = self.recorder
+        if recorder.enabled:
+            record_batch_events(recorder, batch)
+            paths = recorder.meta.setdefault("serve_paths", {})
+            paths[path] = paths.get(path, 0) + 1
         return batch
 
     def run_streams_reference(
@@ -336,9 +340,9 @@ class MemoryController:
         One request at a time through per-bank tuple queues and
         :meth:`ChannelSim.activate` — the implementation every
         committed baseline was produced with, retained verbatim as the
-        equivalence oracle for :meth:`_run_fast` (see the fast-path
+        equivalence oracle for :meth:`_serve_soa` (see the SoA
         property tests) and as the general path for configurations the
-        fast path does not cover.
+        SoA loop does not cover.
         """
         n_clients = len(streams)
         if n_clients < 1:
@@ -352,9 +356,9 @@ class MemoryController:
         ordered = [
             sorted(stream, key=lambda r: r.issue_ns) for stream in streams
         ]
-        for stream in ordered:
+        for client, stream in enumerate(ordered):
             for req in stream:
-                self._validate(req)
+                self._validate(req, client)
 
         depth = self.config.queue_depth
         sched = make_sched(
@@ -523,48 +527,133 @@ class MemoryController:
         return completed
 
     # ------------------------------------------------------------------
-    # Struct-of-arrays fast path
+    # Struct-of-arrays serve loop
     # ------------------------------------------------------------------
 
-    def _run_fast(self, stream: List[Request]) -> ServedBatch:
-        """Closed-page single-client serving over flat arrays.
+    def _serve_path(self) -> str:
+        """``"soa"``, or ``"reference:<first failing predicate>"``.
 
-        Replays :meth:`run_streams_reference` exactly — same admission
-        rule, same FCFS/FR-FCFS pick, same engine timing — but holds
-        every piece of per-step state (ring queues of seq/ridx/enqueue
-        per bank, availability floors, the engine's clock and counters)
-        in preallocated flat arrays, and issues the common-case ACT
-        *inline*: the per-request trip through
-        ``channel.activate -> engine event machinery -> ActResult`` is
-        replaced by the engine's own between-events recurrence (the
-        same one :meth:`SubchannelSim.activate_many` batches), with the
-        engine consulted only when a scheduled event (REF, external
-        service, ALERT window) actually interferes.
-
-        The engine's authoritative scalars (``sub.now``,
-        ``sub._channel_free``, ``sub._bank_free``, the channel command
-        front) are mirrored locally and written back before — and
-        re-read after — every real engine interaction, so the slow path
-        is always entered from exactly the state the reference would
-        have. ABO activation counts are accumulated locally and flushed
-        before anything that may consult ``can_assert``.
+        The SoA loop models the closed page on one sub-channel with
+        bounded queues, dense counters and no danger tracking, and it
+        mirrors engine state instead of re-reading it per command,
+        which is valid only from the pristine state every
+        ``run_mc``/system run starts in.
         """
-        ordered = sorted(stream, key=lambda r: r.issue_ns)
-        for req in ordered:
-            self._validate(req)
+        channel = self.channel
+        sim = channel.config.sim
+        sub = channel.subchannels[0]
+        if self.config.row_policy != "closed":
+            return "reference:open-page"
+        if self.config.queue_depth is None:
+            return "reference:unbounded-queue"
+        if self._num_subchannels != 1:
+            return "reference:multi-subchannel"
+        if not sim.dense_counters:
+            return "reference:sparse-counters"
+        if sim.track_danger:
+            return "reference:track-danger"
+        if sub.postpone_refs:
+            return "reference:postponed-refs"
+        if (
+            sub.now != 0.0
+            or sub._channel_free != 0.0
+            or channel._cmd_free != 0.0
+            or any(sub._bank_free)
+        ):
+            return "reference:pre-driven-channel"
+        return "soa"
+
+    def _serve_soa(
+        self,
+        streams: Sequence[List[Request]],
+        priorities: Sequence[int],
+    ) -> ServedBatch:
+        """Closed-page serving of N client streams over flat arrays.
+
+        Replays :meth:`run_streams_reference` exactly under all five
+        scheduler kinds: same crossbar grant rule, same picks, same
+        engine timing. Every queued entry sits in one ring FIFO per
+        (client, bank); a per-bank count carries the depth check. Each
+        kind's pick provably pops the head of one such FIFO (see the
+        ``mc.sched`` module docstring), so a pick costs
+        O(clients x banks) instead of a scan of every queued entry.
+        Scheduler state lives in arrays indexed by client or by request
+        index; the :mod:`repro.mc.sched` oracle instance supplies the
+        parameters and, for ``slo``, the demotion feedback.
+
+        The common-case ACT is issued *inline*: the per-request trip
+        through ``channel.activate -> engine event machinery ->
+        ActResult`` is replaced by the engine's own between-events
+        recurrence (the one :meth:`SubchannelSim.activate_many`
+        batches), with the engine consulted only when a scheduled event
+        (REF, external service, ALERT window) actually interferes. The
+        engine's authoritative scalars are mirrored locally and handed
+        back (:func:`_engine_sync`) before every real engine
+        interaction and re-read (:func:`_engine_view`) after it, so the
+        engine is always entered from exactly the state the reference
+        would have. ABO activation counts accumulate locally and are
+        flushed before anything that may consult ``can_assert``.
+        """
+        n_clients = len(streams)
+        requests: List[Request] = []
+        ends: List[int] = []
+        for client, stream in enumerate(streams):
+            start = len(requests)
+            requests.extend(sorted(stream, key=lambda r: r.issue_ns))
+            for i in range(start, len(requests)):
+                self._validate(requests[i], client)
+            ends.append(len(requests))
+        #: Next unadmitted request index per client.
+        heads = [0] + ends[:-1]
         channel = self.channel
         sub = channel.subchannels[0]
-        n = len(ordered)
+        n = len(requests)
+        cap = self.config.queue_depth
+        kind = self.config.scheduler
+        sched = make_sched(
+            kind, self.config.sched_params, priorities, self._t_col,
+            depth=cap,
+        )
         if n == 0:
             channel.flush()
             return ServedBatch(
-                requests=ordered, ridx=[], enqueue_ns=[], start_ns=[],
+                requests=requests, ridx=[], enqueue_ns=[], start_ns=[],
                 complete_ns=[],
             )
 
-        cap = self.config.queue_depth
-        frfcfs = self.config.scheduler == "frfcfs"
+        fcfs = kind == "fcfs"
+        by_start = kind == "frfcfs" or kind == "bw-cap"
+        prio_kind = kind == "priority"
+        bwcap = kind == "bw-cap"
+        slo = kind == "slo"
+        #: One client whose kind has no admission hook: the grant loop
+        #: degenerates to plain in-order admission.
+        in_order = n_clients == 1 and (fcfs or kind == "frfcfs")
+        prio = list(priorities)
+        #: Client scan order after each possible last grant/pick.
+        rotation = [
+            [(last + 1 + k) % n_clients for k in range(n_clients)]
+            for last in range(n_clients)
+        ]
+        last_grant = n_clients - 1
+        if prio_kind:
+            age_bound = sched.age_bound_ns
+            limit = sched._limit
+            admitted_at = [0.0] * n
+            head_id = [-1] * n_clients
+            head_since = [0.0] * n_clients
+            last_pick = n_clients - 1
+        elif bwcap:
+            rate = sched._rate
+            burst = sched._burst
+            tokens = list(sched._tokens)
+            last_admit = list(sched._last)
+        elif slo:
+            demoted = sched._demoted
+            note_complete = sched.note_complete
+
         n_banks = self._num_banks
+        nq = n_clients * n_banks
         t_rc = self._t_rc
         t_cmd_gap = self._t_cmd_gap
         gap = sub._t_issue_gap
@@ -573,176 +662,298 @@ class MemoryController:
         banks = sub.banks
         pracs = [bank._prac for bank in banks]
         shadows = [engine.shadow for engine in sub.refresh]
-        e_bank_free = sub._bank_free
-        INF = float("inf")
 
-        issue = [r.issue_ns for r in ordered]
-        rbank = [r.bank for r in ordered]
-        rrow = [r.row for r in ordered]
-        q_seq = [0] * (n_banks * cap)
-        q_ridx = [0] * (n_banks * cap)
-        q_enq = [0.0] * (n_banks * cap)
-        q_head = [0] * n_banks
-        q_count = [0] * n_banks
+        issue = [r.issue_ns for r in requests]
+        rbank = [r.bank for r in requests]
+        rrow = [r.row for r in requests]
+        #: Ring FIFO per (client, bank), index ``q = client * n_banks
+        #: + bank``, each with room for a full bank queue.
+        q_seq = [0] * (nq * cap)
+        q_ridx = [0] * (nq * cap)
+        q_enq = [0.0] * (nq * cap)
+        q_head = [0] * nq
+        q_count = [0] * nq
+        q_bank = [q % n_banks for q in range(nq)]
+        q_client = [q // n_banks for q in range(nq)]
+        bank_count = [0] * n_banks
         freed = [0.0] * n_banks
         bank_free = [0.0] * n_banks
         acts_bank = [0] * n_banks
+        admit_floor = [0.0] * n_clients
         out_ridx = [0] * n
         out_enq = [0.0] * n
         out_start = [0.0] * n
         out_complete = [0.0] * n
 
-        # Local mirrors of the controller view (now/cmd_free/admit) and
-        # the engine scalars (e_now/e_chfree + the shared bank_free —
-        # identical to the controller floors here because both start at
-        # zero and only this loop issues commands). Event horizon
-        # snapshot stays valid between engine interactions.
-        next_i = 0
+        # Local mirrors of the controller view (now/cmd_free) and of
+        # the engine scalars (e_now/e_chfree plus the shared bank_free,
+        # identical to the controller floors because both start at zero
+        # and only this loop issues commands). The event horizon stays
+        # valid between engine interactions.
         seq = 0
         queued = 0
         out_n = 0
+        #: The in-order admission's next request and admission floor,
+        #: loop-carried as locals (it serves client 0 alone).
+        next_r = 0
+        floor = 0.0
         pending_acts = 0
         now = 0.0
         cmd_free = 0.0
-        admit_floor = 0.0
-        e_now = 0.0
-        e_chfree = 0.0
-        next_ref_s = sub._next_ref
-        next_ext_s = sub._next_external
-        episode = sub._episode
-        window_end_s = (
-            episode.window_end
-            if episode is not None and not episode.processed
-            else INF
+        e_now, e_chfree, next_ref_s, next_ext_s, window_end_s = (
+            _engine_view(sub)
         )
 
         while out_n < n:
-            # In-order admission of every arrival at or before `now`.
-            while next_i < n:
-                t = issue[next_i]
-                if t > now:
-                    break
-                qi = rbank[next_i]
-                if q_count[qi] >= cap:
-                    break
-                enq = t
-                if admit_floor > enq:
-                    enq = admit_floor
-                if freed[qi] > enq:
-                    enq = freed[qi]
-                admit_floor = enq
-                slot = qi * cap + (q_head[qi] + q_count[qi]) % cap
-                q_seq[slot] = seq
-                q_ridx[slot] = next_i
-                q_enq[slot] = enq
-                seq += 1
-                q_count[qi] += 1
-                queued += 1
-                next_i += 1
+            # -- Crossbar admission ------------------------------------
+            if in_order:
+                while next_r < n:
+                    t = issue[next_r]
+                    if t > now:
+                        break
+                    b = rbank[next_r]
+                    if q_count[b] >= cap:
+                        break
+                    enq = t
+                    if floor > enq:
+                        enq = floor
+                    if freed[b] > enq:
+                        enq = freed[b]
+                    floor = enq
+                    slot = b * cap + (q_head[b] + q_count[b]) % cap
+                    q_seq[slot] = seq
+                    q_ridx[slot] = next_r
+                    q_enq[slot] = enq
+                    seq += 1
+                    q_count[b] += 1
+                    bank_count[b] += 1
+                    queued += 1
+                    next_r += 1
+                heads[0] = next_r
+            else:
+                # One grant per pass over the eligible clients (head
+                # arrived, bank queue has room, the kind's hook admits),
+                # highest admission priority first, round-robin among
+                # equals — the reference grant loop with its hooks
+                # inlined.
+                while True:
+                    chosen = -1
+                    chosen_pri = 0.0
+                    for c in rotation[last_grant]:
+                        r = heads[c]
+                        if r == ends[c] or issue[r] > now:
+                            continue
+                        b = rbank[r]
+                        if bank_count[b] >= cap:
+                            continue
+                        if prio_kind:
+                            # Head age is tracked exactly where the
+                            # oracle calls ``_head_age``; a starved head
+                            # bypasses the share cap.
+                            if head_id[c] == r:
+                                age = now - head_since[c]
+                            else:
+                                head_id[c] = r
+                                head_since[c] = now
+                                age = 0.0
+                            if age >= age_bound:
+                                pri = BOOST - issue[r]
+                            elif q_count[c * n_banks + b] >= limit:
+                                continue
+                            else:
+                                pri = prio[c]
+                        elif bwcap:
+                            refill = (now - last_admit[c]) * rate[c]
+                            if min(burst, tokens[c] + refill) < 1.0:
+                                continue
+                            pri = prio[c]
+                        elif slo:
+                            if demoted[c]:
+                                if q_count[c * n_banks + b]:
+                                    continue
+                                pri = prio[c]
+                            else:
+                                pri = prio[c] + BOOST
+                        else:
+                            pri = prio[c]
+                        if chosen < 0 or pri > chosen_pri:
+                            chosen = c
+                            chosen_pri = pri
+                    if chosen < 0:
+                        break
+                    c = chosen
+                    r = heads[c]
+                    b = rbank[r]
+                    if prio_kind:
+                        admitted_at[r] = now
+                    elif bwcap:
+                        refill = (now - last_admit[c]) * rate[c]
+                        tokens[c] = min(burst, tokens[c] + refill) - 1.0
+                        last_admit[c] = now
+                    enq = issue[r]
+                    if admit_floor[c] > enq:
+                        enq = admit_floor[c]
+                    if freed[b] > enq:
+                        enq = freed[b]
+                    admit_floor[c] = enq
+                    q = c * n_banks + b
+                    slot = q * cap + (q_head[q] + q_count[q]) % cap
+                    q_seq[slot] = seq
+                    q_ridx[slot] = r
+                    q_enq[slot] = enq
+                    seq += 1
+                    q_count[q] += 1
+                    bank_count[b] += 1
+                    queued += 1
+                    heads[c] = r + 1
+                    last_grant = c
 
             if queued == 0:
-                # Nothing to issue: jump to the next arrival.
-                target = issue[next_i]
+                # Nothing to issue: jump to the earliest admissible
+                # client head (its arrival, or a dry bw-cap bucket's
+                # refill time).
+                target = math.inf
+                for c in range(n_clients):
+                    r = heads[c]
+                    if r == ends[c]:
+                        continue
+                    t = issue[r]
+                    if bwcap:
+                        refill = (now - last_admit[c]) * rate[c]
+                        avail = min(burst, tokens[c] + refill)
+                        if avail < 1.0:
+                            t = max(t, now + (1.0 - avail) / rate[c])
+                            if t <= now:
+                                t = math.nextafter(now, math.inf)
+                    if t < target:
+                        target = t
                 if e_now < target:
-                    if pending_acts:
-                        abo.note_activations(pending_acts)
-                        sub.total_acts += pending_acts
-                        pending_acts = 0
-                    sub.now = float(e_now)
-                    sub._channel_free = float(e_chfree)
-                    for b in range(n_banks):
-                        e_bank_free[b] = float(bank_free[b])
-                    channel._cmd_free = float(cmd_free)
+                    _engine_sync(channel, sub, pending_acts, e_now,
+                                 e_chfree, bank_free, cmd_free)
+                    pending_acts = 0
                     channel.advance_to(float(target))
-                    e_now = sub.now
-                    e_chfree = sub._channel_free
-                    next_ref_s = sub._next_ref
-                    next_ext_s = sub._next_external
-                    episode = sub._episode
-                    window_end_s = (
-                        episode.window_end
-                        if episode is not None and not episode.processed
-                        else INF
+                    e_now, e_chfree, next_ref_s, next_ext_s, window_end_s = (
+                        _engine_view(sub)
                     )
                 if target > now:
                     now = target
                 continue
 
-            # Scheduler pick (closed page: always the queue head).
-            best_qi = -1
+            # -- Scheduler pick: the head of one (client, bank) FIFO ---
+            best_q = -1
             best_seq = 0
-            if frfcfs:
+            if by_start:  # frfcfs, bw-cap: earliest start, then oldest
                 best_est = 0.0
-                for qi in range(n_banks):
-                    if q_count[qi] == 0:
+                for q in range(nq):
+                    if not q_count[q]:
                         continue
-                    est = now
+                    est = bank_free[q_bank[q]]
+                    if now > est:
+                        est = now
                     if cmd_free > est:
                         est = cmd_free
-                    if bank_free[qi] > est:
-                        est = bank_free[qi]
-                    hseq = q_seq[qi * cap + q_head[qi]]
-                    if (best_qi < 0 or est < best_est
-                            or (est == best_est and hseq < best_seq)):
-                        best_qi = qi
+                    s = q_seq[q * cap + q_head[q]]
+                    if (best_q < 0 or est < best_est
+                            or (est == best_est and s < best_seq)):
+                        best_q = q
                         best_est = est
-                        best_seq = hseq
-            else:
-                for qi in range(n_banks):
-                    if q_count[qi] == 0:
+                        best_seq = s
+            elif fcfs:
+                for q in range(nq):
+                    if q_count[q]:
+                        s = q_seq[q * cap + q_head[q]]
+                        if best_q < 0 or s < best_seq:
+                            best_q = q
+                            best_seq = s
+            elif slo:
+                best_dem = False
+                best_est = 0.0
+                for q in range(nq):
+                    if not q_count[q]:
                         continue
-                    hseq = q_seq[qi * cap + q_head[qi]]
-                    if best_qi < 0 or hseq < best_seq:
-                        best_qi = qi
-                        best_seq = hseq
-            qi = best_qi
-            head = q_head[qi]
-            slot = qi * cap + head
+                    est = bank_free[q_bank[q]]
+                    if now > est:
+                        est = now
+                    if cmd_free > est:
+                        est = cmd_free
+                    dem = demoted[q_client[q]]
+                    s = q_seq[q * cap + q_head[q]]
+                    if (best_q < 0 or dem < best_dem
+                            or (dem == best_dem and (
+                                est < best_est
+                                or (est == best_est and s < best_seq)))):
+                        best_q = q
+                        best_dem = dem
+                        best_est = est
+                        best_seq = s
+            else:  # priority
+                # Starved entries are a prefix of seq order, so either
+                # the oldest entry is starved or none is; otherwise the
+                # best client (priority, then round-robin offset) serves
+                # its oldest entry.
+                old_q = -1
+                old_seq = 0
+                best_pri = 0
+                best_rr = 0
+                for q in range(nq):
+                    if not q_count[q]:
+                        continue
+                    s = q_seq[q * cap + q_head[q]]
+                    if old_q < 0 or s < old_seq:
+                        old_q = q
+                        old_seq = s
+                    c = q_client[q]
+                    p = prio[c]
+                    rr = (c - last_pick - 1) % n_clients
+                    if (best_q < 0 or p > best_pri
+                            or (p == best_pri and (
+                                rr < best_rr
+                                or (rr == best_rr and s < best_seq)))):
+                        best_q = q
+                        best_pri = p
+                        best_rr = rr
+                        best_seq = s
+                oldest = q_ridx[old_q * cap + q_head[old_q]]
+                if now - admitted_at[oldest] >= age_bound:
+                    best_q = old_q
+                last_pick = q_client[best_q]
+            q = best_q
+            b = q_bank[q]
+            head = q_head[q]
+            slot = q * cap + head
             ridx = q_ridx[slot]
             enq = q_enq[slot]
-            was_full = q_count[qi] == cap
+            was_full = bank_count[b] == cap
             row = rrow[ridx]
+            q_head[q] = (head + 1) % cap
+            q_count[q] -= 1
+            bank_count[b] -= 1
+            queued -= 1
 
             start = e_now
             if e_chfree > start:
                 start = e_chfree
-            if bank_free[qi] > start:
-                start = bank_free[qi]
+            if bank_free[b] > start:
+                start = bank_free[b]
             if cmd_free > start:
                 start = cmd_free
             complete = start + t_rc
             if (next_ref_s < complete or next_ext_s <= start
                     or complete > window_end_s):
-                # A scheduled event interferes: pop, then let the
-                # engine serve this one request and retire the event.
-                q_head[qi] = (head + 1) % cap
-                q_count[qi] -= 1
-                queued -= 1
-                if pending_acts:
-                    abo.note_activations(pending_acts)
-                    sub.total_acts += pending_acts
-                    pending_acts = 0
-                sub.now = float(e_now)
-                sub._channel_free = float(e_chfree)
-                for b in range(n_banks):
-                    e_bank_free[b] = float(bank_free[b])
-                channel._cmd_free = float(cmd_free)
-                result = channel.activate(int(row), bank=qi, subchannel=0)
-                e_now = sub.now
-                e_chfree = sub._channel_free
-                next_ref_s = sub._next_ref
-                next_ext_s = sub._next_external
-                episode = sub._episode
-                window_end_s = (
-                    episode.window_end
-                    if episode is not None and not episode.processed
-                    else INF
+                # A scheduled event interferes: let the engine serve
+                # this one request and retire the event.
+                _engine_sync(channel, sub, pending_acts, e_now, e_chfree,
+                             bank_free, cmd_free)
+                pending_acts = 0
+                result = channel.activate(int(row), bank=b, subchannel=0)
+                e_now, e_chfree, next_ref_s, next_ext_s, window_end_s = (
+                    _engine_view(sub)
                 )
                 start = result.time
                 complete = start + t_rc
                 if was_full:
-                    freed[qi] = start
-                bank_free[qi] = complete
+                    freed[b] = start
+                bank_free[b] = complete
                 cmd_free = start + t_cmd_gap
                 if start > now:
                     now = start
@@ -751,27 +962,26 @@ class MemoryController:
                 out_start[out_n] = start
                 out_complete[out_n] = complete
                 out_n += 1
+                if slo:
+                    note_complete(requests[ridx], complete)
                 continue
 
             # Inline issue: the engine's own between-events recurrence.
-            q_head[qi] = (head + 1) % cap
-            q_count[qi] -= 1
-            queued -= 1
-            prac_qi = pracs[qi]
-            count = prac_qi[row] + 1
-            prac_qi[row] = count
-            shadow = shadows[qi]
+            prac_b = pracs[b]
+            count = prac_b[row] + 1
+            prac_b[row] = count
+            shadow = shadows[b]
             if shadow and row in shadow:
                 count = shadow[row] + 1
                 shadow[row] = count
             pending_acts += 1
-            acts_bank[qi] += 1
+            acts_bank[b] += 1
             e_now = start
             e_chfree = start + gap
-            bank_free[qi] = complete
-            cmd_free = start + t_cmd_gap
             if was_full:
-                freed[qi] = start
+                freed[b] = start
+            bank_free[b] = complete
+            cmd_free = start + t_cmd_gap
             if start > now:
                 now = start
             out_ridx[out_n] = ridx
@@ -779,64 +989,33 @@ class MemoryController:
             out_start[out_n] = start
             out_complete[out_n] = complete
             out_n += 1
-            policy = policies[qi]
+            policy = policies[b]
             policy.on_activate(row, count)
-            if policy.alert_requested:
-                policy.alert_requested = False
-                if pending_acts:
-                    abo.note_activations(pending_acts)
-                    sub.total_acts += pending_acts
-                    pending_acts = 0
-                sub.now = float(e_now)
-                sub._channel_free = float(e_chfree)
-                for b in range(n_banks):
-                    e_bank_free[b] = float(bank_free[b])
-                channel._cmd_free = float(cmd_free)
-                abo.request_alert()
+            # A fresh request, or a latched one (which may assert on
+            # any ACT: the per-ACT check sub.activate performs).
+            if policy.alert_requested or abo._pending:
+                _engine_sync(channel, sub, pending_acts, e_now, e_chfree,
+                             bank_free, cmd_free)
+                pending_acts = 0
+                if policy.alert_requested:
+                    policy.alert_requested = False
+                    abo.request_alert()
                 sub._maybe_assert_alert(float(complete))
-                episode = sub._episode
-                window_end_s = (
-                    episode.window_end
-                    if episode is not None and not episode.processed
-                    else INF
+                e_now, e_chfree, next_ref_s, next_ext_s, window_end_s = (
+                    _engine_view(sub)
                 )
-            elif abo._pending:
-                # A latched request may assert on any ACT (the per-ACT
-                # check sub.activate performs); keep the engine's ABO
-                # counters exact while one is outstanding.
-                if pending_acts:
-                    abo.note_activations(pending_acts)
-                    sub.total_acts += pending_acts
-                    pending_acts = 0
-                sub.now = float(e_now)
-                sub._channel_free = float(e_chfree)
-                for b in range(n_banks):
-                    e_bank_free[b] = float(bank_free[b])
-                channel._cmd_free = float(cmd_free)
-                sub._maybe_assert_alert(float(complete))
-                episode = sub._episode
-                window_end_s = (
-                    episode.window_end
-                    if episode is not None and not episode.processed
-                    else INF
-                )
+            if slo:
+                note_complete(requests[ridx], complete)
 
         # Final writeback: statistics, engine scalars, episode flush.
-        if pending_acts:
-            abo.note_activations(pending_acts)
-            sub.total_acts += pending_acts
-        for qi in range(n_banks):
-            acts = int(acts_bank[qi])
-            if acts:
-                banks[qi].note_activations(acts)
-        sub.now = float(e_now)
-        sub._channel_free = float(e_chfree)
+        _engine_sync(channel, sub, pending_acts, e_now, e_chfree,
+                     bank_free, cmd_free)
         for b in range(n_banks):
-            e_bank_free[b] = float(bank_free[b])
-        channel._cmd_free = float(cmd_free)
+            if acts_bank[b]:
+                banks[b].note_activations(acts_bank[b])
         channel.flush()
         return ServedBatch(
-            requests=ordered, ridx=out_ridx, enqueue_ns=out_enq,
+            requests=requests, ridx=out_ridx, enqueue_ns=out_enq,
             start_ns=out_start, complete_ns=out_complete,
         )
 
@@ -844,7 +1023,12 @@ class MemoryController:
     # Validation
     # ------------------------------------------------------------------
 
-    def _validate(self, req: Request) -> None:
+    def _validate(self, req: Request, client: int) -> None:
+        if req.client != client:
+            raise ValueError(
+                f"request tagged client {req.client} sits in stream "
+                f"{client}; tag every request with its stream index"
+            )
         if not 0 <= req.subchannel < self._num_subchannels:
             raise ValueError(
                 f"request targets sub-channel {req.subchannel} but the "
@@ -862,3 +1046,33 @@ class MemoryController:
             )
         if req.issue_ns < 0:
             raise ValueError("request issue_ns must be non-negative")
+
+
+def _engine_sync(
+    channel: ChannelSim, sub, pending_acts: int, e_now: float,
+    e_chfree: float, bank_free: List[float], cmd_free: float,
+) -> None:
+    """Hand the SoA loop's mirrored engine scalars back to the engine."""
+    if pending_acts:
+        sub.abo.note_activations(pending_acts)
+        sub.total_acts += pending_acts
+    sub.now = float(e_now)
+    sub._channel_free = float(e_chfree)
+    sub._bank_free[:] = [float(t) for t in bank_free]
+    channel._cmd_free = float(cmd_free)
+
+
+def _engine_view(sub) -> Tuple[float, float, float, float, float]:
+    """Re-read the engine scalars the SoA loop mirrors: ``now``, the
+    channel-free floor, the next REF and external service, and the end
+    of an unprocessed ALERT window (``inf`` without one)."""
+    episode = sub._episode
+    window_end = (
+        episode.window_end
+        if episode is not None and not episode.processed
+        else math.inf
+    )
+    return (
+        sub.now, sub._channel_free, sub._next_ref, sub._next_external,
+        window_end,
+    )

@@ -12,11 +12,7 @@ reference serving loop to dispatch through.
 bit-identical to the pre-refactor loops: their admission hooks are the
 base-class defaults (plain priority comparison, no throttling) and
 their :meth:`~SchedPolicy.pick` is the old ``MemoryController._pick``
-verbatim. The struct-of-arrays fast path keeps its own inline FCFS /
-FR-FCFS picks — it only runs for kinds whose behaviour it provably
-models (:func:`is_fast_path_sched`); every other kind falls back to
-the reference loop, the same discipline the fast path applies to open
-pages and crossbars.
+verbatim.
 
 On top of that layer sit three QoS kinds that read the crossbar's
 per-request client tags:
@@ -44,6 +40,25 @@ Every hook defaults to the exact expression the pre-refactor loop
 used, so a kind that overrides nothing *is* the old loop — which is
 what makes the fcfs/frfcfs bit-identity pin a structural property
 rather than a testing accident.
+
+These classes are the *oracle*: :meth:`~repro.mc.controller.
+MemoryController.run_streams_reference` dispatches through them, and
+the struct-of-arrays serve loop (``MemoryController._serve_soa``)
+inlines every kind's hooks over per-client arrays and is pinned
+bit-identical to them. Under the closed page that loop keeps one FIFO
+per (client, bank), because every kind's pick is the head of one such
+FIFO: fcfs takes the oldest head; frfcfs and bw-cap the minimum
+(earliest start, seq); slo the minimum (demoted, earliest start, seq),
+all constant within a (client, bank) FIFO except seq. ``priority``
+ranks starved entries by admission time, and admission times never
+decrease as seq grows (``now`` never does), so the starved entries are
+a prefix of seq order: either the globally oldest entry is starved and
+wins, or nothing is starved and the best client (priority, then
+round-robin offset) serves its oldest entry.
+
+The QoS kinds book occupancy under the admitting stream's index and
+read ``req.client`` at the pick; the controller rejects any request
+whose tag differs from its stream index, so the two always agree.
 """
 
 from __future__ import annotations
@@ -63,7 +78,7 @@ LINE_BYTES = 64
 #: Priority boost applied to starved / un-demoted heads — larger than
 #: any plausible client priority, so boosted requests always win the
 #: crossbar's ``>`` comparison against unboosted ones.
-_BOOST = 1 << 30
+BOOST = 1 << 30
 
 
 class SchedPolicy:
@@ -182,7 +197,8 @@ class _OrderSched(SchedPolicy):
                     rank = (entry_seq,)
                 if best is None or rank < best[0]:
                     best = (rank, sub, bank, pos, hit)
-        assert best is not None
+        if best is None:
+            raise RuntimeError("pick() called with every queue empty")
         return best[1], best[2], best[3], best[4]
 
 
@@ -300,7 +316,7 @@ class PrioritySched(_QosSched):
     def admit_priority(self, client: int, req: Request, now: float) -> float:
         if self._head_age(client, req, now) >= self.age_bound_ns:
             # Oldest starved head wins between two boosted clients.
-            return _BOOST - req.issue_ns
+            return BOOST - req.issue_ns
         return self.priorities[client]
 
     def note_admit(self, client: int, req: Request, now: float) -> None:
@@ -330,7 +346,8 @@ class PrioritySched(_QosSched):
                         )
                     if best is None or rank < best[0]:
                         best = (rank, sub, bank, pos, req)
-        assert best is not None
+        if best is None:
+            raise RuntimeError("pick() called with every queue empty")
         _, sub, bank, pos, req = best
         hit = self._hit(req, sub, bank, cmd_free, now, open_page,
                         open_row, open_until, bank_free)
@@ -447,7 +464,7 @@ class SloSched(_QosSched):
         return self._occupancy(client, req) < 1
 
     def admit_priority(self, client: int, req: Request, now: float) -> float:
-        boost = 0 if self._demoted[client] else _BOOST
+        boost = 0 if self._demoted[client] else BOOST
         return self.priorities[client] + boost
 
     def pick(
@@ -464,7 +481,8 @@ class SloSched(_QosSched):
                     rank = (self._demoted[req.client], est, entry_seq)
                     if best is None or rank < best[0]:
                         best = (rank, sub, bank, pos, req)
-        assert best is not None
+        if best is None:
+            raise RuntimeError("pick() called with every queue empty")
         _, sub, bank, pos, req = best
         hit = self._hit(req, sub, bank, cmd_free, now, open_page,
                         open_row, open_until, bank_free)
@@ -486,10 +504,6 @@ class _SchedKind:
     #: Parameter names mapped to their defaults (the only keys a
     #: :class:`SchedSpec` of this kind may carry).
     params: Dict[str, float]
-    #: Whether the struct-of-arrays fast path provably models this
-    #: kind (its inline FCFS/FR-FCFS picks); others take the
-    #: reference loop.
-    fast_path: bool
     description: str
     #: Parameter bases that also accept a per-client indexed spelling:
     #: ``gbps2`` overrides base param ``gbps`` for client 2 alone.
@@ -506,14 +520,12 @@ _REGISTRY: Dict[str, _SchedKind] = {
             name="fcfs",
             builder=FcfsSched,
             params={},
-            fast_path=True,
             description="first-come first-served, global arrival order",
         ),
         _SchedKind(
             name="frfcfs",
             builder=FrfcfsSched,
             params={},
-            fast_path=True,
             description="first-ready FR-FCFS: earliest start, "
             "row hits first, then oldest",
         ),
@@ -521,7 +533,6 @@ _REGISTRY: Dict[str, _SchedKind] = {
             name="priority",
             builder=PrioritySched,
             params={"age_bound_ns": 50_000.0, "share": 0.75},
-            fast_path=False,
             description="strict client priority, round-robin among "
             "equals, queue-share admission cap, age-based starvation "
             "bound",
@@ -531,7 +542,6 @@ _REGISTRY: Dict[str, _SchedKind] = {
             name="bw-cap",
             builder=BwCapSched,
             params={"gbps": 1.0, "burst": 16.0},
-            fast_path=False,
             description="per-client token-bucket bandwidth cap at "
             "admission (gbps<i> overrides client i), FR-FCFS service",
             indexed=("gbps",),
@@ -540,7 +550,6 @@ _REGISTRY: Dict[str, _SchedKind] = {
             name="slo",
             builder=SloSched,
             params={"budget_ns": 10_000.0, "window": 256.0},
-            fast_path=False,
             description="per-client p99 budget gate: over-budget "
             "clients are throttled and deprioritized until their "
             "tail recovers",
@@ -570,11 +579,6 @@ def sched_descriptions() -> Dict[str, Dict[str, Any]]:
         }
         for kind in _REGISTRY.values()
     }
-
-
-def is_fast_path_sched(scheduler: str) -> bool:
-    """Whether the SoA fast path provably models this kind."""
-    return _REGISTRY[scheduler].fast_path
 
 
 def _indexed_base(kind: _SchedKind, name: str) -> bool:

@@ -3,8 +3,8 @@
 ``repro.system`` scales the single-stream memory-controller model of
 :mod:`repro.sim.mc` out to a system: a front-end crossbar arbitrating
 N client streams per channel (:mod:`repro.system.crossbar` for the
-clients, :meth:`repro.mc.controller.MemoryController.run_streams` for
-the grant logic) and a :class:`~repro.system.sim.SystemSim` sharding
+clients, :meth:`repro.mc.controller.MemoryController.serve_streams`
+for the grant logic) and a :class:`~repro.system.sim.SystemSim` sharding
 M independent channels across the sweep process pool
 (:mod:`repro.system.sim`).
 """

@@ -12,12 +12,15 @@ This module owns the *client* side of that crossbar:
 * :func:`client_requests` — the one stream synthesizer: benign clients
   draw from :func:`~repro.workloads.requests.generate_requests` under
   the seeding discipline below; attacker clients synthesize a paced
-  hammer stream via :func:`attack_request_stream`.
+  hammer stream via :func:`attack_request_stream`. Both emit requests
+  already tagged with the client's crossbar index, which the
+  controller requires to match the stream's position.
 
 The grant logic itself — priority-first, round-robin-among-equals,
 per-client stall on a full bank queue — lives in
-:meth:`repro.mc.controller.MemoryController.run_streams`, next to the
-per-bank queues it arbitrates over.
+:meth:`repro.mc.controller.MemoryController.serve_streams` (the
+struct-of-arrays loop, with the scalar reference as its oracle), next
+to the per-bank queues it arbitrates over.
 
 Seeding discipline: client ``i`` on channel ``c`` derives its base
 seed as ``system_seed + client.seed * CLIENT_SEED_STRIDE +
@@ -32,7 +35,6 @@ clients (pinned by the seeding-invariance tests).
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -203,7 +205,7 @@ def client_requests(
         + client.seed * CLIENT_SEED_STRIDE
         + channel * CHANNEL_SEED_STRIDE
     )
-    requests = generate_requests(
+    return generate_requests(
         client.workload,
         num_subchannels=subchannels,
         banks_per_subchannel=banks,
@@ -211,22 +213,24 @@ def client_requests(
         rows_per_bank=rows_per_bank,
         seed=stream_seed,
         trefi_ns=timing.t_refi,
+        client=index,
     )
-    return [dataclasses.replace(r, client=index) for r in requests]
 
 
-def record_crossbar_grants(recorder, completed, sub_base: int = 0) -> None:
-    """Derive ``grant`` events from a shard's completions, post hoc.
+def record_crossbar_grants(recorder, batch, sub_base: int = 0) -> None:
+    """Derive ``grant`` events from a shard's served batch, post hoc.
 
     One event per admission, stamped at the grant instant (the
     request's enqueue time) with the winning client — the arbitration
-    outcomes of :meth:`repro.mc.controller.MemoryController.run_streams`
-    recovered without touching its grant loop. ``sub_base`` offsets the
-    sub-channel index for multi-channel merges (see
-    :meth:`repro.sim.channel.ChannelSim.attach_recorder`).
+    outcomes of :meth:`repro.mc.controller.MemoryController.
+    serve_streams` recovered without touching its grant loop. ``batch``
+    is a :class:`~repro.mc.controller.ServedBatch`, read in completion
+    order. ``sub_base`` offsets the sub-channel index for multi-channel
+    merges (see :meth:`repro.sim.channel.ChannelSim.attach_recorder`).
     """
     emit = recorder.emit
-    for c in completed:
-        req = c.request
-        emit("grant", c.enqueue_ns, sub=sub_base + req.subchannel,
+    requests = batch.requests
+    for r, enqueue in zip(batch.ridx, batch.enqueue_ns):
+        req = requests[r]
+        emit("grant", enqueue, sub=sub_base + req.subchannel,
              bank=req.bank, client=req.client)

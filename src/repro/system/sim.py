@@ -13,8 +13,9 @@ Decomposition:
 * **Channel shard** — one :class:`~repro.sim.channel.ChannelSim` plus
   one :class:`~repro.mc.controller.MemoryController` serving every
   client's stream for that channel through
-  :meth:`~repro.mc.controller.MemoryController.run_streams` (the
-  crossbar). Channels share no state — DDR channels have independent
+  :meth:`~repro.mc.controller.MemoryController.serve_streams` (the
+  crossbar); per-client statistics are read straight from the served
+  batch's arrays. Channels share no state — DDR channels have independent
   buses, REF streams, and ALERT domains — so shards are perfectly
   parallel.
 * **Sharding** — shards execute through the same
@@ -29,8 +30,8 @@ Decomposition:
 Correctness is pinned to the existing stack: a 1-client, 1-channel
 :class:`SystemSim` is bit-identical to :func:`~repro.sim.mc.run_mc` —
 same stream (the seeding collapses to the system seed), same
-controller path (``run_streams`` with one stream degenerates to
-``run``), same summary arithmetic (the merge of one shard reproduces
+controller path (``serve_streams`` with one stream degenerates to
+``serve``), same summary arithmetic (the merge of one shard reproduces
 :func:`~repro.sim.mc._summarize` term for term).
 """
 
@@ -44,7 +45,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from repro.dram.timing import DramTiming, DDR5_PRAC_TIMING
-from repro.mc.controller import MemoryController
+from repro.mc.controller import MemoryController, ServedBatch
 from repro.mc.sched import (
     normalize_sched_params,
     sched_display,
@@ -292,6 +293,50 @@ class ShardResult:
         )
 
 
+def client_shard_stats(
+    batch: ServedBatch, n_clients: int, budget: Optional[float]
+) -> List[ClientShardStats]:
+    """Per-client outcome of one served shard, read from the batch
+    arrays in completion order.
+
+    Each client's ``queue_ns`` is a ``sum()`` over its own ``start -
+    enqueue`` values in completion order, the float-summation order
+    the per-completion code used (CPython 3.12+ ``sum()`` compensates,
+    so an accumulating ``+=`` would not match it).
+    """
+    requests = batch.requests
+    hits = batch.row_hit
+    queued: List[List[float]] = [[] for _ in range(n_clients)]
+    latencies: List[List[float]] = [[] for _ in range(n_clients)]
+    row_hits = [0] * n_clients
+    for i, r in enumerate(batch.ridx):
+        req = requests[r]
+        client = req.client
+        queued[client].append(batch.start_ns[i] - batch.enqueue_ns[i])
+        if not req.is_write:
+            latencies[client].append(batch.complete_ns[i] - req.issue_ns)
+        if hits is not None and hits[i]:
+            row_hits[client] += 1
+    out: List[ClientShardStats] = []
+    for client in range(n_clients):
+        mine = sorted(latencies[client])
+        out.append(
+            ClientShardStats(
+                requests=len(queued[client]),
+                reads=len(mine),
+                writes=len(queued[client]) - len(mine),
+                row_hits=row_hits[client],
+                queue_ns=sum(queued[client]),
+                read_latencies=mine,
+                slo_misses=(
+                    sum(1 for lat in mine if lat > budget)
+                    if budget is not None else 0
+                ),
+            )
+        )
+    return out
+
+
 def execute_system_shard(shard: ChannelShard, recorder=None) -> ShardResult:
     """Simulate one channel in the current process (worker entry).
 
@@ -328,36 +373,19 @@ def execute_system_shard(shard: ChannelShard, recorder=None) -> ShardResult:
             recorder, base=shard.channel * config.subchannels
         )
         controller.recorder = recorder
-    completed = controller.run_streams(
+    batch = controller.serve_streams(
         streams, [client.priority for client in config.clients]
     )
     if recorder is not None:
         record_crossbar_grants(
-            recorder, completed,
+            recorder, batch,
             sub_base=shard.channel * config.subchannels,
         )
     horizon = config.n_trefi * config.timing.t_refi
-    budget = slo_budget_ns(config.scheduler, config.sched_params)
-    per_client: List[ClientShardStats] = []
-    for index in range(len(config.clients)):
-        mine = [c for c in completed if c.request.client == index]
-        latencies = sorted(
-            c.latency_ns for c in mine if not c.request.is_write
-        )
-        per_client.append(
-            ClientShardStats(
-                requests=len(mine),
-                reads=len(latencies),
-                writes=len(mine) - len(latencies),
-                row_hits=sum(1 for c in mine if c.row_hit),
-                queue_ns=sum(c.queue_ns for c in mine),
-                read_latencies=latencies,
-                slo_misses=(
-                    sum(1 for lat in latencies if lat > budget)
-                    if budget is not None else 0
-                ),
-            )
-        )
+    per_client = client_shard_stats(
+        batch, len(config.clients),
+        slo_budget_ns(config.scheduler, config.sched_params),
+    )
     return ShardResult(
         key=f"ch{shard.channel}",
         config_hash=shard.config_hash(),

@@ -118,6 +118,7 @@ def generate_requests(
     rows_per_bank: int = 64 * 1024,
     seed: int = 0,
     trefi_ns: float = 3900.0,
+    client: int = 0,
 ) -> List[Request]:
     """Synthesize one channel's request stream, merged in time order.
 
@@ -126,7 +127,8 @@ def generate_requests(
     sub-channels leaves existing streams untouched, and sub-channel
     0's per-bank streams are independent of the bank count. The merge
     is deterministic: ties on the timestamp resolve in (sub-channel,
-    bank, per-bank order) order.
+    bank, per-bank order) order. Every request carries the crossbar
+    ``client`` tag; the tag never influences the draws.
     """
     if num_subchannels < 1:
         raise ValueError("num_subchannels must be at least 1")
@@ -145,7 +147,7 @@ def generate_requests(
             rng = random.Random(name_salt ^ (stream_seed * 0x9E3779B9))
             for k, req in enumerate(
                 _bank_stream(workload, rng, horizon_ns, trefi_ns,
-                             sub, bank, rows_per_bank)
+                             sub, bank, rows_per_bank, client)
             ):
                 tagged.append((req.issue_ns, sub, bank, k, req))
     tagged.sort(key=lambda item: item[:4])
@@ -160,6 +162,7 @@ def _bank_stream(
     subchannel: int,
     bank: int,
     rows_per_bank: int,
+    client: int,
 ) -> List[Request]:
     """Arrivals of one (sub-channel, bank) over ``[0, horizon_ns)``.
 
@@ -187,7 +190,7 @@ def _bank_stream(
         is_write = rng.random() < workload.write_fraction
         requests.append(
             Request(issue_ns=t, subchannel=subchannel, bank=bank,
-                    row=row, is_write=is_write)
+                    row=row, is_write=is_write, client=client)
         )
     return requests
 

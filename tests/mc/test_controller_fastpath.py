@@ -1,29 +1,40 @@
 """Struct-of-arrays serve path vs the retained scalar reference.
 
-:meth:`MemoryController.serve_streams` dispatches eligible runs (one
-client, closed page, bounded queues, one sub-channel, pristine
-channel) to a struct-of-arrays fast path; everything else stays on
+:meth:`MemoryController.serve_streams` dispatches eligible runs (any
+number of crossbar clients under any scheduler kind, closed page,
+bounded queues, one sub-channel, pristine channel) to a
+struct-of-arrays serve loop; everything else stays on
 :meth:`run_streams_reference`, the pinned scalar loop. These tests pin
 the two halves of that design:
 
-* **Equivalence** — the fast path produces completions, policy state,
+* **Equivalence** — the SoA loop produces completions, policy state,
   and engine state bit-identical to the reference, across policies,
-  schedulers, queue depths, and hypothesis-random request streams.
-* **Dispatch** — eligible configurations actually take the fast path
-  under every policy, and every ineligible shape (multi-stream, open
-  page, unbounded queue, pre-driven channel) falls back to the
-  reference rather than producing a subtly wrong fast run.
+  schedulers, queue depths, client mixes, the system-qos scenarios,
+  and hypothesis-random request streams.
+* **Dispatch** — eligible configurations actually take the SoA loop
+  under every policy and every scheduler kind, and every ineligible
+  shape (open page, unbounded queue, several sub-channels, sparse
+  counters, danger tracking, postponed REFs, pre-driven channel) falls
+  back to the reference, naming the first failing predicate in
+  ``ServedBatch.path``, rather than producing a subtly wrong SoA run.
 """
 
 import dataclasses
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.mc.controller import MemoryController
+from repro.mc.controller import McConfig, MemoryController
 from repro.mc.request import Request
+from repro.mc.sched import SCHEDULERS, sched_display
+from repro.mitigations.null import NullPolicy
 from repro.mitigations.registry import policy_kinds, PolicySpec
+from repro.sim.channel import ChannelConfig, ChannelSim
+from repro.sim.engine import SimConfig
 from repro.sim.mc import McRunConfig, build_mc_channel
+from repro.sweep.system_spec import system_preset
+from repro.system.crossbar import client_requests
 from repro.workloads.requests import McWorkload, generate_requests
 
 #: A mix hot enough to drive MOAT past ATH=16 within a short window.
@@ -38,15 +49,16 @@ def make_config(**overrides) -> McRunConfig:
     return McRunConfig(**params)
 
 
-def make_requests(config: McRunConfig):
+def make_requests(config: McRunConfig, client: int = 0):
     return generate_requests(
         config.workload,
         num_subchannels=config.subchannels,
         banks_per_subchannel=config.banks,
         n_trefi=config.n_trefi,
         rows_per_bank=config.rows_per_bank,
-        seed=config.seed,
+        seed=config.seed + client,
         trefi_ns=config.timing.t_refi,
+        client=client,
     )
 
 
@@ -60,6 +72,7 @@ def completion_key(completed):
     return [
         (
             c.request.issue_ns,
+            c.request.client,
             c.request.bank,
             c.request.row,
             c.request.is_write,
@@ -73,30 +86,59 @@ def completion_key(completed):
 
 
 def run_reference(config, requests):
-    channel, controller = build(config)
-    completed = controller.run_streams_reference([list(requests)])
+    return serve_reference(build(config), [list(requests)])
+
+
+def run_fast(config, requests):
+    return serve_soa(build(config), [list(requests)])
+
+
+def serve_reference(built, streams, priorities=None):
+    channel, controller = built
+    completed = controller.run_streams_reference(streams, priorities)
     sub = channel.subchannels[0]
     return completion_key(completed), sub.stats(), channel.now
 
 
-def run_fast(config, requests):
-    channel, controller = build(config)
-    batch = controller.serve(list(requests))
+def serve_soa(built, streams, priorities=None):
+    channel, controller = built
+    batch = controller.serve_streams(streams, priorities)
+    assert batch.path == "soa"
     sub = channel.subchannels[0]
     return completion_key(batch.completions()), sub.stats(), channel.now
 
 
-def spy_fast_path(monkeypatch):
-    """Record the stream length of every ``_run_fast`` call."""
-    calls = []
-    original = MemoryController._run_fast
+def plain_channel(**sim_overrides):
+    """A two-bank null-policy channel with overridable engine options."""
+    sim = dict(
+        num_banks=2,
+        rows_per_bank=1024,
+        num_refresh_groups=1024,
+        track_danger=False,
+        dense_counters=True,
+    )
+    sim.update(sim_overrides)
+    return ChannelSim(ChannelConfig(sim=SimConfig(**sim)), NullPolicy)
 
-    def wrapper(self, stream):
-        calls.append(len(stream))
-        return original(self, stream)
 
-    monkeypatch.setattr(MemoryController, "_run_fast", wrapper)
-    return calls
+def scenario_streams(config):
+    """A system scenario's client streams for channel 0."""
+    return [
+        client_requests(
+            client, index,
+            subchannels=config.subchannels,
+            banks=config.banks,
+            n_trefi=config.n_trefi,
+            rows_per_bank=config.rows_per_bank,
+            seed=config.seed,
+            channel=0,
+            timing=config.timing,
+        )
+        for index, client in enumerate(config.clients)
+    ]
+
+
+QOS_SCENARIOS = dict(system_preset("system-qos").scenarios)
 
 
 class TestEquivalence:
@@ -127,18 +169,17 @@ class TestEquivalence:
         requests = make_requests(config)
         assert run_fast(config, requests) == run_reference(config, requests)
 
-    def test_batch_summaries_match_completions(self, monkeypatch):
+    def test_batch_summaries_match_completions(self):
         """The ServedBatch summary helpers (used by ``_summarize``)
         must replicate the reference's float-summation order exactly,
-        on both the fast and the fallback path (an unbounded queue is
+        on both the SoA and the fallback path (an unbounded queue is
         ineligible, so its batch is built by ``from_completions``)."""
-        calls = spy_fast_path(monkeypatch)
         requests = make_requests(make_config())
-        for depth, fast in ((32, True), (None, False)):
-            calls.clear()
+        for depth, path in ((32, "soa"),
+                            (None, "reference:unbounded-queue")):
             _, controller = build(make_config(queue_depth=depth))
             batch = controller.serve(list(requests))
-            assert bool(calls) == fast
+            assert batch.path == path
             completed = batch.completions()
             reads = [c for c in completed if not c.request.is_write]
             assert batch.read_latencies_sorted() == sorted(
@@ -151,6 +192,19 @@ class TestEquivalence:
                 1 for c in completed if c.row_hit
             )
             assert len(batch) == len(completed)
+
+    @pytest.mark.parametrize("scenario", sorted(QOS_SCENARIOS))
+    def test_system_qos_scenarios(self, scenario):
+        """The noisy-neighbour QoS shapes (three clients, an attacker
+        hammering bank 0 under every scheduler kind) at a short
+        horizon."""
+        config = dataclasses.replace(QOS_SCENARIOS[scenario], n_trefi=64)
+        streams = scenario_streams(config)
+        priorities = [client.priority for client in config.clients]
+        mc_config = config.mc_run_config()
+        assert serve_soa(
+            build(mc_config), streams, priorities
+        ) == serve_reference(build(mc_config), streams, priorities)
 
 
 #: Random request tuples: arrival time, bank, row, is_write. Times are
@@ -182,61 +236,178 @@ class TestRandomStreams:
         assert run_fast(config, requests) == run_reference(config, requests)
 
 
+#: Scheduler kinds with default and tight parameters: a short age
+#: bound, a small token bucket and a starved client 1, a low p99
+#: budget over a short window, and a budget that only the most
+#: backlogged clients exceed (mixed demotion states).
+SCHED_SHAPES = [
+    ("fcfs", ()),
+    ("frfcfs", ()),
+    ("priority", ()),
+    ("priority", (("age_bound_ns", 500.0),)),
+    ("bw-cap", ()),
+    ("bw-cap", (("gbps", 0.5), ("burst", 2.0))),
+    ("bw-cap", (("gbps", 0.5), ("burst", 2.0), ("gbps1", 0.1))),
+    ("slo", ()),
+    ("slo", (("budget_ns", 300.0), ("window", 16.0))),
+    ("slo", (("budget_ns", 1500.0), ("window", 4.0))),
+]
+assert {kind for kind, _ in SCHED_SHAPES} == set(SCHEDULERS)
+
+
+@st.composite
+def client_streams(draw):
+    """1-4 client streams with random priorities, each tagged with its
+    stream index, expanded from a drawn seed so that dense examples are
+    common. Arrivals sit on a 10 ns grid (ties are frequent) within a
+    drawn span: 600 ns oversubscribes the two banks several times over
+    (queues fill, entries starve, tails blow through a budget), 12 us
+    spreads them over three tREFI with REFs and idle gaps between."""
+    n_clients = draw(st.integers(min_value=1, max_value=4))
+    counts = draw(st.lists(
+        st.integers(min_value=0, max_value=60),
+        min_size=n_clients, max_size=n_clients,
+    ))
+    slots = draw(st.sampled_from([60, 300, 1200]))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**16)))
+    streams = [
+        [
+            Request(issue_ns=10.0 * rng.randrange(slots),
+                    bank=rng.randrange(2), row=rng.randrange(16),
+                    is_write=rng.random() < 0.3, client=client)
+            for _ in range(count)
+        ]
+        for client, count in enumerate(counts)
+    ]
+    priorities = draw(st.lists(
+        st.integers(min_value=0, max_value=2),
+        min_size=n_clients, max_size=n_clients,
+    ))
+    return streams, priorities
+
+
+class TestMultiClientStreams:
+    @pytest.mark.parametrize(
+        "kind, params", SCHED_SHAPES,
+        ids=[sched_display(kind, params) for kind, params in SCHED_SHAPES],
+    )
+    @given(
+        streams=client_streams(),
+        depth=st.sampled_from([1, 2, 4, 8]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_random_crossbars_bit_identical(
+        self, kind, params, streams, depth
+    ):
+        streams, priorities = streams
+        if any(name == "gbps1" for name, _ in params) and len(streams) < 2:
+            params = tuple(p for p in params if p[0] != "gbps1")
+        config = make_config(
+            scheduler=kind, sched_params=params, queue_depth=depth, ath=8,
+        )
+        assert serve_soa(
+            build(config), streams, priorities
+        ) == serve_reference(build(config), streams, priorities)
+
+
+#: Config overrides the SoA loop does not model, by the predicate
+#: ``ServedBatch.path`` names.
+INELIGIBLE_CONFIGS = {
+    "open-page": {"row_policy": "open"},
+    "unbounded-queue": {"queue_depth": None},
+    "multi-subchannel": {"subchannels": 2},
+}
+
+
 class TestDispatch:
     @pytest.mark.parametrize("kind", sorted(policy_kinds()))
-    def test_eligible_config_takes_fast_path(self, monkeypatch, kind):
-        """Every policy is served by the fast path; a policy that fell
+    def test_eligible_config_takes_fast_path(self, kind):
+        """Every policy is served by the SoA loop; a policy that fell
         back to the reference loop would still pass the equivalence
         suites, only slower."""
-        calls = spy_fast_path(monkeypatch)
         config = make_config(policy=PolicySpec(kind))
         requests = make_requests(config)
         _, controller = build(config)
-        controller.serve(list(requests))
-        assert calls == [len(requests)]
+        batch = controller.serve(list(requests))
+        assert batch.path == "soa"
+        assert len(batch) == len(requests)
 
-    @pytest.mark.parametrize(
-        "overrides",
-        [
-            {"row_policy": "open"},
-            {"queue_depth": None},
-        ],
-        ids=["open-page", "unbounded-queue"],
-    )
-    def test_ineligible_config_falls_back(self, monkeypatch, overrides):
-        calls = spy_fast_path(monkeypatch)
-        config = make_config(**overrides)
+    @pytest.mark.parametrize("predicate", list(INELIGIBLE_CONFIGS))
+    def test_ineligible_config_falls_back(self, predicate):
+        config = make_config(**INELIGIBLE_CONFIGS[predicate])
         requests = make_requests(config)
         _, controller = build(config)
         batch = controller.serve(list(requests))
-        assert not calls
+        assert batch.path == f"reference:{predicate}"
         # The fallback still returns the full batch.
         assert len(batch) == len(requests)
 
-    def test_multi_stream_falls_back(self, monkeypatch):
-        calls = spy_fast_path(monkeypatch)
-        config = make_config()
-        requests = make_requests(config)
-        _, controller = build(config)
-        half = len(requests) // 2
-        batch = controller.serve_streams(
-            [list(requests[:half]), list(requests[half:])]
+    @pytest.mark.parametrize(
+        "predicate, channel_overrides",
+        [
+            ("sparse-counters", {"dense_counters": False}),
+            ("track-danger", {"track_danger": True}),
+        ],
+    )
+    def test_engine_options_fall_back(self, predicate, channel_overrides):
+        requests = [Request(issue_ns=7.0 * i, bank=i % 2, row=i % 5)
+                    for i in range(50)]
+        controller = MemoryController(
+            plain_channel(**channel_overrides), McConfig()
         )
-        assert not calls
-        assert len(batch) == len(requests)
+        batch = controller.serve(list(requests))
+        assert batch.path == f"reference:{predicate}"
+        reference = MemoryController(
+            plain_channel(**channel_overrides), McConfig()
+        ).run_streams_reference([list(requests)])
+        assert completion_key(batch.completions()) == completion_key(
+            reference
+        )
 
-    def test_pre_driven_channel_falls_back(self, monkeypatch):
+    def test_postponed_refs_fall_back(self):
+        channel = plain_channel()
+        channel.subchannels[0].postpone_refs = True
+        batch = MemoryController(channel, McConfig()).serve(
+            [Request(issue_ns=0.0, row=1)]
+        )
+        assert batch.path == "reference:postponed-refs"
+
+    def test_multi_stream_takes_fast_path(self):
+        config = make_config()
+        streams = [make_requests(config, client) for client in range(2)]
+        _, controller = build(config)
+        batch = controller.serve_streams(streams)
+        assert batch.path == "soa"
+        assert len(batch) == sum(len(stream) for stream in streams)
+        assert completion_key(batch.completions()) == completion_key(
+            build(config)[1].run_streams_reference(streams)
+        )
+
+    def test_pre_driven_channel_falls_back(self):
         """Once the channel has served anything, the pristine-state
-        mirrors the fast path relies on no longer hold — the dispatch
+        mirrors the SoA loop relies on no longer hold — the dispatch
         must notice and stay on the reference."""
-        calls = spy_fast_path(monkeypatch)
         config = make_config()
         requests = make_requests(config)
         channel, controller = build(config)
         channel.activate(row=3, bank=0, subchannel=0)
         batch = controller.serve(list(requests))
-        assert not calls
+        assert batch.path == "reference:pre-driven-channel"
         assert len(batch) == len(requests)
+
+    def test_recorder_counts_serve_paths(self):
+        from repro.obs import TraceRecorder
+
+        config = make_config()
+        requests = make_requests(config)
+        recorder = TraceRecorder()
+        for depth in (32, None, 32):
+            _, controller = build(make_config(queue_depth=depth))
+            controller.recorder = recorder
+            controller.serve(list(requests))
+        assert recorder.meta["serve_paths"] == {
+            "soa": 2, "reference:unbounded-queue": 1,
+        }
 
     def test_pre_driven_channel_matches_reference(self):
         """And the fallback result equals the reference run from the
@@ -269,6 +440,31 @@ class TestDispatch:
         assert completion_key(completed) == completion_key(
             batch.completions()
         )
+
+
+class TestClientTags:
+    """A request's ``client`` tag must equal its stream index: the
+    QoS kinds book occupancy under the stream index but read the tag
+    at the pick, so a mis-tagged stream would silently corrupt
+    per-client state."""
+
+    @pytest.mark.parametrize("depth", [32, None], ids=["soa", "reference"])
+    def test_mis_tagged_stream_is_rejected(self, depth):
+        streams = [
+            [Request(issue_ns=0.0, row=1, client=0)],
+            [Request(issue_ns=5.0, row=2, client=0)],
+        ]
+        _, controller = build(make_config(queue_depth=depth))
+        with pytest.raises(ValueError, match="tagged client 0 sits in "
+                                             "stream 1"):
+            controller.serve_streams(streams)
+
+    def test_reference_rejects_mis_tagged_stream(self):
+        _, controller = build(make_config(scheduler="priority"))
+        with pytest.raises(ValueError, match="tagged client 3"):
+            controller.run_streams_reference(
+                [[Request(issue_ns=0.0, row=1, client=3)]]
+            )
 
 
 class TestResultPurity:

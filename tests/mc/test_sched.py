@@ -22,7 +22,6 @@ from repro.mc.sched import (
     PrioritySched,
     SchedSpec,
     SloSched,
-    is_fast_path_sched,
     make_sched,
     normalize_sched_params,
     sched_descriptions,
@@ -59,11 +58,21 @@ class TestRegistry:
         assert SCHEDULERS == ("fcfs", "frfcfs", "priority", "bw-cap", "slo")
         assert sched_kinds() == SCHEDULERS
 
-    def test_fast_path_covers_exactly_the_order_schedulers(self):
-        assert is_fast_path_sched("fcfs")
-        assert is_fast_path_sched("frfcfs")
-        for qos in ("priority", "bw-cap", "slo"):
-            assert not is_fast_path_sched(qos)
+    def test_every_kind_is_served_by_the_soa_loop(self):
+        """No scheduler kind sends a closed-page crossbar run to the
+        reference loop: the SoA serve loop models all of them."""
+        streams = [
+            [Request(issue_ns=9.0 * i, bank=i % 2, row=i % 7, client=c)
+             for i in range(30)]
+            for c in range(2)
+        ]
+        for kind in SCHEDULERS:
+            mc = MemoryController(
+                make_channel(), McConfig(scheduler=kind, queue_depth=4)
+            )
+            batch = mc.serve_streams(streams, [1, 0])
+            assert batch.path == "soa", kind
+            assert len(batch) == 60
 
     def test_descriptions_cover_every_kind(self):
         table = sched_descriptions()
@@ -88,6 +97,18 @@ class TestRegistry:
     def test_make_sched_coerces_slo_window_to_int(self):
         sched = make_sched("slo", (("window", 64.0),), [0], T_COL, depth=8)
         assert sched.window == 64 and isinstance(sched.window, int)
+
+
+class TestEmptyPick:
+    """``pick`` on empty queues is a caller bug and fails loudly."""
+
+    @pytest.mark.parametrize("kind", SCHEDULERS)
+    def test_pick_with_every_queue_empty_raises(self, kind):
+        sched = make_sched(kind, (), [0, 0], T_COL, depth=4)
+        queues = [[[], []]]
+        with pytest.raises(RuntimeError, match="every queue empty"):
+            sched.pick(queues, [[0.0, 0.0]], 0.0, 0.0, False,
+                       [[-1, -1]], [[0.0, 0.0]])
 
 
 class TestValidation:

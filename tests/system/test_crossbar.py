@@ -109,11 +109,13 @@ class TestGrantOrder:
         together = {
             c.request.row: c for c in mc.run_streams([jam, side])
         }
+        # Alone, the same stream is client 0 (tags follow the stream
+        # index).
         alone = {
             c.request.row: c
             for c in MemoryController(
                 make_channel(num_banks=2), McConfig(queue_depth=1)
-            ).run_streams([side])
+            ).run_streams([burst(0, [21, 22], bank=1)])
         }
         # The side client pays only shared command-bus serialization
         # (a few ns per command), never a jammed-queue stall (a full

@@ -8,13 +8,17 @@ import math
 import pytest
 
 from repro.attacks.registry import AttackSpec
-from repro.sim.mc import McRunConfig, run_mc
+from repro.mc.controller import MemoryController
+from repro.mc.sched import slo_budget_ns
+from repro.sim.mc import McRunConfig, build_mc_channel, run_mc
 from repro.system import (
     ClientSpec,
     SystemRunConfig,
     SystemSim,
+    client_requests,
     run_system,
 )
+from repro.system.sim import ClientShardStats, client_shard_stats
 from repro.workloads.requests import McWorkload
 
 #: Small-but-busy scale shared by the pins below.
@@ -207,3 +211,70 @@ class TestNoisyNeighbor:
         for metrics in noisy.clients:
             for key, value in metrics.as_metrics().items():
                 assert math.isfinite(value), (metrics.name, key)
+
+
+class TestShardStats:
+    """``execute_system_shard`` reads per-client statistics straight
+    from the served batch's arrays; they must equal the per-completion
+    computation they replaced, float-summation order included."""
+
+    @staticmethod
+    def from_completions(completed, n_clients, budget):
+        out = []
+        for index in range(n_clients):
+            mine = [c for c in completed if c.request.client == index]
+            latencies = sorted(
+                c.latency_ns for c in mine if not c.request.is_write
+            )
+            out.append(ClientShardStats(
+                requests=len(mine),
+                reads=len(latencies),
+                writes=len(mine) - len(latencies),
+                row_hits=sum(1 for c in mine if c.row_hit),
+                queue_ns=sum(c.queue_ns for c in mine),
+                read_latencies=latencies,
+                slo_misses=(
+                    sum(1 for lat in latencies if lat > budget)
+                    if budget is not None else 0
+                ),
+            ))
+        return out
+
+    @pytest.mark.parametrize(
+        "scheduler, row_policy",
+        [("slo", "closed"), ("priority", "closed"), ("frfcfs", "open")],
+    )
+    def test_batch_stats_equal_completion_stats(self, scheduler, row_policy):
+        writer = ClientSpec(
+            name="writer",
+            workload=McWorkload(reads_per_trefi_per_bank=30.0,
+                                hot_fraction=0.5, write_fraction=0.3),
+            seed=2,
+        )
+        config = duo(
+            clients=duo().clients + (writer,),
+            scheduler=scheduler,
+            row_policy=row_policy,
+            n_trefi=64,
+        )
+        streams = [
+            client_requests(
+                client, index, subchannels=config.subchannels,
+                banks=config.banks, n_trefi=config.n_trefi,
+                rows_per_bank=config.rows_per_bank, seed=config.seed,
+                channel=0, timing=config.timing,
+            )
+            for index, client in enumerate(config.clients)
+        ]
+        mc_config = config.mc_run_config()
+        controller = MemoryController(
+            build_mc_channel(mc_config), mc_config.mc_config()
+        )
+        batch = controller.serve_streams(streams, [0, 0, 0])
+        expected_path = "soa" if row_policy == "closed" else (
+            "reference:open-page")
+        assert batch.path == expected_path
+        budget = slo_budget_ns(config.scheduler, config.sched_params)
+        assert client_shard_stats(batch, 3, budget) == (
+            self.from_completions(batch.completions(), 3, budget)
+        )
