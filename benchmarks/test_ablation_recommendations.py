@@ -16,7 +16,7 @@ from repro.analysis.ratchet_model import ratchet_safe_trh
 from repro.analysis.throughput import continuous_alert_slowdown
 from repro.report.tables import format_table
 from repro.sweep.attack_runner import run_attack_sweep
-from repro.sweep.attack_spec import attack_preset
+from repro.sweep.family import ATTACK_FAMILY
 
 QUEUE_SIZES = [1, 2, 4, 8, 16]
 
@@ -24,7 +24,7 @@ QUEUE_SIZES = [1, 2, 4, 8, 16]
 def test_ablation_queue_size(benchmark, report):
     def sweep():
         result = run_attack_sweep(
-            attack_preset("ablation-queue"),
+            ATTACK_FAMILY.preset("ablation-queue"),
             jobs=N_JOBS,
             cache_dir=CACHE_ROOT / "attack",
         )

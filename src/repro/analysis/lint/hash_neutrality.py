@@ -14,8 +14,11 @@ This rule parses every dataclass named ``*SweepSpec``, collects the
 attribute names consumed inside the module's identity functions
 (``points``, ``sweep_hash``, ``config_hash``, ``key``,
 ``__post_init__``) and the keys of the module-level ``_NEUTRAL_AXES``
-literal, and flags any field covered by neither. ``description`` is
-exempt by default: it is artifact metadata and never part of identity.
+literal, and flags any field covered by neither. Identity code a spec
+inherits from a class of the shared :mod:`repro.sweep.identity` module
+(``SweepSpecBase.sweep_hash`` hashes the spec's ``name``) counts as
+that spec's own. ``description`` is exempt by default: it is artifact
+metadata and never part of identity.
 
 The check is static by design: it must fail before a corrupted cache
 entry or baseline is ever *written*, which no runtime assertion placed
@@ -25,7 +28,9 @@ inside the sweep machinery can guarantee (see DESIGN.md).
 from __future__ import annotations
 
 import ast
-from typing import Iterator, List, Set, Tuple
+import functools
+from pathlib import Path
+from typing import Dict, FrozenSet, Iterator, List, Set, Tuple
 
 from repro.analysis.lint.core import FileContext, Finding
 
@@ -44,6 +49,12 @@ IDENTITY_FUNCTIONS: Tuple[str, ...] = (
 
 #: Fields that are artifact metadata by convention, never identity.
 DEFAULT_EXEMPT: Tuple[str, ...] = ("description",)
+
+#: The module whose base class gives every family's spec its
+#: ``sweep_hash``.
+SHARED_IDENTITY_MODULE = (
+    Path(__file__).resolve().parents[2] / "sweep" / "identity.py"
+)
 
 
 def _is_dataclass_decorated(cls: ast.ClassDef) -> bool:
@@ -77,7 +88,7 @@ def _neutral_axis_names(tree: ast.Module) -> Set[str]:
     return names
 
 
-def _consumed_attributes(tree: ast.Module) -> Set[str]:
+def _consumed_attributes(tree: ast.AST) -> Set[str]:
     """Attribute names read anywhere inside the identity functions.
 
     Point classes and spec classes live in the same module, so the
@@ -96,6 +107,17 @@ def _consumed_attributes(tree: ast.Module) -> Set[str]:
     return consumed
 
 
+@functools.lru_cache(maxsize=None)
+def _shared_bases() -> Dict[str, FrozenSet[str]]:
+    """Class name -> attributes its identity methods read, for the
+    classes of the shared identity module."""
+    tree = ast.parse(SHARED_IDENTITY_MODULE.read_text(encoding="utf-8"))
+    return {
+        node.name: frozenset(_consumed_attributes(node))
+        for node in tree.body if isinstance(node, ast.ClassDef)
+    }
+
+
 def check(ctx: FileContext,
           exempt: Tuple[str, ...] = DEFAULT_EXEMPT) -> Iterator[Finding]:
     spec_classes = [
@@ -109,6 +131,10 @@ def check(ctx: FileContext,
     consumed = _consumed_attributes(ctx.tree)
     neutral = _neutral_axis_names(ctx.tree)
     for cls in spec_classes:
+        covered = consumed | neutral
+        for base in cls.bases:
+            name = getattr(base, "id", getattr(base, "attr", None))
+            covered |= _shared_bases().get(name, frozenset())
         for stmt in cls.body:
             if not (isinstance(stmt, ast.AnnAssign)
                     and isinstance(stmt.target, ast.Name)):
@@ -116,7 +142,7 @@ def check(ctx: FileContext,
             field_name = stmt.target.id
             if field_name.startswith("_") or field_name in exempt:
                 continue
-            if field_name in consumed or field_name in neutral:
+            if field_name in covered:
                 continue
             yield ctx.finding(NAME, stmt, (
                 f"field '{field_name}' of {cls.name} is neither "

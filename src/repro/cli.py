@@ -92,14 +92,7 @@ from repro.sweep.artifacts import (
     DEFAULT_RTOL,
     write_artifact,
 )
-from repro.sweep.family import (
-    ATTACK_FAMILY,
-    MC_FAMILY,
-    MODEL_FAMILY,
-    PERF_FAMILY,
-    SYSTEM_FAMILY,
-    SweepFamily,
-)
+from repro.sweep.family import FAMILIES, PERF_FAMILY, SweepFamily
 from repro.obs import (
     TraceRecorder,
     artifact_events,
@@ -226,10 +219,6 @@ def _cmd_attack_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _attack_overrides(spec, args: argparse.Namespace):
-    return spec.with_overrides(seed=args.seed)
-
-
 def _render_attack_table(result, args: argparse.Namespace) -> None:
     spec = result.spec
 
@@ -259,12 +248,6 @@ def _render_attack_table(result, args: argparse.Namespace) -> None:
             title=f"Attack sweep {spec.name} (jobs={args.jobs}, "
             f"{result.cache_hits} cached)",
         )
-    )
-
-
-def _cmd_attack_sweep(args: argparse.Namespace) -> int:
-    return _run_family_sweep(
-        ATTACK_FAMILY, args, _attack_overrides, _render_attack_table
     )
 
 
@@ -364,15 +347,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def _perf_overrides(spec, args: argparse.Namespace):
-    if args.trefi is not None and args.trefi <= 0:
-        raise ValueError("--trefi must be positive")
-    workloads = tuple(args.workloads.split(",")) if args.workloads else None
-    return spec.with_overrides(
-        n_trefi=args.trefi, seed=args.seed, workloads=workloads
-    )
-
-
 def _render_perf_table(result, args: argparse.Namespace) -> None:
     spec = result.spec
     rows = [
@@ -409,12 +383,6 @@ def _render_perf_table(result, args: argparse.Namespace) -> None:
             title=f"Sweep {spec.name} (n_trefi={spec.n_trefi}, "
             f"jobs={args.jobs}, {result.cache_hits} cached)",
         )
-    )
-
-
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    return _run_family_sweep(
-        PERF_FAMILY, args, _perf_overrides, _render_perf_table
     )
 
 
@@ -704,13 +672,6 @@ def _cmd_system_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _scaled_overrides(spec, args: argparse.Namespace):
-    """Shared --trefi/--seed override path (mc and system families)."""
-    if args.trefi is not None and args.trefi <= 0:
-        raise ValueError("--trefi must be positive")
-    return spec.with_overrides(n_trefi=args.trefi, seed=args.seed)
-
-
 def _render_mc_table(result, args: argparse.Namespace) -> None:
     spec = result.spec
     rows = [
@@ -738,19 +699,6 @@ def _render_mc_table(result, args: argparse.Namespace) -> None:
     )
 
 
-def _cmd_mc_sweep(args: argparse.Namespace) -> int:
-    return _run_family_sweep(
-        MC_FAMILY, args, _scaled_overrides, _render_mc_table
-    )
-
-
-def _model_overrides(spec, args: argparse.Namespace):
-    # Model points are scale-free except workload-stats; no seed axis.
-    if args.trefi is not None and args.trefi <= 0:
-        raise ValueError("--trefi must be positive")
-    return spec.with_overrides(n_trefi=args.trefi)
-
-
 def _render_model_table(result, args: argparse.Namespace) -> None:
     spec = result.spec
 
@@ -775,12 +723,6 @@ def _render_model_table(result, args: argparse.Namespace) -> None:
             title=f"Model sweep {spec.name} (jobs={args.jobs}, "
             f"{result.cache_hits} cached)",
         )
-    )
-
-
-def _cmd_model_sweep(args: argparse.Namespace) -> int:
-    return _run_family_sweep(
-        MODEL_FAMILY, args, _model_overrides, _render_model_table
     )
 
 
@@ -811,13 +753,26 @@ def _render_system_table(result, args: argparse.Namespace) -> None:
     )
 
 
-def _cmd_system_sweep(args: argparse.Namespace) -> int:
-    return _run_family_sweep(
-        SYSTEM_FAMILY, args, _scaled_overrides, _render_system_table
-    )
+#: Per family: the ``sweep`` command's help, its summary table, and the
+#: override flags it takes besides ``--seed`` (the axes its points
+#: carry). The perf family's command is the top-level ``repro sweep``;
+#: the others are ``repro <family> sweep`` beside ``list-presets``.
+_SWEEP_COMMANDS = {
+    "sweep": ("run a paper figure/table experiment grid in parallel",
+              _render_perf_table, ("--trefi", "--workloads")),
+    "attack": ("run a paper security-figure attack grid in parallel",
+               _render_attack_table, ()),
+    "model": ("run a named analytic model grid", _render_model_table,
+              ("--trefi",)),
+    "mc": ("run a closed-loop scenario grid in parallel",
+           _render_mc_table, ("--trefi",)),
+    "system": ("run a named system scenario set in parallel",
+               _render_system_table, ("--trefi",)),
+}
 
 
-def _list_family_presets(family: SweepFamily) -> int:
+def _cmd_list_presets(args: argparse.Namespace) -> int:
+    family: SweepFamily = args.family
     rows = [
         (spec.name, len(spec.points()), spec.description)
         for spec in family.presets.values()
@@ -844,30 +799,29 @@ def _resolve_cache_dir(
     return Path(args.cache_dir)
 
 
-def _run_family_sweep(
-    family: SweepFamily,
-    args: argparse.Namespace,
-    apply_overrides,
-    render_table,
-) -> int:
-    """The shared ``<family> sweep`` command body.
+def _cmd_sweep(args: argparse.Namespace) -> int:
+    """The one ``<family> sweep`` command body.
 
     Everything family-specific arrives through the registry entry
-    (preset table, runner, schema, gated metrics, baseline naming) and
-    two callables: ``apply_overrides(spec, args)`` applying the
-    family's scale/subset flags (raising ``ValueError``/``KeyError``
-    on bad usage) and ``render_table(result, args)`` printing the
-    family's summary table.
+    (preset table, runner, schema, gated metrics, baseline naming), the
+    spec's ``with_overrides`` (a seed it has no axis for is a usage
+    error) and the summary table in :data:`_SWEEP_COMMANDS`.
     """
+    family: SweepFamily = args.family
     if args.list:
-        return _list_family_presets(family)
+        return _cmd_list_presets(args)
     if not args.preset:
         print("error: a preset name (or --list-presets) is required",
               file=sys.stderr)
         return 2
     try:
-        spec = family.preset(args.preset)
-        spec = apply_overrides(spec, args)
+        if args.trefi is not None and args.trefi <= 0:
+            raise ValueError("--trefi must be positive")
+        workloads = (tuple(args.workloads.split(","))
+                     if args.workloads else None)
+        spec = family.preset(args.preset).with_overrides(
+            n_trefi=args.trefi, seed=args.seed, workloads=workloads
+        )
     except (KeyError, ValueError) as exc:
         message = exc.args[0] if exc.args else str(exc)
         print(f"error: {message}", file=sys.stderr)
@@ -879,7 +833,7 @@ def _run_family_sweep(
         cache_dir=_resolve_cache_dir(args, family),
         progress=stderr_progress(args.quiet),
     )
-    render_table(result, args)
+    _SWEEP_COMMANDS[family.name][1](result, args)
 
     # Provenance is opt-in (--obs): without it the artifact stays
     # byte-identical run to run, and the gate never sees the block
@@ -1140,13 +1094,12 @@ def _add_profile_flag(parser: argparse.ArgumentParser) -> None:
         f"{_PROFILE_TOP_N} functions by cumulative time to stderr")
 
 
-def _add_sweep_common_flags(
+def _add_sweep_flags(
     parser: argparse.ArgumentParser,
     family: SweepFamily,
-    preset_help: str = "preset name (see --list-presets)",
-    list_help: Optional[str] = None,
+    preset_help: str,
 ) -> None:
-    """Flag cluster shared by every ``<family> sweep`` command.
+    """The flags of a ``<family> sweep`` command.
 
     All five families expose identical orchestration/gating semantics
     (jobs, seed, artifact output, baseline check/write, tolerances,
@@ -1161,11 +1114,20 @@ def _add_sweep_common_flags(
     baseline_default = (
         f"benchmarks/baselines/{family.baseline_prefix}<preset>.json"
     )
+    parser.set_defaults(func=_cmd_sweep, family=family, trefi=None,
+                        workloads=None)
+    overrides = _SWEEP_COMMANDS[family.name][2]
+    if "--trefi" in overrides:
+        parser.add_argument("--trefi", type=int, default=None,
+                            help="override simulated tREFI intervals "
+                            "(512 = smoke scale, 8192 = full window)")
+    if "--workloads" in overrides:
+        parser.add_argument("--workloads", default=None,
+                            help="comma-separated workload subset override")
     parser.add_argument("preset", nargs="?", default=None, help=preset_help)
     parser.add_argument(
         "--list", "--list-presets", dest="list", action="store_true",
-        help=list_help
-        or f"list available {family.name} presets and exit")
+        help=f"list available {family.name} presets and exit")
     parser.add_argument("--jobs", type=int,
                         default=max(1, os.cpu_count() or 1),
                         help="worker processes (default: CPU count)")
@@ -1249,24 +1211,10 @@ def build_parser() -> argparse.ArgumentParser:
     attack_run.add_argument("--seed", type=int, default=0)
     attack_run.set_defaults(func=_cmd_attack_run)
 
-    attack_sweep = attack_sub.add_parser(
-        "sweep",
-        help="run a paper security-figure attack grid in parallel",
-    )
-    _add_sweep_common_flags(attack_sweep, ATTACK_FAMILY)
-    attack_sweep.set_defaults(func=_cmd_attack_sweep)
-
     attack_list = attack_sub.add_parser(
         "list", help="list the registered attacks"
     )
     attack_list.set_defaults(func=_cmd_attack_list)
-
-    attack_list_presets = attack_sub.add_parser(
-        "list-presets", help="list the attack sweep presets"
-    )
-    attack_list_presets.set_defaults(
-        func=lambda _args: _list_family_presets(ATTACK_FAMILY)
-    )
 
     perf = sub.add_parser("perf", help="evaluate a mitigation policy on a workload")
     perf.add_argument("workload", nargs="?", default=None,
@@ -1355,23 +1303,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_obs_flags(mc_run)
     mc_run.set_defaults(func=_cmd_mc_run)
 
-    mc_sweep = mc_sub.add_parser(
-        "sweep",
-        help="run a closed-loop scenario grid in parallel",
-    )
-    mc_sweep.add_argument("--trefi", type=int, default=None,
-                          help="override simulated tREFI intervals")
-    _add_sweep_common_flags(
-        mc_sweep, MC_FAMILY,
-        preset_help="preset name (see `repro mc list-presets`)",
-    )
-    mc_sweep.set_defaults(func=_cmd_mc_sweep)
-
-    mc_list = mc_sub.add_parser(
-        "list-presets", help="list the mc sweep presets"
-    )
-    mc_list.set_defaults(func=lambda _args: _list_family_presets(MC_FAMILY))
-
     mc_list_scheds = mc_sub.add_parser(
         "list-scheds",
         help="list the registered scheduling policies",
@@ -1445,40 +1376,6 @@ def build_parser() -> argparse.ArgumentParser:
                             help="suppress per-shard progress on stderr")
     _add_obs_flags(system_run)
     system_run.set_defaults(func=_cmd_system_run)
-
-    system_sweep = system_sub.add_parser(
-        "sweep",
-        help="run a named system scenario set in parallel",
-    )
-    system_sweep.add_argument("--trefi", type=int, default=None,
-                              help="override simulated tREFI intervals")
-    _add_sweep_common_flags(
-        system_sweep, SYSTEM_FAMILY,
-        preset_help="preset name (see `repro system list-presets`)",
-    )
-    system_sweep.set_defaults(func=_cmd_system_sweep)
-
-    system_list = system_sub.add_parser(
-        "list-presets", help="list the system sweep presets"
-    )
-    system_list.set_defaults(
-        func=lambda _args: _list_family_presets(SYSTEM_FAMILY)
-    )
-
-    sweep = sub.add_parser(
-        "sweep",
-        help="run a paper figure/table experiment grid in parallel",
-    )
-    sweep.add_argument("--trefi", type=int, default=None,
-                       help="override simulated tREFI intervals "
-                       "(512 = smoke scale, 8192 = full window)")
-    sweep.add_argument("--workloads", default=None,
-                       help="comma-separated workload subset override")
-    _add_sweep_common_flags(
-        sweep, PERF_FAMILY,
-        list_help="list available presets and exit",
-    )
-    sweep.set_defaults(func=_cmd_sweep)
 
     report = sub.add_parser(
         "report",
@@ -1554,24 +1451,27 @@ def build_parser() -> argparse.ArgumentParser:
         model_table = model_sub.add_parser(table_name, help=table_help)
         model_table.set_defaults(func=_cmd_model)
 
-    model_sweep = model_sub.add_parser(
-        "sweep", help="run a named analytic model grid"
-    )
-    model_sweep.add_argument("--trefi", type=int, default=None,
-                             help="override simulated tREFI intervals "
-                             "(models that take an interval count)")
-    _add_sweep_common_flags(
-        model_sweep, MODEL_FAMILY,
-        preset_help="preset name (see `repro model list-presets`)",
-    )
-    model_sweep.set_defaults(func=_cmd_model_sweep)
-
-    model_list = model_sub.add_parser(
-        "list-presets", help="list the model sweep presets"
-    )
-    model_list.set_defaults(
-        func=lambda _args: _list_family_presets(MODEL_FAMILY)
-    )
+    # One loop builds every family's sweep command: the perf family's
+    # is the top-level ``repro sweep``, the others sit under their own
+    # command next to its ``list-presets``.
+    family_commands = {"attack": attack_sub, "mc": mc_sub,
+                       "system": system_sub, "model": model_sub}
+    for family in FAMILIES.values():
+        help_text = _SWEEP_COMMANDS[family.name][0]
+        group = family_commands.get(family.name)
+        if group is None:
+            family_sweep = sub.add_parser(family.name, help=help_text)
+            preset_help = "preset name (see --list-presets)"
+        else:
+            family_sweep = group.add_parser("sweep", help=help_text)
+            preset_help = (
+                f"preset name (see `repro {family.name} list-presets`)"
+            )
+            group.add_parser(
+                "list-presets",
+                help=f"list the {family.name} sweep presets",
+            ).set_defaults(func=_cmd_list_presets, family=family)
+        _add_sweep_flags(family_sweep, family, preset_help)
 
     workloads = sub.add_parser("workloads", help="list Table 4 profiles")
     workloads.set_defaults(func=_cmd_workloads)

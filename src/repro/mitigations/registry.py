@@ -32,9 +32,11 @@ designs, 0 (disabled) for the null baseline.
 
 from __future__ import annotations
 
+import functools
+import inspect
 import random
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.mitigations.base import MitigationPolicy
 from repro.mitigations.graphene import make_graphene
@@ -62,8 +64,9 @@ class RunParams:
     timing: Any = None
 
 
-#: A builder maps (run params, per-bank instance index, **spec params)
-#: to a fresh policy instance.
+#: A builder maps (run params, per-bank instance index, spec params)
+#: to a fresh policy instance; its parameters after ``run`` and
+#: ``index`` are the kind's spec parameters (``None``: from the run).
 PolicyBuilder = Callable[..., MitigationPolicy]
 
 
@@ -76,12 +79,19 @@ class _PolicyKind:
     #: One-line description surfaced by ``repro perf --list-policies``.
     description: str = ""
 
+    @functools.cached_property
+    def param_names(self) -> Tuple[str, ...]:
+        """Spec parameter names, from the builder's signature."""
+        return tuple(inspect.signature(self.builder).parameters)[2:]
 
-def _build_moat(run: RunParams, index: int, **params: Any) -> MitigationPolicy:
+
+def _build_moat(run: RunParams, index: int, ath: Optional[int] = None,
+                eth: Optional[int] = None,
+                level: Optional[int] = None) -> MitigationPolicy:
     return MoatPolicy(
-        ath=params.get("ath", run.ath),
-        eth=params.get("eth", run.eth),
-        level=params.get("level", run.abo_level),
+        ath=run.ath if ath is None else ath,
+        eth=run.eth if eth is None else eth,
+        level=run.abo_level if level is None else level,
     )
 
 
@@ -89,43 +99,52 @@ def _floor_pow2(value: int) -> int:
     return 1 << (max(1, value).bit_length() - 1)
 
 
-def _build_panopticon(run: RunParams, index: int, **params: Any) -> MitigationPolicy:
+def _build_panopticon(run: RunParams, index: int,
+                      queue_threshold: Optional[int] = None,
+                      queue_entries: int = 8,
+                      drain_all_on_ref: bool = False) -> MitigationPolicy:
     return PanopticonPolicy(
-        queue_threshold=params.get("queue_threshold", _floor_pow2(run.ath)),
-        queue_entries=params.get("queue_entries", 8),
-        drain_all_on_ref=params.get("drain_all_on_ref", False),
+        queue_threshold=(_floor_pow2(run.ath) if queue_threshold is None
+                         else queue_threshold),
+        queue_entries=queue_entries,
+        drain_all_on_ref=drain_all_on_ref,
     )
 
 
-def _build_para(run: RunParams, index: int, **params: Any) -> MitigationPolicy:
+def _build_para(run: RunParams, index: int,
+                probability: float = 0.001) -> MitigationPolicy:
     # Deterministic per-bank stream: same (seed, bank index) => same
     # mitigation choices, independent of execution order or process.
     rng = random.Random((run.seed + 1) * 0x9E3779B9 + index)
-    return ParaPolicy(probability=params.get("probability", 0.001), rng=rng)
+    return ParaPolicy(probability=probability, rng=rng)
 
 
-def _build_trr(run: RunParams, index: int, **params: Any) -> MitigationPolicy:
+def _build_trr(run: RunParams, index: int, entries: int = 16,
+               mitigation_threshold: Optional[int] = None) -> MitigationPolicy:
     return TrrTracker(
-        entries=params.get("entries", 16),
-        mitigation_threshold=params.get("mitigation_threshold", max(1, run.eth)),
+        entries=entries,
+        mitigation_threshold=(max(1, run.eth) if mitigation_threshold is None
+                              else mitigation_threshold),
     )
 
 
-def _build_graphene(run: RunParams, index: int, **params: Any) -> MitigationPolicy:
-    kwargs: Dict[str, Any] = {"trh": params.get("trh", 2 * run.ath)}
+def _build_graphene(run: RunParams, index: int,
+                    trh: Optional[int] = None) -> MitigationPolicy:
+    kwargs: Dict[str, Any] = {"trh": 2 * run.ath if trh is None else trh}
     if run.timing is not None:
         kwargs["timing"] = run.timing
     return make_graphene(**kwargs)
 
 
-def _build_victim_counter(run: RunParams, index: int, **params: Any) -> MitigationPolicy:
+def _build_victim_counter(run: RunParams, index: int, blast_radius: int = 2,
+                          eth: Optional[int] = None) -> MitigationPolicy:
     return VictimCounterPolicy(
-        blast_radius=params.get("blast_radius", 2),
-        eth=params.get("eth", run.eth),
+        blast_radius=blast_radius,
+        eth=run.eth if eth is None else eth,
     )
 
 
-def _build_null(run: RunParams, index: int, **params: Any) -> MitigationPolicy:
+def _build_null(run: RunParams, index: int) -> MitigationPolicy:
     return NullPolicy()
 
 
@@ -191,6 +210,7 @@ class PolicySpec:
     ``params`` is a sorted tuple of ``(name, value)`` pairs so two
     specs with the same parameters compare (and hash) equal regardless
     of construction order. Use :meth:`of` to build one from kwargs.
+    Parameter names are validated against the builder signature.
     """
 
     kind: str = "moat"
@@ -202,6 +222,13 @@ class PolicySpec:
                 f"unknown policy kind {self.kind!r}; "
                 f"known: {', '.join(sorted(_REGISTRY))}"
             )
+        allowed = _REGISTRY[self.kind].param_names
+        for name, _ in self.params:
+            if name not in allowed:
+                raise ValueError(
+                    f"policy {self.kind!r} has no parameter {name!r}; "
+                    f"known: {', '.join(sorted(allowed)) or '(none)'}"
+                )
         object.__setattr__(self, "params", tuple(sorted(self.params)))
 
     @staticmethod

@@ -20,7 +20,6 @@ fails CI exactly like any other sweep regression.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Tuple
@@ -98,31 +97,20 @@ class FigureResult:
 
 
 def _source_spec(ref: SourceRef, options: ReportOptions):
-    """The source preset at the report's scale and workload subset."""
-    spec = get_family(ref.family).preset(ref.preset)
-    if ref.family == "sweep":
-        return spec.with_overrides(
-            n_trefi=options.n_trefi, workloads=options.workloads
-        )
-    if ref.family == "model":
-        spec = spec.with_overrides(n_trefi=options.n_trefi)
-        if options.workloads is not None:
-            spec = dataclasses.replace(
-                spec,
-                models=tuple(
-                    m
-                    for m in spec.models
-                    if m.kind != "workload-stats"
-                    or m.param_dict().get("workload") in options.workloads
-                ),
-            )
-        return spec
-    # Scenarios pin their own scale; only an explicit non-smoke
-    # ``n_trefi`` rescales them (the committed baselines are generated
-    # at the scenarios' native scale).
-    if ref.family == "system" and options.n_trefi != SMOKE_N_TREFI:
-        return spec.with_overrides(n_trefi=options.n_trefi)
-    return spec
+    """The source preset at the report's scale and workload subset.
+
+    Each family applies the overrides its points carry. System
+    scenarios pin their own scale: the committed baselines are
+    generated at the scenarios' native scale, so at the smoke
+    ``n_trefi`` they run natively and only another ``n_trefi``
+    rescales them.
+    """
+    n_trefi: Optional[int] = options.n_trefi
+    if ref.family == "system" and n_trefi == SMOKE_N_TREFI:
+        n_trefi = None
+    return get_family(ref.family).preset(ref.preset).with_overrides(
+        n_trefi=n_trefi, workloads=options.workloads
+    )
 
 
 def _run_source(ref: SourceRef, options: ReportOptions) -> Dict:

@@ -3,17 +3,28 @@
 ``repro.sweep`` turns the one-off per-figure pytest drivers into a
 declarative, cacheable, parallel evaluation backbone:
 
+* :mod:`repro.sweep.identity` — the identity rules every family
+  shares: the one content hash, result version, neutral-axis strip,
+  dedup-by-key expansion and preset lookup, with the conventions in
+  its docstring.
 * :mod:`repro.sweep.spec` — grid specs over workload x ATH x ETH x ABO
-  level x mitigation policy, with named presets for every paper
-  figure/table (``fig11``, ``fig17``, ``table5``, ``table6``,
-  ``table7``, ``ablation``).
+  level x mitigation policy x sub-channels, with named presets for
+  every paper figure/table (``fig11``, ``fig17``, ``table5``,
+  ``table6``, ``table7``, ``ablation``, ``sec65``, ``channel``).
 * :mod:`repro.sweep.attack_spec` — attack grids over
   :class:`~repro.attacks.registry.AttackSpec` x sub-channels, with
   named presets for every paper security figure (``fig5``, ``fig10``,
-  ``fig13``, ``tsa``, ``feinting``, ``postponement``).
+  ``fig13``, ``tsa``, ``feinting``, ``postponement``, ...).
+* :mod:`repro.sweep.model_spec` — analytic model lists over
+  :class:`~repro.sweep.model_spec.ModelSpec` (closed-form bounds,
+  timing identities, SRAM budgets, generator statistics).
+* :mod:`repro.sweep.mc_spec` — closed-loop memory-controller grids
+  over :class:`~repro.sim.mc.McRunConfig` (``mc-smoke``, ``mc-abo``,
+  ``mc-rate``, ``mc-policy``, ``mc-sched``).
 * :mod:`repro.sweep.system_spec` — named multi-client, multi-channel
   system scenarios (``system-smoke``, ``system-shard``,
-  ``system-noisy``) over :class:`~repro.system.sim.SystemRunConfig`.
+  ``system-noisy``, ``system-qos``) over
+  :class:`~repro.system.sim.SystemRunConfig`.
 * :mod:`repro.sweep.runner` — the one :class:`PointResult`/
   :class:`SweepResult` pair and the ``ProcessPoolExecutor``-based
   :func:`~repro.sweep.runner.run_grid` every family runs through, with
@@ -25,10 +36,10 @@ declarative, cacheable, parallel evaluation backbone:
   baseline diffing for CI gating (``repro sweep <preset> --check``,
   ``repro attack sweep <preset> --check``).
 * :mod:`repro.sweep.family` — the :class:`~repro.sweep.family.
-  SweepFamily` registry tying each family's spec class, presets,
-  runner, schema, gated metrics, aggregates, and baseline prefix into
-  one table (the CLI, report pipeline, and artifact builder derive
-  from it).
+  SweepFamily` registry tying each family's presets, runner, schema,
+  gated metrics, aggregates, and baseline prefix into one table (the
+  CLI, report pipeline, and artifact builder derive from it; look
+  presets up with ``FAMILY.preset(name)``).
 """
 
 from repro.sweep.artifacts import diff_artifacts, load_artifact, write_artifact
@@ -37,7 +48,6 @@ from repro.sweep.attack_spec import (
     ATTACK_PRESETS,
     AttackSweepPoint,
     AttackSweepSpec,
-    attack_preset,
 )
 from repro.sweep.runner import PointResult, SweepResult, run_sweep
 from repro.sweep.spec import (
@@ -45,7 +55,6 @@ from repro.sweep.spec import (
     SWEEP_WORKLOADS,
     SweepPoint,
     SweepSpec,
-    preset,
 )
 from repro.sweep.system_runner import run_system_sweep
 from repro.sweep.system_spec import (
@@ -77,11 +86,9 @@ __all__ = [
     "SweepSpec",
     "SystemSweepPoint",
     "SystemSweepSpec",
-    "attack_preset",
     "diff_artifacts",
     "get_family",
     "load_artifact",
-    "preset",
     "run_attack_sweep",
     "run_sweep",
     "run_system_sweep",

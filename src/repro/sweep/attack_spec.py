@@ -21,28 +21,22 @@ a point shared between two presets is simulated once.
 
 from __future__ import annotations
 
-import dataclasses
-import hashlib
 import itertools
-import json
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.attacks.base import AttackRunConfig
 from repro.attacks.registry import AttackSpec
-from repro.sweep.spec import _canonical
-
-#: Part of every attack point's config hash; bump it only to retire the
-#: committed baselines on a deliberate semantic change (the point cache
-#: already recomputes after any code change, see ``source_fingerprint``).
-ATTACK_RESULT_VERSION = 1
+from repro.sweep.identity import (
+    SweepSpecBase, canonical, point_hash, strip_neutral, unique_by_key,
+)
 
 #: Axes mapped to the neutral value at which they leave the simulation
-#: unchanged (the same convention as the perf sweep's spec). ``seed``
-#: is neutral at 0 because no *registered* attack is stochastic today —
-#: the axis is reserved for future randomized attacks, and keeping the
-#: default out of point identity means baselines and cache entries
-#: survive the day one starts consuming it.
+#: unchanged (see :mod:`repro.sweep.identity`). ``seed`` is neutral at
+#: 0 because no *registered* attack is stochastic today — the axis is
+#: reserved for future randomized attacks, and keeping the default out
+#: of point identity means baselines and cache entries survive the day
+#: one starts consuming it.
 _NEUTRAL_AXES = {"subchannels": 1, "seed": 0}
 
 
@@ -67,29 +61,23 @@ class AttackSweepPoint:
     def config_hash(self) -> str:
         """Content hash of everything that determines the result.
 
-        Additive axes hash out at their neutral value (see
-        :data:`_NEUTRAL_AXES`): a one-sub-channel attack is the same
-        simulation the pre-channel harness performed, so it keeps the
-        same identity — the baseline gate therefore doubles as a
-        bit-identity check across the ChannelSim port.
+        Axes at their neutral value hash out (see :data:`_NEUTRAL_AXES`):
+        a one-sub-channel attack is the simulation the pre-channel
+        harness performed, so it keeps that identity.
         """
-        run = _canonical(self.run)
-        for name, neutral in _NEUTRAL_AXES.items():
-            if run.get(name) == neutral:
-                del run[name]
-        payload = {
-            "version": ATTACK_RESULT_VERSION,
-            "attack": {"kind": self.attack.kind,
-                       "params": _canonical(self.attack.params)},
-            "run": run,
-        }
-        blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode()).hexdigest()[:16]
+        return point_hash(
+            attack={"kind": self.attack.kind,
+                    "params": canonical(self.attack.params)},
+            run=strip_neutral(canonical(self.run), _NEUTRAL_AXES),
+        )
 
 
 @dataclass(frozen=True)
-class AttackSweepSpec:
+class AttackSweepSpec(SweepSpecBase):
     """Grid of attack runs (attacks crossed with the channel axes)."""
+
+    # Attack points have no window and no workload.
+    _OVERRIDES = ("seed",)
 
     name: str
     description: str = ""
@@ -100,32 +88,13 @@ class AttackSweepSpec:
 
     def points(self) -> List[AttackSweepPoint]:
         """Expand the grid in deterministic order, deduplicated by key."""
-        out: List[AttackSweepPoint] = []
-        seen: set = set()
-        for attack, sc in itertools.product(self.attacks, self.subchannels):
-            point = AttackSweepPoint(
+        return unique_by_key(
+            AttackSweepPoint(
                 attack=attack,
                 run=AttackRunConfig(subchannels=sc, seed=self.seed),
             )
-            if point.key not in seen:
-                seen.add(point.key)
-                out.append(point)
-        return out
-
-    def sweep_hash(self) -> str:
-        """Identity of the whole grid (order-independent)."""
-        hashes = sorted(p.config_hash() for p in self.points())
-        blob = json.dumps([self.name, hashes], separators=(",", ":"))
-        return hashlib.sha256(blob.encode()).hexdigest()[:16]
-
-    def with_overrides(
-        self, seed: Optional[int] = None
-    ) -> "AttackSweepSpec":
-        """Copy with CLI-level overrides applied."""
-        changes: Dict[str, Any] = {}
-        if seed is not None:
-            changes["seed"] = seed
-        return dataclasses.replace(self, **changes) if changes else self
+            for attack, sc in itertools.product(self.attacks, self.subchannels)
+        )
 
 
 #: Smoke-scale presets: every attack at parameters small enough for a
@@ -275,14 +244,3 @@ ATTACK_PRESETS: Dict[str, AttackSweepSpec] = {
         ),
     )
 }
-
-
-def attack_preset(name: str) -> AttackSweepSpec:
-    """Look up an attack preset by name with a helpful error."""
-    try:
-        return ATTACK_PRESETS[name]
-    except KeyError:
-        known = ", ".join(sorted(ATTACK_PRESETS))
-        raise KeyError(
-            f"unknown attack preset {name!r}; known: {known}"
-        ) from None

@@ -18,6 +18,7 @@ and :meth:`SweepFamily.make_artifact` is *the* artifact builder.
 from __future__ import annotations
 
 import copy
+import dataclasses
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
@@ -36,26 +37,27 @@ from repro.sweep.attack_runner import (
     DEFAULT_ATTACK_CACHE_DIR,
     run_attack_sweep,
 )
-from repro.sweep.attack_spec import ATTACK_PRESETS, AttackSweepSpec
+from repro.sweep.attack_spec import ATTACK_PRESETS
+from repro.sweep.identity import lookup_preset
 from repro.sweep.mc_runner import DEFAULT_MC_CACHE_DIR, run_mc_sweep
-from repro.sweep.mc_spec import MC_PRESETS, McSweepSpec
+from repro.sweep.mc_spec import MC_PRESETS
 from repro.sweep.model_runner import (
     DEFAULT_MODEL_CACHE_DIR,
     run_model_sweep,
 )
-from repro.sweep.model_spec import MODEL_PRESETS, ModelSweepSpec
+from repro.sweep.model_spec import MODEL_PRESETS
 from repro.sweep.runner import (
     DEFAULT_CACHE_DIR,
     PointResult,
     SweepResult,
     run_sweep,
 )
-from repro.sweep.spec import PRESETS, SweepSpec
+from repro.sweep.spec import PRESETS
 from repro.sweep.system_runner import (
     DEFAULT_SYSTEM_CACHE_DIR,
     run_system_sweep,
 )
-from repro.sweep.system_spec import SYSTEM_PRESETS, SystemSweepSpec
+from repro.sweep.system_spec import SYSTEM_PRESETS
 
 
 @dataclass(frozen=True)
@@ -72,7 +74,6 @@ class SweepFamily:
             predates the registry and spells it ``sweep``).
         description: One-line summary (CLI help).
         list_title: Title of the family's ``list-presets`` table.
-        spec_type: The family's spec dataclass.
         presets: Named preset table (``name -> spec``).
         run: ``run(spec, jobs=, cache_dir=, progress=) -> SweepResult``.
         gated_metrics: Metrics the baseline gate compares; ``None``
@@ -82,8 +83,6 @@ class SweepFamily:
             artifact's ``aggregates`` block).
         default_cache_dir: The runner's default point cache.
         cache_subdir: Subdirectory under a ``--cache-root``.
-        top_fields: Family-specific top-level artifact fields drawn
-            from the spec (scale/seed provenance).
     """
 
     name: str
@@ -92,24 +91,16 @@ class SweepFamily:
     bench_prefix: str
     description: str
     list_title: str
-    spec_type: type
     presets: Mapping[str, Any]
     run: Callable[..., SweepResult]
     gated_metrics: Optional[Tuple[str, ...]]
     aggregate: Callable[[List[PointResult]], Dict[str, float]]
     default_cache_dir: Path
     cache_subdir: str
-    top_fields: Callable[[Any], Dict[str, Any]]
 
     def preset(self, name: str) -> Any:
         """Look up a preset by name with a helpful error."""
-        try:
-            return self.presets[name]
-        except KeyError:
-            known = ", ".join(sorted(self.presets))
-            raise KeyError(
-                f"unknown {self.name} preset {name!r}; known: {known}"
-            ) from None
+        return lookup_preset(self.presets, self.name, name)
 
     def baseline_name(self, preset_name: str) -> str:
         """Committed baseline filename for a preset."""
@@ -144,10 +135,10 @@ class SweepFamily:
 
         One builder for all five families: the shared layout (schema,
         provenance, timing, aggregates, keyed points) is fixed here;
-        the family contributes its ``top_fields`` and ``aggregate``,
-        and each point its ``identity`` columns (artifacts are
-        serialized with ``sort_keys=True``, so insertion order carries
-        no information).
+        the spec contributes its own ``n_trefi``/``seed`` fields where
+        it has them, the family its ``aggregate``, and each point its
+        ``identity`` columns (artifacts are serialized with
+        ``sort_keys=True``, so insertion order carries no information).
 
         ``provenance`` (a :func:`repro.obs.run_provenance` block,
         carrying the run's backend/git/cache identity) is added as a
@@ -163,7 +154,8 @@ class SweepFamily:
             "sweep_hash": spec.sweep_hash(),
             "git_rev": git_revision() if git_rev is None else git_rev,
             "created_utc": utc_now(),
-            **self.top_fields(spec),
+            **{f.name: getattr(spec, f.name) for f in dataclasses.fields(spec)
+               if f.name in ("n_trefi", "seed")},
             "jobs": result.jobs,
             "wall_clock_s": round(result.wall_clock_s, 3),
             "compute_time_s": round(result.compute_time_s, 3),
@@ -265,7 +257,6 @@ PERF_FAMILY = SweepFamily(
     description="Open-loop performance sweeps over the Table 4 "
     "workloads (slowdown, ALERT rate, mitigation volume)",
     list_title="Sweep presets",
-    spec_type=SweepSpec,
     presets=PRESETS,
     run=run_sweep,
     # Wall-clock is recorded but never gated (machine-dependent).
@@ -283,7 +274,6 @@ PERF_FAMILY = SweepFamily(
     aggregate=_perf_aggregate,
     default_cache_dir=DEFAULT_CACHE_DIR,
     cache_subdir="sweep",
-    top_fields=lambda spec: {"n_trefi": spec.n_trefi, "seed": spec.seed},
 )
 
 ATTACK_FAMILY = SweepFamily(
@@ -294,7 +284,6 @@ ATTACK_FAMILY = SweepFamily(
     description="Security sweeps over registered attack kinds "
     "(max danger, ALERTs, attack throughput)",
     list_title="Attack sweep presets",
-    spec_type=AttackSweepSpec,
     presets=ATTACK_PRESETS,
     run=run_attack_sweep,
     # Everything a deterministic attack reports is gateable; per-attack
@@ -314,7 +303,6 @@ ATTACK_FAMILY = SweepFamily(
     aggregate=_attack_aggregate,
     default_cache_dir=DEFAULT_ATTACK_CACHE_DIR,
     cache_subdir="attack",
-    top_fields=lambda spec: {"seed": spec.seed},
 )
 
 MODEL_FAMILY = SweepFamily(
@@ -325,7 +313,6 @@ MODEL_FAMILY = SweepFamily(
     description="Analytic model sweeps (closed-form tables: safe TRH, "
     "throughput bounds, mitigation rates)",
     list_title="Model sweep presets",
-    spec_type=ModelSweepSpec,
     presets=MODEL_PRESETS,
     run=run_model_sweep,
     # The evaluators are pure functions, so every metric they emit is a
@@ -334,8 +321,6 @@ MODEL_FAMILY = SweepFamily(
     aggregate=lambda results: {"points": float(len(results))},
     default_cache_dir=DEFAULT_MODEL_CACHE_DIR,
     cache_subdir="model",
-    # Scale-free: scale-aware kinds carry their window as a parameter.
-    top_fields=lambda spec: {},
 )
 
 MC_FAMILY = SweepFamily(
@@ -346,7 +331,6 @@ MC_FAMILY = SweepFamily(
     description="Closed-loop memory-controller sweeps (read latency "
     "percentiles, bandwidth, queue occupancy)",
     list_title="Memory-controller sweep presets",
-    spec_type=McSweepSpec,
     presets=MC_PRESETS,
     run=run_mc_sweep,
     # Request streams and stochastic policies derive from the point
@@ -371,7 +355,6 @@ MC_FAMILY = SweepFamily(
     aggregate=_latency_aggregate,
     default_cache_dir=DEFAULT_MC_CACHE_DIR,
     cache_subdir="mc",
-    top_fields=lambda spec: {"n_trefi": spec.n_trefi, "seed": spec.seed},
 )
 
 SYSTEM_FAMILY = SweepFamily(
@@ -382,7 +365,6 @@ SYSTEM_FAMILY = SweepFamily(
     description="Multi-client, multi-channel system scenarios "
     "(per-client latency tails, noisy-neighbor contrasts)",
     list_title="System sweep presets",
-    spec_type=SystemSweepSpec,
     presets=SYSTEM_PRESETS,
     run=run_system_sweep,
     # The per-client columns (``"{client}:read_p99_ns"`` …) vary by
@@ -391,8 +373,6 @@ SYSTEM_FAMILY = SweepFamily(
     aggregate=_latency_aggregate,
     default_cache_dir=DEFAULT_SYSTEM_CACHE_DIR,
     cache_subdir="system",
-    # Scenarios carry their own scale/seed (no spec-level n_trefi).
-    top_fields=lambda spec: {},
 )
 
 #: All registered families, in introduction order.

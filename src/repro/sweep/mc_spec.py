@@ -5,18 +5,9 @@ The closed-loop analogue of :mod:`repro.sweep.spec`: an
 workloads, policies, ATH, ABO level, queue depth, scheduler, row
 policy); expanding it yields one :class:`McSweepPoint` per cell, each
 carrying a complete :class:`~repro.sim.mc.McRunConfig` plus a stable
-key and a content hash — the identity used by the shared
-``run_cached_grid`` point cache and by the ``BENCH_mc.json`` baseline
-gate (schema ``repro.mc/v1``).
-
-The family is new, so no additive-axis compatibility shims are needed
-yet; :data:`_NEUTRAL_AXES` exists (empty) to carry the same convention
-as the perf and attack families — when a new axis lands later, its
-neutral value hashes (and keys) out so every committed baseline and
-cache entry below survives, exactly as ``subchannels`` did for the
-perf sweep. Hashing is confined to this family: the perf, attack, and
-model families' identities are untouched, so all pre-existing caches
-and baselines stay valid.
+key and a content hash — the identity used by the shared point cache
+and by the ``BENCH_mc.json`` baseline gate (schema ``repro.mc/v1``),
+following the conventions of :mod:`repro.sweep.identity`.
 
 :data:`MC_PRESETS` names the scenario grids: the CI smoke gate, the
 ABO-level latency staircase (the queueing effect the stall-fraction
@@ -26,28 +17,23 @@ the scheduler/row-policy matrix.
 
 from __future__ import annotations
 
-import dataclasses
-import hashlib
 import itertools
-import json
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.mitigations.registry import PolicySpec
 from repro.sim.mc import McRunConfig
-from repro.sweep.spec import _canonical
+from repro.sweep.identity import (
+    SweepSpecBase, canonical, lookup_preset, point_hash, strip_neutral,
+    unique_by_key, workload_payload,
+)
 from repro.workloads.requests import McWorkload
 
-#: Part of every mc point's config hash; bump it only to retire the
-#: committed baselines on a deliberate semantic change (the point cache
-#: already recomputes after any code change, see ``source_fingerprint``).
-MC_RESULT_VERSION = 1
-
-#: Additive axes mapped to their neutral value (same convention as the
-#: perf sweep's spec): ``sched_params`` landed with the pluggable
-#: scheduling layer, and its empty spelling (the kind's defaults,
-#: which is what every pre-existing point ran) hashes out so all
-#: committed baselines and cache entries survive. ``_canonical``
+#: Additive axes mapped to their neutral value (see
+#: :mod:`repro.sweep.identity`): ``sched_params`` landed with the
+#: pluggable scheduling layer, and its empty spelling (the kind's
+#: defaults, which is what every pre-existing point ran) hashes out so
+#: all committed baselines and cache entries survive. ``canonical``
 #: renders the tuple-of-pairs as a JSON list, hence the ``[]``.
 _NEUTRAL_AXES: Dict[str, Any] = {"sched_params": []}
 
@@ -75,37 +61,25 @@ class McSweepPoint:
     def config_hash(self) -> str:
         """Content hash of everything that determines the result.
 
-        Optional fields hash at their *resolved* values (ETH to ATH/2,
-        the proactive cadence to the policy's native rate), so
-        equivalent spellings share one cache entry and one baseline
-        identity; axes listed in :data:`_NEUTRAL_AXES` hash out at
-        their neutral value. The burst knobs of a *Poisson* workload
-        are dead parameters (the generator never reads them), so they
-        hash at their defaults — spellings that produce the same
-        stream share one identity, matching the key's deduplication.
+        ETH and the proactive cadence hash at their resolved values,
+        the workload's dead burst knobs at their defaults, and
+        :data:`_NEUTRAL_AXES` hash out (see :mod:`repro.sweep.identity`).
         """
-        config = _canonical(self.config)
+        config = canonical(self.config)
         config["eth"] = self.config.eth_resolved
         config["trefi_per_mitigation"] = (
             self.config.trefi_per_mitigation_resolved
         )
-        if self.config.workload.process != "bursty":
-            config["workload"]["burst_trefi"] = 8.0
-            config["workload"]["idle_trefi"] = 8.0
-        for name, neutral in _NEUTRAL_AXES.items():
-            if config.get(name) == neutral:
-                del config[name]
-        payload = {
-            "version": MC_RESULT_VERSION,
-            "config": config,
-        }
-        blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode()).hexdigest()[:16]
+        config["workload"] = workload_payload(self.config.workload)
+        return point_hash(config=strip_neutral(config, _NEUTRAL_AXES))
 
 
 @dataclass(frozen=True)
-class McSweepSpec:
+class McSweepSpec(SweepSpecBase):
     """Grid of closed-loop runs (cross product of the axis fields)."""
+
+    # The arrival mixes name no Table 4 workload.
+    _OVERRIDES = ("n_trefi", "seed")
 
     name: str
     description: str = ""
@@ -123,56 +97,34 @@ class McSweepSpec:
 
     def points(self) -> List[McSweepPoint]:
         """Expand the grid in deterministic order, deduplicated by key."""
-        out: List[McSweepPoint] = []
-        seen: set = set()
-        for workload, policy, ath, level, depth, sched, row in (
-            itertools.product(
-                self.workloads,
-                self.policies,
-                self.ath,
-                self.abo_level,
-                self.queue_depth,
-                self.scheduler,
-                self.row_policy,
+        return unique_by_key(
+            McSweepPoint(
+                config=McRunConfig(
+                    ath=ath,
+                    abo_level=level,
+                    policy=policy,
+                    workload=workload,
+                    queue_depth=depth,
+                    scheduler=sched,
+                    row_policy=row,
+                    subchannels=self.subchannels,
+                    banks=self.banks,
+                    n_trefi=self.n_trefi,
+                    seed=self.seed,
+                )
             )
-        ):
-            config = McRunConfig(
-                ath=ath,
-                abo_level=level,
-                policy=policy,
-                workload=workload,
-                queue_depth=depth,
-                scheduler=sched,
-                row_policy=row,
-                subchannels=self.subchannels,
-                banks=self.banks,
-                n_trefi=self.n_trefi,
-                seed=self.seed,
+            for workload, policy, ath, level, depth, sched, row in (
+                itertools.product(
+                    self.workloads,
+                    self.policies,
+                    self.ath,
+                    self.abo_level,
+                    self.queue_depth,
+                    self.scheduler,
+                    self.row_policy,
+                )
             )
-            point = McSweepPoint(config=config)
-            if point.key not in seen:
-                seen.add(point.key)
-                out.append(point)
-        return out
-
-    def sweep_hash(self) -> str:
-        """Identity of the whole grid (order-independent)."""
-        hashes = sorted(p.config_hash() for p in self.points())
-        blob = json.dumps([self.name, hashes], separators=(",", ":"))
-        return hashlib.sha256(blob.encode()).hexdigest()[:16]
-
-    def with_overrides(
-        self,
-        n_trefi: Optional[int] = None,
-        seed: Optional[int] = None,
-    ) -> "McSweepSpec":
-        """Copy with cheap-scale overrides (CLI flags)."""
-        changes: Dict[str, Any] = {}
-        if n_trefi is not None:
-            changes["n_trefi"] = n_trefi
-        if seed is not None:
-            changes["seed"] = seed
-        return dataclasses.replace(self, **changes) if changes else self
+        )
 
 
 #: A request mix hot enough that MOAT's thresholds are exercised: half
@@ -252,8 +204,4 @@ MC_PRESETS: Dict[str, McSweepSpec] = {
 
 def mc_preset(name: str) -> McSweepSpec:
     """Look up an mc preset by name with a helpful error."""
-    try:
-        return MC_PRESETS[name]
-    except KeyError:
-        known = ", ".join(sorted(MC_PRESETS))
-        raise KeyError(f"unknown mc preset {name!r}; known: {known}") from None
+    return lookup_preset(MC_PRESETS, "mc", name)

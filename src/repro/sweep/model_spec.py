@@ -20,11 +20,9 @@ Section 6.5 storage numbers, the Section 7.1 throughput model, ...).
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import inspect
-import json
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.abo.protocol import AboConfig
 from repro.analysis.energy import moat_sram_bytes, moat_sram_bytes_per_chip
@@ -42,13 +40,9 @@ from repro.mitigations.graphene import graphene_sram_bytes
 from repro.mitigations.moat import MoatPolicy
 from repro.mitigations.panopticon import PanopticonPolicy
 from repro.mitigations.trr import TrrTracker
+from repro.sweep.identity import SweepSpecBase, point_hash, unique_by_key
 from repro.workloads.generator import generate_schedule, measure_characteristics
 from repro.workloads.profiles import profile_by_name
-
-#: Part of every model point's config hash; bump it only to retire the
-#: committed baselines on a deliberate semantic change (the point cache
-#: already recomputes after any code change, see ``source_fingerprint``).
-MODEL_RESULT_VERSION = 1
 
 ModelEvaluator = Callable[..., Dict[str, float]]
 
@@ -315,17 +309,14 @@ class ModelSweepPoint:
 
     def config_hash(self) -> str:
         """Content hash of everything that determines the result."""
-        payload = {
-            "version": MODEL_RESULT_VERSION,
-            "model": {"kind": self.model.kind,
-                      "params": [list(p) for p in self.model.params]},
-        }
-        blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode()).hexdigest()[:16]
+        return point_hash(model={
+            "kind": self.model.kind,
+            "params": [list(p) for p in self.model.params],
+        })
 
 
 @dataclass(frozen=True)
-class ModelSweepSpec:
+class ModelSweepSpec(SweepSpecBase):
     """Named list of model points (the analytic analogue of a grid)."""
 
     name: str
@@ -334,36 +325,34 @@ class ModelSweepSpec:
 
     def points(self) -> List[ModelSweepPoint]:
         """Expand in declaration order, deduplicated by key."""
-        out: List[ModelSweepPoint] = []
-        seen: set = set()
-        for model in self.models:
-            point = ModelSweepPoint(model=model)
-            if point.key not in seen:
-                seen.add(point.key)
-                out.append(point)
-        return out
-
-    def sweep_hash(self) -> str:
-        """Identity of the whole grid (order-independent)."""
-        hashes = sorted(p.config_hash() for p in self.points())
-        blob = json.dumps([self.name, hashes], separators=(",", ":"))
-        return hashlib.sha256(blob.encode()).hexdigest()[:16]
+        return unique_by_key(ModelSweepPoint(model=m) for m in self.models)
 
     def with_overrides(
-        self, n_trefi: Optional[int] = None
+        self,
+        n_trefi: Optional[int] = None,
+        seed: Optional[int] = None,
+        workloads: Optional[Sequence[str]] = None,
     ) -> "ModelSweepSpec":
-        """Copy with the run scale applied to scale-aware kinds.
-
-        Only ``workload-stats`` points consume a window length; every
-        other kind is scale-free and passes through untouched.
-        """
-        if n_trefi is None:
+        """Copy with ``workload-stats`` points rescaled to ``n_trefi``
+        and cut to ``workloads``; every other kind is scale-free and
+        passes through. The evaluators are deterministic, so there is
+        no seed axis: a ``seed`` raises ``ValueError``."""
+        if seed is not None:
+            raise ValueError(
+                f"model preset {self.name!r} has no seed axis: its "
+                "evaluators are deterministic"
+            )
+        if n_trefi is None and workloads is None:
             return self
-        models = tuple(
-            m.replaced(n_trefi=n_trefi) if m.kind == "workload-stats" else m
-            for m in self.models
-        )
-        return dataclasses.replace(self, models=models)
+        models: List[ModelSpec] = []
+        for model in self.models:
+            if model.kind != "workload-stats":
+                models.append(model)
+            elif (workloads is None
+                  or model.param_dict().get("workload") in workloads):
+                models.append(model if n_trefi is None
+                              else model.replaced(n_trefi=n_trefi))
+        return dataclasses.replace(self, models=tuple(models))
 
 
 def _workload_stats_models(n_trefi: int = 2048) -> Tuple[ModelSpec, ...]:
@@ -470,14 +459,3 @@ MODEL_PRESETS: Dict[str, ModelSweepSpec] = {
         ),
     )
 }
-
-
-def model_preset(name: str) -> ModelSweepSpec:
-    """Look up a model preset by name with a helpful error."""
-    try:
-        return MODEL_PRESETS[name]
-    except KeyError:
-        known = ", ".join(sorted(MODEL_PRESETS))
-        raise KeyError(
-            f"unknown model preset {name!r}; known: {known}"
-        ) from None

@@ -15,15 +15,15 @@ benchmark harness reproduces.
 
 from __future__ import annotations
 
-import dataclasses
-import hashlib
 import itertools
-import json
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.mitigations.registry import PolicySpec
 from repro.sim.perf import RunConfig
+from repro.sweep.identity import (
+    SweepSpecBase, canonical, point_hash, strip_neutral, unique_by_key,
+)
 from repro.workloads.profiles import TABLE4_PROFILES, profile_by_name
 
 #: Representative subset for the parameter-sweep tables (the hottest
@@ -42,15 +42,9 @@ SWEEP_WORKLOADS: Tuple[str, ...] = (
 
 ALL_WORKLOADS: Tuple[str, ...] = tuple(p.name for p in TABLE4_PROFILES)
 
-#: Part of every sweep point's config hash; bump it only to retire the
-#: committed baselines on a deliberate semantic change (the point cache
-#: already recomputes after any code change, see ``source_fingerprint``).
-RESULT_VERSION = 1
-
 #: Axes added after the first baselines were committed, mapped to the
-#: neutral value at which they leave the simulation unchanged. A config
-#: whose axis sits at the neutral value hashes (and keys) identically
-#: to a config predating the axis.
+#: neutral value at which they leave the simulation unchanged (see
+#: :mod:`repro.sweep.identity`).
 _NEUTRAL_AXES = {"subchannels": 1}
 
 
@@ -80,52 +74,22 @@ class SweepPoint:
     def config_hash(self) -> str:
         """Content hash of everything that determines the result.
 
-        Optional fields are hashed at their *resolved* values (ETH
-        defaulting to ATH/2, the proactive cadence to the policy's
-        native rate), so a point spelled ``eth=None`` and one spelled
-        ``eth=32`` — identical simulations — share one cache entry and
-        one baseline identity, matching the resolved point key.
-
-        Additive axes hash out at their neutral value (see
-        :data:`_NEUTRAL_AXES`): a ``subchannels=1`` run is the same
-        simulation the pre-channel engine performed, so it must keep
-        the same identity — that is what lets committed baselines and
-        cached points survive the axis being introduced, and what makes
-        the baseline gate double as a bit-identity check across the
-        refactor.
+        ETH and the proactive cadence hash at their resolved values,
+        and ``subchannels=1`` (the pre-channel engine's simulation)
+        hashes out, per the conventions of :mod:`repro.sweep.identity`.
         """
-        config = _canonical(self.config)
+        config = canonical(self.config)
         config["eth"] = self.config.eth_resolved
         config["trefi_per_mitigation"] = self.config.trefi_per_mitigation_resolved
-        for name, neutral in _NEUTRAL_AXES.items():
-            if config.get(name) == neutral:
-                del config[name]
-        payload = {
-            "version": RESULT_VERSION,
-            "workload": self.workload,
-            "config": config,
-        }
-        blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode()).hexdigest()[:16]
-
-
-def _canonical(value: Any) -> Any:
-    """JSON-stable view of nested dataclasses / tuples."""
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return {
-            f.name: _canonical(getattr(value, f.name))
-            for f in dataclasses.fields(value)
-        }
-    if isinstance(value, (list, tuple)):
-        return [_canonical(item) for item in value]
-    if isinstance(value, dict):
-        return {str(k): _canonical(v) for k, v in value.items()}
-    return value
+        return point_hash(workload=self.workload,
+                          config=strip_neutral(config, _NEUTRAL_AXES))
 
 
 @dataclass(frozen=True)
-class SweepSpec:
+class SweepSpec(SweepSpecBase):
     """Grid of performance runs (cross product of the axis fields)."""
+
+    _OVERRIDES = ("n_trefi", "seed", "workloads")
 
     name: str
     description: str = ""
@@ -142,6 +106,7 @@ class SweepSpec:
     model_cross_bank_service: bool = True
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "workloads", tuple(self.workloads))
         for workload in self.workloads:
             profile_by_name(workload)  # raises on unknown names
 
@@ -149,58 +114,33 @@ class SweepSpec:
         """Expand the grid in deterministic order.
 
         Cells that resolve to the same simulation (e.g. ``eth=None``
-        and ``eth=ath//2`` in one grid) are deduplicated by key so the
-        artifact's point map stays one-to-one with the work performed.
+        and ``eth=ath//2`` in one grid) appear once.
         """
-        out: List[SweepPoint] = []
-        seen: set = set()
-        for workload, policy, ath, eth, level, tpm, sc in itertools.product(
-            self.workloads,
-            self.policies,
-            self.ath,
-            self.eth,
-            self.abo_level,
-            self.trefi_per_mitigation,
-            self.subchannels,
-        ):
-            config = RunConfig(
-                ath=ath,
-                eth=eth,
-                abo_level=level,
-                policy=policy,
-                trefi_per_mitigation=tpm,
-                subchannels=sc,
-                n_trefi=self.n_trefi,
-                seed=self.seed,
-                model_cross_bank_service=self.model_cross_bank_service,
+        return unique_by_key(
+            SweepPoint(
+                workload=workload,
+                config=RunConfig(
+                    ath=ath,
+                    eth=eth,
+                    abo_level=level,
+                    policy=policy,
+                    trefi_per_mitigation=tpm,
+                    subchannels=sc,
+                    n_trefi=self.n_trefi,
+                    seed=self.seed,
+                    model_cross_bank_service=self.model_cross_bank_service,
+                ),
             )
-            point = SweepPoint(workload=workload, config=config)
-            if point.key not in seen:
-                seen.add(point.key)
-                out.append(point)
-        return out
-
-    def sweep_hash(self) -> str:
-        """Identity of the whole grid (order-independent)."""
-        hashes = sorted(p.config_hash() for p in self.points())
-        blob = json.dumps([self.name, hashes], separators=(",", ":"))
-        return hashlib.sha256(blob.encode()).hexdigest()[:16]
-
-    def with_overrides(
-        self,
-        n_trefi: Optional[int] = None,
-        seed: Optional[int] = None,
-        workloads: Optional[Tuple[str, ...]] = None,
-    ) -> "SweepSpec":
-        """Copy with cheap-scale / subset overrides (CLI flags)."""
-        changes: Dict[str, Any] = {}
-        if n_trefi is not None:
-            changes["n_trefi"] = n_trefi
-        if seed is not None:
-            changes["seed"] = seed
-        if workloads is not None:
-            changes["workloads"] = tuple(workloads)
-        return dataclasses.replace(self, **changes) if changes else self
+            for workload, policy, ath, eth, level, tpm, sc in itertools.product(
+                self.workloads,
+                self.policies,
+                self.ath,
+                self.eth,
+                self.abo_level,
+                self.trefi_per_mitigation,
+                self.subchannels,
+            )
+        )
 
 
 #: Policies compared in the ablation preset: MOAT against every other
@@ -272,12 +212,3 @@ PRESETS: Dict[str, SweepSpec] = {
         ),
     )
 }
-
-
-def preset(name: str) -> SweepSpec:
-    """Look up a preset by name with a helpful error."""
-    try:
-        return PRESETS[name]
-    except KeyError:
-        known = ", ".join(sorted(PRESETS))
-        raise KeyError(f"unknown sweep preset {name!r}; known: {known}") from None

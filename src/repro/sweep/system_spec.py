@@ -19,24 +19,17 @@ under every scheduling policy from the :mod:`repro.mc.sched` registry.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
-import json
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.attacks.registry import AttackSpec
 from repro.mitigations.registry import PolicySpec
-from repro.system.sim import (
-    SYSTEM_RESULT_VERSION,
-    SystemRunConfig,
-    system_config_payload,
+from repro.sweep.identity import (
+    SweepSpecBase, lookup_preset, point_hash, replace_given, unique_by_key,
 )
+from repro.system.sim import SystemRunConfig, system_config_payload
 from repro.system.crossbar import ClientSpec
 from repro.workloads.requests import McWorkload
-
-#: Additive axes mapped to their neutral value (same convention as the
-#: other families); empty while the family is young.
-_NEUTRAL_AXES: Dict[str, Any] = {}
 
 
 @dataclass(frozen=True)
@@ -66,27 +59,16 @@ class SystemSweepPoint:
     def config_hash(self) -> str:
         """Content hash of everything that determines the result.
 
-        Delegates the resolved-value/dead-knob conventions to
-        :func:`~repro.system.sim.system_config_payload` (shared with
-        the shard cache, so a sweep point and its shards agree on
-        identity); axes listed in :data:`_NEUTRAL_AXES` hash out at
-        their neutral value.
+        The config payload is the one the shard cache hashes too
+        (:func:`~repro.system.sim.system_config_payload`), so a sweep
+        point and its shards agree on identity.
         """
-        config = system_config_payload(self.config)
-        for name, neutral in _NEUTRAL_AXES.items():
-            if config.get(name) == neutral:
-                del config[name]
-        payload = {
-            "version": SYSTEM_RESULT_VERSION,
-            "scenario": self.scenario,
-            "config": config,
-        }
-        blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode()).hexdigest()[:16]
+        return point_hash(scenario=self.scenario,
+                          config=system_config_payload(self.config))
 
 
 @dataclass(frozen=True)
-class SystemSweepSpec:
+class SystemSweepSpec(SweepSpecBase):
     """Named set of system scenarios (explicit, not a cross product)."""
 
     name: str
@@ -95,38 +77,26 @@ class SystemSweepSpec:
 
     def points(self) -> List[SystemSweepPoint]:
         """Expand the scenarios in declared order, deduplicated by key."""
-        out: List[SystemSweepPoint] = []
-        seen: set = set()
-        for scenario, config in self.scenarios:
-            point = SystemSweepPoint(scenario=scenario, config=config)
-            if point.key not in seen:
-                seen.add(point.key)
-                out.append(point)
-        return out
-
-    def sweep_hash(self) -> str:
-        """Identity of the whole scenario set (order-independent)."""
-        hashes = sorted(p.config_hash() for p in self.points())
-        blob = json.dumps([self.name, hashes], separators=(",", ":"))
-        return hashlib.sha256(blob.encode()).hexdigest()[:16]
+        return unique_by_key(
+            SystemSweepPoint(scenario=scenario, config=config)
+            for scenario, config in self.scenarios
+        )
 
     def with_overrides(
         self,
         n_trefi: Optional[int] = None,
         seed: Optional[int] = None,
+        workloads: Optional[Sequence[str]] = None,
     ) -> "SystemSweepSpec":
-        """Copy with cheap-scale overrides applied to every scenario."""
-        changes: Dict[str, Any] = {}
-        if n_trefi is not None:
-            changes["n_trefi"] = n_trefi
-        if seed is not None:
-            changes["seed"] = seed
-        if not changes:
+        """Copy with the scale and seed applied to every scenario.
+        Scenarios name no Table 4 workload, so ``workloads`` passes
+        through."""
+        if n_trefi is None and seed is None:
             return self
         return dataclasses.replace(
             self,
             scenarios=tuple(
-                (scenario, dataclasses.replace(config, **changes))
+                (scenario, replace_given(config, n_trefi=n_trefi, seed=seed))
                 for scenario, config in self.scenarios
             ),
         )
@@ -324,10 +294,4 @@ SYSTEM_PRESETS: Dict[str, SystemSweepSpec] = {
 
 def system_preset(name: str) -> SystemSweepSpec:
     """Look up a system preset by name with a helpful error."""
-    try:
-        return SYSTEM_PRESETS[name]
-    except KeyError:
-        known = ", ".join(sorted(SYSTEM_PRESETS))
-        raise KeyError(
-            f"unknown system preset {name!r}; known: {known}"
-        ) from None
+    return lookup_preset(SYSTEM_PRESETS, "system", name)

@@ -19,7 +19,6 @@ from repro.system.crossbar import (
     client_requests,
 )
 from repro.system.sim import (
-    SYSTEM_RESULT_VERSION,
     ChannelShard,
     ClientMetrics,
     ClientShardStats,
@@ -37,7 +36,6 @@ __all__ = [
     "CHANNEL_SEED_STRIDE",
     "CLIENT_SEED_STRIDE",
     "STREAMABLE_ATTACKS",
-    "SYSTEM_RESULT_VERSION",
     "ChannelShard",
     "ClientMetrics",
     "ClientShardStats",

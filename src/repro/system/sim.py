@@ -37,9 +37,7 @@ controller path (``serve_streams`` with one stream degenerates to
 
 from __future__ import annotations
 
-import hashlib
 import heapq
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
@@ -54,15 +52,18 @@ from repro.mc.sched import (
 )
 from repro.mitigations.registry import PolicySpec
 from repro.sim.mc import LINE_BYTES, McResult, McRunConfig, _percentile, build_mc_channel
+from repro.sweep.identity import (
+    canonical, point_hash, strip_neutral, workload_payload,
+)
 from repro.sweep.runner import wall_timer
 from repro.system.crossbar import ClientSpec, client_requests, record_crossbar_grants
 from repro.workloads.requests import McWorkload
 
-#: Part of every system shard's and scenario's config hash; bump it
-#: only to retire the committed baselines on a deliberate semantic
-#: change (cached shards already recompute after any code change, see
-#: ``repro.sweep.runner.source_fingerprint``).
-SYSTEM_RESULT_VERSION = 1
+#: Additive axes mapped to their neutral value (see
+#: :mod:`repro.sweep.identity`): the mc family's ``sched_params``, whose
+#: empty spelling (the kind's defaults, what every shard ran before the
+#: axis landed) hashes out so those baselines survive.
+_NEUTRAL_AXES: Dict[str, object] = {"sched_params": []}
 
 
 @dataclass(frozen=True)
@@ -159,31 +160,22 @@ class SystemRunConfig:
 def system_config_payload(config: SystemRunConfig) -> Dict[str, object]:
     """Canonical hash payload of a system config.
 
-    Same resolution conventions as the mc family: ETH and the
-    proactive cadence hash at their resolved values, and dead knobs
-    hash at their defaults — the burst knobs of Poisson client
-    workloads, and the whole (ignored) workload of an attacker client
-    — so equivalent spellings share one identity.
+    The conventions of :mod:`repro.sweep.identity`: ETH and the
+    proactive cadence hash at their resolved values, dead knobs at
+    their defaults (a client workload's burst knobs, and the whole
+    workload of an attacker client, which ignores it), and
+    :data:`_NEUTRAL_AXES` hash out.
     """
-    from repro.sweep.spec import _canonical
-
-    payload = _canonical(config)
+    payload = canonical(config)
     payload["eth"] = config.eth_resolved
     payload["trefi_per_mitigation"] = (
         config.mc_run_config().trefi_per_mitigation_resolved
     )
-    # The sched-params axis landed after the family's baselines were
-    # committed; its empty spelling (the kind's defaults, what every
-    # pre-existing shard ran) hashes out so they all survive.
-    if not payload.get("sched_params"):
-        payload.pop("sched_params", None)
     for client, data in zip(config.clients, payload["clients"]):
-        if client.attack is not None:
-            data["workload"] = _canonical(McWorkload())
-        elif client.workload.process != "bursty":
-            data["workload"]["burst_trefi"] = 8.0
-            data["workload"]["idle_trefi"] = 8.0
-    return payload
+        data["workload"] = workload_payload(
+            McWorkload() if client.attack is not None else client.workload
+        )
+    return strip_neutral(payload, _NEUTRAL_AXES)
 
 
 @dataclass(frozen=True)
@@ -195,13 +187,8 @@ class ChannelShard:
 
     def config_hash(self) -> str:
         """Identity of this shard (cache key of the shard pool)."""
-        payload = {
-            "version": SYSTEM_RESULT_VERSION,
-            "channel": self.channel,
-            "config": system_config_payload(self.config),
-        }
-        blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode()).hexdigest()[:16]
+        return point_hash(channel=self.channel,
+                          config=system_config_payload(self.config))
 
 
 @dataclass

@@ -153,3 +153,37 @@ def test_deleting_real_field_consumption_fails():
     broken = broken.replace("|seed={c.seed}", "")
     findings = _lint_real_spec_source(broken)
     assert any("'seed'" in f.message for f in findings), findings
+
+
+def test_identity_inherited_from_the_shared_base_counts(lint_rule):
+    # SweepSpecBase.sweep_hash (repro.sweep.identity) hashes ``name``.
+    findings = lint_rule(check, """
+        from dataclasses import dataclass
+
+        from repro.sweep.identity import SweepSpecBase
+
+        @dataclass(frozen=True)
+        class DemoSweepSpec(SweepSpecBase):
+            name: str
+            seed: int
+
+            def points(self):
+                return [self.seed]
+    """, rel_path="sweep/demo.py")
+    assert findings == []
+
+
+def test_inherited_credit_needs_the_shared_base(lint_rule):
+    findings = lint_rule(check, """
+        from dataclasses import dataclass
+
+        @dataclass(frozen=True)
+        class DemoSweepSpec:
+            name: str
+            seed: int
+
+            def points(self):
+                return [self.seed]
+    """, rel_path="sweep/demo.py")
+    assert len(findings) == 1
+    assert "'name'" in findings[0].message

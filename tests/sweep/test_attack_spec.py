@@ -8,8 +8,8 @@ from repro.sweep.attack_spec import (
     ATTACK_PRESETS,
     AttackSweepPoint,
     AttackSweepSpec,
-    attack_preset,
 )
+from repro.sweep.family import ATTACK_FAMILY
 
 
 def small_spec(**overrides):
@@ -118,10 +118,10 @@ class TestPresets:
 
     def test_lookup_error_names_known_presets(self):
         with pytest.raises(KeyError, match="fig5"):
-            attack_preset("fig99")
+            ATTACK_FAMILY.preset("fig99")
 
     def test_with_overrides(self):
-        spec = attack_preset("fig5").with_overrides(seed=3)
+        spec = ATTACK_FAMILY.preset("fig5").with_overrides(seed=3)
         assert spec.seed == 3
         assert all(p.run.seed == 3 for p in spec.points())
-        assert attack_preset("fig5").with_overrides() is not None
+        assert ATTACK_FAMILY.preset("fig5").with_overrides() is not None

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.report.pipeline import SMOKE_N_TREFI
 from repro.sweep.artifacts import load_artifact
 from repro.sweep.family import (
     ATTACK_FAMILY,
@@ -46,13 +47,10 @@ class TestRegistry:
         for family in FAMILIES.values():
             assert family.presets, family.name
             assert callable(family.run)
-            assert callable(family.top_fields)
             assert callable(family.aggregate)
             assert family.list_title
             assert family.cache_subdir
             assert family.description
-            for name, spec in family.presets.items():
-                assert isinstance(spec, family.spec_type), name
 
     def test_preset_lookup_error_names_the_family(self):
         with pytest.raises(KeyError, match="unknown mc preset"):
@@ -145,6 +143,38 @@ class TestArtifactEquivalence:
             ATTACK_FAMILY, ATTACK_FAMILY.preset("fig5"))
 
 
+class TestOverrideContract:
+    """Every family's spec takes the same ``with_overrides(n_trefi=,
+    seed=, workloads=)``: it applies the overrides its points carry,
+    passes the others through, and refuses a seed it has no axis for."""
+
+    def test_no_overrides_return_the_spec_itself(self):
+        for family in FAMILIES.values():
+            for spec in family.presets.values():
+                assert spec.with_overrides() is spec, spec.name
+
+    def test_seed_without_a_seed_axis_raises(self):
+        with pytest.raises(ValueError, match="has no seed axis"):
+            MODEL_FAMILY.preset("fig8").with_overrides(seed=7)
+
+    def test_axes_a_family_lacks_pass_through(self):
+        attack = ATTACK_FAMILY.preset("fig5")
+        assert attack.with_overrides(n_trefi=64, workloads=("tc",)) is attack
+        for spec in (MC_FAMILY.preset("mc-smoke"),
+                     SYSTEM_FAMILY.preset("system-smoke")):
+            assert spec.with_overrides(workloads=("tc",)) is spec
+        scale_free = MODEL_FAMILY.preset("fig15")
+        assert scale_free.with_overrides(
+            n_trefi=64, workloads=("tc",)) == scale_free
+
+    def test_model_workloads_keep_only_the_named_stats(self):
+        spec = MODEL_FAMILY.preset("table4").with_overrides(
+            n_trefi=256, workloads=("tc", "roms"))
+        assert sorted(m.param_dict()["workload"] for m in spec.models) == [
+            "roms", "tc"]
+        assert {m.param_dict()["n_trefi"] for m in spec.models} == {256}
+
+
 class TestFamilyGate:
     def test_check_against_baseline_uses_family_settings(self, tmp_path):
         from repro.sweep.artifacts import write_artifact
@@ -164,3 +194,40 @@ class TestFamilyGate:
         ok, problems = MC_FAMILY.check_against_baseline(artifact, path)
         assert not ok
         assert any("schema" in p for p in problems)
+
+
+def _at_baseline_scale(family, spec, baseline):
+    """The preset at the scale its committed baseline was written at.
+
+    Perf and mc baselines record their ``n_trefi`` and ``seed`` at the
+    top level; model baselines are written at the report's smoke scale
+    (only ``workload-stats`` points take it); attack and system presets
+    run at their native scale.
+    """
+    if family is MODEL_FAMILY:
+        return spec.with_overrides(n_trefi=SMOKE_N_TREFI)
+    return spec.with_overrides(
+        n_trefi=baseline.get("n_trefi"), seed=baseline.get("seed")
+    )
+
+
+@pytest.mark.parametrize(
+    "family, preset_name",
+    [(family, name) for family in FAMILIES.values()
+     for name in family.presets],
+    ids=lambda value: getattr(value, "name", value),
+)
+def test_every_preset_identity_matches_its_baseline(family, preset_name):
+    """Expanding a preset, without simulating it, reproduces its
+    committed baseline's key set, every point's config hash, and the
+    sweep hash."""
+    baseline = load_artifact(
+        family.default_baseline_path(preset_name, root=BASELINE_ROOT),
+        family.schema,
+    )
+    spec = _at_baseline_scale(family, family.preset(preset_name), baseline)
+    hashes = {p.key: p.config_hash() for p in spec.points()}
+    assert set(hashes) == set(baseline["points"])
+    assert hashes == {key: point["config_hash"]
+                      for key, point in baseline["points"].items()}
+    assert spec.sweep_hash() == baseline["sweep_hash"]

@@ -9,8 +9,8 @@ from repro.sweep.model_spec import (
     ModelSweepSpec,
     model_descriptions,
     model_kinds,
-    model_preset,
 )
+from repro.sweep.family import MODEL_FAMILY
 
 
 class TestModelSpec:
@@ -93,7 +93,7 @@ class TestPresets:
 
     def test_lookup_error_names_known_presets(self):
         with pytest.raises(KeyError, match="fig8"):
-            model_preset("fig99")
+            MODEL_FAMILY.preset("fig99")
 
     def test_every_analytic_artifact_has_a_preset(self):
         assert set(MODEL_PRESETS) == {

@@ -4,14 +4,14 @@ import dataclasses
 
 import pytest
 
-from repro.mitigations.registry import PolicySpec
+from repro.mitigations.registry import PolicySpec, RunParams
 from repro.sweep.spec import (
     ALL_WORKLOADS,
     PRESETS,
     SWEEP_WORKLOADS,
     SweepSpec,
-    preset,
 )
+from repro.sweep.family import PERF_FAMILY
 
 
 class TestPresets:
@@ -28,27 +28,27 @@ class TestPresets:
         }
 
     def test_fig11_grid_shape(self):
-        spec = preset("fig11")
+        spec = PERF_FAMILY.preset("fig11")
         points = spec.points()
         assert len(points) == len(ALL_WORKLOADS) * 2  # ATH 64 and 128
         assert {p.config.ath for p in points} == {64, 128}
         assert all(p.config.policy.kind == "moat" for p in points)
 
     def test_table5_sweeps_eth(self):
-        spec = preset("table5")
+        spec = PERF_FAMILY.preset("table5")
         assert sorted(spec.eth) == [0, 16, 32, 48]
         assert spec.workloads == SWEEP_WORKLOADS
 
     def test_table6_includes_alert_only(self):
-        assert 0 in preset("table6").trefi_per_mitigation
+        assert 0 in PERF_FAMILY.preset("table6").trefi_per_mitigation
 
     def test_table7_is_ath_by_level(self):
-        points = preset("table7").points()
+        points = PERF_FAMILY.preset("table7").points()
         cells = {(p.config.ath, p.config.abo_level) for p in points}
         assert cells == {(a, l) for a in (32, 64, 128) for l in (1, 2, 4)}
 
     def test_ablation_covers_every_policy_kind(self):
-        kinds = {p.kind for p in preset("ablation").policies}
+        kinds = {p.kind for p in PERF_FAMILY.preset("ablation").policies}
         assert kinds == {
             "moat",
             "panopticon",
@@ -61,7 +61,7 @@ class TestPresets:
 
     def test_unknown_preset_raises(self):
         with pytest.raises(KeyError, match="unknown sweep preset"):
-            preset("fig99")
+            PERF_FAMILY.preset("fig99")
 
 
 class TestSweepSpec:
@@ -76,12 +76,14 @@ class TestSweepSpec:
         assert len(set(keys)) == len(keys) == 4
 
     def test_with_overrides(self):
-        spec = preset("fig11").with_overrides(n_trefi=512, workloads=("tc",))
+        spec = PERF_FAMILY.preset("fig11").with_overrides(
+            n_trefi=512, seed=7, workloads=["tc"])
         assert spec.n_trefi == 512
         assert spec.workloads == ("tc",)
         assert len(spec.points()) == 2
+        assert {p.config.seed for p in spec.points()} == {7}
         # No-op overrides return an equal spec.
-        assert preset("fig11").with_overrides() == preset("fig11")
+        assert PERF_FAMILY.preset("fig11").with_overrides() == PERF_FAMILY.preset("fig11")
 
 
 class TestHashing:
@@ -144,6 +146,25 @@ class TestPolicySpec:
         with pytest.raises(ValueError, match="unknown policy kind"):
             PolicySpec("quantum-moat")
 
+    def test_unknown_param_rejected(self):
+        """A misspelled parameter must fail, not run the kind's
+        defaults under a key and config hash of its own."""
+        with pytest.raises(ValueError,
+                           match="policy 'moat' has no parameter 'athh'"):
+            PolicySpec.of("moat", athh=16)
+        with pytest.raises(ValueError, match="has no parameter 'entries'"):
+            PolicySpec("null", (("entries", 4),))
+
+    def test_builder_params_reach_the_policy(self):
+        run = RunParams(ath=64, eth=32)
+        trr = PolicySpec.of("trr", entries=8, mitigation_threshold=16)
+        tracker = trr.make_factory(run)()
+        assert (tracker.entries, tracker.mitigation_threshold) == (8, 16)
+        default = PolicySpec("trr").make_factory(run)()
+        assert (default.entries, default.mitigation_threshold) == (16, 32)
+        PolicySpec.of("para", probability=0.01).make_factory(run)()
+        PolicySpec.of("panopticon", drain_all_on_ref=True).make_factory(run)()
+
     def test_display_name(self):
         assert PolicySpec("moat").display_name() == "moat"
         spec = PolicySpec.of("panopticon", drain_all_on_ref=True)
@@ -152,7 +173,7 @@ class TestPolicySpec:
 
 class TestSubchannelAxis:
     def test_channel_preset_grid(self):
-        spec = preset("channel")
+        spec = PERF_FAMILY.preset("channel")
         points = spec.points()
         assert {p.config.subchannels for p in points} == {1, 2}
         assert len(points) == len(SWEEP_WORKLOADS) * 2

@@ -123,3 +123,30 @@ class TestBaselineGate:
                 "--baseline", str(baseline), "--check"]
         assert main(argv) == 1
         assert "missing from baseline" in capsys.readouterr().err
+
+
+class TestOverrides:
+    def test_model_sweep_refuses_a_seed(self, tmp_path, capsys):
+        """Model points have no seed axis: ``--seed`` is a usage error
+        naming it, and no artifact is written."""
+        out = tmp_path / "model.json"
+        code = main(["model", "sweep", "fig8", "--seed", "7", "--quiet",
+                     "--no-cache", "--out", str(out)])
+        assert code == 2
+        assert "has no seed axis" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "fig11"],
+        ["model", "sweep", "table4"],
+        ["mc", "sweep", "mc-smoke"],
+        ["system", "sweep", "system-smoke"],
+    ], ids=lambda argv: argv[0])
+    def test_trefi_must_be_positive(self, argv, capsys):
+        assert main(argv + ["--trefi", "0", "--quiet", "--no-cache"]) == 2
+        assert "--trefi must be positive" in capsys.readouterr().err
+
+    def test_attack_sweep_takes_no_window(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                ["attack", "sweep", "fig5", "--trefi", "512"])
