@@ -491,9 +491,15 @@ def _run_recorder(args: argparse.Namespace, **meta):
 
 def _emit_obs(args: argparse.Namespace, recorder,
               n_trefi: int, t_refi_ns: float) -> None:
-    """Write/print the observability outputs of a traced run."""
+    """Write/print the observability outputs of a traced run.
+
+    ``n_trefi`` is the run's window (a trace replay's is the trace's,
+    not ``--trefi``); it sizes the per-tREFI series and is recorded as
+    ``meta.n_trefi``.
+    """
     artifact = make_obs_artifact(
-        recorder, n_trefi=n_trefi, t_refi_ns=t_refi_ns,
+        recorder, meta={"n_trefi": n_trefi},
+        n_trefi=n_trefi, t_refi_ns=t_refi_ns,
     )
     if args.trace_out:
         out_path = Path(args.trace_out)
@@ -505,38 +511,36 @@ def _emit_obs(args: argparse.Namespace, recorder,
                            title="Observability summary"))
 
 
-def _cmd_mc_run(args: argparse.Namespace) -> int:
+def _closed_loop_settings(args: argparse.Namespace):
+    """The workload and the config fields ``mc run`` and ``system run``
+    share, parsed from their common flags (see
+    :func:`_add_closed_loop_flags`). Raises :class:`ValueError` on a
+    bad value."""
     depth = None if args.queue_depth == 0 else args.queue_depth
     if depth is not None and depth < 0:
-        print("error: --queue-depth must be >= 0 (0 = unbounded)",
-              file=sys.stderr)
-        return 2
+        raise ValueError("--queue-depth must be >= 0 (0 = unbounded)")
+    workload = McWorkload(
+        process=args.process, reads_per_trefi_per_bank=args.rate,
+        hot_fraction=args.hot_fraction, hot_rows=args.hot_rows,
+        write_fraction=args.write_fraction,
+    )
+    scheduler, sched_params = _resolve_sched(args)
+    return workload, dict(
+        ath=args.ath, eth=args.eth, abo_level=args.level,
+        policy=PolicySpec(args.policy), queue_depth=depth,
+        scheduler=scheduler, sched_params=sched_params,
+        row_policy=args.row_policy, subchannels=args.subchannels,
+        banks=args.banks, n_trefi=args.trefi, seed=args.seed,
+    )
+
+
+def _cmd_mc_run(args: argparse.Namespace) -> int:
     try:
-        scheduler, sched_params = _resolve_sched(args)
-        config = McRunConfig(
-            ath=args.ath,
-            eth=args.eth,
-            abo_level=args.level,
-            policy=PolicySpec(args.policy),
-            workload=McWorkload(
-                process=args.process,
-                reads_per_trefi_per_bank=args.rate,
-                hot_fraction=args.hot_fraction,
-                hot_rows=args.hot_rows,
-                write_fraction=args.write_fraction,
-            ),
-            queue_depth=depth,
-            scheduler=scheduler,
-            sched_params=sched_params,
-            row_policy=args.row_policy,
-            subchannels=args.subchannels,
-            banks=args.banks,
-            n_trefi=args.trefi,
-            seed=args.seed,
-        )
+        workload, shared = _closed_loop_settings(args)
+        config = McRunConfig(workload=workload, **shared)
         recorder = _run_recorder(
             args, command="mc run", policy=args.policy,
-            scheduler=scheduler, n_trefi=args.trefi, seed=args.seed,
+            scheduler=config.scheduler, seed=args.seed,
         )
         if args.trace:
             trace = load_trace(args.trace)
@@ -555,7 +559,7 @@ def _cmd_mc_run(args: argparse.Namespace) -> int:
         return 2
     _print_mc_result(result)
     if recorder is not None:
-        _emit_obs(args, recorder, n_trefi=config.n_trefi,
+        _emit_obs(args, recorder, n_trefi=result.n_trefi,
                   t_refi_ns=config.timing.t_refi)
     return 0
 
@@ -603,19 +607,8 @@ def _cmd_system_run(args: argparse.Namespace) -> int:
     if args.clients < 1:
         print("error: --clients must be at least 1", file=sys.stderr)
         return 2
-    depth = None if args.queue_depth == 0 else args.queue_depth
-    if depth is not None and depth < 0:
-        print("error: --queue-depth must be >= 0 (0 = unbounded)",
-              file=sys.stderr)
-        return 2
     try:
-        workload = McWorkload(
-            process=args.process,
-            reads_per_trefi_per_bank=args.rate,
-            hot_fraction=args.hot_fraction,
-            hot_rows=args.hot_rows,
-            write_fraction=args.write_fraction,
-        )
+        workload, shared = _closed_loop_settings(args)
         clients = tuple(
             ClientSpec(name=f"tenant{i}", workload=workload, seed=i)
             for i in range(args.clients)
@@ -633,27 +626,13 @@ def _cmd_system_run(args: argparse.Namespace) -> int:
                     attack=AttackSpec.of(args.attacker, **params),
                 ),
             )
-        scheduler, sched_params = _resolve_sched(args)
         config = SystemRunConfig(
-            clients=clients,
-            channels=args.channels,
-            ath=args.ath,
-            eth=args.eth,
-            abo_level=args.level,
-            policy=PolicySpec(args.policy),
-            queue_depth=depth,
-            scheduler=scheduler,
-            sched_params=sched_params,
-            row_policy=args.row_policy,
-            subchannels=args.subchannels,
-            banks=args.banks,
-            n_trefi=args.trefi,
-            seed=args.seed,
+            clients=clients, channels=args.channels, **shared
         )
         recorder = _run_recorder(
             args, command="system run", policy=args.policy,
-            scheduler=scheduler, clients=len(clients),
-            channels=args.channels, n_trefi=args.trefi, seed=args.seed,
+            scheduler=config.scheduler, clients=len(clients),
+            channels=args.channels, seed=args.seed,
         )
         result = run_system(
             config,
@@ -667,7 +646,7 @@ def _cmd_system_run(args: argparse.Namespace) -> int:
         return 2
     _print_system_result(result)
     if recorder is not None:
-        _emit_obs(args, recorder, n_trefi=config.n_trefi,
+        _emit_obs(args, recorder, n_trefi=result.aggregate.n_trefi,
                   t_refi_ns=config.timing.t_refi)
     return 0
 
@@ -1094,6 +1073,60 @@ def _add_profile_flag(parser: argparse.ArgumentParser) -> None:
         f"{_PROFILE_TOP_N} functions by cumulative time to stderr")
 
 
+def positive_int(text: str) -> int:
+    """argparse type of every ``--jobs`` flag: an integer >= 1 (argparse
+    names the type in its error for a non-integer)."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _add_jobs_flag(parser: argparse.ArgumentParser, what: str) -> None:
+    parser.add_argument("--jobs", type=positive_int,
+                        default=max(1, os.cpu_count() or 1),
+                        help=f"{what} (default: CPU count)")
+
+
+def _add_closed_loop_flags(parser: argparse.ArgumentParser) -> None:
+    """The flags ``mc run`` and ``system run`` share (parsed by
+    :func:`_closed_loop_settings`): policy and thresholds, the arrival
+    process (each tenant's, in a system run), the controller, the
+    channel geometry, the window, the seed, and tracing."""
+    parser.add_argument("--policy", choices=sorted(policy_kinds()),
+                        default="moat",
+                        help="mitigation policy (default: moat)")
+    parser.add_argument("--ath", type=int, default=64)
+    parser.add_argument("--eth", type=int, default=None)
+    parser.add_argument("--level", type=int, default=1, choices=[1, 2, 4],
+                        help="ABO mitigation level")
+    parser.add_argument("--process", choices=list(ARRIVAL_PROCESSES),
+                        default="poisson",
+                        help="arrival process (of each tenant, in a "
+                        "system run)")
+    parser.add_argument("--rate", type=float, default=24.0,
+                        help="mean requests per tREFI per bank (of each "
+                        "tenant, in a system run)")
+    parser.add_argument("--hot-fraction", type=float, default=0.0,
+                        help="fraction of requests to the hot row set")
+    parser.add_argument("--hot-rows", type=int, default=8,
+                        help="hot-set size per bank")
+    parser.add_argument("--write-fraction", type=float, default=0.0,
+                        help="fraction of requests that are writes")
+    _add_sched_flags(parser)
+    parser.add_argument("--row-policy", choices=list(ROW_POLICIES),
+                        default="closed")
+    parser.add_argument("--queue-depth", type=int, default=32,
+                        help="per-bank queue depth (0 = unbounded)")
+    parser.add_argument("--banks", type=int, default=4,
+                        help="banks simulated per sub-channel")
+    parser.add_argument("--subchannels", type=int, default=1, metavar="N")
+    parser.add_argument("--trefi", type=int, default=1024,
+                        help="simulated tREFI intervals")
+    parser.add_argument("--seed", type=int, default=0)
+    _add_obs_flags(parser)
+
+
 def _add_sweep_flags(
     parser: argparse.ArgumentParser,
     family: SweepFamily,
@@ -1128,9 +1161,7 @@ def _add_sweep_flags(
     parser.add_argument(
         "--list", "--list-presets", dest="list", action="store_true",
         help=f"list available {family.name} presets and exit")
-    parser.add_argument("--jobs", type=int,
-                        default=max(1, os.cpu_count() or 1),
-                        help="worker processes (default: CPU count)")
+    _add_jobs_flag(parser, "worker processes")
     parser.add_argument("--seed", type=int, default=None,
                         help="override the sweep seed")
     parser.add_argument("--out", default=None,
@@ -1267,40 +1298,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="serve one request stream and print latency/bandwidth "
         "metrics",
     )
-    mc_run.add_argument("--policy", choices=sorted(policy_kinds()),
-                        default="moat",
-                        help="mitigation policy (default: moat)")
-    mc_run.add_argument("--ath", type=int, default=64)
-    mc_run.add_argument("--eth", type=int, default=None)
-    mc_run.add_argument("--level", type=int, default=1, choices=[1, 2, 4],
-                        help="ABO mitigation level")
-    mc_run.add_argument("--process", choices=list(ARRIVAL_PROCESSES),
-                        default="poisson", help="arrival process")
-    mc_run.add_argument("--rate", type=float, default=24.0,
-                        help="mean requests per tREFI per bank")
-    mc_run.add_argument("--hot-fraction", type=float, default=0.0,
-                        help="fraction of requests to the hot row set")
-    mc_run.add_argument("--hot-rows", type=int, default=8,
-                        help="hot-set size per bank")
-    mc_run.add_argument("--write-fraction", type=float, default=0.0,
-                        help="fraction of requests that are writes")
-    _add_sched_flags(mc_run)
-    mc_run.add_argument("--row-policy", choices=list(ROW_POLICIES),
-                        default="closed")
-    mc_run.add_argument("--queue-depth", type=int, default=32,
-                        help="per-bank queue depth (0 = unbounded)")
-    mc_run.add_argument("--banks", type=int, default=4,
-                        help="banks simulated per sub-channel")
-    mc_run.add_argument("--subchannels", type=int, default=1, metavar="N")
-    mc_run.add_argument("--trefi", type=int, default=1024,
-                        help="simulated tREFI intervals")
-    mc_run.add_argument("--seed", type=int, default=0)
+    _add_closed_loop_flags(mc_run)
     mc_run.add_argument("--trace", default=None, metavar="PATH",
                         help="replay a recorded address trace as the "
                         "request stream (geometry from the mapping; "
                         "see `repro trace synth`)")
     _add_profile_flag(mc_run)
-    _add_obs_flags(mc_run)
     mc_run.set_defaults(func=_cmd_mc_run)
 
     mc_list_scheds = mc_sub.add_parser(
@@ -1334,47 +1337,13 @@ def build_parser() -> argparse.ArgumentParser:
     system_run.add_argument("--attacker-acts", type=int, default=200_000,
                             help="attacker activation budget "
                             "(kernel kinds)")
-    system_run.add_argument("--policy", choices=sorted(policy_kinds()),
-                            default="moat",
-                            help="mitigation policy (default: moat)")
-    system_run.add_argument("--ath", type=int, default=64)
-    system_run.add_argument("--eth", type=int, default=None)
-    system_run.add_argument("--level", type=int, default=1,
-                            choices=[1, 2, 4], help="ABO mitigation level")
-    system_run.add_argument("--process", choices=list(ARRIVAL_PROCESSES),
-                            default="poisson",
-                            help="tenant arrival process")
-    system_run.add_argument("--rate", type=float, default=24.0,
-                            help="mean requests per tREFI per bank "
-                            "per tenant")
-    system_run.add_argument("--hot-fraction", type=float, default=0.0,
-                            help="fraction of requests to the hot row set")
-    system_run.add_argument("--hot-rows", type=int, default=8,
-                            help="hot-set size per bank")
-    system_run.add_argument("--write-fraction", type=float, default=0.0,
-                            help="fraction of requests that are writes")
-    _add_sched_flags(system_run)
-    system_run.add_argument("--row-policy", choices=list(ROW_POLICIES),
-                            default="closed")
-    system_run.add_argument("--queue-depth", type=int, default=32,
-                            help="per-bank queue depth (0 = unbounded)")
-    system_run.add_argument("--banks", type=int, default=4,
-                            help="banks simulated per sub-channel")
-    system_run.add_argument("--subchannels", type=int, default=1,
-                            metavar="N")
-    system_run.add_argument("--trefi", type=int, default=1024,
-                            help="simulated tREFI intervals")
-    system_run.add_argument("--seed", type=int, default=0)
-    system_run.add_argument("--jobs", type=int,
-                            default=max(1, os.cpu_count() or 1),
-                            help="shard worker processes "
-                            "(default: CPU count)")
+    _add_closed_loop_flags(system_run)
+    _add_jobs_flag(system_run, "shard worker processes")
     system_run.add_argument("--cache-dir", default=None,
                             help="channel-shard result cache directory "
                             "(default: no cache)")
     system_run.add_argument("--quiet", action="store_true",
                             help="suppress per-shard progress on stderr")
-    _add_obs_flags(system_run)
     system_run.set_defaults(func=_cmd_system_run)
 
     report = sub.add_parser(
@@ -1397,9 +1366,7 @@ def build_parser() -> argparse.ArgumentParser:
             help="window length for the performance sweeps (default "
             f"{SMOKE_N_TREFI} = the committed smoke-baseline scale; "
             "use 8192 for the full paper figure)")
-        sub_parser.add_argument(
-            "--jobs", type=int, default=max(1, os.cpu_count() or 1),
-            help="worker processes (default: CPU count)")
+        _add_jobs_flag(sub_parser, "worker processes")
         sub_parser.add_argument(
             "--out", default="BENCH_report.json",
             help="machine-readable report path")

@@ -20,7 +20,6 @@ from repro.mc.request import CompletedRequest, Request
 from repro.mc.sched import (
     SCHEDULERS,
     SchedPolicy,
-    SchedSpec,
     sched_descriptions,
     sched_display,
     sched_kinds,
@@ -34,7 +33,6 @@ __all__ = [
     "Request",
     "SCHEDULERS",
     "SchedPolicy",
-    "SchedSpec",
     "sched_descriptions",
     "sched_display",
     "sched_kinds",

@@ -123,10 +123,10 @@ class ServedBatch:
     :class:`CompletedRequest` per request — at struct-of-arrays
     throughput the per-completion object construction would dominate
     the run. :meth:`completions` materializes the classic object list
-    on demand (API compatibility); the summary helpers below compute
-    the aggregate metrics straight from the arrays, replicating the
-    exact float-summation order of the object-based code so results
-    stay bit-identical.
+    on demand (API compatibility); the run summary
+    (:func:`repro.sim.mc.client_shard_stats`) reads the per-client
+    metrics straight from the arrays, in the exact float-summation
+    order of the object-based code, so results stay bit-identical.
 
     All sequences are in completion order. ``row_hit`` may be ``None``
     when no request hit an open row (the closed-page SoA loop).
@@ -184,30 +184,6 @@ class ServedBatch:
                 for i in range(len(self.ridx))
             ]
         return self._completed
-
-    def read_latencies_sorted(self) -> List[float]:
-        """Sorted read latencies (completion -> arrival), like
-        iterating completions in completion order and sorting."""
-        requests = self.requests
-        return sorted(
-            self.complete_ns[i] - requests[self.ridx[i]].issue_ns
-            for i in range(len(self.ridx))
-            if not requests[self.ridx[i]].is_write
-        )
-
-    def queue_ns_total(self) -> float:
-        """Summed time-in-queue, accumulated in completion order (the
-        float-summation order of the object-based code)."""
-        return sum(
-            start - enq
-            for start, enq in zip(self.start_ns, self.enqueue_ns)
-        )
-
-    def row_hit_count(self) -> int:
-        """Number of completions served from an open row buffer."""
-        if self.row_hit is None:
-            return 0
-        return sum(1 for hit in self.row_hit if hit)
 
 
 class MemoryController:
@@ -275,8 +251,9 @@ class MemoryController:
     def serve(self, requests: List[Request]) -> ServedBatch:
         """Serve one client's requests; returns the SoA batch result.
 
-        Single-stream alias of :meth:`serve_streams` — the hot entry
-        point of :func:`repro.sim.mc.run_mc_requests`.
+        Single-stream alias of :meth:`serve_streams`, which every
+        closed-loop run reaches through
+        :func:`repro.sim.mc.serve_closed_loop`.
         """
         return self.serve_streams([requests])
 

@@ -3,10 +3,11 @@
 The controller used to hardcode ``"fcfs" | "frfcfs"`` as a boolean
 threaded through its serving loops. This module turns the scheduler
 into a registry of :class:`SchedPolicy` implementations — the same
-shape as :mod:`repro.mitigations.registry`: a frozen
-:class:`SchedSpec` names a registered kind plus its parameters, and
-:func:`make_sched` builds one per-run policy instance for the
-reference serving loop to dispatch through.
+shape as :mod:`repro.mitigations.registry`: configs carry a registered
+kind plus its ``(name, value)`` parameters (``scheduler`` and
+``sched_params``, checked by :func:`validate_sched` and spelled by
+:func:`sched_display`), and :func:`make_sched` builds one per-run
+policy instance for the reference serving loop to dispatch through.
 
 ``fcfs`` and ``frfcfs`` are the first two registered kinds, pinned
 bit-identical to the pre-refactor loops: their admission hooks are the
@@ -66,13 +67,14 @@ from __future__ import annotations
 import bisect
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.mc.request import Request
 
-#: Bytes per serviced request (one cache line), shared with the
-#: bandwidth accounting in :mod:`repro.sim.mc`.
+#: Bytes per serviced request (one cache line, Table 3 system): the
+#: unit of the ``bw-cap`` token bucket and of the bandwidth metrics in
+#: :mod:`repro.sim.mc`.
 LINE_BYTES = 64
 
 #: Priority boost applied to starved / un-demoted heads — larger than
@@ -501,8 +503,8 @@ class _SchedKind:
 
     name: str
     builder: Callable[..., SchedPolicy]
-    #: Parameter names mapped to their defaults (the only keys a
-    #: :class:`SchedSpec` of this kind may carry).
+    #: Parameter names mapped to their defaults (the only
+    #: ``sched_params`` names a run of this kind may carry).
     params: Dict[str, float]
     description: str
     #: Parameter bases that also accept a per-client indexed spelling:
@@ -691,31 +693,3 @@ def make_sched(
     if kind.needs_depth:
         kwargs["depth"] = depth
     return kind.builder(priorities, t_col, **kwargs)
-
-
-@dataclass(frozen=True)
-class SchedSpec:
-    """A scheduler kind plus its parameters (cf. ``PolicySpec``).
-
-    Hashable, canonical (params sorted by name), and validated on
-    construction — the spelling sweeps and configs carry.
-    """
-
-    kind: str = "frfcfs"
-    params: Tuple[Tuple[str, Any], ...] = ()
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "params", normalize_sched_params(self.params)
-        )
-        validate_sched(self.kind, self.params)
-
-    @classmethod
-    def of(cls, kind: str, **params: Any) -> "SchedSpec":
-        return cls(kind=kind, params=tuple(params.items()))
-
-    def param_dict(self) -> Dict[str, Any]:
-        return dict(self.params)
-
-    def display_name(self) -> str:
-        return sched_display(self.kind, self.params)

@@ -23,30 +23,38 @@ Metrics (:class:`McResult`):
   over elapsed time).
 * ALERTs per tREFI per sub-channel and the ALERT stall fraction —
   directly comparable to :class:`~repro.sim.perf.PerfResult`.
+
+This module is also the closed-loop run core that
+:mod:`repro.system.sim` shards over channels: one channel builder
+(:func:`build_mc_channel`, over :func:`repro.sim.perf.
+build_run_channel`), one serve path (:func:`serve_closed_loop`), and
+one summary from a served batch to per-client statistics
+(:func:`client_shard_stats`, :func:`merge_stats`) and results
+(:func:`traffic_fields`, :func:`mc_result`). :func:`run_mc` serves a
+synthetic stream and :func:`run_mc_trace` a replayed trace, both
+through :func:`run_mc_requests`.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from dataclasses import asdict, dataclass, field, replace
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.dram.refresh import CounterResetPolicy
 from repro.dram.timing import DramTiming, DDR5_PRAC_TIMING
 from repro.mc.controller import McConfig, MemoryController, ServedBatch
 from repro.mc.request import Request
 from repro.mc.sched import (
+    LINE_BYTES,
     normalize_sched_params,
     sched_display,
     validate_sched,
 )
-from repro.mitigations.registry import PolicySpec, RunParams
-from repro.sim.channel import ChannelConfig, ChannelSim
-from repro.sim.engine import SimConfig
+from repro.mitigations.registry import PolicySpec
+from repro.sim.channel import ChannelSim
+from repro.sim.perf import build_run_channel
 from repro.workloads.requests import McWorkload, generate_requests
-
-#: Bytes transferred per request (one cache line, Table 3 system).
-LINE_BYTES = 64
 
 
 @dataclass(frozen=True)
@@ -164,9 +172,7 @@ class McResult:
     @property
     def achieved_gbps(self) -> float:
         """Completed request bandwidth in GB/s (64-byte lines)."""
-        if not self.elapsed_ns:
-            return 0.0
-        return self.requests * LINE_BYTES / self.elapsed_ns
+        return achieved_gbps(self.requests, self.elapsed_ns)
 
     @property
     def requests_per_trefi(self) -> float:
@@ -201,6 +207,128 @@ class McResult:
         }
 
 
+def build_mc_channel(config: McRunConfig) -> ChannelSim:
+    """Channel simulation for a closed-loop run at the config's
+    geometry (see :func:`~repro.sim.perf.build_run_channel`)."""
+    return build_run_channel(
+        config, config.subchannels, config.banks, config.rows_per_bank,
+    )
+
+
+def serve_closed_loop(
+    channel: ChannelSim,
+    config: McRunConfig,
+    streams: Sequence[List[Request]],
+    priorities: Optional[Sequence[int]] = None,
+    recorder=None,
+    sub_base: int = 0,
+) -> ServedBatch:
+    """Serve client streams on ``channel`` through a fresh controller
+    (every closed-loop run's serve path). A recorder receives the
+    events of the controller and of the sub-channels, numbered from
+    ``sub_base``; results are bit-identical either way."""
+    controller = MemoryController(channel, config.mc_config())
+    if recorder is not None:
+        channel.attach_recorder(recorder, base=sub_base)
+        controller.recorder = recorder
+    return controller.serve_streams(streams, priorities)
+
+
+@dataclass
+class ClientShardStats:
+    """One client's raw outcome of one served batch (mergeable)."""
+
+    requests: int
+    reads: int
+    writes: int
+    row_hits: int
+    queue_ns: float
+    #: Sorted read latencies — raw, so merged percentiles are exact.
+    read_latencies: List[float]
+    #: Reads whose latency exceeded the run's SLO budget (0 unless the
+    #: ``slo`` scheduler defined one) — the gating decisions of the
+    #: policy, observable in artifacts.
+    slo_misses: int = 0
+
+    def to_json(self) -> Dict[str, object]:
+        return asdict(self)
+
+    @staticmethod
+    def from_json(data: Dict[str, object]) -> "ClientShardStats":
+        return ClientShardStats(
+            requests=int(data["requests"]),
+            reads=int(data["reads"]),
+            writes=int(data["writes"]),
+            row_hits=int(data["row_hits"]),
+            queue_ns=float(data["queue_ns"]),
+            read_latencies=[float(v) for v in data["read_latencies"]],
+            slo_misses=int(data["slo_misses"]),
+        )
+
+
+def client_shard_stats(
+    batch: ServedBatch, n_clients: int, budget: Optional[float]
+) -> List[ClientShardStats]:
+    """Per-client outcome of one served batch, read from the batch
+    arrays in completion order.
+
+    Each client's ``queue_ns`` is one ``sum()`` over its own ``start -
+    enqueue`` values in completion order, the float-summation order
+    the per-completion code used (CPython 3.12+ ``sum()`` compensates,
+    so an accumulating ``+=`` would not match it).
+    """
+    requests = batch.requests
+    hits = batch.row_hit
+    queued: List[List[float]] = [[] for _ in range(n_clients)]
+    latencies: List[List[float]] = [[] for _ in range(n_clients)]
+    row_hits = [0] * n_clients
+    for i, r in enumerate(batch.ridx):
+        req = requests[r]
+        client = req.client
+        queued[client].append(batch.start_ns[i] - batch.enqueue_ns[i])
+        if not req.is_write:
+            latencies[client].append(batch.complete_ns[i] - req.issue_ns)
+        if hits is not None and hits[i]:
+            row_hits[client] += 1
+    out: List[ClientShardStats] = []
+    for client in range(n_clients):
+        mine = sorted(latencies[client])
+        out.append(
+            ClientShardStats(
+                requests=len(queued[client]),
+                reads=len(mine),
+                writes=len(queued[client]) - len(mine),
+                row_hits=row_hits[client],
+                queue_ns=sum(queued[client]),
+                read_latencies=mine,
+                slo_misses=(
+                    sum(1 for lat in mine if lat > budget)
+                    if budget is not None else 0
+                ),
+            )
+        )
+    return out
+
+
+def merge_stats(stats: Sequence[ClientShardStats]) -> ClientShardStats:
+    """The union of several outcomes: counts and ``queue_ns`` summed in
+    the given order, read latencies merged (still sorted). One outcome
+    is returned as is."""
+    if len(stats) == 1:
+        return stats[0]
+    latencies = list(heapq.merge(*(s.read_latencies for s in stats)))
+    requests = sum(s.requests for s in stats)
+    return ClientShardStats(
+        requests=requests,
+        reads=len(latencies),
+        writes=requests - len(latencies),
+        row_hits=sum(s.row_hits for s in stats),
+        queue_ns=sum(s.queue_ns for s in stats),
+        read_latencies=latencies,
+        slo_misses=sum(s.slo_misses for s in stats),
+    )
+
+
 def _percentile(sorted_values: List[float], q: float) -> float:
     """Nearest-rank percentile of pre-sorted data (NaN when empty)."""
     if not sorted_values:
@@ -210,45 +338,62 @@ def _percentile(sorted_values: List[float], q: float) -> float:
     return sorted_values[k]
 
 
-def build_mc_channel(
-    config: McRunConfig,
-    num_subchannels: Optional[int] = None,
-    num_banks: Optional[int] = None,
-    rows_per_bank: Optional[int] = None,
-    mapping=None,
-) -> ChannelSim:
-    """Channel simulation for a closed-loop run (geometry overridable
-    by trace replays, whose mapping dictates the shape)."""
-    sim_config = SimConfig(
-        timing=config.timing,
-        num_banks=config.banks if num_banks is None else num_banks,
-        rows_per_bank=(
-            config.rows_per_bank if rows_per_bank is None else rows_per_bank
+def traffic_fields(
+    stats: ClientShardStats, elapsed_ns: float
+) -> Dict[str, Any]:
+    """The ten traffic fields :class:`McResult` and the system's
+    per-client metrics share: counts, read latency mean/p50/p99/max,
+    mean time in queue and Little's-law queue occupancy."""
+    latencies = stats.read_latencies
+    reads = stats.reads
+    requests = stats.requests
+    return {
+        "requests": requests,
+        "reads": reads,
+        "writes": stats.writes,
+        "row_hits": stats.row_hits,
+        "read_mean_ns": sum(latencies) / reads if reads else float("nan"),
+        "read_p50_ns": _percentile(latencies, 0.50),
+        "read_p99_ns": _percentile(latencies, 0.99),
+        "read_max_ns": latencies[-1] if reads else float("nan"),
+        "avg_queue_ns": stats.queue_ns / requests if requests else 0.0,
+        "avg_queue_occupancy": (
+            stats.queue_ns / elapsed_ns if elapsed_ns else 0.0
         ),
-        num_refresh_groups=8192,
-        reset_policy=CounterResetPolicy.SAFE,
-        trefi_per_mitigation=config.trefi_per_mitigation_resolved,
-        abo_level=config.abo_level,
-        track_danger=False,
-        dense_counters=True,
-    )
-    run_params = RunParams(
+    }
+
+
+def achieved_gbps(requests: int, elapsed_ns: float) -> float:
+    """Completed request bandwidth in GB/s (one line per request)."""
+    if not elapsed_ns:
+        return 0.0
+    return requests * LINE_BYTES / elapsed_ns
+
+
+def mc_result(
+    config: McRunConfig, workload: str, stats: ClientShardStats,
+    alerts: int, total_acts: int, elapsed_ns: float, n_trefi: int,
+    subchannels: int,
+) -> McResult:
+    """The :class:`McResult` of a served run — of :func:`run_mc`, of a
+    trace replay, and of a system run's aggregate."""
+    return McResult(
+        workload=workload,
+        policy=config.policy.display_name(),
         ath=config.ath,
         eth=config.eth_resolved,
         abo_level=config.abo_level,
-        seed=config.seed,
-        timing=config.timing,
-    )
-    return ChannelSim(
-        ChannelConfig(
-            sim=sim_config,
-            num_subchannels=(
-                config.subchannels if num_subchannels is None
-                else num_subchannels
-            ),
-            mapping=mapping,
-        ),
-        config.policy.make_factory(run_params),
+        scheduler=config.sched_display(),
+        row_policy=config.row_policy,
+        queue_depth=config.queue_depth,
+        subchannels=subchannels,
+        banks=config.banks,
+        n_trefi=n_trefi,
+        alerts=alerts,
+        total_acts=total_acts,
+        elapsed_ns=elapsed_ns,
+        stall_ns=alerts * config.abo_level * config.timing.t_rfm,
+        **traffic_fields(stats, elapsed_ns),
     )
 
 
@@ -282,6 +427,7 @@ def run_mc_requests(
     workload_name: str = "requests",
     channel: Optional[ChannelSim] = None,
     recorder=None,
+    trace=None,
 ) -> McResult:
     """Serve an explicit request stream (tests, converters, replays).
 
@@ -291,21 +437,29 @@ def run_mc_requests(
             must cover the stream's coordinates unless ``channel``
             overrides them.
         workload_name: Label recorded in the result.
-        channel: Pre-built channel (trace replays build one from the
-            mapping's geometry).
+        channel: Pre-built channel (default: :func:`build_mc_channel`).
         recorder: Optional :class:`repro.obs.TraceRecorder` attached to
             the channel's sub-channels and the controller.
+        trace: The :class:`~repro.trace.AddressTrace` the stream was
+            decoded from, if any: its duration replaces the
+            ``n_trefi`` horizon, and its window the ``n_trefi`` the
+            per-tREFI metrics normalize over.
     """
     if channel is None:
         channel = build_mc_channel(config)
-    controller = MemoryController(channel, config.mc_config())
-    if recorder is not None:
-        channel.attach_recorder(recorder)
-        controller.recorder = recorder
-    served = controller.serve(requests)
-    horizon = config.n_trefi * config.timing.t_refi
-    return _summarize(served, channel, config, workload_name,
-                      horizon=horizon, n_trefi=config.n_trefi)
+    batch = serve_closed_loop(channel, config, [requests], recorder=recorder)
+    (stats,) = client_shard_stats(batch, 1, None)
+    t_refi = config.timing.t_refi
+    if trace is None:
+        n_trefi = config.n_trefi
+        elapsed_ns = max(channel.now, n_trefi * t_refi)
+    else:
+        elapsed_ns = max(channel.now, trace.duration_ns)
+        n_trefi = trace.window_trefi(elapsed_ns, t_refi)
+    return mc_result(
+        config, workload_name, stats, channel.alerts, channel.total_acts,
+        elapsed_ns, n_trefi, config.subchannels,
+    )
 
 
 def run_mc_trace(
@@ -328,84 +482,14 @@ def run_mc_trace(
 
     if mapping is None:
         mapping = CoffeeLakeMapping()
-    channel = build_mc_channel(
+    config = replace(
         config,
-        num_subchannels=mapping.num_subchannels,
-        num_banks=mapping.num_banks,
+        subchannels=mapping.num_subchannels,
+        banks=mapping.num_banks,
         rows_per_bank=1 << mapping.row_bits,
     )
-    requests = requests_from_trace(trace, mapping)
-    controller = MemoryController(channel, config.mc_config())
-    if recorder is not None:
-        channel.attach_recorder(recorder)
-        controller.recorder = recorder
-    served = controller.serve(requests)
-
-    trefi = config.timing.t_refi
-    elapsed_floor = trace.duration_ns
-    meta_trefi = trace.metadata.get("n_trefi")
-    if isinstance(meta_trefi, (int, float)) and meta_trefi >= 1:
-        n_trefi = int(meta_trefi)
-    else:
-        n_trefi = max(1, int(max(channel.now, elapsed_floor) // trefi))
-    name = str(trace.metadata.get("workload", "trace"))
-    return _summarize(
-        served, channel, config, name,
-        horizon=elapsed_floor, n_trefi=n_trefi,
-        subchannels=mapping.num_subchannels, banks=mapping.num_banks,
-    )
-
-
-def _summarize(
-    served: ServedBatch,
-    channel: ChannelSim,
-    config: McRunConfig,
-    workload_name: str,
-    horizon: float,
-    n_trefi: int,
-    subchannels: Optional[int] = None,
-    banks: Optional[int] = None,
-) -> McResult:
-    # All aggregates come straight from the batch's flat arrays, in
-    # the same accumulation order the per-completion objects produced
-    # (see ServedBatch) — metrics are bit-identical either way.
-    elapsed_ns = max(channel.now, horizon)
-    read_latencies = served.read_latencies_sorted()
-    reads = len(read_latencies)
-    queue_ns_total = served.queue_ns_total()
-    total = len(served)
-    subchannels = config.subchannels if subchannels is None else subchannels
-    stall_ns = channel.alerts * config.abo_level * config.timing.t_rfm
-    return McResult(
-        workload=workload_name,
-        policy=config.policy.display_name(),
-        ath=config.ath,
-        eth=config.eth_resolved,
-        abo_level=config.abo_level,
-        scheduler=config.sched_display(),
-        row_policy=config.row_policy,
-        queue_depth=config.queue_depth,
-        subchannels=subchannels,
-        banks=config.banks if banks is None else banks,
-        n_trefi=n_trefi,
-        requests=total,
-        reads=reads,
-        writes=total - reads,
-        row_hits=served.row_hit_count(),
-        alerts=channel.alerts,
-        total_acts=channel.total_acts,
-        elapsed_ns=elapsed_ns,
-        stall_ns=stall_ns,
-        read_mean_ns=(
-            sum(read_latencies) / reads if reads else float("nan")
-        ),
-        read_p50_ns=_percentile(read_latencies, 0.50),
-        read_p99_ns=_percentile(read_latencies, 0.99),
-        read_max_ns=read_latencies[-1] if reads else float("nan"),
-        avg_queue_ns=(
-            queue_ns_total / total if total else 0.0
-        ),
-        avg_queue_occupancy=(
-            queue_ns_total / elapsed_ns if elapsed_ns else 0.0
-        ),
+    return run_mc_requests(
+        requests_from_trace(trace, mapping), config,
+        workload_name=str(trace.metadata.get("workload", "trace")),
+        recorder=recorder, trace=trace,
     )

@@ -234,6 +234,76 @@ def run_workload(
     )
 
 
+def build_run_channel(
+    config,
+    num_subchannels: int,
+    num_banks: int,
+    rows_per_bank: int,
+    mapping=None,
+    external_service_interval_ns: Optional[float] = None,
+) -> ChannelSim:
+    """The channel of one policy run, for every front end: the
+    open-loop and trace runs here, and the closed-loop and system runs
+    (:func:`repro.sim.mc.build_mc_channel`). ``config`` is a
+    :class:`RunConfig` or :class:`~repro.sim.mc.McRunConfig`; the front
+    ends differ only in geometry, mapping and external services.
+    """
+    sim_config = SimConfig(
+        timing=config.timing,
+        num_banks=num_banks,
+        rows_per_bank=rows_per_bank,
+        num_refresh_groups=8192,
+        reset_policy=CounterResetPolicy.SAFE,
+        trefi_per_mitigation=config.trefi_per_mitigation_resolved,
+        abo_level=config.abo_level,
+        track_danger=False,
+        external_service_interval_ns=external_service_interval_ns,
+        dense_counters=True,
+    )
+    run_params = RunParams(
+        ath=config.ath,
+        eth=config.eth_resolved,
+        abo_level=config.abo_level,
+        seed=config.seed,
+        timing=config.timing,
+    )
+    return ChannelSim(
+        ChannelConfig(
+            sim=sim_config, num_subchannels=num_subchannels, mapping=mapping,
+        ),
+        config.policy.make_factory(run_params),
+    )
+
+
+def _perf_result(
+    config: RunConfig,
+    channel: ChannelSim,
+    workload: str,
+    n_trefi: int,
+    elapsed_ns: float,
+    banks_per_subchannel: int,
+) -> PerfResult:
+    """The metrics of one finished open-loop channel run."""
+    return PerfResult(
+        workload=workload,
+        ath=config.ath,
+        eth=config.eth_resolved,
+        abo_level=config.abo_level,
+        alerts=channel.alerts,
+        n_trefi=n_trefi,
+        banks_simulated=channel.config.sim.num_banks,
+        banks_per_subchannel=banks_per_subchannel,
+        total_acts=channel.total_acts,
+        mitigation_acts=channel.mitigation_activations,
+        proactive_mitigations=channel.proactive_count,
+        reactive_mitigations=channel.reactive_count,
+        elapsed_ns=elapsed_ns,
+        stall_ns=channel.alerts * config.abo_level * config.timing.t_rfm,
+        policy=config.policy.display_name(),
+        subchannels=channel.config.num_subchannels,
+    )
+
+
 def _run_once(
     profile: WorkloadProfile,
     config: RunConfig,
@@ -243,29 +313,9 @@ def _run_once(
     external_interval: Optional[float],
 ) -> PerfResult:
     """One channel run over pre-generated ``schedules[sub][bank]``."""
-    sim_config = SimConfig(
-        timing=config.timing,
-        num_banks=banks,
-        rows_per_bank=64 * 1024,
-        num_refresh_groups=8192,
-        reset_policy=CounterResetPolicy.SAFE,
-        trefi_per_mitigation=config.trefi_per_mitigation_resolved,
-        abo_level=config.abo_level,
-        track_danger=False,
+    channel = build_run_channel(
+        config, subchannels, banks, 64 * 1024,
         external_service_interval_ns=external_interval,
-        dense_counters=True,
-    )
-    eth = config.eth_resolved
-    run_params = RunParams(
-        ath=config.ath,
-        eth=eth,
-        abo_level=config.abo_level,
-        seed=config.seed,
-        timing=config.timing,
-    )
-    channel = ChannelSim(
-        ChannelConfig(sim=sim_config, num_subchannels=subchannels),
-        config.policy.make_factory(run_params),
     )
     n_trefi = schedules[0][0].n_trefi
     trefi = config.timing.t_refi
@@ -281,25 +331,10 @@ def _run_once(
                         sched.per_trefi[interval], bank=bank, subchannel=sub
                     )
     channel.flush()
-
-    stall_ns = channel.alerts * config.abo_level * config.timing.t_rfm
-    return PerfResult(
-        workload=profile.name,
-        ath=config.ath,
-        eth=eth,
-        abo_level=config.abo_level,
-        alerts=channel.alerts,
-        n_trefi=n_trefi,
-        banks_simulated=banks,
-        banks_per_subchannel=config.banks_per_subchannel,
-        total_acts=channel.total_acts,
-        mitigation_acts=channel.mitigation_activations,
-        proactive_mitigations=channel.proactive_count,
-        reactive_mitigations=channel.reactive_count,
+    return _perf_result(
+        config, channel, profile.name, n_trefi,
         elapsed_ns=max(channel.now, n_trefi * trefi),
-        stall_ns=stall_ns,
-        policy=config.policy.display_name(),
-        subchannels=subchannels,
+        banks_per_subchannel=config.banks_per_subchannel,
     )
 
 
@@ -315,7 +350,8 @@ def run_trace(
     every sub-channel simulated, so no cross-bank service modelling is
     needed — partial-simulation scaling factors all collapse to 1),
     replays the trace through it, and reports the standard
-    :class:`PerfResult` metrics over the replayed duration.
+    :class:`PerfResult` metrics over the trace's window
+    (:meth:`~repro.trace.AddressTrace.window_trefi`).
 
     Args:
         trace: A :class:`repro.trace.AddressTrace`.
@@ -331,66 +367,17 @@ def run_trace(
 
     if mapping is None:
         mapping = CoffeeLakeMapping()
-    sim_config = SimConfig(
-        timing=config.timing,
-        num_banks=mapping.num_banks,
-        rows_per_bank=1 << mapping.row_bits,
-        num_refresh_groups=8192,
-        reset_policy=CounterResetPolicy.SAFE,
-        trefi_per_mitigation=config.trefi_per_mitigation_resolved,
-        abo_level=config.abo_level,
-        track_danger=False,
-        dense_counters=True,
-    )
-    eth = config.eth_resolved
-    run_params = RunParams(
-        ath=config.ath,
-        eth=eth,
-        abo_level=config.abo_level,
-        seed=config.seed,
-        timing=config.timing,
-    )
-    channel = ChannelSim(
-        ChannelConfig(
-            sim=sim_config,
-            num_subchannels=mapping.num_subchannels,
-            mapping=mapping,
-        ),
-        config.policy.make_factory(run_params),
+    channel = build_run_channel(
+        config, mapping.num_subchannels, mapping.num_banks,
+        1 << mapping.row_bits, mapping=mapping,
     )
     replay_addresses(trace, channel, honor_timing=honor_timing)
-
-    trefi = config.timing.t_refi
     elapsed_ns = max(channel.now, trace.duration_ns)
-    # Normalize the per-tREFI metrics over the trace's *logical* window
-    # (recorded by the synthesizer), matching how synthetic runs use
-    # the schedule length; replay dilation — a saturated channel
-    # overflowing past interval boundaries — must not deflate them.
-    # Traces without the metadata fall back to the replayed duration.
-    meta_trefi = trace.metadata.get("n_trefi")
-    if isinstance(meta_trefi, (int, float)) and meta_trefi >= 1:
-        n_trefi = int(meta_trefi)
-    else:
-        n_trefi = max(1, int(elapsed_ns // trefi))
-    stall_ns = channel.alerts * config.abo_level * config.timing.t_rfm
-    name = str(trace.metadata.get("workload", "trace"))
-    return PerfResult(
-        workload=name,
-        ath=config.ath,
-        eth=eth,
-        abo_level=config.abo_level,
-        alerts=channel.alerts,
-        n_trefi=n_trefi,
-        banks_simulated=mapping.num_banks,
-        banks_per_subchannel=mapping.num_banks,
-        total_acts=channel.total_acts,
-        mitigation_acts=channel.mitigation_activations,
-        proactive_mitigations=channel.proactive_count,
-        reactive_mitigations=channel.reactive_count,
+    return _perf_result(
+        config, channel, str(trace.metadata.get("workload", "trace")),
+        trace.window_trefi(elapsed_ns, config.timing.t_refi),
         elapsed_ns=elapsed_ns,
-        stall_ns=stall_ns,
-        policy=config.policy.display_name(),
-        subchannels=mapping.num_subchannels,
+        banks_per_subchannel=mapping.num_banks,
     )
 
 

@@ -10,14 +10,14 @@ is: interference between clients.
 
 Decomposition:
 
-* **Channel shard** — one :class:`~repro.sim.channel.ChannelSim` plus
-  one :class:`~repro.mc.controller.MemoryController` serving every
-  client's stream for that channel through
-  :meth:`~repro.mc.controller.MemoryController.serve_streams` (the
-  crossbar); per-client statistics are read straight from the served
-  batch's arrays. Channels share no state — DDR channels have independent
-  buses, REF streams, and ALERT domains — so shards are perfectly
-  parallel.
+* **Channel shard** — one channel serving every client's stream
+  through the closed-loop run core of :mod:`repro.sim.mc` (the same
+  channel builder and serve path as ``run_mc``; the crossbar is
+  :meth:`~repro.mc.controller.MemoryController.serve_streams`), with
+  per-client statistics read straight from the served batch's arrays
+  by :func:`~repro.sim.mc.client_shard_stats`. Channels share no
+  state — DDR channels have independent buses, REF streams, and ALERT
+  domains — so shards are perfectly parallel.
 * **Sharding** — shards execute through the same
   :func:`~repro.sweep.runner.run_cached_grid` process pool the sweep
   families use: deterministic, cached by shard config hash, and
@@ -25,25 +25,22 @@ Decomposition:
   same way parallel == serial is pinned for sweeps).
 * **Merge** — shards return per-client *sorted read-latency lists*
   (not pre-computed percentiles, which cannot merge), so system-level
-  p50/p99 are exact over the union of all channels.
+  p50/p99 are exact over the union of all channels. Per-client
+  metrics and the aggregate come from ``run_mc``'s summary.
 
-Correctness is pinned to the existing stack: a 1-client, 1-channel
-:class:`SystemSim` is bit-identical to :func:`~repro.sim.mc.run_mc` —
-same stream (the seeding collapses to the system seed), same
-controller path (``serve_streams`` with one stream degenerates to
-``serve``), same summary arithmetic (the merge of one shard reproduces
-:func:`~repro.sim.mc._summarize` term for term).
+A 1-client, 1-channel :class:`SystemSim` is bit-identical to
+:func:`~repro.sim.mc.run_mc`; beyond the shared code, the identity pin
+checks the stream seeding (client seed 0 on channel 0 collapses to the
+system seed) and :meth:`SystemRunConfig.mc_run_config`.
 """
 
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from repro.dram.timing import DramTiming, DDR5_PRAC_TIMING
-from repro.mc.controller import MemoryController, ServedBatch
 from repro.mc.sched import (
     normalize_sched_params,
     sched_display,
@@ -51,7 +48,18 @@ from repro.mc.sched import (
     validate_sched,
 )
 from repro.mitigations.registry import PolicySpec
-from repro.sim.mc import LINE_BYTES, McResult, McRunConfig, _percentile, build_mc_channel
+from repro.sim.mc import (
+    ClientShardStats,
+    McResult,
+    McRunConfig,
+    achieved_gbps,
+    build_mc_channel,
+    client_shard_stats,
+    mc_result,
+    merge_stats,
+    serve_closed_loop,
+    traffic_fields,
+)
 from repro.sweep.identity import (
     canonical, point_hash, strip_neutral, workload_payload,
 )
@@ -120,7 +128,9 @@ class SystemRunConfig:
         return self.ath // 2 if self.eth is None else self.eth
 
     def mc_run_config(self) -> McRunConfig:
-        """The single-channel slice every shard is built from.
+        """The single-channel slice every shard is built from: every
+        :class:`~repro.sim.mc.McRunConfig` field shares its name and
+        value with this config, except the workload.
 
         The embedded workload is the first client's (the field is
         unused by channel construction — streams come from the
@@ -128,22 +138,11 @@ class SystemRunConfig:
         configuration round-trip).
         """
         return McRunConfig(
-            ath=self.ath,
-            eth=self.eth,
-            abo_level=self.abo_level,
-            policy=self.policy,
-            trefi_per_mitigation=self.trefi_per_mitigation,
             workload=self.clients[0].workload,
-            queue_depth=self.queue_depth,
-            scheduler=self.scheduler,
-            sched_params=self.sched_params,
-            row_policy=self.row_policy,
-            subchannels=self.subchannels,
-            banks=self.banks,
-            rows_per_bank=self.rows_per_bank,
-            n_trefi=self.n_trefi,
-            seed=self.seed,
-            timing=self.timing,
+            **{
+                f.name: getattr(self, f.name)
+                for f in fields(McRunConfig) if f.name != "workload"
+            },
         )
 
     def display_name(self) -> str:
@@ -189,47 +188,6 @@ class ChannelShard:
         """Identity of this shard (cache key of the shard pool)."""
         return point_hash(channel=self.channel,
                           config=system_config_payload(self.config))
-
-
-@dataclass
-class ClientShardStats:
-    """One client's raw outcome on one channel (mergeable)."""
-
-    requests: int
-    reads: int
-    writes: int
-    row_hits: int
-    queue_ns: float
-    #: Sorted read latencies — raw, so system percentiles merge exactly.
-    read_latencies: List[float]
-    #: Reads whose latency exceeded the run's SLO budget (0 unless the
-    #: ``slo`` scheduler defined one) — the gating decisions of the
-    #: policy, observable in artifacts.
-    slo_misses: int = 0
-
-    def to_json(self) -> Dict[str, object]:
-        return {
-            "requests": self.requests,
-            "reads": self.reads,
-            "writes": self.writes,
-            "row_hits": self.row_hits,
-            "queue_ns": self.queue_ns,
-            "read_latencies": self.read_latencies,
-            "slo_misses": self.slo_misses,
-        }
-
-    @staticmethod
-    def from_json(data: Dict[str, object]) -> "ClientShardStats":
-        return ClientShardStats(
-            requests=int(data["requests"]),
-            reads=int(data["reads"]),
-            writes=int(data["writes"]),
-            row_hits=int(data["row_hits"]),
-            queue_ns=float(data["queue_ns"]),
-            read_latencies=[float(v) for v in data["read_latencies"]],
-            # Tolerate shards cached before the counter existed.
-            slo_misses=int(data.get("slo_misses", 0)),
-        )
 
 
 @dataclass
@@ -280,50 +238,6 @@ class ShardResult:
         )
 
 
-def client_shard_stats(
-    batch: ServedBatch, n_clients: int, budget: Optional[float]
-) -> List[ClientShardStats]:
-    """Per-client outcome of one served shard, read from the batch
-    arrays in completion order.
-
-    Each client's ``queue_ns`` is a ``sum()`` over its own ``start -
-    enqueue`` values in completion order, the float-summation order
-    the per-completion code used (CPython 3.12+ ``sum()`` compensates,
-    so an accumulating ``+=`` would not match it).
-    """
-    requests = batch.requests
-    hits = batch.row_hit
-    queued: List[List[float]] = [[] for _ in range(n_clients)]
-    latencies: List[List[float]] = [[] for _ in range(n_clients)]
-    row_hits = [0] * n_clients
-    for i, r in enumerate(batch.ridx):
-        req = requests[r]
-        client = req.client
-        queued[client].append(batch.start_ns[i] - batch.enqueue_ns[i])
-        if not req.is_write:
-            latencies[client].append(batch.complete_ns[i] - req.issue_ns)
-        if hits is not None and hits[i]:
-            row_hits[client] += 1
-    out: List[ClientShardStats] = []
-    for client in range(n_clients):
-        mine = sorted(latencies[client])
-        out.append(
-            ClientShardStats(
-                requests=len(queued[client]),
-                reads=len(mine),
-                writes=len(queued[client]) - len(mine),
-                row_hits=row_hits[client],
-                queue_ns=sum(queued[client]),
-                read_latencies=mine,
-                slo_misses=(
-                    sum(1 for lat in mine if lat > budget)
-                    if budget is not None else 0
-                ),
-            )
-        )
-    return out
-
-
 def execute_system_shard(shard: ChannelShard, recorder=None) -> ShardResult:
     """Simulate one channel in the current process (worker entry).
 
@@ -354,20 +268,14 @@ def execute_system_shard(shard: ChannelShard, recorder=None) -> ShardResult:
     ]
     mc_config = config.mc_run_config()
     channel = build_mc_channel(mc_config)
-    controller = MemoryController(channel, mc_config.mc_config())
-    if recorder is not None:
-        channel.attach_recorder(
-            recorder, base=shard.channel * config.subchannels
-        )
-        controller.recorder = recorder
-    batch = controller.serve_streams(
-        streams, [client.priority for client in config.clients]
+    sub_base = shard.channel * config.subchannels
+    batch = serve_closed_loop(
+        channel, mc_config, streams,
+        [client.priority for client in config.clients],
+        recorder=recorder, sub_base=sub_base,
     )
     if recorder is not None:
-        record_crossbar_grants(
-            recorder, batch,
-            sub_base=shard.channel * config.subchannels,
-        )
+        record_crossbar_grants(recorder, batch, sub_base=sub_base)
     horizon = config.n_trefi * config.timing.t_refi
     per_client = client_shard_stats(
         batch, len(config.clients),
@@ -470,12 +378,6 @@ class SystemResult:
         return metrics
 
 
-def _merge_sorted(lists: List[List[float]]) -> List[float]:
-    if len(lists) == 1:
-        return lists[0]
-    return list(heapq.merge(*lists))
-
-
 def _assemble(
     config: SystemRunConfig,
     shards: List[ShardResult],
@@ -484,75 +386,29 @@ def _assemble(
 ) -> SystemResult:
     elapsed_ns = max(shard.elapsed_ns for shard in shards)
     clients: List[ClientMetrics] = []
-    client_latencies: List[List[float]] = []
     for index, spec in enumerate(config.clients):
-        stats = [shard.per_client[index] for shard in shards]
-        latencies = _merge_sorted([s.read_latencies for s in stats])
-        client_latencies.append(latencies)
-        requests = sum(s.requests for s in stats)
-        reads = len(latencies)
-        queue_ns = sum(s.queue_ns for s in stats)
+        stats = merge_stats([shard.per_client[index] for shard in shards])
         clients.append(
             ClientMetrics(
                 name=spec.name,
                 priority=spec.priority,
-                requests=requests,
-                reads=reads,
-                writes=requests - reads,
-                row_hits=sum(s.row_hits for s in stats),
-                read_mean_ns=(
-                    sum(latencies) / reads if reads else float("nan")
-                ),
-                read_p50_ns=_percentile(latencies, 0.50),
-                read_p99_ns=_percentile(latencies, 0.99),
-                read_max_ns=latencies[-1] if reads else float("nan"),
-                avg_queue_ns=queue_ns / requests if requests else 0.0,
-                avg_queue_occupancy=(
-                    queue_ns / elapsed_ns if elapsed_ns else 0.0
-                ),
-                achieved_gbps=(
-                    requests * LINE_BYTES / elapsed_ns if elapsed_ns else 0.0
-                ),
-                slo_misses=sum(s.slo_misses for s in stats),
+                achieved_gbps=achieved_gbps(stats.requests, elapsed_ns),
+                slo_misses=stats.slo_misses,
+                **traffic_fields(stats, elapsed_ns),
             )
         )
-
-    # System aggregate: the same arithmetic as run_mc's _summarize over
-    # the union of every channel's completions (term-for-term identical
-    # for one shard — the identity pin).
-    latencies = _merge_sorted(client_latencies)
-    requests = sum(c.requests for c in clients)
-    reads = len(latencies)
-    queue_ns = sum(
-        sum(s.queue_ns for s in shard.per_client) for shard in shards
-    )
-    alerts = sum(shard.alerts for shard in shards)
-    aggregate = McResult(
-        workload=config.display_name(),
-        policy=config.policy.display_name(),
-        ath=config.ath,
-        eth=config.eth_resolved,
-        abo_level=config.abo_level,
-        scheduler=config.sched_display(),
-        row_policy=config.row_policy,
-        queue_depth=config.queue_depth,
-        subchannels=config.subchannels * config.channels,
-        banks=config.banks,
-        n_trefi=config.n_trefi,
-        requests=requests,
-        reads=reads,
-        writes=requests - reads,
-        row_hits=sum(c.row_hits for c in clients),
-        alerts=alerts,
+    # The aggregate is run_mc's summary over the union of every
+    # channel's completions, merged shard by shard: the aggregate
+    # queue time stays the shard-major sum of per-client sums.
+    aggregate = mc_result(
+        config.mc_run_config(),
+        config.display_name(),
+        merge_stats([merge_stats(shard.per_client) for shard in shards]),
+        alerts=sum(shard.alerts for shard in shards),
         total_acts=sum(shard.total_acts for shard in shards),
         elapsed_ns=elapsed_ns,
-        stall_ns=alerts * config.abo_level * config.timing.t_rfm,
-        read_mean_ns=(sum(latencies) / reads if reads else float("nan")),
-        read_p50_ns=_percentile(latencies, 0.50),
-        read_p99_ns=_percentile(latencies, 0.99),
-        read_max_ns=latencies[-1] if reads else float("nan"),
-        avg_queue_ns=queue_ns / requests if requests else 0.0,
-        avg_queue_occupancy=queue_ns / elapsed_ns if elapsed_ns else 0.0,
+        n_trefi=config.n_trefi,
+        subchannels=config.subchannels * config.channels,
     )
     return SystemResult(
         config=config,

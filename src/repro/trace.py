@@ -137,6 +137,20 @@ class AddressTrace:
     def duration_ns(self) -> float:
         return self.events[-1][0] if self.events else 0.0
 
+    def window_trefi(self, elapsed_ns: float, t_refi: float) -> int:
+        """The tREFI window a replay's per-tREFI metrics normalize over.
+
+        The synthesizer records its logical window as ``n_trefi``,
+        matching how synthetic runs use the schedule length; replay
+        dilation (a saturated channel overflowing past interval
+        boundaries) must not deflate the rates. Traces without the
+        metadata fall back to the replayed duration ``elapsed_ns``.
+        """
+        recorded = self.metadata.get("n_trefi")
+        if isinstance(recorded, (int, float)) and recorded >= 1:
+            return int(recorded)
+        return max(1, int(elapsed_ns // t_refi))
+
     def save(self, path: str | Path) -> None:
         """Write the trace as JSON-lines with a v2 header record."""
         path = Path(path)

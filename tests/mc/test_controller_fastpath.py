@@ -169,30 +169,6 @@ class TestEquivalence:
         requests = make_requests(config)
         assert run_fast(config, requests) == run_reference(config, requests)
 
-    def test_batch_summaries_match_completions(self):
-        """The ServedBatch summary helpers (used by ``_summarize``)
-        must replicate the reference's float-summation order exactly,
-        on both the SoA and the fallback path (an unbounded queue is
-        ineligible, so its batch is built by ``from_completions``)."""
-        requests = make_requests(make_config())
-        for depth, path in ((32, "soa"),
-                            (None, "reference:unbounded-queue")):
-            _, controller = build(make_config(queue_depth=depth))
-            batch = controller.serve(list(requests))
-            assert batch.path == path
-            completed = batch.completions()
-            reads = [c for c in completed if not c.request.is_write]
-            assert batch.read_latencies_sorted() == sorted(
-                c.latency_ns for c in reads
-            )
-            assert batch.queue_ns_total() == sum(
-                c.queue_ns for c in completed
-            )
-            assert batch.row_hit_count() == sum(
-                1 for c in completed if c.row_hit
-            )
-            assert len(batch) == len(completed)
-
     @pytest.mark.parametrize("scenario", sorted(QOS_SCENARIOS))
     def test_system_qos_scenarios(self, scenario):
         """The noisy-neighbour QoS shapes (three clients, an attacker

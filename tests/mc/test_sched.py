@@ -1,7 +1,7 @@
 """Tests for the pluggable scheduling-policy layer.
 
 Registry contents and validation (the single source of truth every
-config front-end shares), the :class:`SchedSpec` spelling, unit
+config front-end shares), the ``(scheduler, sched_params)`` spelling, unit
 semantics of the three QoS kinds, and two property-based guarantees of
 ``priority`` scheduling: round-robin fairness among equal classes and
 the age-based starvation bound under an adversarial high-priority
@@ -20,7 +20,6 @@ from repro.mc.sched import (
     FcfsSched,
     FrfcfsSched,
     PrioritySched,
-    SchedSpec,
     SloSched,
     make_sched,
     normalize_sched_params,
@@ -173,23 +172,12 @@ class TestValidation:
 
 
 class TestSchedSpec:
-    def test_params_canonicalized_and_hashable(self):
-        spec = SchedSpec("slo", (("window", 64), ("budget_ns", 5000.0)))
-        assert spec.params == (("budget_ns", 5000.0), ("window", 64))
-        assert spec == SchedSpec.of("slo", budget_ns=5000.0, window=64)
-        assert hash(spec) == hash(SchedSpec.of("slo", budget_ns=5000.0,
-                                               window=64))
-
-    def test_validates_on_construction(self):
-        with pytest.raises(ValueError, match="unknown scheduler"):
-            SchedSpec("elevator")
-        with pytest.raises(ValueError, match="unknown sched param"):
-            SchedSpec.of("frfcfs", gbps=1.0)
+    """The ``(scheduler, sched_params)`` spelling configs carry."""
 
     def test_display_name(self):
-        assert SchedSpec().display_name() == "frfcfs"
+        assert sched_display("frfcfs") == "frfcfs"
         assert (
-            SchedSpec.of("bw-cap", gbps=8.0, gbps2=0.1).display_name()
+            sched_display("bw-cap", (("gbps2", 0.1), ("gbps", 8.0)))
             == "bw-cap(gbps=8,gbps2=0.1)"
         )
 

@@ -14,8 +14,8 @@ import pytest
 
 from repro.mc import McConfig, MemoryController
 from repro.sim.mapping import CoffeeLakeMapping
-from repro.sim.mc import McRunConfig, build_mc_channel, run_mc_trace
-from repro.sim.perf import RunConfig, run_trace
+from repro.sim.mc import McRunConfig, run_mc_trace
+from repro.sim.perf import RunConfig, build_run_channel, run_trace
 from repro.trace import replay_addresses
 from repro.workloads.generator import generate_address_trace
 from repro.workloads.profiles import profile_by_name
@@ -47,12 +47,9 @@ def trace():
 
 
 def _fresh_channel(config):
-    return build_mc_channel(
-        config,
-        num_subchannels=MAPPING.num_subchannels,
-        num_banks=MAPPING.num_banks,
-        rows_per_bank=1 << MAPPING.row_bits,
-        mapping=MAPPING,
+    return build_run_channel(
+        config, MAPPING.num_subchannels, MAPPING.num_banks,
+        1 << MAPPING.row_bits, mapping=MAPPING,
     )
 
 

@@ -52,6 +52,22 @@ def test_system_run_trace_out(tmp_path):
     assert subs == {0, 1}
 
 
+def test_mc_trace_replay_series_spans_the_trace(tmp_path):
+    """A traced replay's series and meta use the replay's window (the
+    trace's recorded 64 tREFI), not ``--trefi``: a shorter series would
+    fold most of the run into its last window."""
+    addresses = tmp_path / "roms64.trace.jsonl"
+    assert main(["trace", "synth", "roms", "--trefi", "64", "--banks", "2",
+                 "--out", str(addresses)]) == 0
+    trace = tmp_path / "o.json"
+    assert main(["mc", "run", "--trace", str(addresses), "--trefi", "16",
+                 "--trace-out", str(trace)]) == 0
+    artifact = json.loads(trace.read_text())
+    assert artifact["meta"]["n_trefi"] == 64
+    assert artifact["series"]["n_trefi"] == 64
+    assert len(artifact["series"]["refs"]) == 64
+
+
 def test_obs_summarize_and_export(tmp_path, capsys):
     trace = tmp_path / "t.json"
     assert main([*RUN, "--trace-out", str(trace)]) == 0

@@ -11,6 +11,7 @@ from repro.attacks.registry import AttackSpec
 from repro.mc.controller import MemoryController
 from repro.mc.sched import slo_budget_ns
 from repro.sim.mc import McRunConfig, build_mc_channel, run_mc
+from repro.sweep.mc_spec import MC_PRESETS, mc_preset
 from repro.system import (
     ClientSpec,
     SystemRunConfig,
@@ -62,17 +63,40 @@ class TestConfigValidation:
 
 
 class TestIdentityPin:
-    """One client, one channel: bit-identical to run_mc."""
+    """One client, one channel: bit-identical to run_mc.
+
+    Both sides share the summary, so the pin checks what they do not
+    share: the system's stream seeding (client seed 0 on channel 0
+    collapses to the system seed) and the translation from
+    ``SystemRunConfig`` to ``McRunConfig``.
+    """
 
     def test_matches_run_mc(self):
-        workload = McWorkload(reads_per_trefi_per_bank=20.0,
-                              hot_fraction=0.25, write_fraction=0.1)
-        system = run_system(SystemRunConfig(
-            clients=(ClientSpec(name="only", workload=workload),),
-            seed=3, **FAST,
-        ))
-        mc = run_mc(McRunConfig(workload=workload, seed=3, **FAST))
-        assert system.aggregate == mc
+        """Every mc preset point (both schedulers, open and closed
+        page, unbounded queues, ABO levels 1/2/4, all seven policies,
+        bursty arrivals) at 64 tREFI, under a nonzero seed so the
+        system seed must reach the client stream."""
+        points = [
+            point
+            for name in MC_PRESETS
+            for point in mc_preset(name).with_overrides(
+                n_trefi=64, seed=3
+            ).points()
+        ]
+        assert len(points) == 29
+        for point in points:
+            config = point.config
+            system_config = SystemRunConfig(
+                clients=(ClientSpec(name="only", workload=config.workload),),
+                **{
+                    f.name: getattr(config, f.name)
+                    for f in dataclasses.fields(McRunConfig)
+                    if f.name != "workload"
+                },
+            )
+            assert system_config.mc_run_config() == config, point.key
+            system = run_system(system_config)
+            assert system.aggregate == run_mc(config), point.key
 
     def test_as_metrics_extends_run_mc(self):
         system = run_system(SystemRunConfig(
@@ -214,9 +238,12 @@ class TestNoisyNeighbor:
 
 
 class TestShardStats:
-    """``execute_system_shard`` reads per-client statistics straight
-    from the served batch's arrays; they must equal the per-completion
-    computation they replaced, float-summation order included."""
+    """The one run summary (``client_shard_stats``, behind ``run_mc``
+    and every system shard) reads per-client statistics straight from
+    the served batch's arrays; they must equal the per-completion
+    computation they replaced, float-summation order included, on the
+    SoA loop and on both reference paths (open page, unbounded queue,
+    whose batch wraps the reference's completion objects)."""
 
     @staticmethod
     def from_completions(completed, n_clients, budget):
@@ -241,10 +268,20 @@ class TestShardStats:
         return out
 
     @pytest.mark.parametrize(
-        "scheduler, row_policy",
-        [("slo", "closed"), ("priority", "closed"), ("frfcfs", "open")],
+        "scheduler, row_policy, queue_depth, path",
+        [
+            pytest.param("slo", "closed", 32, "soa", id="slo-closed"),
+            pytest.param("priority", "closed", 32, "soa",
+                         id="priority-closed"),
+            pytest.param("frfcfs", "open", 32, "reference:open-page",
+                         id="frfcfs-open"),
+            pytest.param("frfcfs", "closed", None,
+                         "reference:unbounded-queue", id="frfcfs-unbounded"),
+        ],
     )
-    def test_batch_stats_equal_completion_stats(self, scheduler, row_policy):
+    def test_batch_stats_equal_completion_stats(
+        self, scheduler, row_policy, queue_depth, path
+    ):
         writer = ClientSpec(
             name="writer",
             workload=McWorkload(reads_per_trefi_per_bank=30.0,
@@ -255,6 +292,7 @@ class TestShardStats:
             clients=duo().clients + (writer,),
             scheduler=scheduler,
             row_policy=row_policy,
+            queue_depth=queue_depth,
             n_trefi=64,
         )
         streams = [
@@ -271,9 +309,7 @@ class TestShardStats:
             build_mc_channel(mc_config), mc_config.mc_config()
         )
         batch = controller.serve_streams(streams, [0, 0, 0])
-        expected_path = "soa" if row_policy == "closed" else (
-            "reference:open-page")
-        assert batch.path == expected_path
+        assert batch.path == path
         budget = slo_budget_ns(config.scheduler, config.sched_params)
         assert client_shard_stats(batch, 3, budget) == (
             self.from_completions(batch.completions(), 3, budget)

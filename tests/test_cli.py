@@ -17,6 +17,38 @@ class TestParser:
             build_parser().parse_args(["attack", "run", "nonexistent"])
 
 
+class TestJobsFlag:
+    """Every ``--jobs`` (sweeps, ``system run``, ``report``) takes one
+    argparse type: a worker count below 1 is a usage error."""
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    @pytest.mark.parametrize("command", [
+        ["system", "run", "--trefi", "32", "--banks", "2", "--quiet"],
+        ["mc", "sweep", "mc-smoke", "--trefi", "32", "--no-cache",
+         "--quiet"],
+        ["report", "run", "fig16", "--no-cache", "--quiet"],
+    ], ids=["system-run", "mc-sweep", "report-run"])
+    def test_below_one_is_rejected(self, command, jobs, tmp_path, capsys):
+        outputs = {
+            "system": [],
+            "mc": ["--out", str(tmp_path / "out.json")],
+            "report": ["--out", str(tmp_path / "out.json"),
+                       "--md", str(tmp_path / "out.md")],
+        }[command[0]]
+        with pytest.raises(SystemExit) as exc:
+            main([*command, *outputs, "--jobs", jobs])
+        assert exc.value.code == 2
+        assert (f"argument --jobs: must be at least 1, got {jobs}"
+                in capsys.readouterr().err)
+
+    def test_positive_and_malformed_values(self, capsys):
+        args = build_parser().parse_args(["system", "run", "--jobs", "3"])
+        assert args.jobs == 3
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["system", "run", "--jobs", "x"])
+        assert "invalid positive_int value: 'x'" in capsys.readouterr().err
+
+
 class TestModelCommands:
     def test_table2(self, capsys):
         assert main(["model", "table2"]) == 0
