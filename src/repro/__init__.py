@@ -62,12 +62,7 @@ from repro.mc import (
     MemoryController,
     Request,
 )
-from repro.sim.attack_perf import (
-    AttackResult,
-    AttackRunConfig,
-    AttackSpec,
-    run_attack,
-)
+from repro.attacks import AttackResult, AttackRunConfig, AttackSpec, run_attack
 from repro.sim.mc import (
     McResult,
     McRunConfig,

@@ -103,38 +103,16 @@ def collect_state(root: Path) -> Dict[str, object]:
     from repro.sweep import model_spec as model_module
 
     registries = {
-        "mitigation": {
-            "source": _module_rel_path(mitigation_module, root),
-            "kinds": {
-                kind: str(info.get("description", ""))
-                for kind, info in
-                mitigation_module.policy_descriptions().items()
-            },
-        },
-        "attack": {
-            "source": _module_rel_path(attack_module, root),
-            "kinds": {
-                kind: str(info.get("description", ""))
-                for kind, info in
-                attack_module.attack_descriptions().items()
-            },
-        },
-        "sched": {
-            "source": _module_rel_path(sched_module, root),
-            "kinds": {
-                kind: str(info.get("description", ""))
-                for kind, info in
-                sched_module.sched_descriptions().items()
-            },
-        },
-        "model": {
-            "source": _module_rel_path(model_module, root),
-            "kinds": {
-                kind: str(info.get("description", ""))
-                for kind, info in
-                model_module.model_descriptions().items()
-            },
-        },
+        label: {
+            "source": _module_rel_path(module, root),
+            "kinds": {kind.name: kind.description for kind in kinds},
+        }
+        for label, module, kinds in (
+            ("mitigation", mitigation_module, mitigation_module.POLICY_KINDS),
+            ("attack", attack_module, attack_module.ATTACK_KINDS),
+            ("sched", sched_module, sched_module.SCHED_KINDS),
+            ("model", model_module, model_module.MODEL_KINDS),
+        )
     }
 
     families = {}

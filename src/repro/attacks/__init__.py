@@ -11,12 +11,13 @@
   drain-all Panopticon variant (Appendix B, Figure 16).
 * :mod:`repro.attacks.trespass` — many-aggressor thrashing of low-cost
   SRAM trackers (Section 2.4 motivation).
-* :mod:`repro.attacks.registry` — declarative :class:`AttackSpec`
-  descriptions of the above, for the sweep/orchestration stack.
+* :mod:`repro.attacks.registry` — the :data:`ATTACK_KINDS` registry,
+  declarative :class:`AttackSpec` descriptions of the above for the
+  sweep/orchestration stack, and the ``run_attack`` front-end.
 
 Every attack drives a :class:`~repro.sim.channel.ChannelSim` built from
-a shared :class:`~repro.attacks.base.AttackRunConfig`; see
-:mod:`repro.sim.attack_perf` for the ``run_attack`` front-end.
+a shared :class:`~repro.attacks.base.AttackRunConfig`, the only source
+of its geometry.
 """
 
 from repro.attacks.base import (
@@ -34,21 +35,17 @@ from repro.attacks.jailbreak import (
 from repro.attacks.kernels import run_single_row_kernel, run_multi_row_kernel
 from repro.attacks.postponement import run_postponement_attack
 from repro.attacks.ratchet import run_ratchet, ratchet_growth_curve
-from repro.attacks.registry import (
-    AttackSpec,
-    attack_descriptions,
-    attack_kinds,
-)
+from repro.attacks.registry import ATTACK_KINDS, AttackSpec, run_attack
 from repro.attacks.trespass import run_many_aggressor_attack
 from repro.attacks.tsa import run_tsa
 
 __all__ = [
+    "ATTACK_KINDS",
     "AttackResult",
     "AttackRunConfig",
     "AttackSpec",
     "MitigationLog",
-    "attack_descriptions",
-    "attack_kinds",
+    "run_attack",
     "subscribed",
     "run_feinting",
     "run_deterministic_jailbreak",

@@ -26,7 +26,6 @@ engine never accumulates stale listeners across attacks.
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
@@ -72,23 +71,6 @@ class AttackRunConfig:
             raise ValueError("subchannels must be at least 1")
         if self.rows_per_bank < self.num_refresh_groups:
             raise ValueError("rows_per_bank must cover the refresh groups")
-
-    def replaced(self, **overrides: Any) -> "AttackRunConfig":
-        """Copy with the non-``None`` overrides applied.
-
-        Lets attack entry points keep their legacy geometry keywords
-        (``rows_per_bank=...``) as thin overrides of the shared config.
-        """
-        changes = {k: v for k, v in overrides.items() if v is not None}
-        return dataclasses.replace(self, **changes) if changes else self
-
-
-def resolve_run(
-    run: Optional[AttackRunConfig] = None,
-    **overrides: Any,
-) -> AttackRunConfig:
-    """The run config with legacy per-call geometry overrides applied."""
-    return (run or AttackRunConfig()).replaced(**overrides)
 
 
 def build_channel(

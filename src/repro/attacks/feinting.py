@@ -23,19 +23,14 @@ from repro.attacks.base import (
     MitigationLog,
     build_channel,
     require_single_subchannel,
-    resolve_run,
 )
 from repro.dram.refresh import CounterResetPolicy
-from repro.dram.timing import DramTiming
 from repro.mitigations.ideal_perrow import IdealPerRowPolicy
 
 
 def run_feinting(
     trefi_per_mitigation: int = 4,
     periods: Optional[int] = None,
-    timing: Optional[DramTiming] = None,
-    rows_per_bank: Optional[int] = None,
-    num_groups: Optional[int] = None,
     row_spacing: int = 6,
     run: Optional[AttackRunConfig] = None,
 ) -> AttackResult:
@@ -51,12 +46,7 @@ def run_feinting(
     count accumulated by the surviving row (compare with
     :func:`repro.analysis.feinting_bound`).
     """
-    run = resolve_run(
-        run,
-        rows_per_bank=rows_per_bank,
-        num_refresh_groups=num_groups,
-        timing=timing,
-    )
+    run = run or AttackRunConfig()
     require_single_subchannel(run, "feinting")
     timing = run.timing
     if periods is None:

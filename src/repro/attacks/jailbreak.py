@@ -35,7 +35,6 @@ from repro.attacks.base import (
     attack_rows,
     build_channel,
     require_single_subchannel,
-    resolve_run,
 )
 from repro.dram.refresh import CounterResetPolicy
 from repro.mitigations.panopticon import PanopticonPolicy
@@ -63,8 +62,6 @@ def _panopticon_sim(
 def run_deterministic_jailbreak(
     threshold: int = 128,
     queue_entries: int = 8,
-    rows_per_bank: Optional[int] = None,
-    num_groups: Optional[int] = None,
     acts_per_trefi_phase2: int = 32,
     max_periods: int = 64,
     run: Optional[AttackRunConfig] = None,
@@ -75,7 +72,7 @@ def run_deterministic_jailbreak(
     number of activations row H received before its first mitigation
     (1152 for the paper's configuration).
     """
-    run = resolve_run(run, rows_per_bank=rows_per_bank, num_refresh_groups=num_groups)
+    run = run or AttackRunConfig()
     require_single_subchannel(run, "jailbreak")
     rows = attack_rows(run, queue_entries)
     sim = _panopticon_sim(threshold, queue_entries, run)
@@ -150,8 +147,6 @@ def run_randomized_jailbreak_iteration(
     threshold: int = 128,
     queue_entries: int = 8,
     prime_acts: int = 32,
-    rows_per_bank: Optional[int] = None,
-    num_groups: Optional[int] = None,
     max_attack_acts: int = 4096,
     run: Optional[AttackRunConfig] = None,
 ) -> AttackResult:
@@ -168,7 +163,7 @@ def run_randomized_jailbreak_iteration(
     """
     if len(initial_counters) != queue_entries:
         raise ValueError("need one initial counter per decoy row")
-    run = resolve_run(run, rows_per_bank=rows_per_bank, num_refresh_groups=num_groups)
+    run = run or AttackRunConfig()
     require_single_subchannel(run, "jailbreak (randomized)")
     rows = attack_rows(run, queue_entries + 1)
     decoys, attack_row = rows[:-1], rows[-1]

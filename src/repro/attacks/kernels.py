@@ -22,7 +22,6 @@ from repro.attacks.base import (
     AttackRunConfig,
     attack_rows,
     build_channel,
-    resolve_run,
 )
 from repro.dram.refresh import CounterResetPolicy
 from repro.mitigations.base import MitigationPolicy
@@ -120,7 +119,7 @@ def run_single_row_kernel(
     Every ATH+1 activations trigger one ALERT; the ~10% throughput loss
     is the RFM stall amortized over the trigger activations.
     """
-    return _kernel(1, ath, total_acts, abo_level, resolve_run(run))
+    return _kernel(1, ath, total_acts, abo_level, run or AttackRunConfig())
 
 
 def run_multi_row_kernel(
@@ -135,4 +134,4 @@ def run_multi_row_kernel(
     The loss matches the single-row kernel (~10%): each row still costs
     one ALERT per ATH+1 of its own activations.
     """
-    return _kernel(rows, ath, total_acts, abo_level, resolve_run(run))
+    return _kernel(rows, ath, total_acts, abo_level, run or AttackRunConfig())

@@ -24,7 +24,6 @@ from repro.attacks.base import (
     attack_rows,
     build_channel,
     require_single_subchannel,
-    resolve_run,
 )
 from repro.dram.refresh import CounterResetPolicy
 from repro.mitigations.panopticon import PanopticonPolicy
@@ -33,8 +32,6 @@ from repro.mitigations.panopticon import PanopticonPolicy
 def run_postponement_attack(
     threshold: int = 128,
     queue_entries: int = 8,
-    rows_per_bank: Optional[int] = None,
-    num_groups: Optional[int] = None,
     max_acts: int = 4096,
     run: Optional[AttackRunConfig] = None,
 ) -> AttackResult:
@@ -43,7 +40,7 @@ def run_postponement_attack(
     Returns ``acts_on_attack_row`` — activations on row A before its
     first mitigation (~328 for the default configuration).
     """
-    run = resolve_run(run, rows_per_bank=rows_per_bank, num_refresh_groups=num_groups)
+    run = run or AttackRunConfig()
     require_single_subchannel(run, "postponement")
     attack_row = attack_rows(run, 1)[0]
     sim = build_channel(

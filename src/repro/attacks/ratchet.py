@@ -30,7 +30,6 @@ from repro.attacks.base import (
     attack_rows,
     build_channel,
     require_single_subchannel,
-    resolve_run,
 )
 from repro.dram.refresh import CounterResetPolicy
 from repro.mitigations.moat import MoatPolicy
@@ -58,8 +57,6 @@ def run_ratchet(
     pool_size: int = 64,
     abo_level: int = 1,
     tracker_level: Optional[int] = None,
-    rows_per_bank: Optional[int] = None,
-    num_groups: Optional[int] = None,
     max_alerts: int = 100_000,
     run: Optional[AttackRunConfig] = None,
 ) -> AttackResult:
@@ -78,7 +75,7 @@ def run_ratchet(
     """
     if tracker_level is None:
         tracker_level = abo_level
-    run = resolve_run(run, rows_per_bank=rows_per_bank, num_refresh_groups=num_groups)
+    run = run or AttackRunConfig()
     require_single_subchannel(run, "ratchet")
     pool = attack_rows(run, pool_size)
     sim = _moat_sim(ath, abo_level, tracker_level, run)

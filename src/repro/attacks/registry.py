@@ -2,9 +2,11 @@
 
 The security-evaluation front-end and the attack sweep runner describe
 an attack as an :class:`AttackSpec` — a picklable ``(kind, params)``
-pair mirroring :class:`~repro.mitigations.registry.PolicySpec` — so
+:class:`~repro.registry.KindSpec` over :data:`ATTACK_KINDS` — so
 attack runs can cross process boundaries, be hashed into cache keys,
 and be serialized into ``BENCH_attack.json`` artifacts.
+:func:`run_attack` executes one through the channel → sub-channel →
+bank hierarchy (:class:`~repro.sim.channel.ChannelSim`).
 
 Registered kinds, their entry points, and the paper results they drive:
 
@@ -30,18 +32,18 @@ Registered kinds, their entry points, and the paper results they drive:
                   (Section 2.4 motivation).
 =============== =====================================================
 
-Every runner takes the shared geometry from an
-:class:`~repro.attacks.base.AttackRunConfig` (``run=`` keyword); spec
-params map onto the runner's remaining keywords and are validated at
-spec-construction time against the runner signature, so a typo'd
-parameter fails before any simulation starts.
+Every runner takes the shared geometry (rows per bank, refresh groups,
+sub-channels, timing) from an
+:class:`~repro.attacks.base.AttackRunConfig` (``run=`` keyword) and
+from nowhere else; its remaining keywords are the spec parameters,
+validated at spec-construction time against the runner signature, so
+a typo'd parameter fails before any simulation starts.
 """
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Optional, Union
 
 from repro.attacks.base import AttackResult, AttackRunConfig
 from repro.attacks.feinting import run_feinting
@@ -54,213 +56,94 @@ from repro.attacks.postponement import run_postponement_attack
 from repro.attacks.ratchet import run_ratchet
 from repro.attacks.trespass import run_many_aggressor_attack
 from repro.attacks.tsa import run_tsa
+from repro.registry import Kind, KindSpec, Registry
 
-AttackRunner = Callable[..., AttackResult]
+#: What a runner's caller binds: the shared run config.
+_BOUND = ("run",)
 
-#: Runner keywords that are not attack parameters: geometry comes from
-#: the shared run config, and the legacy per-call overrides stay CLI/
-#: test conveniences rather than sweepable axes.
-_RESERVED_PARAMS = frozenset({"run", "rows_per_bank", "num_groups", "timing"})
-
-
-@dataclass(frozen=True)
-class _AttackKind:
-    name: str
-    runner: AttackRunner
-    #: One-line description surfaced by ``repro attack list``.
-    description: str
-    #: Paper artifact the attack reproduces (figure/table/section).
-    figure: str
-    #: Whether the pattern adapts to defense state (per-ACT control)
-    #: or is open-loop (batchable through ``activate_many``).
-    adaptive: bool
-
-    def param_names(self) -> Tuple[str, ...]:
-        """Sweepable parameter names, from the runner's signature."""
-        signature = inspect.signature(self.runner)
-        return tuple(
-            name
-            for name in signature.parameters
-            if name not in _RESERVED_PARAMS
-        )
-
-    def required_param_names(self) -> Tuple[str, ...]:
-        """Parameters the runner has no default for (must be in specs)."""
-        signature = inspect.signature(self.runner)
-        return tuple(
-            name
-            for name, param in signature.parameters.items()
-            if name not in _RESERVED_PARAMS
-            and param.default is inspect.Parameter.empty
-        )
-
-    def sequence_param_names(self) -> Tuple[str, ...]:
-        """Parameters whose runner annotation is a sequence type.
-
-        Only these may carry tuple values in a spec; every other
-        registered parameter is a scalar integer.
-        """
-        signature = inspect.signature(self.runner)
-        return tuple(
-            name
-            for name, param in signature.parameters.items()
-            if name not in _RESERVED_PARAMS
-            and any(
-                marker in str(param.annotation)
-                for marker in ("List", "Sequence", "Tuple", "list", "tuple")
-            )
-        )
-
-
-_REGISTRY: Dict[str, _AttackKind] = {
-    kind.name: kind
-    for kind in (
-        _AttackKind(
-            "jailbreak", run_deterministic_jailbreak,
-            "deterministic queue-camping against Panopticon",
-            "Figure 5", adaptive=True,
-        ),
-        _AttackKind(
-            "jailbreak-randomized", run_randomized_jailbreak_iteration,
-            "one fully-simulated randomized-Jailbreak iteration "
-            "(counters chosen by the caller, so still deterministic)",
-            "Figure 5", adaptive=True,
-        ),
-        _AttackKind(
-            "ratchet", run_ratchet,
-            "inter-ALERT ratcheting of a primed pool against MOAT",
-            "Figure 10", adaptive=True,
-        ),
-        _AttackKind(
-            "feinting", run_feinting,
-            "harmonic-series feinting against ideal per-row counters",
-            "Table 2", adaptive=True,
-        ),
-        _AttackKind(
-            "postponement", run_postponement_attack,
-            "REF-postponement window against drain-all Panopticon",
-            "Figure 16", adaptive=True,
-        ),
-        _AttackKind(
-            "tsa", run_tsa,
-            "torrent of staggered ALERTs across banks vs MOAT",
-            "Figure 12", adaptive=True,
-        ),
-        _AttackKind(
-            "kernel-single", run_single_row_kernel,
-            "(A)^N single-row throughput kernel vs MOAT",
-            "Figure 13", adaptive=False,
-        ),
-        _AttackKind(
-            "kernel-multi", run_multi_row_kernel,
-            "(ABCDE)^N multi-row throughput kernel vs MOAT",
-            "Figure 13", adaptive=False,
-        ),
-        _AttackKind(
-            "trespass", run_many_aggressor_attack,
-            "many-aggressor thrashing of a few-entry TRR tracker",
-            "Section 2.4", adaptive=False,
-        ),
-    )
-}
-
-
-def attack_kinds() -> Tuple[str, ...]:
-    """Registered attack kind names."""
-    return tuple(_REGISTRY)
-
-
-def attack_descriptions() -> Dict[str, Dict[str, object]]:
-    """Registry-driven summary for CLI listings: ``{kind: {...}}``.
-
-    The CLI renders this directly, so help output can never drift from
-    the registry contents.
-    """
-    return {
-        kind.name: {
-            "description": kind.description,
-            "figure": kind.figure,
-            "adaptive": kind.adaptive,
-            "params": ", ".join(kind.param_names()),
-        }
-        for kind in _REGISTRY.values()
-    }
+#: Registered attacks. ``figure`` is the paper artifact each one
+#: reproduces; ``adaptive`` says whether its pattern adapts to defense
+#: state (per-ACT control) or is open-loop (batchable through
+#: ``activate_many``).
+ATTACK_KINDS = Registry("attack", (
+    Kind("jailbreak", run_deterministic_jailbreak,
+         "deterministic queue-camping against Panopticon",
+         _BOUND, figure="Figure 5", adaptive=True),
+    Kind("jailbreak-randomized", run_randomized_jailbreak_iteration,
+         "one fully-simulated randomized-Jailbreak iteration "
+         "(counters chosen by the caller, so still deterministic)",
+         _BOUND, figure="Figure 5", adaptive=True),
+    Kind("ratchet", run_ratchet,
+         "inter-ALERT ratcheting of a primed pool against MOAT",
+         _BOUND, figure="Figure 10", adaptive=True),
+    Kind("feinting", run_feinting,
+         "harmonic-series feinting against ideal per-row counters",
+         _BOUND, figure="Table 2", adaptive=True),
+    Kind("postponement", run_postponement_attack,
+         "REF-postponement window against drain-all Panopticon",
+         _BOUND, figure="Figure 16", adaptive=True),
+    Kind("tsa", run_tsa,
+         "torrent of staggered ALERTs across banks vs MOAT",
+         _BOUND, figure="Figure 12", adaptive=True),
+    Kind("kernel-single", run_single_row_kernel,
+         "(A)^N single-row throughput kernel vs MOAT",
+         _BOUND, figure="Figure 13", adaptive=False),
+    Kind("kernel-multi", run_multi_row_kernel,
+         "(ABCDE)^N multi-row throughput kernel vs MOAT",
+         _BOUND, figure="Figure 13", adaptive=False),
+    Kind("trespass", run_many_aggressor_attack,
+         "many-aggressor thrashing of a few-entry TRR tracker",
+         _BOUND, figure="Section 2.4", adaptive=False),
+))
 
 
 @dataclass(frozen=True)
-class AttackSpec:
-    """Declarative, hashable, picklable attack description.
-
-    ``params`` is a sorted tuple of ``(name, value)`` pairs so two
-    specs with the same parameters compare (and hash) equal regardless
-    of construction order. Use :meth:`of` to build one from kwargs.
-    Parameter names are validated against the runner signature.
-    """
+class AttackSpec(KindSpec):
+    """Declarative, hashable, picklable attack description."""
 
     kind: str = "jailbreak"
-    params: Tuple[Tuple[str, Any], ...] = ()
 
-    def __post_init__(self) -> None:
-        if self.kind not in _REGISTRY:
-            raise ValueError(
-                f"unknown attack kind {self.kind!r}; "
-                f"known: {', '.join(sorted(_REGISTRY))}"
-            )
-        allowed = set(_REGISTRY[self.kind].param_names())
-        for name, _ in self.params:
-            if name not in allowed:
-                raise ValueError(
-                    f"attack {self.kind!r} has no parameter {name!r}; "
-                    f"known: {', '.join(sorted(allowed))}"
-                )
-        # Sequence values are only legal for parameters the runner
-        # declares as sequences; a tuple for a scalar parameter would
-        # otherwise surface as a TypeError deep in the attack.
-        sequence_ok = set(_REGISTRY[self.kind].sequence_param_names())
-        for name, value in self.params:
-            if isinstance(value, (list, tuple)) and name not in sequence_ok:
-                raise ValueError(
-                    f"attack {self.kind!r} parameter {name!r} takes a "
-                    "single value, not a sequence"
-                )
-        # Parameters the runner cannot default must be in the spec, so
-        # an incomplete spec fails here (a clean ValueError) rather
-        # than as a TypeError inside execute().
-        provided = {name for name, _ in self.params}
-        missing = [
-            name
-            for name in _REGISTRY[self.kind].required_param_names()
-            if name not in provided
-        ]
-        if missing:
-            raise ValueError(
-                f"attack {self.kind!r} requires parameters: "
-                f"{', '.join(missing)}"
-            )
-        object.__setattr__(self, "params", tuple(sorted(self.params)))
-
-    @staticmethod
-    def of(kind: str, **params: Any) -> "AttackSpec":
-        return AttackSpec(kind, tuple(sorted(params.items())))
-
-    def param_dict(self) -> Dict[str, Any]:
-        return dict(self.params)
+    registry = ATTACK_KINDS
 
     @property
     def adaptive(self) -> bool:
-        return _REGISTRY[self.kind].adaptive
+        return ATTACK_KINDS[self.kind].fields["adaptive"]
 
     @property
     def figure(self) -> str:
-        return _REGISTRY[self.kind].figure
-
-    def display_name(self) -> str:
-        if not self.params:
-            return self.kind
-        inner = ",".join(f"{k}={v}" for k, v in self.params)
-        return f"{self.kind}({inner})"
+        return ATTACK_KINDS[self.kind].fields["figure"]
 
     def execute(self, run: Optional[AttackRunConfig] = None) -> AttackResult:
         """Run the attack through the shared ChannelSim front-end."""
-        runner = _REGISTRY[self.kind].runner
+        runner = ATTACK_KINDS[self.kind].call
         return runner(run=run or AttackRunConfig(), **self.param_dict())
+
+
+def run_attack(
+    attack: Union[AttackSpec, str],
+    run: Optional[AttackRunConfig] = None,
+    **params: object,
+) -> AttackResult:
+    """Execute one attack against its target design.
+
+    Args:
+        attack: An :class:`AttackSpec`, or a registered kind name
+            (convenience: ``run_attack("ratchet", pool_size=16)``).
+        run: Shared run configuration; defaults to the paper geometry
+            at one sub-channel.
+        params: Extra attack parameters merged into the spec (only
+            valid with a string ``attack``; a ready spec is immutable).
+
+    Returns:
+        The attack's :class:`AttackResult`.
+    """
+    if isinstance(attack, str):
+        spec = AttackSpec.of(attack, **params)
+    else:
+        if params:
+            raise TypeError(
+                "params are only accepted with a kind name; "
+                "build the AttackSpec with AttackSpec.of(...) instead"
+            )
+        spec = attack
+    return spec.execute(run)

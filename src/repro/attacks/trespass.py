@@ -17,7 +17,6 @@ from repro.attacks.base import (
     AttackRunConfig,
     attack_rows,
     build_channel,
-    resolve_run,
 )
 from repro.dram.refresh import CounterResetPolicy
 from repro.mitigations.trr import TrrTracker
@@ -28,8 +27,6 @@ def run_many_aggressor_attack(
     tracker_entries: int = 16,
     acts_per_aggressor: int = 512,
     mitigation_threshold: int = 32,
-    rows_per_bank: Optional[int] = None,
-    num_groups: Optional[int] = None,
     run: Optional[AttackRunConfig] = None,
 ) -> AttackResult:
     """Round-robin hammer ``num_aggressors`` rows against a TRR tracker.
@@ -42,7 +39,7 @@ def run_many_aggressor_attack(
     :meth:`~repro.sim.channel.ChannelSim.activate_many` one round at a
     time.
     """
-    run = resolve_run(run, rows_per_bank=rows_per_bank, num_refresh_groups=num_groups)
+    run = run or AttackRunConfig()
     sim = build_channel(
         run,
         lambda: TrrTracker(

@@ -24,7 +24,6 @@ from repro.attacks.base import (
     attack_rows,
     build_channel,
     require_single_subchannel,
-    resolve_run,
     subscribed,
 )
 from repro.dram.refresh import CounterResetPolicy
@@ -106,8 +105,6 @@ def run_tsa(
     ath: int = 64,
     rows_per_set: int = 5,
     cycles: int = 4,
-    rows_per_bank: Optional[int] = None,
-    num_groups: Optional[int] = None,
     run: Optional[AttackRunConfig] = None,
 ) -> AttackResult:
     """Run TSA against MOAT and an unprotected baseline.
@@ -116,7 +113,7 @@ def run_tsa(
     fractional activation-throughput reduction versus the same pattern
     on DRAM that never ALERTs (Figure 12: ~24% at 4 banks, ~52% at 17).
     """
-    run = resolve_run(run, rows_per_bank=rows_per_bank, num_refresh_groups=num_groups)
+    run = run or AttackRunConfig()
     require_single_subchannel(run, "tsa")
     protected = _run_tsa(
         lambda: MoatPolicy(ath=ath, level=1),

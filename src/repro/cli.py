@@ -57,16 +57,8 @@ from repro.analysis.throughput import (
     continuous_alert_slowdown,
 )
 from repro.attacks.base import AttackResult, AttackRunConfig
-from repro.attacks.registry import (
-    AttackSpec,
-    attack_descriptions,
-    attack_kinds,
-)
-from repro.mitigations.registry import (
-    PolicySpec,
-    policy_descriptions,
-    policy_kinds,
-)
+from repro.attacks.registry import ATTACK_KINDS, AttackSpec, run_attack
+from repro.mitigations.registry import POLICY_KINDS, PolicySpec
 from repro.report.figures import FIGURES
 from repro.report.pipeline import (
     ReportOptions,
@@ -80,8 +72,7 @@ from repro.report.pipeline import (
 )
 from repro.report.tables import format_table
 from repro.mc.controller import ROW_POLICIES, SCHEDULERS
-from repro.mc.sched import sched_descriptions
-from repro.sim.attack_perf import run_attack
+from repro.mc.sched import SCHED_KINDS
 from repro.sim.mapping import CoffeeLakeMapping
 from repro.sim.mc import McRunConfig, run_mc, run_mc_trace
 from repro.sim.perf import RunConfig, run_trace, run_workload
@@ -166,12 +157,12 @@ def _parse_set_value(raw: str):
 def _cmd_attack_list(_args: argparse.Namespace) -> int:
     rows = [
         (
-            kind,
-            info["figure"],
-            "adaptive" if info["adaptive"] else "open-loop",
-            info["description"],
+            kind.name,
+            kind.fields["figure"],
+            "adaptive" if kind.fields["adaptive"] else "open-loop",
+            kind.description,
         )
-        for kind, info in sorted(attack_descriptions().items())
+        for kind in sorted(ATTACK_KINDS, key=lambda kind: kind.name)
     ]
     print(format_table(
         ["attack", "paper", "pattern", "description"], rows,
@@ -254,8 +245,8 @@ def _render_attack_table(result, args: argparse.Namespace) -> None:
 def _cmd_perf(args: argparse.Namespace) -> int:
     if args.list_policies:
         rows = [
-            (kind, info["trefi_per_mitigation"], info["description"])
-            for kind, info in sorted(policy_descriptions().items())
+            (kind.name, kind.fields["trefi_per_mitigation"], kind.description)
+            for kind in sorted(POLICY_KINDS, key=lambda kind: kind.name)
         ]
         print(format_table(
             ["policy", "tREFI/mitigation", "description"], rows,
@@ -459,8 +450,14 @@ def _add_sched_flags(parser: argparse.ArgumentParser) -> None:
 
 def _cmd_mc_list_scheds(_args: argparse.Namespace) -> int:
     rows = [
-        (kind, info["params"] or "-", info["description"])
-        for kind, info in sched_descriptions().items()
+        (
+            kind.name,
+            ", ".join(f"{name}={default:g}"
+                      for name, default in sorted(kind.defaults.items()))
+            or "-",
+            kind.description,
+        )
+        for kind in SCHED_KINDS
     ]
     print(format_table(
         ["scheduler", "params (defaults)", "description"], rows,
@@ -1093,7 +1090,7 @@ def _add_closed_loop_flags(parser: argparse.ArgumentParser) -> None:
     :func:`_closed_loop_settings`): policy and thresholds, the arrival
     process (each tenant's, in a system run), the controller, the
     channel geometry, the window, the seed, and tracing."""
-    parser.add_argument("--policy", choices=sorted(policy_kinds()),
+    parser.add_argument("--policy", choices=sorted(POLICY_KINDS.names()),
                         default="moat",
                         help="mitigation policy (default: moat)")
     parser.add_argument("--ath", type=int, default=64)
@@ -1214,7 +1211,7 @@ def build_parser() -> argparse.ArgumentParser:
     attack_run = attack_sub.add_parser(
         "run", help="run one registered attack and print the result"
     )
-    attack_run.add_argument("name", choices=sorted(attack_kinds()),
+    attack_run.add_argument("name", choices=sorted(ATTACK_KINDS.names()),
                             help="attack kind (see 'attack list')")
     attack_run.add_argument("--threshold", type=int, default=None,
                             help="Panopticon queueing threshold")
@@ -1253,7 +1250,8 @@ def build_parser() -> argparse.ArgumentParser:
     perf.add_argument("--ath", type=int, default=64)
     perf.add_argument("--eth", type=int, default=None)
     perf.add_argument("--level", type=int, default=1, choices=[1, 2, 4])
-    perf.add_argument("--policy", choices=sorted(policy_kinds()), default="moat",
+    perf.add_argument("--policy", choices=sorted(POLICY_KINDS.names()),
+                      default="moat",
                       help="mitigation policy (default: moat)")
     perf.add_argument("--list-policies", action="store_true",
                       help="list the registered mitigation policies and exit")
@@ -1411,7 +1409,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     model_sub = model.add_subparsers(dest="name", required=True)
     for table_name, table_help in (
-        ("table2", "per-policy mitigation overheads (Table 2)"),
+        ("table2", "feinting T_RH bound per mitigation rate (Table 2)"),
         ("safe-trh", "lowest safe TRH per ABO level"),
         ("throughput", "attacker activation-throughput bounds"),
     ):

@@ -17,13 +17,7 @@ from repro.mc.controller import (
     ROW_POLICIES,
 )
 from repro.mc.request import CompletedRequest, Request
-from repro.mc.sched import (
-    SCHEDULERS,
-    SchedPolicy,
-    sched_descriptions,
-    sched_display,
-    sched_kinds,
-)
+from repro.mc.sched import SCHED_KINDS, SCHEDULERS, SchedPolicy, sched_display
 
 __all__ = [
     "CompletedRequest",
@@ -31,9 +25,8 @@ __all__ = [
     "MemoryController",
     "ROW_POLICIES",
     "Request",
+    "SCHED_KINDS",
     "SCHEDULERS",
     "SchedPolicy",
-    "sched_descriptions",
     "sched_display",
-    "sched_kinds",
 ]

@@ -1,13 +1,16 @@
 """Pluggable memory-controller scheduling policies.
 
 The controller used to hardcode ``"fcfs" | "frfcfs"`` as a boolean
-threaded through its serving loops. This module turns the scheduler
-into a registry of :class:`SchedPolicy` implementations — the same
-shape as :mod:`repro.mitigations.registry`: configs carry a registered
-kind plus its ``(name, value)`` parameters (``scheduler`` and
-``sched_params``, checked by :func:`validate_sched` and spelled by
-:func:`sched_display`), and :func:`make_sched` builds one per-run
-policy instance for the reference serving loop to dispatch through.
+threaded through its serving loops. This module registers the
+:class:`SchedPolicy` implementations in :data:`SCHED_KINDS`, a
+:class:`~repro.registry.Registry` like the mitigation, attack and
+model ones: each class's signature after ``priorities``, ``t_col``
+and ``depth`` gives its parameter names and defaults. Configs carry a
+registered kind plus its ``(name, value)`` parameters as two flat
+fields (``scheduler`` and ``sched_params``, checked by
+:func:`validate_sched` and spelled by :func:`sched_display`), and
+:func:`make_sched` builds one per-run policy instance for the
+reference serving loop to dispatch through.
 
 ``fcfs`` and ``frfcfs`` are the first two registered kinds, pinned
 bit-identical to the pre-refactor loops: their admission hooks are the
@@ -67,10 +70,10 @@ from __future__ import annotations
 import bisect
 import math
 from collections import deque
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.mc.request import Request
+from repro.registry import Kind, Registry
 
 #: Bytes per serviced request (one cache line, Table 3 system): the
 #: unit of the ``bw-cap`` token bucket and of the bandwidth metrics in
@@ -496,112 +499,44 @@ class SloSched(_QosSched):
 # Registry
 # ----------------------------------------------------------------------
 
+#: What :func:`make_sched` binds: the crossbar priorities, the column
+#: time, and — for the occupancy-aware QoS kinds, whose classes take it
+#: — the bank-queue ``depth``. The rest of a class's signature is its
+#: ``sched_params`` names and defaults.
+_BOUND = ("priorities", "t_col", "depth")
 
-@dataclass(frozen=True)
-class _SchedKind:
-    """One registered scheduler kind."""
-
-    name: str
-    builder: Callable[..., SchedPolicy]
-    #: Parameter names mapped to their defaults (the only
-    #: ``sched_params`` names a run of this kind may carry).
-    params: Dict[str, float]
-    description: str
-    #: Parameter bases that also accept a per-client indexed spelling:
-    #: ``gbps2`` overrides base param ``gbps`` for client 2 alone.
-    indexed: Tuple[str, ...] = ()
-    #: Whether the builder takes the bank-queue ``depth`` (the
-    #: occupancy-aware QoS kinds gate admission on queue share).
-    needs_depth: bool = False
-
-
-_REGISTRY: Dict[str, _SchedKind] = {
-    kind.name: kind
-    for kind in (
-        _SchedKind(
-            name="fcfs",
-            builder=FcfsSched,
-            params={},
-            description="first-come first-served, global arrival order",
-        ),
-        _SchedKind(
-            name="frfcfs",
-            builder=FrfcfsSched,
-            params={},
-            description="first-ready FR-FCFS: earliest start, "
-            "row hits first, then oldest",
-        ),
-        _SchedKind(
-            name="priority",
-            builder=PrioritySched,
-            params={"age_bound_ns": 50_000.0, "share": 0.75},
-            description="strict client priority, round-robin among "
-            "equals, queue-share admission cap, age-based starvation "
-            "bound",
-            needs_depth=True,
-        ),
-        _SchedKind(
-            name="bw-cap",
-            builder=BwCapSched,
-            params={"gbps": 1.0, "burst": 16.0},
-            description="per-client token-bucket bandwidth cap at "
-            "admission (gbps<i> overrides client i), FR-FCFS service",
-            indexed=("gbps",),
-        ),
-        _SchedKind(
-            name="slo",
-            builder=SloSched,
-            params={"budget_ns": 10_000.0, "window": 256.0},
-            description="per-client p99 budget gate: over-budget "
-            "clients are throttled and deprioritized until their "
-            "tail recovers",
-            needs_depth=True,
-        ),
-    )
-}
+#: Registered scheduler kinds. ``indexed`` names the parameters that
+#: also take a per-client spelling: ``gbps2`` overrides ``gbps`` for
+#: client 2 alone.
+SCHED_KINDS = Registry("scheduler", (
+    Kind("fcfs", FcfsSched,
+         "first-come first-served, global arrival order", _BOUND),
+    Kind("frfcfs", FrfcfsSched,
+         "first-ready FR-FCFS: earliest start, row hits first, then "
+         "oldest", _BOUND),
+    Kind("priority", PrioritySched,
+         "strict client priority, round-robin among equals, "
+         "queue-share admission cap, age-based starvation bound",
+         _BOUND),
+    Kind("bw-cap", BwCapSched,
+         "per-client token-bucket bandwidth cap at admission (gbps<i> "
+         "overrides client i), FR-FCFS service", _BOUND,
+         indexed=("gbps",)),
+    Kind("slo", SloSched,
+         "per-client p99 budget gate: over-budget clients are throttled "
+         "and deprioritized until their tail recovers", _BOUND),
+), noun="scheduler")
 
 #: Registered scheduling disciplines, registration order.
-SCHEDULERS: Tuple[str, ...] = tuple(_REGISTRY)
+SCHEDULERS: Tuple[str, ...] = SCHED_KINDS.names()
 
 
-def sched_kinds() -> Tuple[str, ...]:
-    """Names of every registered scheduler kind."""
-    return SCHEDULERS
-
-
-def sched_descriptions() -> Dict[str, Dict[str, Any]]:
-    """Kind -> {description, params} for CLI listings."""
-    return {
-        kind.name: {
-            "description": kind.description,
-            "params": ", ".join(
-                f"{name}={default:g}"
-                for name, default in sorted(kind.params.items())
-            ),
-        }
-        for kind in _REGISTRY.values()
-    }
-
-
-def _indexed_base(kind: _SchedKind, name: str) -> bool:
+def _indexed_base(kind: Kind, name: str) -> bool:
     """Whether ``name`` is a valid per-client indexed param spelling."""
-    for base in kind.indexed:
-        if (
-            name.startswith(base)
-            and name[len(base):].isdigit()
-        ):
-            return True
-    return False
-
-
-def _kind_of(scheduler: str) -> _SchedKind:
-    try:
-        return _REGISTRY[scheduler]
-    except KeyError:
-        raise ValueError(
-            f"unknown scheduler {scheduler!r}; "
-            f"known: {', '.join(SCHEDULERS)}"
-        ) from None
+    return any(
+        name.startswith(base) and name[len(base):].isdigit()
+        for base in kind.fields.get("indexed", ())
+    )
 
 
 def normalize_sched_params(
@@ -619,19 +554,24 @@ def validate_sched(
 
     Raises :class:`ValueError` with the pinned ``unknown scheduler``
     message for unregistered kinds, and rejects parameters the kind
-    does not declare — every config front-end (``McConfig``,
-    ``McRunConfig``, ``SystemRunConfig``) calls this one helper.
+    does not declare, values that are not positive numbers, a
+    fractional value for a parameter the class annotates ``int``, and
+    a ``burst`` below one whole request credit — every config
+    front-end (``McConfig``, ``McRunConfig``, ``SystemRunConfig``)
+    calls this one helper.
     """
-    kind = _kind_of(scheduler)
+    kind = SCHED_KINDS[scheduler]
     names = {str(k) for k, _ in sched_params}
     if len(names) != len(tuple(sched_params)):
         raise ValueError(f"duplicate sched param for {scheduler!r}")
-    unknown = names - set(kind.params)
-    unknown -= {n for n in unknown if _indexed_base(kind, n)}
+    unknown = {
+        name for name in names - set(kind.params)
+        if not _indexed_base(kind, name)
+    }
     if unknown:
         known = ", ".join(sorted(kind.params)) or "(none)"
-        if kind.indexed:
-            known += ", " + ", ".join(f"{b}<i>" for b in kind.indexed)
+        for base in kind.fields.get("indexed", ()):
+            known += f", {base}<i>"
         raise ValueError(
             f"unknown sched param {sorted(unknown)[0]!r} for "
             f"{scheduler!r}; known: {known}"
@@ -643,6 +583,17 @@ def validate_sched(
             )
         if value <= 0:
             raise ValueError(f"sched param {name!r} must be positive")
+        param = kind.params.get(name)
+        whole = param is not None and param.annotation in ("int", int)
+        if whole and not float(value).is_integer():
+            raise ValueError(
+                f"sched param {name!r} must be a whole number, got {value!r}"
+            )
+        if name == "burst" and value < 1:
+            raise ValueError(
+                f"sched param 'burst' must be at least 1 (one whole "
+                f"request credit), got {value!r}"
+            )
 
 
 def sched_display(
@@ -674,7 +625,9 @@ def slo_budget_ns(
     if scheduler != "slo":
         return None
     params = dict(normalize_sched_params(sched_params))
-    return float(params.get("budget_ns", _REGISTRY["slo"].params["budget_ns"]))
+    return float(
+        params.get("budget_ns", SCHED_KINDS["slo"].defaults["budget_ns"])
+    )
 
 
 def make_sched(
@@ -685,11 +638,9 @@ def make_sched(
     depth: Optional[int] = None,
 ) -> SchedPolicy:
     """Build one per-run policy instance for the reference loop."""
-    kind = _kind_of(scheduler)
     validate_sched(scheduler, sched_params)
+    kind = SCHED_KINDS[scheduler]
     kwargs = dict(normalize_sched_params(sched_params))
-    if scheduler == "slo" and "window" in kwargs:
-        kwargs["window"] = int(kwargs["window"])
-    if kind.needs_depth:
+    if "depth" in kind.bound:
         kwargs["depth"] = depth
-    return kind.builder(priorities, t_col, **kwargs)
+    return kind.call(priorities, t_col, **kwargs)

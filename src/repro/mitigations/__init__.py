@@ -25,11 +25,12 @@ from repro.mitigations.moat import MoatPolicy, TrackerEntry
 from repro.mitigations.null import NullPolicy
 from repro.mitigations.panopticon import PanopticonPolicy
 from repro.mitigations.para import ParaPolicy
-from repro.mitigations.registry import PolicySpec, RunParams, policy_kinds
+from repro.mitigations.registry import POLICY_KINDS, PolicySpec, RunParams
 from repro.mitigations.trr import TrrTracker
 from repro.mitigations.victim_counter import VictimCounterPolicy
 
 __all__ = [
+    "POLICY_KINDS",
     "MitigationPolicy",
     "IdealPerRowPolicy",
     "MoatPolicy",
@@ -40,7 +41,6 @@ __all__ = [
     "PolicySpec",
     "RunParams",
     "TrrTracker",
-    "policy_kinds",
     "VictimCounterPolicy",
     "graphene_entries_required",
     "graphene_sram_bytes",

@@ -1,13 +1,16 @@
 """Declarative mitigation-policy specifications.
 
 The performance front-end and the sweep runner describe a policy as a
-:class:`PolicySpec` — a picklable ``(kind, params)`` pair — instead of
-a factory closure, so run configurations can cross process boundaries
-(``ProcessPoolExecutor`` workers), be hashed into cache keys, and be
-serialized into sweep artifacts. :meth:`PolicySpec.make_factory` turns
-a spec back into the zero-argument per-bank factory the simulator
-expects, resolving run-level parameters (ATH, ETH, ABO level, seed)
-from the run configuration at build time.
+:class:`PolicySpec` — a picklable ``(kind, params)``
+:class:`~repro.registry.KindSpec` over :data:`POLICY_KINDS` — instead
+of a factory closure, so run configurations can cross process
+boundaries (``ProcessPoolExecutor`` workers), be hashed into cache
+keys, and be serialized into sweep artifacts. A kind's spec parameters
+are its builder's parameters after ``run`` and ``index``.
+:meth:`PolicySpec.make_factory` turns a spec back into the
+zero-argument per-bank factory the simulator expects, resolving
+run-level parameters (ATH, ETH, ABO level, seed) from the run
+configuration at build time.
 
 Registered kinds and their run-parameter mapping:
 
@@ -32,11 +35,9 @@ designs, 0 (disabled) for the null baseline.
 
 from __future__ import annotations
 
-import functools
-import inspect
 import random
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional
 
 from repro.mitigations.base import MitigationPolicy
 from repro.mitigations.graphene import make_graphene
@@ -46,6 +47,7 @@ from repro.mitigations.panopticon import PanopticonPolicy
 from repro.mitigations.para import ParaPolicy
 from repro.mitigations.trr import TrrTracker
 from repro.mitigations.victim_counter import VictimCounterPolicy
+from repro.registry import Kind, KindSpec, Registry
 
 
 @dataclass(frozen=True)
@@ -62,27 +64,6 @@ class RunParams:
     abo_level: int = 1
     seed: int = 0
     timing: Any = None
-
-
-#: A builder maps (run params, per-bank instance index, spec params)
-#: to a fresh policy instance; its parameters after ``run`` and
-#: ``index`` are the kind's spec parameters (``None``: from the run).
-PolicyBuilder = Callable[..., MitigationPolicy]
-
-
-@dataclass(frozen=True)
-class _PolicyKind:
-    name: str
-    builder: PolicyBuilder
-    #: Default REF periods per completed proactive mitigation.
-    trefi_per_mitigation: int
-    #: One-line description surfaced by ``repro perf --list-policies``.
-    description: str = ""
-
-    @functools.cached_property
-    def param_names(self) -> Tuple[str, ...]:
-        """Spec parameter names, from the builder's signature."""
-        return tuple(inspect.signature(self.builder).parameters)[2:]
 
 
 def _build_moat(run: RunParams, index: int, ath: Optional[int] = None,
@@ -148,105 +129,49 @@ def _build_null(run: RunParams, index: int) -> MitigationPolicy:
     return NullPolicy()
 
 
-_REGISTRY: Dict[str, _PolicyKind] = {
-    kind.name: kind
-    for kind in (
-        _PolicyKind(
-            "moat", _build_moat, 5,
-            "dual-threshold per-row counters, one tracked entry (paper §4)",
-        ),
-        _PolicyKind(
-            "panopticon", _build_panopticon, 4,
-            "queue-on-threshold per-row counters (paper §2.5)",
-        ),
-        _PolicyKind(
-            "para", _build_para, 1,
-            "probabilistic adjacent-row refresh, stateless",
-        ),
-        _PolicyKind(
-            "trr", _build_trr, 1,
-            "DDR4-era Misra-Gries SRAM tracker (16 entries)",
-        ),
-        _PolicyKind(
-            "graphene", _build_graphene, 1,
-            "securely sized Misra-Gries tracker (Figure 1a corner)",
-        ),
-        _PolicyKind(
-            "victim-counter", _build_victim_counter, 5,
-            "TRR-Ideal per-victim disturbance counters (paper §8)",
-        ),
-        _PolicyKind(
-            "null", _build_null, 0,
-            "unprotected baseline (no tracking, no mitigation)",
-        ),
-    )
-}
+#: What a builder's caller binds: the run parameters and the per-bank
+#: instance index. The rest are spec parameters (``None``: from the
+#: run).
+_BOUND = ("run", "index")
 
-
-def policy_kinds() -> Tuple[str, ...]:
-    """Registered policy kind names."""
-    return tuple(_REGISTRY)
-
-
-def policy_descriptions() -> Dict[str, Dict[str, object]]:
-    """Registry-driven summary for CLI listings: ``{kind: {...}}``.
-
-    The CLI renders this directly, so help output can never drift from
-    the registry contents.
-    """
-    return {
-        kind.name: {
-            "description": kind.description,
-            "trefi_per_mitigation": kind.trefi_per_mitigation,
-        }
-        for kind in _REGISTRY.values()
-    }
+#: Registered policies; ``trefi_per_mitigation`` is each kind's
+#: default REF periods per completed proactive mitigation.
+POLICY_KINDS = Registry("policy", (
+    Kind("moat", _build_moat,
+         "dual-threshold per-row counters, one tracked entry (paper §4)",
+         _BOUND, trefi_per_mitigation=5),
+    Kind("panopticon", _build_panopticon,
+         "queue-on-threshold per-row counters (paper §2.5)",
+         _BOUND, trefi_per_mitigation=4),
+    Kind("para", _build_para,
+         "probabilistic adjacent-row refresh, stateless",
+         _BOUND, trefi_per_mitigation=1),
+    Kind("trr", _build_trr,
+         "DDR4-era Misra-Gries SRAM tracker (16 entries)",
+         _BOUND, trefi_per_mitigation=1),
+    Kind("graphene", _build_graphene,
+         "securely sized Misra-Gries tracker (Figure 1a corner)",
+         _BOUND, trefi_per_mitigation=1),
+    Kind("victim-counter", _build_victim_counter,
+         "TRR-Ideal per-victim disturbance counters (paper §8)",
+         _BOUND, trefi_per_mitigation=5),
+    Kind("null", _build_null,
+         "unprotected baseline (no tracking, no mitigation)",
+         _BOUND, trefi_per_mitigation=0),
+))
 
 
 @dataclass(frozen=True)
-class PolicySpec:
-    """Declarative, hashable, picklable policy description.
-
-    ``params`` is a sorted tuple of ``(name, value)`` pairs so two
-    specs with the same parameters compare (and hash) equal regardless
-    of construction order. Use :meth:`of` to build one from kwargs.
-    Parameter names are validated against the builder signature.
-    """
+class PolicySpec(KindSpec):
+    """Declarative, hashable, picklable policy description."""
 
     kind: str = "moat"
-    params: Tuple[Tuple[str, Any], ...] = ()
 
-    def __post_init__(self) -> None:
-        if self.kind not in _REGISTRY:
-            raise ValueError(
-                f"unknown policy kind {self.kind!r}; "
-                f"known: {', '.join(sorted(_REGISTRY))}"
-            )
-        allowed = _REGISTRY[self.kind].param_names
-        for name, _ in self.params:
-            if name not in allowed:
-                raise ValueError(
-                    f"policy {self.kind!r} has no parameter {name!r}; "
-                    f"known: {', '.join(sorted(allowed)) or '(none)'}"
-                )
-        object.__setattr__(self, "params", tuple(sorted(self.params)))
-
-    @staticmethod
-    def of(kind: str, **params: Any) -> "PolicySpec":
-        return PolicySpec(kind, tuple(sorted(params.items())))
-
-    def param_dict(self) -> Dict[str, Any]:
-        return dict(self.params)
+    registry = POLICY_KINDS
 
     @property
     def default_trefi_per_mitigation(self) -> int:
-        return _REGISTRY[self.kind].trefi_per_mitigation
-
-    def display_name(self) -> str:
-        if not self.params:
-            return self.kind
-        inner = ",".join(f"{k}={v}" for k, v in self.params)
-        return f"{self.kind}({inner})"
+        return POLICY_KINDS[self.kind].fields["trefi_per_mitigation"]
 
     def make_factory(self, run: RunParams) -> Callable[[], MitigationPolicy]:
         """Zero-argument per-bank policy factory for the simulator.
@@ -254,11 +179,11 @@ class PolicySpec:
         Successive calls get increasing instance indices, so stateful
         randomness (PARA) stays deterministic per bank.
         """
-        kind = _REGISTRY[self.kind]
+        builder = POLICY_KINDS[self.kind].call
         params = self.param_dict()
         counter = iter(range(1 << 30))
 
         def factory() -> MitigationPolicy:
-            return kind.builder(run, next(counter), **params)
+            return builder(run, next(counter), **params)
 
         return factory

@@ -10,19 +10,19 @@ artifact/baseline gating as the simulated families. That puts every
 number the paper report needs, simulated or not, on one stack: cached,
 parallelizable, and drift-gated.
 
-A :class:`ModelSpec` mirrors :class:`~repro.attacks.registry.AttackSpec`
-— a picklable ``(kind, params)`` pair validated against the registered
-evaluator's signature — and :data:`MODEL_PRESETS` names the grids behind
-the analytic paper artifacts (Figure 8, Figure 15, Tables 1-4, the
-Section 6.5 storage numbers, the Section 7.1 throughput model, ...).
+A :class:`ModelSpec` is a picklable ``(kind, params)``
+:class:`~repro.registry.KindSpec` over :data:`MODEL_KINDS`, whose spec
+parameters are the registered evaluator's parameters, and
+:data:`MODEL_PRESETS` names the grids behind the analytic paper
+artifacts (Figure 8, Figure 15, Tables 1-4, the Section 6.5 storage
+numbers, the Section 7.1 throughput model, ...).
 """
 
 from __future__ import annotations
 
 import dataclasses
-import inspect
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.abo.protocol import AboConfig
 from repro.analysis.energy import moat_sram_bytes, moat_sram_bytes_per_chip
@@ -40,11 +40,10 @@ from repro.mitigations.graphene import graphene_sram_bytes
 from repro.mitigations.moat import MoatPolicy
 from repro.mitigations.panopticon import PanopticonPolicy
 from repro.mitigations.trr import TrrTracker
+from repro.registry import Kind, KindSpec, Registry
 from repro.sweep.identity import SweepSpecBase, point_hash, unique_by_key
 from repro.workloads.generator import generate_schedule, measure_characteristics
 from repro.workloads.profiles import profile_by_name
-
-ModelEvaluator = Callable[..., Dict[str, float]]
 
 
 def _eval_abo_config(level: int = 1) -> Dict[str, float]:
@@ -190,111 +189,45 @@ def _eval_workload_stats(
     return stats
 
 
-@dataclass(frozen=True)
-class _ModelKind:
-    name: str
-    evaluator: ModelEvaluator
-    #: One-line description surfaced by listings and the README.
-    description: str
-
-    def param_names(self) -> Tuple[str, ...]:
-        return tuple(inspect.signature(self.evaluator).parameters)
-
-
-_REGISTRY: Dict[str, _ModelKind] = {
-    kind.name: kind
-    for kind in (
-        _ModelKind("abo-config", _eval_abo_config,
-                   "ABO protocol identities per level (Figure 8)"),
-        _ModelKind("timing", _eval_timing,
-                   "revised DDR5 timing identities (Table 1)"),
-        _ModelKind("system-config", _eval_system_config,
-                   "baseline system configuration (Table 3)"),
-        _ModelKind("safe-trh", _eval_safe_trh,
-                   "Appendix A Ratchet bound (Figures 10/15, Table 7)"),
-        _ModelKind("feinting-bound", _eval_feinting_bound,
-                   "closed-form feinting T_RH bound (Table 2)"),
-        _ModelKind("moat-sram", _eval_moat_sram,
-                   "MOAT SRAM budget per bank/chip (Section 6.5)"),
-        _ModelKind("design-sram", _eval_design_sram,
-                   "SRAM coordinate of one tracker design (Figure 1)"),
-        _ModelKind("throughput-model", _eval_throughput_model,
-                   "continuous-ALERT throughput model (Section 7.1)"),
-        _ModelKind("kernel-model", _eval_kernel_model,
-                   "stall-only kernel throughput model (Section 7.2)"),
-        _ModelKind("jailbreak-curve", _eval_jailbreak_curve,
-                   "sampled randomized-Jailbreak curve (Figure 5)"),
-        _ModelKind("workload-stats", _eval_workload_stats,
-                   "generator characteristics of one workload (Table 4)"),
-    )
-}
-
-
-def model_kinds() -> Tuple[str, ...]:
-    """Registered model kind names."""
-    return tuple(_REGISTRY)
-
-
-def model_descriptions() -> Dict[str, Dict[str, object]]:
-    """Registry-driven summary for CLI listings (cannot drift)."""
-    return {
-        kind.name: {
-            "description": kind.description,
-            "params": ", ".join(kind.param_names()),
-        }
-        for kind in _REGISTRY.values()
-    }
+#: Registered analytic models; each evaluator's parameters are the
+#: kind's spec parameters.
+MODEL_KINDS = Registry("model", (
+    Kind("abo-config", _eval_abo_config,
+         "ABO protocol identities per level (Figure 8)"),
+    Kind("timing", _eval_timing,
+         "revised DDR5 timing identities (Table 1)"),
+    Kind("system-config", _eval_system_config,
+         "baseline system configuration (Table 3)"),
+    Kind("safe-trh", _eval_safe_trh,
+         "Appendix A Ratchet bound (Figures 10/15, Table 7)"),
+    Kind("feinting-bound", _eval_feinting_bound,
+         "closed-form feinting T_RH bound (Table 2)"),
+    Kind("moat-sram", _eval_moat_sram,
+         "MOAT SRAM budget per bank/chip (Section 6.5)"),
+    Kind("design-sram", _eval_design_sram,
+         "SRAM coordinate of one tracker design (Figure 1)"),
+    Kind("throughput-model", _eval_throughput_model,
+         "continuous-ALERT throughput model (Section 7.1)"),
+    Kind("kernel-model", _eval_kernel_model,
+         "stall-only kernel throughput model (Section 7.2)"),
+    Kind("jailbreak-curve", _eval_jailbreak_curve,
+         "sampled randomized-Jailbreak curve (Figure 5)"),
+    Kind("workload-stats", _eval_workload_stats,
+         "generator characteristics of one workload (Table 4)"),
+))
 
 
 @dataclass(frozen=True)
-class ModelSpec:
-    """Declarative, hashable, picklable model-point description.
-
-    Mirrors :class:`~repro.attacks.registry.AttackSpec`: ``params`` is
-    a sorted tuple of ``(name, value)`` pairs validated against the
-    evaluator's signature at construction time.
-    """
+class ModelSpec(KindSpec):
+    """Declarative, hashable, picklable model-point description."""
 
     kind: str = "timing"
-    params: Tuple[Tuple[str, Any], ...] = ()
 
-    def __post_init__(self) -> None:
-        if self.kind not in _REGISTRY:
-            raise ValueError(
-                f"unknown model kind {self.kind!r}; "
-                f"known: {', '.join(sorted(_REGISTRY))}"
-            )
-        allowed = set(_REGISTRY[self.kind].param_names())
-        for name, _ in self.params:
-            if name not in allowed:
-                raise ValueError(
-                    f"model {self.kind!r} has no parameter {name!r}; "
-                    f"known: {', '.join(sorted(allowed))}"
-                )
-        object.__setattr__(self, "params", tuple(sorted(self.params)))
-
-    @staticmethod
-    def of(kind: str, **params: Any) -> "ModelSpec":
-        return ModelSpec(kind, tuple(sorted(params.items())))
-
-    def param_dict(self) -> Dict[str, Any]:
-        return dict(self.params)
-
-    def display_name(self) -> str:
-        if not self.params:
-            return self.kind
-        inner = ",".join(f"{k}={v}" for k, v in self.params)
-        return f"{self.kind}({inner})"
+    registry = MODEL_KINDS
 
     def evaluate(self) -> Dict[str, float]:
         """Compute the point's metrics (pure, deterministic)."""
-        return _REGISTRY[self.kind].evaluator(**self.param_dict())
-
-    def replaced(self, **params: Any) -> "ModelSpec":
-        """Copy with parameter overrides applied (only known names)."""
-        merged = self.param_dict()
-        merged.update(params)
-        return ModelSpec.of(self.kind, **merged)
+        return MODEL_KINDS[self.kind].call(**self.param_dict())
 
 
 @dataclass(frozen=True)

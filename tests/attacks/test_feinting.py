@@ -3,6 +3,7 @@
 import pytest
 
 from repro.analysis.feinting_model import feinting_bound
+from repro.attacks.base import AttackRunConfig
 from repro.attacks.feinting import run_feinting
 from repro.dram.timing import DramTiming
 
@@ -37,7 +38,8 @@ class TestRateSweep:
         assert slow.acts_on_attack_row > 2 * fast.acts_on_attack_row
 
     def test_full_small_window(self, fast_timing):
-        result = run_feinting(trefi_per_mitigation=4, timing=fast_timing)
+        result = run_feinting(trefi_per_mitigation=4,
+                              run=AttackRunConfig(timing=fast_timing))
         bound = feinting_bound(4, fast_timing)
         assert result.acts_on_attack_row >= 0.8 * bound
 
@@ -49,4 +51,5 @@ class TestValidation:
 
     def test_bank_capacity_check(self):
         with pytest.raises(ValueError):
-            run_feinting(periods=4096, rows_per_bank=1024, num_groups=128)
+            run_feinting(periods=4096, run=AttackRunConfig(
+                rows_per_bank=1024, num_refresh_groups=128))

@@ -5,17 +5,12 @@ import math
 import pytest
 
 from repro.attacks.base import AttackResult, AttackRunConfig
-from repro.attacks.registry import (
-    AttackSpec,
-    attack_descriptions,
-    attack_kinds,
-)
-from repro.sim.attack_perf import run_attack
+from repro.attacks.registry import ATTACK_KINDS, AttackSpec, run_attack
 
 
 class TestAttackSpec:
     def test_known_kinds(self):
-        assert set(attack_kinds()) == {
+        assert set(ATTACK_KINDS.names()) == {
             "jailbreak", "jailbreak-randomized", "ratchet", "feinting",
             "postponement", "tsa", "kernel-single", "kernel-multi",
             "trespass",
@@ -57,13 +52,6 @@ class TestAttackSpec:
         assert AttackSpec("ratchet").adaptive
         assert not AttackSpec("kernel-single").adaptive
         assert AttackSpec("jailbreak").figure == "Figure 5"
-
-    def test_descriptions_cover_every_kind(self):
-        info = attack_descriptions()
-        assert set(info) == set(attack_kinds())
-        for kind, entry in info.items():
-            assert entry["description"]
-            assert entry["figure"]
 
 
 class TestRunAttack:

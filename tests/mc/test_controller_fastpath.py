@@ -29,7 +29,7 @@ from repro.mc.controller import McConfig, MemoryController
 from repro.mc.request import Request
 from repro.mc.sched import SCHEDULERS, sched_display
 from repro.mitigations.null import NullPolicy
-from repro.mitigations.registry import policy_kinds, PolicySpec
+from repro.mitigations.registry import POLICY_KINDS, PolicySpec
 from repro.sim.channel import ChannelConfig, ChannelSim
 from repro.sim.engine import SimConfig
 from repro.sim.mc import McRunConfig, build_mc_channel
@@ -142,7 +142,7 @@ QOS_SCENARIOS = dict(system_preset("system-qos").scenarios)
 
 
 class TestEquivalence:
-    @pytest.mark.parametrize("kind", sorted(policy_kinds()))
+    @pytest.mark.parametrize("kind", sorted(POLICY_KINDS.names()))
     def test_every_policy_kind(self, kind):
         config = make_config(policy=PolicySpec(kind))
         requests = make_requests(config)
@@ -296,7 +296,7 @@ INELIGIBLE_CONFIGS = {
 
 
 class TestDispatch:
-    @pytest.mark.parametrize("kind", sorted(policy_kinds()))
+    @pytest.mark.parametrize("kind", sorted(POLICY_KINDS.names()))
     def test_eligible_config_takes_fast_path(self, kind):
         """Every policy is served by the SoA loop; a policy that fell
         back to the reference loop would still pass the equivalence

@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.mc import McConfig, MemoryController, Request
 from repro.mc.sched import (
+    SCHED_KINDS,
     SCHEDULERS,
     BwCapSched,
     FcfsSched,
@@ -23,9 +24,7 @@ from repro.mc.sched import (
     SloSched,
     make_sched,
     normalize_sched_params,
-    sched_descriptions,
     sched_display,
-    sched_kinds,
     slo_budget_ns,
     validate_sched,
 )
@@ -55,7 +54,7 @@ def make_channel(num_banks=2, rows=1024):
 class TestRegistry:
     def test_registered_kinds(self):
         assert SCHEDULERS == ("fcfs", "frfcfs", "priority", "bw-cap", "slo")
-        assert sched_kinds() == SCHEDULERS
+        assert SCHED_KINDS.names() == SCHEDULERS
 
     def test_every_kind_is_served_by_the_soa_loop(self):
         """No scheduler kind sends a closed-page crossbar run to the
@@ -72,15 +71,6 @@ class TestRegistry:
             batch = mc.serve_streams(streams, [1, 0])
             assert batch.path == "soa", kind
             assert len(batch) == 60
-
-    def test_descriptions_cover_every_kind(self):
-        table = sched_descriptions()
-        assert set(table) == set(SCHEDULERS)
-        for entry in table.values():
-            assert entry["description"]
-        assert table["fcfs"]["params"] == ""
-        assert "budget_ns=10000" in table["slo"]["params"]
-        assert "gbps=1" in table["bw-cap"]["params"]
 
     def test_make_sched_builds_the_registered_classes(self):
         built = {
@@ -149,8 +139,39 @@ class TestValidation:
             validate_sched("slo", (("window", "big"),))
         with pytest.raises(ValueError, match="must be a number"):
             validate_sched("slo", (("window", True),))
+        with pytest.raises(ValueError, match="must be a number"):
+            validate_sched("slo", (("window", (8,)),))
         with pytest.raises(ValueError, match="must be positive"):
             validate_sched("slo", (("window", 0),))
+
+    @staticmethod
+    def _assert_every_config_rejects(scheduler, sched_params, match):
+        from repro.sim.mc import McRunConfig
+        from repro.system.sim import SystemRunConfig
+
+        for config in (McConfig, McRunConfig, SystemRunConfig):
+            with pytest.raises(ValueError, match=match):
+                config(scheduler=scheduler, sched_params=sched_params)
+
+    def test_slo_window_below_one_rejected_at_construction(self):
+        """window=0.5 truncated to an empty window and died mid-run
+        with an IndexError in SloSched.note_complete."""
+        self._assert_every_config_rejects(
+            "slo", (("window", 0.5),), "'window' must be a whole number")
+
+    def test_fractional_slo_window_rejected_at_construction(self):
+        """window=8.5 ran exactly window=8 under a key and config hash
+        of its own."""
+        self._assert_every_config_rejects(
+            "slo", (("window", 8.5),), "'window' must be a whole number")
+        validate_sched("slo", (("window", 8.0),))
+
+    def test_bw_cap_burst_below_one_rejected_at_construction(self):
+        """A bucket of half a credit never admits a request, so the
+        idle jump advanced time forever."""
+        self._assert_every_config_rejects(
+            "bw-cap", (("burst", 0.5),), "'burst' must be at least 1")
+        validate_sched("bw-cap", (("burst", 1),))
 
     def test_indexed_param_beyond_client_count_fails_at_build(self):
         with pytest.raises(ValueError, match="targets client 5"):

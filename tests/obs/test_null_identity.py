@@ -17,8 +17,8 @@ import dataclasses
 
 from hypothesis import given, settings, strategies as st
 
-from repro.mc.sched import sched_kinds
-from repro.mitigations.registry import PolicySpec, policy_kinds
+from repro.mc.sched import SCHEDULERS
+from repro.mitigations.registry import POLICY_KINDS, PolicySpec
 from repro.obs import EVENT_KINDS, TraceRecorder
 from repro.sim.mc import McRunConfig, run_mc
 from repro.sweep.mc_spec import HAMMER_WORKLOAD
@@ -41,8 +41,8 @@ def _config(policy: str, scheduler: str) -> McRunConfig:
 
 
 @given(
-    policy=st.sampled_from(sorted(policy_kinds())),
-    scheduler=st.sampled_from(sorted(sched_kinds())),
+    policy=st.sampled_from(sorted(POLICY_KINDS.names())),
+    scheduler=st.sampled_from(sorted(SCHEDULERS)),
 )
 @settings(max_examples=20, deadline=None)
 def test_recorder_never_changes_mc_results(policy, scheduler):

@@ -11,7 +11,7 @@ episodes, external services) and for every policy kind.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.mitigations.registry import PolicySpec, RunParams, policy_kinds
+from repro.mitigations.registry import POLICY_KINDS, PolicySpec, RunParams
 from repro.sim.backend import resolve_backend
 from repro.sim.engine import SimConfig, SubchannelSim
 from repro.workloads.generator import generate_schedule
@@ -52,7 +52,7 @@ def workload_schedule(n_trefi=512, seed=0):
 
 
 class TestBatchedEquivalence:
-    @pytest.mark.parametrize("kind", sorted(policy_kinds()))
+    @pytest.mark.parametrize("kind", sorted(POLICY_KINDS.names()))
     def test_every_policy_kind(self, kind):
         factory = PolicySpec(kind).make_factory(RunParams(ath=64, eth=32))
         schedule = workload_schedule(n_trefi=256)
@@ -128,7 +128,7 @@ class TestBackendEquivalence:
     the backend name without it entering any sweep identity."""
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    @pytest.mark.parametrize("kind", sorted(policy_kinds()))
+    @pytest.mark.parametrize("kind", sorted(POLICY_KINDS.names()))
     def test_every_policy_kind(self, kind, backend):
         assert resolve_backend(backend).name == backend
         schedule = workload_schedule(n_trefi=128)
@@ -163,7 +163,7 @@ random_schedules = st.lists(
 class TestBatchedProperties:
     @given(
         schedule=random_schedules,
-        kind=st.sampled_from(sorted(policy_kinds())),
+        kind=st.sampled_from(sorted(POLICY_KINDS.names())),
     )
     @settings(max_examples=50, deadline=None)
     def test_random_schedules_bit_identical(self, schedule, kind):

@@ -7,8 +7,6 @@ from repro.sweep.model_spec import (
     ModelSpec,
     ModelSweepPoint,
     ModelSweepSpec,
-    model_descriptions,
-    model_kinds,
 )
 from repro.sweep.family import MODEL_FAMILY
 
@@ -40,12 +38,6 @@ class TestModelSpec:
             "workload": "roms",
             "n_trefi": 128,
         }
-
-    def test_descriptions_cover_every_kind(self):
-        descriptions = model_descriptions()
-        assert set(descriptions) == set(model_kinds())
-        for info in descriptions.values():
-            assert info["description"]
 
 
 class TestModelSweepSpec:

@@ -94,11 +94,11 @@ class TestPerfCommand:
 
 class TestRegistryDrivenListings:
     def test_list_policies_matches_registry(self, capsys):
-        from repro.mitigations.registry import policy_kinds
+        from repro.mitigations.registry import POLICY_KINDS
 
         assert main(["perf", "--list-policies"]) == 0
         out = capsys.readouterr().out
-        for kind in policy_kinds():
+        for kind in POLICY_KINDS.names():
             assert kind in out
 
     def test_list_presets_matches_presets(self, capsys):

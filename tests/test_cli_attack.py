@@ -13,9 +13,9 @@ class TestParser:
             build_parser().parse_args(["attack"])
 
     def test_run_choices_come_from_registry(self):
-        from repro.attacks.registry import attack_kinds
+        from repro.attacks.registry import ATTACK_KINDS
 
-        for kind in attack_kinds():
+        for kind in ATTACK_KINDS.names():
             args = build_parser().parse_args(["attack", "run", kind])
             assert args.name == kind
         with pytest.raises(SystemExit):
@@ -24,11 +24,11 @@ class TestParser:
 
 class TestAttackList:
     def test_lists_registry(self, capsys):
-        from repro.attacks.registry import attack_kinds
+        from repro.attacks.registry import ATTACK_KINDS
 
         assert main(["attack", "list"]) == 0
         out = capsys.readouterr().out
-        for kind in attack_kinds():
+        for kind in ATTACK_KINDS.names():
             assert kind in out
 
 
