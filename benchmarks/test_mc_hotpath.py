@@ -1,6 +1,6 @@
 """Memory-controller hot-path microbenchmarks.
 
-Two measurements pin the closed-loop subsystem's speed:
+These measurements pin the closed-loop subsystem's speed:
 
 * ``test_mc_hotpath_throughput`` times the subsystem end to end —
   request generation, queueing, FR-FCFS scheduling, and engine
@@ -16,6 +16,11 @@ Two measurements pin the closed-loop subsystem's speed:
 * ``test_mc_qos_serve_speedup`` does the same for the system-qos
   noisy-priority shape: two prioritized victims and an ALERT-storming
   attacker through one crossbar under the ``priority`` scheduler.
+* ``test_policy_selection_cost`` serves one hammer stream under the
+  null policy and the two whole-table trackers (victim counting and
+  the securely sized Misra-Gries Graphene) and bounds each tracker's
+  serve time as a multiple of null's, so a proactive pick that scans
+  every tracked row again fails the gate.
 
 Like ``test_engine_hotpath.py``, this deliberately bypasses the
 artifact caches: it *measures* the subsystem, so replaying a cached
@@ -30,6 +35,7 @@ import time
 
 from benchmarks.conftest import FAST
 from repro.mc.controller import MemoryController
+from repro.mitigations.registry import PolicySpec
 from repro.obs import TraceRecorder
 from repro.report.tables import format_table
 from repro.sim.mc import McRunConfig, build_mc_channel, run_mc
@@ -46,6 +52,11 @@ REQUIRED_REQUESTS_PER_S = 2000.0
 #: The struct-of-arrays rewrite of the serve loop against the retained
 #: scalar reference.
 REQUIRED_SOA_SPEEDUP = 2.0
+#: Ceiling on a whole-table tracker's serve time as a multiple of the
+#: null policy's, on the same stream. Exact selection indexes measure
+#: about 2x at both scales; the whole-table scans they replaced
+#: measured 4.4-7.4x at 512 tREFI and 7-14x at 1024.
+MAX_TRACKER_COST_VS_NULL = 3.0
 
 
 def _hammer_config() -> McRunConfig:
@@ -240,9 +251,8 @@ def _speedup_report(report, record_json, key, title, n_requests,
     )
 
 
-def test_mc_backend_speedups(report, record_json):
-    config = _hammer_config()
-    requests = generate_requests(
+def _hammer_requests(config):
+    return generate_requests(
         config.workload,
         num_subchannels=config.subchannels,
         banks_per_subchannel=config.banks,
@@ -251,6 +261,11 @@ def test_mc_backend_speedups(report, record_json):
         seed=config.seed,
         trefi_ns=config.timing.t_refi,
     )
+
+
+def test_mc_backend_speedups(report, record_json):
+    config = _hammer_config()
+    requests = _hammer_requests(config)
 
     ref_s, ref_out = _serve_timed(config, [requests], reference=True)
     soa_s, soa_out = _serve_timed(config, [requests])
@@ -293,3 +308,47 @@ def test_mc_qos_serve_speedup(report, record_json):
         "MC serve loop, noisy-priority crossbar - SoA vs scalar reference",
         sum(len(stream) for stream in streams), ref_s, soa_s,
     )
+
+
+def test_policy_selection_cost(report, record_json):
+    """The victim counter's argmax and Graphene's mitigate-max pick are
+    exact indexes, not scans: each tracker serves the hammer stream
+    within a bounded multiple of the null policy's time."""
+    base = _hammer_config()
+    requests = _hammer_requests(base)
+    serve_s = {
+        kind: _serve_timed(
+            dataclasses.replace(base, policy=PolicySpec(kind)), [requests]
+        )[0]
+        for kind in ("null", "victim-counter", "graphene")
+    }
+    ratios = {
+        kind: seconds / serve_s["null"]
+        for kind, seconds in serve_s.items() if kind != "null"
+    }
+
+    report(
+        format_table(
+            ["policy", "serve (s)", "x null"],
+            [("null", f"{serve_s['null']:.3f}", "1.00x")] + [
+                (kind, f"{serve_s[kind]:.3f}", f"{ratio:.2f}x")
+                for kind, ratio in ratios.items()
+            ],
+            title=f"MC policy selection cost ({len(requests):,} requests, "
+            f"best of {ROUNDS})",
+        )
+    )
+    record_json(
+        {
+            "requests": len(requests),
+            "serve_s": serve_s,
+            "cost_vs_null": ratios,
+            "max_cost_vs_null": MAX_TRACKER_COST_VS_NULL,
+        },
+        key="mc_policy_selection",
+    )
+    for kind, ratio in ratios.items():
+        assert ratio <= MAX_TRACKER_COST_VS_NULL, (
+            f"{kind} serves at {ratio:.2f}x the null policy's time "
+            f"(allowed {MAX_TRACKER_COST_VS_NULL}x)"
+        )

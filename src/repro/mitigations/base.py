@@ -15,6 +15,11 @@ from array import array
 from typing import Dict, Iterator, List, Optional, Tuple
 
 
+#: Rows per block of :class:`CounterTable`'s running maxima, and log2.
+_BLOCK_SHIFT = 8
+_BLOCK_ROWS = 1 << _BLOCK_SHIFT
+
+
 class CounterTable:
     """Preallocated flat per-row counter table with dict-like order.
 
@@ -28,95 +33,104 @@ class CounterTable:
     the back — so a policy switched onto it produces bit-identical
     simulation results.
 
-    Removal is lazy: a removed row's slot is zeroed and its order entry
-    goes stale; the order list is compacted once stale entries dominate,
-    bounding iteration cost at twice the live-row count.
+    Order is a per-row first-touch stamp from a running clock; a
+    re-inserted row takes a fresh one, so "earliest touch" is "smallest
+    stamp". Every live row counts at least 1, so a zero count means
+    untracked. ``argmax`` needs no scan of the touched rows: the table
+    keeps the running maximum of each fixed 256-row block (raised on
+    increment, recomputed from the block's slice only when a removal
+    takes it), takes the max over those, and compares stamps among the
+    rows of the blocks that hold it.
     """
 
-    __slots__ = ("counts", "_order", "_pos", "_live", "_stale")
+    __slots__ = ("counts", "_stamp", "_block_max", "_clock", "_live")
 
     def __init__(self, num_rows: int) -> None:
         if num_rows <= 0:
             raise ValueError("num_rows must be positive")
         #: Flat counter per row; index directly for hot-path reads.
         self.counts = array("q", bytes(8 * num_rows))
-        #: Rows in first-touch order; may contain stale entries.
-        self._order: List[int] = []
-        #: A row's live position in ``_order`` (-1 = not present).
-        self._pos = array("q", [-1]) * num_rows
+        #: A row's first-touch stamp (meaningful only while it counts).
+        self._stamp = array("q", bytes(8 * num_rows))
+        #: Largest count in each ``_BLOCK_ROWS``-row block.
+        self._block_max = [0] * (((num_rows - 1) >> _BLOCK_SHIFT) + 1)
+        self._clock = 0
         self._live = 0
-        self._stale = 0
 
     def __len__(self) -> int:
         return self._live
 
     def __contains__(self, row: int) -> bool:
-        return self._pos[row] >= 0
+        return self.counts[row] > 0
 
     def get(self, row: int) -> int:
         """Count for ``row`` (0 when untracked)."""
         return self.counts[row]
 
-    def increment(self, row: int, delta: int = 1) -> int:
-        """Add ``delta`` to ``row``'s counter, tracking it if new."""
-        if self._pos[row] < 0:
-            self._pos[row] = len(self._order)
-            self._order.append(row)
+    def increment(self, row: int) -> int:
+        """Add one to ``row``'s counter, tracking it if new."""
+        counts = self.counts
+        count = counts[row] + 1
+        counts[row] = count
+        if count == 1:
+            self._clock += 1
+            self._stamp[row] = self._clock
             self._live += 1
-        count = self.counts[row] + delta
-        self.counts[row] = count
+        block = row >> _BLOCK_SHIFT
+        if count > self._block_max[block]:
+            self._block_max[block] = count
         return count
 
     def remove(self, row: int) -> bool:
         """Drop ``row``'s counter; returns whether it was tracked."""
-        if self._pos[row] < 0:
+        counts = self.counts
+        count = counts[row]
+        if not count:
             return False
-        self._pos[row] = -1
-        self.counts[row] = 0
+        counts[row] = 0
         self._live -= 1
-        self._stale += 1
-        if self._stale > self._live and self._stale > 64:
-            self._compact()
+        block = row >> _BLOCK_SHIFT
+        if count == self._block_max[block]:
+            low = block << _BLOCK_SHIFT
+            self._block_max[block] = max(counts[low:low + _BLOCK_ROWS])
         return True
-
-    def _compact(self) -> None:
-        pos = self._pos
-        order = [row for i, row in enumerate(self._order) if pos[row] == i]
-        self._order = order
-        for i, row in enumerate(order):
-            pos[row] = i
-        self._stale = 0
 
     def items(self) -> Iterator[Tuple[int, int]]:
         """Live ``(row, count)`` pairs in first-touch order."""
-        pos = self._pos
         counts = self.counts
-        for i, row in enumerate(self._order):
-            if pos[row] == i:
-                yield row, counts[row]
+        live = [row for row, count in enumerate(counts) if count]
+        live.sort(key=self._stamp.__getitem__)
+        for row in live:
+            yield row, counts[row]
 
     def argmax(self) -> Optional[Tuple[int, int]]:
         """The first-touched row holding the maximal count, or ``None``
         when the table is empty (ties resolve to the earliest touch,
         like ``max`` over an insertion-ordered dict)."""
-        best_row = -1
-        best_count = 0
-        pos = self._pos
-        counts = self.counts
-        for i, row in enumerate(self._order):
-            if pos[row] == i:
-                count = counts[row]
-                if best_row < 0 or count > best_count:
-                    best_row = row
-                    best_count = count
-        if best_row < 0:
+        if not self._live:
             return None
-        return best_row, best_count
+        block_max = self._block_max
+        best = max(block_max)
+        counts = self.counts
+        stamp = self._stamp
+        best_row = -1
+        block = -1
+        for _ in range(block_max.count(best)):
+            block = block_max.index(best, block + 1)
+            low = block << _BLOCK_SHIFT
+            # A list: ``array.index`` takes no start before Python 3.10.
+            segment = counts[low:low + _BLOCK_ROWS].tolist()
+            offset = -1
+            for _ in range(segment.count(best)):
+                offset = segment.index(best, offset + 1)
+                row = low + offset
+                if best_row < 0 or stamp[row] < stamp[best_row]:
+                    best_row = row
+        return best_row, best
 
     def max_count(self) -> int:
         """Largest live count (0 when empty)."""
-        found = self.argmax()
-        return found[1] if found else 0
+        return max(self._block_max)
 
     def as_dict(self) -> Dict[int, int]:
         """Dict snapshot in first-touch order (tests, reporting)."""

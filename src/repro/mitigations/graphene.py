@@ -11,11 +11,13 @@ corner of the paper's Figure 1(a) that motivates in-DRAM per-row
 counters.
 
 The policy itself reuses the Misra-Gries machinery of
-:class:`repro.mitigations.trr.TrrTracker` — preallocated parallel
-(row, count) arrays sized at construction, which matters here because
-secure sizing yields thousands of entries per bank and the
-decrement-all sweep runs over the flat arrays instead of churning a
-dict. This module adds the security-driven sizing rule and the SRAM
+:class:`repro.mitigations.trr.TrrTracker` — parallel (row, count)
+lists of the live slots plus a count histogram, which matters here
+because secure sizing yields thousands of entries per bank: the
+decrement-all sweep runs over the flat lists instead of churning a
+dict, and a mitigate-max pick reads the maximum from the histogram and
+finds its slot with one C-level ``list.index`` instead of scanning in
+Python. This module adds the security-driven sizing rule and the SRAM
 cost it implies.
 """
 

@@ -9,8 +9,8 @@ keys, and be serialized into sweep artifacts. A kind's spec parameters
 are its builder's parameters after ``run`` and ``index``.
 :meth:`PolicySpec.make_factory` turns a spec back into the
 zero-argument per-bank factory the simulator expects, resolving
-run-level parameters (ATH, ETH, ABO level, seed) from the run
-configuration at build time.
+run-level parameters (ATH, ETH, ABO level, seed, bank size) from the
+run configuration at build time.
 
 Registered kinds and their run-parameter mapping:
 
@@ -23,7 +23,8 @@ Registered kinds and their run-parameter mapping:
                ETH (the proactive-eligibility threshold).
 ``graphene``   Securely sized Misra-Gries tracker for ``trh``
                (default ``2 * ath``).
-``victim-counter`` ``VictimCounterPolicy``; proactive threshold ETH.
+``victim-counter`` ``VictimCounterPolicy``; proactive threshold ETH,
+               sized to the run's rows per bank.
 ``null``       ``NullPolicy`` (unprotected baseline).
 ========== ============================================================
 
@@ -64,6 +65,9 @@ class RunParams:
     abo_level: int = 1
     seed: int = 0
     timing: Any = None
+    #: Rows per simulated bank (the victim counter's neighbourhood
+    #: clamps at the bank edges).
+    rows_per_bank: int = 64 * 1024
 
 
 def _build_moat(run: RunParams, index: int, ath: Optional[int] = None,
@@ -122,6 +126,7 @@ def _build_victim_counter(run: RunParams, index: int, blast_radius: int = 2,
     return VictimCounterPolicy(
         blast_radius=blast_radius,
         eth=run.eth if eth is None else eth,
+        num_rows=run.rows_per_bank,
     )
 
 

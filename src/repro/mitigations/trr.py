@@ -12,12 +12,15 @@ more than ``e`` aggressor (or decoy) rows — TRRespass / Blacksmith
 style — keeps every count near zero and the tracker blind, which is
 exactly what the motivation benchmarks demonstrate.
 
-The table is stored as preallocated parallel arrays (row addresses,
-counts) plus a row-to-slot index — the SRAM register file, not a
-per-row hash. Slot order is insertion order, so the selection and
-eviction tie-breaks are identical to the original dict-backed
-implementation (securely sized Graphene instances carry thousands of
-entries, where the flat decrement-all sweep matters).
+The table is stored as parallel lists (row addresses, counts) holding
+the live slots in insertion order, plus a row-to-slot index — the SRAM
+register file, not a per-row hash — so the selection and eviction
+tie-breaks are identical to the original dict-backed implementation.
+Securely sized Graphene instances carry thousands of entries, so no
+proactive pick scans them in Python: a histogram of the live counts
+gives the maximum, a C-level ``list.index`` finds its first slot, a
+``del`` removes that slot, and the index is updated in place for just
+the rows that shifted (never cleared and rebuilt).
 """
 
 from __future__ import annotations
@@ -44,69 +47,74 @@ class TrrTracker(MitigationPolicy):
         self.entries = entries
         self.mitigation_threshold = mitigation_threshold
         self.name = f"TRR({entries} entries)"
-        #: Register file: parallel (row, count) arrays with ``_fill``
-        #: live slots in insertion order, plus a row -> slot index.
-        self._rows: List[int] = [0] * entries
-        self._counts: List[int] = [0] * entries
-        self._fill = 0
+        #: Register file: parallel (row, count) lists of the live slots
+        #: in insertion order, plus a row -> slot index.
+        self._rows: List[int] = []
+        self._counts: List[int] = []
         self._slot: Dict[int, int] = {}
+        #: ``_hist[c]``: live slots counting ``c``, trimmed so the last
+        #: entry is the largest count (``len(_hist) - 1`` is the max).
+        self._hist: List[int] = [0]
 
     @property
     def _table(self) -> Dict[int, int]:
         """Inspection view: tracked rows -> counts, insertion order."""
-        return {
-            self._rows[i]: self._counts[i] for i in range(self._fill)
-        }
+        return dict(zip(self._rows, self._counts))
 
     def on_activate(self, row: int, count: int) -> None:
         slot = self._slot.get(row)
+        hist = self._hist
         if slot is not None:
-            self._counts[slot] += 1
+            counts = self._counts
+            c = counts[slot] + 1
+            counts[slot] = c
+            hist[c - 1] -= 1
+            if c < len(hist):
+                hist[c] += 1
+            else:
+                hist.append(1)
             return
-        fill = self._fill
-        if fill < self.entries:
-            self._rows[fill] = row
-            self._counts[fill] = 1
-            self._slot[row] = fill
-            self._fill = fill + 1
+        rows = self._rows
+        if len(rows) < self.entries:
+            self._slot[row] = len(rows)
+            rows.append(row)
+            self._counts.append(1)
+            if len(hist) > 1:
+                hist[1] += 1
+            else:
+                hist.append(1)
             return
-        # Misra-Gries: decrement everyone; compact out the zeros
-        # (stable, so surviving slots keep their insertion order).
-        rows, counts = self._rows, self._counts
+        # Misra-Gries: decrement everyone and compact out the zeros in
+        # one stable pass (surviving slots keep their insertion order);
+        # the index changes only for the dropped and the shifted rows.
+        counts, index = self._counts, self._slot
         keep = 0
-        for i in range(fill):
-            c = counts[i] - 1
-            if c > 0:
-                rows[keep] = rows[i]
-                counts[keep] = c
+        for i, c in enumerate(counts):
+            if c > 1:
+                counts[keep] = c - 1
+                if keep != i:
+                    moved = rows[i]
+                    rows[keep] = moved
+                    index[moved] = keep
                 keep += 1
-        if keep != fill:
-            self._fill = keep
-            self._reindex()
-
-    def _reindex(self) -> None:
-        self._slot.clear()
-        for i in range(self._fill):
-            self._slot[self._rows[i]] = i
+            else:
+                del index[rows[i]]
+        del rows[keep:], counts[keep:], hist[1]
 
     def select_proactive(self) -> Optional[int]:
-        fill = self._fill
-        if not fill:
+        hist = self._hist
+        best = len(hist) - 1
+        if not best or best < self.mitigation_threshold:
             return None
         counts = self._counts
-        best = 0
-        for i in range(1, fill):
-            if counts[i] > counts[best]:
-                best = i
-        if counts[best] < self.mitigation_threshold:
-            return None
+        slot = counts.index(best)
         rows = self._rows
-        row = rows[best]
-        for i in range(best + 1, fill):
-            rows[i - 1] = rows[i]
-            counts[i - 1] = counts[i]
-        self._fill = fill - 1
-        self._reindex()
+        row = rows[slot]
+        del rows[slot], counts[slot], self._slot[row]
+        self._slot.update(zip(rows[slot:], range(slot, len(rows))))
+        hist[best] -= 1
+        while len(hist) > 1 and not hist[-1]:
+            hist.pop()
         return row
 
     def select_reactive(self, max_rows: int) -> List[int]:

@@ -6,7 +6,8 @@ hypothetical TRR-Ideal, which (a) keeps a counter per *victim* row,
 and (c) refreshes the row with the globally maximal victim count at
 each mitigation opportunity. The simulation stores the counters in a
 preallocated :class:`~repro.mitigations.base.CounterTable` (one flat
-slot per row), mirroring the design's per-row storage.
+slot per row), mirroring the design's per-row storage, sized to the
+run's bank so the neighbourhood clamps at its real edges.
 
 Victim counting has one semantic advantage activation counting lacks:
 a victim squeezed between two aggressors (double-sided hammering)
@@ -14,8 +15,10 @@ accumulates both sides in one counter, so the tolerated threshold is
 per-victim rather than per-aggressor. Its costs are why MOAT rejects
 it: every activation performs four counter updates (instead of one),
 and selecting the global maximum requires scanning all counters —
-impractical in DRAM. It also remains feinting-bounded like any purely
-transparent scheme (Table 2).
+impractical in DRAM. (That scan is the hardware's cost; the simulator
+finds the same row through the table's per-block running maxima.) It
+also remains feinting-bounded like any purely transparent scheme
+(Table 2).
 
 Policies of this type set ``mitigation_refreshes_row_directly``: the
 engine refreshes the *selected row itself* (it is the victim) rather

@@ -266,6 +266,7 @@ def build_run_channel(
         abo_level=config.abo_level,
         seed=config.seed,
         timing=config.timing,
+        rows_per_bank=rows_per_bank,
     )
     return ChannelSim(
         ChannelConfig(

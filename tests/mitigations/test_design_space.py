@@ -3,14 +3,17 @@
 
 import pytest
 
+from repro.mc.request import Request
 from repro.mitigations.graphene import (
     graphene_entries_required,
     graphene_sram_bytes,
     make_graphene,
 )
 from repro.mitigations.moat import MoatPolicy
+from repro.mitigations.registry import PolicySpec
 from repro.mitigations.victim_counter import VictimCounterPolicy
 from repro.sim.engine import SimConfig, SubchannelSim
+from repro.sim.mc import McRunConfig, build_mc_channel, run_mc_requests
 
 
 class TestVictimCounterPolicy:
@@ -48,6 +51,43 @@ class TestVictimCounterPolicy:
     def test_blast_radius_validation(self):
         with pytest.raises(ValueError):
             VictimCounterPolicy(blast_radius=0)
+
+
+class TestVictimCounterBankGeometry:
+    """The registry sizes the victim counter to the run's bank, so its
+    neighbourhood clamps at the real edges on either side of the
+    64K-row default."""
+
+    def serve_hammer(self, rows_per_bank, row, requests=3000):
+        config = McRunConfig(
+            policy=PolicySpec("victim-counter"), rows_per_bank=rows_per_bank,
+            banks=1, eth=0, n_trefi=64,
+        )
+        channel = build_mc_channel(config)
+        stream = [Request(issue_ns=10.0 * i, row=row)
+                  for i in range(requests)]
+        result = run_mc_requests(stream, config, channel=channel)
+        return result, channel
+
+    def test_small_bank_clamps_at_last_row(self):
+        # Unclamped, the proactive refresh of victim 8192 is out of
+        # range for an 8192-row bank.
+        result, channel = self.serve_hammer(8192, 8191)
+        policy = channel.subchannels[0].policy
+        assert policy.num_rows == 8192
+        assert channel.proactive_count > 0
+        assert result.total_acts > 0
+        assert set(policy.victim_counts) <= {8189, 8190}
+
+    def test_large_bank_charges_victims_above_64k(self):
+        # Rows past the 64K default must still charge their neighbours
+        # and get proactive mitigation.
+        result, channel = self.serve_hammer(1 << 17, 100_000)
+        policy = channel.subchannels[0].policy
+        assert policy.num_rows == 1 << 17
+        assert channel.proactive_count > 0
+        assert set(policy.victim_counts) <= {99_998, 99_999, 100_001,
+                                             100_002}
 
 
 class TestVictimCountingInEngine:

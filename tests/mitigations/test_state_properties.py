@@ -7,12 +7,17 @@ those of an insertion-ordered dict: first-touch iteration order,
 first-max tie-breaking, stable compaction of surviving slots. These
 invariants were pinned point-wise when the refactor landed; here
 hypothesis hammers them with arbitrary activation/removal sequences
-against straightforward dict reference models.
+against straightforward dict reference models. The exact selection
+indexes (``CounterTable``'s per-block running maxima, the Misra-Gries
+count histogram) are driven across block edges and at secure Graphene
+size, where a wrong index would pick a different row.
 """
 
-from hypothesis import given, settings, strategies as st
+import random
 
-from repro.mitigations.base import CounterTable
+from hypothesis import Phase, given, settings, strategies as st
+
+from repro.mitigations.base import _BLOCK_ROWS, CounterTable
 from repro.mitigations.graphene import make_graphene
 from repro.mitigations.moat import MoatPolicy
 from repro.mitigations.trr import TrrTracker
@@ -34,14 +39,39 @@ table_ops = st.lists(
 )
 
 
+#: Wider than :class:`CounterTable`'s running-maximum blocks: eight
+#: full blocks plus a partial last one.
+WIDE_ROWS = 8 * _BLOCK_ROWS + 52
+
+#: The rows at and beside every block boundary, where one block's
+#: maximum hands over to its neighbour's, and the table's last row.
+EDGE_ROWS = sorted({WIDE_ROWS - 1} | {
+    row
+    for edge in range(0, WIDE_ROWS, _BLOCK_ROWS)
+    for row in (edge - 2, edge - 1, edge, edge + 1)
+    if row >= 0
+})
+
+#: Interleaved operations over the wide table, concentrated at the
+#: block edges; two increments per removal so counts build up.
+wide_table_ops = st.lists(
+    st.tuples(
+        st.sampled_from(["inc", "inc", "remove"]),
+        st.one_of(st.sampled_from(EDGE_ROWS),
+                  st.integers(min_value=0, max_value=WIDE_ROWS - 1)),
+    ),
+    max_size=600,
+)
+
+
 class DictCounterReference:
     """Insertion-ordered dict model of :class:`CounterTable`."""
 
     def __init__(self) -> None:
         self.counts = {}
 
-    def increment(self, row: int, delta: int = 1) -> int:
-        self.counts[row] = self.counts.get(row, 0) + delta
+    def increment(self, row: int) -> int:
+        self.counts[row] = self.counts.get(row, 0) + 1
         return self.counts[row]
 
     def remove(self, row: int) -> bool:
@@ -54,18 +84,54 @@ class DictCounterReference:
                 best = (row, count)
         return best
 
+    def max_count(self) -> int:
+        return max(self.counts.values(), default=0)
+
+
+class DictMisraGries:
+    """Dict-based Misra-Gries with stable decrement-all compaction and
+    mitigate-max service: select the first maximal entry at or above
+    threshold, delete it, keep the rest in order."""
+
+    def __init__(self, entries: int, threshold: int = 1) -> None:
+        self.entries = entries
+        self.threshold = threshold
+        self.table = {}
+
+    def activate(self, row: int) -> None:
+        if row in self.table:
+            self.table[row] += 1
+        elif len(self.table) < self.entries:
+            self.table[row] = 1
+        else:
+            self.table = {r: c - 1 for r, c in self.table.items()
+                          if c - 1 > 0}
+
+    def select(self):
+        best = None
+        for row, count in self.table.items():
+            if best is None or count > best[1]:
+                best = (row, count)
+        if best is None or best[1] < self.threshold:
+            return None
+        del self.table[best[0]]
+        return best[0]
+
+
+def count_histogram(counts):
+    """``[number of counts equal to c for c in 0..max]``."""
+    hist = [0] * (max(counts, default=0) + 1)
+    for count in counts:
+        hist[count] += 1
+    return hist
+
 
 def reference_misra_gries(sequence, entries):
-    """Dict-based Misra-Gries with stable decrement-all compaction."""
-    table = {}
+    """The final :class:`DictMisraGries` table for an ACT sequence."""
+    reference = DictMisraGries(entries)
     for row in sequence:
-        if row in table:
-            table[row] += 1
-        elif len(table) < entries:
-            table[row] = 1
-        else:
-            table = {r: c - 1 for r, c in table.items() if c - 1 > 0}
-    return table
+        reference.activate(row)
+    return reference.table
 
 
 class TestCounterTableProperties:
@@ -124,8 +190,8 @@ class TestCounterTableProperties:
                          max_size=600))
     @settings(max_examples=20, deadline=None)
     def test_compaction_preserves_order(self, rows):
-        """Drive enough churn to trigger the lazy-compaction path (>64
-        stale entries) and confirm survivors keep first-touch order."""
+        """Heavy remove/re-insert churn (every re-insertion takes a
+        fresh stamp): survivors keep first-touch order."""
         table = CounterTable(ROWS)
         reference = DictCounterReference()
         for row in rows:
@@ -136,6 +202,49 @@ class TestCounterTableProperties:
             table.remove(victim)
             reference.remove(victim)
         assert list(table.items()) == list(reference.counts.items())
+
+    @given(ops=wide_table_ops)
+    @settings(max_examples=60, deadline=None)
+    def test_matches_dict_reference_across_blocks(self, ops):
+        """Every operation, and ``argmax``/``max_count`` after every
+        operation, agree with the dict across block boundaries."""
+        table = CounterTable(WIDE_ROWS)
+        reference = DictCounterReference()
+        for op, row in ops:
+            if op == "inc":
+                assert table.increment(row) == reference.increment(row)
+            else:
+                assert table.remove(row) == reference.remove(row)
+            assert table.argmax() == reference.argmax()
+            assert table.max_count() == reference.max_count()
+        assert list(table.items()) == list(reference.counts.items())
+        assert len(table) == len(reference.counts)
+        for row in EDGE_ROWS:
+            assert (row in table) == (row in reference.counts)
+            assert table.get(row) == reference.counts.get(row, 0)
+
+    def test_removing_a_block_maximum(self):
+        """A removal that takes a block's maximum hands the argmax to
+        the block's runner-up, then to the next block; equal counts in
+        different blocks go to the earlier touch."""
+        block = _BLOCK_ROWS
+        table = CounterTable(WIDE_ROWS)
+        for row, hits in ((block - 1, 3), (block, 5), (block + 1, 5),
+                          (block + 40, 4), (WIDE_ROWS - 1, 3)):
+            for _ in range(hits):
+                table.increment(row)
+        assert table.argmax() == (block, 5)
+        table.remove(block)
+        assert table.argmax() == (block + 1, 5)
+        table.remove(block + 1)
+        assert table.argmax() == (block + 40, 4)
+        table.remove(block + 40)
+        assert table.argmax() == (block - 1, 3)
+        table.remove(block - 1)
+        assert table.argmax() == (WIDE_ROWS - 1, 3)
+        table.remove(WIDE_ROWS - 1)
+        assert table.argmax() is None
+        assert table.max_count() == 0
 
 
 class TestMisraGriesSlotProperties:
@@ -174,38 +283,49 @@ class TestMisraGriesSlotProperties:
         interleaved with activations stays identical to the dict
         model: select the first maximal entry above threshold, delete
         it, keep the rest in order."""
-        threshold = 3
-        tracker = TrrTracker(entries=entries,
-                             mitigation_threshold=threshold)
-        reference = {}
-
-        def reference_activate(row):
-            nonlocal reference
-            if row in reference:
-                reference[row] += 1
-            elif len(reference) < entries:
-                reference[row] = 1
-            else:
-                reference = {r: c - 1 for r, c in reference.items()
-                             if c - 1 > 0}
-
-        def reference_select():
-            best = None
-            for row, count in reference.items():
-                if best is None or count > best[1]:
-                    best = (row, count)
-            if best is None or best[1] < threshold:
-                return None
-            del reference[best[0]]
-            return best[0]
-
+        tracker = TrrTracker(entries=entries, mitigation_threshold=3)
+        reference = DictMisraGries(entries, threshold=3)
         for i, row in enumerate(rows):
             tracker.on_activate(row, 0)
-            reference_activate(row)
+            reference.activate(row)
             if i % period == period - 1:
-                assert tracker.select_proactive() == reference_select()
-                assert tracker._table == reference
-        assert tracker._table == reference
+                assert tracker.select_proactive() == reference.select()
+                assert tracker._table == reference.table
+        assert tracker._table == reference.table
+
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+           hot_share=st.floats(min_value=0.2, max_value=0.6),
+           period=st.integers(min_value=20, max_value=400))
+    # No shrink phase: each example replays tens of thousands of ACTs,
+    # and a smaller seed is no simpler stream.
+    @settings(max_examples=8, deadline=None,
+              phases=(Phase.explicit, Phase.reuse, Phase.generate))
+    def test_graphene_scale_service_matches_reference(self, seed,
+                                                      hot_share, period):
+        """At secure Graphene size (thousands of slots) the cold draws
+        reach more distinct rows than there are slots, so the table
+        fills and the decrement-all compactions and the mitigate-max
+        picks both shift thousands of slots; both stay identical to
+        the dict."""
+        rng = random.Random(seed)
+        tracker = make_graphene(trh=128)
+        entries = tracker.entries
+        reference = DictMisraGries(entries, tracker.mitigation_threshold)
+        hot = rng.sample(range(64), 8)
+        for i in range(4 * entries):
+            if rng.random() < hot_share:
+                row = rng.choice(hot)
+            else:
+                row = 64 + rng.randrange(4 * entries)
+            tracker.on_activate(row, 0)
+            reference.activate(row)
+            if i % period == period - 1:
+                assert tracker.select_proactive() == reference.select()
+        assert tracker._table == reference.table
+        assert len(tracker._slot) == len(tracker._rows)
+        for row, slot in tracker._slot.items():
+            assert tracker._rows[slot] == row
+        assert tracker._hist == count_histogram(tracker._counts)
 
     @given(rows=act_sequences, entries=st.sampled_from([1, 4, 16]))
     @settings(max_examples=40, deadline=None)
@@ -223,17 +343,24 @@ class TestMisraGriesSlotProperties:
             if count > bound:
                 assert row in table, (row, count, bound)
 
-    @given(rows=act_sequences, entries=st.sampled_from([2, 8]))
+    @given(rows=act_sequences, entries=st.sampled_from([2, 8]),
+           period=st.integers(min_value=3, max_value=40))
     @settings(max_examples=30, deadline=None)
-    def test_slot_index_consistent(self, rows, entries):
-        """The row -> slot index and the parallel arrays never drift."""
+    def test_slot_index_consistent(self, rows, entries, period):
+        """The row -> slot index, the parallel lists and the count
+        histogram never drift, across activations, compactions and
+        proactive picks."""
         tracker = TrrTracker(entries=entries, mitigation_threshold=4)
-        for row in rows:
+        for i, row in enumerate(rows):
             tracker.on_activate(row, 0)
-            assert len(tracker._slot) == tracker._fill
+            if i % period == period - 1:
+                tracker.select_proactive()
+            assert len(tracker._slot) == len(tracker._rows)
+            assert len(tracker._rows) == len(tracker._counts)
             for r, slot in tracker._slot.items():
                 assert tracker._rows[slot] == r
                 assert tracker._counts[slot] > 0
+            assert tracker._hist == count_histogram(tracker._counts)
 
 
 class ListMoatReference:
