@@ -21,6 +21,10 @@ These measurements pin the closed-loop subsystem's speed:
   the securely sized Misra-Gries Graphene) and bounds each tracker's
   serve time as a multiple of null's, so a proactive pick that scans
   every tracked row again fails the gate.
+* ``test_request_generation_cost`` times ``generate_requests`` on the
+  hammer stream and bounds it as a multiple of the null policy's serve
+  time for the same stream, so generation that builds one object per
+  request again fails the gate.
 
 Like ``test_engine_hotpath.py``, this deliberately bypasses the
 artifact caches: it *measures* the subsystem, so replaying a cached
@@ -57,6 +61,11 @@ REQUIRED_SOA_SPEEDUP = 2.0
 #: about 2x at both scales; the whole-table scans they replaced
 #: measured 4.4-7.4x at 512 tREFI and 7-14x at 1024.
 MAX_TRACKER_COST_VS_NULL = 3.0
+#: Ceiling on generating the hammer stream as a multiple of serving it
+#: under the null policy. Columnar generation measures 0.3-0.45x; one
+#: frozen request object per arrival plus a tagged-tuple merge measured
+#: 1.2-2.2x.
+MAX_GENERATION_COST_VS_SERVE = 0.75
 
 
 def _hammer_config() -> McRunConfig:
@@ -352,3 +361,49 @@ def test_policy_selection_cost(report, record_json):
             f"{kind} serves at {ratio:.2f}x the null policy's time "
             f"(allowed {MAX_TRACKER_COST_VS_NULL}x)"
         )
+
+
+def test_request_generation_cost(report, record_json):
+    """Request generation draws straight into columns: making the
+    stream costs a bounded fraction of serving it."""
+    config = dataclasses.replace(_hammer_config(), policy=PolicySpec("null"))
+    generate_s = None
+    for _ in range(ROUNDS):
+        started = time.perf_counter()
+        requests = _hammer_requests(config)
+        elapsed = time.perf_counter() - started
+        if generate_s is None or elapsed < generate_s:
+            generate_s = elapsed
+    serve_s = _serve_timed(config, [requests])[0]
+    ratio = generate_s / serve_s
+    us_per_request = generate_s / len(requests) * 1e6
+
+    report(
+        format_table(
+            ["step", "seconds", "us / request"],
+            [
+                ("generate_requests", f"{generate_s:.3f}",
+                 f"{us_per_request:.2f}"),
+                ("serve (null policy)", f"{serve_s:.3f}",
+                 f"{serve_s / len(requests) * 1e6:.2f}"),
+                ("generation / serve", f"{ratio:.2f}x", ""),
+            ],
+            title=f"MC request generation cost ({len(requests):,} "
+            f"requests, best of {ROUNDS})",
+        )
+    )
+    record_json(
+        {
+            "requests": len(requests),
+            "generate_s": generate_s,
+            "generate_us_per_request": us_per_request,
+            "serve_s": serve_s,
+            "cost_vs_serve": ratio,
+            "max_cost_vs_serve": MAX_GENERATION_COST_VS_SERVE,
+        },
+        key="mc_request_generation",
+    )
+    assert ratio <= MAX_GENERATION_COST_VS_SERVE, (
+        f"generating the stream takes {ratio:.2f}x the null policy's "
+        f"serve time (allowed {MAX_GENERATION_COST_VS_SERVE}x)"
+    )

@@ -61,6 +61,7 @@ from repro.mc import (
     McConfig,
     MemoryController,
     Request,
+    RequestStream,
 )
 from repro.attacks import AttackResult, AttackRunConfig, AttackSpec, run_attack
 from repro.sim.mc import (
@@ -138,6 +139,7 @@ __all__ = [
     "PerfResult",
     "PolicySpec",
     "Request",
+    "RequestStream",
     "RunConfig",
     "SweepFamily",
     "SystemResult",

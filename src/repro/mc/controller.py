@@ -18,7 +18,9 @@ Layering:
   bank — while the other clients keep admitting; simultaneous
   admissions arbitrate by priority, round-robin among equals.
   :meth:`MemoryController.run` is the single-client special case.
-  Every request's ``client`` tag must equal its stream's index.
+  A stream is a :class:`~repro.mc.request.RequestStream` (columns in
+  issue-time order; a plain list of requests is converted once, at
+  entry), and its ``client`` tag must equal its index.
 * **Queues** — one FIFO per (sub-channel, bank), depth
   :attr:`McConfig.queue_depth` (``None`` = unbounded). The
   struct-of-arrays loop splits each into one FIFO per client
@@ -54,10 +56,19 @@ mitigation, ALERT assertion) stays in :class:`SubchannelSim`.
 from __future__ import annotations
 
 import math
+from collections import defaultdict, deque
 from dataclasses import dataclass, field
-from typing import Any, List, Optional, Sequence, Tuple
+from itertools import accumulate, chain
+from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
 
-from repro.mc.request import CompletedRequest, Request
+from repro.mc.request import (
+    CompletedRequest,
+    Request,
+    RequestStream,
+    as_stream,
+    concat_column,
+    misplaced_tag,
+)
 from repro.mc.sched import (
     BOOST,
     SCHEDULERS,
@@ -116,27 +127,31 @@ class McConfig:
 
 @dataclass
 class ServedBatch:
-    """Struct-of-arrays result of one served request stream.
+    """Struct-of-arrays result of served request streams.
 
-    The hot serving paths record completions as parallel flat arrays
-    (request index, enqueue, start, complete) instead of allocating one
-    :class:`CompletedRequest` per request — at struct-of-arrays
-    throughput the per-completion object construction would dominate
-    the run. :meth:`completions` materializes the classic object list
-    on demand (API compatibility); the run summary
-    (:func:`repro.sim.mc.client_shard_stats`) reads the per-client
-    metrics straight from the arrays, in the exact float-summation
-    order of the object-based code, so results stay bit-identical.
+    The serving paths record completions as parallel flat arrays
+    (request index, enqueue, start, complete) and keep references to
+    the served streams' columns, instead of one
+    :class:`CompletedRequest` and one :class:`Request` per request: at
+    struct-of-arrays throughput the per-request object construction
+    would dominate the run. The run summary
+    (:func:`repro.sim.mc.client_shard_stats`) and the post-hoc event
+    derivation walk the completions and read each request's values
+    from :meth:`column` and :meth:`clients` at its :attr:`ridx`, in
+    the exact float-summation order of the object-based code, so
+    results stay bit-identical.
+    :meth:`completions` builds the classic object list on demand.
 
-    All sequences are in completion order. ``row_hit`` may be ``None``
-    when no request hit an open row (the closed-page SoA loop).
+    The completion arrays are in completion order. ``row_hit`` may be
+    ``None`` when no request hit an open row (the closed-page SoA
+    loop).
     """
 
-    #: The served requests: each client's stream sorted by
-    #: ``issue_ns``, concatenated in client order (the SoA loop), or
-    #: the completed requests in completion order (the reference).
-    requests: List[Request]
-    #: Index into :attr:`requests` per completion.
+    #: The served client streams, in client order (stream ``c`` holds
+    #: client ``c``'s requests in issue-time order).
+    streams: List[RequestStream]
+    #: Per completion, the index of its request in the concatenation
+    #: of :attr:`streams`.
     ridx: List[int]
     enqueue_ns: List[float]
     start_ns: List[float]
@@ -152,12 +167,22 @@ class ServedBatch:
 
     @classmethod
     def from_completions(
-        cls, completed: List[CompletedRequest]
+        cls, streams: List[RequestStream], completed: List[CompletedRequest]
     ) -> "ServedBatch":
-        """Wrap an object-based completion list (reference path)."""
+        """Wrap the reference loop's completions of ``streams``.
+
+        Each completion takes the index of the first not yet taken
+        request of the streams equal to its own: equal requests are
+        interchangeable, so the columns read back exactly the
+        completed requests. The objects are kept for
+        :meth:`completions`.
+        """
+        untaken: Dict[Request, Deque[int]] = defaultdict(deque)
+        for index, req in enumerate(chain.from_iterable(streams)):
+            untaken[req].append(index)
         return cls(
-            requests=[c.request for c in completed],
-            ridx=list(range(len(completed))),
+            streams=streams,
+            ridx=[untaken[c.request].popleft() for c in completed],
             enqueue_ns=[c.enqueue_ns for c in completed],
             start_ns=[c.start_ns for c in completed],
             complete_ns=[c.complete_ns for c in completed],
@@ -168,10 +193,24 @@ class ServedBatch:
     def __len__(self) -> int:
         return len(self.ridx)
 
+    def column(self, name: str) -> List:
+        """The served requests' column ``name`` (``"issue_ns"``,
+        ``"subchannel"``, ``"bank"``, ``"row"`` or ``"is_write"``) over
+        the concatenation of :attr:`streams`, indexed by :attr:`ridx`;
+        one stream's own list, uncopied."""
+        return concat_column(self.streams, name)
+
+    def clients(self) -> List[int]:
+        """The served requests' clients, indexed like :meth:`column`."""
+        owner: List[int] = []
+        for stream in self.streams:
+            owner += [stream.client] * len(stream)
+        return owner
+
     def completions(self) -> List[CompletedRequest]:
         """The classic per-request completion objects (cached)."""
         if self._completed is None:
-            requests = self.requests
+            requests = list(chain.from_iterable(self.streams))
             hits = self.row_hit
             self._completed = [
                 CompletedRequest(
@@ -211,7 +250,7 @@ class MemoryController:
         #: never changes dispatch and never touches the serving loops.
         self.recorder = NULL_RECORDER
 
-    def run(self, requests: List[Request]) -> List[CompletedRequest]:
+    def run(self, requests: Sequence[Request]) -> List[CompletedRequest]:
         """Serve every request; returns completions in issue order.
 
         Requests are processed in arrival order (a stable sort on
@@ -224,7 +263,7 @@ class MemoryController:
 
     def run_streams(
         self,
-        streams: Sequence[List[Request]],
+        streams: Sequence[Sequence[Request]],
         priorities: Optional[Sequence[int]] = None,
     ) -> List[CompletedRequest]:
         """Serve N independent client streams through one crossbar.
@@ -248,7 +287,7 @@ class MemoryController:
         """
         return self.serve_streams(streams, priorities).completions()
 
-    def serve(self, requests: List[Request]) -> ServedBatch:
+    def serve(self, requests: Sequence[Request]) -> ServedBatch:
         """Serve one client's requests; returns the SoA batch result.
 
         Single-stream alias of :meth:`serve_streams`, which every
@@ -259,7 +298,7 @@ class MemoryController:
 
     def serve_streams(
         self,
-        streams: Sequence[List[Request]],
+        streams: Sequence[Sequence[Request]],
         priorities: Optional[Sequence[int]] = None,
     ) -> ServedBatch:
         """Serve client streams, dispatching to the fastest eligible path.
@@ -276,8 +315,10 @@ class MemoryController:
         construction and by test; the dispatch can change wall-clock
         only.
 
-        The served path is recorded as :attr:`ServedBatch.path` and,
-        with a recorder attached, counted into
+        Each stream is a :class:`~repro.mc.request.RequestStream`; a
+        plain sequence of requests is converted once, here. The served
+        path is recorded as :attr:`ServedBatch.path` and, with a
+        recorder attached, counted into
         ``recorder.meta["serve_paths"]``.
         """
         n_clients = len(streams)
@@ -289,12 +330,15 @@ class MemoryController:
             raise ValueError(
                 f"got {len(priorities)} priorities for {n_clients} streams"
             )
+        streams = [
+            as_stream(stream, client) for client, stream in enumerate(streams)
+        ]
         path = self._serve_path()
         if path == "soa":
             batch = self._serve_soa(streams, priorities)
         else:
             batch = ServedBatch.from_completions(
-                self.run_streams_reference(streams, priorities)
+                streams, self.run_streams_reference(streams, priorities)
             )
         batch.path = path
         # Post-hoc event derivation: one linear pass over the SoA batch
@@ -309,7 +353,7 @@ class MemoryController:
 
     def run_streams_reference(
         self,
-        streams: Sequence[List[Request]],
+        streams: Sequence[Sequence[Request]],
         priorities: Optional[Sequence[int]] = None,
     ) -> List[CompletedRequest]:
         """Scalar reference implementation of the serving loop.
@@ -319,7 +363,8 @@ class MemoryController:
         committed baseline was produced with, retained verbatim as the
         equivalence oracle for :meth:`_serve_soa` (see the SoA
         property tests) and as the general path for configurations the
-        SoA loop does not cover.
+        SoA loop does not cover. It serves :class:`Request` objects,
+        built from each validated stream in its issue-time order.
         """
         n_clients = len(streams)
         if n_clients < 1:
@@ -330,12 +375,11 @@ class MemoryController:
             raise ValueError(
                 f"got {len(priorities)} priorities for {n_clients} streams"
             )
-        ordered = [
-            sorted(stream, key=lambda r: r.issue_ns) for stream in streams
-        ]
-        for client, stream in enumerate(ordered):
-            for req in stream:
-                self._validate(req, client)
+        ordered: List[List[Request]] = []
+        for client, stream in enumerate(streams):
+            stream = as_stream(stream, client)
+            self._validate(stream, client)
+            ordered.append(list(stream))
 
         depth = self.config.queue_depth
         sched = make_sched(
@@ -542,7 +586,7 @@ class MemoryController:
 
     def _serve_soa(
         self,
-        streams: Sequence[List[Request]],
+        streams: List[RequestStream],
         priorities: Sequence[int],
     ) -> ServedBatch:
         """Closed-page serving of N client streams over flat arrays.
@@ -558,6 +602,10 @@ class MemoryController:
         index; the :mod:`repro.mc.sched` oracle instance supplies the
         parameters and, for ``slo``, the demotion feedback.
 
+        The loop reads the streams' columns, concatenated in client
+        order (one stream's own lists, uncopied); each stream is
+        already in issue-time order and is validated column by column.
+
         The common-case ACT is issued *inline*: the per-request trip
         through ``channel.activate -> engine event machinery ->
         ActResult`` is replaced by the engine's own between-events
@@ -572,19 +620,15 @@ class MemoryController:
         flushed before anything that may consult ``can_assert``.
         """
         n_clients = len(streams)
-        requests: List[Request] = []
-        ends: List[int] = []
         for client, stream in enumerate(streams):
-            start = len(requests)
-            requests.extend(sorted(stream, key=lambda r: r.issue_ns))
-            for i in range(start, len(requests)):
-                self._validate(requests[i], client)
-            ends.append(len(requests))
+            self._validate(stream, client)
+        #: One past each client's last request index.
+        ends = list(accumulate(len(stream) for stream in streams))
         #: Next unadmitted request index per client.
         heads = [0] + ends[:-1]
         channel = self.channel
         sub = channel.subchannels[0]
-        n = len(requests)
+        n = ends[-1]
         cap = self.config.queue_depth
         kind = self.config.scheduler
         sched = make_sched(
@@ -594,7 +638,7 @@ class MemoryController:
         if n == 0:
             channel.flush()
             return ServedBatch(
-                requests=requests, ridx=[], enqueue_ns=[], start_ns=[],
+                streams=streams, ridx=[], enqueue_ns=[], start_ns=[],
                 complete_ns=[],
             )
 
@@ -627,7 +671,8 @@ class MemoryController:
             last_admit = list(sched._last)
         elif slo:
             demoted = sched._demoted
-            note_complete = sched.note_complete
+            note_latency = sched.note_read_latency
+            rwrite = concat_column(streams, "is_write")
 
         n_banks = self._num_banks
         nq = n_clients * n_banks
@@ -640,9 +685,9 @@ class MemoryController:
         pracs = [bank._prac for bank in banks]
         shadows = [engine.shadow for engine in sub.refresh]
 
-        issue = [r.issue_ns for r in requests]
-        rbank = [r.bank for r in requests]
-        rrow = [r.row for r in requests]
+        issue = concat_column(streams, "issue_ns")
+        rbank = concat_column(streams, "bank")
+        rrow = concat_column(streams, "row")
         #: Ring FIFO per (client, bank), index ``q = client * n_banks
         #: + bank``, each with room for a full bank queue.
         q_seq = [0] * (nq * cap)
@@ -939,8 +984,8 @@ class MemoryController:
                 out_start[out_n] = start
                 out_complete[out_n] = complete
                 out_n += 1
-                if slo:
-                    note_complete(requests[ridx], complete)
+                if slo and not rwrite[ridx]:
+                    note_latency(q_client[q], complete - issue[ridx])
                 continue
 
             # Inline issue: the engine's own between-events recurrence.
@@ -981,8 +1026,8 @@ class MemoryController:
                 e_now, e_chfree, next_ref_s, next_ext_s, window_end_s = (
                     _engine_view(sub)
                 )
-            if slo:
-                note_complete(requests[ridx], complete)
+            if slo and not rwrite[ridx]:
+                note_latency(q_client[q], complete - issue[ridx])
 
         # Final writeback: statistics, engine scalars, episode flush.
         _engine_sync(channel, sub, pending_acts, e_now, e_chfree,
@@ -992,7 +1037,7 @@ class MemoryController:
                 banks[b].note_activations(acts_bank[b])
         channel.flush()
         return ServedBatch(
-            requests=requests, ridx=out_ridx, enqueue_ns=out_enq,
+            streams=streams, ridx=out_ridx, enqueue_ns=out_enq,
             start_ns=out_start, complete_ns=out_complete,
         )
 
@@ -1000,29 +1045,41 @@ class MemoryController:
     # Validation
     # ------------------------------------------------------------------
 
-    def _validate(self, req: Request, client: int) -> None:
-        if req.client != client:
+    def _validate(self, stream: RequestStream, client: int) -> None:
+        """Reject stream ``client`` unless it carries tag ``client`` and
+        every coordinate and time is in range (checked column by
+        column: a range check per column, a scan only on failure)."""
+        if stream.client != client:
+            raise misplaced_tag(stream.client, client)
+        if not len(stream):
+            return
+        sub = _outside(stream.subchannel, self._num_subchannels)
+        if sub is not None:
             raise ValueError(
-                f"request tagged client {req.client} sits in stream "
-                f"{client}; tag every request with its stream index"
-            )
-        if not 0 <= req.subchannel < self._num_subchannels:
-            raise ValueError(
-                f"request targets sub-channel {req.subchannel} but the "
+                f"request targets sub-channel {sub} but the "
                 f"channel has {self._num_subchannels}"
             )
-        if not 0 <= req.bank < self._num_banks:
+        bank = _outside(stream.bank, self._num_banks)
+        if bank is not None:
             raise ValueError(
-                f"request targets bank {req.bank} but the channel has "
+                f"request targets bank {bank} but the channel has "
                 f"{self._num_banks} banks per sub-channel"
             )
-        if not 0 <= req.row < self._rows_per_bank:
+        row = _outside(stream.row, self._rows_per_bank)
+        if row is not None:
             raise ValueError(
-                f"request targets row {req.row} but banks have "
+                f"request targets row {row} but banks have "
                 f"{self._rows_per_bank} rows"
             )
-        if req.issue_ns < 0:
+        if stream.issue_ns[0] < 0:  # the earliest: streams are in order
             raise ValueError("request issue_ns must be non-negative")
+
+
+def _outside(values: List[int], bound: int) -> Optional[int]:
+    """The first of ``values`` outside ``[0, bound)``, else ``None``."""
+    if min(values) >= 0 and max(values) < bound:
+        return None
+    return next(v for v in values if not 0 <= v < bound)
 
 
 def _engine_sync(

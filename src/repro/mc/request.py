@@ -7,11 +7,20 @@ scheduler picks it, the channel simulation serves it; the resulting
 :class:`CompletedRequest` records every timestamp of that lifetime, so
 latency decomposes into front-end blocking (full queue), queueing
 delay (bank busy, REF, ALERT stall), and service time.
+
+A :class:`RequestStream` is one client's requests as parallel columns
+in issue-time order: what the generators produce and what the
+serving loops and the run summary read, without one object per
+request.
 """
 
 from __future__ import annotations
 
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import islice
+from typing import Iterable, Iterator, List, Union
 
 
 @dataclass(frozen=True)
@@ -69,3 +78,130 @@ class CompletedRequest:
     def queue_ns(self) -> float:
         """Time spent in the bank queue before command issue."""
         return self.start_ns - self.enqueue_ns
+
+
+def misplaced_tag(tag: int, stream: int) -> ValueError:
+    """The error for a request tagged ``tag`` in stream ``stream``."""
+    return ValueError(
+        f"request tagged client {tag} sits in stream {stream}; tag every "
+        "request with its stream index"
+    )
+
+
+class RequestStream(Sequence):
+    """One client's request stream as parallel columns.
+
+    ``issue_ns``, ``subchannel``, ``bank``, ``row`` and ``is_write`` are
+    plain lists with one entry per request; ``client`` is the crossbar
+    tag every request of the stream carries.
+
+    The stream is kept in stable issue-time order: the constructor
+    sorts the columns on ``issue_ns`` when they are out of order, and
+    equal times keep the order they were given in. Both serving loops
+    of the controller serve a client in exactly that order, so neither
+    sorts a stream again. A generator that concatenates per-bank draws
+    in (sub-channel, bank, index) order gets the (time, sub-channel,
+    bank, index) merge from this one stable sort.
+
+    The stream is also a read-only sequence of :class:`Request`
+    objects: ``len``, indexing (a slice gives a list), iteration and
+    ``==`` against another stream or a list of requests. Those objects
+    are built on access; the hot paths read the columns instead.
+    """
+
+    __slots__ = ("issue_ns", "subchannel", "bank", "row", "is_write",
+                 "client")
+
+    def __init__(
+        self,
+        issue_ns: Iterable[float],
+        subchannel: Iterable[int],
+        bank: Iterable[int],
+        row: Iterable[int],
+        is_write: Iterable[bool],
+        client: int = 0,
+    ) -> None:
+        columns = [
+            values if type(values) is list else list(values)
+            for values in (issue_ns, subchannel, bank, row, is_write)
+        ]
+        times = columns[0]
+        if any(len(values) != len(times) for values in columns):
+            raise ValueError("request stream columns differ in length")
+        if any(map(operator.gt, times, islice(times, 1, None))):
+            order = sorted(range(len(times)), key=times.__getitem__)
+            columns = [list(map(values.__getitem__, order))
+                       for values in columns]
+        (self.issue_ns, self.subchannel, self.bank, self.row,
+         self.is_write) = columns
+        self.client = client
+
+    @classmethod
+    def from_requests(
+        cls, requests: Iterable[Request], client: int = 0
+    ) -> "RequestStream":
+        """The columns of ``requests`` (in any order), which must all be
+        tagged ``client``."""
+        ordered = sorted(requests, key=lambda r: r.issue_ns)
+        for req in ordered:
+            if req.client != client:
+                raise misplaced_tag(req.client, client)
+        return cls(
+            [r.issue_ns for r in ordered],
+            [r.subchannel for r in ordered],
+            [r.bank for r in ordered],
+            [r.row for r in ordered],
+            [r.is_write for r in ordered],
+            client,
+        )
+
+    def _columns(self) -> tuple:
+        return (self.issue_ns, self.subchannel, self.bank, self.row,
+                self.is_write)
+
+    def __len__(self) -> int:
+        return len(self.issue_ns)
+
+    def __getitem__(self, index: Union[int, slice]):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        return Request(self.issue_ns[index], self.subchannel[index],
+                       self.bank[index], self.row[index],
+                       self.is_write[index], self.client)
+
+    def __iter__(self) -> Iterator[Request]:
+        client = self.client
+        for values in zip(*self._columns()):
+            yield Request(*values, client)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, RequestStream):
+            return (self.client == other.client
+                    and self._columns() == other._columns())
+        if isinstance(other, list):
+            return list(self) == other
+        return NotImplemented
+
+    __hash__ = None  # type: ignore[assignment]  # mutable, like a list
+
+    def __repr__(self) -> str:
+        return f"RequestStream(<{len(self)} requests>, client={self.client})"
+
+
+def as_stream(requests: Sequence, client: int) -> RequestStream:
+    """Stream ``client`` of a run as columns: a :class:`RequestStream`
+    as it is, a sequence of :class:`Request` objects converted once."""
+    if isinstance(requests, RequestStream):
+        return requests
+    return RequestStream.from_requests(requests, client)
+
+
+def concat_column(streams: Sequence[RequestStream], name: str) -> List:
+    """Column ``name`` over the concatenation of ``streams``; one
+    stream's own list, uncopied."""
+    if len(streams) == 1:
+        return getattr(streams[0], name)
+    out: List = []
+    for stream in streams:
+        out += getattr(stream, name)
+    return out

@@ -449,10 +449,13 @@ class SloSched(_QosSched):
         self._demoted = [False] * self.n_clients
 
     def note_complete(self, req: Request, complete_ns: float) -> None:
-        if req.is_write:
-            return
-        client = req.client
-        latency = complete_ns - req.issue_ns
+        if not req.is_write:
+            self.note_read_latency(req.client, complete_ns - req.issue_ns)
+
+    def note_read_latency(self, client: int, latency: float) -> None:
+        """The feedback core: one read of ``client`` completed after
+        ``latency`` ns (the struct-of-arrays loop calls it directly,
+        from its columns)."""
         recent = self._recent[client]
         ordered = self._sorted[client]
         recent.append(latency)

@@ -103,34 +103,34 @@ def record_batch_events(recorder: TraceRecorder, batch,
     """Derive per-request queue events from a served batch, post hoc.
 
     ``batch`` is a :class:`~repro.mc.controller.ServedBatch` (duck
-    typed: ``requests``/``ridx``/``enqueue_ns``/``start_ns``/
-    ``complete_ns``). Emits, per completion: ``queue-stall`` (only
-    when admission was delayed past arrival), ``queue-admit``,
-    ``queue-issue`` (``value`` = queued time), and ``complete``
-    (``value`` = end-to-end latency) — everything the serving loops
-    know, recovered with zero cost inside them.
+    typed: ``column``/``clients``/``ridx``/``enqueue_ns``/``start_ns``/
+    ``complete_ns``), read in completion order from its arrays and
+    the served streams' columns. Emits, per completion:
+    ``queue-stall`` (only when admission was delayed past arrival),
+    ``queue-admit``, ``queue-issue`` (``value`` = queued time), and
+    ``complete`` (``value`` = end-to-end latency) — everything the
+    serving loops know, recovered with zero cost inside them.
     """
     emit = recorder.emit
-    requests = batch.requests
-    ridx = batch.ridx
-    enqueue_ns = batch.enqueue_ns
-    start_ns = batch.start_ns
-    complete_ns = batch.complete_ns
-    for i in range(len(ridx)):
-        req = requests[ridx[i]]
-        enq = enqueue_ns[i]
-        start = start_ns[i]
-        complete = complete_ns[i]
-        sub = sub_base + req.subchannel
-        if enq > req.issue_ns:
-            emit("queue-stall", req.issue_ns, enq - req.issue_ns,
-                 sub=sub, bank=req.bank, client=req.client)
-        emit("queue-admit", enq, sub=sub, bank=req.bank,
-             client=req.client)
+    issues = batch.column("issue_ns")
+    subs = batch.column("subchannel")
+    banks = batch.column("bank")
+    owner = batch.clients()
+    for r, enq, start, complete in zip(
+        batch.ridx, batch.enqueue_ns, batch.start_ns, batch.complete_ns,
+    ):
+        issue = issues[r]
+        sub = sub_base + subs[r]
+        bank = banks[r]
+        client = owner[r]
+        if enq > issue:
+            emit("queue-stall", issue, enq - issue,
+                 sub=sub, bank=bank, client=client)
+        emit("queue-admit", enq, sub=sub, bank=bank, client=client)
         emit("queue-issue", start, complete - start, sub=sub,
-             bank=req.bank, client=req.client, value=start - enq)
-        emit("complete", complete, sub=sub, bank=req.bank,
-             client=req.client, value=complete - req.issue_ns)
+             bank=bank, client=client, value=start - enq)
+        emit("complete", complete, sub=sub, bank=bank,
+             client=client, value=complete - issue)
 
 
 def merged_events(recorders: Iterable[TraceRecorder]) -> List[TraceEvent]:

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import operator
 from dataclasses import asdict, dataclass, field, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -218,7 +219,7 @@ def build_mc_channel(config: McRunConfig) -> ChannelSim:
 def serve_closed_loop(
     channel: ChannelSim,
     config: McRunConfig,
-    streams: Sequence[List[Request]],
+    streams: Sequence[Sequence[Request]],
     priorities: Optional[Sequence[int]] = None,
     recorder=None,
     sub_base: int = 0,
@@ -270,26 +271,33 @@ def client_shard_stats(
     batch: ServedBatch, n_clients: int, budget: Optional[float]
 ) -> List[ClientShardStats]:
     """Per-client outcome of one served batch, read from the batch
-    arrays in completion order.
+    arrays and the served streams' columns in completion order.
 
-    Each client's ``queue_ns`` is one ``sum()`` over its own ``start -
+    One pass splits the waits and the read latencies by client. Each
+    client's ``queue_ns`` is one ``sum()`` over its own ``start -
     enqueue`` values in completion order, the float-summation order
     the per-completion code used (CPython 3.12+ ``sum()`` compensates,
     so an accumulating ``+=`` would not match it).
     """
-    requests = batch.requests
-    hits = batch.row_hit
+    issue = batch.column("issue_ns")
+    is_write = batch.column("is_write")
+    owner = batch.clients()
     queued: List[List[float]] = [[] for _ in range(n_clients)]
     latencies: List[List[float]] = [[] for _ in range(n_clients)]
+    for r, wait, complete in zip(
+        batch.ridx,
+        map(operator.sub, batch.start_ns, batch.enqueue_ns),
+        batch.complete_ns,
+    ):
+        client = owner[r]
+        queued[client].append(wait)
+        if not is_write[r]:
+            latencies[client].append(complete - issue[r])
     row_hits = [0] * n_clients
-    for i, r in enumerate(batch.ridx):
-        req = requests[r]
-        client = req.client
-        queued[client].append(batch.start_ns[i] - batch.enqueue_ns[i])
-        if not req.is_write:
-            latencies[client].append(batch.complete_ns[i] - req.issue_ns)
-        if hits is not None and hits[i]:
-            row_hits[client] += 1
+    if batch.row_hit is not None:
+        for r, hit in zip(batch.ridx, batch.row_hit):
+            if hit:
+                row_hits[owner[r]] += 1
     out: List[ClientShardStats] = []
     for client in range(n_clients):
         mine = sorted(latencies[client])
@@ -422,7 +430,7 @@ def run_mc(config: McRunConfig = McRunConfig(), recorder=None) -> McResult:
 
 
 def run_mc_requests(
-    requests: List[Request],
+    requests: Sequence[Request],
     config: McRunConfig,
     workload_name: str = "requests",
     channel: Optional[ChannelSim] = None,
@@ -432,7 +440,9 @@ def run_mc_requests(
     """Serve an explicit request stream (tests, converters, replays).
 
     Args:
-        requests: The stream; timestamps in nanoseconds.
+        requests: The stream (a :class:`~repro.mc.request.
+            RequestStream`, or a list of requests, converted once);
+            timestamps in nanoseconds.
         config: Policy and controller parameters; the geometry fields
             must cover the stream's coordinates unless ``channel``
             overrides them.

@@ -12,9 +12,11 @@ This module owns the *client* side of that crossbar:
 * :func:`client_requests` — the one stream synthesizer: benign clients
   draw from :func:`~repro.workloads.requests.generate_requests` under
   the seeding discipline below; attacker clients synthesize a paced
-  hammer stream via :func:`attack_request_stream`. Both emit requests
-  already tagged with the client's crossbar index, which the
-  controller requires to match the stream's position.
+  hammer stream via :func:`attack_request_stream`. Both return a
+  :class:`~repro.mc.request.RequestStream` (columns in issue-time
+  order, no object per request) already tagged with the client's
+  crossbar index, which the controller requires to match the stream's
+  position.
 
 The grant logic itself — priority-first, round-robin-among-equals,
 per-client stall on a full bank queue — lives in
@@ -40,7 +42,7 @@ from typing import List, Optional
 
 from repro.attacks.registry import AttackSpec
 from repro.dram.timing import DramTiming
-from repro.mc.request import Request
+from repro.mc.request import RequestStream
 from repro.workloads.requests import McWorkload, generate_requests
 
 #: Seed distance between adjacent client seeds (see module docstring).
@@ -113,7 +115,7 @@ def attack_request_stream(
     timing: DramTiming,
     rows_per_bank: int,
     client: int = 0,
-) -> List[Request]:
+) -> RequestStream:
     """Render an open-loop attack as a timed request stream.
 
     The attack's activation pattern is paced at one request per tRC —
@@ -156,21 +158,18 @@ def attack_request_stream(
         )
     t_rc = timing.t_rc
     count = min(budget, max(0, int(horizon_ns / t_rc) + 1))
-    requests = []
+    issue: List[float] = []
     for k in range(count):
         t = k * t_rc
         if t >= horizon_ns:
             break
-        requests.append(
-            Request(
-                issue_ns=t,
-                subchannel=0,
-                bank=0,
-                row=ATTACK_ROW_BASE + (k % num_rows),
-                client=client,
-            )
-        )
-    return requests
+        issue.append(t)
+    n = len(issue)
+    return RequestStream(
+        issue, [0] * n, [0] * n,
+        [ATTACK_ROW_BASE + (k % num_rows) for k in range(n)],
+        [False] * n, client,
+    )
 
 
 def client_requests(
@@ -183,13 +182,13 @@ def client_requests(
     seed: int,
     channel: int,
     timing: DramTiming,
-) -> List[Request]:
+) -> RequestStream:
     """Synthesize client ``index``'s stream for one channel.
 
     Benign clients draw from :func:`generate_requests` at the strided
     seed described in the module docstring; attacker clients get the
     deterministic paced stream of :func:`attack_request_stream`.
-    Every request is tagged ``client=index`` so completions attribute
+    The stream is tagged ``client=index`` so completions attribute
     back through the shared controller.
     """
     if client.attack is not None:
@@ -225,12 +224,14 @@ def record_crossbar_grants(recorder, batch, sub_base: int = 0) -> None:
     outcomes of :meth:`repro.mc.controller.MemoryController.
     serve_streams` recovered without touching its grant loop. ``batch``
     is a :class:`~repro.mc.controller.ServedBatch`, read in completion
-    order. ``sub_base`` offsets the sub-channel index for multi-channel
-    merges (see :meth:`repro.sim.channel.ChannelSim.attach_recorder`).
+    order from its arrays and the served streams' columns. ``sub_base``
+    offsets the sub-channel index for multi-channel merges (see
+    :meth:`repro.sim.channel.ChannelSim.attach_recorder`).
     """
     emit = recorder.emit
-    requests = batch.requests
+    subs = batch.column("subchannel")
+    banks = batch.column("bank")
+    owner = batch.clients()
     for r, enqueue in zip(batch.ridx, batch.enqueue_ns):
-        req = requests[r]
-        emit("grant", enqueue, sub=sub_base + req.subchannel,
-             bank=req.bank, client=req.client)
+        emit("grant", enqueue, sub=sub_base + subs[r], bank=banks[r],
+             client=owner[r])

@@ -29,16 +29,22 @@ schedule generator does.
 Recorded traces and open-loop schedules convert to request streams via
 :func:`requests_from_trace` and :func:`requests_from_schedule` — the
 bridges the round-trip and cross-check tests are built on.
+
+Every producer returns a :class:`~repro.mc.request.RequestStream`:
+parallel columns in stable issue-time order, filled straight from the
+draws. No :class:`~repro.mc.request.Request` object is built on the
+way; the controller's serve loop and the run summary read the columns.
 """
 
 from __future__ import annotations
 
+import math
 import random
 import zlib
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
-from repro.mc.request import Request
+from repro.mc.request import RequestStream
 
 #: Processes implemented by :func:`generate_requests`.
 ARRIVAL_PROCESSES = ("poisson", "bursty")
@@ -75,16 +81,19 @@ class McWorkload:
                 f"unknown arrival process {self.process!r}; "
                 f"known: {', '.join(ARRIVAL_PROCESSES)}"
             )
-        if self.reads_per_trefi_per_bank <= 0:
-            raise ValueError("reads_per_trefi_per_bank must be positive")
+        for name in ("reads_per_trefi_per_bank", "burst_trefi",
+                     "idle_trefi"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(
+                    f"{name} must be finite and positive, got {value!r}"
+                )
         if not 0.0 <= self.hot_fraction <= 1.0:
             raise ValueError("hot_fraction must be in [0, 1]")
         if self.hot_rows < 1:
             raise ValueError("hot_rows must be at least 1")
         if not 0.0 <= self.write_fraction <= 1.0:
             raise ValueError("write_fraction must be in [0, 1]")
-        if self.burst_trefi <= 0 or self.idle_trefi <= 0:
-            raise ValueError("burst_trefi and idle_trefi must be positive")
 
     def display_name(self) -> str:
         """Stable human-readable identity (sweep keys, CLI tables).
@@ -92,22 +101,32 @@ class McWorkload:
         Injective over behavior-distinct workloads: every parameter
         that shapes the request stream appears whenever it is off its
         default, so sweep-point keys (which deduplicate on this name)
-        can never fold two different streams together. ``hot_rows``
-        matters even at ``hot_fraction=0`` — it bounds the cold-row
-        draw range; the burst knobs only exist for ``bursty``.
+        can never fold two different streams together, and every value
+        is spelled exactly (see :func:`_spell`). ``hot_rows`` matters
+        even at ``hot_fraction=0`` — it bounds the cold-row draw range;
+        the burst knobs only exist for ``bursty``.
         """
-        name = f"{self.process}-r{self.reads_per_trefi_per_bank:g}"
+        name = f"{self.process}-r{_spell(self.reads_per_trefi_per_bank)}"
         if self.hot_fraction:
-            name += f"-hot{self.hot_fraction:g}x{self.hot_rows}"
+            name += f"-hot{_spell(self.hot_fraction)}x{self.hot_rows}"
         elif self.hot_rows != 8:
             name += f"-hotrows{self.hot_rows}"
         if self.write_fraction:
-            name += f"-w{self.write_fraction:g}"
+            name += f"-w{_spell(self.write_fraction)}"
         if self.process == "bursty" and (
             self.burst_trefi != 8.0 or self.idle_trefi != 8.0
         ):
-            name += f"-b{self.burst_trefi:g}i{self.idle_trefi:g}"
+            name += (f"-b{_spell(self.burst_trefi)}"
+                     f"i{_spell(self.idle_trefi)}")
         return name
+
+
+def _spell(value: float) -> str:
+    """``value`` as ``:g`` when that spelling reads back as exactly
+    ``value`` (every preset's spelling), else as ``repr``: ``:g`` keeps
+    6 significant digits, which would fold 0.3333333 and 1/3."""
+    short = f"{value:g}"
+    return short if float(short) == value else repr(value)
 
 
 def generate_requests(
@@ -119,16 +138,18 @@ def generate_requests(
     seed: int = 0,
     trefi_ns: float = 3900.0,
     client: int = 0,
-) -> List[Request]:
+) -> RequestStream:
     """Synthesize one channel's request stream, merged in time order.
 
     One independent draw per (sub-channel, bank), seeded in
     sub-channel-major order (``seed + sub * banks + bank``): adding
     sub-channels leaves existing streams untouched, and sub-channel
-    0's per-bank streams are independent of the bank count. The merge
-    is deterministic: ties on the timestamp resolve in (sub-channel,
-    bank, per-bank order) order. Every request carries the crossbar
-    ``client`` tag; the tag never influences the draws.
+    0's per-bank streams are independent of the bank count. Each draw
+    goes straight into columns, concatenated in (sub-channel, bank)
+    order; the stream's one stable sort on time is the merge, so ties
+    on the timestamp resolve in (sub-channel, bank, per-bank order)
+    order. The stream carries the crossbar ``client`` tag; the tag
+    never influences the draws.
     """
     if num_subchannels < 1:
         raise ValueError("num_subchannels must be at least 1")
@@ -140,69 +161,81 @@ def generate_requests(
         raise ValueError("rows_per_bank must exceed the hot set")
     horizon_ns = n_trefi * trefi_ns
     name_salt = zlib.crc32(workload.display_name().encode())
-    tagged: List[tuple] = []
+    issue: List[float] = []
+    subs: List[int] = []
+    banks: List[int] = []
+    rows: List[int] = []
+    writes: List[bool] = []
     for sub in range(num_subchannels):
         for bank in range(banks_per_subchannel):
             stream_seed = seed + sub * banks_per_subchannel + bank
             rng = random.Random(name_salt ^ (stream_seed * 0x9E3779B9))
-            for k, req in enumerate(
-                _bank_stream(workload, rng, horizon_ns, trefi_ns,
-                             sub, bank, rows_per_bank, client)
-            ):
-                tagged.append((req.issue_ns, sub, bank, k, req))
-    tagged.sort(key=lambda item: item[:4])
-    return [item[4] for item in tagged]
+            times = _arrivals(workload, rng, horizon_ns, trefi_ns)
+            issue += times
+            subs += [sub] * len(times)
+            banks += [bank] * len(times)
+            _draw_rows(workload, rng, len(times), rows_per_bank,
+                       rows, writes)
+    return RequestStream(issue, subs, banks, rows, writes, client)
 
 
-def _bank_stream(
+def _arrivals(
     workload: McWorkload,
     rng: random.Random,
     horizon_ns: float,
     trefi_ns: float,
-    subchannel: int,
-    bank: int,
-    rows_per_bank: int,
-    client: int,
-) -> List[Request]:
-    """Arrivals of one (sub-channel, bank) over ``[0, horizon_ns)``.
-
-    The draw order per arrival is fixed (gap, hot?, row, write?) so
-    streams stay reproducible when workload knobs sit at their neutral
-    values — a ``hot_fraction=0`` stream draws the hot decision anyway.
-    """
+) -> List[float]:
+    """Arrival times of one (sub-channel, bank) over ``[0, horizon_ns)``."""
     rate_ns = workload.reads_per_trefi_per_bank / trefi_ns
     if workload.process == "bursty":
         duty = workload.burst_trefi / (workload.burst_trefi + workload.idle_trefi)
         on_rate_ns = rate_ns / duty
-        arrivals = _bursty_arrivals(
+        return _bursty_arrivals(
             rng, horizon_ns, on_rate_ns,
             workload.burst_trefi * trefi_ns, workload.idle_trefi * trefi_ns,
         )
-    else:
-        arrivals = _poisson_arrivals(rng, horizon_ns, rate_ns)
+    return _poisson_arrivals(rng, horizon_ns, rate_ns)
 
-    requests: List[Request] = []
-    for t in arrivals:
-        if rng.random() < workload.hot_fraction:
-            row = rng.randrange(workload.hot_rows)
+
+def _draw_rows(
+    workload: McWorkload,
+    rng: random.Random,
+    count: int,
+    rows_per_bank: int,
+    rows: List[int],
+    writes: List[bool],
+) -> None:
+    """Append the row and write flag of ``count`` arrivals.
+
+    Drawn after every arrival time of the stream, in a fixed order per
+    arrival (hot?, row, write?), so streams stay reproducible when
+    workload knobs sit at their neutral values: a ``hot_fraction=0``
+    stream draws the hot decision anyway.
+    """
+    draw = rng.random
+    randrange = rng.randrange
+    hot_fraction = workload.hot_fraction
+    hot_rows = workload.hot_rows
+    write_fraction = workload.write_fraction
+    add_row = rows.append
+    add_write = writes.append
+    for _ in range(count):
+        if draw() < hot_fraction:
+            add_row(randrange(hot_rows))
         else:
-            row = rng.randrange(workload.hot_rows, rows_per_bank)
-        is_write = rng.random() < workload.write_fraction
-        requests.append(
-            Request(issue_ns=t, subchannel=subchannel, bank=bank,
-                    row=row, is_write=is_write, client=client)
-        )
-    return requests
+            add_row(randrange(hot_rows, rows_per_bank))
+        add_write(draw() < write_fraction)
 
 
 def _poisson_arrivals(
     rng: random.Random, horizon_ns: float, rate_ns: float
 ) -> List[float]:
     out: List[float] = []
-    t = rng.expovariate(rate_ns)
+    gap = rng.expovariate
+    t = gap(rate_ns)
     while t < horizon_ns:
         out.append(t)
-        t += rng.expovariate(rate_ns)
+        t += gap(rate_ns)
     return out
 
 
@@ -226,7 +259,7 @@ def _bursty_arrivals(
     return out
 
 
-def requests_from_trace(trace, mapping=None) -> List[Request]:
+def requests_from_trace(trace, mapping=None) -> RequestStream:
     """Convert a v2 address trace into a timed request stream.
 
     Every event is demultiplexed through the mapping (default:
@@ -239,14 +272,17 @@ def requests_from_trace(trace, mapping=None) -> List[Request]:
 
     if mapping is None:
         mapping = CoffeeLakeMapping()
-    requests: List[Request] = []
+    issue: List[float] = []
+    subs: List[int] = []
+    banks: List[int] = []
+    rows: List[int] = []
     for time, addr in trace.events:
         decoded = mapping.decode(addr)
-        requests.append(
-            Request(issue_ns=time, subchannel=decoded.subchannel,
-                    bank=decoded.bank, row=decoded.row)
-        )
-    return requests
+        issue.append(time)
+        subs.append(decoded.subchannel)
+        banks.append(decoded.bank)
+        rows.append(decoded.row)
+    return RequestStream(issue, subs, banks, rows, [False] * len(issue))
 
 
 def requests_from_schedule(
@@ -254,7 +290,7 @@ def requests_from_schedule(
     subchannel: int = 0,
     bank: int = 0,
     trefi_ns: float = 3900.0,
-) -> List[Request]:
+) -> RequestStream:
     """Convert an open-loop activation schedule into a request stream.
 
     Each interval's rows arrive together at the interval boundary —
@@ -263,12 +299,11 @@ def requests_from_schedule(
     same ACT sequence as :func:`repro.sim.perf.run_workload` on the
     same schedule (the cross-check between the two front-ends).
     """
-    requests: List[Request] = []
+    issue: List[float] = []
+    all_rows: List[int] = []
     for interval, rows in enumerate(schedule.per_trefi):
-        time = interval * trefi_ns
-        for row in rows:
-            requests.append(
-                Request(issue_ns=time, subchannel=subchannel,
-                        bank=bank, row=row)
-            )
-    return requests
+        issue += [interval * trefi_ns] * len(rows)
+        all_rows += rows
+    n = len(issue)
+    return RequestStream(issue, [subchannel] * n, [bank] * n, all_rows,
+                         [False] * n)

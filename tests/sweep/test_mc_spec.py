@@ -116,6 +116,16 @@ class TestSpecExpansion:
         )
         assert len(spec.points()) == 1
 
+    def test_keeps_workloads_that_differ_past_six_digits(self):
+        spec = McSweepSpec(
+            name="t",
+            workloads=(McWorkload(hot_fraction=0.3333333),
+                       McWorkload(hot_fraction=1 / 3),
+                       McWorkload(reads_per_trefi_per_bank=24.0),
+                       McWorkload(reads_per_trefi_per_bank=24.0000001)),
+        )
+        assert len(spec.points()) == 4
+
     def test_with_overrides(self):
         spec = McSweepSpec(name="t")
         scaled = spec.with_overrides(n_trefi=64, seed=7)

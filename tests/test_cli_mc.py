@@ -88,6 +88,12 @@ class TestRun:
         assert main(["mc", "run", "--rate", "0"]) == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("rate", ["inf", "nan"])
+    def test_non_finite_rate_is_usage_error(self, capsys, rate):
+        assert main(["mc", "run", "--rate", rate, "--trefi", "16",
+                     "--banks", "2"]) == 2
+        assert "must be finite" in capsys.readouterr().err
+
     def test_trace_replay(self, tmp_path, capsys):
         trace = tmp_path / "t.jsonl"
         assert main(["trace", "synth", "mcf", "--trefi", "16",

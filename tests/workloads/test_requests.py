@@ -31,6 +31,43 @@ class TestWorkloadValidation:
         with pytest.raises(ValueError):
             McWorkload(write_fraction=-0.1)
 
+    @pytest.mark.parametrize(
+        "field", ["reads_per_trefi_per_bank", "burst_trefi", "idle_trefi"]
+    )
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")])
+    def test_rejects_non_finite_arrival_parameters(self, field, value):
+        """An infinite rate used to hang the Poisson draw (every gap is
+        0.0), an infinite burst to divide by zero, and NaN to empty the
+        stream silently."""
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            McWorkload(process="bursty", **{field: value})
+
+
+class TestDisplayName:
+    def test_presets_keep_their_short_spelling(self):
+        workload = McWorkload(process="bursty", hot_fraction=0.5,
+                              write_fraction=0.25, burst_trefi=2.0,
+                              idle_trefi=32.0)
+        assert workload.display_name() == "bursty-r24-hot0.5x8-w0.25-b2i32"
+
+    @pytest.mark.parametrize("field, a, b", [
+        ("hot_fraction", 0.3333333, 1 / 3),
+        ("reads_per_trefi_per_bank", 24.0, 24.0000001),
+        ("write_fraction", 0.1234567, 0.12345671),
+        ("burst_trefi", 2.0, 2.0000001),
+    ])
+    def test_distinct_values_keep_distinct_names(self, field, a, b):
+        """``:g`` keeps 6 significant digits; a value it cannot spell
+        exactly is spelled with ``repr`` instead, so two workloads never
+        share a name (nor the RNG salt derived from it)."""
+        first = McWorkload(process="bursty", **{field: a})
+        second = McWorkload(process="bursty", **{field: b})
+        assert first.display_name() != second.display_name()
+        stream = dict(banks_per_subchannel=1, n_trefi=8)
+        assert generate_requests(first, **stream).row != (
+            generate_requests(second, **stream).row
+        )
+
 
 class TestGeneration:
     def test_sorted_and_in_horizon(self):
