@@ -1,22 +1,25 @@
 """Shared infrastructure for the reproduction benchmarks.
 
-Each benchmark regenerates one table or figure of the paper through the
-:mod:`repro.report` pipeline — the same figure registry, sweep/attack/
-model presets, and on-disk point caches the ``repro report`` CLI uses —
-prints the rendered paper-vs-measured table (bypassing pytest capture
-so it is visible in normal runs), and appends it to
-``benchmarks/results/summary.txt``. Benchmarks that emit
+``test_figures.py`` regenerates every table and figure of the paper
+through the :mod:`repro.report` pipeline — the same figure registry,
+sweep/attack/model/system presets, and on-disk point caches the
+``repro report`` CLI uses — prints the rendered paper-vs-measured table
+(bypassing pytest capture so it is visible in normal runs), and appends
+it to ``benchmarks/results/summary.txt``. Benchmarks that emit
 machine-readable metrics additionally merge them into
 ``benchmarks/results/summary.json`` (via the ``record_json`` fixture),
 so the perf trajectory is diffable in CI alongside the ``BENCH_*.json``
 artifacts.
 
-No benchmark drives the simulation engine directly: every simulated or
-derived number comes out of a cached ``BENCH`` artifact, so re-runs
-resume instead of recomputing and the harness, the CLI, and the CI
-baseline gates all share one code path. (The one deliberate exception
-is ``test_engine_hotpath.py``, which *measures* the engine itself —
-caching it would defeat the microbenchmark.)
+The fig5, fig10, fig16, sec65 and table2 modules keep their per-part
+test names: each gates the claims of one group of its figure's rows
+through :func:`assert_claims_hold`.
+
+Every figure number comes out of a cached ``BENCH`` artifact, so
+re-runs resume instead of recomputing and the harness, the CLI, and the
+CI baseline gates all share one code path. The hot-path benchmarks are
+the deliberate exception: they *measure* the engine, the controller and
+the system front end, and caching would defeat the microbenchmark.
 
 Scale: set ``REPRO_FAST=1`` to use a reduced workload subset and a half
 refresh window for the performance sweeps (about 4x faster, same
@@ -29,23 +32,16 @@ from __future__ import annotations
 import json
 import os
 import pathlib
-from typing import Dict, List, Optional
+from typing import Dict
 
 import pytest
 
 from repro.obs import run_provenance
-from repro.report.figures import FigureRow
-from repro.report.pipeline import (
-    FigureResult,
-    ReportOptions,
-    render_figure_text,
-)
+from repro.report.pipeline import FigureResult, ReportOptions
 from repro.report.pipeline import run_figure as _run_figure
 from repro.sweep.artifacts import git_revision, utc_now
-from repro.sweep.runner import DEFAULT_CACHE_DIR, SweepResult, run_sweep
-from repro.sweep.spec import SWEEP_WORKLOADS as _SWEEP_WORKLOADS
-from repro.sweep.spec import SweepSpec
-from repro.workloads.profiles import TABLE4_PROFILES, WorkloadProfile
+from repro.sweep.spec import SWEEP_WORKLOADS
+from repro.workloads.profiles import TABLE4_PROFILES
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
@@ -54,9 +50,6 @@ RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 #: Entries are keyed on the point config hash and stamped with the
 #: package's source fingerprint, so code changes recompute them.
 CACHE_ROOT = pathlib.Path(__file__).parent.parent / ".repro-cache"
-
-#: Sweep-family cache (kept for the direct sweep-runner benchmarks).
-SWEEP_CACHE_DIR = pathlib.Path(__file__).parent.parent / DEFAULT_CACHE_DIR
 
 FAST = os.environ.get("REPRO_FAST", "") not in ("", "0")
 
@@ -72,10 +65,11 @@ N_JOBS = N_JOBS or (os.cpu_count() or 1)
 #: Window length for performance sweeps.
 N_TREFI = 4096 if FAST else 8192
 
-#: Representative subset for the parameter-sweep tables (the hottest
-#: workloads plus quiet controls); the figure benchmarks use all 21.
-#: Canonically defined next to the sweep presets.
-SWEEP_WORKLOADS = list(_SWEEP_WORKLOADS)
+#: The reduced scale's workloads: the five hottest of the parameter
+#: tables' subset (defined next to the sweep presets), in Table 4 order.
+FAST_WORKLOADS = tuple(
+    p.name for p in TABLE4_PROFILES if p.name in SWEEP_WORKLOADS[:5]
+)
 
 
 @pytest.fixture
@@ -126,22 +120,6 @@ def record_json(request):
     return _record
 
 
-def run_grid(spec: SweepSpec) -> SweepResult:
-    """Run a sweep spec with the benchmark-level scale applied."""
-    return run_sweep(spec, jobs=N_JOBS, cache_dir=SWEEP_CACHE_DIR)
-
-
-def sweep_profiles() -> List[WorkloadProfile]:
-    chosen = SWEEP_WORKLOADS[:5] if FAST else SWEEP_WORKLOADS
-    return [p for p in TABLE4_PROFILES if p.name in chosen]
-
-
-def all_profiles() -> List[WorkloadProfile]:
-    if FAST:
-        return sweep_profiles()
-    return list(TABLE4_PROFILES)
-
-
 def report_options() -> ReportOptions:
     """Figure-pipeline options at the harness scale.
 
@@ -150,14 +128,11 @@ def report_options() -> ReportOptions:
     full run keeps each preset's own workload list (all 21 for the
     figures, the 9-workload subset for the parameter tables).
     """
-    workloads: Optional[tuple] = None
-    if FAST:
-        workloads = tuple(p.name for p in sweep_profiles())
     return ReportOptions(
         n_trefi=N_TREFI,
         jobs=N_JOBS,
         cache_root=CACHE_ROOT,
-        workloads=workloads,
+        workloads=FAST_WORKLOADS if FAST else None,
     )
 
 
@@ -166,38 +141,25 @@ def run_figure(name: str) -> FigureResult:
     return _run_figure(name, report_options())
 
 
-def rows_by_label(result: FigureResult) -> Dict[str, FigureRow]:
-    """Index a figure's extracted rows by label for assertions."""
-    return {row.label: row for row in result.rows}
+def assert_claims_hold(result: FigureResult, *prefixes: str) -> None:
+    """Fail unless every claim of ``result`` holds.
 
-
-def figure_text(result: FigureResult) -> str:
-    """Rendered paper-vs-measured table (the ``report`` payload)."""
-    return render_figure_text(result)
-
-
-def record_figure(record_json, result: FigureResult, key: str) -> None:
-    """Merge a figure's rows and source provenance into summary.json."""
-    record_json(
-        {
-            "max_abs_rel_delta": result.max_abs_rel_delta,
-            "sources": {
-                source: {
-                    "sweep_hash": artifact.get("sweep_hash"),
-                    "cache_hits": artifact.get("cache_hits"),
-                    "compute_time_s": artifact.get("compute_time_s"),
-                    "wall_clock_s": artifact.get("wall_clock_s"),
-                }
-                for source, artifact in result.artifacts.items()
-            },
-            "rows": {
-                row.label: {
-                    "paper": row.paper,
-                    "measured": row.measured,
-                    "rel_delta": row.rel_delta,
-                }
-                for row in result.rows
-            },
-        },
-        key=key,
+    With ``prefixes``, only the rows whose label starts with one of them
+    are checked, and at least one of those must carry a claim, so a
+    renamed row cannot leave the check empty.
+    """
+    rows = [
+        row for row in result.rows
+        if row.claim is not None and row.label.startswith(prefixes or "")
+    ]
+    assert rows or not prefixes, (
+        f"{result.spec.name}: no claimed row starts with {prefixes}"
+    )
+    failed = [
+        f"{row.label}: measured {row.measured!r}, claim {row.claim}"
+        for row in rows
+        if not row.holds
+    ]
+    assert not failed, (
+        f"{result.spec.name} claims that do not hold: {failed}"
     )

@@ -5,63 +5,31 @@ shot; the randomized variant gets there probabilistically, improving
 with the number of iterations (success probability 2^-16 per
 iteration).
 
-Pulls from the cached ``attack:fig5`` and ``model:fig5-curve``
-artifacts via the figure registry: the deterministic attacks and the
-fully-simulated all-heavy iteration live in the attack preset, the
-sampled iteration curve in the model preset.
+The bounds are the claims on the figure's rows (``repro report fig5``
+prints them). Each test here gates the rows of one part of the figure;
+``test_figures.py::test_figure[fig5]`` gates all of them.
 """
 
-from benchmarks.conftest import figure_text, rows_by_label, run_figure
-from repro.report.paper_values import JAILBREAK_QUEUE_THRESHOLD
+import pytest
+
+from benchmarks.conftest import assert_claims_hold, run_figure
 
 
-def _curve(result):
-    points = result.artifacts["model:fig5-curve"]["points"].values()
-    return {
-        p["params"]["iterations"]: p["metrics"]["best_acts"] for p in points
-    }
+@pytest.fixture(scope="module")
+def fig5():
+    return run_figure("fig5")
 
 
-def test_fig5_deterministic(benchmark, report):
-    result = benchmark.pedantic(
-        lambda: run_figure("fig5"), rounds=1, iterations=1
-    )
-    report(figure_text(result))
-    rows = rows_by_label(result)
-    assert (
-        rows["deterministic ACTs on attack row"].measured
-        >= 8.5 * JAILBREAK_QUEUE_THRESHOLD
-    )
-    assert rows["deterministic ALERTs"].measured == 0
+def test_fig5_deterministic(fig5):
+    assert_claims_hold(fig5, "deterministic")
 
 
-def test_fig5_randomized_curve(benchmark, report):
-    result = benchmark.pedantic(
-        lambda: run_figure("fig5"), rounds=1, iterations=1
-    )
-    curve = _curve(result)
-    report(
-        "Figure 5 - Randomized Jailbreak curve: "
-        + ", ".join(f"2^{n.bit_length() - 1}: {int(v)}"
-                    for n, v in sorted(curve.items()))
-    )
-    assert max(curve.values()) >= 8 * JAILBREAK_QUEUE_THRESHOLD
-    # More iterations can only improve the best-so-far (one shared RNG
-    # stream prefix across the preset's points).
-    budgets = sorted(curve)
-    assert all(
-        curve[a] <= curve[b] for a, b in zip(budgets, budgets[1:])
-    )
+def test_fig5_randomized_curve(fig5):
+    # The curve's best, and each iteration budget against the previous.
+    assert_claims_hold(fig5, "randomized best ACTs")
 
 
-def test_fig5_randomized_iteration_validates_model(benchmark, report):
+def test_fig5_randomized_iteration_validates_model(fig5):
     """Full-simulator spot check of the sampled curve's physics: a
     fully-heavy iteration lands in the same range as the model."""
-    result = benchmark.pedantic(
-        lambda: run_figure("fig5"), rounds=1, iterations=1
-    )
-    rows = rows_by_label(result)
-    measured = rows["all-heavy iteration ACTs (simulated)"].measured
-    report(f"Figure 5 - all-heavy iteration ACTs: {measured:.0f} "
-           "(expected ~1024-1152 range)")
-    assert measured >= 6.5 * JAILBREAK_QUEUE_THRESHOLD
+    assert_claims_hold(fig5, "all-heavy iteration ACTs")

@@ -1,43 +1,25 @@
 """Section 6.5 / Appendix D: storage and energy overheads of MOAT.
 
-Pulls from the cached ``model:sec65-storage`` (SRAM budget) and
-``sweep:sec65`` (activation overhead at ATH=64) artifacts via the
-figure registry.
+The bounds are the claims on the section's rows (``repro report
+sec65`` prints them). Each test here gates the rows of one part of the
+section; ``test_figures.py::test_figure[sec65]`` gates all of them.
 """
 
-from benchmarks.conftest import figure_text, rows_by_label, run_figure
-from repro.report.paper_values import (
-    MOAT_SRAM_BYTES_PER_BANK,
-    MOAT_SRAM_BYTES_PER_CHIP,
-)
+import pytest
+
+from benchmarks.conftest import assert_claims_hold, run_figure
 
 
-def test_sec65_storage(benchmark, report):
-    result = benchmark.pedantic(
-        lambda: run_figure("sec65"), rounds=1, iterations=1
+@pytest.fixture(scope="module")
+def sec65():
+    return run_figure("sec65")
+
+
+def test_sec65_storage(sec65):
+    assert_claims_hold(sec65, "MOAT-L")
+
+
+def test_sec65_energy(sec65):
+    assert_claims_hold(
+        sec65, "activation overhead", "total DRAM energy overhead"
     )
-    report(figure_text(result))
-    rows = rows_by_label(result)
-    for level in (1, 2, 4):
-        per_bank = rows[f"MOAT-L{level} SRAM (B/bank)"].measured
-        per_chip = rows[f"MOAT-L{level} SRAM (B/chip)"].measured
-        assert per_bank == MOAT_SRAM_BYTES_PER_BANK[level]
-        assert per_chip == MOAT_SRAM_BYTES_PER_CHIP[level]
-
-
-def test_sec65_energy(benchmark, report):
-    result = benchmark.pedantic(
-        lambda: run_figure("sec65"), rounds=1, iterations=1
-    )
-    rows = rows_by_label(result)
-    overhead = rows["activation overhead @ ATH=64"].measured
-    energy = rows["total DRAM energy overhead"].measured
-    report(
-        f"Section 6.5 - energy: activation overhead {overhead:.2%}, "
-        f"total energy overhead {energy:.3%}"
-    )
-    # Mitigation activations stay a small fraction of demand traffic,
-    # and the derived energy impact stays under the paper's 0.5% bound
-    # scale regime.
-    assert overhead < 0.10
-    assert energy < 0.02

@@ -4,59 +4,24 @@ Reproduces both the analytical bound (n * H(M)) and the simulated
 feinting attack against the idealized per-row tracker for every
 mitigation rate the paper sweeps.
 
-Pulls from the cached ``attack:table2`` (simulation, 512-period prefix)
-and ``model:table2-bound`` (closed form) artifacts via the figure
-registry.
+The bounds are the claims on the table's rows (``repro report table2``
+prints them). Each test here gates the rows of one part of the table;
+``test_figures.py::test_figure[table2]`` gates all of them.
 """
 
 import pytest
 
-from benchmarks.conftest import figure_text, run_figure
-from repro.report.paper_values import TABLE2_FEINTING
-
-RATES = [1, 2, 3, 4, 5]
+from benchmarks.conftest import assert_claims_hold, run_figure
 
 
-def _bounds(result, periods=None):
-    points = result.artifacts["model:table2-bound"]["points"].values()
-    return {
-        p["params"]["trefi_per_mitigation"]: p["metrics"]["bound"]
-        for p in points
-        if p["params"].get("periods") == periods
-    }
+@pytest.fixture(scope="module")
+def table2():
+    return run_figure("table2")
 
 
-def test_table2_analytical(benchmark, report):
-    result = benchmark.pedantic(
-        lambda: run_figure("table2"), rounds=1, iterations=1
-    )
-    report(figure_text(result))
-    bounds = _bounds(result)
-    for rate in RATES:
-        assert bounds[rate] == pytest.approx(TABLE2_FEINTING[rate], rel=0.01)
+def test_table2_analytical(table2):
+    assert_claims_hold(table2, "T_RH bound, 1 per")
 
 
-def test_table2_simulated(benchmark, report):
-    result = benchmark.pedantic(
-        lambda: run_figure("table2"), rounds=1, iterations=1
-    )
-    prefix_bounds = _bounds(result, periods=512)
-    points = result.artifacts["attack:table2"]["points"].values()
-    measured = {
-        p["params"]["trefi_per_mitigation"]: p["metrics"][
-            "acts_on_attack_row"
-        ]
-        for p in points
-    }
-    report(
-        "Table 2 - simulated feinting vs 512-period bound: "
-        + ", ".join(
-            f"k={k}: {int(measured[k])}/{prefix_bounds[k]:.0f}"
-            for k in RATES
-        )
-    )
-    for rate in RATES:
-        # The discrete attack tracks the harmonic bound from below,
-        # within one mitigation period's worth of activations.
-        assert measured[rate] >= 0.8 * prefix_bounds[rate]
-        assert measured[rate] <= prefix_bounds[rate] + 67 * rate
+def test_table2_simulated(table2):
+    assert_claims_hold(table2, "simulated, 1 per")

@@ -2,12 +2,17 @@
 report pipeline, and table formatting."""
 
 from repro.report import paper_values
-from repro.report.figures import FIGURES, FigureRow, FigureSpec, SourceRef
+from repro.report.figures import (
+    FIGURES,
+    Claim,
+    FigureRow,
+    FigureSpec,
+    SourceRef,
+)
 from repro.report.pipeline import (
     REPORT_SCHEMA,
     FigureResult,
     ReportOptions,
-    check_result,
     check_results,
     make_report_artifact,
     render_figure_text,
@@ -16,20 +21,19 @@ from repro.report.pipeline import (
     run_figures,
     write_baselines,
 )
-from repro.report.tables import format_table, paper_vs_measured
+from repro.report.tables import format_table
 
 __all__ = [
     "format_table",
-    "paper_vs_measured",
     "paper_values",
     "FIGURES",
+    "Claim",
     "FigureRow",
     "FigureSpec",
     "SourceRef",
     "REPORT_SCHEMA",
     "FigureResult",
     "ReportOptions",
-    "check_result",
     "check_results",
     "make_report_artifact",
     "render_figure_text",

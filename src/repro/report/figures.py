@@ -21,11 +21,16 @@ double-counted by two figures.
 Extractions consume artifacts — never live simulators — so everything
 the report renders is cacheable, diffable, and baseline-gated. They may
 fold in closed-form arithmetic (a threshold ratio, an energy share),
-but any quantity worth gating lives in a source preset.
+but any quantity worth gating lives in a source preset. An extraction
+also states what each row must show as a :class:`Claim`, which the
+report prints and ``benchmarks/test_figures.py`` gates.
 """
 
 from __future__ import annotations
 
+import functools
+import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -61,6 +66,93 @@ class SourceRef:
 
 
 @dataclass(frozen=True)
+class Claim:
+    """What a row asserts about its measured value: an interval.
+
+    Either end may be absent (``None``), and each present end is closed
+    (the bound itself holds) or open. Extractions compute the ends from
+    paper values, constants or other rows, so the claim is data the
+    report can print, not a predicate only a test can run.
+    """
+
+    low: Optional[float] = None
+    high: Optional[float] = None
+    low_open: bool = False
+    high_open: bool = False
+
+    def holds(self, value: Optional[float]) -> bool:
+        """Whether ``value`` lies in the interval. A missing (``None``)
+        or NaN value never does."""
+        if value is None or math.isnan(value):
+            return False
+        low_ok = self.low is None or (
+            value > self.low if self.low_open else value >= self.low
+        )
+        high_ok = self.high is None or (
+            value < self.high if self.high_open else value <= self.high
+        )
+        return low_ok and high_ok
+
+    def __and__(self, other: "Claim") -> "Claim":
+        """Both claims at once: the intersection of the two intervals."""
+        low, low_open = self.low, self.low_open
+        if other.low is not None and (
+            low is None
+            or other.low > low
+            or (other.low == low and other.low_open)
+        ):
+            low, low_open = other.low, other.low_open
+        high, high_open = self.high, self.high_open
+        if other.high is not None and (
+            high is None
+            or other.high < high
+            or (other.high == high and other.high_open)
+        ):
+            high, high_open = other.high, other.high_open
+        return Claim(low, high, low_open, high_open)
+
+    def __str__(self) -> str:
+        low, high = self.low, self.high
+        if low is not None and high is not None:
+            if low == high and not (self.low_open or self.high_open):
+                return f"= {low:g}"
+            return (
+                f"{'(' if self.low_open else '['}{low:g}, "
+                f"{high:g}{')' if self.high_open else ']'}"
+            )
+        if low is not None:
+            return f"{'>' if self.low_open else '>='} {low:g}"
+        if high is not None:
+            return f"{'<' if self.high_open else '<='} {high:g}"
+        return "any"
+
+
+def at_least(bound: float) -> Claim:
+    return Claim(low=bound)
+
+
+def above(bound: float) -> Claim:
+    return Claim(low=bound, low_open=True)
+
+
+def at_most(bound: float) -> Claim:
+    return Claim(high=bound)
+
+
+def below(bound: float) -> Claim:
+    return Claim(high=bound, high_open=True)
+
+
+def within(center: float, tolerance: float, open: bool = False) -> Claim:
+    """``center ± tolerance``, both ends closed unless ``open``."""
+    return Claim(center - tolerance, center + tolerance, open, open)
+
+
+def exactly(value: float) -> Claim:
+    return within(value, 0.0)
+
+
+@dataclass(frozen=True)
 class FigureRow:
     """One paper-vs-measured comparison row of a rendered figure."""
 
@@ -68,6 +160,15 @@ class FigureRow:
     paper: Optional[float] = None
     measured: Optional[float] = None
     note: str = ""
+    #: The interval ``measured`` must lie in, if the row claims one.
+    claim: Optional[Claim] = None
+
+    @property
+    def holds(self) -> Optional[bool]:
+        """Whether the row's claim holds (``None``: it claims nothing)."""
+        if self.claim is None:
+            return None
+        return self.claim.holds(self.measured)
 
     @property
     def rel_delta(self) -> Optional[float]:
@@ -196,8 +297,37 @@ def _avg(points: Sequence[Dict], metric: str) -> float:
     return sum(p["metrics"][metric] for p in points) / len(points)
 
 
+def _all_of(*claims: Optional[Claim]) -> Optional[Claim]:
+    """The intersection of the claims given (``None`` when none is)."""
+    present = [claim for claim in claims if claim is not None]
+    return functools.reduce(operator.and_, present) if present else None
+
+
+def _slowdown_bound(points: Sequence[Dict], cap: float) -> Claim:
+    """Under 1% for a slowdown averaged over the workloads ``points``
+    hold, with an allowance when they are a subset of Table 4.
+
+    An average over n of the 21 workloads is at most 21/n times the
+    full average, because the dropped workloads' slowdowns are not
+    negative. A subset artifact (the hot-biased one of the reduced
+    harness scale) gets that allowance, capped at ``cap``.
+    """
+    held = len({p["workload"] for p in points})
+    return below(0.01 * min(cap, pv.TABLE4_WORKLOAD_COUNT / held))
+
+
+def _safe_trh(arts: Artifacts) -> Dict[Tuple[int, int], float]:
+    """The ``model:fig15`` grid: (ATH, level) -> safe T_RH."""
+    return {
+        (p["params"]["ath"], p["params"]["level"]): p["metrics"]["safe_trh"]
+        for p in _points(arts, "model:fig15")
+    }
+
+
 # ---------------------------------------------------------------------------
-# Extractions, one per registered figure.
+# Extractions, one per registered figure. Each row's claim states what
+# the reproduction must show; its bounds come from paper values,
+# constants or other rows of the same figure.
 
 
 def _extract_fig1(arts: Artifacts) -> List[FigureRow]:
@@ -211,30 +341,37 @@ def _extract_fig1(arts: Artifacts) -> List[FigureRow]:
         for design in ("trr", "graphene", "panopticon", "moat")
     }
     target = float(pv.FIG1_TARGET_TRH)
+    # The quadrant claims: only MOAT is both cheap and secure.
     return [
         FigureRow("TRR-16 SRAM (B/bank)", measured=sram["trr"]),
         FigureRow(
             "TRR-16 worst exposure",
             measured=trespass["metrics"]["max_danger"],
             note=f"unbounded (target T_RH {target:.0f}) — insecure",
+            claim=above(target),
         ),
         FigureRow(
             "Graphene-sized SRAM (B/bank)",
             measured=sram["graphene"],
             note="secure by construction, impractical cost",
+            claim=above(1_000 * sram["moat"]),
         ),
         FigureRow("Panopticon SRAM (B/bank)", measured=sram["panopticon"]),
         FigureRow(
             "Panopticon Jailbreak exposure",
             measured=jailbreak["metrics"]["acts_on_attack_row"],
             note=f"breaks target T_RH {target:.0f} — insecure",
+            claim=above(target),
         ),
-        FigureRow("MOAT SRAM (B/bank)", measured=sram["moat"]),
+        FigureRow(
+            "MOAT SRAM (B/bank)", measured=sram["moat"], claim=below(10)
+        ),
         FigureRow(
             "MOAT Ratchet exposure",
             paper=target,
             measured=ratchet["metrics"]["acts_on_attack_row"],
             note="bounded at-or-below the target — secure",
+            claim=at_most(target),
         ),
     ]
 
@@ -242,53 +379,88 @@ def _extract_fig1(arts: Artifacts) -> List[FigureRow]:
 def _extract_fig5(arts: Artifacts) -> List[FigureRow]:
     det = _attack_point(arts, "fig5", "jailbreak", threshold=128)
     iteration = _attack_point(arts, "fig5", "jailbreak-randomized")
-    curve_points = _points(arts, "model:fig5-curve")
-    best = max(p["metrics"]["best_acts"] for p in curve_points)
+    curve = sorted(
+        (p["params"]["iterations"], p["metrics"]["best_acts"])
+        for p in _points(arts, "model:fig5-curve")
+    )
+    threshold = pv.JAILBREAK_QUEUE_THRESHOLD
     acts = det["metrics"]["acts_on_attack_row"]
-    return [
+    rows = [
         FigureRow(
             "deterministic ACTs on attack row",
             paper=float(pv.JAILBREAK_DETERMINISTIC_ACTS),
             measured=acts,
+            claim=at_least(8.5 * threshold),
         ),
         FigureRow(
             "x queueing threshold",
-            paper=pv.JAILBREAK_DETERMINISTIC_ACTS
-            / pv.JAILBREAK_QUEUE_THRESHOLD,
-            measured=acts / pv.JAILBREAK_QUEUE_THRESHOLD,
+            paper=pv.JAILBREAK_DETERMINISTIC_ACTS / threshold,
+            measured=acts / threshold,
         ),
         FigureRow(
             "deterministic ALERTs",
             paper=0.0,
             measured=det["metrics"]["alerts"],
+            claim=exactly(0.0),
         ),
         FigureRow(
             "randomized best ACTs (sampled curve)",
             paper=float(pv.JAILBREAK_RANDOMIZED_ACTS),
-            measured=best,
+            measured=max(best for _, best in curve),
             note=f"success prob {pv.JAILBREAK_RANDOMIZED_SUCCESS_PROB:.1e}"
             "/iteration",
+            claim=at_least(8 * threshold),
         ),
+    ]
+    # More iterations can only improve the best-so-far: the preset's
+    # points share one RNG stream prefix.
+    previous: Optional[float] = None
+    for iterations, best in curve:
+        rows.append(
+            FigureRow(
+                f"randomized best ACTs, 2^{iterations.bit_length() - 1} "
+                "iterations",
+                measured=best,
+                claim=None if previous is None else at_least(previous),
+            )
+        )
+        previous = best
+    rows.append(
         FigureRow(
             "all-heavy iteration ACTs (simulated)",
             measured=iteration["metrics"]["acts_on_attack_row"],
-            note="validates the sampled curve's physics "
-            "(well above 6.5x the threshold)",
-        ),
-    ]
+            note="validates the sampled curve's physics",
+            claim=at_least(6.5 * threshold),
+        )
+    )
+    return rows
 
 
 def _extract_fig8(arts: Artifacts) -> List[FigureRow]:
-    return [
-        FigureRow(
-            f"min ACTs between ALERTs (level {level})",
-            paper=float(pv.FIG8_MIN_ACTS[level]),
-            measured=_model_point(arts, "fig8", "abo-config", level=level)[
-                "metrics"
-            ]["min_acts_between_alerts"],
+    rows = []
+    points = _points(arts, "model:fig8")
+    for point in sorted(points, key=lambda p: p["params"]["level"]):
+        level = point["params"]["level"]
+        metrics = point["metrics"]
+        paper = pv.FIG8_MIN_ACTS[level]
+        rows.append(
+            FigureRow(
+                f"min ACTs between ALERTs (level {level})",
+                paper=float(paper),
+                measured=metrics["min_acts_between_alerts"],
+                claim=exactly(paper),
+            )
         )
-        for level in (1, 2, 4)
-    ]
+        # The minimum is the ACTs that fit in the 180 ns pre-RFM window
+        # plus the ``level`` ACTs mandated after the RFMs.
+        rows.append(
+            FigureRow(
+                f"pre-RFM ACTs (level {level})",
+                measured=metrics["pre_rfm_acts"],
+                claim=exactly(paper - level),
+            )
+        )
+    return rows
 
 
 def _extract_fig9(arts: Artifacts) -> List[FigureRow]:
@@ -300,6 +472,9 @@ def _extract_fig9(arts: Artifacts) -> List[FigureRow]:
             paper=float(pv.FIG9_EXTRA_ACTS),
             measured=acts - 64,
             note="idealized bookkeeping vs exact DDR5 timing",
+            # At least the final level-4 inter-ALERT burst, and in the
+            # regime of the figure's +15.
+            claim=Claim(pv.FIG8_MIN_ACTS[4], 2 * pv.FIG9_EXTRA_ACTS),
         ),
         FigureRow(
             "total ACTs on last row",
@@ -307,43 +482,52 @@ def _extract_fig9(arts: Artifacts) -> List[FigureRow]:
             measured=acts,
         ),
         FigureRow(
-            "ALERTs in chain", paper=4.0, measured=point["metrics"]["alerts"]
+            "ALERTs in chain",
+            paper=4.0,
+            measured=point["metrics"]["alerts"],
+            claim=exactly(4),
         ),
     ]
 
 
 def _extract_fig10(arts: Artifacts) -> List[FigureRow]:
-    def model_trh(ath: int, level: int = 1) -> float:
-        return _model_point(
-            arts, "fig15", "safe-trh", ath=ath, level=level
-        )["metrics"]["safe_trh"]
-
+    trh = _safe_trh(arts)
     rows = []
     for ath in (32, 64, 128):
         point = _attack_point(
             arts, "fig10", "ratchet", ath=ath, pool_size=64
         )
+        # A concrete execution beats ATH but stays within the model.
         rows.append(
             FigureRow(
                 f"Ratchet exposure @ ATH={ath} (pool 64)",
                 measured=point["metrics"]["acts_on_attack_row"],
-                note=f"model bound {model_trh(ath):.0f}",
+                note=f"model bound {trh[ath, 1]:.0f}",
+                claim=Claim(ath + 4, trh[ath, 1] + 1),
             )
         )
-    for ath in (64, 128):
+    # The level-1 model curve rises with ATH through the paper's points.
+    previous: Optional[float] = None
+    for ath in sorted(ath for ath, level in trh if level == 1):
+        paper = pv.FIG10_SAFE_TRH.get(ath)
         rows.append(
             FigureRow(
                 f"safe T_RH @ ATH={ath} (model)",
-                paper=float(pv.FIG10_SAFE_TRH[ath]),
-                measured=model_trh(ath),
+                paper=None if paper is None else float(paper),
+                measured=trh[ath, 1],
+                claim=_all_of(
+                    None if previous is None else at_least(previous),
+                    None if paper is None else exactly(paper),
+                ),
             )
         )
+        previous = trh[ath, 1]
     l4 = _attack_point(arts, "fig10", "ratchet", ath=64, abo_level=4)
     rows.append(
         FigureRow(
             "exposure @ ATH=64, generalized L4 tracker (pool 8)",
             measured=l4["metrics"]["acts_on_attack_row"],
-            note=f"model bound {model_trh(64, level=4):.0f}",
+            note=f"model bound {trh[64, 4]:.0f}",
         )
     )
     return rows
@@ -352,21 +536,47 @@ def _extract_fig10(arts: Artifacts) -> List[FigureRow]:
 def _extract_fig11(arts: Artifacts) -> List[FigureRow]:
     at64 = _sweep_points(arts, "fig11", ath=64)
     at128 = _sweep_points(arts, "fig11", ath=128)
+    slowdown64 = _avg(at64, "slowdown")
+    rate64 = _avg(at64, "alerts_per_trefi")
+    # ALERT activity concentrates in the hot workloads.
+    rate_of = {p["workload"]: p["metrics"]["alerts_per_trefi"] for p in at64}
+    hot, quiet = (
+        sum(rate_of[w] for w in names if w in rate_of)
+        for names in (("roms", "parest", "xz", "lbm"), ("tc", "x264", "wrf"))
+    )
     rows = [
         FigureRow(
             "average slowdown @ ATH=64",
             paper=pv.AVG_SLOWDOWN[64],
-            measured=_avg(at64, "slowdown"),
+            measured=slowdown64,
+            claim=_slowdown_bound(at64, cap=2),
         ),
         FigureRow(
             "average slowdown @ ATH=128",
             paper=pv.AVG_SLOWDOWN[128],
             measured=_avg(at128, "slowdown"),
+            claim=at_most(slowdown64) & below(0.001),
         ),
         FigureRow(
             "average ALERTs/tREFI @ ATH=64",
             paper=pv.AVG_ALERTS_PER_TREFI_ATH64,
-            measured=_avg(at64, "alerts_per_trefi"),
+            measured=rate64,
+        ),
+        FigureRow(
+            "average ALERTs/tREFI @ ATH=128",
+            measured=_avg(at128, "alerts_per_trefi"),
+            claim=at_most(rate64),
+        ),
+        FigureRow(
+            "ALERTs/tREFI summed over hot workloads @ ATH=64",
+            measured=hot,
+            note="roms, parest, xz, lbm (those present)",
+            claim=at_least(quiet),
+        ),
+        FigureRow(
+            "ALERTs/tREFI summed over quiet workloads @ ATH=64",
+            measured=quiet,
+            note="tc, x264, wrf (those present)",
         ),
     ]
     roms = _sweep_points(arts, "fig11", ath=64, workload="roms")
@@ -383,17 +593,29 @@ def _extract_fig11(arts: Artifacts) -> List[FigureRow]:
 
 def _extract_fig12(arts: Artifacts) -> List[FigureRow]:
     rows = []
+    previous: Optional[float] = None
     for banks in (1, 4, 8, 17):
         point = _attack_point(arts, "fig12", "tsa", num_banks=banks)
+        loss = point["metrics"]["detail:throughput_loss"]
         paper = pv.TSA_LOSS.get(banks)
         rows.append(
             FigureRow(
                 f"throughput loss @ {banks} banks",
                 paper=float(paper) if paper is not None else None,
-                measured=point["metrics"]["detail:throughput_loss"],
+                measured=loss,
                 note=f"{point['metrics']['alerts']:.0f} ALERTs",
+                # The loss grows with the staggered banks, lands near
+                # the paper's 24% at 4 banks, and stays under the
+                # continuous-ALERT ceiling of Section 7.1.
+                claim=_all_of(
+                    None if previous is None else at_least(previous),
+                    within(paper, 0.10, open=True) if banks == 4 else None,
+                    below(1 - pv.ALERT_WINDOW_THROUGHPUT_L1)
+                    if banks == 17 else None,
+                ),
             )
         )
+        previous = loss
     return rows
 
 
@@ -402,16 +624,21 @@ def _extract_fig13(arts: Artifacts) -> List[FigureRow]:
     multi = _attack_point(arts, "fig13", "kernel-multi", ath=64)
     model = _model_point(arts, "sec71", "kernel-model", ath=64)
     loss = float(pv.KERNEL_THROUGHPUT_LOSS)
+    single_loss = single["metrics"]["detail:throughput_loss"]
+    # "~10%" at the paper's trace lengths.
+    kernel_band = Claim(0.03, 0.15)
     return [
         FigureRow(
             "(A)^N single-row loss @ ATH=64",
             paper=loss,
-            measured=single["metrics"]["detail:throughput_loss"],
+            measured=single_loss,
+            claim=kernel_band,
         ),
         FigureRow(
             "(ABCDE)^N multi-row loss @ ATH=64",
             paper=loss,
             measured=multi["metrics"]["detail:throughput_loss"],
+            claim=kernel_band,
         ),
         FigureRow(
             "analytic stall-only loss @ ATH=64",
@@ -424,41 +651,54 @@ def _extract_fig13(arts: Artifacts) -> List[FigureRow]:
                 "metrics"
             ]["detail:throughput_loss"],
             note="loss grows as ATH shrinks",
+            claim=above(single_loss),
         ),
         FigureRow(
             "single-row loss @ ATH=128",
             measured=_attack_point(arts, "fig13", "kernel-single", ath=128)[
                 "metrics"
             ]["detail:throughput_loss"],
+            claim=below(single_loss),
         ),
     ]
 
 
 def _extract_fig15(arts: Artifacts) -> List[FigureRow]:
-    return [
-        FigureRow(
-            f"safe T_RH @ ATH={ath}, level {level}",
-            paper=float(paper),
-            measured=_model_point(
-                arts, "fig15", "safe-trh", ath=ath, level=level
-            )["metrics"]["safe_trh"],
+    trh = _safe_trh(arts)
+    rows = []
+    for ath, level in sorted(trh):
+        paper = pv.TABLE7_SAFE_TRH.get((ath, level))
+        # Every published cell within one ACT (the headline ATH=64, L1
+        # cell exactly), and level 1 tolerates the highest threshold.
+        tolerance = 0 if (ath, level) == (64, 1) else 1
+        rows.append(
+            FigureRow(
+                f"safe T_RH @ ATH={ath}, level {level}",
+                paper=None if paper is None else float(paper),
+                measured=trh[ath, level],
+                claim=_all_of(
+                    None if paper is None else within(paper, tolerance),
+                    None if level == 1 else at_most(trh[ath, level // 2]),
+                ),
+            )
         )
-        for (ath, level), paper in sorted(pv.TABLE7_SAFE_TRH.items())
-    ]
+    return rows
 
 
 def _extract_fig16(arts: Artifacts) -> List[FigureRow]:
     at128 = _attack_point(arts, "fig16", "postponement", threshold=128)
     acts = at128["metrics"]["acts_on_attack_row"]
+    between = pv.POSTPONEMENT_ACTS_BETWEEN_BATCHES
     rows = [
         FigureRow(
             "ACTs on attack row (threshold 128)",
             paper=float(pv.POSTPONEMENT_ACTS),
             measured=acts,
+            claim=within(pv.POSTPONEMENT_ACTS, 5) & within(128 + between, 5),
         ),
         FigureRow(
             "ACT window between batches",
-            paper=float(pv.POSTPONEMENT_ACTS_BETWEEN_BATCHES),
+            paper=float(between),
             measured=acts - 128,
         ),
         FigureRow(
@@ -475,9 +715,10 @@ def _extract_fig16(arts: Artifacts) -> List[FigureRow]:
         rows.append(
             FigureRow(
                 f"ACTs on attack row (threshold {threshold})",
-                paper=float(threshold + pv.POSTPONEMENT_ACTS_BETWEEN_BATCHES),
+                paper=float(threshold + between),
                 measured=point["metrics"]["acts_on_attack_row"],
                 note="expected threshold + 201",
+                claim=within(threshold + between, 5),
             )
         )
     return rows
@@ -488,11 +729,14 @@ def _extract_fig17(arts: Artifacts) -> List[FigureRow]:
         level: _sweep_points(arts, "fig17", abo_level=level)
         for level in (1, 2, 4)
     }
+    # Higher levels amplify the hot workloads' ALERT stalls, so a hot
+    # subset is allowed more than in Figure 11 (level 1 only).
     rows = [
         FigureRow(
             f"average slowdown MOAT-L{level}",
             paper=pv.FIG17_SLOWDOWN[level],
             measured=_avg(by_level[level], "slowdown"),
+            claim=_slowdown_bound(by_level[level], cap=4),
         )
         for level in (1, 2, 4)
     ]
@@ -509,6 +753,9 @@ def _extract_fig17(arts: Artifacts) -> List[FigureRow]:
                 paper=pv.ALERT_RATE_VS_L1[level],
                 measured=measured,
                 note="higher levels service more rows per ALERT",
+                # ALERT episodes do not grow with level; the slack
+                # absorbs fixed-point noise.
+                claim=at_most(1.15) if level == 4 else None,
             )
         )
     return rows
@@ -516,15 +763,24 @@ def _extract_fig17(arts: Artifacts) -> List[FigureRow]:
 
 def _extract_table1(arts: Artifacts) -> List[FigureRow]:
     metrics = _model_point(arts, "table1", "timing")["metrics"]
+    # Every timing identity within 1% (tREFW is 8192 x 3900 ns = 31.95
+    # ms against the paper's rounded 32 ms), the ACT budget exactly.
     return [
-        FigureRow(name, paper=float(paper), measured=metrics[name])
+        FigureRow(
+            name,
+            paper=float(paper),
+            measured=metrics[name],
+            claim=exactly(paper)
+            if name == "acts_per_trefi"
+            else within(paper, 0.01 * paper, open=True),
+        )
         for name, paper in pv.TABLE1_TIMINGS.items()
     ]
 
 
 def _extract_table2(arts: Artifacts) -> List[FigureRow]:
     rows = []
-    for rate in (1, 2, 3, 4, 5):
+    for rate, paper in pv.TABLE2_FEINTING.items():
         bound = _model_point(
             arts, "table2-bound", "feinting-bound", exact=True,
             trefi_per_mitigation=rate,
@@ -532,11 +788,12 @@ def _extract_table2(arts: Artifacts) -> List[FigureRow]:
         rows.append(
             FigureRow(
                 f"T_RH bound, 1 per {rate} tREFI (full window)",
-                paper=float(pv.TABLE2_FEINTING[rate]),
+                paper=float(paper),
                 measured=bound,
+                claim=within(paper, 0.01 * paper),
             )
         )
-    for rate in (1, 2, 3, 4, 5):
+    for rate in pv.TABLE2_FEINTING:
         prefix_bound = _model_point(
             arts, "table2-bound", "feinting-bound",
             trefi_per_mitigation=rate, periods=512,
@@ -549,6 +806,12 @@ def _extract_table2(arts: Artifacts) -> List[FigureRow]:
                 f"simulated, 1 per {rate} tREFI (512 periods)",
                 measured=simulated,
                 note=f"512-period bound {prefix_bound:.0f}",
+                # The discrete attack tracks the harmonic bound from
+                # below, within one mitigation period's ACTs.
+                claim=Claim(
+                    0.8 * prefix_bound,
+                    prefix_bound + DDR5_PRAC_TIMING.acts_per_trefi * rate,
+                ),
             )
         )
     return rows
@@ -557,7 +820,12 @@ def _extract_table2(arts: Artifacts) -> List[FigureRow]:
 def _extract_table3(arts: Artifacts) -> List[FigureRow]:
     metrics = _model_point(arts, "table3", "system-config")["metrics"]
     return [
-        FigureRow(name, paper=float(paper), measured=metrics[name])
+        FigureRow(
+            name,
+            paper=float(paper),
+            measured=metrics[name],
+            claim=exactly(paper),
+        )
         for name, paper in pv.TABLE3_SYSTEM.items()
     ]
 
@@ -569,74 +837,109 @@ def _extract_table4(arts: Artifacts) -> List[FigureRow]:
             "workloads measured",
             paper=float(pv.TABLE4_WORKLOAD_COUNT),
             measured=float(len(points)),
+            claim=at_least(1),
         )
     ]
+    # The generator is calibrated to every published hot-row column:
+    # within 8% or 4 rows, whichever is wider.
     for point in points:
         workload = point["params"]["workload"]
         metrics = point["metrics"]
-        rows.append(
-            FigureRow(
-                f"{workload} rows with 64+ ACTs/tREFW",
-                paper=metrics["paper_act_64_plus"],
-                measured=metrics["act_64_plus"],
-                note=(
-                    f"32+: {metrics['act_32_plus']:.0f}"
-                    f"/{metrics['paper_act_32_plus']:.0f}  "
-                    f"128+: {metrics['act_128_plus']:.0f}"
-                    f"/{metrics['paper_act_128_plus']:.0f}"
-                ),
+        for threshold in (32, 64, 128):
+            paper = metrics[f"paper_act_{threshold}_plus"]
+            rows.append(
+                FigureRow(
+                    f"{workload} rows with {threshold}+ ACTs/tREFW",
+                    paper=paper,
+                    measured=metrics[f"act_{threshold}_plus"],
+                    claim=within(paper, max(0.08 * abs(paper), 4)),
+                )
             )
-        )
     return rows
 
 
 def _extract_table5(arts: Artifacts) -> List[FigureRow]:
+    points = {
+        eth: _sweep_points(arts, "table5", eth=eth) for eth in pv.TABLE5_ETH
+    }
+    mitigations = {
+        eth: _avg(at, "mitigations_per_trefw_per_bank")
+        for eth, at in points.items()
+    }
     rows = []
-    for eth, (mitigations, slowdown) in sorted(pv.TABLE5_ETH.items()):
-        points = _sweep_points(arts, "table5", eth=eth)
+    previous: Optional[float] = None
+    for eth, (paper_mitigations, slowdown) in sorted(pv.TABLE5_ETH.items()):
+        # Mitigation volume falls as ETH rises; ETH=0 does the most
+        # proactive work.
         rows.append(
             FigureRow(
                 f"mitigations+ALERTs/tREFW/bank @ ETH={eth}",
-                paper=float(mitigations),
-                measured=_avg(points, "mitigations_per_trefw_per_bank"),
+                paper=float(paper_mitigations),
+                measured=mitigations[eth],
+                claim=_all_of(
+                    None if previous is None else at_most(previous),
+                    below(mitigations[0]) if eth == 48 else None,
+                ),
             )
         )
+        previous = mitigations[eth]
         rows.append(
             FigureRow(
                 f"average slowdown @ ETH={eth}",
                 paper=float(slowdown),
-                measured=_avg(points, "slowdown"),
+                measured=_avg(points[eth], "slowdown"),
             )
         )
     return rows
 
 
 def _extract_table6(arts: Artifacts) -> List[FigureRow]:
+    slowdown = {
+        rate: _avg(
+            _sweep_points(arts, "table6", trefi_per_mitigation=rate),
+            "slowdown",
+        )
+        for rate in pv.TABLE6_MITIGATION_RATE
+    }
+    # Slowdown grows as the proactive rate drops. The fixed point is
+    # discrete, so adjacent rates get 0.2% of slack on the tail.
+    tail = max(slowdown[10], slowdown[0])
+    claims = {
+        1: at_most(tail),
+        5: Claim(slowdown[1], tail + 0.002),
+        0: at_least(0.5 * slowdown[10] - 0.002),
+    }
     rows = []
-    for rate, slowdown in pv.TABLE6_MITIGATION_RATE.items():
-        points = _sweep_points(arts, "table6", trefi_per_mitigation=rate)
+    for rate, paper in pv.TABLE6_MITIGATION_RATE.items():
         label = (
             "none (ALERT only)" if rate == 0 else f"1 per {rate} tREFI"
         )
         rows.append(
             FigureRow(
                 f"average slowdown, {label}",
-                paper=float(slowdown),
-                measured=_avg(points, "slowdown"),
+                paper=float(paper),
+                measured=slowdown[rate],
+                claim=claims.get(rate),
             )
         )
     return rows
 
 
 def _extract_table7(arts: Artifacts) -> List[FigureRow]:
+    slowdown = {
+        cell: _avg(
+            _sweep_points(arts, "table7", ath=cell[0], abo_level=cell[1]),
+            "slowdown",
+        )
+        for cell in pv.TABLE7_SLOWDOWN
+    }
+    # A lower ATH costs more performance at every level.
     return [
         FigureRow(
             f"average slowdown @ ATH={ath}, MOAT-L{level}",
             paper=float(paper),
-            measured=_avg(
-                _sweep_points(arts, "table7", ath=ath, abo_level=level),
-                "slowdown",
-            ),
+            measured=slowdown[ath, level],
+            claim=None if ath == 32 else at_most(slowdown[ath // 2, level]),
         )
         for (ath, level), paper in sorted(pv.TABLE7_SLOWDOWN.items())
     ]
@@ -646,16 +949,20 @@ def _extract_motivation(arts: Artifacts) -> List[FigureRow]:
     entries = pv.MOTIVATION_TRACKER_ENTRIES
     blinded = _attack_point(arts, "motivation", "trespass", num_aggressors=32)
     caught = _attack_point(arts, "motivation", "trespass", num_aggressors=4)
+    blinded_danger = blinded["metrics"]["max_danger"]
     return [
         FigureRow(
             f"exposure: 32 aggressors vs {entries} entries",
-            measured=blinded["metrics"]["max_danger"],
+            measured=blinded_danger,
             note="tracker blinded — unbounded exposure",
+            # The tracker never mitigates.
+            claim=at_least(590),
         ),
         FigureRow(
             f"exposure: 4 aggressors vs {entries} entries",
             measured=caught["metrics"]["max_danger"],
             note="tracker keeps up — bounded exposure",
+            claim=below(blinded_danger),
         ),
     ]
 
@@ -666,27 +973,28 @@ def _extract_sec65(arts: Artifacts) -> List[FigureRow]:
         metrics = _model_point(
             arts, "sec65-storage", "moat-sram", level=level
         )["metrics"]
-        rows.append(
-            FigureRow(
-                f"MOAT-L{level} SRAM (B/bank)",
-                paper=float(pv.MOAT_SRAM_BYTES_PER_BANK[level]),
-                measured=metrics["bytes_per_bank"],
+        for unit, paper in (
+            ("bank", pv.MOAT_SRAM_BYTES_PER_BANK[level]),
+            ("chip", pv.MOAT_SRAM_BYTES_PER_CHIP[level]),
+        ):
+            rows.append(
+                FigureRow(
+                    f"MOAT-L{level} SRAM (B/{unit})",
+                    paper=float(paper),
+                    measured=metrics[f"bytes_per_{unit}"],
+                    claim=exactly(paper),
+                )
             )
-        )
-        rows.append(
-            FigureRow(
-                f"MOAT-L{level} SRAM (B/chip)",
-                paper=float(pv.MOAT_SRAM_BYTES_PER_CHIP[level]),
-                measured=metrics["bytes_per_chip"],
-            )
-        )
     overhead = _avg(_sweep_points(arts, "sec65"), "activation_overhead")
     energy = activation_energy_overhead(1_000_000, int(1_000_000 * overhead))
+    # Mitigation ACTs stay a small share of the demand traffic, and so
+    # does the energy they cost.
     rows.append(
         FigureRow(
             "activation overhead @ ATH=64",
             paper=float(pv.MOAT_ACTIVATION_OVERHEAD_ATH64),
             measured=overhead,
+            claim=below(0.10),
         )
     )
     rows.append(
@@ -695,33 +1003,41 @@ def _extract_sec65(arts: Artifacts) -> List[FigureRow]:
             paper=float(pv.MOAT_ENERGY_OVERHEAD_BOUND),
             measured=energy.total_energy_overhead,
             note="paper value is an upper bound",
+            claim=below(0.02),
         )
     )
     return rows
 
 
 def _extract_sec71(arts: Artifacts) -> List[FigureRow]:
-    rows = [
-        FigureRow(
+    values = [
+        (
             "ALERT-window throughput (level 1)",
-            paper=float(pv.ALERT_WINDOW_THROUGHPUT_L1),
-            measured=_model_point(
-                arts, "sec71", "throughput-model", level=1
-            )["metrics"]["alert_window_throughput"],
+            pv.ALERT_WINDOW_THROUGHPUT_L1,
+            _model_point(arts, "sec71", "throughput-model", level=1)[
+                "metrics"
+            ]["alert_window_throughput"],
         )
     ]
     for level in (1, 2, 4):
-        metrics = _model_point(
-            arts, "sec71", "throughput-model", level=level
-        )["metrics"]
-        rows.append(
-            FigureRow(
+        values.append(
+            (
                 f"continuous-ALERT slowdown (level {level})",
-                paper=float(pv.CONTINUOUS_ALERT_SLOWDOWN[level]),
-                measured=metrics["continuous_alert_slowdown"],
+                pv.CONTINUOUS_ALERT_SLOWDOWN[level],
+                _model_point(arts, "sec71", "throughput-model", level=level)[
+                    "metrics"
+                ]["continuous_alert_slowdown"],
             )
         )
-    return rows
+    return [
+        FigureRow(
+            label,
+            paper=float(paper),
+            measured=measured,
+            claim=within(paper, 0.02 * paper),
+        )
+        for label, paper, measured in values
+    ]
 
 
 def _extract_qos(arts: Artifacts) -> List[FigureRow]:
@@ -729,10 +1045,10 @@ def _extract_qos(arts: Artifacts) -> List[FigureRow]:
 
     The headline quantity is attacker-induced *victim p99
     degradation*: the worst victim's read p99 under the noisy scenario
-    divided by the same quantity in the quiet run. The unprotected
-    FR-FCFS contrast is gated against the paper-derived floor; each
-    QoS policy's row must land below the unprotected degradation
-    (asserted by the system-qos baseline tests).
+    divided by the same quantity in the quiet run. The paper publishes
+    no such figure, so no row has a paper value: the unprotected
+    FR-FCFS degradation claims at least the paper-derived floor, and
+    each QoS policy's claims to land below it.
     """
 
     def worst_victim_p99(scenario: str) -> float:
@@ -746,9 +1062,8 @@ def _extract_qos(arts: Artifacts) -> List[FigureRow]:
     rows = [
         FigureRow(
             "victim p99 degradation, frfcfs (unprotected)",
-            paper=float(pv.QOS_UNPROTECTED_DEGRADATION_MIN),
             measured=unprotected,
-            note="paper value is a floor, not a point",
+            claim=at_least(pv.QOS_UNPROTECTED_DEGRADATION_MIN),
         )
     ]
     for scenario, label in (
@@ -760,7 +1075,7 @@ def _extract_qos(arts: Artifacts) -> List[FigureRow]:
             FigureRow(
                 f"victim p99 degradation, {label}",
                 measured=worst_victim_p99(scenario) / quiet,
-                note="must land below the unprotected contrast",
+                claim=below(unprotected),
             )
         )
     return rows

@@ -11,16 +11,18 @@ same preset), applies the figure's extraction, and assembles a
 A report run renders two forms: plain-text/markdown tables for humans
 and a machine-readable ``BENCH_report.json`` (schema
 :data:`REPORT_SCHEMA`) whose rows carry per-figure relative deltas
-against the paper values. ``check`` mode gates every source artifact
-against its committed smoke baseline — the same files and the same
-family registry entries (:func:`~repro.sweep.family.get_family`) the
-``repro <family> sweep --check`` gates use — so paper-report drift
-fails CI exactly like any other sweep regression.
+against the paper values, each row's claim and whether it holds.
+``check`` mode gates every source artifact against its committed smoke
+baseline — the same files and the same family registry entries
+(:func:`~repro.sweep.family.get_family`) the ``repro <family> sweep
+--check`` gates use — so paper-report drift fails CI exactly like any
+other sweep regression. Claims are reported, not gated here: some hold
+only at full scale, where ``benchmarks/test_figures.py`` gates them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -59,8 +61,8 @@ class ReportOptions:
     #: Root of the per-family point caches (``<root>/{sweep,attack,
     #: model,system}``); ``None`` disables caching.
     cache_root: Optional[Path] = Path(".repro-cache")
-    #: Optional workload subset (REPRO_FAST benchmarks); ``None`` runs
-    #: each preset's full workload list.
+    #: Optional workload subset (the benchmark harness's reduced
+    #: scale); ``None`` runs each preset's full workload list.
     workloads: Optional[Tuple[str, ...]] = None
     progress: Optional[ProgressFn] = None
 
@@ -90,6 +92,11 @@ class FigureResult:
             if row.rel_delta is not None
         ]
         return max(deltas) if deltas else None
+
+    @property
+    def failed_claims(self) -> List:
+        """Rows whose claim does not hold."""
+        return [row for row in self.rows if row.holds is False]
 
     @property
     def ok(self) -> bool:
@@ -211,18 +218,6 @@ def check_results(
     return results
 
 
-def check_result(
-    result: FigureResult,
-    baseline_root: Optional[Path] = None,
-    rtol: float = DEFAULT_RTOL,
-    atol: float = DEFAULT_ATOL,
-) -> FigureResult:
-    """Single-figure convenience wrapper around :func:`check_results`."""
-    return check_results(
-        [result], baseline_root=baseline_root, rtol=rtol, atol=atol
-    )[0]
-
-
 def write_baselines(
     results: Iterable[FigureResult], root: Optional[Path] = None
 ) -> List[Path]:
@@ -259,14 +254,23 @@ def _delta_cell(row) -> str:
     return f"{delta:+.1%}" if delta is not None else ""
 
 
+def _claim_cells(row) -> Tuple[str, str]:
+    """The row's claim and its verdict (both empty without a claim)."""
+    if row.claim is None:
+        return "", ""
+    return str(row.claim), "ok" if row.holds else "FAIL"
+
+
 def render_figure_text(result: FigureResult) -> str:
     """Fixed-width paper-vs-measured table for one figure."""
     rows = [
-        (row.label, row.paper, row.measured, _delta_cell(row), row.note)
+        (row.label, row.paper, row.measured, _delta_cell(row),
+         *_claim_cells(row), row.note)
         for row in result.rows
     ]
     return format_table(
-        ["quantity", "paper", "measured", "delta", "note"],
+        ["quantity", "paper", "measured", "delta", "claim", "verdict",
+         "note"],
         rows,
         title=f"{result.spec.title} [{result.spec.name}]",
     )
@@ -290,16 +294,21 @@ def render_markdown(results: Iterable[FigureResult]) -> str:
             status = "passed" if result.ok else "**FAILED**"
             lines.append(f"Baseline gate: {status}.")
         lines.append("")
-        lines.append("| quantity | paper | measured | delta | note |")
-        lines.append("| --- | ---: | ---: | ---: | --- |")
+        lines.append(
+            "| quantity | paper | measured | delta | claim | verdict "
+            "| note |"
+        )
+        lines.append("| --- | ---: | ---: | ---: | --- | --- | --- |")
         for row in result.rows:
             paper = "—" if row.paper is None else f"{row.paper:g}"
             measured = (
                 "—" if row.measured is None else f"{row.measured:g}"
             )
+            claim, verdict = _claim_cells(row)
             lines.append(
                 f"| {row.label} | {paper} | {measured} "
-                f"| {_delta_cell(row)} | {row.note} |"
+                f"| {_delta_cell(row)} | {claim} | {verdict} "
+                f"| {row.note} |"
             )
         lines.append("")
         for problem in result.problems:
@@ -336,11 +345,16 @@ def make_report_artifact(
                     "paper": row.paper,
                     "measured": row.measured,
                     "rel_delta": row.rel_delta,
+                    "claim": None if row.claim is None else {
+                        **asdict(row.claim), "text": str(row.claim)
+                    },
+                    "holds": row.holds,
                     "note": row.note,
                 }
                 for row in result.rows
             ],
             "max_abs_rel_delta": result.max_abs_rel_delta,
+            "failed_claims": [row.label for row in result.failed_claims],
             "checked": result.checked,
             "ok": result.ok,
             "problems": list(result.problems),

@@ -34,21 +34,6 @@ def format_table(
     return "\n".join(out)
 
 
-def paper_vs_measured(
-    title: str,
-    label_header: str,
-    entries: Iterable[Sequence[object]],
-    value_headers: Sequence[str] = ("paper", "measured"),
-) -> str:
-    """Render a paper-vs-measured comparison table.
-
-    ``entries`` yields ``(label, paper_value, measured_value, ...)``
-    rows; extra columns need matching ``value_headers``.
-    """
-    headers = [label_header, *value_headers]
-    return format_table(headers, entries, title=title)
-
-
 def _fmt(cell: object) -> str:
     if isinstance(cell, float):
         # Non-finite values are "no data", not numbers: rendering

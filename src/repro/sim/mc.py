@@ -37,11 +37,12 @@ through :func:`run_mc_requests`.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 import operator
 from dataclasses import asdict, dataclass, field, replace
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.dram.timing import DramTiming, DDR5_PRAC_TIMING
 from repro.mc.controller import McConfig, MemoryController, ServedBatch
@@ -267,6 +268,17 @@ class ClientShardStats:
         )
 
 
+def fold_sum(values: Iterable[float]) -> float:
+    """Plain left-to-right float sum from ``0.0``.
+
+    This is what ``sum()`` computes up to CPython 3.11. From 3.12 on
+    ``sum()`` compensates over floats and can differ in the last
+    digit, which would break the zero-tolerance baseline gates, so the
+    summaries' float sums go through this fold on every interpreter.
+    """
+    return functools.reduce(operator.add, values, 0.0)
+
+
 def client_shard_stats(
     batch: ServedBatch, n_clients: int, budget: Optional[float]
 ) -> List[ClientShardStats]:
@@ -274,10 +286,9 @@ def client_shard_stats(
     arrays and the served streams' columns in completion order.
 
     One pass splits the waits and the read latencies by client. Each
-    client's ``queue_ns`` is one ``sum()`` over its own ``start -
-    enqueue`` values in completion order, the float-summation order
-    the per-completion code used (CPython 3.12+ ``sum()`` compensates,
-    so an accumulating ``+=`` would not match it).
+    client's ``queue_ns`` is one :func:`fold_sum` over its own ``start
+    - enqueue`` values in completion order, the float-summation order
+    the per-completion code used.
     """
     issue = batch.column("issue_ns")
     is_write = batch.column("is_write")
@@ -307,7 +318,7 @@ def client_shard_stats(
                 reads=len(mine),
                 writes=len(queued[client]) - len(mine),
                 row_hits=row_hits[client],
-                queue_ns=sum(queued[client]),
+                queue_ns=fold_sum(queued[client]),
                 read_latencies=mine,
                 slo_misses=(
                     sum(1 for lat in mine if lat > budget)
@@ -331,7 +342,7 @@ def merge_stats(stats: Sequence[ClientShardStats]) -> ClientShardStats:
         reads=len(latencies),
         writes=requests - len(latencies),
         row_hits=sum(s.row_hits for s in stats),
-        queue_ns=sum(s.queue_ns for s in stats),
+        queue_ns=fold_sum(s.queue_ns for s in stats),
         read_latencies=latencies,
         slo_misses=sum(s.slo_misses for s in stats),
     )
@@ -360,7 +371,9 @@ def traffic_fields(
         "reads": reads,
         "writes": stats.writes,
         "row_hits": stats.row_hits,
-        "read_mean_ns": sum(latencies) / reads if reads else float("nan"),
+        "read_mean_ns": (
+            fold_sum(latencies) / reads if reads else float("nan")
+        ),
         "read_p50_ns": _percentile(latencies, 0.50),
         "read_p99_ns": _percentile(latencies, 0.99),
         "read_max_ns": latencies[-1] if reads else float("nan"),

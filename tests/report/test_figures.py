@@ -6,10 +6,23 @@ import json
 import pytest
 
 from repro.report import paper_values
-from repro.report.figures import FIGURES, FigureRow, SourceRef, figure
+from repro.report.figures import (
+    FIGURES,
+    Claim,
+    FigureRow,
+    SourceRef,
+    above,
+    at_least,
+    at_most,
+    below,
+    exactly,
+    figure,
+    within,
+)
 from repro.report.pipeline import (
+    FigureResult,
     ReportOptions,
-    check_result,
+    check_results,
     make_report_artifact,
     render_figure_text,
     render_markdown,
@@ -113,6 +126,87 @@ class TestFigureRow:
         assert FigureRow("x", paper=0.0, measured=-0.1).rel_delta == -1.0
 
 
+class TestClaim:
+    def test_closed_end_holds_at_equality(self):
+        assert Claim(1.0, 2.0).holds(1.0)
+        assert Claim(1.0, 2.0).holds(2.0)
+        assert exactly(3.0).holds(3.0)
+        assert not exactly(3.0).holds(3.0000001)
+
+    def test_open_end_fails_at_equality(self):
+        claim = Claim(1.0, 2.0, low_open=True, high_open=True)
+        assert not claim.holds(1.0)
+        assert not claim.holds(2.0)
+        assert claim.holds(1.5)
+
+    def test_one_sided_bounds(self):
+        assert at_least(5).holds(5) and at_least(5).holds(1e9)
+        assert not at_least(5).holds(4.999)
+        assert above(5).holds(5.001) and not above(5).holds(5)
+        assert at_most(5).holds(5) and at_most(5).holds(-1e9)
+        assert not at_most(5).holds(5.001)
+        assert below(5).holds(4.999) and not below(5).holds(5)
+
+    def test_missing_or_nan_measured_never_holds(self):
+        for claim in (Claim(), at_least(0), below(1), within(0, 1)):
+            assert not claim.holds(None)
+            assert not claim.holds(float("nan"))
+
+    def test_intersection_keeps_the_tighter_end(self):
+        assert at_most(2.0) & below(1.0) == below(1.0)
+        assert at_most(1.0) & below(1.0) == below(1.0)
+        assert at_least(1.0) & at_most(2.0) == Claim(1.0, 2.0)
+        assert within(10, 1) & at_least(10.5) == Claim(10.5, 11)
+
+    def test_text(self):
+        assert str(Claim(1, 2, low_open=True)) == "(1, 2]"
+        assert str(exactly(99)) == "= 99"
+        assert str(above(99)) == "> 99"
+        assert str(at_most(0.001)) == "<= 0.001"
+
+    def test_row_without_claim_has_no_verdict(self):
+        assert FigureRow("x", paper=1.0, measured=1.0).holds is None
+        assert FigureRow("x", measured=1.0, claim=below(1)).holds is False
+        assert FigureRow("x", measured=0.5, claim=below(1)).holds is True
+
+    def test_claim_and_verdict_reach_every_rendering(self):
+        result = FigureResult(
+            spec=figure("fig8"),
+            artifacts={"model:fig8": {}},
+            rows=[
+                FigureRow("holding row", measured=0.5, claim=below(1)),
+                FigureRow("failing row", measured=7.0, claim=Claim(2, 3)),
+                FigureRow("plain row", measured=1.0),
+            ],
+        )
+        assert [row.label for row in result.failed_claims] == [
+            "failing row"
+        ]
+        text = render_figure_text(result)
+        lines = {
+            line.split("  ")[0].strip(): line for line in text.splitlines()
+        }
+        assert "claim" in text and "verdict" in text
+        assert "< 1" in lines["holding row"] and "ok" in lines["holding row"]
+        assert "[2, 3]" in lines["failing row"]
+        assert "FAIL" in lines["failing row"]
+        markdown = render_markdown([result])
+        assert "| claim | verdict |" in markdown
+        assert "| [2, 3] | FAIL |" in markdown
+        assert "| < 1 | ok |" in markdown
+        entry = make_report_artifact([result])["figures"]["fig8"]
+        holding, failing, plain = entry["rows"]
+        assert holding["holds"] is True
+        assert holding["claim"] == {
+            "low": None, "high": 1, "low_open": False, "high_open": True,
+            "text": "< 1",
+        }
+        assert failing["holds"] is False
+        assert plain["claim"] is None and plain["holds"] is None
+        assert entry["failed_claims"] == ["failing row"]
+        json.dumps(entry)
+
+
 class TestPipeline:
     OPTIONS = ReportOptions(cache_root=None, jobs=1)
 
@@ -122,10 +216,16 @@ class TestPipeline:
         assert result.rows
         text = render_figure_text(result)
         assert result.spec.title in text
-        # Analytic figures reproduce their paper values within 2%.
+        # Analytic figures reproduce their paper values within 2%, and
+        # each claims something that holds at any scale.
         for row in result.rows:
             if row.rel_delta is not None:
                 assert abs(row.rel_delta) < 0.02, (name, row.label)
+        assert any(row.claim is not None for row in result.rows)
+        assert not result.failed_claims, [
+            (row.label, row.measured, str(row.claim))
+            for row in result.failed_claims
+        ]
 
     def test_shared_source_is_run_once(self):
         results = run_figures(["fig8", "fig8"], self.OPTIONS)
@@ -153,7 +253,7 @@ class TestPipeline:
     def test_check_against_written_baselines_round_trips(self, tmp_path):
         results = run_figures(["fig8"], self.OPTIONS)
         write_baselines(results, root=tmp_path)
-        checked = check_result(results[0], baseline_root=tmp_path)
+        checked = check_results(results, baseline_root=tmp_path)[0]
         assert checked.checked and checked.ok, checked.problems
 
     def test_check_flags_metric_drift(self, tmp_path):
@@ -163,13 +263,13 @@ class TestPipeline:
         point = next(iter(baseline["points"].values()))
         point["metrics"]["min_acts_between_alerts"] += 1.0
         paths[0].write_text(json.dumps(baseline))
-        checked = check_result(results[0], baseline_root=tmp_path)
+        checked = check_results(results, baseline_root=tmp_path)[0]
         assert not checked.ok
         assert any("min_acts_between_alerts" in p for p in checked.problems)
 
     def test_check_flags_missing_baseline(self, tmp_path):
         results = run_figures(["fig8"], self.OPTIONS)
-        checked = check_result(results[0], baseline_root=tmp_path)
+        checked = check_results(results, baseline_root=tmp_path)[0]
         assert not checked.ok
         assert any("baseline not found" in p for p in checked.problems)
 
@@ -208,7 +308,7 @@ class TestPipeline:
             (tmp_path / "benchmarks" / "baselines" / "model_fig8.json")
             .resolve()
         ]
-        assert check_result(results[0]).ok
+        assert check_results(results)[0].ok
 
     def test_write_baselines_falls_back_to_the_checkout(
         self, tmp_path, monkeypatch

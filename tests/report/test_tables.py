@@ -1,7 +1,7 @@
 """Tests for report formatting and paper ground-truth constants."""
 
 from repro.report import paper_values
-from repro.report.tables import format_table, paper_vs_measured
+from repro.report.tables import format_table
 
 
 class TestFormatTable:
@@ -44,11 +44,6 @@ class TestFormatTable:
 
     def test_negative_zero_is_zero(self):
         assert format_table(["v"], [[-0.0]]).splitlines()[-1].strip() == "0"
-
-    def test_paper_vs_measured(self):
-        out = paper_vs_measured("T", "k", [["a", 1, 2]])
-        header = out.splitlines()[1]
-        assert "paper" in header and "measured" in header
 
 
 class TestPaperValues:

@@ -10,7 +10,14 @@ import pytest
 from repro.attacks.registry import AttackSpec
 from repro.mc.controller import MemoryController
 from repro.mc.sched import slo_budget_ns
-from repro.sim.mc import McRunConfig, build_mc_channel, run_mc
+from repro.sim.mc import (
+    McRunConfig,
+    build_mc_channel,
+    fold_sum,
+    merge_stats,
+    run_mc,
+    traffic_fields,
+)
 from repro.sweep.mc_spec import MC_PRESETS, mc_preset
 from repro.system import (
     ClientSpec,
@@ -253,12 +260,15 @@ class TestShardStats:
             latencies = sorted(
                 c.latency_ns for c in mine if not c.request.is_write
             )
+            queue_ns = 0.0
+            for c in mine:
+                queue_ns += c.queue_ns
             out.append(ClientShardStats(
                 requests=len(mine),
                 reads=len(latencies),
                 writes=len(mine) - len(latencies),
                 row_hits=sum(1 for c in mine if c.row_hit),
-                queue_ns=sum(c.queue_ns for c in mine),
+                queue_ns=queue_ns,
                 read_latencies=latencies,
                 slo_misses=(
                     sum(1 for lat in latencies if lat > budget)
@@ -266,6 +276,28 @@ class TestShardStats:
                 ),
             ))
         return out
+
+    def test_float_sums_are_plain_left_folds(self):
+        """Each ``+ 1.0`` rounds back to 1e16 in a left fold, while a
+        compensated ``sum()`` (CPython 3.12+) returns 1e16 + 2. The
+        summaries must give the fold's value on every interpreter, or
+        the zero-tolerance baselines miss in the last digit."""
+        waits = [1e16, 1.0, 1.0]
+        assert fold_sum(waits) == 1e16
+        assert fold_sum([]) == 0.0
+        shards = [
+            ClientShardStats(requests=1, reads=0, writes=1, row_hits=0,
+                             queue_ns=wait, read_latencies=[])
+            for wait in waits
+        ]
+        assert merge_stats(shards).queue_ns == 1e16
+        reads = ClientShardStats(requests=3, reads=3, writes=0, row_hits=0,
+                                 queue_ns=0.0,
+                                 read_latencies=[0.1, 0.2, 0.3])
+        # 0.1 + 0.2 + 0.3 folds to 0.6000000000000001 (fsum: 0.6).
+        assert traffic_fields(reads, 1.0)["read_mean_ns"] == (
+            0.6000000000000001 / 3
+        )
 
     @pytest.mark.parametrize(
         "scheduler, row_policy, queue_depth, path",
