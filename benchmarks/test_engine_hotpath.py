@@ -1,12 +1,12 @@
-"""Engine hot-path microbenchmark: array-backed batch vs per-ACT loop.
+"""Engine hot-path microbenchmark: batched ACTs vs the per-ACT loop.
 
 Pins the performance claim of the layered-core refactor: driving a
-workload through the dense-counter ``activate_many`` fast path must be
-at least 1.5x faster per simulated tREFI than the seed engine's
-configuration (sparse dict-backed PRAC counters, one ``activate()``
-method-call chain per ACT). Both paths produce bit-identical
-simulation state — that equivalence is pinned by
-``tests/sim/test_engine_batch.py``; this benchmark pins the speed.
+workload through the ``activate_many`` fast path must be at least 1.5x
+faster per simulated tREFI than issuing the same rows through one
+``activate()`` method-call chain per ACT, on the same flat PRAC counter
+array. Both paths produce bit-identical simulation state — that
+equivalence is pinned by ``tests/sim/test_engine_batch.py``; this
+benchmark pins the speed.
 
 The measured wall-clock per simulated tREFI lands in
 ``results/summary.json`` (uploaded as a CI artifact), so the engine's
@@ -27,11 +27,10 @@ ROUNDS = 3
 REQUIRED_SPEEDUP = 1.5
 
 
-def _drive(schedule, dense: bool, batched: bool) -> float:
+def _drive(schedule, batched: bool) -> float:
     """One timed run; returns seconds. Asserts the runs agree."""
     sim = SubchannelSim(
-        SimConfig(track_danger=False, dense_counters=dense),
-        lambda: MoatPolicy(ath=64),
+        SimConfig(track_danger=False), lambda: MoatPolicy(ath=64)
     )
     trefi = sim.timing.t_refi
     started = time.perf_counter()
@@ -58,12 +57,8 @@ def test_engine_hotpath_speedup(report, record_json):
 
     # Best-of-N on both paths: robust against scheduler noise without
     # hiding a real regression.
-    legacy = min(
-        _drive(schedule, dense=False, batched=False) for _ in range(ROUNDS)
-    )
-    fast = min(
-        _drive(schedule, dense=True, batched=True) for _ in range(ROUNDS)
-    )
+    legacy = min(_drive(schedule, batched=False) for _ in range(ROUNDS))
+    fast = min(_drive(schedule, batched=True) for _ in range(ROUNDS))
     speedup = legacy / fast
     legacy_us = legacy / N_TREFI * 1e6
     fast_us = fast / N_TREFI * 1e6
@@ -72,11 +67,11 @@ def test_engine_hotpath_speedup(report, record_json):
         format_table(
             ["engine path", "us / simulated tREFI"],
             [
-                ("seed per-ACT loop (sparse dicts)", f"{legacy_us:.1f}"),
-                ("array-backed activate_many", f"{fast_us:.1f}"),
-                ("speedup (array-backed vs seed)", f"{speedup:.2f}x"),
+                ("per-ACT activate loop", f"{legacy_us:.1f}"),
+                ("batched activate_many", f"{fast_us:.1f}"),
+                ("speedup (batched vs per-ACT)", f"{speedup:.2f}x"),
             ],
-            title="Engine hot path - batched array-backed vs seed loop",
+            title="Engine hot path - batched vs per-ACT loop",
         )
     )
     record_json(
@@ -90,6 +85,6 @@ def test_engine_hotpath_speedup(report, record_json):
         key="engine_hotpath",
     )
     assert speedup >= REQUIRED_SPEEDUP, (
-        f"array-backed hot path only {speedup:.2f}x faster than the seed "
-        f"per-ACT loop (need {REQUIRED_SPEEDUP}x)"
+        f"batched hot path only {speedup:.2f}x faster than the per-ACT "
+        f"loop (need {REQUIRED_SPEEDUP}x)"
     )

@@ -21,7 +21,7 @@ analyses.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List
+from typing import Optional
 
 from repro.dram.timing import DramTiming, DDR5_PRAC_TIMING
 
@@ -82,30 +82,19 @@ class AboConfig:
         return self.timing.inter_alert_time(self.level)
 
 
-@dataclass
-class AlertEpisode:
-    """Record of one ALERT episode (for traces and tests)."""
-
-    assert_time: float
-    end_time: float
-    rfms: int
-    requesting_banks: List[int] = field(default_factory=list)
-
-
 class AboProtocol:
     """Stateful ABO model used by the sub-channel simulator.
 
     The protocol tracks when an ALERT may next be asserted (both the
-    tA2A time constraint and the min-ACTs constraint) and records every
-    episode. Mitigation policies request ALERTs; the simulator asks the
-    protocol whether the request may be honoured *now* and, if not, how
-    many more activations must elapse first — this delay window is
-    exactly what the Ratchet attack exploits.
+    tA2A time constraint and the min-ACTs constraint). Mitigation
+    policies request ALERTs; the simulator asks the protocol whether the
+    request may be honoured *now* and, if not, how many more activations
+    must elapse first — this delay window is exactly what the Ratchet
+    attack exploits.
     """
 
     def __init__(self, config: AboConfig | None = None) -> None:
         self.config = config or AboConfig(level=1, timing=DDR5_PRAC_TIMING)
-        self.episodes: List[AlertEpisode] = []
         # The min-ACTs constraint applies *between* consecutive ALERTs;
         # the first assertion of a run is unconstrained.
         self._acts_since_last_alert = self.config.min_acts_between_alerts
@@ -115,10 +104,6 @@ class AboProtocol:
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-
-    @property
-    def alerts_issued(self) -> int:
-        return len(self.episodes)
 
     @property
     def alert_pending(self) -> bool:
@@ -161,24 +146,17 @@ class AboProtocol:
         cleared by a mitigation before the ALERT could assert)."""
         self._pending = False
 
-    def try_begin_alert(self, now: float, banks: List[int]) -> AlertEpisode | None:
+    def try_begin_alert(self, now: float) -> Optional[float]:
         """Begin an ALERT episode at ``now`` if one is pending and legal.
 
-        Returns the episode (whose ``end_time`` reflects the 180 ns
-        window plus the RFMs) or ``None`` if no ALERT can start.
+        Returns the assert time (no earlier than the end of the previous
+        episode's 180 ns window plus RFMs), or ``None`` if no ALERT can
+        start.
         """
         if not self._pending or not self.can_assert():
             return None
         start = max(now, self._last_alert_end)
-        end = start + self.config.alert_duration
-        episode = AlertEpisode(
-            assert_time=start,
-            end_time=end,
-            rfms=self.config.rfms_per_alert,
-            requesting_banks=list(banks),
-        )
-        self.episodes.append(episode)
         self._pending = False
         self._acts_since_last_alert = 0
-        self._last_alert_end = end
-        return episode
+        self._last_alert_end = start + self.config.alert_duration
+        return start

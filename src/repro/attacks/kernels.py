@@ -7,8 +7,8 @@ an unprotected bank. For MOAT with ATH=64 both kernels lose ~10%.
 
 The patterns are open-loop (the row sequence never depends on the
 defense state), so they batch through
-:meth:`~repro.sim.channel.ChannelSim.activate_many` with dense PRAC
-counters — the engine's fast path — and geometry comes from the shared
+:meth:`~repro.sim.channel.ChannelSim.activate_many` without danger
+tracking — the engine's fast path — and geometry comes from the shared
 :class:`~repro.attacks.base.AttackRunConfig` instead of the hardcoded
 dimensions this module used to carry.
 """
@@ -47,7 +47,6 @@ def _run_pattern(
         trefi_per_mitigation=5,
         abo_level=abo_level,
         track_danger=False,  # throughput measurement only
-        dense_counters=True,
     )
     issued = 0
     index = 0

@@ -16,17 +16,10 @@ Keeping the two separate is what lets the test-suite demonstrate the
 paper's Figure 7(a) vulnerability: an unsafe counter reset zeroes ``prac``
 while ``danger`` keeps accumulating across the refresh boundary.
 
-Two storage layouts are supported:
-
-* **Sparse** (default) — counters live in a dict keyed by row. Attacks
-  touch a handful of rows, so construction cost is independent of the
-  row count and introspection (:meth:`Bank.touched_rows`) reports
-  exactly the rows an attack materialized.
-* **Dense** (``dense_counters=True``) — one preallocated flat array
-  slot per row. Workload simulations activate hundreds of thousands of
-  distinct rows, where per-row dict churn dominates the hot path; the
-  flat table gives the engine's batched activate loop O(1) unhashed
-  access. Counter semantics are bit-identical to the sparse layout.
+The PRAC counters live in one preallocated flat array with a slot per
+row, as PRAC inlines a counter in every DRAM row. The engine's batched
+activate loop and the memory controller's serve loop index it directly,
+so it must stay a plain sequence.
 """
 
 from __future__ import annotations
@@ -46,7 +39,7 @@ class RowState:
 
 
 class Bank:
-    """A DRAM bank: sparse per-row PRAC counters plus danger accounting.
+    """A DRAM bank: per-row PRAC counters plus danger accounting.
 
     Args:
         num_rows: Number of rows in the bank (default 64K, per Table 3).
@@ -56,10 +49,8 @@ class Bank:
             only need defense-visible state (workload runs in
             :mod:`repro.sim`); security simulations keep it on.
         initial_counter: Optional function ``row -> int`` giving the
-            initial PRAC value of a row (used by randomized Panopticon).
-            Defaults to zero. Incompatible with ``dense_counters``.
-        dense_counters: Store PRAC counters in a preallocated flat
-            array instead of a sparse dict (see module docstring).
+            initial PRAC value of a row (used by randomized Panopticon),
+            applied to every row at construction. Defaults to zero.
     """
 
     def __init__(
@@ -68,26 +59,20 @@ class Bank:
         blast_radius: int = 2,
         track_danger: bool = True,
         initial_counter: Optional[Callable[[int], int]] = None,
-        dense_counters: bool = False,
     ) -> None:
         if num_rows <= 0:
             raise ValueError("num_rows must be positive")
         if blast_radius < 1:
             raise ValueError("blast_radius must be at least 1")
-        if dense_counters and initial_counter is not None:
-            raise ValueError(
-                "dense_counters starts all-zero; initial_counter needs the "
-                "sparse layout"
-            )
         self.num_rows = num_rows
         self.blast_radius = blast_radius
         self.track_danger = track_danger
-        self.dense_counters = dense_counters
-        self._initial_counter = initial_counter
-        #: PRAC storage: flat array (dense) or row-keyed dict (sparse).
-        #: The engine's batched activate loop indexes the array
-        #: directly, so the dense layout must stay a plain sequence.
-        self._prac = array("q", bytes(8 * num_rows)) if dense_counters else {}
+        #: PRAC counters, one slot per row (see module docstring).
+        self._prac = (
+            array("q", bytes(8 * num_rows))
+            if initial_counter is None
+            else array("q", map(initial_counter, range(num_rows)))
+        )
         self._danger: Dict[int, int] = {}
         #: Total ACT commands this bank has performed (for energy model).
         self.total_activations = 0
@@ -106,13 +91,7 @@ class Bank:
     def prac_count(self, row: int) -> int:
         """Defense-visible PRAC counter of ``row``."""
         self._check_row(row)
-        if self.dense_counters:
-            return self._prac[row]
-        count = self._prac.get(row)
-        if count is None:
-            count = self._initial_counter(row) if self._initial_counter else 0
-            self._prac[row] = count
-        return count
+        return self._prac[row]
 
     def danger_count(self, row: int) -> int:
         """Ground-truth hammer exposure of victim ``row``."""
@@ -200,19 +179,12 @@ class Bank:
     # ------------------------------------------------------------------
 
     def touched_rows(self) -> Dict[int, int]:
-        """All rows with a materialized PRAC counter (row -> count).
-
-        In the dense layout every row has a (preallocated) counter, so
-        only rows with a nonzero count are reported.
-        """
-        if self.dense_counters:
-            return {row: c for row, c in enumerate(self._prac) if c}
-        return dict(self._prac)
+        """Rows with a nonzero PRAC counter (row -> count)."""
+        return {row: count for row, count in enumerate(self._prac) if count}
 
     def rows_with_prac_at_least(self, threshold: int) -> int:
         """Number of rows whose PRAC counter is >= ``threshold``."""
-        counts = self._prac if self.dense_counters else self._prac.values()
-        return sum(1 for count in counts if count >= threshold)
+        return sum(1 for count in self._prac if count >= threshold)
 
     def _check_row(self, row: int) -> None:
         if not 0 <= row < self.num_rows:

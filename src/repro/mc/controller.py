@@ -304,16 +304,15 @@ class MemoryController:
         """Serve client streams, dispatching to the fastest eligible path.
 
         Closed-page, bounded-queue, one-sub-channel runs on an
-        untouched channel with dense counters (every ``run_mc`` point
-        and every system scenario) run through :meth:`_serve_soa`, a
-        struct-of-arrays reimplementation of the serving loop for any
-        number of crossbar clients under every scheduler kind.
-        Everything else (open page, unbounded queues, several
-        sub-channels, sparse counters, danger tracking, postponed REFs,
-        pre-driven channels) stays on :meth:`run_streams_reference`,
-        the pinned scalar reference. Both paths are bit-identical by
-        construction and by test; the dispatch can change wall-clock
-        only.
+        untouched channel (every ``run_mc`` point and every system
+        scenario) run through :meth:`_serve_soa`, a struct-of-arrays
+        reimplementation of the serving loop for any number of crossbar
+        clients under every scheduler kind. Everything else (open page,
+        unbounded queues, several sub-channels, danger tracking,
+        postponed REFs, pre-driven channels) stays on
+        :meth:`run_streams_reference`, the pinned scalar reference. Both
+        paths are bit-identical by construction and by test; the
+        dispatch can change wall-clock only.
 
         Each stream is a :class:`~repro.mc.request.RequestStream`; a
         plain sequence of requests is converted once, here. The served
@@ -555,10 +554,9 @@ class MemoryController:
         """``"soa"``, or ``"reference:<first failing predicate>"``.
 
         The SoA loop models the closed page on one sub-channel with
-        bounded queues, dense counters and no danger tracking, and it
-        mirrors engine state instead of re-reading it per command,
-        which is valid only from the pristine state every
-        ``run_mc``/system run starts in.
+        bounded queues and no danger tracking, and it mirrors engine
+        state instead of re-reading it per command, which is valid only
+        from the pristine state every ``run_mc``/system run starts in.
         """
         channel = self.channel
         sim = channel.config.sim
@@ -569,8 +567,6 @@ class MemoryController:
             return "reference:unbounded-queue"
         if self._num_subchannels != 1:
             return "reference:multi-subchannel"
-        if not sim.dense_counters:
-            return "reference:sparse-counters"
         if sim.track_danger:
             return "reference:track-danger"
         if sub.postpone_refs:

@@ -571,7 +571,7 @@ def _extract_fig11(arts: Artifacts) -> List[FigureRow]:
             "ALERTs/tREFI summed over hot workloads @ ATH=64",
             measured=hot,
             note="roms, parest, xz, lbm (those present)",
-            claim=at_least(quiet),
+            claim=above(quiet),
         ),
         FigureRow(
             "ALERTs/tREFI summed over quiet workloads @ ATH=64",

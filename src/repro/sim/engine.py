@@ -73,12 +73,6 @@ class SimConfig:
     #: The associated sub-channel stall is accounted separately by the
     #: performance front-end. ``None`` disables injection.
     external_service_interval_ns: Optional[float] = None
-    #: Store per-row PRAC counters in preallocated flat arrays instead
-    #: of sparse dicts (see :class:`~repro.dram.bank.Bank`). Enables
-    #: the fast inner loop of :meth:`SubchannelSim.activate_many`;
-    #: counter semantics are identical either way. Incompatible with
-    #: ``initial_counter``.
-    dense_counters: bool = False
 
 
 @dataclass(frozen=True)
@@ -122,7 +116,6 @@ class SubchannelSim:
                 blast_radius=config.blast_radius,
                 track_danger=config.track_danger,
                 initial_counter=config.initial_counter,
-                dense_counters=config.dense_counters,
             )
             for _ in range(config.num_banks)
         ]
@@ -232,18 +225,18 @@ class SubchannelSim:
 
         Semantically identical to calling :meth:`activate` once per row
         (same event interleaving, same policy observations, same
-        statistics) minus the per-ACT :class:`ActResult`. When the bank
-        uses dense counters and danger tracking is off, runs spans
-        between scheduled events (REF boundaries, external services,
-        ALERT episodes) through a flat-array inner loop that skips the
-        per-ACT method-call chain; any ACT that may interact with an
-        event falls back to :meth:`activate`.
+        statistics) minus the per-ACT :class:`ActResult`. When danger
+        tracking is off, runs spans between scheduled events (REF
+        boundaries, external services, ALERT episodes) through a
+        flat-array inner loop that skips the per-ACT method-call chain;
+        any ACT that may interact with an event falls back to
+        :meth:`activate`.
         """
         if not rows:
             return None
         last_start: Optional[float] = None
         bank_obj = self.banks[bank]
-        if not bank_obj.dense_counters or bank_obj.track_danger:
+        if bank_obj.track_danger:
             for row in rows:
                 last_start = self.activate(row, bank, not_before).time
             return last_start
@@ -570,11 +563,8 @@ class SubchannelSim:
             bank.mitigation_activations += 1
         else:
             self.banks[bank_index].mitigate_aggressor(row, reset_counter=reset)
-        engine = self.refresh[bank_index]
-        if row in engine.shadow:
-            engine.shadow[row] = 0 if reset else engine.shadow[row]
-            if reset:
-                engine.shadow.pop(row, None)
+        if reset:
+            self.refresh[bank_index].clear_shadow(row)
         for listener in self.mitigation_listeners:
             listener(bank_index, row, reactive, time)
 
@@ -585,13 +575,13 @@ class SubchannelSim:
     def _maybe_assert_alert(self, time: float) -> None:
         if self._episode is not None and not self._episode.processed:
             return  # an episode is already in flight
-        episode = self.abo.try_begin_alert(time, banks=[])
-        if episode is None:
+        assert_time = self.abo.try_begin_alert(time)
+        if assert_time is None:
             return
-        window_end = episode.assert_time + self.timing.t_abo_act_window
+        window_end = assert_time + self.timing.t_abo_act_window
         stall_end = window_end + self.abo.config.level * self.timing.t_rfm
         self._episode = _Episode(
-            assert_time=episode.assert_time,
+            assert_time=assert_time,
             window_end=window_end,
             stall_end=stall_end,
         )
@@ -600,8 +590,8 @@ class SubchannelSim:
         # method, so this single emission site reconciles exactly with
         # the ``alerts`` counter by construction.
         if self.recorder.enabled:
-            self.recorder.emit("alert", episode.assert_time,
-                               stall_end - episode.assert_time,
+            self.recorder.emit("alert", assert_time,
+                               stall_end - assert_time,
                                sub=self._rec_sub,
                                value=float(self.abo.config.level))
 

@@ -258,7 +258,6 @@ def build_run_channel(
         abo_level=config.abo_level,
         track_danger=False,
         external_service_interval_ns=external_service_interval_ns,
-        dense_counters=True,
     )
     run_params = RunParams(
         ath=config.ath,

@@ -208,24 +208,38 @@ def load_trace(path: str | Path) -> Union[ActivationTrace, AddressTrace]:
 class TraceRecorder:
     """Attach to a :class:`SubchannelSim` to capture its activations.
 
-    Wraps ``sim.activate`` transparently; detach with :meth:`stop`.
+    Wraps ``sim.activate`` transparently and, while attached, routes
+    ``sim.activate_many`` through the wrapper one ACT at a time (the
+    batch contract makes that bit-identical), so every ACT is recorded
+    whichever entry point issued it; detach with :meth:`stop`.
     """
 
     def __init__(self, sim: SubchannelSim, metadata: Optional[Dict[str, object]] = None):
         self.trace = ActivationTrace(metadata=dict(metadata or {}))
         self._sim = sim
         self._original = sim.activate
+        self._original_many = sim.activate_many
 
-        def recording_activate(row: int, bank: int = 0):
-            result = self._original(row, bank=bank)
+        def recording_activate(row: int, bank: int = 0, not_before: float = 0.0):
+            result = self._original(row, bank, not_before)
             self.trace.events.append((result.time, bank, row))
             return result
 
+        def recording_activate_many(
+            rows: List[int], bank: int = 0, not_before: float = 0.0
+        ) -> Optional[float]:
+            last = None
+            for row in rows:
+                last = recording_activate(row, bank, not_before).time
+            return last
+
         sim.activate = recording_activate  # type: ignore[method-assign]
+        sim.activate_many = recording_activate_many  # type: ignore[method-assign]
 
     def stop(self) -> ActivationTrace:
         """Detach from the simulator and return the captured trace."""
         self._sim.activate = self._original  # type: ignore[method-assign]
+        self._sim.activate_many = self._original_many  # type: ignore[method-assign]
         return self.trace
 
 

@@ -39,39 +39,35 @@ class TestAboConfig:
 class TestAboProtocol:
     def test_no_alert_without_request(self):
         abo = AboProtocol(AboConfig(level=1))
-        assert abo.try_begin_alert(0.0, banks=[]) is None
+        assert abo.try_begin_alert(0.0) is None
 
     def test_request_then_assert(self):
         abo = AboProtocol(AboConfig(level=1))
         abo.request_alert()
         for _ in range(4):
             abo.note_activation()
-        episode = abo.try_begin_alert(100.0, banks=[0])
-        assert episode is not None
-        assert episode.assert_time == 100.0
-        assert episode.end_time == 630.0
-        assert episode.rfms == 1
+        assert abo.try_begin_alert(100.0) == 100.0
 
     def test_min_act_constraint_blocks_early_assert(self):
         abo = AboProtocol(AboConfig(level=1))
         abo.request_alert()
         for _ in range(4):
             abo.note_activation()
-        assert abo.try_begin_alert(0.0, banks=[]) is not None
+        assert abo.try_begin_alert(0.0) is not None
         # Second alert needs 4 fresh activations.
         abo.request_alert()
         for _ in range(3):
             abo.note_activation()
-            assert abo.try_begin_alert(1000.0, banks=[]) is None
+            assert abo.try_begin_alert(1000.0) is None
         abo.note_activation()
-        assert abo.try_begin_alert(1000.0, banks=[]) is not None
+        assert abo.try_begin_alert(1000.0) is not None
 
     def test_acts_until_alert_allowed(self):
         abo = AboProtocol(AboConfig(level=2))
         abo.request_alert()
         for _ in range(5):
             abo.note_activation()
-        abo.try_begin_alert(0.0, banks=[])
+        abo.try_begin_alert(0.0)
         assert abo.acts_until_alert_allowed() == 5
         abo.note_activation()
         assert abo.acts_until_alert_allowed() == 4
@@ -81,13 +77,13 @@ class TestAboProtocol:
         abo.request_alert()
         for _ in range(4):
             abo.note_activation()
-        first = abo.try_begin_alert(0.0, banks=[])
+        first = abo.try_begin_alert(0.0)
         abo.request_alert()
         for _ in range(4):
             abo.note_activation()
-        second = abo.try_begin_alert(10.0, banks=[])
+        second = abo.try_begin_alert(10.0)
         # The next episode cannot begin before the previous one ends.
-        assert second.assert_time >= first.end_time
+        assert second >= first + abo.config.alert_duration
 
     def test_cancel_pending(self):
         abo = AboProtocol(AboConfig(level=1))
@@ -95,14 +91,4 @@ class TestAboProtocol:
         abo.cancel_pending()
         for _ in range(10):
             abo.note_activation()
-        assert abo.try_begin_alert(0.0, banks=[]) is None
-
-    def test_episode_log(self):
-        abo = AboProtocol(AboConfig(level=1))
-        for _ in range(3):
-            abo.request_alert()
-            for _ in range(4):
-                abo.note_activation()
-            abo.try_begin_alert(0.0, banks=[1, 2])
-        assert abo.alerts_issued == 3
-        assert abo.episodes[0].requesting_banks == [1, 2]
+        assert abo.try_begin_alert(0.0) is None

@@ -21,10 +21,6 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Bank(num_rows=16, blast_radius=0)
 
-    def test_sparse_construction_is_cheap(self):
-        bank = Bank(num_rows=2**30)
-        assert bank.prac_count(2**29) == 0
-
 
 class TestCounters:
     def test_activate_increments(self, small_bank):
@@ -52,17 +48,23 @@ class TestCounters:
         assert bank.prac_count(3) == 30
         assert bank.activate(3) == 31
 
-    def test_initial_counter_materialized_once(self):
+    def test_initial_counter_prefills_every_row(self):
         calls = []
 
         def init(row):
             calls.append(row)
-            return 7
+            return row % 3
 
         bank = Bank(num_rows=16, initial_counter=init)
-        bank.prac_count(5)
-        bank.prac_count(5)
-        assert calls == [5]
+        assert calls == list(range(16))
+        assert [bank.prac_count(row) for row in range(16)] == [
+            row % 3 for row in range(16)
+        ]
+        assert calls == list(range(16))  # reads never call it again
+        bank.reset_prac(4)
+        assert bank.touched_rows() == {
+            row: row % 3 for row in range(16) if row % 3 and row != 4
+        }
 
     @pytest.mark.parametrize("row", [-1, 256, 1000])
     def test_out_of_range_rows_rejected(self, small_bank, row):

@@ -17,7 +17,6 @@ def make_channel(num_banks=2, num_subchannels=1, rows=1024):
                 rows_per_bank=rows,
                 num_refresh_groups=rows,
                 track_danger=False,
-                dense_counters=True,
             ),
             num_subchannels=num_subchannels,
         ),

@@ -13,9 +13,9 @@ the two halves of that design:
   and hypothesis-random request streams.
 * **Dispatch** — eligible configurations actually take the SoA loop
   under every policy and every scheduler kind, and every ineligible
-  shape (open page, unbounded queue, several sub-channels, sparse
-  counters, danger tracking, postponed REFs, pre-driven channel) falls
-  back to the reference, naming the first failing predicate in
+  shape (open page, unbounded queue, several sub-channels, danger
+  tracking, postponed REFs, pre-driven channel) falls back to the
+  reference, naming the first failing predicate in
   ``ServedBatch.path``, rather than producing a subtly wrong SoA run.
 """
 
@@ -115,7 +115,6 @@ def plain_channel(**sim_overrides):
         rows_per_bank=1024,
         num_refresh_groups=1024,
         track_danger=False,
-        dense_counters=True,
     )
     sim.update(sim_overrides)
     return ChannelSim(ChannelConfig(sim=SimConfig(**sim)), NullPolicy)
@@ -320,10 +319,7 @@ class TestDispatch:
 
     @pytest.mark.parametrize(
         "predicate, channel_overrides",
-        [
-            ("sparse-counters", {"dense_counters": False}),
-            ("track-danger", {"track_danger": True}),
-        ],
+        [("track-danger", {"track_danger": True})],
     )
     def test_engine_options_fall_back(self, predicate, channel_overrides):
         requests = [Request(issue_ns=7.0 * i, bank=i % 2, row=i % 5)

@@ -28,7 +28,6 @@ def small_sim_config(**kwargs) -> SimConfig:
     kwargs.setdefault("rows_per_bank", 256)
     kwargs.setdefault("num_refresh_groups", 128)
     kwargs.setdefault("track_danger", False)
-    kwargs.setdefault("dense_counters", True)
     return SimConfig(**kwargs)
 
 

@@ -56,7 +56,7 @@ class TestBatchedEquivalence:
     def test_every_policy_kind(self, kind):
         factory = PolicySpec(kind).make_factory(RunParams(ath=64, eth=32))
         schedule = workload_schedule(n_trefi=256)
-        config = SimConfig(track_danger=False, dense_counters=True)
+        config = SimConfig(track_danger=False)
         serial = drive(SubchannelSim(config, factory), schedule, batched=False)
         factory2 = PolicySpec(kind).make_factory(RunParams(ath=64, eth=32))
         batched = drive(SubchannelSim(config, factory2), schedule, batched=True)
@@ -65,7 +65,7 @@ class TestBatchedEquivalence:
     def test_alert_heavy_run(self):
         """A hot single row forces frequent ALERT episodes."""
         schedule = [[7, 7, 7, 9, 7] for _ in range(300)]
-        config = SimConfig(track_danger=False, dense_counters=True)
+        config = SimConfig(track_danger=False)
         factory = PolicySpec("moat").make_factory(RunParams(ath=32, eth=16))
         serial = drive(SubchannelSim(config, factory), schedule, batched=False)
         factory2 = PolicySpec("moat").make_factory(RunParams(ath=32, eth=16))
@@ -76,9 +76,7 @@ class TestBatchedEquivalence:
     def test_external_services(self):
         schedule = workload_schedule(n_trefi=256)
         config = SimConfig(
-            track_danger=False,
-            dense_counters=True,
-            external_service_interval_ns=5000.0,
+            track_danger=False, external_service_interval_ns=5000.0
         )
         factory = PolicySpec("moat").make_factory(RunParams(ath=64, eth=32))
         serial = drive(SubchannelSim(config, factory), schedule, batched=False)
@@ -86,35 +84,27 @@ class TestBatchedEquivalence:
         batched = drive(SubchannelSim(config, factory2), schedule, batched=True)
         assert serial == batched
 
-    def test_sparse_bank_fallback_matches(self):
-        """Without dense counters the batch entry point still works
-        (per-ACT fallback) and produces identical results."""
+    def test_track_danger_fallback_matches(self):
+        """With danger tracking on, the batch entry point runs the
+        per-ACT loop, so the security metric matches too."""
         schedule = workload_schedule(n_trefi=128)
+        config = SimConfig(track_danger=True)
         factory = PolicySpec("moat").make_factory(RunParams(ath=64, eth=32))
-        sparse = drive(
-            SubchannelSim(SimConfig(track_danger=False), factory),
-            schedule,
-            batched=True,
-        )
+        serial = drive(SubchannelSim(config, factory), schedule, batched=False)
         factory2 = PolicySpec("moat").make_factory(RunParams(ath=64, eth=32))
-        dense = drive(
-            SubchannelSim(
-                SimConfig(track_danger=False, dense_counters=True), factory2
-            ),
-            schedule,
-            batched=True,
-        )
-        assert sparse == dense
+        batched = drive(SubchannelSim(config, factory2), schedule, batched=True)
+        assert serial == batched
+        assert serial["max_danger"] > 0  # danger was actually tracked
 
     def test_not_before_floor_applies(self):
-        config = SimConfig(track_danger=False, dense_counters=True)
+        config = SimConfig(track_danger=False)
         factory = PolicySpec("moat").make_factory(RunParams())
         sim = SubchannelSim(config, factory)
         last = sim.activate_many([1, 2, 3], not_before=500.0)
         assert last >= 500.0
 
     def test_empty_batch_is_a_noop(self):
-        config = SimConfig(track_danger=False, dense_counters=True)
+        config = SimConfig(track_danger=False)
         factory = PolicySpec("moat").make_factory(RunParams())
         sim = SubchannelSim(config, factory)
         assert sim.activate_many([]) is None
@@ -133,7 +123,7 @@ class TestBackendEquivalence:
         assert resolve_backend(backend).name == backend
         schedule = workload_schedule(n_trefi=128)
         factory = PolicySpec(kind).make_factory(RunParams(ath=64, eth=32))
-        config = SimConfig(track_danger=False, dense_counters=True)
+        config = SimConfig(track_danger=False)
         serial = drive(SubchannelSim(config, factory), schedule, batched=False)
         factory2 = PolicySpec(kind).make_factory(RunParams(ath=64, eth=32))
         batched = drive(SubchannelSim(config, factory2), schedule, batched=True)
@@ -144,7 +134,7 @@ class TestBackendEquivalence:
         assert resolve_backend(backend).name == backend
         schedule = [[7, 7, 7, 9, 7] for _ in range(300)]
         factory = PolicySpec("moat").make_factory(RunParams(ath=32, eth=16))
-        config = SimConfig(track_danger=False, dense_counters=True)
+        config = SimConfig(track_danger=False)
         serial = drive(SubchannelSim(config, factory), schedule, batched=False)
         factory2 = PolicySpec("moat").make_factory(RunParams(ath=32, eth=16))
         batched = drive(SubchannelSim(config, factory2), schedule, batched=True)
@@ -172,30 +162,9 @@ class TestBatchedProperties:
         cross the ALERT machinery."""
         params = RunParams(ath=12, eth=6)
         factory = PolicySpec(kind).make_factory(params)
-        config = SimConfig(track_danger=False, dense_counters=True)
+        config = SimConfig(track_danger=False)
         serial = drive(SubchannelSim(config, factory), schedule, batched=False)
         factory2 = PolicySpec(kind).make_factory(params)
         batched = drive(SubchannelSim(config, factory2), schedule, batched=True)
         assert serial == batched
 
-
-class TestDenseCounters:
-    def test_dense_rejects_initial_counter(self):
-        from repro.dram.bank import Bank
-
-        with pytest.raises(ValueError):
-            Bank(dense_counters=True, initial_counter=lambda row: 1)
-
-    def test_dense_counter_semantics_match_sparse(self):
-        from repro.dram.bank import Bank
-
-        dense = Bank(num_rows=64, dense_counters=True, track_danger=False)
-        sparse = Bank(num_rows=64, track_danger=False)
-        for bank in (dense, sparse):
-            for row in (3, 3, 5, 3):
-                bank.activate(row)
-            bank.reset_prac(5)
-        assert dense.prac_count(3) == sparse.prac_count(3) == 3
-        assert dense.prac_count(5) == sparse.prac_count(5) == 0
-        assert dense.touched_rows() == {3: 3}
-        assert dense.rows_with_prac_at_least(3) == 1

@@ -29,7 +29,6 @@ def make_channel(num_banks=2, rows=4096):
                 rows_per_bank=rows,
                 num_refresh_groups=rows,
                 track_danger=False,
-                dense_counters=True,
             ),
             num_subchannels=1,
         ),

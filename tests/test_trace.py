@@ -4,6 +4,7 @@ import pytest
 
 from repro.mitigations.moat import MoatPolicy
 from repro.mitigations.null import NullPolicy
+from repro.sim.channel import ChannelConfig, ChannelSim
 from repro.sim.engine import SimConfig, SubchannelSim
 from repro.trace import ActivationTrace, TraceRecorder, replay
 
@@ -108,6 +109,39 @@ class TestReplay:
         replay(trace, protected)
         assert protected.alerts >= 2
         assert protected.bank.max_danger <= 99
+
+    @pytest.mark.parametrize("track_danger", [False, True])
+    def test_channel_and_batched_runs_round_trip(self, track_danger):
+        """A run driven through ChannelSim.activate and activate_many
+        (the batched fast path, or its per-ACT fallback under danger
+        tracking) records every ACT, and replaying the trace into a
+        fresh engine reproduces the run's statistics."""
+        config = SimConfig(
+            num_banks=2, rows_per_bank=1024, num_refresh_groups=128,
+            track_danger=track_danger,
+        )
+        channel = ChannelSim(
+            ChannelConfig(sim=config), lambda: MoatPolicy(ath=16)
+        )
+        recorder = TraceRecorder(channel.subchannel)
+        t_refi = channel.timing.t_refi
+        for interval in range(40):
+            channel.advance_to(interval * t_refi)
+            rows = [7, 7, 9, 7, 300 + interval, 7] * 3
+            if interval % 2:
+                channel.activate_many(rows, bank=interval % 4 // 2)
+            else:
+                for row in rows:
+                    channel.activate(row, bank=1)
+        channel.flush()
+        trace = recorder.stop()
+        recorded = channel.subchannel.stats()
+        assert len(trace) == recorded["total_acts"] == 40 * 18
+        assert recorded["alerts"] > 0
+
+        fresh = SubchannelSim(config, lambda: MoatPolicy(ath=16))
+        replay(trace, fresh)
+        assert fresh.stats() == recorded
 
 
 class TestAddressTrace:
