@@ -16,10 +16,17 @@ ALERTs is ``3 + L`` (Figure 8: 4 at level 1, 7 at level 4), and the
 minimum time between assertions is ``tA2A = 180 + (350 + tRC) * L`` ns
 (Appendix A). Both are exposed here and consumed by the Ratchet and TSA
 analyses.
+
+:class:`AboProtocol` is the one owner of a sub-channel's ALERT episode:
+the latched request, the assertion constraints, and the in-flight
+episode's window and stall ends. The simulator
+(:mod:`repro.sim.engine`) asks it to begin and end episodes and
+schedules the RFM mitigations against :attr:`AboProtocol.window_end`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -83,14 +90,16 @@ class AboConfig:
 
 
 class AboProtocol:
-    """Stateful ABO model used by the sub-channel simulator.
+    """Stateful ABO model of one sub-channel, owner of its ALERT episode.
 
     The protocol tracks when an ALERT may next be asserted (both the
-    tA2A time constraint and the min-ACTs constraint). Mitigation
-    policies request ALERTs; the simulator asks the protocol whether the
-    request may be honoured *now* and, if not, how many more activations
-    must elapse first — this delay window is exactly what the Ratchet
-    attack exploits.
+    tA2A time constraint and the min-ACTs constraint) and the episode
+    in flight. Mitigation policies request ALERTs; the simulator asks
+    the protocol whether the request may be honoured *now* and, if
+    not, how many more activations must elapse first — this delay
+    window is exactly what the Ratchet attack exploits. An episode is
+    in flight from :meth:`try_begin_alert` until :meth:`end_episode`,
+    which the simulator calls once it has applied the episode's RFMs.
     """
 
     def __init__(self, config: AboConfig | None = None) -> None:
@@ -99,15 +108,18 @@ class AboProtocol:
         # the first assertion of a run is unconstrained.
         self._acts_since_last_alert = self.config.min_acts_between_alerts
         self._last_alert_end = float("-inf")
-        self._pending = False
+        #: A bank's request for reactive mitigation, latched until an
+        #: ALERT asserts or an episode's RFMs absorb it.
+        self.alert_pending = False
+        #: End of the in-flight episode's 180 ns ACT window, when its
+        #: RFMs are due; ``inf`` when no episode awaits its RFMs.
+        self.window_end = math.inf
+        #: End of the latest episode's RFM stall.
+        self.stall_end = -math.inf
 
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-
-    @property
-    def alert_pending(self) -> bool:
-        return self._pending
 
     def acts_until_alert_allowed(self) -> int:
         """Activations still required before the next ALERT may assert."""
@@ -139,24 +151,37 @@ class AboProtocol:
 
     def request_alert(self) -> None:
         """A bank asks for reactive mitigation; latched until honoured."""
-        self._pending = True
-
-    def cancel_pending(self) -> None:
-        """Withdraw the pending request (the triggering condition was
-        cleared by a mitigation before the ALERT could assert)."""
-        self._pending = False
+        self.alert_pending = True
 
     def try_begin_alert(self, now: float) -> Optional[float]:
         """Begin an ALERT episode at ``now`` if one is pending and legal.
 
         Returns the assert time (no earlier than the end of the previous
         episode's 180 ns window plus RFMs), or ``None`` if no ALERT can
-        start.
+        start: nothing is latched, an episode is still in flight, or
+        the min-ACTs constraint is unmet. On success the episode's
+        :attr:`window_end` and :attr:`stall_end` are set.
         """
-        if not self._pending or not self.can_assert():
+        if (
+            not self.alert_pending
+            or self.window_end != math.inf
+            or not self.can_assert()
+        ):
             return None
         start = max(now, self._last_alert_end)
-        self._pending = False
+        self.alert_pending = False
         self._acts_since_last_alert = 0
         self._last_alert_end = start + self.config.alert_duration
+        self.window_end = start + self.config.timing.t_abo_act_window
+        self.stall_end = self.window_end + self.config.stall_duration
         return start
+
+    def end_episode(self) -> None:
+        """Close the in-flight episode once its RFMs are applied.
+
+        Requests latched while it was in flight are absorbed by those
+        RFMs, so the pending flag clears too; the simulator re-samples
+        the policies' ALERT condition afterwards.
+        """
+        self.window_end = math.inf
+        self.alert_pending = False

@@ -21,7 +21,7 @@ import ast
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 #: Schema id of the machine-readable lint artifact (``--format json``).
 LINT_SCHEMA = "repro.lint/v1"
@@ -132,9 +132,9 @@ def collect_files(paths: Sequence[Path]) -> List[Path]:
     return out
 
 
-def load_context(path: Path, root: Path) -> Tuple[Optional[FileContext],
-                                                  Optional[Finding]]:
-    """Parse one file; on failure return a :data:`PARSE_RULE` finding."""
+def load_context(path: Path, root: Path) -> Union[FileContext, Finding]:
+    """Parse one file: its context, or a :data:`PARSE_RULE` finding
+    when it cannot be read or parsed."""
     rel = rel_path(path, root)
     try:
         source = path.read_text(encoding="utf-8")
@@ -142,9 +142,9 @@ def load_context(path: Path, root: Path) -> Tuple[Optional[FileContext],
     except (OSError, SyntaxError, ValueError) as exc:
         message = getattr(exc, "msg", None) or str(exc)
         line = getattr(exc, "lineno", None) or 1
-        return None, Finding(PARSE_RULE, rel, line, 1,
-                             f"file does not parse: {message}")
-    return FileContext(path, rel, source, tree), None
+        return Finding(PARSE_RULE, rel, line, 1,
+                       f"file does not parse: {message}")
+    return FileContext(path, rel, source, tree)
 
 
 def rel_path(path: Path, root: Path) -> str:

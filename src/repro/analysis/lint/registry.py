@@ -199,11 +199,10 @@ def run_lint(paths: Optional[Sequence[Path]] = None,
     findings: List[Finding] = []
     suppressed = 0
     for path in files:
-        ctx, parse_finding = load_context(path, root)
-        if parse_finding is not None:
-            findings.append(parse_finding)
+        ctx = load_context(path, root)
+        if isinstance(ctx, Finding):
+            findings.append(ctx)
             continue
-        assert ctx is not None
         for spec in file_rules:
             for finding in spec.checker(ctx, **dict(spec.params)):
                 if ctx.is_suppressed(finding):

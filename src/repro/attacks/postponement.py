@@ -53,7 +53,6 @@ def run_postponement_attack(
         reset_policy=CounterResetPolicy.FREE_RUNNING,
         trefi_per_mitigation=1,  # drain-all repurposes every REF
         reset_counter_on_mitigation=False,
-        max_postponed_refs=2,
     )
     with MitigationLog(sim) as log:
         sim.postpone_refs = True

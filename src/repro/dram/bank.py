@@ -74,8 +74,6 @@ class Bank:
             else array("q", map(initial_counter, range(num_rows)))
         )
         self._danger: Dict[int, int] = {}
-        #: Total ACT commands this bank has performed (for energy model).
-        self.total_activations = 0
         #: Extra activations spent on mitigation (victim refreshes and
         #: counter-reset activations), for the Section 6.5 energy model.
         self.mitigation_activations = 0
@@ -121,15 +119,9 @@ class Bank:
         """
         count = self.prac_count(row) + 1
         self._prac[row] = count
-        self.total_activations += 1
         if self.track_danger:
             self._spread_danger(row)
         return count
-
-    def note_activations(self, count: int) -> None:
-        """Account ``count`` activations performed by a batched driver
-        (the engine's fast loop updates the PRAC array in place)."""
-        self.total_activations += count
 
     def _spread_danger(self, row: int) -> None:
         danger = self._danger

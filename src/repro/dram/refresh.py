@@ -77,8 +77,6 @@ class RefreshEngine:
         #: since the row's victims were last refreshed). At most
         #: ``bank.blast_radius`` entries, per the SAFE policy.
         self.shadow: Dict[int, int] = {}
-        #: Total REF commands executed (for rate bookkeeping).
-        self.refs_executed = 0
 
     # ------------------------------------------------------------------
     # Defense-visible counter value
@@ -159,13 +157,6 @@ class RefreshEngine:
                 self.bank.reset_prac(row)
 
         self.pointer = (self.pointer + 1) % self.num_groups
-        self.refs_executed += 1
         if self.postponed > 0:
             self.postponed -= 1
         return group
-
-    def execute_postponed_batch(self) -> List[int]:
-        """Execute all postponed REFs plus the current one as a batch."""
-        batch = self.postponed + 1
-        self.postponed = 0
-        return [self.execute_ref() for _ in range(batch)]

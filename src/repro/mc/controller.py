@@ -78,6 +78,7 @@ from repro.mc.sched import (
 )
 from repro.obs.recorder import NULL_RECORDER, record_batch_events
 from repro.sim.channel import ChannelSim
+from repro.sim.engine import T_ISSUE_GAP
 
 #: Implemented row-buffer policies.
 ROW_POLICIES: Tuple[str, ...] = ("closed", "open")
@@ -98,16 +99,12 @@ class McConfig:
             it accepts, and the empty default means the kind's own
             defaults.
         row_policy: ``"closed"`` or ``"open"``.
-        t_col: Service time of a row-buffer hit in nanoseconds
-            (``None`` resolves to the DRAM timing's ``t_act``).
-            Only meaningful under the open-page policy.
     """
 
     queue_depth: Optional[int] = 32
     scheduler: str = "frfcfs"
     sched_params: Tuple[Tuple[str, Any], ...] = ()
     row_policy: str = "closed"
-    t_col: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.queue_depth is not None and self.queue_depth < 1:
@@ -121,8 +118,6 @@ class McConfig:
                 f"unknown row policy {self.row_policy!r}; "
                 f"known: {', '.join(ROW_POLICIES)}"
             )
-        if self.t_col is not None and self.t_col <= 0:
-            raise ValueError("t_col must be positive")
 
 
 @dataclass
@@ -241,9 +236,8 @@ class MemoryController:
         self._num_banks = channel.config.sim.num_banks
         self._rows_per_bank = channel.config.sim.rows_per_bank
         self._t_rc = channel.timing.t_rc
-        self._t_col = (
-            channel.timing.t_act if config.t_col is None else config.t_col
-        )
+        #: Service time of a row-buffer hit (open page only).
+        self._t_col = channel.timing.t_act
         self._t_cmd_gap = channel.config.t_cmd_gap_resolved
         #: Observability sink (:mod:`repro.obs`). Queue events are
         #: derived post hoc from the served batch, so recorder presence
@@ -612,8 +606,11 @@ class MemoryController:
         back (:func:`_engine_sync`) before every real engine
         interaction and re-read (:func:`_engine_view`) after it, so the
         engine is always entered from exactly the state the reference
-        would have. ABO activation counts accumulate locally and are
-        flushed before anything that may consult ``can_assert``.
+        would have. The ALERT episode is read where it lives, on the
+        sub-channel's ABO protocol (``abo.window_end`` and
+        ``abo.alert_pending``). ACT counts accumulate locally and are
+        flushed into the protocol and the engine's ``total_acts`` before
+        anything that may consult ``can_assert``.
         """
         n_clients = len(streams)
         for client, stream in enumerate(streams):
@@ -674,11 +671,10 @@ class MemoryController:
         nq = n_clients * n_banks
         t_rc = self._t_rc
         t_cmd_gap = self._t_cmd_gap
-        gap = sub._t_issue_gap
+        gap = T_ISSUE_GAP
         abo = sub.abo
         policies = sub.policies
-        banks = sub.banks
-        pracs = [bank._prac for bank in banks]
+        pracs = [bank._prac for bank in sub.banks]
         shadows = [engine.shadow for engine in sub.refresh]
 
         issue = concat_column(streams, "issue_ns")
@@ -696,7 +692,6 @@ class MemoryController:
         bank_count = [0] * n_banks
         freed = [0.0] * n_banks
         bank_free = [0.0] * n_banks
-        acts_bank = [0] * n_banks
         admit_floor = [0.0] * n_clients
         out_ridx = [0] * n
         out_enq = [0.0] * n
@@ -993,7 +988,6 @@ class MemoryController:
                 count = shadow[row] + 1
                 shadow[row] = count
             pending_acts += 1
-            acts_bank[b] += 1
             e_now = start
             e_chfree = start + gap
             if was_full:
@@ -1011,7 +1005,7 @@ class MemoryController:
             policy.on_activate(row, count)
             # A fresh request, or a latched one (which may assert on
             # any ACT: the per-ACT check sub.activate performs).
-            if policy.alert_requested or abo._pending:
+            if policy.alert_requested or abo.alert_pending:
                 _engine_sync(channel, sub, pending_acts, e_now, e_chfree,
                              bank_free, cmd_free)
                 pending_acts = 0
@@ -1028,9 +1022,6 @@ class MemoryController:
         # Final writeback: statistics, engine scalars, episode flush.
         _engine_sync(channel, sub, pending_acts, e_now, e_chfree,
                      bank_free, cmd_free)
-        for b in range(n_banks):
-            if acts_bank[b]:
-                banks[b].note_activations(acts_bank[b])
         channel.flush()
         return ServedBatch(
             streams=streams, ridx=out_ridx, enqueue_ns=out_enq,
@@ -1096,13 +1087,7 @@ def _engine_view(sub) -> Tuple[float, float, float, float, float]:
     """Re-read the engine scalars the SoA loop mirrors: ``now``, the
     channel-free floor, the next REF and external service, and the end
     of an unprocessed ALERT window (``inf`` without one)."""
-    episode = sub._episode
-    window_end = (
-        episode.window_end
-        if episode is not None and not episode.processed
-        else math.inf
-    )
     return (
         sub.now, sub._channel_free, sub._next_ref, sub._next_external,
-        window_end,
+        sub.abo.window_end,
     )

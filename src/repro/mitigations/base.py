@@ -150,9 +150,6 @@ class MitigationPolicy(abc.ABC):
         #: Set when the policy wants an ALERT; the simulator forwards it
         #: to the ABO protocol and clears it when the ALERT is serviced.
         self.alert_requested = False
-        #: Counters for reporting.
-        self.proactive_mitigations = 0
-        self.reactive_mitigations = 0
 
     # ------------------------------------------------------------------
     # Event hooks
@@ -172,8 +169,9 @@ class MitigationPolicy(abc.ABC):
         """Pick the aggressor row to mitigate at a mitigation-period
         boundary, or ``None`` if nothing is eligible.
 
-        The simulator performs the actual victim refresh and then calls
-        :meth:`on_mitigated`.
+        The simulator performs the actual victim refresh and does not
+        notify the policy afterwards: whatever tracking state the
+        policy drops for the row, it drops here.
         """
 
     @abc.abstractmethod
@@ -187,10 +185,6 @@ class MitigationPolicy(abc.ABC):
         episode completes, so a request whose trigger was already
         serviced does not fire a spurious follow-up ALERT."""
         return False
-
-    def on_mitigated(self, row: int) -> None:
-        """Notification that ``row`` was mitigated (victims refreshed,
-        counter reset). Policies drop any tracking state for the row."""
 
     def on_ref(self, refreshed_rows: List[int]) -> None:
         """Notification that a refresh group was refreshed (counters in

@@ -212,13 +212,6 @@ class MoatPolicy(MitigationPolicy):
             self.cma = None
         return rows
 
-    def on_mitigated(self, row: int) -> None:
-        slot = self._slot_of(row)
-        if slot >= 0:
-            self._remove_slot(slot)
-        if self.cma == row:
-            self.cma = None
-
     # ------------------------------------------------------------------
     # Reporting
     # ------------------------------------------------------------------

@@ -118,14 +118,6 @@ class PanopticonPolicy(MitigationPolicy):
         if self.drain_all_on_ref and len(self.queue) > 2:
             self.alert_requested = True
 
-    def on_mitigated(self, row: int) -> None:
-        # Remove one matching queue occurrence, if any (duplicates are
-        # legal — a hot row re-enters once per threshold crossing).
-        try:
-            self.queue.remove(row)
-        except ValueError:
-            pass
-
     # ------------------------------------------------------------------
     # Reporting
     # ------------------------------------------------------------------

@@ -9,19 +9,19 @@ composes that hierarchy explicitly:
 * **Channel** — owns the sub-channels, demultiplexes physical-address
   traffic through an :class:`~repro.sim.mapping.AddressMapping`, and
   enforces the cross-sub-channel command-issue constraint: the MC
-  issues at most one command per ``t_cmd_gap``, so commands to
+  issues at most one command per command gap, so commands to
   *different* sub-channels still contend for issue slots.
 * **Sub-channel** — one :class:`~repro.sim.engine.SubchannelSim` per
   sub-channel: the clock, REF stream, ABO/ALERT machinery, and banks.
 * **Bank** — per-row PRAC counters plus one mitigation policy each.
 
-The default command gap is ``t_issue_gap / num_subchannels`` (the MC
-issue rate scales with the channel width), which makes a one-sub-channel
-channel *bit-identical* to a bare :class:`SubchannelSim`: the channel
-floor then always coincides with the sub-channel's own issue-gap
-constraint. The equivalence is load-bearing — the performance front-end
-routes everything through :class:`ChannelSim`, and the committed sweep
-baselines predate it.
+The command gap is :data:`~repro.sim.engine.T_ISSUE_GAP` divided by
+the number of sub-channels (the MC issue rate scales with the channel
+width), which makes a one-sub-channel channel *bit-identical* to a
+bare :class:`SubchannelSim`: the channel floor then always coincides
+with the sub-channel's own issue-gap constraint. The equivalence is
+load-bearing — the performance front-end routes everything through
+:class:`ChannelSim`, and the committed sweep baselines predate it.
 
 Batched traffic (:meth:`ChannelSim.activate_many`) applies the
 cross-sub-channel constraint at batch granularity: the batch's first
@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
 from repro.mitigations.base import MitigationPolicy
-from repro.sim.engine import ActResult, SimConfig, SubchannelSim
+from repro.sim.engine import T_ISSUE_GAP, ActResult, SimConfig, SubchannelSim
 from repro.sim.mapping import AddressMapping
 
 
@@ -51,15 +51,11 @@ class ChannelConfig:
         mapping: Optional address mapping for physical-address traffic
             (:meth:`ChannelSim.access`). When provided, its geometry
             must agree with ``sim`` — see :meth:`validate_mapping`.
-        t_cmd_gap: Minimum time between commands issued by the channel
-            front-end, across all sub-channels. ``None`` (default)
-            resolves to ``sim.t_issue_gap / num_subchannels``.
     """
 
     sim: SimConfig = field(default_factory=SimConfig)
     num_subchannels: int = 1
     mapping: Optional[AddressMapping] = None
-    t_cmd_gap: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.num_subchannels < 1:
@@ -94,10 +90,10 @@ class ChannelConfig:
 
     @property
     def t_cmd_gap_resolved(self) -> float:
-        """Command gap with the width-scaled default applied."""
-        if self.t_cmd_gap is not None:
-            return self.t_cmd_gap
-        return self.sim.t_issue_gap / self.num_subchannels
+        """Minimum time between commands issued by the channel
+        front-end, across all sub-channels: the issue gap scaled by
+        the channel width."""
+        return T_ISSUE_GAP / self.num_subchannels
 
 
 class ChannelSim:

@@ -22,10 +22,20 @@ Timing rules implemented (paper Sections 2.2, 2.6):
   of 350 ns each; every bank gets one mitigation opportunity per RFM.
   At least ``3 + level`` activations must separate consecutive ALERT
   assertions (Figure 8).
+
+The ALERT episode itself (latched request, assertion constraints, the
+in-flight window and stall ends) lives in the sub-channel's
+:class:`~repro.abo.protocol.AboProtocol`; the engine asks it to begin
+an episode after each ACT and REF and when the driver idles, treats
+``abo.window_end`` (``inf`` when no episode awaits its RFMs) as one
+more scheduled event, and closes the episode once its RFM mitigations
+are applied. Each statistic (ACTs, REFs, ALERTs, mitigations) is
+counted here, once.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
@@ -38,6 +48,10 @@ from repro.obs.recorder import NULL_RECORDER
 
 #: Signature of mitigation listeners: (bank_index, row, reactive, time).
 MitigationListener = Callable[[int, int, bool, float], None]
+
+#: Channel command-issue gap between ACTs to different banks (ns): the
+#: tFAW-limited rate of about 17 ACTs per tRC (Section 7.3).
+T_ISSUE_GAP = 52.0 / 17.0
 
 
 @dataclass(frozen=True)
@@ -58,11 +72,6 @@ class SimConfig:
     track_danger: bool = True
     #: Whether mitigating an aggressor resets its PRAC counter.
     reset_counter_on_mitigation: bool = True
-    #: Channel command-issue gap between ACTs to different banks; the
-    #: default models the tFAW-limited rate of ~17 ACTs per tRC.
-    t_issue_gap: float = 52.0 / 17.0
-    #: Maximum REFs the attacker may postpone (DDR5 allows 2).
-    max_postponed_refs: int = 2
     #: Initial per-row counter values (row -> count), e.g. randomized
     #: Panopticon. ``None`` means all-zero.
     initial_counter: Optional[Callable[[int], int]] = None
@@ -82,16 +91,6 @@ class ActResult:
     time: float
     count: int
     alert_pending: bool
-
-
-@dataclass
-class _Episode:
-    """An ALERT episode awaiting its RFM processing."""
-
-    assert_time: float
-    window_end: float
-    stall_end: float
-    processed: bool = False
 
 
 class SubchannelSim:
@@ -124,7 +123,6 @@ class SubchannelSim:
                 bank,
                 num_groups=config.num_refresh_groups,
                 reset_policy=config.reset_policy,
-                max_postponed=config.max_postponed_refs,
             )
             for bank in self.banks
         ]
@@ -146,7 +144,6 @@ class SubchannelSim:
             for p in self.policies
         ]
         self._t_rc = timing.t_rc
-        self._t_issue_gap = config.t_issue_gap
         self.abo = AboProtocol(AboConfig(level=config.abo_level, timing=timing))
         self.now = 0.0
         self._channel_free = 0.0
@@ -154,7 +151,6 @@ class SubchannelSim:
         self._next_ref = timing.t_refi
         interval = config.external_service_interval_ns
         self._next_external = interval if interval else float("inf")
-        self._episode: Optional[_Episode] = None
         #: Attacker-controlled: request postponement of upcoming REFs.
         self.postpone_refs = False
         #: Listeners notified on every aggressor mitigation.
@@ -208,7 +204,7 @@ class SubchannelSim:
 
         complete = start + self._t_rc
         self.now = start
-        self._channel_free = start + self._t_issue_gap
+        self._channel_free = start + T_ISSUE_GAP
         self._bank_free[bank] = complete
 
         # ALERT asserts during the precharge of the triggering ACT.
@@ -242,7 +238,7 @@ class SubchannelSim:
             return last_start
 
         t_rc = self._t_rc
-        gap = self._t_issue_gap
+        gap = T_ISSUE_GAP
         prac = bank_obj._prac
         shadow = self.refresh[bank].shadow
         policy = self.policies[bank]
@@ -263,12 +259,7 @@ class SubchannelSim:
             bank_free = self._bank_free[bank]
             next_ref = self._next_ref
             next_external = self._next_external
-            episode = self._episode
-            window_end = (
-                episode.window_end
-                if episode is not None and not episode.processed
-                else float("inf")
-            )
+            window_end = abo.window_end
             acts = 0
             alerting = False
             while i < n:
@@ -301,7 +292,6 @@ class SubchannelSim:
             self._bank_free[bank] = bank_free
             if acts:
                 self.total_acts += acts
-                bank_obj.note_activations(acts)
                 abo.note_activations(acts)
                 if self.recorder.enabled:
                     self.recorder.emit("act-burst", now, sub=self._rec_sub,
@@ -337,7 +327,7 @@ class SubchannelSim:
         start = max(self.now, self._channel_free, self._bank_free[bank], not_before)
         start = self._resolve_start(start, duration=duration)
         self.now = start
-        self._channel_free = start + self._t_issue_gap
+        self._channel_free = start + T_ISSUE_GAP
         self._bank_free[bank] = start + duration
         return start
 
@@ -362,12 +352,7 @@ class SubchannelSim:
         )
         if self._next_external <= floor:
             return True
-        episode = self._episode
-        if (
-            episode is not None
-            and not episode.processed
-            and floor + dur > episode.window_end
-        ):
+        if floor + dur > self.abo.window_end:
             return True
         return self._next_ref < floor + dur
 
@@ -389,9 +374,9 @@ class SubchannelSim:
 
     def flush(self) -> None:
         """Retire any unprocessed ALERT episode (end-of-run cleanup)."""
-        if self._episode and not self._episode.processed:
-            self._process_episode()
-            self.now = max(self.now, self._episode.stall_end)
+        if self.abo.window_end != math.inf:
+            stall_end = self._finish_episode()
+            self.now = max(self.now, stall_end)
 
     # ------------------------------------------------------------------
     # Introspection helpers used by adaptive attacks and tests
@@ -431,18 +416,14 @@ class SubchannelSim:
             if self._next_external <= start:
                 self._do_external_service()
                 continue
-            episode = self._episode
-            episode_due = (
-                episode is not None
-                and not episode.processed
-                and start + dur > episode.window_end
-            )
+            window_end = self.abo.window_end
+            episode_due = start + dur > window_end
             # A command must complete before a due REF starts (the bank
             # is precharged for refresh), so an overlap defers it.
             ref_due = self._next_ref < start + dur
             if episode_due and ref_due:
                 # Process whichever comes first in time.
-                if self._next_ref <= episode.window_end:
+                if self._next_ref <= window_end:
                     start = max(start, self._do_ref())
                 else:
                     start = max(start, self._finish_episode())
@@ -460,13 +441,9 @@ class SubchannelSim:
             if self._next_external <= until:
                 self._do_external_service()
                 continue
-            episode = self._episode
-            if (
-                episode is not None
-                and not episode.processed
-                and episode.window_end <= until
-            ):
-                if self._next_ref <= episode.window_end:
+            window_end = self.abo.window_end
+            if window_end <= until:
+                if self._next_ref <= window_end:
                     self._do_ref()
                 else:
                     self._finish_episode()
@@ -547,7 +524,6 @@ class SubchannelSim:
                 return
             self._apply_mitigation(bank_index, row, reactive=False, time=time)
             self.proactive_count += 1
-            policy.proactive_mitigations += 1
 
     def _apply_mitigation(
         self, bank_index: int, row: int, reactive: bool, time: float
@@ -573,60 +549,44 @@ class SubchannelSim:
     # ------------------------------------------------------------------
 
     def _maybe_assert_alert(self, time: float) -> None:
-        if self._episode is not None and not self._episode.processed:
-            return  # an episode is already in flight
         assert_time = self.abo.try_begin_alert(time)
         if assert_time is None:
             return
-        window_end = assert_time + self.timing.t_abo_act_window
-        stall_end = window_end + self.abo.config.level * self.timing.t_rfm
-        self._episode = _Episode(
-            assert_time=assert_time,
-            window_end=window_end,
-            stall_end=stall_end,
-        )
         self.alerts += 1
         # Every execution path funnels ALERT assertion through this
         # method, so this single emission site reconciles exactly with
         # the ``alerts`` counter by construction.
         if self.recorder.enabled:
             self.recorder.emit("alert", assert_time,
-                               stall_end - assert_time,
+                               self.abo.stall_end - assert_time,
                                sub=self._rec_sub,
                                value=float(self.abo.config.level))
 
     def _finish_episode(self) -> float:
-        """Apply the in-flight episode's RFM mitigations; returns the
-        time at which the sub-channel unstalls."""
-        episode = self._episode
-        assert episode is not None and not episode.processed
-        self._process_episode()
-        return episode.stall_end
-
-    def _process_episode(self) -> None:
-        episode = self._episode
-        assert episode is not None
-        episode.processed = True
-        level = self.abo.config.level
+        """Apply the in-flight episode's RFM mitigations and close it;
+        returns the time at which the sub-channel unstalls."""
+        abo = self.abo
+        window_end = abo.window_end
+        stall_end = abo.stall_end
         # Requests raised while this episode was in flight are absorbed
         # by its RFMs; the ALERT condition is re-sampled below.
-        self.abo.cancel_pending()
+        abo.end_episode()
+        level = abo.config.level
         for index, policy in enumerate(self.policies):
-            rows = policy.select_reactive(level)
-            for row in rows:
+            for row in policy.select_reactive(level):
                 self._apply_mitigation(
-                    index, row, reactive=True, time=episode.window_end
+                    index, row, reactive=True, time=window_end
                 )
                 self.reactive_count += 1
-                policy.reactive_mitigations += 1
             # A policy may immediately need another ALERT: a row still
             # above ATH that this episode could not service, or the
             # drain-all Panopticon variant with a still-full queue.
             if policy.alert_requested or policy.needs_alert():
                 policy.alert_requested = False
-                self.abo.request_alert()
+                abo.request_alert()
         # The next ALERT may assert once the ACT-count constraint allows;
         # the attempt happens on subsequent activations.
+        return stall_end
 
     # ------------------------------------------------------------------
     # Reporting

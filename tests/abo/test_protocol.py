@@ -1,8 +1,19 @@
 """Tests for the ALERT-Back-Off protocol (paper §2.6, Figures 2 and 8)."""
 
+import math
+
 import pytest
 
 from repro.abo.protocol import AboConfig, AboProtocol
+from repro.dram.timing import DDR5_PRAC_TIMING
+
+
+def asserted():
+    """A level-1 protocol whose first ALERT asserted at time 0."""
+    abo = AboProtocol(AboConfig(level=1))
+    abo.request_alert()
+    assert abo.try_begin_alert(0.0) == 0.0
+    return abo
 
 
 class TestAboConfig:
@@ -54,6 +65,7 @@ class TestAboProtocol:
         for _ in range(4):
             abo.note_activation()
         assert abo.try_begin_alert(0.0) is not None
+        abo.end_episode()
         # Second alert needs 4 fresh activations.
         abo.request_alert()
         for _ in range(3):
@@ -78,6 +90,7 @@ class TestAboProtocol:
         for _ in range(4):
             abo.note_activation()
         first = abo.try_begin_alert(0.0)
+        abo.end_episode()
         abo.request_alert()
         for _ in range(4):
             abo.note_activation()
@@ -86,9 +99,56 @@ class TestAboProtocol:
         assert second >= first + abo.config.alert_duration
 
     def test_cancel_pending(self):
-        abo = AboProtocol(AboConfig(level=1))
+        # A request latched while the episode is in flight is absorbed
+        # by that episode's RFMs.
+        abo = asserted()
         abo.request_alert()
-        abo.cancel_pending()
+        abo.end_episode()
+        assert not abo.alert_pending
         for _ in range(10):
             abo.note_activation()
-        assert abo.try_begin_alert(0.0) is None
+        assert abo.try_begin_alert(5000.0) is None
+
+
+class TestEpisodeOwnership:
+    def test_window_end_is_inf_without_episode(self):
+        abo = AboProtocol(AboConfig(level=1))
+        assert abo.window_end == math.inf
+        abo.request_alert()
+        abo.try_begin_alert(0.0)
+        assert abo.window_end < math.inf
+        abo.end_episode()
+        assert abo.window_end == math.inf
+
+    def test_refuses_while_episode_in_flight(self):
+        abo = asserted()
+        abo.request_alert()
+        for _ in range(abo.config.min_acts_between_alerts):
+            abo.note_activation()
+        assert abo.can_assert()
+        assert abo.try_begin_alert(10_000.0) is None
+        assert abo.alert_pending
+        abo.end_episode()
+        abo.request_alert()
+        assert abo.try_begin_alert(10_000.0) == 10_000.0
+
+    # At these assert times ``(t + 180) + L * 350`` and
+    # ``t + (180 + L * 350)`` round to different floats, so the test
+    # pins the association the simulator has always used.
+    @pytest.mark.parametrize("level,now", [(1, 0.003), (2, 0.003), (4, 0.014)])
+    def test_window_and_stall_end_match_engine_expressions(self, level, now):
+        timing = DDR5_PRAC_TIMING
+        abo = AboProtocol(AboConfig(level=level, timing=timing))
+        abo.request_alert()
+        assert abo.try_begin_alert(now) == now
+        window_end = now + timing.t_abo_act_window
+        assert abo.window_end == window_end
+        assert abo.stall_end == window_end + level * timing.t_rfm
+        assert abo.stall_end != now + abo.config.alert_duration
+        # The next ALERT may assert no earlier than the episode's end,
+        # taken the other way round.
+        abo.end_episode()
+        abo.request_alert()
+        for _ in range(abo.config.min_acts_between_alerts):
+            abo.note_activation()
+        assert abo.try_begin_alert(0.0) == now + abo.config.alert_duration

@@ -37,12 +37,6 @@ class TestCounters:
         small_bank.reset_prac(10)
         assert small_bank.prac_count(10) == 0
 
-    def test_total_activations(self, small_bank):
-        for _ in range(5):
-            small_bank.activate(1)
-        small_bank.activate(2)
-        assert small_bank.total_activations == 6
-
     def test_initial_counter_function(self):
         bank = Bank(num_rows=16, initial_counter=lambda row: row * 10)
         assert bank.prac_count(3) == 30

@@ -35,7 +35,6 @@ class TestGroups:
         _, engine = make()
         for expected in list(range(8)) + [0, 1]:
             assert engine.execute_ref() == expected
-        assert engine.refs_executed == 10
 
 
 class TestDataRefresh:
@@ -127,14 +126,6 @@ class TestPostponement:
         assert engine.postpone()
         assert not engine.postpone()
         assert engine.postponed == 2
-
-    def test_batch_executes_all_postponed(self):
-        _, engine = make()
-        engine.postpone()
-        engine.postpone()
-        groups = engine.execute_postponed_batch()
-        assert groups == [0, 1, 2]
-        assert engine.postponed == 0
 
     def test_execute_ref_reduces_deficit(self):
         _, engine = make()

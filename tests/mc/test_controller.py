@@ -37,10 +37,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="queue_depth"):
             McConfig(queue_depth=0)
 
-    def test_rejects_bad_t_col(self):
-        with pytest.raises(ValueError, match="t_col"):
-            McConfig(t_col=0.0)
-
     def test_request_out_of_geometry(self):
         mc = MemoryController(make_channel(num_banks=2))
         with pytest.raises(ValueError, match="bank 5"):

@@ -159,16 +159,6 @@ class TestReactiveSelection:
         rows = moat.select_reactive(4)
         assert rows == [4, 3, 2, 1]
 
-    def test_on_mitigated_drops_state(self):
-        moat = MoatPolicy(ath=64, eth=32)
-        moat.on_activate(5, 40)
-        moat.select_proactive()
-        moat.on_activate(6, 50)
-        moat.on_mitigated(6)
-        moat.on_mitigated(5)
-        assert moat.tracker == []
-        assert moat.cma is None
-
 
 class TestSram:
     @pytest.mark.parametrize("level,expected", [(1, 7), (2, 10), (4, 16)])

@@ -72,16 +72,6 @@ class TestService:
         assert pan.select_reactive(2) == [1, 2]
         assert list(pan.queue) == [3]
 
-    def test_on_mitigated_removes_one_copy(self):
-        pan = PanopticonPolicy(queue_threshold=128)
-        pan.on_activate(5, 128)
-        pan.on_activate(5, 256)
-        pan.on_mitigated(5)
-        assert list(pan.queue) == [5]
-        pan.on_mitigated(5)
-        pan.on_mitigated(5)  # no-op when absent
-        assert list(pan.queue) == []
-
 
 class TestDrainAllVariant:
     def test_proactive_batch_is_two(self):

@@ -4,7 +4,7 @@ import pytest
 
 from repro.mitigations.moat import MoatPolicy
 from repro.sim.channel import ChannelConfig, ChannelSim
-from repro.sim.engine import SimConfig, SubchannelSim
+from repro.sim.engine import T_ISSUE_GAP, SimConfig, SubchannelSim
 from repro.sim.mapping import AddressMapping, CoffeeLakeMapping
 
 
@@ -35,15 +35,11 @@ class TestChannelConfig:
     def test_defaults_single_subchannel(self):
         config = ChannelConfig()
         assert config.num_subchannels == 1
-        assert config.t_cmd_gap_resolved == config.sim.t_issue_gap
+        assert config.t_cmd_gap_resolved == T_ISSUE_GAP
 
     def test_cmd_gap_scales_with_width(self):
         config = ChannelConfig(num_subchannels=2)
-        assert config.t_cmd_gap_resolved == config.sim.t_issue_gap / 2
-
-    def test_explicit_cmd_gap_wins(self):
-        config = ChannelConfig(num_subchannels=2, t_cmd_gap=1.25)
-        assert config.t_cmd_gap_resolved == 1.25
+        assert config.t_cmd_gap_resolved == T_ISSUE_GAP / 2
 
     def test_rejects_zero_subchannels(self):
         with pytest.raises(ValueError):

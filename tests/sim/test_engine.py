@@ -173,6 +173,24 @@ class TestPostponement:
         # Two REFs postponed, then a mandatory batch of three.
         assert sim.refs == 3
 
+    def test_catch_up_runs_postponed_refs_first(self):
+        # The mandatory REF that cannot be postponed runs as one batch
+        # with the two postponed before it, and an ACT waits for all
+        # three.
+        sim = null_sim(trefi_per_mitigation=0)
+        sim.postpone_refs = True
+        trefi = DDR5_PRAC_TIMING.t_refi
+        engine = sim.refresh[0]
+        sim.advance_to(2 * trefi)
+        assert sim.refs == 0
+        assert engine.postponed == 2
+        result = sim.activate(1, not_before=3 * trefi - 1.0)
+        assert result.time == 3 * trefi + 3 * DDR5_PRAC_TIMING.t_rfc
+        assert result.time == 12_930.0
+        assert sim.refs == 3
+        assert engine.pointer == 3
+        assert engine.postponed == 0
+
     def test_batch_opens_act_window(self):
         """Appendix B: ~201 ACTs fit between postponed-REF batches."""
         sim = null_sim()

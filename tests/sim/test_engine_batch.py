@@ -36,12 +36,7 @@ def drive(sim, schedule, batched: bool) -> dict:
             for row in rows:
                 sim.activate(row)
     sim.flush()
-    stats = sim.stats()
-    # Include policy-visible state so divergence inside the policy
-    # (not just the aggregate counters) is caught too.
-    stats["policy_proactive"] = sim.policy.proactive_mitigations
-    stats["policy_reactive"] = sim.policy.reactive_mitigations
-    return stats
+    return sim.stats()
 
 
 def workload_schedule(n_trefi=512, seed=0):
