@@ -211,7 +211,7 @@ def _serve_timed(config, streams, priorities=None, reference=False):
     completions = None
     for _ in range(ROUNDS):
         channel = build_mc_channel(config)
-        controller = MemoryController(channel, config.mc_config())
+        controller = MemoryController(channel, config)
         started = time.perf_counter()
         if reference:
             completed = controller.run_streams_reference(streams, priorities)
@@ -306,11 +306,10 @@ def test_mc_qos_serve_speedup(report, record_json):
         for index, client in enumerate(system.clients)
     ]
     priorities = [client.priority for client in system.clients]
-    config = system.mc_run_config()
 
-    ref_s, ref_out = _serve_timed(config, streams, priorities,
+    ref_s, ref_out = _serve_timed(system, streams, priorities,
                                   reference=True)
-    soa_s, soa_out = _serve_timed(config, streams, priorities)
+    soa_s, soa_out = _serve_timed(system, streams, priorities)
     assert soa_out == ref_out, "SoA serve loop diverged from the scalar reference"
     _speedup_report(
         report, record_json, "mc_serve_paths_qos",

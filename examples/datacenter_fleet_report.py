@@ -12,7 +12,7 @@ Run:  python examples/datacenter_fleet_report.py
 
 from repro.analysis.throughput import continuous_alert_slowdown
 from repro.report.tables import format_table
-from repro.sim.perf import MoatRunConfig, run_workload
+from repro.sim.perf import RunConfig, run_workload
 from repro.workloads.profiles import profile_by_name
 
 #: (workload, share of fleet) — a web/analytics-heavy mix.
@@ -31,7 +31,7 @@ N_TREFI = 4096  # half refresh window per run keeps this demo snappy
 
 
 def main() -> None:
-    config = MoatRunConfig(ath=64, n_trefi=N_TREFI)
+    config = RunConfig(ath=64, n_trefi=N_TREFI)
     rows = []
     mix_slowdown = 0.0
     mix_alerts = 0.0

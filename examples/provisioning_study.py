@@ -18,7 +18,7 @@ import sys
 from repro.analysis.energy import moat_sram_bytes
 from repro.analysis.ratchet_model import ratchet_safe_trh
 from repro.report.tables import format_table
-from repro.sim.perf import MoatRunConfig, run_workload
+from repro.sim.perf import RunConfig, run_workload
 from repro.workloads.profiles import profile_by_name
 
 
@@ -72,7 +72,7 @@ def main() -> None:
     ath = recommendations[level]
     result = run_workload(
         profile_by_name("roms"),
-        MoatRunConfig(ath=ath, abo_level=level, n_trefi=4096),
+        RunConfig(ath=ath, abo_level=level, n_trefi=4096),
     )
     print(f"  MOAT-L{level} ATH={ath}: slowdown {result.slowdown:.2%}, "
           f"{result.alerts_per_trefi:.3f} ALERTs/tREFI, "

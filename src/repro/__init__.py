@@ -71,7 +71,6 @@ from repro.sim.mc import (
     run_mc_trace,
 )
 from repro.sim.perf import (
-    MoatRunConfig,
     PerfResult,
     RunConfig,
     run_suite,
@@ -135,7 +134,6 @@ __all__ = [
     "McRunConfig",
     "McWorkload",
     "MemoryController",
-    "MoatRunConfig",
     "PerfResult",
     "PolicySpec",
     "Request",

@@ -12,10 +12,11 @@ assert ALERT when it needs time for Rowhammer mitigation:
   assertions.
 
 Consequently the minimum number of activations between consecutive
-ALERTs is ``3 + L`` (Figure 8: 4 at level 1, 7 at level 4), and the
-minimum time between assertions is ``tA2A = 180 + (350 + tRC) * L`` ns
-(Appendix A). Both are exposed here and consumed by the Ratchet and TSA
-analyses.
+ALERTs is ``3 + L`` (Figure 8: 4 at level 1, 7 at level 4;
+:attr:`AboConfig.min_acts_between_alerts`), and the minimum time
+between assertions is ``tA2A = 180 + (350 + tRC) * L`` ns (Appendix A;
+:meth:`~repro.dram.timing.DramTiming.inter_alert_time`). The Ratchet
+and throughput analyses read both from there.
 
 :class:`AboProtocol` is the one owner of a sub-channel's ALERT episode:
 the latched request, the assertion constraints, and the in-flight
@@ -30,9 +31,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.dram.timing import DramTiming, DDR5_PRAC_TIMING
-
-LEGAL_ABO_LEVELS = (1, 2, 4)
+from repro.dram.timing import DramTiming, DDR5_PRAC_TIMING, check_abo_level
 
 
 @dataclass(frozen=True)
@@ -43,10 +42,7 @@ class AboConfig:
     timing: DramTiming = field(default_factory=DramTiming)
 
     def __post_init__(self) -> None:
-        if self.level not in LEGAL_ABO_LEVELS:
-            raise ValueError(
-                f"ABO level must be one of {LEGAL_ABO_LEVELS}, got {self.level}"
-            )
+        check_abo_level(self.level)
 
     @property
     def rfms_per_alert(self) -> int:
@@ -69,11 +65,6 @@ class AboConfig:
         return int(self.timing.t_abo_act_window // self.timing.t_rc)
 
     @property
-    def post_rfm_acts(self) -> int:
-        """Mandatory ACTs after the RFMs before the next ALERT."""
-        return self.level
-
-    @property
     def alert_duration(self) -> float:
         """tALERT: 180 ns window + L RFMs (530 ns at level 1)."""
         return self.timing.alert_duration(self.level)
@@ -82,11 +73,6 @@ class AboConfig:
     def stall_duration(self) -> float:
         """Time the sub-channel is unavailable per ALERT (the RFMs)."""
         return self.level * self.timing.t_rfm
-
-    @property
-    def inter_alert_time(self) -> float:
-        """tA2A: minimum time between consecutive ALERT assertions."""
-        return self.timing.inter_alert_time(self.level)
 
 
 class AboProtocol:

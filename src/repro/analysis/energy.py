@@ -15,11 +15,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.dram.timing import check_abo_level
+
 
 def moat_sram_bytes(level: int = 1) -> int:
     """SRAM bytes per bank for MOAT at the given ABO level."""
-    if level not in (1, 2, 4):
-        raise ValueError("level must be 1, 2, or 4")
+    check_abo_level(level)
     return 3 * level + 2 + 2
 
 

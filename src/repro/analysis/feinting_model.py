@@ -89,7 +89,3 @@ def feinting_table(
     """Reproduce Table 2: mitigation rate -> feinting T_RH bound."""
     rates = rates or [1, 2, 3, 4, 5]
     return {k: feinting_bound(k, timing) for k in rates}
-
-
-#: Table 2 values published in the paper, for comparison in benchmarks.
-PAPER_TABLE2 = {1: 638, 2: 1188, 3: 1702, 4: 2195, 5: 2669}

@@ -29,7 +29,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List
 
-from repro.dram.timing import DramTiming, DDR5_PRAC_TIMING
+from repro.abo.protocol import AboConfig
+from repro.dram.timing import DramTiming, DDR5_PRAC_TIMING, check_abo_level
 
 #: Usable attack time per refresh window: tREFW minus the time spent
 #: executing the 8192 REF commands (32 ms - 8192 * 410 ns = 28.64 ms).
@@ -45,13 +46,12 @@ class RatchetModel:
     timing: DramTiming = field(default_factory=lambda: DDR5_PRAC_TIMING)
 
     def __post_init__(self) -> None:
-        if self.level not in (1, 2, 4):
-            raise ValueError("level must be 1, 2, or 4")
+        check_abo_level(self.level)
 
     @property
     def inter_alert_acts(self) -> int:
-        """M = 3 + L activations between consecutive ALERTs."""
-        return 3 + self.level
+        """M = 3 + L activations between consecutive ALERTs (Figure 8)."""
+        return AboConfig(self.level, self.timing).min_acts_between_alerts
 
     @property
     def inter_alert_time(self) -> float:
@@ -105,17 +105,3 @@ def ratchet_sweep(
         level: {ath: ratchet_safe_trh(ath, level, timing) for ath in ath_values}
         for level in levels
     }
-
-
-#: Safe-TRH values published in Table 7, keyed by (ath, level).
-PAPER_TABLE7_SAFE_TRH = {
-    (32, 1): 69,
-    (32, 2): 56,
-    (32, 4): 50,
-    (64, 1): 99,
-    (64, 2): 87,
-    (64, 4): 82,
-    (128, 1): 161,
-    (128, 2): 150,
-    (128, 4): 145,
-}

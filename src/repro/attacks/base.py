@@ -234,12 +234,6 @@ class MitigationLog:
     def was_mitigated(self, row: int, bank: int = 0) -> bool:
         return self.times_mitigated(row, bank) > 0
 
-    def last_mitigation_time(self, row: int, bank: int = 0) -> Optional[float]:
-        for b, r, _, time in reversed(self.events):
-            if b == bank and r == row:
-                return time
-        return None
-
 
 def spaced_rows(count: int, start: int = 4096, spacing: int = 8) -> List[int]:
     """Aggressor rows spaced so their victim neighbourhoods never overlap

@@ -58,6 +58,7 @@ from repro.analysis.throughput import (
 )
 from repro.attacks.base import AttackResult, AttackRunConfig
 from repro.attacks.registry import ATTACK_KINDS, AttackSpec, run_attack
+from repro.dram.timing import LEGAL_ABO_LEVELS
 from repro.mitigations.registry import POLICY_KINDS, PolicySpec
 from repro.report.figures import FIGURES
 from repro.report.pipeline import (
@@ -1095,7 +1096,7 @@ def _add_closed_loop_flags(parser: argparse.ArgumentParser) -> None:
                         help="mitigation policy (default: moat)")
     parser.add_argument("--ath", type=int, default=64)
     parser.add_argument("--eth", type=int, default=None)
-    parser.add_argument("--level", type=int, default=1, choices=[1, 2, 4],
+    parser.add_argument("--level", type=int, default=1, choices=LEGAL_ABO_LEVELS,
                         help="ABO mitigation level")
     parser.add_argument("--process", choices=list(ARRIVAL_PROCESSES),
                         default="poisson",
@@ -1220,7 +1221,7 @@ def build_parser() -> argparse.ArgumentParser:
     attack_run.add_argument("--pool", type=int, default=None,
                             help="Ratchet pool size")
     attack_run.add_argument("--level", type=int, default=None,
-                            choices=[1, 2, 4], help="ABO level")
+                            choices=LEGAL_ABO_LEVELS, help="ABO level")
     attack_run.add_argument("--rate", type=int, default=None,
                             help="feinting: tREFI per proactive mitigation")
     attack_run.add_argument("--periods", type=int, default=None,
@@ -1249,7 +1250,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="Table 4 workload name (see 'workloads')")
     perf.add_argument("--ath", type=int, default=64)
     perf.add_argument("--eth", type=int, default=None)
-    perf.add_argument("--level", type=int, default=1, choices=[1, 2, 4])
+    perf.add_argument("--level", type=int, default=1, choices=LEGAL_ABO_LEVELS)
     perf.add_argument("--policy", choices=sorted(POLICY_KINDS.names()),
                       default="moat",
                       help="mitigation policy (default: moat)")

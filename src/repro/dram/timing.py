@@ -30,6 +30,9 @@ from dataclasses import dataclass
 
 NS_PER_MS = 1_000_000.0
 
+#: ABO mitigation levels MR71 op[1:0] can program (Section 2.6).
+LEGAL_ABO_LEVELS = (1, 2, 4)
+
 
 @dataclass(frozen=True)
 class DramTiming:
@@ -79,7 +82,7 @@ class DramTiming:
         ``abo_level`` back-to-back RFM commands of 350 ns each. For
         level 1 this is the paper's tALERT of 530 ns.
         """
-        _check_abo_level(abo_level)
+        check_abo_level(abo_level)
         return self.t_abo_act_window + abo_level * self.t_rfm
 
     def inter_alert_time(self, abo_level: int) -> float:
@@ -88,7 +91,7 @@ class DramTiming:
         Appendix A: ``tA2A = 180ns + (350ns + tRC) * L`` — the ALERT
         window plus one mandatory activation slot per RFM issued.
         """
-        _check_abo_level(abo_level)
+        check_abo_level(abo_level)
         return self.t_abo_act_window + (self.t_rfm + self.t_rc) * abo_level
 
     def mitigations_per_refw(self, trefi_per_mitigation: int) -> int:
@@ -102,9 +105,12 @@ class DramTiming:
         return self.refs_per_refw // trefi_per_mitigation
 
 
-def _check_abo_level(abo_level: int) -> None:
-    if abo_level not in (1, 2, 4):
-        raise ValueError(f"ABO level must be 1, 2, or 4, got {abo_level!r}")
+def check_abo_level(abo_level: int) -> None:
+    """Reject an ABO level outside :data:`LEGAL_ABO_LEVELS`."""
+    if abo_level not in LEGAL_ABO_LEVELS:
+        raise ValueError(
+            f"ABO level must be one of {LEGAL_ABO_LEVELS}, got {abo_level!r}"
+        )
 
 
 #: Timing constants used throughout the paper (Table 1).

@@ -88,6 +88,11 @@ ROW_POLICIES: Tuple[str, ...] = ("closed", "open")
 class McConfig:
     """Static configuration of the memory controller.
 
+    Construction is the one check of these four fields: the closed-loop
+    run configs (:class:`~repro.sim.mc.ClosedLoopConfig` and its
+    subclasses) extend this class, so they fail here, at configuration
+    time, rather than inside a sweep or shard worker.
+
     Args:
         queue_depth: Per-bank queue capacity; ``None`` removes the
             bound (requests are admitted the instant they arrive).

@@ -559,9 +559,8 @@ def validate_sched(
     message for unregistered kinds, and rejects parameters the kind
     does not declare, values that are not positive numbers, a
     fractional value for a parameter the class annotates ``int``, and
-    a ``burst`` below one whole request credit — every config
-    front-end (``McConfig``, ``McRunConfig``, ``SystemRunConfig``)
-    calls this one helper.
+    a ``burst`` below one whole request credit. ``McConfig`` calls
+    it, and every closed-loop run config inherits that check.
     """
     kind = SCHED_KINDS[scheduler]
     names = {str(k) for k, _ in sched_params}

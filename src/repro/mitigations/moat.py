@@ -33,6 +33,7 @@ from array import array
 from dataclasses import dataclass
 from typing import List, Optional
 
+from repro.dram.timing import check_abo_level
 from repro.mitigations.base import MitigationPolicy
 
 
@@ -65,8 +66,7 @@ class MoatPolicy(MitigationPolicy):
 
     def __init__(self, ath: int = 64, eth: Optional[int] = None, level: int = 1) -> None:
         super().__init__()
-        if level not in (1, 2, 4):
-            raise ValueError(f"level must be 1, 2, or 4, got {level}")
+        check_abo_level(level)
         if ath <= 0:
             raise ValueError("ath must be positive")
         self.ath = ath

@@ -98,10 +98,6 @@ class VictimCounterPolicy(MitigationPolicy):
         for row in refreshed_rows:
             remove(row)
 
-    def max_victim_count(self) -> int:
-        """Largest tracked disturbance count (for tests/analysis)."""
-        return self._table.max_count()
-
     def sram_bytes(self) -> int:
         """Not SRAM-implementable: needs a counter per row plus a
         global max scan (the paper's reason to reject the design)."""

@@ -396,10 +396,6 @@ class SubchannelSim:
         """Index of the current tREFI interval."""
         return int(self.now // self.timing.t_refi)
 
-    def acts_possible(self, duration: float) -> int:
-        """Max single-bank ACTs in ``duration`` (pacing helper)."""
-        return int(duration // self.timing.t_rc)
-
     # ------------------------------------------------------------------
     # Event processing
     # ------------------------------------------------------------------

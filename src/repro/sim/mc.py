@@ -25,14 +25,20 @@ Metrics (:class:`McResult`):
   directly comparable to :class:`~repro.sim.perf.PerfResult`.
 
 This module is also the closed-loop run core that
-:mod:`repro.system.sim` shards over channels: one channel builder
+:mod:`repro.system.sim` shards over channels: one config
+(:class:`ClosedLoopConfig`, the shared
+:class:`~repro.sim.perf.PolicyRunConfig` fields plus the controller's
+:class:`~repro.mc.controller.McConfig` and the channel geometry, so it
+*is* the controller's config), one channel builder
 (:func:`build_mc_channel`, over :func:`repro.sim.perf.
 build_run_channel`), one serve path (:func:`serve_closed_loop`), and
 one summary from a served batch to per-client statistics
 (:func:`client_shard_stats`, :func:`merge_stats`) and results
-(:func:`traffic_fields`, :func:`mc_result`). :func:`run_mc` serves a
-synthetic stream and :func:`run_mc_trace` a replayed trace, both
-through :func:`run_mc_requests`.
+(:func:`traffic_fields`, :func:`mc_result`). :class:`McRunConfig` adds
+only the workload, and :class:`~repro.system.sim.SystemRunConfig`
+only the clients and channels. :func:`run_mc` serves a synthetic
+stream and :func:`run_mc_trace` a replayed trace, both through
+:func:`run_mc_requests`.
 """
 
 from __future__ import annotations
@@ -42,87 +48,40 @@ import heapq
 import math
 import operator
 from dataclasses import asdict, dataclass, field, replace
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence
 
-from repro.dram.timing import DramTiming, DDR5_PRAC_TIMING
 from repro.mc.controller import McConfig, MemoryController, ServedBatch
 from repro.mc.request import Request
-from repro.mc.sched import (
-    LINE_BYTES,
-    normalize_sched_params,
-    sched_display,
-    validate_sched,
-)
-from repro.mitigations.registry import PolicySpec
+from repro.mc.sched import LINE_BYTES, sched_display
 from repro.sim.channel import ChannelSim
-from repro.sim.perf import build_run_channel
+from repro.sim.perf import PolicyRunConfig, build_run_channel
 from repro.workloads.requests import McWorkload, generate_requests
 
 
 @dataclass(frozen=True)
-class McRunConfig:
-    """Configuration of one closed-loop memory-controller run."""
+class ClosedLoopConfig(PolicyRunConfig, McConfig):
+    """A policy run served through the memory controller: the shared
+    policy fields, the controller's queueing and scheduling fields
+    (validated by :class:`~repro.mc.controller.McConfig`, which this
+    config is), and the channel geometry. The controller simulates
+    every bank it generates traffic for, so no cross-bank service
+    modelling is needed (scaling factors all collapse to 1)."""
 
-    ath: int = 64
-    eth: Optional[int] = None  # defaults to ath // 2
-    abo_level: int = 1
-    #: Which mitigation policy defends each bank.
-    policy: PolicySpec = field(default_factory=PolicySpec)
-    #: REF periods per completed proactive mitigation (``None`` = the
-    #: policy's native cadence, as in :class:`~repro.sim.perf.RunConfig`).
-    trefi_per_mitigation: Optional[int] = None
-    #: Arrival process driving the controller.
-    workload: McWorkload = field(default_factory=McWorkload)
-    #: Per-bank queue capacity; ``None`` = unbounded.
-    queue_depth: Optional[int] = 32
-    #: Scheduling kind from the :mod:`repro.mc.sched` registry, plus
-    #: its parameters as ``(name, value)`` pairs (empty = defaults).
-    scheduler: str = "frfcfs"
-    sched_params: Tuple[Tuple[str, Any], ...] = ()
-    row_policy: str = "closed"
-    #: Channel geometry. The controller simulates every bank it
-    #: generates traffic for, so no cross-bank service modelling is
-    #: needed (scaling factors all collapse to 1).
-    subchannels: int = 1
     banks: int = 4
     rows_per_bank: int = 64 * 1024
     n_trefi: int = 1024
-    seed: int = 0
-    timing: DramTiming = field(default_factory=lambda: DDR5_PRAC_TIMING)
-
-    def __post_init__(self) -> None:
-        # Fail fast at configuration time (not inside a sweep worker):
-        # the sched registry is the single source of truth for kind
-        # and parameter validation, shared with McConfig.
-        object.__setattr__(
-            self, "sched_params", normalize_sched_params(self.sched_params)
-        )
-        validate_sched(self.scheduler, self.sched_params)
-
-    @property
-    def eth_resolved(self) -> int:
-        """ETH with the paper's ATH/2 default applied."""
-        return self.ath // 2 if self.eth is None else self.eth
-
-    @property
-    def trefi_per_mitigation_resolved(self) -> int:
-        """Proactive cadence with the policy's default applied."""
-        if self.trefi_per_mitigation is None:
-            return self.policy.default_trefi_per_mitigation
-        return self.trefi_per_mitigation
-
-    def mc_config(self) -> McConfig:
-        """The controller-layer slice of this configuration."""
-        return McConfig(
-            queue_depth=self.queue_depth,
-            scheduler=self.scheduler,
-            sched_params=self.sched_params,
-            row_policy=self.row_policy,
-        )
 
     def sched_display(self) -> str:
         """``kind`` or ``kind(k=v,...)`` — the artifact spelling."""
         return sched_display(self.scheduler, self.sched_params)
+
+
+@dataclass(frozen=True)
+class McRunConfig(ClosedLoopConfig):
+    """Configuration of one closed-loop memory-controller run."""
+
+    #: Arrival process driving the controller.
+    workload: McWorkload = field(default_factory=McWorkload)
 
 
 @dataclass
@@ -209,7 +168,7 @@ class McResult:
         }
 
 
-def build_mc_channel(config: McRunConfig) -> ChannelSim:
+def build_mc_channel(config: ClosedLoopConfig) -> ChannelSim:
     """Channel simulation for a closed-loop run at the config's
     geometry (see :func:`~repro.sim.perf.build_run_channel`)."""
     return build_run_channel(
@@ -219,17 +178,18 @@ def build_mc_channel(config: McRunConfig) -> ChannelSim:
 
 def serve_closed_loop(
     channel: ChannelSim,
-    config: McRunConfig,
+    config: ClosedLoopConfig,
     streams: Sequence[Sequence[Request]],
     priorities: Optional[Sequence[int]] = None,
     recorder=None,
     sub_base: int = 0,
 ) -> ServedBatch:
     """Serve client streams on ``channel`` through a fresh controller
-    (every closed-loop run's serve path). A recorder receives the
-    events of the controller and of the sub-channels, numbered from
-    ``sub_base``; results are bit-identical either way."""
-    controller = MemoryController(channel, config.mc_config())
+    (every closed-loop run's serve path) configured by ``config``
+    itself. A recorder receives the events of the controller and of
+    the sub-channels, numbered from ``sub_base``; results are
+    bit-identical either way."""
+    controller = MemoryController(channel, config)
     if recorder is not None:
         channel.attach_recorder(recorder, base=sub_base)
         controller.recorder = recorder
@@ -392,7 +352,7 @@ def achieved_gbps(requests: int, elapsed_ns: float) -> float:
 
 
 def mc_result(
-    config: McRunConfig, workload: str, stats: ClientShardStats,
+    config: ClosedLoopConfig, workload: str, stats: ClientShardStats,
     alerts: int, total_acts: int, elapsed_ns: float, n_trefi: int,
     subchannels: int,
 ) -> McResult:

@@ -23,8 +23,14 @@ The front-end is policy-generic: :class:`RunConfig` carries a
 declarative :class:`~repro.mitigations.registry.PolicySpec`, so the
 same harness evaluates MOAT, Panopticon, PARA, TRR, Graphene, victim
 counting, or the unprotected baseline (the Figure 17 / ablation
-scenario space). :data:`MoatRunConfig` remains as a compatibility
-alias — the default spec is MOAT.
+scenario space); the default spec is MOAT.
+
+:class:`PolicyRunConfig` declares the fields every policy run shares
+(thresholds, ABO level, policy, cadence, sub-channels, horizon, seed,
+timing) and resolves the ETH and cadence defaults once.
+:class:`RunConfig` extends it with the open-loop fields here, and
+:class:`~repro.sim.mc.ClosedLoopConfig` with the controller's;
+:func:`build_run_channel` builds every front end's channel from it.
 """
 
 from __future__ import annotations
@@ -46,8 +52,9 @@ from repro.workloads.profiles import WorkloadProfile
 
 
 @dataclass(frozen=True)
-class RunConfig:
-    """Configuration of one performance run (any mitigation policy)."""
+class PolicyRunConfig:
+    """The fields every policy run shares: open-loop, closed-loop and
+    system runs turn the same MOAT knobs on the same defended channel."""
 
     ath: int = 64
     eth: Optional[int] = None  # defaults to ath // 2
@@ -58,24 +65,12 @@ class RunConfig:
     #: the proactive path (ALERT-only, Appendix C "none"); ``None``
     #: uses the policy's native cadence (5 for MOAT, 4 for Panopticon).
     trefi_per_mitigation: Optional[int] = None
-    banks_simulated: int = 1
-    banks_per_subchannel: int = 32
-    #: Sub-channels simulated per run. Each sub-channel carries its own
-    #: ``banks_simulated`` banks with independent schedule draws; the
-    #: channel front-end arbitrates command issue across them. ``1``
-    #: reproduces the original single-sub-channel runs bit-for-bit.
+    #: Sub-channels simulated per run. ``1`` reproduces the original
+    #: single-sub-channel runs bit-for-bit.
     subchannels: int = 1
     n_trefi: int = 8192
     seed: int = 0
     timing: DramTiming = field(default_factory=lambda: DDR5_PRAC_TIMING)
-    #: An ALERT's RFM services every bank of the sub-channel, so the
-    #: unsimulated banks' ALERTs also mitigate the simulated banks'
-    #: tracked rows. With this enabled the run iterates to a fixed
-    #: point: measure the per-bank ALERT rate, inject the corresponding
-    #: external service stream, and re-run (self-stabilizing, which is
-    #: why real 32-bank systems see low ALERT rates).
-    model_cross_bank_service: bool = True
-    fixed_point_iterations: int = 5
 
     @property
     def eth_resolved(self) -> int:
@@ -90,8 +85,23 @@ class RunConfig:
         return self.trefi_per_mitigation
 
 
-#: Backwards-compatible name from when the front-end was MOAT-only.
-MoatRunConfig = RunConfig
+@dataclass(frozen=True)
+class RunConfig(PolicyRunConfig):
+    """Configuration of one open-loop performance run. Each of the
+    ``subchannels`` carries its own ``banks_simulated`` banks with
+    independent schedule draws; the channel front-end arbitrates
+    command issue across them."""
+
+    banks_simulated: int = 1
+    banks_per_subchannel: int = 32
+    #: An ALERT's RFM services every bank of the sub-channel, so the
+    #: unsimulated banks' ALERTs also mitigate the simulated banks'
+    #: tracked rows. With this enabled the run iterates to a fixed
+    #: point: measure the per-bank ALERT rate, inject the corresponding
+    #: external service stream, and re-run (self-stabilizing, which is
+    #: why real 32-bank systems see low ALERT rates).
+    model_cross_bank_service: bool = True
+    fixed_point_iterations: int = 5
 
 
 @dataclass
@@ -235,7 +245,7 @@ def run_workload(
 
 
 def build_run_channel(
-    config,
+    config: PolicyRunConfig,
     num_subchannels: int,
     num_banks: int,
     rows_per_bank: int,
@@ -244,9 +254,8 @@ def build_run_channel(
 ) -> ChannelSim:
     """The channel of one policy run, for every front end: the
     open-loop and trace runs here, and the closed-loop and system runs
-    (:func:`repro.sim.mc.build_mc_channel`). ``config`` is a
-    :class:`RunConfig` or :class:`~repro.sim.mc.McRunConfig`; the front
-    ends differ only in geometry, mapping and external services.
+    (:func:`repro.sim.mc.build_mc_channel`). The front ends differ
+    only in geometry, mapping and external services.
     """
     sim_config = SimConfig(
         timing=config.timing,

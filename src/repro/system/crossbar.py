@@ -40,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from repro.attacks.registry import AttackSpec
+from repro.attacks.registry import ATTACK_KINDS, AttackSpec
 from repro.dram.timing import DramTiming
 from repro.mc.request import RequestStream
 from repro.workloads.requests import McWorkload, generate_requests
@@ -136,16 +136,18 @@ def attack_request_stream(
             f"adaptive attack {attack.kind!r} has no request-stream "
             f"adapter; streamable kinds: {', '.join(STREAMABLE_ATTACKS)}"
         )
-    params = attack.param_dict()
+    # The runner's own defaults fill in: an attacker client hammers
+    # exactly as `repro attack run` does.
+    params = {**ATTACK_KINDS[attack.kind].defaults, **attack.param_dict()}
     if attack.kind == "kernel-single":
         num_rows = 1
-        budget = int(params.get("total_acts", 20_000))
+        budget = int(params["total_acts"])
     elif attack.kind == "kernel-multi":
-        num_rows = int(params.get("rows", 5))
-        budget = int(params.get("total_acts", 20_000))
+        num_rows = int(params["rows"])
+        budget = int(params["total_acts"])
     elif attack.kind == "trespass":
-        num_rows = int(params.get("num_aggressors", 32))
-        budget = num_rows * int(params.get("acts_per_aggressor", 512))
+        num_rows = int(params["num_aggressors"])
+        budget = num_rows * int(params["acts_per_aggressor"])
     else:  # a future open-loop kind without an adapter yet
         raise ValueError(
             f"open-loop attack {attack.kind!r} has no request-stream "

@@ -28,30 +28,25 @@ Decomposition:
   p50/p99 are exact over the union of all channels. Per-client
   metrics and the aggregate come from ``run_mc``'s summary.
 
-A 1-client, 1-channel :class:`SystemSim` is bit-identical to
-:func:`~repro.sim.mc.run_mc`; beyond the shared code, the identity pin
-checks the stream seeding (client seed 0 on channel 0 collapses to the
-system seed) and :meth:`SystemRunConfig.mc_run_config`.
+:class:`SystemRunConfig` is a :class:`~repro.sim.mc.ClosedLoopConfig`
+plus the clients and channels, so every shard builds its channel and
+controller from it directly. A 1-client, 1-channel :class:`SystemSim`
+is bit-identical to :func:`~repro.sim.mc.run_mc`; beyond the shared
+code, the identity pin checks the stream seeding (client seed 0 on
+channel 0 collapses to the system seed).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
-from repro.dram.timing import DramTiming, DDR5_PRAC_TIMING
-from repro.mc.sched import (
-    normalize_sched_params,
-    sched_display,
-    slo_budget_ns,
-    validate_sched,
-)
-from repro.mitigations.registry import PolicySpec
+from repro.mc.sched import slo_budget_ns
 from repro.sim.mc import (
     ClientShardStats,
+    ClosedLoopConfig,
     McResult,
-    McRunConfig,
     achieved_gbps,
     build_mc_channel,
     client_shard_stats,
@@ -75,38 +70,22 @@ _NEUTRAL_AXES: Dict[str, object] = {"sched_params": []}
 
 
 @dataclass(frozen=True)
-class SystemRunConfig:
+class SystemRunConfig(ClosedLoopConfig):
     """Configuration of one multi-client, multi-channel system run.
 
-    The policy/threshold/controller fields mirror
-    :class:`~repro.sim.mc.McRunConfig` (every channel is defended and
-    scheduled identically); the system axes are ``clients`` — the
-    crossbar requestors sharing each channel — and ``channels``, the
-    number of independent shards.
+    Every channel is defended and scheduled identically by the
+    inherited policy, controller and geometry fields (the scheduler is
+    the QoS axis: every shard's crossbar and scheduler enforce the same
+    policy). The system axes are ``clients`` — the crossbar requestors
+    sharing each channel — and ``channels``, the number of independent
+    shards.
     """
 
     clients: Tuple[ClientSpec, ...] = (ClientSpec(name="client0"),)
     channels: int = 1
-    ath: int = 64
-    eth: Optional[int] = None  # defaults to ath // 2
-    abo_level: int = 1
-    policy: PolicySpec = field(default_factory=PolicySpec)
-    trefi_per_mitigation: Optional[int] = None
-    queue_depth: Optional[int] = 32
-    #: Scheduling kind from the :mod:`repro.mc.sched` registry plus
-    #: its ``(name, value)`` parameters — the QoS axis: every channel
-    #: shard's crossbar and scheduler enforce the same policy.
-    scheduler: str = "frfcfs"
-    sched_params: Tuple[Tuple[str, object], ...] = ()
-    row_policy: str = "closed"
-    subchannels: int = 1
-    banks: int = 4
-    rows_per_bank: int = 64 * 1024
-    n_trefi: int = 1024
-    seed: int = 0
-    timing: DramTiming = field(default_factory=lambda: DDR5_PRAC_TIMING)
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         object.__setattr__(self, "clients", tuple(self.clients))
         if not self.clients:
             raise ValueError("a system run needs at least one client")
@@ -115,45 +94,12 @@ class SystemRunConfig:
             raise ValueError(f"client names must be unique, got {names}")
         if self.channels < 1:
             raise ValueError("channels must be at least 1")
-        # Fail fast here rather than inside a shard worker; the sched
-        # registry owns the validation (shared with McConfig).
-        object.__setattr__(
-            self, "sched_params", normalize_sched_params(self.sched_params)
-        )
-        validate_sched(self.scheduler, self.sched_params)
-
-    @property
-    def eth_resolved(self) -> int:
-        """ETH with the paper's ATH/2 default applied."""
-        return self.ath // 2 if self.eth is None else self.eth
-
-    def mc_run_config(self) -> McRunConfig:
-        """The single-channel slice every shard is built from: every
-        :class:`~repro.sim.mc.McRunConfig` field shares its name and
-        value with this config, except the workload.
-
-        The embedded workload is the first client's (the field is
-        unused by channel construction — streams come from the
-        crossbar — but keeping it meaningful preserves the 1-client
-        configuration round-trip).
-        """
-        return McRunConfig(
-            workload=self.clients[0].workload,
-            **{
-                f.name: getattr(self, f.name)
-                for f in fields(McRunConfig) if f.name != "workload"
-            },
-        )
 
     def display_name(self) -> str:
         """Stream-level identity of the client mix."""
         if len(self.clients) == 1:
             return self.clients[0].display_name()
         return "+".join(client.name for client in self.clients)
-
-    def sched_display(self) -> str:
-        """``kind`` or ``kind(k=v,...)`` — the artifact spelling."""
-        return sched_display(self.scheduler, self.sched_params)
 
 
 def system_config_payload(config: SystemRunConfig) -> Dict[str, object]:
@@ -167,9 +113,7 @@ def system_config_payload(config: SystemRunConfig) -> Dict[str, object]:
     """
     payload = canonical(config)
     payload["eth"] = config.eth_resolved
-    payload["trefi_per_mitigation"] = (
-        config.mc_run_config().trefi_per_mitigation_resolved
-    )
+    payload["trefi_per_mitigation"] = config.trefi_per_mitigation_resolved
     for client, data in zip(config.clients, payload["clients"]):
         data["workload"] = workload_payload(
             McWorkload() if client.attack is not None else client.workload
@@ -266,11 +210,10 @@ def execute_system_shard(shard: ChannelShard, recorder=None) -> ShardResult:
         )
         for index, client in enumerate(config.clients)
     ]
-    mc_config = config.mc_run_config()
-    channel = build_mc_channel(mc_config)
+    channel = build_mc_channel(config)
     sub_base = shard.channel * config.subchannels
     batch = serve_closed_loop(
-        channel, mc_config, streams,
+        channel, config, streams,
         [client.priority for client in config.clients],
         recorder=recorder, sub_base=sub_base,
     )
@@ -401,7 +344,7 @@ def _assemble(
     # channel's completions, merged shard by shard: the aggregate
     # queue time stays the shard-major sum of per-client sums.
     aggregate = mc_result(
-        config.mc_run_config(),
+        config,
         config.display_name(),
         merge_stats([merge_stats(shard.per_client) for shard in shards]),
         alerts=sum(shard.alerts for shard in shards),

@@ -40,9 +40,6 @@ class TestAboConfig:
     def test_stall_duration(self, level, stall):
         assert AboConfig(level=level).stall_duration == stall
 
-    def test_inter_alert_time_level1(self):
-        assert AboConfig(level=1).inter_alert_time == 582.0
-
     def test_rfms_equal_level(self):
         assert AboConfig(level=4).rfms_per_alert == 4
 

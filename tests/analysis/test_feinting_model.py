@@ -4,13 +4,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis.feinting_model import (
-    PAPER_TABLE2,
     feinting_bound,
     feinting_bound_exact,
     feinting_table,
     harmonic,
 )
 from repro.dram.timing import DramTiming
+from repro.report.paper_values import TABLE2_FEINTING
 
 
 class TestHarmonic:
@@ -33,7 +33,7 @@ class TestHarmonic:
 
 
 class TestTable2:
-    @pytest.mark.parametrize("rate,expected", sorted(PAPER_TABLE2.items()))
+    @pytest.mark.parametrize("rate,expected", sorted(TABLE2_FEINTING.items()))
     def test_bound_matches_paper(self, rate, expected):
         # Closed form within 1% of the published Table 2 values.
         assert feinting_bound(rate) == pytest.approx(expected, rel=0.01)

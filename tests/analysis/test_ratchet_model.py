@@ -4,12 +4,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis.ratchet_model import (
-    PAPER_TABLE7_SAFE_TRH,
     RatchetModel,
     ratchet_safe_trh,
     ratchet_sweep,
     usable_window_ns,
 )
+from repro.report.paper_values import TABLE7_SAFE_TRH
 
 
 class TestModelComponents:
@@ -48,7 +48,7 @@ class TestModelComponents:
 
 class TestTable7:
     @pytest.mark.parametrize(
-        "ath,level,expected", [(a, l, v) for (a, l), v in sorted(PAPER_TABLE7_SAFE_TRH.items())]
+        "ath,level,expected", [(a, l, v) for (a, l), v in sorted(TABLE7_SAFE_TRH.items())]
     )
     def test_safe_trh_matches_paper(self, ath, level, expected):
         # Within one activation of every Table 7 cell (the paper's

@@ -32,7 +32,7 @@ from repro.mitigations.null import NullPolicy
 from repro.mitigations.registry import POLICY_KINDS, PolicySpec
 from repro.sim.channel import ChannelConfig, ChannelSim
 from repro.sim.engine import SimConfig
-from repro.sim.mc import McRunConfig, build_mc_channel
+from repro.sim.mc import ClosedLoopConfig, McRunConfig, build_mc_channel
 from repro.sweep.system_spec import system_preset
 from repro.system.crossbar import client_requests
 from repro.workloads.requests import McWorkload, generate_requests
@@ -62,9 +62,9 @@ def make_requests(config: McRunConfig, client: int = 0):
     )
 
 
-def build(config: McRunConfig):
+def build(config: ClosedLoopConfig):
     channel = build_mc_channel(config)
-    return channel, MemoryController(channel, config.mc_config())
+    return channel, MemoryController(channel, config)
 
 
 def completion_key(completed):
@@ -176,10 +176,9 @@ class TestEquivalence:
         config = dataclasses.replace(QOS_SCENARIOS[scenario], n_trefi=64)
         streams = scenario_streams(config)
         priorities = [client.priority for client in config.clients]
-        mc_config = config.mc_run_config()
         assert serve_soa(
-            build(mc_config), streams, priorities
-        ) == serve_reference(build(mc_config), streams, priorities)
+            build(config), streams, priorities
+        ) == serve_reference(build(config), streams, priorities)
 
 
 #: Random request tuples: arrival time, bank, row, is_write. Times are

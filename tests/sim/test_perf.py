@@ -3,8 +3,8 @@
 import pytest
 
 from repro.sim.perf import (
-    MoatRunConfig,
     PerfResult,
+    RunConfig,
     average_alert_rate,
     average_slowdown,
     geometric_mean_performance,
@@ -15,10 +15,10 @@ from repro.workloads.generator import generate_schedule
 from repro.workloads.profiles import profile_by_name
 
 
-def small_config(**kwargs) -> MoatRunConfig:
+def small_config(**kwargs) -> RunConfig:
     defaults = dict(n_trefi=512, model_cross_bank_service=False)
     defaults.update(kwargs)
-    return MoatRunConfig(**defaults)
+    return RunConfig(**defaults)
 
 
 class TestRunWorkload:
@@ -46,7 +46,7 @@ class TestRunWorkload:
         alone = run_workload(hot, small_config(), schedule=schedule)
         helped = run_workload(
             hot,
-            MoatRunConfig(n_trefi=512, model_cross_bank_service=True),
+            RunConfig(n_trefi=512, model_cross_bank_service=True),
             schedule=schedule,
         )
         assert helped.alerts <= alone.alerts
@@ -149,12 +149,10 @@ class TestPolicyGenericRuns:
         # Different seed: different schedule AND different PARA stream.
         assert a.as_metrics() != b.as_metrics()
 
-    def test_moat_default_matches_legacy_alias(self):
-        legacy = MoatRunConfig(n_trefi=512, model_cross_bank_service=False)
-        modern = small_config()
-        assert legacy == modern
-        assert legacy.policy.kind == "moat"
-        assert legacy.trefi_per_mitigation_resolved == 5
+    def test_default_policy_is_moat(self):
+        config = small_config()
+        assert config.policy.kind == "moat"
+        assert config.trefi_per_mitigation_resolved == 5
 
     def test_null_policy_is_free(self):
         from repro.mitigations.registry import PolicySpec

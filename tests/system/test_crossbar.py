@@ -3,7 +3,7 @@ stream synthesizer, and the attack -> request-stream adapter."""
 
 import pytest
 
-from repro.attacks.registry import AttackSpec
+from repro.attacks.registry import ATTACK_KINDS, AttackSpec
 from repro.mc import McConfig, MemoryController, Request
 from repro.mitigations.null import NullPolicy
 from repro.sim.channel import ChannelConfig, ChannelSim
@@ -201,6 +201,21 @@ class TestAttackStream:
         )
         assert len(stream) == 32
         assert {r.row - ATTACK_ROW_BASE for r in stream} == {0, 1, 2, 3}
+
+    def test_unset_params_take_the_runner_defaults(self, monkeypatch):
+        """Parameters a spec leaves unset come from the kind registry,
+        which reads the runner's signature: a changed runner default
+        moves ``repro attack run`` and the attacker client together."""
+        defaults = ATTACK_KINDS["kernel-multi"].defaults
+        monkeypatch.setitem(defaults, "rows", 2)
+        monkeypatch.setitem(defaults, "total_acts", 6)
+        stream = attack_request_stream(
+            AttackSpec.of("kernel-multi"), horizon_ns=1e9,
+            timing=DDR5_PRAC_TIMING, rows_per_bank=64 * 1024,
+        )
+        assert [r.row - ATTACK_ROW_BASE for r in stream] == [
+            0, 1, 0, 1, 0, 1,
+        ]
 
     def test_adaptive_kind_rejected(self):
         with pytest.raises(ValueError, match="adaptive"):

@@ -11,6 +11,7 @@ from repro.attacks.registry import AttackSpec
 from repro.mc.controller import MemoryController
 from repro.mc.sched import slo_budget_ns
 from repro.sim.mc import (
+    ClosedLoopConfig,
     McRunConfig,
     build_mc_channel,
     fold_sum,
@@ -68,14 +69,28 @@ class TestConfigValidation:
         assert SystemRunConfig(ath=48).eth_resolved == 24
         assert SystemRunConfig(ath=48, eth=40).eth_resolved == 40
 
+    @pytest.mark.parametrize(
+        "config", [McRunConfig, SystemRunConfig],
+        ids=["McRunConfig", "SystemRunConfig"],
+    )
+    @pytest.mark.parametrize("bad,match", [
+        (dict(row_policy="bogus"), "row policy"),
+        (dict(queue_depth=0), "queue_depth"),
+    ], ids=["row_policy", "queue_depth"])
+    def test_controller_fields_fail_at_construction(self, config, bad, match):
+        """A bad controller field fails when the run config is built,
+        not once the run starts inside a sweep or shard worker."""
+        with pytest.raises(ValueError, match=match):
+            config(**bad)
+
 
 class TestIdentityPin:
     """One client, one channel: bit-identical to run_mc.
 
-    Both sides share the summary, so the pin checks what they do not
-    share: the system's stream seeding (client seed 0 on channel 0
-    collapses to the system seed) and the translation from
-    ``SystemRunConfig`` to ``McRunConfig``.
+    Both sides share the config fields, the channel, the serve path
+    and the summary, so the pin checks what they do not share: the
+    system's stream seeding (client seed 0 on channel 0 collapses to
+    the system seed).
     """
 
     def test_matches_run_mc(self):
@@ -97,11 +112,9 @@ class TestIdentityPin:
                 clients=(ClientSpec(name="only", workload=config.workload),),
                 **{
                     f.name: getattr(config, f.name)
-                    for f in dataclasses.fields(McRunConfig)
-                    if f.name != "workload"
+                    for f in dataclasses.fields(ClosedLoopConfig)
                 },
             )
-            assert system_config.mc_run_config() == config, point.key
             system = run_system(system_config)
             assert system.aggregate == run_mc(config), point.key
 
@@ -336,10 +349,7 @@ class TestShardStats:
             )
             for index, client in enumerate(config.clients)
         ]
-        mc_config = config.mc_run_config()
-        controller = MemoryController(
-            build_mc_channel(mc_config), mc_config.mc_config()
-        )
+        controller = MemoryController(build_mc_channel(config), config)
         batch = controller.serve_streams(streams, [0, 0, 0])
         assert batch.path == path
         budget = slo_budget_ns(config.scheduler, config.sched_params)

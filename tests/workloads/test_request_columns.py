@@ -315,9 +315,7 @@ def test_bad_streams_raise_one_message(fault):
         config = McRunConfig(ath=16, banks=2, n_trefi=4, queue_depth=depth)
         for form in (requests, columns):
             for serve in ("serve_streams", "run_streams_reference"):
-                controller = MemoryController(
-                    build_mc_channel(config), config.mc_config()
-                )
+                controller = MemoryController(build_mc_channel(config), config)
                 assert controller._serve_path() == path
                 with pytest.raises(ValueError) as error:
                     getattr(controller, serve)([form])
