@@ -10,9 +10,9 @@ These measurements pin the closed-loop subsystem's speed:
   bit-for-bit (the run is deterministic by contract).
 * ``test_mc_backend_speedups`` serves one pre-generated stream through
   the retained scalar reference (``run_streams_reference``) and
-  through the struct-of-arrays serve loop, asserts the completions are
-  identical, and pins the speedup: the SoA loop must be at least 2x
-  the scalar loop.
+  through the struct-of-arrays serve loop, asserts the two batches'
+  arrays are identical, and pins the speedup: the SoA loop must be at
+  least 2x the scalar loop.
 * ``test_mc_qos_serve_speedup`` does the same for the system-qos
   noisy-priority shape: two prioritized victims and an ALERT-storming
   attacker through one crossbar under the ``priority`` scheduler.
@@ -201,32 +201,31 @@ def test_mc_tracing_overhead(report, record_json):
 
 
 def _serve_timed(config, streams, priorities=None, reference=False):
-    """Best-of-N serve of client streams; returns (seconds, completions).
+    """Best-of-N serve of client streams; returns (seconds, the batch's
+    request index, enqueue, start and complete arrays).
 
     A fresh channel/controller per round keeps every measurement a
     cold, pristine-channel run — the configuration the SoA loop
     dispatches on.
     """
     best_s = None
-    completions = None
+    arrays = None
     for _ in range(ROUNDS):
         channel = build_mc_channel(config)
         controller = MemoryController(channel, config)
         started = time.perf_counter()
         if reference:
-            completed = controller.run_streams_reference(streams, priorities)
+            batch = controller.run_streams_reference(streams, priorities)
         else:
             batch = controller.serve_streams(streams, priorities)
         elapsed = time.perf_counter() - started
         if not reference:
             assert batch.path == "soa", batch.path
-            completed = batch.completions()
         if best_s is None or elapsed < best_s:
             best_s = elapsed
-            completions = [
-                (c.request, c.start_ns, c.complete_ns) for c in completed
-            ]
-    return best_s, completions
+            arrays = (batch.ridx, batch.enqueue_ns, batch.start_ns,
+                      batch.complete_ns)
+    return best_s, arrays
 
 
 def _speedup_report(report, record_json, key, title, n_requests,

@@ -57,7 +57,6 @@ from repro.sim import (
     SubchannelSim,
 )
 from repro.mc import (
-    CompletedRequest,
     McConfig,
     MemoryController,
     Request,
@@ -73,7 +72,6 @@ from repro.sim.mc import (
 from repro.sim.perf import (
     PerfResult,
     RunConfig,
-    run_suite,
     run_trace,
     run_workload,
 )
@@ -82,7 +80,6 @@ from repro.system import (
     ClientSpec,
     SystemResult,
     SystemRunConfig,
-    SystemSim,
     run_system,
 )
 from repro.trace import (
@@ -128,7 +125,6 @@ __all__ = [
     "AttackRunConfig",
     "AttackSpec",
     "ClientSpec",
-    "CompletedRequest",
     "McConfig",
     "McResult",
     "McRunConfig",
@@ -142,7 +138,6 @@ __all__ = [
     "SweepFamily",
     "SystemResult",
     "SystemRunConfig",
-    "SystemSim",
     "FAMILIES",
     "get_family",
     "run_attack",
@@ -150,7 +145,6 @@ __all__ = [
     "run_mc_trace",
     "run_system",
     "run_workload",
-    "run_suite",
     "run_trace",
     "ActivationTrace",
     "AddressTrace",

@@ -28,8 +28,6 @@ import dataclasses
 from dataclasses import dataclass
 
 
-NS_PER_MS = 1_000_000.0
-
 #: ABO mitigation levels MR71 op[1:0] can program (Section 2.6).
 LEGAL_ABO_LEVELS = (1, 2, 4)
 

@@ -18,11 +18,10 @@ from repro.mc.controller import (
     MemoryController,
     ROW_POLICIES,
 )
-from repro.mc.request import CompletedRequest, Request, RequestStream
+from repro.mc.request import Request, RequestStream
 from repro.mc.sched import SCHED_KINDS, SCHEDULERS, SchedPolicy, sched_display
 
 __all__ = [
-    "CompletedRequest",
     "McConfig",
     "MemoryController",
     "ROW_POLICIES",

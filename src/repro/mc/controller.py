@@ -11,16 +11,16 @@ queueing delay on individual requests.
 Layering:
 
 * **Front-end** — a crossbar admitting N independent client streams
-  (:meth:`MemoryController.run_streams`), each in arrival order. A
+  (:meth:`MemoryController.serve_streams`), each in arrival order. A
   full target queue stalls the *owning client's* stream (in-order
   allocation, like an MC admitting from a core's miss stream) — which
   is how ALERT storms back-pressure a whole stream, not just one
   bank — while the other clients keep admitting; simultaneous
-  admissions arbitrate by priority, round-robin among equals.
-  :meth:`MemoryController.run` is the single-client special case.
-  A stream is a :class:`~repro.mc.request.RequestStream` (columns in
-  issue-time order; a plain list of requests is converted once, at
-  entry), and its ``client`` tag must equal its index.
+  admissions arbitrate by priority, round-robin among equals. A
+  single-client run is one stream. A stream is a
+  :class:`~repro.mc.request.RequestStream` (columns in issue-time
+  order; a plain list of requests is converted once, at entry), and
+  its ``client`` tag must equal its index.
 * **Queues** — one FIFO per (sub-channel, bank), depth
   :attr:`McConfig.queue_depth` (``None`` = unbounded). The
   struct-of-arrays loop splits each into one FIFO per client
@@ -56,13 +56,11 @@ mitigation, ALERT assertion) stays in :class:`SubchannelSim`.
 from __future__ import annotations
 
 import math
-from collections import defaultdict, deque
-from dataclasses import dataclass, field
-from itertools import accumulate, chain
-from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from itertools import accumulate
+from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.mc.request import (
-    CompletedRequest,
     Request,
     RequestStream,
     as_stream,
@@ -127,23 +125,20 @@ class McConfig:
 
 @dataclass
 class ServedBatch:
-    """Struct-of-arrays result of served request streams.
+    """Struct-of-arrays record of served request streams: the one
+    record every closed-loop summary and queue event is read from.
 
-    The serving paths record completions as parallel flat arrays
-    (request index, enqueue, start, complete) and keep references to
-    the served streams' columns, instead of one
-    :class:`CompletedRequest` and one :class:`Request` per request: at
-    struct-of-arrays throughput the per-request object construction
-    would dominate the run. The run summary
+    Both serving loops record completions as parallel flat arrays
+    (request index, enqueue, start, complete, row hit) and keep
+    references to the served streams' columns, instead of one object
+    per request: at struct-of-arrays throughput the per-request object
+    construction would dominate the run. The run summary
     (:func:`repro.sim.mc.client_shard_stats`) and the post-hoc event
     derivation walk the completions and read each request's values
-    from :meth:`column` and :meth:`clients` at its :attr:`ridx`, in
-    the exact float-summation order of the object-based code, so
-    results stay bit-identical.
-    :meth:`completions` builds the classic object list on demand.
+    from :meth:`column` and :meth:`clients` at its :attr:`ridx`.
 
-    The completion arrays are in completion order. ``row_hit`` may be
-    ``None`` when no request hit an open row (the closed-page SoA
+    The completion arrays are in completion order. ``row_hit`` is
+    ``None`` when no request can hit an open row (the closed-page SoA
     loop).
     """
 
@@ -161,34 +156,6 @@ class ServedBatch:
     #: ``"reference:<first failing predicate>"`` (set by
     #: :meth:`MemoryController.serve_streams`).
     path: str = ""
-    _completed: Optional[List[CompletedRequest]] = field(
-        default=None, repr=False
-    )
-
-    @classmethod
-    def from_completions(
-        cls, streams: List[RequestStream], completed: List[CompletedRequest]
-    ) -> "ServedBatch":
-        """Wrap the reference loop's completions of ``streams``.
-
-        Each completion takes the index of the first not yet taken
-        request of the streams equal to its own: equal requests are
-        interchangeable, so the columns read back exactly the
-        completed requests. The objects are kept for
-        :meth:`completions`.
-        """
-        untaken: Dict[Request, Deque[int]] = defaultdict(deque)
-        for index, req in enumerate(chain.from_iterable(streams)):
-            untaken[req].append(index)
-        return cls(
-            streams=streams,
-            ridx=[untaken[c.request].popleft() for c in completed],
-            enqueue_ns=[c.enqueue_ns for c in completed],
-            start_ns=[c.start_ns for c in completed],
-            complete_ns=[c.complete_ns for c in completed],
-            row_hit=[c.row_hit for c in completed],
-            _completed=completed,
-        )
 
     def __len__(self) -> int:
         return len(self.ridx)
@@ -206,23 +173,6 @@ class ServedBatch:
         for stream in self.streams:
             owner += [stream.client] * len(stream)
         return owner
-
-    def completions(self) -> List[CompletedRequest]:
-        """The classic per-request completion objects (cached)."""
-        if self._completed is None:
-            requests = list(chain.from_iterable(self.streams))
-            hits = self.row_hit
-            self._completed = [
-                CompletedRequest(
-                    request=requests[self.ridx[i]],
-                    enqueue_ns=self.enqueue_ns[i],
-                    start_ns=self.start_ns[i],
-                    complete_ns=self.complete_ns[i],
-                    row_hit=bool(hits[i]) if hits is not None else False,
-                )
-                for i in range(len(self.ridx))
-            ]
-        return self._completed
 
 
 class MemoryController:
@@ -249,22 +199,11 @@ class MemoryController:
         #: never changes dispatch and never touches the serving loops.
         self.recorder = NULL_RECORDER
 
-    def run(self, requests: Sequence[Request]) -> List[CompletedRequest]:
-        """Serve every request; returns completions in issue order.
-
-        Requests are processed in arrival order (a stable sort on
-        ``issue_ns`` is applied, so equal-time requests keep their
-        stream order — trace replays preserve the recorded sequence).
-        Single-stream alias of :meth:`run_streams`: one client, so the
-        crossbar grant loop degenerates to plain in-order admission.
-        """
-        return self.run_streams([requests])
-
-    def run_streams(
+    def serve_streams(
         self,
         streams: Sequence[Sequence[Request]],
         priorities: Optional[Sequence[int]] = None,
-    ) -> List[CompletedRequest]:
+    ) -> ServedBatch:
         """Serve N independent client streams through one crossbar.
 
         Each stream is an in-order requestor: within a client, requests
@@ -274,33 +213,9 @@ class MemoryController:
         the same instant the crossbar grants the highest ``priorities``
         value first and breaks ties round-robin, scanning from the
         client after the previous grant — deterministic under
-        contention, starvation-free between equals.
-
-        With one stream this is exactly :meth:`run` (the grant loop
-        degenerates to the single in-order admission loop), so the
+        contention, starvation-free between equals. With one stream the
+        grant loop degenerates to plain in-order admission, so the
         1-client system simulation is bit-identical to ``run_mc``.
-
-        Thin compatibility wrapper over :meth:`serve_streams`, which
-        returns the struct-of-arrays :class:`ServedBatch` instead of
-        materializing one :class:`CompletedRequest` per request.
-        """
-        return self.serve_streams(streams, priorities).completions()
-
-    def serve(self, requests: Sequence[Request]) -> ServedBatch:
-        """Serve one client's requests; returns the SoA batch result.
-
-        Single-stream alias of :meth:`serve_streams`, which every
-        closed-loop run reaches through
-        :func:`repro.sim.mc.serve_closed_loop`.
-        """
-        return self.serve_streams([requests])
-
-    def serve_streams(
-        self,
-        streams: Sequence[Sequence[Request]],
-        priorities: Optional[Sequence[int]] = None,
-    ) -> ServedBatch:
-        """Serve client streams, dispatching to the fastest eligible path.
 
         Closed-page, bounded-queue, one-sub-channel runs on an
         untouched channel (every ``run_mc`` point and every system
@@ -314,30 +229,16 @@ class MemoryController:
         dispatch can change wall-clock only.
 
         Each stream is a :class:`~repro.mc.request.RequestStream`; a
-        plain sequence of requests is converted once, here. The served
-        path is recorded as :attr:`ServedBatch.path` and, with a
-        recorder attached, counted into
-        ``recorder.meta["serve_paths"]``.
+        plain sequence of requests is converted once, by the loop that
+        serves it (:meth:`_client_streams`). The served path is
+        recorded as :attr:`ServedBatch.path` and, with a recorder
+        attached, counted into ``recorder.meta["serve_paths"]``.
         """
-        n_clients = len(streams)
-        if n_clients < 1:
-            raise ValueError("run_streams needs at least one stream")
-        if priorities is None:
-            priorities = [0] * n_clients
-        if len(priorities) != n_clients:
-            raise ValueError(
-                f"got {len(priorities)} priorities for {n_clients} streams"
-            )
-        streams = [
-            as_stream(stream, client) for client, stream in enumerate(streams)
-        ]
         path = self._serve_path()
         if path == "soa":
             batch = self._serve_soa(streams, priorities)
         else:
-            batch = ServedBatch.from_completions(
-                streams, self.run_streams_reference(streams, priorities)
-            )
+            batch = self.run_streams_reference(streams, priorities)
         batch.path = path
         # Post-hoc event derivation: one linear pass over the SoA batch
         # when tracing is on, one attribute read when it is off. The
@@ -349,11 +250,35 @@ class MemoryController:
             paths[path] = paths.get(path, 0) + 1
         return batch
 
+    def _client_streams(
+        self,
+        streams: Sequence[Sequence[Request]],
+        priorities: Optional[Sequence[int]],
+    ) -> Tuple[List[RequestStream], Sequence[int]]:
+        """The validated client streams as columns, and one priority
+        per stream (``0`` each by default): how both serving loops
+        take their input."""
+        n_clients = len(streams)
+        if n_clients < 1:
+            raise ValueError("serving needs at least one stream")
+        if priorities is None:
+            priorities = [0] * n_clients
+        if len(priorities) != n_clients:
+            raise ValueError(
+                f"got {len(priorities)} priorities for {n_clients} streams"
+            )
+        columns = []
+        for client, stream in enumerate(streams):
+            stream = as_stream(stream, client)
+            self._validate(stream, client)
+            columns.append(stream)
+        return columns, priorities
+
     def run_streams_reference(
         self,
         streams: Sequence[Sequence[Request]],
         priorities: Optional[Sequence[int]] = None,
-    ) -> List[CompletedRequest]:
+    ) -> ServedBatch:
         """Scalar reference implementation of the serving loop.
 
         One request at a time through per-bank tuple queues and
@@ -362,22 +287,16 @@ class MemoryController:
         equivalence oracle for :meth:`_serve_soa` (see the SoA
         property tests) and as the general path for configurations the
         SoA loop does not cover. It serves :class:`Request` objects,
-        built from each validated stream in its issue-time order.
+        built from each validated stream in its issue-time order,
+        records each admission's request index in the concatenated
+        streams, and fills the batch arrays as requests complete.
         """
+        streams, priorities = self._client_streams(streams, priorities)
         n_clients = len(streams)
-        if n_clients < 1:
-            raise ValueError("run_streams needs at least one stream")
-        if priorities is None:
-            priorities = [0] * n_clients
-        if len(priorities) != n_clients:
-            raise ValueError(
-                f"got {len(priorities)} priorities for {n_clients} streams"
-            )
-        ordered: List[List[Request]] = []
-        for client, stream in enumerate(streams):
-            stream = as_stream(stream, client)
-            self._validate(stream, client)
-            ordered.append(list(stream))
+        ordered = [list(stream) for stream in streams]
+        #: Index of each client's first request in the concatenation of
+        #: the streams (the batch's request index space), then the total.
+        first = [0] + list(accumulate(len(stream) for stream in ordered))
 
         depth = self.config.queue_depth
         sched = make_sched(
@@ -415,8 +334,14 @@ class MemoryController:
         #: Per-queue time a slot last freed while the queue was full.
         freed_at = [[0.0] * n_banks for _ in range(n_subs)]
 
-        completed: List[CompletedRequest] = []
-        total = sum(len(stream) for stream in ordered)
+        #: Per admission ``seq``, the granted request's index.
+        admitted: List[int] = []
+        ridx: List[int] = []
+        enqueue_ns: List[float] = []
+        start_ns: List[float] = []
+        complete_ns: List[float] = []
+        row_hit: List[bool] = []
+        total = first[-1]
         heads = [0] * n_clients  # next-arrival index per stream
         #: Last client granted admission; the round-robin scan starts
         #: just past it, so client 0 is first at time zero.
@@ -424,7 +349,7 @@ class MemoryController:
         queued = 0
         seq = 0
 
-        while len(completed) < total:
+        while len(ridx) < total:
             if open_page:
                 # ALERT assertion (counted at assert time, before the
                 # RFMs are processed) closes every row of the
@@ -472,6 +397,7 @@ class MemoryController:
                 )
                 admit_floor[chosen] = enqueue
                 queues[req.subchannel][req.bank].append((seq, req, enqueue))
+                admitted.append(first[chosen] + heads[chosen])
                 seq += 1
                 queued += 1
                 heads[chosen] += 1
@@ -501,7 +427,7 @@ class MemoryController:
             )
             queue = queues[sub][bank]
             was_full = depth is not None and len(queue) == depth
-            _, req, enqueue = queue.pop(pos)
+            entry_seq, req, enqueue = queue.pop(pos)
             queued -= 1
 
             if hit and channel.would_defer(
@@ -531,19 +457,18 @@ class MemoryController:
             cmd_free = start + self._t_cmd_gap
             if start > now:
                 now = start
-            completed.append(
-                CompletedRequest(
-                    request=req,
-                    enqueue_ns=enqueue,
-                    start_ns=start,
-                    complete_ns=complete,
-                    row_hit=hit,
-                )
-            )
+            ridx.append(admitted[entry_seq])
+            enqueue_ns.append(enqueue)
+            start_ns.append(start)
+            complete_ns.append(complete)
+            row_hit.append(hit)
             sched.note_complete(req, complete)
 
         channel.flush()
-        return completed
+        return ServedBatch(
+            streams=streams, ridx=ridx, enqueue_ns=enqueue_ns,
+            start_ns=start_ns, complete_ns=complete_ns, row_hit=row_hit,
+        )
 
     # ------------------------------------------------------------------
     # Struct-of-arrays serve loop
@@ -581,8 +506,8 @@ class MemoryController:
 
     def _serve_soa(
         self,
-        streams: List[RequestStream],
-        priorities: Sequence[int],
+        streams: Sequence[Sequence[Request]],
+        priorities: Optional[Sequence[int]],
     ) -> ServedBatch:
         """Closed-page serving of N client streams over flat arrays.
 
@@ -599,7 +524,8 @@ class MemoryController:
 
         The loop reads the streams' columns, concatenated in client
         order (one stream's own lists, uncopied); each stream is
-        already in issue-time order and is validated column by column.
+        already in issue-time order and is validated column by column
+        (:meth:`_client_streams`).
 
         The common-case ACT is issued *inline*: the per-request trip
         through ``channel.activate -> engine event machinery ->
@@ -617,9 +543,8 @@ class MemoryController:
         flushed into the protocol and the engine's ``total_acts`` before
         anything that may consult ``can_assert``.
         """
+        streams, priorities = self._client_streams(streams, priorities)
         n_clients = len(streams)
-        for client, stream in enumerate(streams):
-            self._validate(stream, client)
         #: One past each client's last request index.
         ends = list(accumulate(len(stream) for stream in streams))
         #: Next unadmitted request index per client.

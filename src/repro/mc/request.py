@@ -3,10 +3,11 @@
 A :class:`Request` is one memory transaction as the controller's
 front-end sees it: a read or write to a (sub-channel, bank, row)
 coordinate arriving at ``issue_ns``. The controller queues it, the
-scheduler picks it, the channel simulation serves it; the resulting
-:class:`CompletedRequest` records every timestamp of that lifetime, so
-latency decomposes into front-end blocking (full queue), queueing
-delay (bank busy, REF, ALERT stall), and service time.
+scheduler picks it, the channel simulation serves it; the served batch
+(:class:`~repro.mc.controller.ServedBatch`) records every timestamp of
+that lifetime, so latency decomposes into front-end blocking (full
+queue), queueing delay (bank busy, REF, ALERT stall), and service
+time.
 
 A :class:`RequestStream` is one client's requests as parallel columns
 in issue-time order: what the generators produce and what the
@@ -45,39 +46,6 @@ class Request:
     row: int = 0
     is_write: bool = False
     client: int = 0
-
-
-@dataclass(frozen=True)
-class CompletedRequest:
-    """A served request with its full timing breakdown.
-
-    Attributes:
-        request: The original request.
-        enqueue_ns: Admission into the per-bank queue (later than the
-            arrival when the queue — or an older request's queue —
-            was full: in-order front-end admission).
-        start_ns: Command issue time on the channel.
-        complete_ns: Service completion (``start + tRC`` for an
-            activate, ``start + t_col`` for a row-buffer hit).
-        row_hit: Whether the request hit the open row (open-page
-            policy only; closed-page requests always activate).
-    """
-
-    request: Request
-    enqueue_ns: float
-    start_ns: float
-    complete_ns: float
-    row_hit: bool = False
-
-    @property
-    def latency_ns(self) -> float:
-        """End-to-end latency: arrival at the MC to data completion."""
-        return self.complete_ns - self.request.issue_ns
-
-    @property
-    def queue_ns(self) -> float:
-        """Time spent in the bank queue before command issue."""
-        return self.start_ns - self.enqueue_ns
 
 
 def misplaced_tag(tag: int, stream: int) -> ValueError:

@@ -34,7 +34,6 @@ from repro.obs.recorder import (
     NULL_RECORDER,
     NullRecorder,
     TraceRecorder,
-    merged_events,
     record_batch_events,
 )
 
@@ -52,7 +51,6 @@ __all__ = [
     "histogram_of",
     "load_obs_artifact",
     "make_obs_artifact",
-    "merged_events",
     "per_trefi_series",
     "record_batch_events",
     "run_provenance",

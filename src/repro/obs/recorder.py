@@ -21,7 +21,7 @@ linear pass per served stream, and disabled-tracing overhead is one
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, List, Optional
 
 from repro.obs.events import EVENT_KINDS, TraceEvent
 
@@ -131,11 +131,3 @@ def record_batch_events(recorder: TraceRecorder, batch,
              bank=bank, client=client, value=start - enq)
         emit("complete", complete, sub=sub, bank=bank,
              client=client, value=complete - issue)
-
-
-def merged_events(recorders: Iterable[TraceRecorder]) -> List[TraceEvent]:
-    """Concatenate several recorders' event streams (shard merge)."""
-    out: List[TraceEvent] = []
-    for recorder in recorders:
-        out.extend(recorder.events)
-    return out

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 from repro.dram.refresh import CounterResetPolicy
-from repro.dram.timing import DramTiming, DDR5_PRAC_TIMING
+from repro.dram.timing import DramTiming, DDR5_PRAC_TIMING, check_abo_level
 from repro.mitigations.registry import PolicySpec, RunParams
 from repro.sim.channel import ChannelConfig, ChannelSim
 from repro.sim.engine import SimConfig
@@ -71,6 +71,13 @@ class PolicyRunConfig:
     n_trefi: int = 8192
     seed: int = 0
     timing: DramTiming = field(default_factory=lambda: DDR5_PRAC_TIMING)
+
+    def __post_init__(self) -> None:
+        check_abo_level(self.abo_level)
+        # The closed-loop configs are also McConfigs: chain to its check.
+        parent = getattr(super(), "__post_init__", None)
+        if parent is not None:
+            parent()
 
     @property
     def eth_resolved(self) -> int:
@@ -388,35 +395,3 @@ def run_trace(
         elapsed_ns=elapsed_ns,
         banks_per_subchannel=mapping.num_banks,
     )
-
-
-def run_suite(
-    profiles,
-    config: RunConfig = RunConfig(),
-) -> Dict[str, PerfResult]:
-    """Run a list of profiles; returns ``{workload_name: PerfResult}``."""
-    return {p.name: run_workload(p, config) for p in profiles}
-
-
-def geometric_mean_performance(results: Dict[str, PerfResult]) -> float:
-    """Gmean of normalized performance across workloads (Figure 11a)."""
-    if not results:
-        return 1.0
-    product = 1.0
-    for result in results.values():
-        product *= result.normalized_performance
-    return product ** (1.0 / len(results))
-
-
-def average_slowdown(results: Dict[str, PerfResult]) -> float:
-    """Arithmetic-mean slowdown across workloads."""
-    if not results:
-        return 0.0
-    return sum(r.slowdown for r in results.values()) / len(results)
-
-
-def average_alert_rate(results: Dict[str, PerfResult]) -> float:
-    """Mean ALERTs-per-tREFI across workloads (Figure 11b average)."""
-    if not results:
-        return 0.0
-    return sum(r.alerts_per_trefi for r in results.values()) / len(results)

@@ -1,11 +1,11 @@
 """System-family point executor over the shared sweep runner.
 
-One nesting rule: each sweep point runs its
-:class:`~repro.system.sim.SystemSim` *serially and uncached*
+One nesting rule: each sweep point runs
+:func:`~repro.system.sim.run_system` *serially and uncached*
 (``jobs=1, cache_dir=None``) — the sweep pool is the only process
 pool, and the sweep point cache the only cache, so points stay
 single-process workers and the sharding machinery never nests.
-``SystemSim``'s own sharded pool/cache serve the direct API and
+``run_system``'s own sharded pool/cache serve the direct API and
 ``repro system run``, where there is no outer pool.
 
 A point's ``metrics`` is the flattened

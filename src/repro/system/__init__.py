@@ -4,8 +4,8 @@
 :mod:`repro.sim.mc` out to a system: a front-end crossbar arbitrating
 N client streams per channel (:mod:`repro.system.crossbar` for the
 clients, :meth:`repro.mc.controller.MemoryController.serve_streams`
-for the grant logic) and a :class:`~repro.system.sim.SystemSim` sharding
-M independent channels across the sweep process pool
+for the grant logic) and :func:`~repro.system.sim.run_system`, which
+shards M independent channels across the sweep process pool
 (:mod:`repro.system.sim`).
 """
 
@@ -25,7 +25,6 @@ from repro.system.sim import (
     ShardResult,
     SystemResult,
     SystemRunConfig,
-    SystemSim,
     execute_system_shard,
     run_system,
     system_config_payload,
@@ -43,7 +42,6 @@ __all__ = [
     "ShardResult",
     "SystemResult",
     "SystemRunConfig",
-    "SystemSim",
     "attack_request_stream",
     "client_requests",
     "execute_system_shard",

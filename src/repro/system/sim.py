@@ -1,7 +1,7 @@
 """Sharded multi-channel system simulation.
 
 The fifth evaluation mode of the toolkit: where :func:`repro.sim.mc.
-run_mc` drives one request stream into one channel, :class:`SystemSim`
+run_mc` drives one request stream into one channel, :func:`run_system`
 drives N crossbar clients (each an independent
 :class:`~repro.system.crossbar.ClientSpec`) into M channels and
 reports *per-client* latency and bandwidth alongside the system
@@ -30,8 +30,8 @@ Decomposition:
 
 :class:`SystemRunConfig` is a :class:`~repro.sim.mc.ClosedLoopConfig`
 plus the clients and channels, so every shard builds its channel and
-controller from it directly. A 1-client, 1-channel :class:`SystemSim`
-is bit-identical to :func:`~repro.sim.mc.run_mc`; beyond the shared
+controller from it directly. A 1-client, 1-channel system run is
+bit-identical to :func:`~repro.sim.mc.run_mc`; beyond the shared
 code, the identity pin checks the stream seeding (client seed 0 on
 channel 0 collapses to the system seed).
 """
@@ -363,78 +363,6 @@ def _assemble(
     )
 
 
-class SystemSim:
-    """Multi-client, multi-channel simulation over sharded channels.
-
-    Args:
-        config: The system to simulate.
-
-    Shards execute through :func:`~repro.sweep.runner.run_cached_grid`
-    — serial in-process at ``jobs=1``, a process pool above, cached by
-    shard hash when ``cache_dir`` is set — and merge into one
-    :class:`SystemResult`. Sharded parallel execution equals serial
-    bit for bit (shards are deterministic and independent).
-    """
-
-    def __init__(self, config: SystemRunConfig = SystemRunConfig()) -> None:
-        self.config = config
-
-    def shards(self) -> List[ChannelShard]:
-        """The shard grid: one cell per channel."""
-        return [
-            ChannelShard(config=self.config, channel=channel)
-            for channel in range(self.config.channels)
-        ]
-
-    def run(
-        self,
-        jobs: int = 1,
-        cache_dir: Optional[Path] = None,
-        progress=None,
-        recorder=None,
-    ) -> SystemResult:
-        """Simulate every channel; parallel when ``jobs > 1``.
-
-        A traced run (``recorder`` set) executes its shards serially
-        in-process and bypasses the cache entirely: a cache hit would
-        skip event emission, and recorders cannot cross the worker
-        pool's pickle boundary. Metrics stay bit-identical; only the
-        event stream is additional.
-        """
-        from repro.sweep.runner import run_cached_grid
-
-        started = wall_timer()
-        if recorder is not None:
-            shards = [
-                execute_system_shard(shard, recorder=recorder)
-                for shard in self.shards()
-            ]
-            return _assemble(
-                self.config,
-                shards,
-                wall_clock_s=wall_timer() - started,
-                jobs=1,
-            )
-        cache_stats: Dict[str, object] = {}
-        shards = run_cached_grid(
-            self.shards(),
-            execute_system_shard,
-            ShardResult.from_json,
-            jobs=jobs,
-            cache_dir=cache_dir,
-            progress=progress,
-            stats=cache_stats,
-        )
-        result = _assemble(
-            self.config,
-            shards,
-            wall_clock_s=wall_timer() - started,
-            jobs=jobs,
-        )
-        result.cache_stats = cache_stats
-        return result
-
-
 def run_system(
     config: SystemRunConfig = SystemRunConfig(),
     jobs: int = 1,
@@ -442,8 +370,48 @@ def run_system(
     progress=None,
     recorder=None,
 ) -> SystemResult:
-    """Run one system configuration (convenience over :class:`SystemSim`)."""
-    return SystemSim(config).run(
-        jobs=jobs, cache_dir=cache_dir, progress=progress,
-        recorder=recorder,
+    """Simulate every channel of one system configuration.
+
+    Shards (one :class:`ChannelShard` per channel) execute through
+    :func:`~repro.sweep.runner.run_cached_grid` — serial in-process at
+    ``jobs=1``, a process pool above, cached by shard hash when
+    ``cache_dir`` is set — and merge into one :class:`SystemResult`.
+    Sharded parallel execution equals serial bit for bit (shards are
+    deterministic and independent).
+
+    A traced run (``recorder`` set) executes its shards serially
+    in-process and bypasses the cache entirely: a cache hit would skip
+    event emission, and recorders cannot cross the worker pool's pickle
+    boundary. Metrics stay bit-identical; only the event stream is
+    additional.
+    """
+    from repro.sweep.runner import run_cached_grid
+
+    started = wall_timer()
+    shards = [
+        ChannelShard(config=config, channel=channel)
+        for channel in range(config.channels)
+    ]
+    if recorder is not None:
+        results = [
+            execute_system_shard(shard, recorder=recorder)
+            for shard in shards
+        ]
+        return _assemble(
+            config, results, wall_clock_s=wall_timer() - started, jobs=1,
+        )
+    cache_stats: Dict[str, object] = {}
+    results = run_cached_grid(
+        shards,
+        execute_system_shard,
+        ShardResult.from_json,
+        jobs=jobs,
+        cache_dir=cache_dir,
+        progress=progress,
+        stats=cache_stats,
     )
+    result = _assemble(
+        config, results, wall_clock_s=wall_timer() - started, jobs=jobs,
+    )
+    result.cache_stats = cache_stats
+    return result

@@ -24,6 +24,18 @@ def make_channel(num_banks=2, num_subchannels=1, rows=1024):
     )
 
 
+def served(batch, name):
+    """Column ``name`` of the served requests, in service order."""
+    column = batch.column(name)
+    return [column[r] for r in batch.ridx]
+
+
+def latencies(batch):
+    """End-to-end latency of each served request, in service order."""
+    return [complete - issue for complete, issue
+            in zip(batch.complete_ns, served(batch, "issue_ns"))]
+
+
 class TestConfigValidation:
     def test_rejects_unknown_scheduler(self):
         with pytest.raises(ValueError, match="scheduler"):
@@ -40,11 +52,13 @@ class TestConfigValidation:
     def test_request_out_of_geometry(self):
         mc = MemoryController(make_channel(num_banks=2))
         with pytest.raises(ValueError, match="bank 5"):
-            mc.run([Request(issue_ns=0.0, bank=5, row=1)])
+            mc.serve_streams([[Request(issue_ns=0.0, bank=5, row=1)]])
         with pytest.raises(ValueError, match="row"):
-            mc.run([Request(issue_ns=0.0, bank=0, row=4096)])
+            mc.serve_streams([[Request(issue_ns=0.0, bank=0, row=4096)]])
         with pytest.raises(ValueError, match="sub-channel"):
-            mc.run([Request(issue_ns=0.0, subchannel=1, row=1)])
+            mc.serve_streams(
+                [[Request(issue_ns=0.0, subchannel=1, row=1)]]
+            )
 
 
 class TestFcfsOrdering:
@@ -61,23 +75,23 @@ class TestFcfsOrdering:
             Request(issue_ns=0.0, bank=0, row=2),
             Request(issue_ns=0.0, bank=1, row=3),
         ]
-        done = mc.run(reqs)
-        assert [c.request.row for c in done] == [1, 2, 3]
-        assert done[2].start_ns > done[1].start_ns
+        done = mc.serve_streams([reqs])
+        assert served(done, "row") == [1, 2, 3]
+        assert done.start_ns[2] > done.start_ns[1]
 
     def test_latency_includes_queueing(self):
         mc = MemoryController(
             make_channel(), McConfig(scheduler="fcfs", queue_depth=None)
         )
         t_rc = 52.0
-        done = mc.run([
+        done = mc.serve_streams([[
             Request(issue_ns=0.0, bank=0, row=1),
             Request(issue_ns=0.0, bank=0, row=2),
-        ])
-        assert done[0].latency_ns == pytest.approx(t_rc)
+        ]])
+        assert latencies(done)[0] == pytest.approx(t_rc)
         # The second request waits a full tRC behind the first.
-        assert done[1].queue_ns == pytest.approx(t_rc)
-        assert done[1].latency_ns == pytest.approx(2 * t_rc)
+        assert done.start_ns[1] - done.enqueue_ns[1] == pytest.approx(t_rc)
+        assert latencies(done)[1] == pytest.approx(2 * t_rc)
 
 
 class TestFrFcfs:
@@ -92,8 +106,8 @@ class TestFrFcfs:
             Request(issue_ns=0.0, bank=0, row=2),
             Request(issue_ns=0.0, bank=1, row=3),
         ]
-        done = mc.run(reqs)
-        assert [c.request.row for c in done] == [1, 3, 2]
+        done = mc.serve_streams([reqs])
+        assert served(done, "row") == [1, 3, 2]
 
     def test_open_page_prefers_row_hits(self):
         """A queued hit to the open row jumps ahead of an older miss."""
@@ -106,9 +120,9 @@ class TestFrFcfs:
             Request(issue_ns=0.0, bank=0, row=9),   # older miss
             Request(issue_ns=0.0, bank=0, row=7),   # younger hit
         ]
-        done = mc.run(reqs)
-        assert [c.request.row for c in done] == [7, 7, 9]
-        assert [c.row_hit for c in done] == [False, True, False]
+        done = mc.serve_streams([reqs])
+        assert served(done, "row") == [7, 7, 9]
+        assert done.row_hit == [False, True, False]
 
     def test_closed_page_never_hits(self):
         mc = MemoryController(
@@ -116,9 +130,9 @@ class TestFrFcfs:
             McConfig(scheduler="frfcfs", row_policy="closed",
                      queue_depth=None),
         )
-        done = mc.run([Request(issue_ns=0.0, row=7),
-                       Request(issue_ns=60.0, row=7)])
-        assert all(not c.row_hit for c in done)
+        done = mc.serve_streams([[Request(issue_ns=0.0, row=7),
+                                  Request(issue_ns=60.0, row=7)]])
+        assert not any(done.row_hit)
 
     def test_row_hits_skip_activation(self):
         channel = make_channel(num_banks=1)
@@ -127,9 +141,9 @@ class TestFrFcfs:
             McConfig(scheduler="frfcfs", row_policy="open",
                      queue_depth=None),
         )
-        mc.run([Request(issue_ns=0.0, row=7),
-                Request(issue_ns=60.0, row=7),
-                Request(issue_ns=120.0, row=7)])
+        mc.serve_streams([[Request(issue_ns=0.0, row=7),
+                           Request(issue_ns=60.0, row=7),
+                           Request(issue_ns=120.0, row=7)]])
         # One ACT opened the row; the two hits were column accesses.
         assert channel.total_acts == 1
 
@@ -142,10 +156,10 @@ class TestFrFcfs:
             McConfig(scheduler="frfcfs", row_policy="open",
                      queue_depth=None),
         )
-        done = mc.run([Request(issue_ns=0.0, row=7),
-                       Request(issue_ns=4500.0, row=7)])
+        done = mc.serve_streams([[Request(issue_ns=0.0, row=7),
+                                  Request(issue_ns=4500.0, row=7)]])
         # The second access straddles the 3900 ns REF: row re-opened.
-        assert [c.row_hit for c in done] == [False, False]
+        assert done.row_hit == [False, False]
         assert channel.total_acts == 2
 
     def test_hit_survives_within_one_interval(self):
@@ -155,9 +169,9 @@ class TestFrFcfs:
             McConfig(scheduler="frfcfs", row_policy="open",
                      queue_depth=None),
         )
-        done = mc.run([Request(issue_ns=0.0, row=7),
-                       Request(issue_ns=3000.0, row=7)])
-        assert [c.row_hit for c in done] == [False, True]
+        done = mc.serve_streams([[Request(issue_ns=0.0, row=7),
+                                  Request(issue_ns=3000.0, row=7)]])
+        assert done.row_hit == [False, True]
 
     def test_hits_are_faster_than_misses(self):
         channel = make_channel(num_banks=1)
@@ -166,10 +180,10 @@ class TestFrFcfs:
             McConfig(scheduler="frfcfs", row_policy="open",
                      queue_depth=None),
         )
-        done = mc.run([Request(issue_ns=0.0, row=7),
-                       Request(issue_ns=200.0, row=7)])
-        assert done[1].row_hit
-        assert done[1].latency_ns < done[0].latency_ns
+        done = mc.serve_streams([[Request(issue_ns=0.0, row=7),
+                                  Request(issue_ns=200.0, row=7)]])
+        assert done.row_hit[1]
+        assert latencies(done)[1] < latencies(done)[0]
 
 
 class TestQueueDepth:
@@ -180,9 +194,9 @@ class TestQueueDepth:
             make_channel(num_banks=1), McConfig(queue_depth=1)
         )
         reqs = [Request(issue_ns=0.0, bank=0, row=r) for r in (1, 2, 3)]
-        done = mc.run(reqs)
-        assert done[1].enqueue_ns >= done[0].start_ns
-        assert done[2].enqueue_ns >= done[1].start_ns
+        done = mc.serve_streams([reqs])
+        assert done.enqueue_ns[1] >= done.start_ns[0]
+        assert done.enqueue_ns[2] >= done.start_ns[1]
 
     def test_blocked_bank_stalls_other_banks(self):
         """In-order front-end: a full bank-0 queue delays a younger
@@ -195,17 +209,20 @@ class TestQueueDepth:
         )
         reqs = [Request(issue_ns=0.0, bank=0, row=r) for r in (1, 2, 3)]
         reqs.append(Request(issue_ns=0.0, bank=1, row=9))
-        free = {c.request.row: c for c in deep.run(reqs)}
-        blocked = {c.request.row: c for c in shallow.run(list(reqs))}
-        assert blocked[9].enqueue_ns > free[9].enqueue_ns
+        free = deep.serve_streams([reqs])
+        blocked = shallow.serve_streams([list(reqs)])
+        free_enqueue = dict(zip(served(free, "row"), free.enqueue_ns))
+        blocked_enqueue = dict(zip(served(blocked, "row"),
+                                   blocked.enqueue_ns))
+        assert blocked_enqueue[9] > free_enqueue[9]
 
     def test_infinite_depth_admits_at_arrival(self):
         mc = MemoryController(
             make_channel(num_banks=1), McConfig(queue_depth=None)
         )
         reqs = [Request(issue_ns=0.0, bank=0, row=r) for r in range(20)]
-        done = mc.run(reqs)
-        assert all(c.enqueue_ns == c.request.issue_ns for c in done)
+        done = mc.serve_streams([reqs])
+        assert done.enqueue_ns == served(done, "issue_ns")
 
 
 class TestProbeIssue:
@@ -233,56 +250,44 @@ class TestProbeIssue:
             Request(issue_ns=i * 37.0, bank=i % 2, row=(i // 3) % 4)
             for i in range(300)
         ]
-        done = mc.run(reqs)
-        hits = sum(1 for c in done if c.row_hit)
+        done = mc.serve_streams([reqs])
+        hits = sum(done.row_hit)
         assert len(done) == 300
         assert hits + channel.total_acts == 300
         assert hits > 0
 
 
-class TestRunStreamsAlias:
-    def test_run_equals_single_stream(self):
-        """run() is the 1-stream alias of run_streams() — the identity
-        the system layer's 1-client pin rests on."""
-        reqs = [
-            Request(issue_ns=17.0 * i, bank=i % 2, row=(i * 11) % 512)
-            for i in range(150)
-        ]
-        via_run = MemoryController(
-            make_channel(), McConfig(queue_depth=2)
-        ).run(list(reqs))
-        via_streams = MemoryController(
-            make_channel(), McConfig(queue_depth=2)
-        ).run_streams([list(reqs)])
-        assert via_run == via_streams
-
+class TestServeStreams:
     def test_streams_need_at_least_one(self):
         mc = MemoryController(make_channel(), McConfig())
         with pytest.raises(ValueError, match="at least one"):
-            mc.run_streams([])
+            mc.serve_streams([])
 
 
 class TestTiming:
     def test_idle_gap_reproduces(self):
         """Arrival timestamps floor the issue times (idle gaps pass)."""
         mc = MemoryController(make_channel(), McConfig())
-        done = mc.run([Request(issue_ns=0.0, row=1),
-                       Request(issue_ns=5000.0, row=2)])
-        assert done[1].start_ns >= 5000.0
+        done = mc.serve_streams([[Request(issue_ns=0.0, row=1),
+                                  Request(issue_ns=5000.0, row=2)]])
+        assert done.start_ns[1] >= 5000.0
 
     def test_ref_defers_requests(self):
         """A request arriving just before the first REF waits out tRFC."""
         mc = MemoryController(make_channel(), McConfig())
         # tREFI=3900, tRFC=410: an ACT at 3890 cannot complete before
         # the REF, so it issues after the REF window.
-        done = mc.run([Request(issue_ns=3890.0, row=1)])
-        assert done[0].start_ns >= 3900.0 + 410.0
+        done = mc.serve_streams([[Request(issue_ns=3890.0, row=1)]])
+        assert done.start_ns[0] >= 3900.0 + 410.0
 
     def test_writes_complete_but_are_flagged(self):
         mc = MemoryController(make_channel(), McConfig())
-        done = mc.run([Request(issue_ns=0.0, row=1, is_write=True),
-                       Request(issue_ns=100.0, row=2)])
-        assert done[0].request.is_write and not done[1].request.is_write
+        done = mc.serve_streams([[
+            Request(issue_ns=0.0, row=1, is_write=True),
+            Request(issue_ns=100.0, row=2),
+        ]])
+        assert served(done, "is_write") == [True, False]
 
     def test_empty_stream(self):
-        assert MemoryController(make_channel(), McConfig()).run([]) == []
+        mc = MemoryController(make_channel(), McConfig())
+        assert len(mc.serve_streams([[]])) == 0

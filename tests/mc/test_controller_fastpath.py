@@ -67,21 +67,22 @@ def build(config: ClosedLoopConfig):
     return channel, MemoryController(channel, config)
 
 
-def completion_key(completed):
-    """Everything observable about a served stream, in service order."""
+def completion_key(batch):
+    """Everything observable about a served batch, in service order
+    (a batch without ``row_hit`` served no row-buffer hit)."""
+    issue = batch.column("issue_ns")
+    bank = batch.column("bank")
+    row = batch.column("row")
+    is_write = batch.column("is_write")
+    owner = batch.clients()
+    hits = batch.row_hit or [False] * len(batch)
     return [
-        (
-            c.request.issue_ns,
-            c.request.client,
-            c.request.bank,
-            c.request.row,
-            c.request.is_write,
-            c.enqueue_ns,
-            c.start_ns,
-            c.complete_ns,
-            c.row_hit,
+        (issue[r], owner[r], bank[r], row[r], is_write[r],
+         enqueue, start, complete, hit)
+        for r, enqueue, start, complete, hit in zip(
+            batch.ridx, batch.enqueue_ns, batch.start_ns,
+            batch.complete_ns, hits,
         )
-        for c in completed
     ]
 
 
@@ -95,9 +96,9 @@ def run_fast(config, requests):
 
 def serve_reference(built, streams, priorities=None):
     channel, controller = built
-    completed = controller.run_streams_reference(streams, priorities)
+    batch = controller.run_streams_reference(streams, priorities)
     sub = channel.subchannels[0]
-    return completion_key(completed), sub.stats(), channel.now
+    return completion_key(batch), sub.stats(), channel.now
 
 
 def serve_soa(built, streams, priorities=None):
@@ -105,7 +106,7 @@ def serve_soa(built, streams, priorities=None):
     batch = controller.serve_streams(streams, priorities)
     assert batch.path == "soa"
     sub = channel.subchannels[0]
-    return completion_key(batch.completions()), sub.stats(), channel.now
+    return completion_key(batch), sub.stats(), channel.now
 
 
 def plain_channel(**sim_overrides):
@@ -179,6 +180,24 @@ class TestEquivalence:
         assert serve_soa(
             build(config), streams, priorities
         ) == serve_reference(build(config), streams, priorities)
+
+    @pytest.mark.parametrize("scheduler", SCHEDULERS)
+    def test_identical_requests_keep_their_indices(self, scheduler):
+        """Requests equal in time, bank, row, write flag and client
+        differ only by their index; both loops record the index each
+        admission granted, so their batches agree entry by entry and
+        serve every index exactly once."""
+        requests = [
+            Request(issue_ns=40.0 * (i // 6), bank=(i // 3) % 2, row=5)
+            for i in range(48)
+        ]
+        config = make_config(scheduler=scheduler, queue_depth=2, ath=8)
+        soa = build(config)[1].serve_streams([requests])
+        reference = build(config)[1].run_streams_reference([requests])
+        assert soa.path == "soa"
+        assert sorted(reference.ridx) == list(range(len(requests)))
+        for name in ("ridx", "enqueue_ns", "start_ns", "complete_ns"):
+            assert getattr(soa, name) == getattr(reference, name), name
 
 
 #: Random request tuples: arrival time, bank, row, is_write. Times are
@@ -302,7 +321,7 @@ class TestDispatch:
         config = make_config(policy=PolicySpec(kind))
         requests = make_requests(config)
         _, controller = build(config)
-        batch = controller.serve(list(requests))
+        batch = controller.serve_streams([list(requests)])
         assert batch.path == "soa"
         assert len(batch) == len(requests)
 
@@ -311,7 +330,7 @@ class TestDispatch:
         config = make_config(**INELIGIBLE_CONFIGS[predicate])
         requests = make_requests(config)
         _, controller = build(config)
-        batch = controller.serve(list(requests))
+        batch = controller.serve_streams([list(requests)])
         assert batch.path == f"reference:{predicate}"
         # The fallback still returns the full batch.
         assert len(batch) == len(requests)
@@ -326,20 +345,18 @@ class TestDispatch:
         controller = MemoryController(
             plain_channel(**channel_overrides), McConfig()
         )
-        batch = controller.serve(list(requests))
+        batch = controller.serve_streams([list(requests)])
         assert batch.path == f"reference:{predicate}"
         reference = MemoryController(
             plain_channel(**channel_overrides), McConfig()
         ).run_streams_reference([list(requests)])
-        assert completion_key(batch.completions()) == completion_key(
-            reference
-        )
+        assert completion_key(batch) == completion_key(reference)
 
     def test_postponed_refs_fall_back(self):
         channel = plain_channel()
         channel.subchannels[0].postpone_refs = True
-        batch = MemoryController(channel, McConfig()).serve(
-            [Request(issue_ns=0.0, row=1)]
+        batch = MemoryController(channel, McConfig()).serve_streams(
+            [[Request(issue_ns=0.0, row=1)]]
         )
         assert batch.path == "reference:postponed-refs"
 
@@ -350,7 +367,7 @@ class TestDispatch:
         batch = controller.serve_streams(streams)
         assert batch.path == "soa"
         assert len(batch) == sum(len(stream) for stream in streams)
-        assert completion_key(batch.completions()) == completion_key(
+        assert completion_key(batch) == completion_key(
             build(config)[1].run_streams_reference(streams)
         )
 
@@ -362,7 +379,7 @@ class TestDispatch:
         requests = make_requests(config)
         channel, controller = build(config)
         channel.activate(row=3, bank=0, subchannel=0)
-        batch = controller.serve(list(requests))
+        batch = controller.serve_streams([list(requests)])
         assert batch.path == "reference:pre-driven-channel"
         assert len(batch) == len(requests)
 
@@ -375,7 +392,7 @@ class TestDispatch:
         for depth in (32, None, 32):
             _, controller = build(make_config(queue_depth=depth))
             controller.recorder = recorder
-            controller.serve(list(requests))
+            controller.serve_streams([list(requests)])
         assert recorder.meta["serve_paths"] == {
             "soa": 2, "reference:unbounded-queue": 1,
         }
@@ -392,25 +409,12 @@ class TestDispatch:
             return channel, controller
 
         channel, controller = pre_driven()
-        served = completion_key(controller.serve(list(requests)).completions())
+        served = completion_key(controller.serve_streams([list(requests)]))
         channel2, controller2 = pre_driven()
         reference = completion_key(
             controller2.run_streams_reference([list(requests)])
         )
         assert served == reference
-
-    def test_run_streams_is_serve_streams(self):
-        """The legacy list-of-completions API and the batch API stay
-        one implementation."""
-        config = make_config()
-        requests = make_requests(config)
-        _, controller = build(config)
-        completed = controller.run_streams([list(requests)])
-        _, controller2 = build(config)
-        batch = controller2.serve_streams([list(requests)])
-        assert completion_key(completed) == completion_key(
-            batch.completions()
-        )
 
 
 class TestClientTags:
@@ -440,16 +444,16 @@ class TestClientTags:
 
 class TestResultPurity:
     def test_batch_fields_are_plain_python(self):
-        """Batch fields are plain Python floats and ints, which JSON
-        artifact serialization downstream relies on."""
-        config = make_config()
-        _, controller = build(config)
-        batch = controller.serve(make_requests(config))
-        for values in (batch.enqueue_ns, batch.start_ns, batch.complete_ns):
-            assert all(type(v) is float for v in values)
-        assert all(type(i) is int for i in batch.ridx)
-        completed = batch.completions()
-        assert all(
-            type(c.start_ns) is float and type(c.complete_ns) is float
-            for c in completed
-        )
+        """Batch fields are plain Python floats, ints and bools on both
+        serving loops, which JSON artifact serialization downstream
+        relies on."""
+        for depth, path in ((32, "soa"), (None, "reference:unbounded-queue")):
+            config = make_config(queue_depth=depth)
+            _, controller = build(config)
+            batch = controller.serve_streams([make_requests(config)])
+            assert batch.path == path
+            for values in (batch.enqueue_ns, batch.start_ns,
+                           batch.complete_ns):
+                assert all(type(v) is float for v in values)
+            assert all(type(i) is int for i in batch.ridx)
+            assert all(type(hit) is bool for hit in batch.row_hit or [])

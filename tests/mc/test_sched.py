@@ -374,7 +374,7 @@ def run_priority_streams(streams, priorities, sched_params=(),
             queue_depth=queue_depth,
         ),
     )
-    return mc.run_streams(streams, priorities)
+    return mc.serve_streams(streams, priorities)
 
 
 class TestPriorityProperties:
@@ -404,10 +404,11 @@ class TestPriorityProperties:
         ]
         done = run_priority_streams(streams, [0] * n_clients)
         assert len(done) == n_clients * per_client
-        served = sorted(done, key=lambda c: c.start_ns)
+        owner = done.clients()
+        by_start = sorted(range(len(done)), key=done.start_ns.__getitem__)
         counts = [0] * n_clients
-        for completion in served:
-            counts[completion.request.client] += 1
+        for i in by_start:
+            counts[owner[done.ridx[i]]] += 1
             assert max(counts) - min(counts) <= 1, counts
 
     @given(
@@ -451,8 +452,10 @@ class TestPriorityProperties:
         )
         drain = depth * DDR5_PRAC_TIMING.t_rc  # older starved entries
         slack = 1000.0  # in-flight command + a deferred REF
-        for completion in done:
-            if completion.request.client != 1:
+        owner = done.clients()
+        for r, enqueue, start in zip(done.ridx, done.enqueue_ns,
+                                     done.start_ns):
+            if owner[r] != 1:
                 continue
-            queue_wait = completion.start_ns - completion.enqueue_ns
+            queue_wait = start - enqueue
             assert queue_wait <= age_bound + drain + slack, queue_wait

@@ -65,8 +65,8 @@ class TestRoundTrip:
         closed_loop = _fresh_channel(config)
         closed_log = []
         record_activations(closed_loop, closed_log)
-        MemoryController(closed_loop, REPLAY_MC).run(
-            requests_from_trace(trace, MAPPING)
+        MemoryController(closed_loop, REPLAY_MC).serve_streams(
+            [requests_from_trace(trace, MAPPING)]
         )
 
         assert len(open_log) == len(trace)

@@ -5,10 +5,6 @@ import pytest
 from repro.sim.perf import (
     PerfResult,
     RunConfig,
-    average_alert_rate,
-    average_slowdown,
-    geometric_mean_performance,
-    run_suite,
     run_workload,
 )
 from repro.workloads.generator import generate_schedule
@@ -91,30 +87,6 @@ class TestMetrics:
 
     def test_activation_overhead(self):
         assert self.make().activation_overhead == pytest.approx(0.023)
-
-
-class TestSuiteHelpers:
-    @pytest.fixture(scope="class")
-    def results(self):
-        profiles = [profile_by_name("tc"), profile_by_name("x264")]
-        return run_suite(profiles, small_config())
-
-    def test_run_suite_keys(self, results):
-        assert set(results) == {"tc", "x264"}
-
-    def test_gmean_of_quiet_suite_is_one(self, results):
-        assert geometric_mean_performance(results) == pytest.approx(1.0)
-
-    def test_average_slowdown(self, results):
-        assert average_slowdown(results) == pytest.approx(0.0)
-
-    def test_average_alert_rate(self, results):
-        assert average_alert_rate(results) == pytest.approx(0.0)
-
-    def test_empty_results(self):
-        assert geometric_mean_performance({}) == 1.0
-        assert average_slowdown({}) == 0.0
-        assert average_alert_rate({}) == 0.0
 
 
 class TestPolicyGenericRuns:

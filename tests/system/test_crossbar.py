@@ -44,6 +44,20 @@ def burst(client, rows, bank=0, t=0.0):
     ]
 
 
+def rows_by_start(batch):
+    """The served requests' rows in command-issue order."""
+    rows = batch.column("row")
+    order = sorted(range(len(batch)), key=batch.start_ns.__getitem__)
+    return [rows[batch.ridx[i]] for i in order]
+
+
+def by_row(batch, name):
+    """Row -> the batch array ``name``'s entry for the request to it."""
+    rows = batch.column("row")
+    return {rows[r]: value for r, value in zip(batch.ridx,
+                                                getattr(batch, name))}
+
+
 class TestClientSpecValidation:
     def test_rejects_empty_name(self):
         with pytest.raises(ValueError, match="non-empty"):
@@ -76,11 +90,10 @@ class TestGrantOrder:
             make_channel(num_banks=1),
             McConfig(scheduler="fcfs", queue_depth=1),
         )
-        done = mc.run_streams(
+        done = mc.serve_streams(
             [burst(0, [1, 2, 3]), burst(1, [11, 12, 13])]
         )
-        order = [c.request.row for c in sorted(done, key=lambda c: c.start_ns)]
-        assert order == [1, 11, 2, 12, 3, 13]
+        assert rows_by_start(done) == [1, 11, 2, 12, 3, 13]
 
     def test_priority_admits_first(self):
         """Under a full queue, the higher-priority client's whole
@@ -89,12 +102,11 @@ class TestGrantOrder:
             make_channel(num_banks=1),
             McConfig(scheduler="fcfs", queue_depth=1),
         )
-        done = mc.run_streams(
+        done = mc.serve_streams(
             [burst(0, [1, 2, 3]), burst(1, [11, 12, 13])],
             priorities=[0, 5],
         )
-        order = [c.request.row for c in sorted(done, key=lambda c: c.start_ns)]
-        assert order == [11, 12, 13, 1, 2, 3]
+        assert rows_by_start(done) == [11, 12, 13, 1, 2, 3]
 
     def test_full_queue_stalls_only_owner(self):
         """Client 0 jams bank 0; client 1's bank-1 stream is admitted
@@ -105,25 +117,22 @@ class TestGrantOrder:
         )
         jam = burst(0, [1, 2, 3, 4], bank=0)
         side = burst(1, [21, 22], bank=1)
-        together = {
-            c.request.row: c for c in mc.run_streams([jam, side])
-        }
+        together = mc.serve_streams([jam, side])
         # Alone, the same stream is client 0 (tags follow the stream
         # index).
-        alone = {
-            c.request.row: c
-            for c in MemoryController(
-                make_channel(num_banks=2), McConfig(queue_depth=1)
-            ).run_streams([burst(0, [21, 22], bank=1)])
-        }
+        alone = MemoryController(
+            make_channel(num_banks=2), McConfig(queue_depth=1)
+        ).serve_streams([burst(0, [21, 22], bank=1)])
+        together_done = by_row(together, "complete_ns")
+        alone_done = by_row(alone, "complete_ns")
         # The side client pays only shared command-bus serialization
         # (a few ns per command), never a jammed-queue stall (a full
         # ~52 ns tRC per blocked entry would show up here).
         for row in (21, 22):
-            delay = together[row].complete_ns - alone[row].complete_ns
+            delay = together_done[row] - alone_done[row]
             assert 0.0 <= delay < 10.0
         # The jammed client itself serializes behind the depth-1 queue.
-        assert together[4].enqueue_ns > 0.0
+        assert by_row(together, "enqueue_ns")[4] > 0.0
 
     def test_within_client_order_is_preserved(self):
         mc = MemoryController(
@@ -135,28 +144,20 @@ class TestGrantOrder:
             [Request(issue_ns=11.0 * i, bank=(i + 1) % 2, row=100 + i,
                      client=1) for i in range(40)],
         ]
-        done = mc.run_streams(streams)
+        done = mc.serve_streams(streams)
+        owner = done.clients()
+        row = done.column("row")
+        by_enqueue = sorted(range(len(done)),
+                            key=done.enqueue_ns.__getitem__)
         for client in (0, 1):
-            mine = [c for c in sorted(done, key=lambda c: c.enqueue_ns)
-                    if c.request.client == client]
-            rows = [c.request.row for c in mine]
+            rows = [row[done.ridx[i]] for i in by_enqueue
+                    if owner[done.ridx[i]] == client]
             assert rows == sorted(rows)
 
     def test_priorities_length_mismatch_rejected(self):
         mc = MemoryController(make_channel(), McConfig())
         with pytest.raises(ValueError, match="priorities"):
-            mc.run_streams([burst(0, [1])], priorities=[0, 1])
-
-    def test_single_stream_matches_run(self):
-        reqs = [
-            Request(issue_ns=13.0 * i, bank=i % 2, row=(i * 7) % 64)
-            for i in range(200)
-        ]
-        a = MemoryController(make_channel(), McConfig()).run(list(reqs))
-        b = MemoryController(make_channel(), McConfig()).run_streams(
-            [list(reqs)]
-        )
-        assert a == b
+            mc.serve_streams([burst(0, [1])], priorities=[0, 1])
 
 
 class TestAttackStream:

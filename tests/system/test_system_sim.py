@@ -4,6 +4,7 @@ degradation the system family exists to measure."""
 
 import dataclasses
 import math
+import re
 
 import pytest
 
@@ -19,11 +20,12 @@ from repro.sim.mc import (
     run_mc,
     traffic_fields,
 )
+from repro.sim.perf import RunConfig
 from repro.sweep.mc_spec import MC_PRESETS, mc_preset
 from repro.system import (
+    ChannelShard,
     ClientSpec,
     SystemRunConfig,
-    SystemSim,
     client_requests,
     run_system,
 )
@@ -82,6 +84,20 @@ class TestConfigValidation:
         not once the run starts inside a sweep or shard worker."""
         with pytest.raises(ValueError, match=match):
             config(**bad)
+
+    @pytest.mark.parametrize(
+        "config", [RunConfig, McRunConfig, SystemRunConfig],
+        ids=["RunConfig", "McRunConfig", "SystemRunConfig"],
+    )
+    def test_illegal_abo_level_fails_at_construction(self, config):
+        """Every policy run config checks its ABO level when it is
+        built; the closed-loop ones still run McConfig's checks."""
+        with pytest.raises(ValueError, match=re.escape(
+            "ABO level must be one of (1, 2, 4), got 3"
+        )):
+            config(abo_level=3)
+        assert [config(abo_level=level).abo_level
+                for level in (1, 2, 4)] == [1, 2, 4]
 
 
 class TestIdentityPin:
@@ -165,9 +181,9 @@ class TestSharding:
         assert four.aggregate.subchannels == 4 * one.aggregate.subchannels
 
     def test_shard_grid_is_one_cell_per_channel(self):
-        sim = SystemSim(duo(channels=3))
-        shards = sim.shards()
-        assert [s.channel for s in shards] == [0, 1, 2]
+        config = duo(channels=3)
+        shards = [ChannelShard(config=config, channel=channel)
+                  for channel in range(3)]
         hashes = {s.config_hash() for s in shards}
         assert len(hashes) == 3  # the channel is part of the identity
 
@@ -260,27 +276,32 @@ class TestNoisyNeighbor:
 class TestShardStats:
     """The one run summary (``client_shard_stats``, behind ``run_mc``
     and every system shard) reads per-client statistics straight from
-    the served batch's arrays; they must equal the per-completion
-    computation they replaced, float-summation order included, on the
-    SoA loop and on both reference paths (open page, unbounded queue,
-    whose batch wraps the reference's completion objects)."""
+    the served batch's arrays; they must equal a client-by-client
+    computation over the completions, float-summation order included,
+    on the SoA loop and on both reference paths (open page, unbounded
+    queue, whose batch the reference loop fills itself)."""
 
     @staticmethod
-    def from_completions(completed, n_clients, budget):
+    def per_completion(batch, n_clients, budget):
+        issue = batch.column("issue_ns")
+        is_write = batch.column("is_write")
+        owner = batch.clients()
+        hits = batch.row_hit or [False] * len(batch)
         out = []
         for index in range(n_clients):
-            mine = [c for c in completed if c.request.client == index]
+            mine = [i for i, r in enumerate(batch.ridx) if owner[r] == index]
             latencies = sorted(
-                c.latency_ns for c in mine if not c.request.is_write
+                batch.complete_ns[i] - issue[batch.ridx[i]]
+                for i in mine if not is_write[batch.ridx[i]]
             )
             queue_ns = 0.0
-            for c in mine:
-                queue_ns += c.queue_ns
+            for i in mine:
+                queue_ns += batch.start_ns[i] - batch.enqueue_ns[i]
             out.append(ClientShardStats(
                 requests=len(mine),
                 reads=len(latencies),
                 writes=len(mine) - len(latencies),
-                row_hits=sum(1 for c in mine if c.row_hit),
+                row_hits=sum(1 for i in mine if hits[i]),
                 queue_ns=queue_ns,
                 read_latencies=latencies,
                 slo_misses=(
@@ -354,5 +375,5 @@ class TestShardStats:
         assert batch.path == path
         budget = slo_budget_ns(config.scheduler, config.sched_params)
         assert client_shard_stats(batch, 3, budget) == (
-            self.from_completions(batch.completions(), 3, budget)
+            self.per_completion(batch, 3, budget)
         )

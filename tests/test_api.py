@@ -33,13 +33,12 @@ def test_system_and_family_exports():
         SweepFamily,
         SystemResult,
         SystemRunConfig,
-        SystemSim,
         get_family,
         run_system,
     )
 
     assert callable(run_system)
-    assert SystemSim is not None and SystemResult is not None
+    assert SystemResult is not None
     config = SystemRunConfig(clients=(ClientSpec(name="t0"),))
     assert config.eth_resolved == 32
     assert set(FAMILIES) == {"sweep", "attack", "model", "mc", "system"}
