@@ -21,8 +21,9 @@ from repro.sweep.family import ATTACK_FAMILY
 
 REPO_ROOT = pathlib.Path(__file__).parent.parent
 
-#: Shared with the `repro attack sweep` CLI when run from the repo root.
-ATTACK_CACHE_DIR = REPO_ROOT / ATTACK_FAMILY.default_cache_dir
+#: Shared with the `repro attack sweep` CLI when run from the repo root
+#: (its default cache root is .repro-cache, one directory per family).
+ATTACK_CACHE_DIR = REPO_ROOT / ".repro-cache" / ATTACK_FAMILY.name
 
 
 @pytest.mark.parametrize("preset_name", sorted(ATTACK_FAMILY.presets))

@@ -5,12 +5,10 @@ storage/energy overheads (Section 6.5)."""
 from repro.analysis.feinting_model import (
     feinting_bound,
     feinting_bound_exact,
-    feinting_table,
 )
 from repro.analysis.ratchet_model import (
     RatchetModel,
     ratchet_safe_trh,
-    ratchet_sweep,
 )
 from repro.analysis.throughput import (
     alert_window_throughput,
@@ -26,10 +24,8 @@ from repro.analysis.energy import (
 __all__ = [
     "feinting_bound",
     "feinting_bound_exact",
-    "feinting_table",
     "RatchetModel",
     "ratchet_safe_trh",
-    "ratchet_sweep",
     "alert_window_throughput",
     "benign_slowdown_model",
     "continuous_alert_slowdown",

@@ -22,8 +22,6 @@ activations.
 
 from __future__ import annotations
 
-from typing import Dict, List
-
 from repro.dram.timing import DramTiming, DDR5_PRAC_TIMING
 
 
@@ -81,11 +79,3 @@ def feinting_bound_exact(
         total += allocation
     return total
 
-
-def feinting_table(
-    rates: List[int] | None = None,
-    timing: DramTiming = DDR5_PRAC_TIMING,
-) -> Dict[int, float]:
-    """Reproduce Table 2: mitigation rate -> feinting T_RH bound."""
-    rates = rates or [1, 2, 3, 4, 5]
-    return {k: feinting_bound(k, timing) for k in rates}

@@ -56,21 +56,28 @@ def _preset_kind_refs(families: Dict[str, object]) -> Set[str]:
     """Kind names any registered preset exercises through its points.
 
     A kind with no ``choices=`` entry is still CLI-reachable when a
-    preset grid includes it (``repro model sweep safe-trh`` runs the
-    ``safe-trh`` model kind even though no flag names it).
+    preset grid includes it (``repro model sweep fig15`` runs the
+    ``safe-trh`` model kind even though no flag names it). A point
+    names kinds in its ``attack`` or ``model`` spec, or in its run
+    ``config``: the mitigation ``policy``, the ``scheduler`` and each
+    crossbar client's ``attack``.
     """
     refs: Set[str] = set()
     for family in families.values():
         for spec in family.presets.values():
             for point in spec.points():
-                kind = getattr(point, "kind", None)
-                if isinstance(kind, str):
-                    refs.add(kind)
-                for nested_name in ("policy", "attack", "model", "spec"):
-                    nested = getattr(point, nested_name, None)
-                    nested_kind = getattr(nested, "kind", None)
-                    if isinstance(nested_kind, str):
-                        refs.add(nested_kind)
+                config = getattr(point, "config", None)
+                specs = [
+                    getattr(point, "attack", None),
+                    getattr(point, "model", None),
+                    getattr(config, "policy", None),
+                    *(client.attack
+                      for client in getattr(config, "clients", ())),
+                ]
+                refs.update(s.kind for s in specs if s is not None)
+                scheduler = getattr(config, "scheduler", None)
+                if scheduler is not None:
+                    refs.add(scheduler)
     return refs
 
 

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List
 
 from repro.abo.protocol import AboConfig
 from repro.dram.timing import DramTiming, DDR5_PRAC_TIMING, check_abo_level
@@ -92,16 +91,3 @@ def ratchet_safe_trh(
     """Convenience wrapper: tolerated T_RH of MOAT for a given ATH."""
     return RatchetModel(level=level, timing=timing).safe_trh(ath)
 
-
-def ratchet_sweep(
-    ath_values: List[int] | None = None,
-    levels: List[int] | None = None,
-    timing: DramTiming = DDR5_PRAC_TIMING,
-) -> Dict[int, Dict[int, int]]:
-    """Figures 10/15 data: {level: {ath: safe T_RH}}."""
-    ath_values = ath_values or list(range(8, 129, 8))
-    levels = levels or [1, 2, 4]
-    return {
-        level: {ath: ratchet_safe_trh(ath, level, timing) for ath in ath_values}
-        for level in levels
-    }

@@ -2,20 +2,25 @@
 
 Commands:
 
+* ``sweep``, ``attack sweep``, ``model sweep``, ``mc sweep``, ``system
+  sweep`` — one command per sweep family, built from its registry
+  entry with one flag set: run a named preset grid in parallel, write
+  a ``BENCH_<family>_<preset>.json`` artifact, and with ``--check``
+  gate it exactly (no tolerance) against the committed baseline;
+  ``--list-presets`` lists the family's grids. ``model sweep`` is also
+  where the analytic tables live (``table2-bound``, ``fig15``,
+  ``sec71``, ...).
 * ``attack`` — the security evaluation: ``attack run`` executes one
-  registered attack through the channel stack, ``attack sweep`` runs a
-  paper security-figure grid in parallel (with ``BENCH_attack.json``
-  artifacts and baseline gating), ``attack list`` prints the attack
-  registry.
+  registered attack through the channel stack (``--set`` sets any
+  registry parameter), ``attack list`` prints the attack registry
+  with each kind's parameters.
 * ``mc`` — the closed-loop memory-controller evaluation: ``mc run``
   serves a synthetic (or trace-replayed) request stream through
-  per-bank queues and an FR-FCFS scheduler and prints read-latency
-  percentiles, bandwidth, and queue occupancy under ALERT
-  back-pressure; ``mc sweep`` runs a scenario grid (policies x ABO
-  levels x arrival rates) with ``BENCH_mc.json`` artifacts and
-  baseline gating; ``mc list-presets`` prints the grids;
-  ``mc list-scheds`` prints the scheduling-policy registry (FCFS,
-  FR-FCFS, and the per-client QoS kinds, selected with ``--sched``).
+  per-bank queues and prints read-latency percentiles, bandwidth, and
+  queue occupancy under ALERT back-pressure; ``mc list-scheds`` prints
+  the scheduling-policy registry (selected with ``--sched``).
+* ``system`` — ``system run`` serves several clients through the
+  crossbar over one or more channels.
 * ``perf`` — evaluate a mitigation policy on a Table 4 workload (or a
   recorded address trace via ``--trace``), optionally across multiple
   sub-channels (``--channels``); ``--list-policies`` prints the
@@ -24,22 +29,21 @@ Commands:
   run <figure>...``) renders every registered paper figure/table from
   cached ``BENCH_*`` artifacts as paper-vs-measured tables plus a
   machine-readable ``BENCH_report.json``; ``--check`` gates every
-  source artifact against the committed smoke baselines;
+  source artifact exactly against the committed smoke baselines;
   ``report list`` prints the figure registry.
-* ``sweep`` — run a named experiment grid (paper figure/table presets)
-  in parallel, emit a ``BENCH_sweep.json`` artifact, and optionally
-  gate against a committed baseline (``--check``);
-  ``--list-presets`` lists the grids.
 * ``trace`` — synthesize or inspect physical-address traces for the
   channel-level replay workload.
-* ``model`` — print an analytical model's table (Table 2, Figure 10,
-  Table 7 Safe-TRH, Section 7 throughput).
 * ``workloads`` — list the Table 4 profiles.
 * ``obs`` — observability traces: ``obs summarize`` prints the event
   counts / latency histograms / provenance of a recorded
   ``repro.obs/v1`` trace (``mc run --trace-out`` / ``system run
   --trace-out``), ``obs export`` converts one to a pure
   Perfetto/Chrome trace-event JSON file.
+* ``lint`` — the repo's static-analysis rules.
+
+A bad name, value or path (an unknown workload or preset, an invalid
+setting, a missing or malformed file) ends every command the same way:
+one ``error: ...`` line on stderr and exit status 2.
 """
 
 from __future__ import annotations
@@ -48,14 +52,8 @@ import argparse
 import os
 import sys
 from pathlib import Path
-from typing import List, Optional
+from typing import Iterable, List, Mapping, Optional
 
-from repro.analysis.feinting_model import feinting_table
-from repro.analysis.ratchet_model import ratchet_sweep
-from repro.analysis.throughput import (
-    alert_window_throughput,
-    continuous_alert_slowdown,
-)
 from repro.attacks.base import AttackResult, AttackRunConfig
 from repro.attacks.registry import ATTACK_KINDS, AttackSpec, run_attack
 from repro.dram.timing import LEGAL_ABO_LEVELS
@@ -72,18 +70,14 @@ from repro.report.pipeline import (
     write_baselines,
 )
 from repro.report.tables import format_table
-from repro.mc.controller import ROW_POLICIES, SCHEDULERS
+from repro.mc.controller import ROW_POLICIES
 from repro.mc.sched import SCHED_KINDS
 from repro.sim.mapping import CoffeeLakeMapping
 from repro.sim.mc import McRunConfig, run_mc, run_mc_trace
 from repro.sim.perf import RunConfig, run_trace, run_workload
 from repro.workloads.requests import ARRIVAL_PROCESSES, McWorkload
 from repro.trace import AddressTrace, load_trace
-from repro.sweep.artifacts import (
-    DEFAULT_ATOL,
-    DEFAULT_RTOL,
-    write_artifact,
-)
+from repro.sweep.artifacts import write_artifact
 from repro.sweep.family import FAMILIES, PERF_FAMILY, SweepFamily
 from repro.obs import (
     TraceRecorder,
@@ -111,17 +105,28 @@ def _print_attack(result: AttackResult) -> None:
     print(format_table(["metric", "value"], rows, title=result.name))
 
 
-#: Legacy convenience flags of ``repro attack run`` mapped onto the
-#: registry parameter they set (only when explicitly provided).
-_ATTACK_FLAG_PARAMS = (
-    ("threshold", "threshold"),
-    ("ath", "ath"),
-    ("pool", "pool_size"),
-    ("level", "abo_level"),
-    ("rate", "trefi_per_mitigation"),
-    ("periods", "periods"),
-    ("banks", "num_banks"),
-)
+def _format_params(
+    values: Mapping[str, object], names: Optional[Iterable[str]] = None
+) -> str:
+    """``name=value, ...`` over ``names`` (default: every key of
+    ``values``), or ``-`` when there are none.
+
+    Numbers print with ``:g``; ``None``, tuples and strings print as
+    they are; a name without a value prints bare (a required registry
+    parameter). One spelling for every parameter or metric listing:
+    ``attack list``, ``mc list-scheds`` and the model sweep table.
+    """
+    def item(name: str) -> str:
+        if name not in values:
+            return name
+        value = values[name]
+        if isinstance(value, (int, float)):
+            return f"{name}={value:g}"
+        return f"{name}={value}"
+
+    return ", ".join(item(name) for name in (
+        values if names is None else names)) or "-"
+
 
 #: CLI-level parameter defaults applied when the user sets nothing.
 #: feinting's library default is a full refresh window (2048 periods,
@@ -161,27 +166,22 @@ def _cmd_attack_list(_args: argparse.Namespace) -> int:
             kind.name,
             kind.fields["figure"],
             "adaptive" if kind.fields["adaptive"] else "open-loop",
+            _format_params(kind.defaults, kind.params),
             kind.description,
         )
         for kind in sorted(ATTACK_KINDS, key=lambda kind: kind.name)
     ]
     print(format_table(
-        ["attack", "paper", "pattern", "description"], rows,
-        title="Registered attacks"))
+        ["attack", "paper", "pattern", "params (defaults)", "description"],
+        rows, title="Registered attacks"))
     return 0
 
 
 def _cmd_attack_run(args: argparse.Namespace) -> int:
     params = {}
-    for flag, param in _ATTACK_FLAG_PARAMS:
-        value = getattr(args, flag)
-        if value is not None:
-            params[param] = value
     for item in args.set or []:
         if "=" not in item:
-            print(f"error: --set expects name=value, got {item!r}",
-                  file=sys.stderr)
-            return 2
+            raise ValueError(f"--set expects name=value, got {item!r}")
         name, _, raw = item.partition("=")
         value = _parse_set_value(raw)
         scalars = value if isinstance(value, tuple) else (value,)
@@ -189,25 +189,19 @@ def _cmd_attack_run(args: argparse.Namespace) -> int:
             # Every registered attack parameter is an integer or a
             # tuple of integers (counts, thresholds, levels); catching
             # this here keeps type errors out of the attack internals.
-            print(f"error: --set {name} expects an integer (or "
-                  f"comma-separated integers), got {raw!r}",
-                  file=sys.stderr)
-            return 2
+            raise ValueError(
+                f"--set {name} expects an integer (or comma-separated "
+                f"integers), got {raw!r}")
         params[name] = value
     for name, value in _ATTACK_RUN_DEFAULTS.get(args.name, {}).items():
         params.setdefault(name, value)
     if args.subchannels < 1:
-        print("error: --subchannels must be at least 1", file=sys.stderr)
-        return 2
+        raise ValueError("--subchannels must be at least 1")
+    # Bad or missing parameters (AttackSpec validation), impossible
+    # geometry, or an adaptive attack at subchannels > 1 raise
+    # ValueError: a usage error.
     run_config = AttackRunConfig(subchannels=args.subchannels, seed=args.seed)
-    try:
-        result = run_attack(AttackSpec.of(args.name, **params), run_config)
-    except ValueError as exc:
-        # Bad or missing parameters (AttackSpec validation), impossible
-        # geometry, or an adaptive attack at subchannels > 1.
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    _print_attack(result)
+    _print_attack(run_attack(AttackSpec.of(args.name, **params), run_config))
     return 0
 
 
@@ -254,8 +248,10 @@ def _cmd_perf(args: argparse.Namespace) -> int:
             title="Registered mitigation policies"))
         return 0
     if args.channels < 1:
-        print("error: --channels must be at least 1", file=sys.stderr)
-        return 2
+        raise ValueError("--channels must be at least 1")
+    if not (args.trace or args.workload):
+        raise ValueError(
+            "a workload name (or --trace/--list-policies) is required")
     config = RunConfig(
         ath=args.ath,
         eth=args.eth,
@@ -265,24 +261,12 @@ def _cmd_perf(args: argparse.Namespace) -> int:
         n_trefi=args.trefi,
     )
     if args.trace:
-        trace = load_trace(args.trace)
-        if not isinstance(trace, AddressTrace):
-            print(
-                f"error: {args.trace} is an activation trace; perf replay "
-                "needs an address trace (see `repro trace synth`)",
-                file=sys.stderr,
-            )
-            return 2
-        result = run_trace(trace, config)
+        result = run_trace(_load_address_trace(args.trace, "perf"), config)
         display = f"trace {args.trace} ({result.workload})"
-    elif args.workload:
+    else:
         profile = profile_by_name(args.workload)
         result = run_workload(profile, config)
         display = profile.display_name
-    else:
-        print("error: a workload name (or --trace/--list-policies) is "
-              "required", file=sys.stderr)
-        return 2
     rows = [
         ("ALERTs per tREFI (sub-channel)", f"{result.alerts_per_trefi:.4f}"),
         ("slowdown", f"{result.slowdown:.3%}"),
@@ -298,26 +282,30 @@ def _cmd_perf(args: argparse.Namespace) -> int:
     return 0
 
 
+def _load_address_trace(path: str, command: str) -> AddressTrace:
+    """The address trace at ``path`` for a ``command`` replay."""
+    trace = load_trace(path)
+    if not isinstance(trace, AddressTrace):
+        raise ValueError(
+            f"{path} is an activation trace; {command} replay needs an "
+            "address trace (see `repro trace synth`)")
+    return trace
+
+
 def _cmd_trace(args: argparse.Namespace) -> int:
     if args.action == "synth":
         if not args.workload:
-            print("error: trace synth needs a workload name", file=sys.stderr)
-            return 2
+            raise ValueError("trace synth needs a workload name")
         profile = profile_by_name(args.workload)
-        mapping = CoffeeLakeMapping()
         from repro.workloads.generator import generate_address_trace
 
-        try:
-            trace = generate_address_trace(
-                profile,
-                mapping,
-                n_trefi=args.trefi,
-                seed=args.seed,
-                banks_per_subchannel=args.banks,
-            )
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        trace = generate_address_trace(
+            profile,
+            CoffeeLakeMapping(),
+            n_trefi=args.trefi,
+            seed=args.seed,
+            banks_per_subchannel=args.banks,
+        )
         out = args.out or f"{profile.name}.trace.jsonl"
         trace.save(out)
         print(f"wrote {len(trace)} address events "
@@ -325,8 +313,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         return 0
     # info
     if not args.workload:
-        print("error: trace info needs a trace path", file=sys.stderr)
-        return 2
+        raise ValueError("trace info needs a trace path")
     trace = load_trace(args.workload)
     kind = "address" if isinstance(trace, AddressTrace) else "activation"
     rows = [
@@ -432,32 +419,10 @@ def _parse_sched(text: str):
     return kind, tuple(params)
 
 
-def _resolve_sched(args: argparse.Namespace):
-    """The scheduler/params pair from ``--sched`` or ``--scheduler``."""
-    if getattr(args, "sched", None):
-        return _parse_sched(args.sched)
-    return args.scheduler, ()
-
-
-def _add_sched_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--scheduler", choices=list(SCHEDULERS),
-                        default="frfcfs")
-    parser.add_argument("--sched", default=None, metavar="KIND[:k=v,...]",
-                        help="scheduling policy with parameters, e.g. "
-                        "'slo:budget_ns=5000' or 'bw-cap:gbps=8,gbps2=0.1' "
-                        "(overrides --scheduler; see "
-                        "`repro mc list-scheds`)")
-
-
 def _cmd_mc_list_scheds(_args: argparse.Namespace) -> int:
     rows = [
-        (
-            kind.name,
-            ", ".join(f"{name}={default:g}"
-                      for name, default in sorted(kind.defaults.items()))
-            or "-",
-            kind.description,
-        )
+        (kind.name, _format_params(kind.defaults, kind.params),
+         kind.description)
         for kind in SCHED_KINDS
     ]
     print(format_table(
@@ -522,7 +487,7 @@ def _closed_loop_settings(args: argparse.Namespace):
         hot_fraction=args.hot_fraction, hot_rows=args.hot_rows,
         write_fraction=args.write_fraction,
     )
-    scheduler, sched_params = _resolve_sched(args)
+    scheduler, sched_params = _parse_sched(args.sched)
     return workload, dict(
         ath=args.ath, eth=args.eth, abo_level=args.level,
         policy=PolicySpec(args.policy), queue_depth=depth,
@@ -533,28 +498,17 @@ def _closed_loop_settings(args: argparse.Namespace):
 
 
 def _cmd_mc_run(args: argparse.Namespace) -> int:
-    try:
-        workload, shared = _closed_loop_settings(args)
-        config = McRunConfig(workload=workload, **shared)
-        recorder = _run_recorder(
-            args, command="mc run", policy=args.policy,
-            scheduler=config.scheduler, seed=args.seed,
-        )
-        if args.trace:
-            trace = load_trace(args.trace)
-            if not isinstance(trace, AddressTrace):
-                print(
-                    f"error: {args.trace} is an activation trace; mc replay "
-                    "needs an address trace (see `repro trace synth`)",
-                    file=sys.stderr,
-                )
-                return 2
-            result = run_mc_trace(trace, config, recorder=recorder)
-        else:
-            result = run_mc(config, recorder=recorder)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    workload, shared = _closed_loop_settings(args)
+    config = McRunConfig(workload=workload, **shared)
+    recorder = _run_recorder(
+        args, command="mc run", policy=args.policy,
+        scheduler=config.scheduler, seed=args.seed,
+    )
+    if args.trace:
+        trace = _load_address_trace(args.trace, "mc")
+        result = run_mc_trace(trace, config, recorder=recorder)
+    else:
+        result = run_mc(config, recorder=recorder)
     _print_mc_result(result)
     if recorder is not None:
         _emit_obs(args, recorder, n_trefi=result.n_trefi,
@@ -603,45 +557,40 @@ def _print_system_result(result) -> None:
 
 def _cmd_system_run(args: argparse.Namespace) -> int:
     if args.clients < 1:
-        print("error: --clients must be at least 1", file=sys.stderr)
-        return 2
-    try:
-        workload, shared = _closed_loop_settings(args)
-        clients = tuple(
-            ClientSpec(name=f"tenant{i}", workload=workload, seed=i)
-            for i in range(args.clients)
+        raise ValueError("--clients must be at least 1")
+    workload, shared = _closed_loop_settings(args)
+    clients = tuple(
+        ClientSpec(name=f"tenant{i}", workload=workload, seed=i)
+        for i in range(args.clients)
+    )
+    if args.attacker:
+        # kernel budgets are request counts; trespass sizes itself
+        # from its aggressor parameters.
+        params = (
+            {"total_acts": args.attacker_acts}
+            if args.attacker.startswith("kernel") else {}
         )
-        if args.attacker:
-            # kernel budgets are request counts; trespass sizes itself
-            # from its aggressor parameters.
-            params = (
-                {"total_acts": args.attacker_acts}
-                if args.attacker.startswith("kernel") else {}
-            )
-            clients += (
-                ClientSpec(
-                    name="attacker",
-                    attack=AttackSpec.of(args.attacker, **params),
-                ),
-            )
-        config = SystemRunConfig(
-            clients=clients, channels=args.channels, **shared
+        clients += (
+            ClientSpec(
+                name="attacker",
+                attack=AttackSpec.of(args.attacker, **params),
+            ),
         )
-        recorder = _run_recorder(
-            args, command="system run", policy=args.policy,
-            scheduler=config.scheduler, clients=len(clients),
-            channels=args.channels, seed=args.seed,
-        )
-        result = run_system(
-            config,
-            jobs=args.jobs,
-            cache_dir=Path(args.cache_dir) if args.cache_dir else None,
-            progress=stderr_progress(args.quiet),
-            recorder=recorder,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    config = SystemRunConfig(
+        clients=clients, channels=args.channels, **shared
+    )
+    recorder = _run_recorder(
+        args, command="system run", policy=args.policy,
+        scheduler=config.scheduler, clients=len(clients),
+        channels=args.channels, seed=args.seed,
+    )
+    result = run_system(
+        config,
+        jobs=args.jobs,
+        cache_dir=Path(args.cache_dir) if args.cache_dir else None,
+        progress=stderr_progress(args.quiet),
+        recorder=recorder,
+    )
     _print_system_result(result)
     if recorder is not None:
         _emit_obs(args, recorder, n_trefi=result.aggregate.n_trefi,
@@ -678,17 +627,11 @@ def _render_mc_table(result, args: argparse.Namespace) -> None:
 
 def _render_model_table(result, args: argparse.Namespace) -> None:
     spec = result.spec
-
-    def param_summary(params):
-        if not params:
-            return "-"
-        return ",".join(f"{k}={v}" for k, v in sorted(params.items()))
-
     rows = [
         (
             r.identity["kind"],
-            param_summary(r.identity["params"]),
-            len(r.metrics),
+            _format_params(r.identity["params"]),
+            _format_params(r.metrics),
             "hit" if r.cached else f"{r.wall_clock_s:.1f}s",
         )
         for r in result.results
@@ -730,50 +673,17 @@ def _render_system_table(result, args: argparse.Namespace) -> None:
     )
 
 
-#: Per family: the ``sweep`` command's help, its summary table, and the
-#: override flags it takes besides ``--seed`` (the axes its points
-#: carry). The perf family's command is the top-level ``repro sweep``;
-#: the others are ``repro <family> sweep`` beside ``list-presets``.
+#: Per family: the ``sweep`` command's summary table and the override
+#: flags it takes besides ``--seed`` (the axes its points carry). The
+#: perf family's command is the top-level ``repro sweep``; the others
+#: are ``repro <family> sweep``.
 _SWEEP_COMMANDS = {
-    "sweep": ("run a paper figure/table experiment grid in parallel",
-              _render_perf_table, ("--trefi", "--workloads")),
-    "attack": ("run a paper security-figure attack grid in parallel",
-               _render_attack_table, ()),
-    "model": ("run a named analytic model grid", _render_model_table,
-              ("--trefi",)),
-    "mc": ("run a closed-loop scenario grid in parallel",
-           _render_mc_table, ("--trefi",)),
-    "system": ("run a named system scenario set in parallel",
-               _render_system_table, ("--trefi",)),
+    "sweep": (_render_perf_table, ("--trefi", "--workloads")),
+    "attack": (_render_attack_table, ()),
+    "model": (_render_model_table, ("--trefi",)),
+    "mc": (_render_mc_table, ("--trefi",)),
+    "system": (_render_system_table, ("--trefi",)),
 }
-
-
-def _cmd_list_presets(args: argparse.Namespace) -> int:
-    family: SweepFamily = args.family
-    rows = [
-        (spec.name, len(spec.points()), spec.description)
-        for spec in family.presets.values()
-    ]
-    print(format_table(["preset", "points", "description"], rows,
-                       title=family.list_title))
-    return 0
-
-
-def _resolve_cache_dir(
-    args: argparse.Namespace, family: SweepFamily
-) -> Optional[Path]:
-    """Point-cache location from --no-cache/--cache-root/--cache-dir.
-
-    ``--cache-root R`` places the cache at ``R/<family>`` (the layout
-    ``repro report`` uses); an explicitly overridden ``--cache-dir``
-    wins over the root.
-    """
-    if args.no_cache:
-        return None
-    if (args.cache_root is not None
-            and args.cache_dir == str(family.default_cache_dir)):
-        return Path(args.cache_root) / family.cache_subdir
-    return Path(args.cache_dir)
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -785,32 +695,32 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     error) and the summary table in :data:`_SWEEP_COMMANDS`.
     """
     family: SweepFamily = args.family
-    if args.list:
-        return _cmd_list_presets(args)
+    if args.list_presets:
+        rows = [
+            (spec.name, len(spec.points()), spec.description)
+            for spec in family.presets.values()
+        ]
+        print(format_table(["preset", "points", "description"], rows,
+                           title=family.list_title))
+        return 0
     if not args.preset:
-        print("error: a preset name (or --list-presets) is required",
-              file=sys.stderr)
-        return 2
-    try:
-        if args.trefi is not None and args.trefi <= 0:
-            raise ValueError("--trefi must be positive")
-        workloads = (tuple(args.workloads.split(","))
-                     if args.workloads else None)
-        spec = family.preset(args.preset).with_overrides(
-            n_trefi=args.trefi, seed=args.seed, workloads=workloads
-        )
-    except (KeyError, ValueError) as exc:
-        message = exc.args[0] if exc.args else str(exc)
-        print(f"error: {message}", file=sys.stderr)
-        return 2
+        raise ValueError("a preset name (or --list-presets) is required")
+    if args.trefi is not None and args.trefi <= 0:
+        raise ValueError("--trefi must be positive")
+    workloads = tuple(args.workloads.split(",")) if args.workloads else None
+    spec = family.preset(args.preset).with_overrides(
+        n_trefi=args.trefi, seed=args.seed, workloads=workloads
+    )
 
     result = family.run(
         spec,
         jobs=args.jobs,
-        cache_dir=_resolve_cache_dir(args, family),
+        # The layout ``repro report`` uses: one cache per family.
+        cache_dir=(None if args.no_cache
+                   else Path(args.cache_root) / family.name),
         progress=stderr_progress(args.quiet),
     )
-    _SWEEP_COMMANDS[family.name][1](result, args)
+    _SWEEP_COMMANDS[family.name][0](result, args)
 
     # Provenance is opt-in (--obs): without it the artifact stays
     # byte-identical run to run, and the gate never sees the block
@@ -835,23 +745,20 @@ def _emit_artifact_and_gate(
     family: SweepFamily,
     preset_name: str,
 ) -> int:
-    """Write a sweep artifact and apply --baseline/--write-baseline/
+    """Write a sweep artifact and apply --baseline/--write-baselines/
     --check — identical semantics for every sweep family."""
-    out_default = f"BENCH_{family.bench_prefix}_{preset_name}.json"
-    out_path = Path(args.out) if args.out else Path(out_default)
+    out_path = Path(args.out or f"BENCH_{family.name}_{preset_name}.json")
     write_artifact(out_path, artifact)
     print(f"artifact: {out_path}", file=sys.stderr)
 
     baseline = (Path(args.baseline) if args.baseline
                 else family.default_baseline_path(preset_name))
-    if args.write_baseline:
+    if args.write_baselines:
         write_artifact(baseline, artifact)
         print(f"baseline written: {baseline}", file=sys.stderr)
         return 0
     if args.check:
-        ok, problems = family.check_against_baseline(
-            artifact, baseline, rtol=args.rtol, atol=args.atol,
-        )
+        ok, problems = family.check_against_baseline(artifact, baseline)
         if not ok:
             print(f"BASELINE CHECK FAILED ({baseline}):", file=sys.stderr)
             for problem in problems:
@@ -882,17 +789,14 @@ def _cmd_report(args: argparse.Namespace) -> int:
     else:
         names = args.figures
         if not names:
-            print("error: report run needs at least one figure name "
-                  "(see 'report list')", file=sys.stderr)
-            return 2
+            raise ValueError("report run needs at least one figure name "
+                             "(see 'report list')")
         unknown = [name for name in names if name not in FIGURES]
         if unknown:
-            print(f"error: unknown figures: {', '.join(unknown)} "
-                  f"(known: {', '.join(FIGURES)})", file=sys.stderr)
-            return 2
+            raise ValueError(f"unknown figures: {', '.join(unknown)} "
+                             f"(known: {', '.join(FIGURES)})")
     if args.trefi <= 0:
-        print("error: --trefi must be positive", file=sys.stderr)
-        return 2
+        raise ValueError("--trefi must be positive")
 
     options = ReportOptions(
         n_trefi=args.trefi,
@@ -902,16 +806,14 @@ def _cmd_report(args: argparse.Namespace) -> int:
     )
     results = run_figures(names, options)
 
+    root = Path(args.baseline_root) if args.baseline_root else None
     if args.write_baselines:
-        root = Path(args.baseline_root) if args.baseline_root else None
         for path in write_baselines(results, root=root):
             print(f"baseline written: {path}", file=sys.stderr)
         return 0
 
     if args.check:
-        root = Path(args.baseline_root) if args.baseline_root else None
-        check_results(results, baseline_root=root,
-                      rtol=args.rtol, atol=args.atol)
+        check_results(results, baseline_root=root)
 
     for result in results:
         print(render_figure_text(result))
@@ -945,32 +847,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_model(args: argparse.Namespace) -> int:
-    if args.name == "table2":
-        table = feinting_table()
-        rows = [(f"1 per {k} tREFI", round(v)) for k, v in sorted(table.items())]
-        print(format_table(["mitigation rate", "feinting T_RH"], rows,
-                           title="Table 2 - Feinting bound"))
-    elif args.name == "safe-trh":
-        sweep = ratchet_sweep(ath_values=[16, 32, 48, 64, 96, 128])
-        rows = [
-            (ath, sweep[1][ath], sweep[2][ath], sweep[4][ath])
-            for ath in sorted(sweep[1])
-        ]
-        print(format_table(["ATH", "L1", "L2", "L4"], rows,
-                           title="Safe T_RH under Ratchet (Appendix A)"))
-    elif args.name == "throughput":
-        rows = [
-            (f"level {level}",
-             f"{alert_window_throughput(level):.2f}x",
-             f"{continuous_alert_slowdown(level):.1f}x")
-            for level in (1, 2, 4)
-        ]
-        print(format_table(["ABO level", "ALERT-window throughput", "max slowdown"],
-                           rows, title="Section 7.1 / Appendix D"))
-    return 0
-
-
 def _cmd_workloads(_args: argparse.Namespace) -> int:
     rows = [
         (p.display_name, p.suite, p.act_pki, p.act_32_plus, p.act_64_plus, p.act_128_plus)
@@ -984,11 +860,7 @@ def _cmd_workloads(_args: argparse.Namespace) -> int:
 
 def _cmd_obs(args: argparse.Namespace) -> int:
     """Summarize or export a recorded ``repro.obs/v1`` trace."""
-    try:
-        artifact = load_obs_artifact(args.path)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    artifact = load_obs_artifact(args.path)
     if args.action == "summarize":
         print(format_table(["field", "value"], summarize_obs(artifact),
                            title=str(args.path)))
@@ -1033,16 +905,12 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
     root = Path(args.root) if args.root else None
     paths = [Path(p) for p in args.paths] if args.paths else None
-    try:
-        result = run_lint(
-            paths=paths,
-            select=_split_rule_names(args.select),
-            ignore=_split_rule_names(args.ignore),
-            root=root,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    result = run_lint(
+        paths=paths,
+        select=_split_rule_names(args.select),
+        ignore=_split_rule_names(args.ignore),
+        root=root,
+    )
 
     if args.out:
         out_path = Path(args.out)
@@ -1111,7 +979,11 @@ def _add_closed_loop_flags(parser: argparse.ArgumentParser) -> None:
                         help="hot-set size per bank")
     parser.add_argument("--write-fraction", type=float, default=0.0,
                         help="fraction of requests that are writes")
-    _add_sched_flags(parser)
+    parser.add_argument("--sched", default="frfcfs", metavar="KIND[:k=v,...]",
+                        help="scheduling policy and its parameters "
+                        "(default: frfcfs), e.g. 'fcfs', "
+                        "'slo:budget_ns=5000' or 'bw-cap:gbps=8,gbps2=0.1' "
+                        "(see `repro mc list-scheds`)")
     parser.add_argument("--row-policy", choices=list(ROW_POLICIES),
                         default="closed")
     parser.add_argument("--queue-depth", type=int, default=32,
@@ -1125,29 +997,46 @@ def _add_closed_loop_flags(parser: argparse.ArgumentParser) -> None:
     _add_obs_flags(parser)
 
 
+def _add_gate_flags(parser: argparse.ArgumentParser) -> None:
+    """``--check`` and ``--write-baselines`` of the sweep and report
+    commands: exclusive, since a regressed run that rewrote its own
+    baseline would pass."""
+    gate = parser.add_mutually_exclusive_group()
+    gate.add_argument("--check", action="store_true",
+                      help="compare every metric exactly against the "
+                      "committed baseline; exit 1 on any difference")
+    gate.add_argument("--write-baselines", action="store_true",
+                      help="write this run as the committed baseline "
+                      "(mutually exclusive with --check)")
+
+
+def _add_cache_flags(parser: argparse.ArgumentParser) -> None:
+    """The point-cache and progress flags of the sweep and report
+    commands."""
+    parser.add_argument("--cache-root", default=".repro-cache",
+                        metavar="DIR",
+                        help="root of the per-family point caches (each "
+                        "family's at DIR/<family>; default: .repro-cache)")
+    parser.add_argument("--no-cache", action="store_true",
+                        help="disable the per-point result caches")
+    parser.add_argument("--quiet", action="store_true",
+                        help="suppress per-point progress on stderr")
+
+
 def _add_sweep_flags(
-    parser: argparse.ArgumentParser,
-    family: SweepFamily,
-    preset_help: str,
+    parser: argparse.ArgumentParser, family: SweepFamily
 ) -> None:
     """The flags of a ``<family> sweep`` command.
 
     All five families expose identical orchestration/gating semantics
-    (jobs, seed, artifact output, baseline check/write, tolerances,
-    point cache, progress), with defaults drawn from the family's
-    registry entry — declared once so the commands cannot drift.
-    ``--write-baselines`` and ``--cache-root`` are the canonical
-    spellings shared with ``repro report``; ``--write-baseline`` and
-    ``--cache-dir`` remain as compatible aliases of the same
-    semantics.
+    (jobs, seed, artifact output, exact baseline check/write, point
+    cache, progress), with defaults drawn from the family's registry
+    entry — declared once so the commands cannot drift. Only the
+    override axes in :data:`_SWEEP_COMMANDS` differ.
     """
-    artifact_default = f"BENCH_{family.bench_prefix}_<preset>.json"
-    baseline_default = (
-        f"benchmarks/baselines/{family.baseline_prefix}<preset>.json"
-    )
     parser.set_defaults(func=_cmd_sweep, family=family, trefi=None,
                         workloads=None)
-    overrides = _SWEEP_COMMANDS[family.name][2]
+    overrides = _SWEEP_COMMANDS[family.name][1]
     if "--trefi" in overrides:
         parser.add_argument("--trefi", type=int, default=None,
                             help="override simulated tREFI intervals "
@@ -1155,40 +1044,21 @@ def _add_sweep_flags(
     if "--workloads" in overrides:
         parser.add_argument("--workloads", default=None,
                             help="comma-separated workload subset override")
-    parser.add_argument("preset", nargs="?", default=None, help=preset_help)
-    parser.add_argument(
-        "--list", "--list-presets", dest="list", action="store_true",
-        help=f"list available {family.name} presets and exit")
+    parser.add_argument("preset", nargs="?", default=None,
+                        help="preset name (see --list-presets)")
+    parser.add_argument("--list-presets", action="store_true",
+                        help=f"list the {family.name} presets and exit")
     _add_jobs_flag(parser, "worker processes")
     parser.add_argument("--seed", type=int, default=None,
                         help="override the sweep seed")
     parser.add_argument("--out", default=None,
-                        help=f"artifact path (default: {artifact_default})")
-    gate = parser.add_mutually_exclusive_group()
-    gate.add_argument("--check", action="store_true",
-                      help="diff against the committed baseline; "
-                      "exit 1 on regression")
-    gate.add_argument("--write-baselines", "--write-baseline",
-                      dest="write_baseline", action="store_true",
-                      help="write this run as the new baseline "
-                      "(mutually exclusive with --check)")
+                        help="artifact path (default: "
+                        f"BENCH_{family.name}_<preset>.json)")
+    _add_gate_flags(parser)
     parser.add_argument("--baseline", default=None,
-                        help=f"baseline path (default: {baseline_default})")
-    parser.add_argument("--rtol", type=float, default=DEFAULT_RTOL,
-                        help="relative metric tolerance for --check")
-    parser.add_argument("--atol", type=float, default=DEFAULT_ATOL,
-                        help="absolute metric tolerance for --check")
-    parser.add_argument("--cache-dir",
-                        default=str(family.default_cache_dir),
-                        help="per-point result cache directory")
-    parser.add_argument("--cache-root", default=None, metavar="DIR",
-                        help="root of the per-family point caches "
-                        f"(cache at DIR/{family.cache_subdir}; an "
-                        "explicit --cache-dir wins)")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="disable the per-point result cache")
-    parser.add_argument("--quiet", action="store_true",
-                        help="suppress per-point progress on stderr")
+                        help="baseline path (default: benchmarks/baselines/"
+                        f"{family.baseline_prefix}<preset>.json)")
+    _add_cache_flags(parser)
     parser.add_argument("--obs", action="store_true",
                         help="record run provenance (config hash, "
                         "backend, seed schedule, cache hit/miss "
@@ -1214,25 +1084,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     attack_run.add_argument("name", choices=sorted(ATTACK_KINDS.names()),
                             help="attack kind (see 'attack list')")
-    attack_run.add_argument("--threshold", type=int, default=None,
-                            help="Panopticon queueing threshold")
-    attack_run.add_argument("--ath", type=int, default=None,
-                            help="MOAT ALERT threshold")
-    attack_run.add_argument("--pool", type=int, default=None,
-                            help="Ratchet pool size")
-    attack_run.add_argument("--level", type=int, default=None,
-                            choices=LEGAL_ABO_LEVELS, help="ABO level")
-    attack_run.add_argument("--rate", type=int, default=None,
-                            help="feinting: tREFI per proactive mitigation")
-    attack_run.add_argument("--periods", type=int, default=None,
-                            help="feinting: mitigation periods to attack "
-                            "over (CLI default 256; the library default "
-                            "is a full window, 2048)")
-    attack_run.add_argument("--banks", type=int, default=None,
-                            help="TSA bank count")
     attack_run.add_argument("--set", action="append", metavar="NAME=VALUE",
                             help="set any registry parameter "
-                            "(repeatable; see 'attack list' for names)")
+                            "(repeatable; see 'attack list' for names "
+                            "and defaults; feinting's periods defaults "
+                            "to 256 here, the library's to a full "
+                            "window)")
     attack_run.add_argument("--subchannels", type=int, default=1, metavar="N",
                             help="sub-channels in the simulated channel "
                             "(open-loop patterns replicate across them; "
@@ -1372,31 +1229,13 @@ def build_parser() -> argparse.ArgumentParser:
         sub_parser.add_argument(
             "--md", default="BENCH_report.md",
             help="rendered markdown report path")
-        gate = sub_parser.add_mutually_exclusive_group()
-        gate.add_argument(
-            "--check", action="store_true",
-            help="gate every source artifact against its committed "
-            "baseline; exit 1 on drift")
-        gate.add_argument(
-            "--write-baselines", action="store_true",
-            help="write every source artifact as its committed "
-            "baseline (mutually exclusive with --check)")
+        _add_gate_flags(sub_parser)
         sub_parser.add_argument(
             "--baseline-root", default=None,
             help="root containing benchmarks/baselines/ for both "
             "--check and --write-baselines (default: CWD if it holds "
             "the baseline dir, else the repro checkout)")
-        sub_parser.add_argument("--rtol", type=float, default=DEFAULT_RTOL,
-                                help="relative metric tolerance for --check")
-        sub_parser.add_argument("--atol", type=float, default=DEFAULT_ATOL,
-                                help="absolute metric tolerance for --check")
-        sub_parser.add_argument(
-            "--cache-root", default=".repro-cache",
-            help="root of the per-family point caches")
-        sub_parser.add_argument("--no-cache", action="store_true",
-                                help="disable the per-point result caches")
-        sub_parser.add_argument("--quiet", action="store_true",
-                                help="suppress per-point progress on stderr")
+        _add_cache_flags(sub_parser)
     report_list = report_sub.add_parser(
         "list", help="list the registered paper figures/tables"
     )
@@ -1406,38 +1245,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     model = sub.add_parser(
         "model",
-        help="analytical model tables and sweeps (no simulation)",
+        help="analytic model tables as sweeps (no simulation)",
     )
-    model_sub = model.add_subparsers(dest="name", required=True)
-    for table_name, table_help in (
-        ("table2", "feinting T_RH bound per mitigation rate (Table 2)"),
-        ("safe-trh", "lowest safe TRH per ABO level"),
-        ("throughput", "attacker activation-throughput bounds"),
-    ):
-        model_table = model_sub.add_parser(table_name, help=table_help)
-        model_table.set_defaults(func=_cmd_model)
+    model_sub = model.add_subparsers(dest="action", required=True)
 
     # One loop builds every family's sweep command: the perf family's
     # is the top-level ``repro sweep``, the others sit under their own
-    # command next to its ``list-presets``.
+    # command.
     family_commands = {"attack": attack_sub, "mc": mc_sub,
                        "system": system_sub, "model": model_sub}
     for family in FAMILIES.values():
-        help_text = _SWEEP_COMMANDS[family.name][0]
         group = family_commands.get(family.name)
         if group is None:
-            family_sweep = sub.add_parser(family.name, help=help_text)
-            preset_help = "preset name (see --list-presets)"
+            family_sweep = sub.add_parser(family.name,
+                                          help=family.description)
         else:
-            family_sweep = group.add_parser("sweep", help=help_text)
-            preset_help = (
-                f"preset name (see `repro {family.name} list-presets`)"
-            )
-            group.add_parser(
-                "list-presets",
-                help=f"list the {family.name} sweep presets",
-            ).set_defaults(func=_cmd_list_presets, family=family)
-        _add_sweep_flags(family_sweep, family, preset_help)
+            family_sweep = group.add_parser("sweep",
+                                            help=family.description)
+        _add_sweep_flags(family_sweep, family)
 
     workloads = sub.add_parser("workloads", help="list Table 4 profiles")
     workloads.set_defaults(func=_cmd_workloads)
@@ -1531,6 +1356,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         except OSError:
             pass
         return 141
+    except (KeyError, ValueError, OSError) as exc:
+        # A bad name, value or path is a usage error: one line, exit 2,
+        # never a traceback. A KeyError's str() quotes its message.
+        if isinstance(exc, KeyError) and exc.args:
+            exc = exc.args[0]
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -30,8 +30,6 @@ from repro.report.figures import FIGURES, FigureSpec, SourceRef, figure
 from repro.report.tables import format_table
 from repro.sweep.artifacts import (
     BASELINE_DIR,
-    DEFAULT_ATOL,
-    DEFAULT_RTOL,
     git_revision,
     git_toplevel,
     utc_now,
@@ -136,7 +134,7 @@ def _run_source(ref: SourceRef, options: ReportOptions) -> Dict:
     result = run(
         _source_spec(ref, options),
         jobs=options.jobs,
-        cache_dir=options.cache_dir(family.cache_subdir),
+        cache_dir=options.cache_dir(ref.family),
         progress=options.progress,
     )
     return family.make_artifact(result)
@@ -181,10 +179,11 @@ def run_figure(
 def check_results(
     results: Iterable[FigureResult],
     baseline_root: Optional[Path] = None,
-    rtol: float = DEFAULT_RTOL,
-    atol: float = DEFAULT_ATOL,
+    rtol: float = 0.0,
+    atol: float = 0.0,
 ) -> List[FigureResult]:
-    """Gate every distinct source artifact against its baseline.
+    """Gate every distinct source artifact against its baseline
+    (exactly, unless given a tolerance).
 
     Each source preset is read and diffed exactly once per call, no
     matter how many figures reference it (mirroring how

@@ -32,10 +32,11 @@ artifact. A performance artifact looks like:
 ``diff_artifacts`` compares a fresh run against a committed baseline:
 every point of the run must exist in the baseline with an identical
 config hash (otherwise the comparison would be apples-to-oranges) and
-every recorded metric must match within tolerance. The simulator is
-fully deterministic, so the default tolerances are generous enough to
-survive benign floating-point reassociation yet far below any real
-behavioral regression.
+every recorded metric must equal its baseline value. The simulator is
+fully deterministic and its results are identical across the supported
+Python versions, so the comparison is exact: a difference in the last
+digit is a behavior change. ``rtol``/``atol`` (default 0) exist for
+callers that compare runs of different code on purpose.
 """
 
 from __future__ import annotations
@@ -49,9 +50,6 @@ from typing import Dict, List, Optional, Tuple
 
 #: Default relative location of committed baselines.
 BASELINE_DIR = Path("benchmarks") / "baselines"
-
-DEFAULT_RTOL = 0.05
-DEFAULT_ATOL = 1e-6
 
 
 def utc_now() -> str:
@@ -123,16 +121,18 @@ def load_artifact(path: Path, schema: str) -> Dict:
 def diff_artifacts(
     baseline: Dict,
     current: Dict,
-    rtol: float = DEFAULT_RTOL,
-    atol: float = DEFAULT_ATOL,
+    rtol: float = 0.0,
+    atol: float = 0.0,
     gated_metrics: Optional[Tuple[str, ...]] = None,
 ) -> List[str]:
     """Compare ``current`` against ``baseline``; returns problems.
 
     An empty list means the run matches the baseline. Problems are
     human-readable strings: missing points, config-hash drift, or
-    out-of-tolerance metrics. ``gated_metrics=None`` gates every metric
-    recorded in the baseline point.
+    metrics that differ from the baseline (by more than
+    ``atol + rtol * |baseline|``, both 0 by default).
+    ``gated_metrics=None`` gates every metric recorded in the baseline
+    point.
     """
     problems: List[str] = []
     base_points = baseline.get("points", {})
@@ -150,7 +150,7 @@ def diff_artifacts(
         if base is None:
             problems.append(
                 f"missing from baseline: {key} (baseline was written for a "
-                "different scale/grid; regenerate with --write-baseline)"
+                "different scale/grid; regenerate with --write-baselines)"
             )
             continue
         if base.get("config_hash") != point.get("config_hash"):
@@ -189,9 +189,11 @@ def diff_artifacts(
                 )
                 continue
             if abs(got - want) > atol + rtol * abs(want):
+                # Full precision: under the exact gate a last-digit
+                # difference must show in the message.
                 problems.append(
-                    f"metric regression: {key}: {metric} = {got:.6g} "
-                    f"(baseline {want:.6g}, rtol={rtol}, atol={atol})"
+                    f"metric regression: {key}: {metric} = {got!r} "
+                    f"(baseline {want!r}, rtol={rtol}, atol={atol})"
                 )
     return problems
 

@@ -25,38 +25,22 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.sweep.artifacts import (
     BASELINE_DIR,
-    DEFAULT_ATOL,
-    DEFAULT_RTOL,
     diff_artifacts,
     git_revision,
     git_toplevel,
     load_artifact,
     utc_now,
 )
-from repro.sweep.attack_runner import (
-    DEFAULT_ATTACK_CACHE_DIR,
-    run_attack_sweep,
-)
+from repro.sweep.attack_runner import run_attack_sweep
 from repro.sweep.attack_spec import ATTACK_PRESETS
 from repro.sweep.identity import lookup_preset
-from repro.sweep.mc_runner import DEFAULT_MC_CACHE_DIR, run_mc_sweep
+from repro.sweep.mc_runner import run_mc_sweep
 from repro.sweep.mc_spec import MC_PRESETS
-from repro.sweep.model_runner import (
-    DEFAULT_MODEL_CACHE_DIR,
-    run_model_sweep,
-)
+from repro.sweep.model_runner import run_model_sweep
 from repro.sweep.model_spec import MODEL_PRESETS
-from repro.sweep.runner import (
-    DEFAULT_CACHE_DIR,
-    PointResult,
-    SweepResult,
-    run_sweep,
-)
+from repro.sweep.runner import PointResult, SweepResult, run_sweep
 from repro.sweep.spec import PRESETS
-from repro.sweep.system_runner import (
-    DEFAULT_SYSTEM_CACHE_DIR,
-    run_system_sweep,
-)
+from repro.sweep.system_runner import run_system_sweep
 from repro.sweep.system_spec import SYSTEM_PRESETS
 
 
@@ -64,16 +48,17 @@ from repro.sweep.system_spec import SYSTEM_PRESETS
 class SweepFamily:
     """One sweep family's declarative surface.
 
+    What is spelled after the family's ``name`` is derived from it: the
+    artifact schema (:attr:`schema`) and, in the CLI, the artifact file
+    (``BENCH_<name>_<preset>.json``) and the point cache
+    (``<cache root>/<name>``).
+
     Attributes:
         name: Registry key and CLI command name.
-        schema: Artifact schema id (``"repro.<family>/v1"``).
         baseline_prefix: Committed-baseline filename prefix (the perf
             family predates prefixes and uses ``""``).
-        bench_prefix: Artifact filename infix
-            (``BENCH_<bench_prefix>_<preset>.json``; the perf family
-            predates the registry and spells it ``sweep``).
-        description: One-line summary (CLI help).
-        list_title: Title of the family's ``list-presets`` table.
+        description: One-line summary (the ``sweep`` command's help).
+        list_title: Title of the family's ``--list-presets`` table.
         presets: Named preset table (``name -> spec``).
         run: ``run(spec, jobs=, cache_dir=, progress=) -> SweepResult``.
         gated_metrics: Metrics the baseline gate compares; ``None``
@@ -81,22 +66,21 @@ class SweepFamily:
             system convention).
         aggregate: Cross-point summary of a run's point results (the
             artifact's ``aggregates`` block).
-        default_cache_dir: The runner's default point cache.
-        cache_subdir: Subdirectory under a ``--cache-root``.
     """
 
     name: str
-    schema: str
     baseline_prefix: str
-    bench_prefix: str
     description: str
     list_title: str
     presets: Mapping[str, Any]
     run: Callable[..., SweepResult]
     gated_metrics: Optional[Tuple[str, ...]]
     aggregate: Callable[[List[PointResult]], Dict[str, float]]
-    default_cache_dir: Path
-    cache_subdir: str
+
+    @property
+    def schema(self) -> str:
+        """Artifact schema id, ``repro.<name>/v1``."""
+        return f"repro.{self.name}/v1"
 
     def preset(self, name: str) -> Any:
         """Look up a preset by name with a helpful error."""
@@ -181,16 +165,17 @@ class SweepFamily:
         self,
         artifact: Dict[str, Any],
         baseline_path: Path,
-        rtol: float = DEFAULT_RTOL,
-        atol: float = DEFAULT_ATOL,
+        rtol: float = 0.0,
+        atol: float = 0.0,
     ) -> Tuple[bool, List[str]]:
         """Gate an artifact on a baseline file with this family's
-        schema and gated-metric set."""
+        schema and gated-metric set (exactly, unless given a
+        tolerance)."""
         path = Path(baseline_path)
         if not path.is_file():
             return False, [
                 f"baseline not found: {path} (generate one with "
-                "`repro sweep ... --write-baseline`)"
+                "`repro sweep ... --write-baselines`)"
             ]
         try:
             baseline = load_artifact(path, self.schema)
@@ -251,8 +236,6 @@ def _latency_aggregate(results: List[PointResult]) -> Dict[str, float]:
 
 PERF_FAMILY = SweepFamily(
     name="sweep",
-    bench_prefix="sweep",
-    schema="repro.sweep/v1",
     baseline_prefix="",
     description="Open-loop performance sweeps over the Table 4 "
     "workloads (slowdown, ALERT rate, mitigation volume)",
@@ -272,14 +255,10 @@ PERF_FAMILY = SweepFamily(
         "reactive_mitigations",
     ),
     aggregate=_perf_aggregate,
-    default_cache_dir=DEFAULT_CACHE_DIR,
-    cache_subdir="sweep",
 )
 
 ATTACK_FAMILY = SweepFamily(
     name="attack",
-    bench_prefix="attack",
-    schema="repro.attack/v1",
     baseline_prefix="attack_",
     description="Security sweeps over registered attack kinds "
     "(max danger, ALERTs, attack throughput)",
@@ -301,14 +280,10 @@ ATTACK_FAMILY = SweepFamily(
         "detail:survivors",
     ),
     aggregate=_attack_aggregate,
-    default_cache_dir=DEFAULT_ATTACK_CACHE_DIR,
-    cache_subdir="attack",
 )
 
 MODEL_FAMILY = SweepFamily(
     name="model",
-    bench_prefix="model",
-    schema="repro.model/v1",
     baseline_prefix="model_",
     description="Analytic model sweeps (closed-form tables: safe TRH, "
     "throughput bounds, mitigation rates)",
@@ -319,14 +294,10 @@ MODEL_FAMILY = SweepFamily(
     # stable, gateable quantity.
     gated_metrics=None,
     aggregate=lambda results: {"points": float(len(results))},
-    default_cache_dir=DEFAULT_MODEL_CACHE_DIR,
-    cache_subdir="model",
 )
 
 MC_FAMILY = SweepFamily(
     name="mc",
-    bench_prefix="mc",
-    schema="repro.mc/v1",
     baseline_prefix="mc_",
     description="Closed-loop memory-controller sweeps (read latency "
     "percentiles, bandwidth, queue occupancy)",
@@ -353,14 +324,10 @@ MC_FAMILY = SweepFamily(
         "total_acts",
     ),
     aggregate=_latency_aggregate,
-    default_cache_dir=DEFAULT_MC_CACHE_DIR,
-    cache_subdir="mc",
 )
 
 SYSTEM_FAMILY = SweepFamily(
     name="system",
-    bench_prefix="system",
-    schema="repro.system/v1",
     baseline_prefix="system_",
     description="Multi-client, multi-channel system scenarios "
     "(per-client latency tails, noisy-neighbor contrasts)",
@@ -371,8 +338,6 @@ SYSTEM_FAMILY = SweepFamily(
     # scenario, so the gate checks every metric the baseline recorded.
     gated_metrics=None,
     aggregate=_latency_aggregate,
-    default_cache_dir=DEFAULT_SYSTEM_CACHE_DIR,
-    cache_subdir="system",
 )
 
 #: All registered families, in introduction order.

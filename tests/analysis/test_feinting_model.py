@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from repro.analysis.feinting_model import (
     feinting_bound,
     feinting_bound_exact,
-    feinting_table,
     harmonic,
 )
 from repro.dram.timing import DramTiming
@@ -43,11 +42,6 @@ class TestTable2:
         exact = feinting_bound_exact(rate)
         closed = feinting_bound(rate)
         assert abs(exact - closed) / closed < 0.01
-
-    def test_table_helper(self):
-        table = feinting_table()
-        assert sorted(table) == [1, 2, 3, 4, 5]
-        assert table[4] == pytest.approx(2195, rel=0.01)
 
     def test_bound_monotone_in_rate(self):
         values = [feinting_bound(k) for k in range(1, 6)]

@@ -111,6 +111,15 @@ def test_live_state_shape():
     assert state["cli_choices"], "CLI choices walk found nothing"
 
 
+def test_preset_configs_reach_every_scheduler():
+    """No flag lists the scheduler kinds (``--sched`` takes free text),
+    so the rule finds them in the preset points' run configs."""
+    state = collect_state(REPO_ROOT)
+    schedulers = set(state["registries"]["sched"]["kinds"])
+    assert schedulers <= state["preset_kind_refs"]
+    assert not schedulers & state["cli_choices"]
+
+
 def test_live_repo_judges_clean():
     assert check(REPO_ROOT) == []
 

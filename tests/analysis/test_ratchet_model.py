@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from repro.analysis.ratchet_model import (
     RatchetModel,
     ratchet_safe_trh,
-    ratchet_sweep,
     usable_window_ns,
 )
 from repro.report.paper_values import TABLE7_SAFE_TRH
@@ -68,11 +67,6 @@ class TestTable7:
 
 
 class TestSweep:
-    def test_sweep_structure(self):
-        sweep = ratchet_sweep(ath_values=[32, 64], levels=[1, 4])
-        assert set(sweep) == {1, 4}
-        assert sweep[1][64] == 99
-
     @given(ath=st.integers(min_value=8, max_value=256))
     @settings(max_examples=40, deadline=None)
     def test_trh_strictly_above_ath(self, ath):

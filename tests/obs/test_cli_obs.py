@@ -97,7 +97,7 @@ def test_sweep_obs_records_provenance(tmp_path):
     out = tmp_path / "BENCH_mc.json"
     argv = ["mc", "sweep", "mc-smoke", "--trefi", "96", "--jobs", "1",
             "--quiet", "--out", str(out),
-            "--cache-dir", str(tmp_path / "cache"), "--obs"]
+            "--cache-root", str(tmp_path / "cache"), "--obs"]
     assert main(argv) == 0
     artifact = json.loads(out.read_text())
     provenance = artifact["provenance"]

@@ -69,8 +69,10 @@ class TestDiff:
         base = PERF_FAMILY.make_artifact(sweep_result, git_rev="x")
         cur = json.loads(json.dumps(base))
         for point in cur["points"].values():
-            point["metrics"]["slowdown"] *= 1.01  # inside default 5% rtol
-        assert diff_artifacts(base, cur) == []
+            point["metrics"]["slowdown"] *= 1.01
+        # A caller's tolerance absorbs the drift; the default is exact.
+        assert diff_artifacts(base, cur, rtol=0.05) == []
+        assert diff_artifacts(base, cur) != []
 
     def test_missing_point_detected(self, sweep_result):
         base = PERF_FAMILY.make_artifact(sweep_result, git_rev="x")

@@ -49,7 +49,6 @@ class TestRegistry:
             assert callable(family.run)
             assert callable(family.aggregate)
             assert family.list_title
-            assert family.cache_subdir
             assert family.description
 
     def test_preset_lookup_error_names_the_family(self):

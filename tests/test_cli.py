@@ -1,8 +1,22 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
+import argparse
+import re
+
 import pytest
 
 from repro.cli import build_parser, main
+
+
+def leaf_commands(parser, path=()):
+    """``(command, parser)`` of every leaf command under ``parser``."""
+    groups = [action for action in parser._actions
+              if isinstance(action, argparse._SubParsersAction)]
+    if not groups:
+        yield " ".join(path), parser
+    for group in groups:
+        for name, sub in group.choices.items():
+            yield from leaf_commands(sub, path + (name,))
 
 
 class TestParser:
@@ -15,6 +29,54 @@ class TestParser:
         assert args.name == "jailbreak"
         with pytest.raises(SystemExit):
             build_parser().parse_args(["attack", "run", "nonexistent"])
+
+    def test_one_spelling_per_flag_and_one_sweep_flag_set(self):
+        """Every option has one spelling, and the five family sweep
+        commands take the same flags apart from their override axes."""
+        leaves = dict(leaf_commands(build_parser()))
+        doubled = [
+            (command, action.option_strings)
+            for command, parser in leaves.items()
+            for action in parser._actions
+            if len(action.option_strings) > 1
+            and not isinstance(action, argparse._HelpAction)
+        ]
+        assert doubled == []
+        flag_sets = {
+            frozenset(
+                option for action in leaves[command]._actions
+                for option in action.option_strings
+            ) - {"--trefi", "--workloads"}
+            for command in ("sweep", "attack sweep", "model sweep",
+                            "mc sweep", "system sweep")
+        }
+        assert len(flag_sets) == 1
+
+
+class TestErrorPath:
+    """A bad name, value or path ends every command the same way: one
+    ``error:`` line on stderr and exit 2, never a traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ["perf", "roms", "--trefi", "0"],
+        ["perf", "roms", "--ath", "64", "--eth", "100", "--trefi", "8"],
+        ["perf", "bogus"],
+        ["perf", "--trace", "MISSING"],
+        ["perf", "--trace", "MALFORMED"],
+        ["trace", "synth", "bogus"],
+        ["trace", "info", "MISSING"],
+        ["trace", "info", "MALFORMED"],
+        ["mc", "run", "--trace", "MISSING", "--trefi", "4"],
+    ], ids=lambda argv: "-".join(argv).replace("--", ""))
+    def test_usage_error_is_one_line(self, argv, tmp_path, capsys):
+        malformed = tmp_path / "malformed.trace.jsonl"
+        malformed.write_text("not json\n")
+        paths = {"MISSING": str(tmp_path / "missing.trace.jsonl"),
+                 "MALFORMED": str(malformed)}
+        assert main([paths.get(arg, arg) for arg in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "Traceback" not in err
 
 
 class TestJobsFlag:
@@ -50,21 +112,34 @@ class TestJobsFlag:
 
 
 class TestModelCommands:
-    def test_table2(self, capsys):
-        assert main(["model", "table2"]) == 0
-        out = capsys.readouterr().out
-        assert "Feinting" in out
-        assert "2,198" in out or "2198" in out
+    """The analytic tables are model sweeps whose table prints each
+    point's metric values."""
 
-    def test_safe_trh(self, capsys):
-        assert main(["model", "safe-trh"]) == 0
-        out = capsys.readouterr().out
-        assert "99" in out
+    @staticmethod
+    def model_rows(preset, tmp_path, capsys):
+        """``{parameters: {metric: value}}`` of one model sweep table."""
+        assert main(["model", "sweep", preset, "--no-cache", "--quiet",
+                     "--out", str(tmp_path / "model.json")]) == 0
+        rows = {}
+        for line in capsys.readouterr().out.splitlines():
+            cells = re.split(r"\s{2,}", line.strip())
+            if len(cells) == 4 and "=" in cells[2]:
+                rows[cells[1]] = dict(
+                    item.split("=") for item in cells[2].split(", "))
+        return rows
 
-    def test_throughput(self, capsys):
-        assert main(["model", "throughput"]) == 0
-        out = capsys.readouterr().out
-        assert "2.8x" in out
+    def test_table2(self, tmp_path, capsys):
+        rows = self.model_rows("table2-bound", tmp_path, capsys)
+        assert round(float(rows["trefi_per_mitigation=4"]["bound"])) == 2198
+
+    def test_safe_trh(self, tmp_path, capsys):
+        rows = self.model_rows("fig15", tmp_path, capsys)
+        assert rows["ath=64, level=1"]["safe_trh"] == "99"
+
+    def test_throughput(self, tmp_path, capsys):
+        rows = self.model_rows("sec71", tmp_path, capsys)
+        slowdown = float(rows["level=1"]["continuous_alert_slowdown"])
+        assert round(slowdown, 1) == 2.8
 
 
 class TestWorkloadsCommand:

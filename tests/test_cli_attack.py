@@ -31,6 +31,19 @@ class TestAttackList:
         for kind in ATTACK_KINDS.names():
             assert kind in out
 
+    def test_lists_every_set_parameter(self, capsys):
+        """``--set`` is the only way to reach a registry parameter, so
+        the listing names each one, with its default when it has one."""
+        from repro.attacks.registry import ATTACK_KINDS
+
+        assert main(["attack", "list"]) == 0
+        out = capsys.readouterr().out
+        for kind in ATTACK_KINDS:
+            for name in kind.params:
+                assert name in out, (kind.name, name)
+        assert "pool_size=64" in out
+        assert "initial_counters, attack_row_counter, threshold=128" in out
+
 
 class TestAttackRun:
     def test_postponement(self, capsys):
@@ -39,12 +52,13 @@ class TestAttackRun:
         assert "329" in out
 
     def test_ratchet_small(self, capsys):
-        assert main(["attack", "run", "ratchet", "--pool", "8"]) == 0
+        assert main(["attack", "run", "ratchet", "--set", "pool_size=8"]) == 0
         out = capsys.readouterr().out
         assert "ACTs on attack row" in out
 
     def test_feinting_small(self, capsys):
-        assert main(["attack", "run", "feinting", "--periods", "32"]) == 0
+        assert main(["attack", "run", "feinting",
+                     "--set", "periods=32"]) == 0
         out = capsys.readouterr().out
         assert "feinting" in out
 
@@ -157,7 +171,7 @@ class TestAttackSweep:
         baseline = tmp_path / "baseline.json"
         out_path = tmp_path / "artifact.json"
         assert main(["attack", "sweep", "postponement", "--jobs", "1",
-                     "--quiet", "--no-cache", "--write-baseline",
+                     "--quiet", "--no-cache", "--write-baselines",
                      "--baseline", str(baseline),
                      "--out", str(out_path)]) == 0
         data = json.loads(baseline.read_text())

@@ -1,6 +1,7 @@
 """Tests for the ``repro mc`` command-line interface."""
 
 import json
+import re
 
 import pytest
 
@@ -13,7 +14,7 @@ SMOKE = ["--trefi", "96", "--jobs", "1", "--quiet"]
 def run_mc_sweep_cli(tmp_path, *extra, preset="mc-smoke"):
     out = tmp_path / "BENCH_mc.json"
     argv = ["mc", "sweep", preset, *SMOKE, "--out", str(out),
-            "--cache-dir", str(tmp_path / "cache"), *extra]
+            "--cache-root", str(tmp_path / "cache"), *extra]
     return main(argv), out
 
 
@@ -21,7 +22,7 @@ class TestParser:
     def test_run_defaults(self):
         args = build_parser().parse_args(["mc", "run"])
         assert args.policy == "moat"
-        assert args.scheduler == "frfcfs"
+        assert args.sched == "frfcfs"
         assert args.row_policy == "closed"
         assert args.queue_depth == 32
 
@@ -34,17 +35,18 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["mc"])
 
-    def test_bad_scheduler_rejected(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["mc", "run", "--scheduler", "lifo"])
+    def test_bad_scheduler_rejected(self, capsys):
+        assert main(["mc", "run", "--sched", "lifo"]) == 2
+        assert "unknown scheduler 'lifo'" in capsys.readouterr().err
 
 
 class TestListPresets:
     def test_lists_every_preset(self, capsys):
-        assert main(["mc", "list-presets"]) == 0
+        assert main(["mc", "sweep", "--list-presets"]) == 0
         out = capsys.readouterr().out
-        for name in MC_PRESETS:
-            assert name in out
+        for name, spec in MC_PRESETS.items():
+            assert re.search(rf"{re.escape(name)}\s+{len(spec.points())}\s",
+                             out), name
 
     def test_sweep_list_flag_matches(self, capsys):
         assert main(["mc", "sweep", "--list-presets"]) == 0
@@ -99,7 +101,7 @@ class TestRun:
         assert main(["trace", "synth", "mcf", "--trefi", "16",
                      "--out", str(trace)]) == 0
         assert main(["mc", "run", "--trace", str(trace),
-                     "--queue-depth", "0", "--scheduler", "fcfs"]) == 0
+                     "--queue-depth", "0", "--sched", "fcfs"]) == 0
         out = capsys.readouterr().out
         assert "mcf" in out and "read latency p99" in out
 
@@ -134,12 +136,11 @@ class TestSweep:
     def test_write_baseline_then_check_passes(self, tmp_path, capsys):
         baseline = tmp_path / "mc_mc-smoke.json"
         code, _ = run_mc_sweep_cli(
-            tmp_path, "--write-baseline", "--baseline", str(baseline)
+            tmp_path, "--write-baselines", "--baseline", str(baseline)
         )
         assert code == 0 and baseline.is_file()
         code, _ = run_mc_sweep_cli(
             tmp_path, "--check", "--baseline", str(baseline),
-            "--rtol", "0", "--atol", "0",
         )
         assert code == 0
         assert "baseline check passed" in capsys.readouterr().err
@@ -147,7 +148,7 @@ class TestSweep:
     def test_check_fails_on_drifted_baseline(self, tmp_path, capsys):
         baseline = tmp_path / "mc_mc-smoke.json"
         code, _ = run_mc_sweep_cli(
-            tmp_path, "--write-baseline", "--baseline", str(baseline)
+            tmp_path, "--write-baselines", "--baseline", str(baseline)
         )
         assert code == 0
         data = json.loads(baseline.read_text())
@@ -186,7 +187,8 @@ class TestScheds:
         assert "slo(budget_ns=5000)" in capsys.readouterr().out
 
     def test_sched_flag_overrides_scheduler_flag(self, capsys):
-        assert main(["mc", "run", "--scheduler", "fcfs",
+        # The last --sched wins.
+        assert main(["mc", "run", "--sched", "fcfs",
                      "--sched", "priority", "--trefi", "64",
                      "--banks", "2"]) == 0
         assert "priority" in capsys.readouterr().out

@@ -1,11 +1,16 @@
 """Tests for the ``repro sweep`` command-line interface."""
 
 import json
+import math
+import shutil
+from pathlib import Path
 
 import pytest
 
 from repro.cli import build_parser, main
 from repro.sweep.spec import PRESETS
+
+BASELINES = Path(__file__).resolve().parents[1] / "benchmarks" / "baselines"
 
 SMOKE = ["--trefi", "256", "--workloads", "tc,roms", "--jobs", "1", "--quiet"]
 
@@ -13,7 +18,7 @@ SMOKE = ["--trefi", "256", "--workloads", "tc,roms", "--jobs", "1", "--quiet"]
 def run_sweep_cli(tmp_path, *extra, preset="table5"):
     out = tmp_path / "BENCH_sweep.json"
     argv = ["sweep", preset, *SMOKE, "--out", str(out),
-            "--cache-dir", str(tmp_path / "cache"), *extra]
+            "--cache-root", str(tmp_path / "cache"), *extra]
     return main(argv), out
 
 
@@ -33,13 +38,13 @@ class TestParser:
         regressed run overwrite its own baseline and pass."""
         with pytest.raises(SystemExit):
             build_parser().parse_args(
-                ["sweep", "fig11", "--check", "--write-baseline"]
+                ["sweep", "fig11", "--check", "--write-baselines"]
             )
 
 
 class TestList:
     def test_lists_every_preset(self, capsys):
-        assert main(["sweep", "--list"]) == 0
+        assert main(["sweep", "--list-presets"]) == 0
         out = capsys.readouterr().out
         for name in PRESETS:
             assert name in out
@@ -85,7 +90,7 @@ class TestBaselineGate:
     def test_write_baseline_then_check_passes(self, tmp_path):
         baseline = tmp_path / "baseline.json"
         code, _ = run_sweep_cli(
-            tmp_path, "--baseline", str(baseline), "--write-baseline"
+            tmp_path, "--baseline", str(baseline), "--write-baselines"
         )
         assert code == 0 and baseline.is_file()
         code, _ = run_sweep_cli(tmp_path, "--baseline", str(baseline), "--check")
@@ -93,7 +98,8 @@ class TestBaselineGate:
 
     def test_check_fails_on_metric_regression(self, tmp_path, capsys):
         baseline = tmp_path / "baseline.json"
-        run_sweep_cli(tmp_path, "--baseline", str(baseline), "--write-baseline")
+        run_sweep_cli(tmp_path, "--baseline", str(baseline),
+                      "--write-baselines")
         data = json.loads(baseline.read_text())
         key = next(k for k in data["points"] if k.startswith("roms"))
         data["points"][key]["metrics"]["slowdown"] += 0.5
@@ -115,14 +121,32 @@ class TestBaselineGate:
     def test_check_fails_on_scale_mismatch(self, tmp_path, capsys):
         """A baseline written at one n_trefi rejects a run at another."""
         baseline = tmp_path / "baseline.json"
-        run_sweep_cli(tmp_path, "--baseline", str(baseline), "--write-baseline")
+        run_sweep_cli(tmp_path, "--baseline", str(baseline),
+                      "--write-baselines")
         out = tmp_path / "other.json"
         argv = ["sweep", "table5", "--trefi", "128", "--workloads", "tc,roms",
                 "--jobs", "1", "--quiet", "--out", str(out),
-                "--cache-dir", str(tmp_path / "cache"),
+                "--cache-root", str(tmp_path / "cache"),
                 "--baseline", str(baseline), "--check"]
         assert main(argv) == 1
         assert "missing from baseline" in capsys.readouterr().err
+
+    def test_gate_is_exact(self, tmp_path, capsys):
+        """The committed table1 baseline passes, and moving one of its
+        metrics by one ulp fails the gate."""
+        baseline = tmp_path / "model_table1.json"
+        shutil.copy(BASELINES / "model_table1.json", baseline)
+        argv = ["model", "sweep", "table1", "--no-cache", "--quiet",
+                "--check", "--baseline", str(baseline),
+                "--out", str(tmp_path / "out.json")]
+        assert main(argv) == 0
+        data = json.loads(baseline.read_text())
+        metrics = next(iter(data["points"].values()))["metrics"]
+        metrics["t_rc_ns"] = math.nextafter(metrics["t_rc_ns"], math.inf)
+        baseline.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert "metric regression" in capsys.readouterr().err
 
 
 class TestOverrides:

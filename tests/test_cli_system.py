@@ -2,6 +2,7 @@
 shared sweep-flag surface of the family-driven parsers."""
 
 import json
+import re
 
 import pytest
 
@@ -14,7 +15,7 @@ SMOKE = ["--trefi", "96", "--jobs", "1", "--quiet"]
 def run_system_sweep_cli(tmp_path, *extra, preset="system-smoke"):
     out = tmp_path / "BENCH_system.json"
     argv = ["system", "sweep", preset, *SMOKE, "--out", str(out),
-            "--cache-dir", str(tmp_path / "cache"), *extra]
+            "--cache-root", str(tmp_path / "cache"), *extra]
     return main(argv), out
 
 
@@ -47,10 +48,11 @@ class TestParser:
 
 class TestListPresets:
     def test_lists_every_preset(self, capsys):
-        assert main(["system", "list-presets"]) == 0
+        assert main(["system", "sweep", "--list-presets"]) == 0
         out = capsys.readouterr().out
-        for name in SYSTEM_PRESETS:
-            assert name in out
+        for name, spec in SYSTEM_PRESETS.items():
+            assert re.search(rf"{re.escape(name)}\s+{len(spec.points())}\s",
+                             out), name
 
     def test_sweep_list_flag_matches(self, capsys):
         assert main(["system", "sweep", "--list-presets"]) == 0
@@ -108,7 +110,6 @@ class TestSweep:
         assert code == 0 and baseline.is_file()
         code, _ = run_system_sweep_cli(
             tmp_path, "--check", "--baseline", str(baseline),
-            "--rtol", "0", "--atol", "0",
         )
         assert code == 0
         assert "baseline check passed" in capsys.readouterr().err
@@ -141,8 +142,8 @@ class TestSweep:
 
 
 class TestSharedFlagSurface:
-    """The common argparse parent: every family sweep accepts the same
-    spellings (canonical and legacy aliases)."""
+    """One flag set, one spelling each: every family sweep accepts the
+    same flags."""
 
     FAMILY_SWEEPS = (
         ["sweep", "table5"],
@@ -157,20 +158,13 @@ class TestSharedFlagSurface:
     def test_common_flags_parse_everywhere(self, argv):
         parser = build_parser()
         args = parser.parse_args(
-            argv + ["--check", "--rtol", "0", "--atol", "0",
-                    "--cache-root", "/tmp/x", "--quiet", "--jobs", "2"]
+            argv + ["--check", "--cache-root", "/tmp/x", "--quiet",
+                    "--jobs", "2"]
         )
         assert args.check and args.quiet
-        assert args.rtol == 0.0 and args.atol == 0.0
         assert args.cache_root == "/tmp/x"
-
-    @pytest.mark.parametrize("spelling",
-                             ["--write-baseline", "--write-baselines"])
-    @pytest.mark.parametrize("argv", FAMILY_SWEEPS,
-                             ids=lambda argv: argv[0])
-    def test_write_baseline_spellings_alias(self, argv, spelling):
-        args = build_parser().parse_args(argv + [spelling])
-        assert args.write_baseline
+        # The gate is exact: there is no tolerance to set.
+        assert not hasattr(args, "rtol") and not hasattr(args, "atol")
 
     @pytest.mark.parametrize("argv", FAMILY_SWEEPS,
                              ids=lambda argv: argv[0])
@@ -184,29 +178,15 @@ class TestSharedFlagSurface:
                              ids=lambda argv: argv[0])
     def test_list_presets_spellings(self, argv, capsys):
         family_argv = argv[:-1]  # drop the preset
-        assert main(family_argv + ["--list"]) == 0
         assert main(family_argv + ["--list-presets"]) == 0
         assert capsys.readouterr().out
 
     def test_cache_root_routes_per_family(self, tmp_path, capsys):
-        root = tmp_path / "root"
-        code, _ = run_system_sweep_cli(
-            tmp_path, "--cache-root", str(root),
-            "--cache-dir", ".repro-cache/system",  # the family default
-        )
+        assert build_parser().parse_args(
+            ["system", "sweep", "system-smoke"]).cache_root == ".repro-cache"
+        code, _ = run_system_sweep_cli(tmp_path)
         assert code == 0
-        assert (root / "system").is_dir()
-
-    def test_explicit_cache_dir_beats_cache_root(self, tmp_path):
-        root = tmp_path / "root"
-        explicit = tmp_path / "explicit"
-        code, _ = run_system_sweep_cli(
-            tmp_path, "--cache-root", str(root),
-            "--cache-dir", str(explicit),
-        )
-        assert code == 0
-        assert explicit.is_dir()
-        assert not (root / "system").exists()
+        assert (tmp_path / "cache" / "system").is_dir()
 
 
 class TestScheds:
