@@ -85,7 +85,6 @@ from repro.system import (
 from repro.trace import (
     ActivationTrace,
     AddressTrace,
-    TraceRecorder,
     load_trace,
     replay,
     replay_addresses,
@@ -148,7 +147,6 @@ __all__ = [
     "run_trace",
     "ActivationTrace",
     "AddressTrace",
-    "TraceRecorder",
     "load_trace",
     "replay",
     "replay_addresses",

@@ -36,7 +36,7 @@ Commands:
 * ``workloads`` — list the Table 4 profiles.
 * ``obs`` — observability traces: ``obs summarize`` prints the event
   counts / latency histograms / provenance of a recorded
-  ``repro.obs/v1`` trace (``mc run --trace-out`` / ``system run
+  ``repro.obs/v2`` trace (``mc run --trace-out`` / ``system run
   --trace-out``), ``obs export`` converts one to a pure
   Perfetto/Chrome trace-event JSON file.
 * ``lint`` — the repo's static-analysis rules.
@@ -435,7 +435,7 @@ def _add_obs_flags(parser: argparse.ArgumentParser) -> None:
     """Attach the shared tracing flags of ``mc run``/``system run``."""
     parser.add_argument(
         "--trace-out", default=None, metavar="PATH",
-        help="record the typed event trace and write a repro.obs/v1 "
+        help="record the typed event trace and write a repro.obs/v2 "
         "artifact to PATH (Perfetto-loadable; results are "
         "bit-identical with tracing on or off)")
     parser.add_argument(
@@ -859,7 +859,7 @@ def _cmd_workloads(_args: argparse.Namespace) -> int:
 
 
 def _cmd_obs(args: argparse.Namespace) -> int:
-    """Summarize or export a recorded ``repro.obs/v1`` trace."""
+    """Summarize or export a recorded ``repro.obs/v2`` trace."""
     artifact = load_obs_artifact(args.path)
     if args.action == "summarize":
         print(format_table(["field", "value"], summarize_obs(artifact),
@@ -1276,16 +1276,16 @@ def build_parser() -> argparse.ArgumentParser:
     obs_summarize = obs_sub.add_parser(
         "summarize",
         help="print event counts, latency histograms, and provenance "
-        "of a repro.obs/v1 trace",
+        "of a repro.obs/v2 trace",
     )
-    obs_summarize.add_argument("path", help="repro.obs/v1 artifact path")
+    obs_summarize.add_argument("path", help="repro.obs/v2 artifact path")
     obs_summarize.set_defaults(func=_cmd_obs)
     obs_export = obs_sub.add_parser(
         "export",
-        help="convert a repro.obs/v1 trace to a pure Perfetto/Chrome "
+        help="convert a repro.obs/v2 trace to a pure Perfetto/Chrome "
         "trace-event JSON file",
     )
-    obs_export.add_argument("path", help="repro.obs/v1 artifact path")
+    obs_export.add_argument("path", help="repro.obs/v2 artifact path")
     obs_export.add_argument("--out", default=None, metavar="PATH",
                             help="output path (default: "
                             "<path>.perfetto.json)")

@@ -74,7 +74,7 @@ from repro.mc.sched import (
     normalize_sched_params,
     validate_sched,
 )
-from repro.obs.recorder import NULL_RECORDER, record_batch_events
+from repro.obs.recorder import record_batch_events
 from repro.sim.channel import ChannelSim
 from repro.sim.engine import T_ISSUE_GAP
 
@@ -194,10 +194,6 @@ class MemoryController:
         #: Service time of a row-buffer hit (open page only).
         self._t_col = channel.timing.t_act
         self._t_cmd_gap = channel.config.t_cmd_gap_resolved
-        #: Observability sink (:mod:`repro.obs`). Queue events are
-        #: derived post hoc from the served batch, so recorder presence
-        #: never changes dispatch and never touches the serving loops.
-        self.recorder = NULL_RECORDER
 
     def serve_streams(
         self,
@@ -232,20 +228,30 @@ class MemoryController:
         plain sequence of requests is converted once, by the loop that
         serves it (:meth:`_client_streams`). The served path is
         recorded as :attr:`ServedBatch.path` and, with a recorder
-        attached, counted into ``recorder.meta["serve_paths"]``.
+        attached to the channel
+        (:meth:`~repro.sim.channel.ChannelSim.attach_recorder`),
+        counted into ``recorder.meta["serve_paths"]``.
         """
+        # Post-hoc event derivation: one linear pass over the batch
+        # when tracing is on, one attribute read when it is off. The
+        # dispatch below is recorder-blind by construction.
+        first = self.channel.subchannels[0]
+        recorder = first.recorder
+        since = len(recorder.events) if recorder.enabled else 0
         path = self._serve_path()
         if path == "soa":
             batch = self._serve_soa(streams, priorities)
         else:
             batch = self.run_streams_reference(streams, priorities)
         batch.path = path
-        # Post-hoc event derivation: one linear pass over the SoA batch
-        # when tracing is on, one attribute read when it is off. The
-        # dispatch above is recorder-blind by construction.
-        recorder = self.recorder
         if recorder.enabled:
-            record_batch_events(recorder, batch)
+            # The batch is the one record of the served ACTs: the SoA
+            # loop hands the engine only the ACTs next to engine events,
+            # so the engine's act events of this call give way to the
+            # ones derived from the batch.
+            events = recorder.events
+            events[since:] = [e for e in events[since:] if e.kind != "act"]
+            record_batch_events(recorder, batch, first._rec_sub)
             paths = recorder.meta.setdefault("serve_paths", {})
             paths[path] = paths.get(path, 0) + 1
         return batch

@@ -9,7 +9,7 @@ The package is a strictly optional layer over the simulators:
 * :class:`LogHistogram` / :func:`per_trefi_series` reduce an event
   stream into exactly-mergeable histograms and per-tREFI time series.
 * :func:`make_obs_artifact` serializes a recorded run as a
-  ``repro.obs/v1`` artifact; :func:`to_perfetto` exports the stream
+  ``repro.obs/v2`` artifact; :func:`to_perfetto` exports the stream
   for ``ui.perfetto.dev``.
 * :func:`run_provenance` assembles the identity block sweeps and
   benchmarks stamp into their artifacts.

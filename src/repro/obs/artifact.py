@@ -1,9 +1,11 @@
-"""The ``repro.obs/v1`` artifact: one recorded run, summarized.
+"""The ``repro.obs/v2`` artifact: one recorded run, summarized.
 
 Layout (JSON, written through the shared sweep artifact writer so the
 formatting matches every other ``BENCH_*`` file):
 
-* ``schema`` — ``"repro.obs/v1"``;
+* ``schema`` — ``"repro.obs/v2"`` (v1 recorded ACT bursts and
+  crossbar grants; v2 records one ``act`` per ACT and no ``grant``,
+  which only repeated ``queue-admit``);
 * ``meta`` — run identity (workload, policy, scheduler, n_trefi, ...);
 * ``counts`` — events per kind (every registered kind, zeros kept:
   an absent kind and an unrecorded kind must be distinguishable);
@@ -34,7 +36,7 @@ from repro.obs.provenance import run_provenance
 from repro.obs.recorder import TraceRecorder
 
 #: Schema id of the observability artifact.
-OBS_SCHEMA = "repro.obs/v1"
+OBS_SCHEMA = "repro.obs/v2"
 
 #: Histogram name -> (event kind, event field) derivations.
 _HISTOGRAMS = (
@@ -51,7 +53,7 @@ def make_obs_artifact(
     t_refi_ns: Optional[float] = None,
     provenance: Optional[Dict[str, object]] = None,
 ) -> Dict[str, object]:
-    """Serialize a recorded run into the ``repro.obs/v1`` schema.
+    """Serialize a recorded run into the ``repro.obs/v2`` schema.
 
     Args:
         recorder: The enabled recorder the run was traced with.
@@ -90,7 +92,7 @@ def make_obs_artifact(
 
 
 def load_obs_artifact(path) -> Dict[str, object]:
-    """Load and schema-check a ``repro.obs/v1`` artifact."""
+    """Load and schema-check a ``repro.obs/v2`` artifact."""
     from repro.sweep.artifacts import load_artifact
 
     return load_artifact(Path(path), OBS_SCHEMA)

@@ -1,9 +1,9 @@
 """Typed trace events with simulated-time stamps.
 
 One :class:`TraceEvent` records one thing the stack did at a simulated
-nanosecond — an ACT burst retiring on a bank, a REF occupying a
-sub-channel, an ALERT episode stalling it, a request moving through a
-controller queue, a crossbar grant. Events carry **sim time only**
+nanosecond — an ACT on a bank, a REF occupying a sub-channel, an ALERT
+episode stalling it, a request moving through a controller queue.
+Each fact is recorded once. Events carry **sim time only**
 (``ts_ns``/``dur_ns`` are engine-clock nanoseconds, never wall clock):
 a trace recorded twice from the same config is identical, so traces
 diff like results do.
@@ -13,17 +13,18 @@ The registered kinds:
 ==============  ====================================================
 kind            emitted by / meaning
 ==============  ====================================================
-``act-burst``   engine: a run of back-to-back ACTs to one bank
-                (``value`` = ACT count, ``ts_ns`` = last issue time)
+``act``         one ACT (``value`` = row): the engine's, or in the
+                closed loop one per served request that is not a
+                row hit, derived from the served batch
 ``ref``         engine: one REF occupying the sub-channel for tRFC
 ``alert``       engine: an ALERT assertion; ``dur_ns`` spans the ACT
                 window plus the RFM stall, ``value`` = ABO level
-``queue-admit`` controller: a request entered its per-bank queue
+``queue-admit`` controller: the crossbar admitted a request into its
+                per-bank queue
 ``queue-stall`` controller: front-end blocking before admission
                 (``dur_ns`` = arrival to admission)
 ``queue-issue`` controller: command issue; ``dur_ns`` = service time,
                 ``value`` = time spent queued (enqueue to issue)
-``grant``       crossbar: a client's request won admission
 ``complete``    controller: request done; ``value`` = total latency
 ==============  ====================================================
 """
@@ -35,13 +36,12 @@ from typing import List, Sequence, Tuple
 
 #: Registered event kinds, in display order (Perfetto track order).
 EVENT_KINDS: Tuple[str, ...] = (
-    "act-burst",
+    "act",
     "ref",
     "alert",
     "queue-admit",
     "queue-stall",
     "queue-issue",
-    "grant",
     "complete",
 )
 
@@ -57,7 +57,7 @@ class TraceEvent:
         sub: Global sub-channel index (channel * subchannels + local).
         bank: Bank index, or -1 when the event has no bank scope.
         client: Crossbar client index, or -1 outside the system layer.
-        value: Kind-specific payload (ACT count, ABO level, queue ns,
+        value: Kind-specific payload (row, ABO level, queue ns,
             latency ns — see the module docstring's table).
     """
 
@@ -70,7 +70,7 @@ class TraceEvent:
     value: float = 0.0
 
     def to_row(self) -> List[object]:
-        """Compact JSON row (the ``repro.obs/v1`` events encoding)."""
+        """Compact JSON row (the ``repro.obs/v2`` events encoding)."""
         return [self.kind, self.ts_ns, self.dur_ns, self.sub,
                 self.bank, self.client, self.value]
 

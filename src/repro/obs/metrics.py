@@ -158,7 +158,7 @@ def per_trefi_series(events: Iterable[TraceEvent], n_trefi: int,
     * ``alerts`` / ``refs`` — event counts per window;
     * ``alert_stall_ns`` — summed ALERT window+stall time, attributed
       to the assertion window;
-    * ``acts`` — summed ACT-burst sizes;
+    * ``acts`` — ACT count;
     * ``queue_stall_ns`` — summed front-end blocking time;
     * ``occupancy`` — Little's-law queued-request average per window
       (summed queued time over the window length, attributed to the
@@ -185,8 +185,8 @@ def per_trefi_series(events: Iterable[TraceEvent], n_trefi: int,
             alert_stall[window] += event.dur_ns
         elif kind == "ref":
             refs[window] += 1
-        elif kind == "act-burst":
-            acts[window] += event.value
+        elif kind == "act":
+            acts[window] += 1
         elif kind == "queue-stall":
             queue_stall[window] += event.dur_ns
         elif kind == "queue-issue":

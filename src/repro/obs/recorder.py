@@ -1,26 +1,26 @@
 """The trace recorder and its zero-overhead null object.
 
-Every instrumented component (engine, channel, controller, crossbar)
-holds a ``recorder`` attribute that defaults to :data:`NULL_RECORDER`,
-whose ``enabled`` is ``False``. Emission sites are guarded with ``if
-recorder.enabled:`` — on the disabled path that is one attribute read
-on *cold* code (REF execution, ALERT assertion, batch-level flushes,
-post-hoc passes over served batches), and nothing at all inside the
-struct-of-arrays hot loops, which are never instrumented. Attaching a
-recorder changes no dispatch decision anywhere (see
-:meth:`repro.mc.controller.MemoryController.serve_streams`): results
-with tracing enabled are bit-identical to results without.
+Each sub-channel engine holds a ``recorder`` attribute that defaults
+to :data:`NULL_RECORDER`, whose ``enabled`` is ``False``; a recorder is
+attached to a whole channel at once, through
+:meth:`repro.sim.channel.ChannelSim.attach_recorder`. Emission sites
+are guarded with ``if recorder.enabled:`` — on the disabled path that
+is one attribute read on *cold* code (a single ACT, a batch entering
+``activate_many``, REF execution, ALERT assertion), and nothing at all
+inside the struct-of-arrays hot loops: a traced ``activate_many``
+issues its ACTs one at a time instead, which the batch contract makes
+bit-identical. Results with tracing enabled are bit-identical to
+results without.
 
-Per-request queue/crossbar events are not emitted from the serving
-loops at all: they are *derived* after the fact from the
+The closed loop's per-request events and its ACTs are not emitted from
+the serving loops at all: they are *derived* after the fact from the
 :class:`~repro.mc.controller.ServedBatch` struct-of-arrays
-(:func:`record_batch_events`), so enabled-tracing overhead is one
-linear pass per served stream, and disabled-tracing overhead is one
-``enabled`` check per stream.
+(:func:`record_batch_events`), one linear pass per served batch.
 """
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Dict, List, Optional
 
 from repro.obs.events import EVENT_KINDS, TraceEvent
@@ -30,9 +30,9 @@ class NullRecorder:
     """The disabled recorder: never collects, never allocates.
 
     ``enabled`` is a class attribute so the guard is a plain attribute
-    read; :meth:`emit` exists only so an unguarded call site would fail
-    loudly in tests rather than silently diverge (guarded sites never
-    call it).
+    read. :meth:`emit` is a silent no-op, so an unguarded call site
+    stays correct and only pays for the call; guarded sites never make
+    it.
     """
 
     __slots__ = ()
@@ -52,10 +52,8 @@ NULL_RECORDER = NullRecorder()
 class TraceRecorder:
     """Collects typed, sim-time-stamped events from an enabled run.
 
-    Distinct from :class:`repro.trace.TraceRecorder` (the
-    activation-address trace wrapper): this one records the
-    observability event stream. It is deliberately not re-exported at
-    the ``repro`` top level — spell it ``repro.obs.TraceRecorder``.
+    The one recorder: its ``act`` events are also the source of an
+    activation trace (:meth:`repro.trace.ActivationTrace.from_recorder`).
 
     Args:
         meta: Free-form run identity recorded into the artifact
@@ -99,15 +97,17 @@ class TraceRecorder:
 
 
 def record_batch_events(recorder: TraceRecorder, batch,
-                        sub_base: int = 0) -> None:
-    """Derive per-request queue events from a served batch, post hoc.
+                        sub_base: int) -> None:
+    """Derive a served batch's events, post hoc.
 
     ``batch`` is a :class:`~repro.mc.controller.ServedBatch` (duck
     typed: ``column``/``clients``/``ridx``/``enqueue_ns``/``start_ns``/
-    ``complete_ns``), read in completion order from its arrays and
-    the served streams' columns. Emits, per completion:
-    ``queue-stall`` (only when admission was delayed past arrival),
-    ``queue-admit``, ``queue-issue`` (``value`` = queued time), and
+    ``complete_ns``/``row_hit``), read in completion order from its
+    arrays and the served streams' columns; ``sub_base`` is the global
+    index of the serving channel's first sub-channel. Emits, per
+    completion: ``queue-stall`` (only when admission was delayed past
+    arrival), ``queue-admit``, ``queue-issue`` (``value`` = queued
+    time), ``act`` unless the request hit an open row, and
     ``complete`` (``value`` = end-to-end latency) — everything the
     serving loops know, recovered with zero cost inside them.
     """
@@ -115,9 +115,11 @@ def record_batch_events(recorder: TraceRecorder, batch,
     issues = batch.column("issue_ns")
     subs = batch.column("subchannel")
     banks = batch.column("bank")
+    rows = batch.column("row")
     owner = batch.clients()
-    for r, enq, start, complete in zip(
+    for r, enq, start, complete, hit in zip(
         batch.ridx, batch.enqueue_ns, batch.start_ns, batch.complete_ns,
+        batch.row_hit or repeat(False),
     ):
         issue = issues[r]
         sub = sub_base + subs[r]
@@ -129,5 +131,7 @@ def record_batch_events(recorder: TraceRecorder, batch,
         emit("queue-admit", enq, sub=sub, bank=bank, client=client)
         emit("queue-issue", start, complete - start, sub=sub,
              bank=bank, client=client, value=start - enq)
+        if not hit:
+            emit("act", start, sub=sub, bank=bank, value=rows[r])
         emit("complete", complete, sub=sub, bank=bank,
              client=client, value=complete - issue)

@@ -122,7 +122,12 @@ class ChannelSim:
         self._cmd_free = 0.0
 
     def attach_recorder(self, recorder, base: int = 0) -> None:
-        """Point every sub-channel at an observability recorder.
+        """Attach an observability recorder to the whole channel.
+
+        The one attach point: every sub-channel's engine emits into
+        the recorder, and a :class:`~repro.mc.controller.
+        MemoryController` serving this channel derives its served
+        batches' events into it, with the same sub-channel numbering.
 
         Args:
             recorder: A :class:`repro.obs.TraceRecorder` (or the null

@@ -157,7 +157,8 @@ class SubchannelSim:
         self.mitigation_listeners: List[MitigationListener] = []
         #: Observability sink (:mod:`repro.obs`). The null default keeps
         #: every emission guard a single attribute read on cold code;
-        #: the SoA hot loops above are never instrumented at all.
+        #: the flat inner loop of :meth:`activate_many` has no emission
+        #: site (a traced batch bypasses it).
         self.recorder = NULL_RECORDER
         #: Global sub-channel index stamped into emitted events.
         self._rec_sub = 0
@@ -209,9 +210,13 @@ class SubchannelSim:
 
         # ALERT asserts during the precharge of the triggering ACT.
         self._maybe_assert_alert(complete)
+        # The one ACT emission site: a traced activate_many takes the
+        # per-ACT branch. The closed loop, whose struct-of-arrays loop
+        # bypasses the engine, records its ACTs from the served batch
+        # (repro.obs.record_batch_events).
         if self.recorder.enabled:
-            self.recorder.emit("act-burst", start, sub=self._rec_sub,
-                               bank=bank, value=1.0)
+            self.recorder.emit("act", start, sub=self._rec_sub,
+                               bank=bank, value=row)
         return ActResult(time=start, count=effective, alert_pending=self.abo.alert_pending)
 
     def activate_many(
@@ -222,17 +227,18 @@ class SubchannelSim:
         Semantically identical to calling :meth:`activate` once per row
         (same event interleaving, same policy observations, same
         statistics) minus the per-ACT :class:`ActResult`. When danger
-        tracking is off, runs spans between scheduled events (REF
-        boundaries, external services, ALERT episodes) through a
-        flat-array inner loop that skips the per-ACT method-call chain;
-        any ACT that may interact with an event falls back to
-        :meth:`activate`.
+        tracking is off and no recorder is attached, runs spans between
+        scheduled events (REF boundaries, external services, ALERT
+        episodes) through a flat-array inner loop that skips the
+        per-ACT method-call chain; any ACT that may interact with an
+        event falls back to :meth:`activate`. A traced batch issues
+        every ACT through :meth:`activate`, its one emission site.
         """
         if not rows:
             return None
         last_start: Optional[float] = None
         bank_obj = self.banks[bank]
-        if bank_obj.track_danger:
+        if bank_obj.track_danger or self.recorder.enabled:
             for row in rows:
                 last_start = self.activate(row, bank, not_before).time
             return last_start
@@ -293,9 +299,6 @@ class SubchannelSim:
             if acts:
                 self.total_acts += acts
                 abo.note_activations(acts)
-                if self.recorder.enabled:
-                    self.recorder.emit("act-burst", now, sub=self._rec_sub,
-                                       bank=bank, value=float(acts))
             if alerting:
                 policy.alert_requested = False
                 abo.request_alert()

@@ -186,14 +186,15 @@ def serve_closed_loop(
 ) -> ServedBatch:
     """Serve client streams on ``channel`` through a fresh controller
     (every closed-loop run's serve path) configured by ``config``
-    itself. A recorder receives the events of the controller and of
-    the sub-channels, numbered from ``sub_base``; results are
-    bit-identical either way."""
-    controller = MemoryController(channel, config)
+    itself. A recorder is attached to the channel, its sub-channels
+    numbered from ``sub_base``, and receives the events of the
+    sub-channels and of the served batch; results are bit-identical
+    either way."""
     if recorder is not None:
         channel.attach_recorder(recorder, base=sub_base)
-        controller.recorder = recorder
-    return controller.serve_streams(streams, priorities)
+    return MemoryController(channel, config).serve_streams(
+        streams, priorities
+    )
 
 
 @dataclass
@@ -422,7 +423,7 @@ def run_mc_requests(
         workload_name: Label recorded in the result.
         channel: Pre-built channel (default: :func:`build_mc_channel`).
         recorder: Optional :class:`repro.obs.TraceRecorder` attached to
-            the channel's sub-channels and the controller.
+            the channel.
         trace: The :class:`~repro.trace.AddressTrace` the stream was
             decoded from, if any: its duration replaces the
             ``n_trefi`` horizon, and its window the ``n_trefi`` the

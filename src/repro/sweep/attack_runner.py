@@ -19,10 +19,6 @@ from repro.sweep.runner import (
     wall_timer,
 )
 
-#: Default on-disk cache location (sibling of the perf sweep cache).
-DEFAULT_ATTACK_CACHE_DIR = Path(".repro-cache") / "attack"
-
-
 def execute_attack_point(point: AttackSweepPoint) -> PointResult:
     """Run one attack point in the current process (worker entry)."""
     started = wall_timer()
@@ -45,7 +41,7 @@ def execute_attack_point(point: AttackSweepPoint) -> PointResult:
 def run_attack_sweep(
     spec: AttackSweepSpec,
     jobs: int = 1,
-    cache_dir: Optional[Path] = DEFAULT_ATTACK_CACHE_DIR,
+    cache_dir: Optional[Path] = None,
     progress: Optional[ProgressFn] = None,
 ) -> SweepResult:
     """Execute every point of an attack ``spec`` (see ``run_grid``)."""

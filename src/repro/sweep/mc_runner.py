@@ -21,10 +21,6 @@ from repro.sweep.runner import (
     wall_timer,
 )
 
-#: Default on-disk cache location (sibling of the other family caches).
-DEFAULT_MC_CACHE_DIR = Path(".repro-cache") / "mc"
-
-
 def execute_mc_point(point: McSweepPoint) -> PointResult:
     """Run one mc point in the current process (worker entry)."""
     started = wall_timer()
@@ -53,7 +49,7 @@ def execute_mc_point(point: McSweepPoint) -> PointResult:
 def run_mc_sweep(
     spec: McSweepSpec,
     jobs: int = 1,
-    cache_dir: Optional[Path] = DEFAULT_MC_CACHE_DIR,
+    cache_dir: Optional[Path] = None,
     progress: Optional[ProgressFn] = None,
 ) -> SweepResult:
     """Execute every point of an mc ``spec`` (see ``run_grid``)."""

@@ -21,10 +21,6 @@ from repro.sweep.runner import (
     wall_timer,
 )
 
-#: Default on-disk cache location (sibling of the other sweep caches).
-DEFAULT_MODEL_CACHE_DIR = Path(".repro-cache") / "model"
-
-
 def execute_model_point(point: ModelSweepPoint) -> PointResult:
     """Evaluate one model point in the current process (worker entry)."""
     started = wall_timer()
@@ -44,7 +40,7 @@ def execute_model_point(point: ModelSweepPoint) -> PointResult:
 def run_model_sweep(
     spec: ModelSweepSpec,
     jobs: int = 1,
-    cache_dir: Optional[Path] = DEFAULT_MODEL_CACHE_DIR,
+    cache_dir: Optional[Path] = None,
     progress: Optional[ProgressFn] = None,
 ) -> SweepResult:
     """Evaluate every point of a model ``spec`` (see ``run_grid``)."""

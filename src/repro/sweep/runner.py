@@ -39,9 +39,6 @@ from repro.sim.perf import run_workload
 from repro.sweep.spec import SweepPoint, SweepSpec
 from repro.workloads.profiles import profile_by_name
 
-#: Default on-disk cache location (relative to the working directory).
-DEFAULT_CACHE_DIR = Path(".repro-cache") / "sweep"
-
 #: Package sources that never run inside a point; every other ``.py``
 #: file of the package (a new simulation module included) is covered
 #: by :func:`source_fingerprint`.
@@ -364,7 +361,7 @@ def run_grid(
 def run_sweep(
     spec: SweepSpec,
     jobs: int = 1,
-    cache_dir: Optional[Path] = DEFAULT_CACHE_DIR,
+    cache_dir: Optional[Path] = None,
     progress: Optional[ProgressFn] = None,
 ) -> SweepResult:
     """Execute every point of a perf ``spec`` (see :func:`run_grid`)."""

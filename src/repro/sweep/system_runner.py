@@ -29,10 +29,6 @@ from repro.sweep.runner import (
     wall_timer,
 )
 
-#: Default on-disk cache location (sibling of the other family caches).
-DEFAULT_SYSTEM_CACHE_DIR = Path(".repro-cache") / "system"
-
-
 def execute_system_point(point: SystemSweepPoint) -> PointResult:
     """Run one system scenario in the current process (worker entry).
 
@@ -65,7 +61,7 @@ def execute_system_point(point: SystemSweepPoint) -> PointResult:
 def run_system_sweep(
     spec: SystemSweepSpec,
     jobs: int = 1,
-    cache_dir: Optional[Path] = DEFAULT_SYSTEM_CACHE_DIR,
+    cache_dir: Optional[Path] = None,
     progress: Optional[ProgressFn] = None,
 ) -> SweepResult:
     """Execute every scenario of a system ``spec`` (see ``run_grid``)."""

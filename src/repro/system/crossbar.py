@@ -217,23 +217,3 @@ def client_requests(
         client=index,
     )
 
-
-def record_crossbar_grants(recorder, batch, sub_base: int = 0) -> None:
-    """Derive ``grant`` events from a shard's served batch, post hoc.
-
-    One event per admission, stamped at the grant instant (the
-    request's enqueue time) with the winning client — the arbitration
-    outcomes of :meth:`repro.mc.controller.MemoryController.
-    serve_streams` recovered without touching its grant loop. ``batch``
-    is a :class:`~repro.mc.controller.ServedBatch`, read in completion
-    order from its arrays and the served streams' columns. ``sub_base``
-    offsets the sub-channel index for multi-channel merges (see
-    :meth:`repro.sim.channel.ChannelSim.attach_recorder`).
-    """
-    emit = recorder.emit
-    subs = batch.column("subchannel")
-    banks = batch.column("bank")
-    owner = batch.clients()
-    for r, enqueue in zip(batch.ridx, batch.enqueue_ns):
-        emit("grant", enqueue, sub=sub_base + subs[r], bank=banks[r],
-             client=owner[r])

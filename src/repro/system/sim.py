@@ -59,7 +59,7 @@ from repro.sweep.identity import (
     canonical, point_hash, strip_neutral, workload_payload,
 )
 from repro.sweep.runner import wall_timer
-from repro.system.crossbar import ClientSpec, client_requests, record_crossbar_grants
+from repro.system.crossbar import ClientSpec, client_requests
 from repro.workloads.requests import McWorkload
 
 #: Additive axes mapped to their neutral value (see
@@ -211,14 +211,11 @@ def execute_system_shard(shard: ChannelShard, recorder=None) -> ShardResult:
         for index, client in enumerate(config.clients)
     ]
     channel = build_mc_channel(config)
-    sub_base = shard.channel * config.subchannels
     batch = serve_closed_loop(
         channel, config, streams,
         [client.priority for client in config.clients],
-        recorder=recorder, sub_base=sub_base,
+        recorder=recorder, sub_base=shard.channel * config.subchannels,
     )
-    if recorder is not None:
-        record_crossbar_grants(recorder, batch, sub_base=sub_base)
     horizon = config.n_trefi * config.timing.t_refi
     per_client = client_shard_stats(
         batch, len(config.clients),

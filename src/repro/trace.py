@@ -1,4 +1,4 @@
-"""Activation- and address-trace recording and replay.
+"""Activation- and address-trace files, and their replay.
 
 Traces let you capture the exact memory stream an attack or workload
 produced, persist it as JSON-lines, and replay it against a different
@@ -21,6 +21,17 @@ hierarchy:
   into the same :class:`~repro.sim.perf.PerfResult` metrics a
   synthetic workload run produces.
 
+Recording is the job of the one recorder, :class:`repro.obs.
+TraceRecorder`: attach it to the channel (:meth:`~repro.sim.channel.
+ChannelSim.attach_recorder`; a bare engine takes it as its
+``recorder`` attribute), drive the run, and project one sub-channel's
+``act`` events into an activation trace::
+
+    recorder = TraceRecorder(meta={"attack": "jailbreak"})
+    channel.attach_recorder(recorder)
+    ...  # drive the channel through activate / activate_many
+    ActivationTrace.from_recorder(recorder).save("jailbreak.trace.jsonl")
+
 Both kinds share the JSON-lines container: a header line carrying the
 format version, kind, and free-form metadata, then one event per line.
 :func:`load_trace` sniffs the header and returns the right class.
@@ -31,7 +42,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import Callable, Dict, Iterable, Iterator, List, Tuple, Union
 
 from repro.sim.channel import ChannelSim
 from repro.sim.engine import SubchannelSim
@@ -39,6 +50,45 @@ from repro.sim.engine import SubchannelSim
 _HEADER_KEY = "repro-trace"
 _FORMAT_VERSION = 1
 _ADDRESS_FORMAT_VERSION = 2
+
+
+def _write(path: str | Path, header: Dict[str, object],
+           records: Iterable[Dict[str, object]]) -> None:
+    """Write the container: the header line, then one record a line."""
+    with Path(path).open("w") as handle:
+        handle.write(json.dumps(header) + "\n")
+        for record in records:
+            handle.write(json.dumps(record) + "\n")
+
+
+def _read_header(handle, path: Path) -> Dict[str, object]:
+    """The header of an open trace file; raises :class:`ValueError` on
+    an empty file or one that is not a trace."""
+    line = handle.readline()
+    if not line:
+        raise ValueError(f"{path}: empty trace file")
+    header = json.loads(line)
+    if _HEADER_KEY not in header:
+        raise ValueError(f"{path}: not a repro trace file")
+    return header
+
+
+def _read(
+    path: str | Path, version: int, kind: str,
+    event: Callable[[Dict[str, object]], tuple],
+) -> Tuple[List[tuple], Dict[str, object]]:
+    """The events (each record converted by ``event``) and metadata of
+    a trace file, which must be of format ``version``."""
+    path = Path(path)
+    with path.open() as handle:
+        found = _read_header(handle, path)
+        if found[_HEADER_KEY] != version:
+            raise ValueError(
+                f"{path}: not {kind} trace (format {found[_HEADER_KEY]}); "
+                "use load_trace() to dispatch on the trace kind"
+            )
+        events = [event(json.loads(line)) for line in handle]
+    return events, found.get("metadata", {})
 
 
 @dataclass
@@ -52,6 +102,20 @@ class ActivationTrace:
 
     events: List[Tuple[float, int, int]] = field(default_factory=list)
     metadata: Dict[str, object] = field(default_factory=dict)
+
+    @classmethod
+    def from_recorder(cls, recorder, subchannel: int = 0) -> "ActivationTrace":
+        """The ``act`` events one sub-channel emitted into ``recorder``
+        (a :class:`repro.obs.TraceRecorder`), in issue order, with the
+        recorder's meta as the trace metadata."""
+        return cls(
+            events=[
+                (event.ts_ns, event.bank, int(event.value))
+                for event in recorder.events
+                if event.kind == "act" and event.sub == subchannel
+            ],
+            metadata=dict(recorder.meta),
+        )
 
     def __len__(self) -> int:
         return len(self.events)
@@ -79,39 +143,22 @@ class ActivationTrace:
 
     def save(self, path: str | Path) -> None:
         """Write the trace as JSON-lines with a header record."""
-        path = Path(path)
-        with path.open("w") as handle:
-            header = {
-                _HEADER_KEY: _FORMAT_VERSION,
-                "events": len(self.events),
-                "metadata": self.metadata,
-            }
-            handle.write(json.dumps(header) + "\n")
-            for time, bank, row in self.events:
-                handle.write(json.dumps({"t": time, "b": bank, "r": row}) + "\n")
+        _write(
+            path,
+            {_HEADER_KEY: _FORMAT_VERSION, "events": len(self.events),
+             "metadata": self.metadata},
+            ({"t": time, "b": bank, "r": row}
+             for time, bank, row in self.events),
+        )
 
     @classmethod
     def load(cls, path: str | Path) -> "ActivationTrace":
         """Read a trace written by :meth:`save`."""
-        path = Path(path)
-        with path.open() as handle:
-            header_line = handle.readline()
-            if not header_line:
-                raise ValueError(f"{path}: empty trace file")
-            header = json.loads(header_line)
-            if _HEADER_KEY not in header:
-                raise ValueError(f"{path}: not a repro trace file")
-            if header[_HEADER_KEY] != _FORMAT_VERSION:
-                raise ValueError(
-                    f"{path}: not an activation trace (format "
-                    f"{header[_HEADER_KEY]}); use load_trace() to "
-                    "dispatch on the trace kind"
-                )
-            events = []
-            for line in handle:
-                record = json.loads(line)
-                events.append((float(record["t"]), int(record["b"]), int(record["r"])))
-        return cls(events=events, metadata=header.get("metadata", {}))
+        events, metadata = _read(
+            path, _FORMAT_VERSION, "an activation",
+            lambda r: (float(r["t"]), int(r["b"]), int(r["r"])),
+        )
+        return cls(events=events, metadata=metadata)
 
 
 @dataclass
@@ -153,94 +200,33 @@ class AddressTrace:
 
     def save(self, path: str | Path) -> None:
         """Write the trace as JSON-lines with a v2 header record."""
-        path = Path(path)
-        with path.open("w") as handle:
-            header = {
-                _HEADER_KEY: _ADDRESS_FORMAT_VERSION,
-                "kind": "address",
-                "events": len(self.events),
-                "metadata": self.metadata,
-            }
-            handle.write(json.dumps(header) + "\n")
-            for time, addr in self.events:
-                handle.write(json.dumps({"t": time, "a": addr}) + "\n")
+        _write(
+            path,
+            {_HEADER_KEY: _ADDRESS_FORMAT_VERSION, "kind": "address",
+             "events": len(self.events), "metadata": self.metadata},
+            ({"t": time, "a": addr} for time, addr in self.events),
+        )
 
     @classmethod
     def load(cls, path: str | Path) -> "AddressTrace":
         """Read a trace written by :meth:`save`."""
-        path = Path(path)
-        with path.open() as handle:
-            header_line = handle.readline()
-            if not header_line:
-                raise ValueError(f"{path}: empty trace file")
-            header = json.loads(header_line)
-            if _HEADER_KEY not in header:
-                raise ValueError(f"{path}: not a repro trace file")
-            if header[_HEADER_KEY] != _ADDRESS_FORMAT_VERSION:
-                raise ValueError(
-                    f"{path}: not an address trace (format "
-                    f"{header[_HEADER_KEY]}); use load_trace() to "
-                    "dispatch on the trace kind"
-                )
-            events = []
-            for line in handle:
-                record = json.loads(line)
-                events.append((float(record["t"]), int(record["a"])))
-        return cls(events=events, metadata=header.get("metadata", {}))
+        events, metadata = _read(
+            path, _ADDRESS_FORMAT_VERSION, "an address",
+            lambda r: (float(r["t"]), int(r["a"])),
+        )
+        return cls(events=events, metadata=metadata)
 
 
 def load_trace(path: str | Path) -> Union[ActivationTrace, AddressTrace]:
     """Load either trace kind, dispatching on the header version."""
     path = Path(path)
     with path.open() as handle:
-        header_line = handle.readline()
-    if not header_line:
-        raise ValueError(f"{path}: empty trace file")
-    header = json.loads(header_line)
-    version = header.get(_HEADER_KEY)
+        version = _read_header(handle, path)[_HEADER_KEY]
     if version == _FORMAT_VERSION:
         return ActivationTrace.load(path)
     if version == _ADDRESS_FORMAT_VERSION:
         return AddressTrace.load(path)
-    raise ValueError(f"{path}: not a repro trace file (header {header!r})")
-
-
-class TraceRecorder:
-    """Attach to a :class:`SubchannelSim` to capture its activations.
-
-    Wraps ``sim.activate`` transparently and, while attached, routes
-    ``sim.activate_many`` through the wrapper one ACT at a time (the
-    batch contract makes that bit-identical), so every ACT is recorded
-    whichever entry point issued it; detach with :meth:`stop`.
-    """
-
-    def __init__(self, sim: SubchannelSim, metadata: Optional[Dict[str, object]] = None):
-        self.trace = ActivationTrace(metadata=dict(metadata or {}))
-        self._sim = sim
-        self._original = sim.activate
-        self._original_many = sim.activate_many
-
-        def recording_activate(row: int, bank: int = 0, not_before: float = 0.0):
-            result = self._original(row, bank, not_before)
-            self.trace.events.append((result.time, bank, row))
-            return result
-
-        def recording_activate_many(
-            rows: List[int], bank: int = 0, not_before: float = 0.0
-        ) -> Optional[float]:
-            last = None
-            for row in rows:
-                last = recording_activate(row, bank, not_before).time
-            return last
-
-        sim.activate = recording_activate  # type: ignore[method-assign]
-        sim.activate_many = recording_activate_many  # type: ignore[method-assign]
-
-    def stop(self) -> ActivationTrace:
-        """Detach from the simulator and return the captured trace."""
-        self._sim.activate = self._original  # type: ignore[method-assign]
-        self._sim.activate_many = self._original_many  # type: ignore[method-assign]
-        return self.trace
+    raise ValueError(f"{path}: not a repro trace file (format {version!r})")
 
 
 def replay(

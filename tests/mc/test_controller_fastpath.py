@@ -390,8 +390,8 @@ class TestDispatch:
         requests = make_requests(config)
         recorder = TraceRecorder()
         for depth in (32, None, 32):
-            _, controller = build(make_config(queue_depth=depth))
-            controller.recorder = recorder
+            channel, controller = build(make_config(queue_depth=depth))
+            channel.attach_recorder(recorder)
             controller.serve_streams([list(requests)])
         assert recorder.meta["serve_paths"] == {
             "soa": 2, "reference:unbounded-queue": 1,

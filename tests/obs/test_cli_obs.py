@@ -46,10 +46,13 @@ def test_system_run_trace_out(tmp_path):
     ]) == 0
     artifact = json.loads(trace.read_text())
     assert artifact["schema"] == OBS_SCHEMA
-    assert artifact["counts"]["grant"] > 0
-    # Both channels' sub-channels appear, offset by the channel base.
-    subs = {row[3] for row in artifact["events"]}
-    assert subs == {0, 1}
+    counts = artifact["counts"]
+    assert counts["queue-admit"] == counts["act"] == counts["complete"] > 0
+    # Both channels' sub-channels appear, offset by the channel base,
+    # on the engine's events and on the served batches' alike.
+    for kind in ("ref", "queue-admit", "act"):
+        subs = {row[3] for row in artifact["events"] if row[0] == kind}
+        assert subs == {0, 1}, kind
 
 
 def test_mc_trace_replay_series_spans_the_trace(tmp_path):

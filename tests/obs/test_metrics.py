@@ -85,7 +85,8 @@ def test_per_trefi_series_attribution():
     recorder.emit("alert", ts_ns=50.0, dur_ns=30.0)
     recorder.emit("alert", ts_ns=150.0, dur_ns=10.0)
     recorder.emit("ref", ts_ns=120.0, dur_ns=40.0)
-    recorder.emit("act-burst", ts_ns=10.0, value=5.0)
+    for row in range(5):
+        recorder.emit("act", ts_ns=10.0 + row, value=row)
     recorder.emit("queue-stall", ts_ns=160.0, dur_ns=20.0)
     recorder.emit("queue-issue", ts_ns=170.0, dur_ns=5.0, value=50.0)
     # Past-horizon events fold into the last window (end-of-run flush).

@@ -1,4 +1,4 @@
-"""``repro.obs/v1`` artifact round-trip and Perfetto export schema."""
+"""``repro.obs/v2`` artifact round-trip and Perfetto export schema."""
 
 from __future__ import annotations
 
@@ -27,14 +27,13 @@ from repro.sweep.artifacts import write_artifact
 def _sample_recorder() -> TraceRecorder:
     """One event of every kind, spread over two sub-channels."""
     recorder = TraceRecorder(meta={"workload": "sample", "n_trefi": 4})
-    recorder.emit("act-burst", 100.0, sub=0, bank=1, value=3.0)
+    recorder.emit("act", 100.0, sub=0, bank=1, value=3.0)
     recorder.emit("ref", 200.0, 410.0, sub=0)
     recorder.emit("alert", 350.0, 180.0, sub=1, value=2.0)
     recorder.emit("queue-stall", 400.0, 50.0, sub=1, bank=2, client=0)
     recorder.emit("queue-admit", 450.0, sub=1, bank=2, client=0)
     recorder.emit("queue-issue", 500.0, 60.0, sub=1, bank=2, client=0,
                   value=50.0)
-    recorder.emit("grant", 450.0, sub=1, bank=2, client=0)
     recorder.emit("complete", 560.0, sub=1, bank=2, client=0, value=160.0)
     return recorder
 
@@ -88,7 +87,7 @@ def test_summarize_rows_cover_counts_and_provenance():
                                  t_refi_ns=3900.0)
     rows = dict(summarize_obs(artifact))
     assert rows["schema"] == OBS_SCHEMA
-    assert rows["events"] == 8
+    assert rows["events"] == 7
     assert rows["events:alert"] == 1
     assert "prov:backend" in rows
     assert rows["meta:workload"] == "sample"

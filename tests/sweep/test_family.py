@@ -7,8 +7,15 @@ from pathlib import Path
 
 import pytest
 
+from repro.attacks.registry import AttackSpec
 from repro.report.pipeline import SMOKE_N_TREFI
 from repro.sweep.artifacts import load_artifact
+from repro.sweep.attack_spec import AttackSweepSpec
+from repro.sweep.mc_spec import McSweepSpec
+from repro.sweep.model_spec import ModelSpec, ModelSweepSpec
+from repro.sweep.spec import SweepSpec
+from repro.sweep.system_spec import SystemSweepSpec
+from repro.system import SystemRunConfig
 from repro.sweep.family import (
     ATTACK_FAMILY,
     FAMILIES,
@@ -20,6 +27,23 @@ from repro.sweep.family import (
 )
 
 BASELINE_ROOT = Path(__file__).resolve().parents[2]
+
+#: One cheap point per family.
+ONE_POINT = {
+    "sweep": SweepSpec(name="one", workloads=("tc",), n_trefi=32,
+                       model_cross_bank_service=False),
+    "attack": AttackSweepSpec(
+        name="one", attacks=(AttackSpec.of("postponement", threshold=64),)
+    ),
+    "model": ModelSweepSpec(
+        name="one", models=(ModelSpec.of("safe-trh", ath=64, level=1),)
+    ),
+    "mc": McSweepSpec(name="one", banks=1, n_trefi=16),
+    "system": SystemSweepSpec(
+        name="one", scenarios=(("one", SystemRunConfig(banks=1,
+                                                      n_trefi=16)),),
+    ),
+}
 
 
 class TestRegistry:
@@ -56,6 +80,17 @@ class TestRegistry:
             MC_FAMILY.preset("nope")
         with pytest.raises(KeyError, match="unknown system preset"):
             SYSTEM_FAMILY.preset("nope")
+
+    @pytest.mark.parametrize("name", list(FAMILIES))
+    def test_run_without_cache_dir_is_uncached(self, name, tmp_path,
+                                               monkeypatch):
+        """A library call that names no cache writes nothing under the
+        working directory (like ``run_system``): the CLI and the report
+        pass their cache location explicitly."""
+        monkeypatch.chdir(tmp_path)
+        result = FAMILIES[name].run(ONE_POINT[name])
+        assert len(result.results) == 1
+        assert list(tmp_path.iterdir()) == []
 
     def test_baseline_paths(self):
         assert (PERF_FAMILY.baseline_name("fig11") == "fig11.json")

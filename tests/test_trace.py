@@ -4,24 +4,27 @@ import pytest
 
 from repro.mitigations.moat import MoatPolicy
 from repro.mitigations.null import NullPolicy
+from repro.obs import NULL_RECORDER, TraceRecorder
 from repro.sim.channel import ChannelConfig, ChannelSim
 from repro.sim.engine import SimConfig, SubchannelSim
-from repro.trace import ActivationTrace, TraceRecorder, replay
+from repro.trace import ActivationTrace, replay
 
 
-def small_sim(policy=NullPolicy) -> SubchannelSim:
-    return SubchannelSim(
+def small_sim(policy=NullPolicy, recorder=NULL_RECORDER) -> SubchannelSim:
+    sim = SubchannelSim(
         SimConfig(rows_per_bank=1024, num_refresh_groups=128), policy
     )
+    sim.recorder = recorder
+    return sim
 
 
 class TestRecorder:
     def test_records_events_in_order(self):
-        sim = small_sim()
-        recorder = TraceRecorder(sim, metadata={"attack": "demo"})
+        recorder = TraceRecorder(meta={"attack": "demo"})
+        sim = small_sim(recorder=recorder)
         for row in (1, 2, 1):
             sim.activate(row)
-        trace = recorder.stop()
+        trace = ActivationTrace.from_recorder(recorder)
         assert len(trace) == 3
         assert [row for _, _, row in trace] == [1, 2, 1]
         times = [t for t, _, _ in trace]
@@ -29,12 +32,32 @@ class TestRecorder:
         assert trace.metadata == {"attack": "demo"}
 
     def test_stop_detaches(self):
-        sim = small_sim()
-        recorder = TraceRecorder(sim)
-        sim.activate(1)
-        recorder.stop()
-        sim.activate(2)
-        assert len(recorder.trace) == 1
+        """Attaching the null recorder stops the recording."""
+        recorder = TraceRecorder()
+        channel = ChannelSim(ChannelConfig(sim=SimConfig(
+            rows_per_bank=1024, num_refresh_groups=128)), NullPolicy)
+        channel.attach_recorder(recorder)
+        channel.activate(1)
+        channel.attach_recorder(NULL_RECORDER)
+        channel.activate(2)
+        channel.activate_many([3, 4])
+        assert ActivationTrace.from_recorder(recorder).events == [
+            (0.0, 0, 1)
+        ]
+
+    def test_from_recorder_keeps_one_subchannel(self):
+        recorder = TraceRecorder()
+        channel = ChannelSim(ChannelConfig(
+            sim=SimConfig(rows_per_bank=1024, num_refresh_groups=128),
+            num_subchannels=2,
+        ), NullPolicy)
+        channel.attach_recorder(recorder)
+        channel.activate_many([5, 6], subchannel=1)
+        channel.activate(7, subchannel=0)
+        assert [row for _, _, row in ActivationTrace.from_recorder(
+            recorder, subchannel=1)] == [5, 6]
+        assert [row for _, _, row in ActivationTrace.from_recorder(
+            recorder)] == [7]
 
     def test_rows_touched(self):
         trace = ActivationTrace(events=[(0.0, 0, 5), (52.0, 0, 5), (104.0, 0, 7)])
@@ -57,6 +80,28 @@ class TestPersistence:
         assert loaded.events == trace.events
         assert loaded.metadata == {"seed": 3}
 
+    def test_file_bytes_are_pinned(self, tmp_path):
+        """Both kinds write the same container: a header line, then one
+        record a line."""
+        from repro.trace import AddressTrace
+
+        activation = tmp_path / "act.jsonl"
+        ActivationTrace(events=[(0.0, 0, 5)], metadata={"seed": 3}).save(
+            activation
+        )
+        assert activation.read_text() == (
+            '{"repro-trace": 1, "events": 1, "metadata": {"seed": 3}}\n'
+            '{"t": 0.0, "b": 0, "r": 5}\n'
+        )
+        address = tmp_path / "addr.jsonl"
+        AddressTrace(events=[(52.0, 1 << 18)],
+                     metadata={"workload": "demo"}).save(address)
+        assert address.read_text() == (
+            '{"repro-trace": 2, "kind": "address", "events": 1, '
+            '"metadata": {"workload": "demo"}}\n'
+            '{"t": 52.0, "a": 262144}\n'
+        )
+
     def test_load_rejects_non_trace(self, tmp_path):
         path = tmp_path / "bogus.jsonl"
         path.write_text('{"hello": 1}\n')
@@ -72,11 +117,11 @@ class TestPersistence:
 
 class TestReplay:
     def test_replay_reproduces_counters(self):
-        sim = small_sim()
-        recorder = TraceRecorder(sim)
+        recorder = TraceRecorder()
+        sim = small_sim(recorder=recorder)
         for _ in range(10):
             sim.activate(7)
-        trace = recorder.stop()
+        trace = ActivationTrace.from_recorder(recorder)
 
         fresh = small_sim()
         replay(trace, fresh)
@@ -84,12 +129,12 @@ class TestReplay:
         assert fresh.total_acts == 10
 
     def test_replay_honors_idle_gaps(self):
-        sim = small_sim()
-        recorder = TraceRecorder(sim)
+        recorder = TraceRecorder()
+        sim = small_sim(recorder=recorder)
         sim.activate(1)
         sim.idle(50_000.0)
         sim.activate(1)
-        trace = recorder.stop()
+        trace = ActivationTrace.from_recorder(recorder)
 
         fresh = small_sim()
         replay(trace, fresh, honor_timing=True)
@@ -98,11 +143,11 @@ class TestReplay:
     def test_replay_against_different_policy(self):
         """Record against an unprotected bank, replay against MOAT: the
         same stream now triggers ALERTs."""
-        sim = small_sim()
-        recorder = TraceRecorder(sim)
+        recorder = TraceRecorder()
+        sim = small_sim(recorder=recorder)
         for _ in range(200):
             sim.activate(7)
-        trace = recorder.stop()
+        trace = ActivationTrace.from_recorder(recorder)
         assert sim.alerts == 0
 
         protected = small_sim(lambda: MoatPolicy(ath=64))
@@ -123,7 +168,8 @@ class TestReplay:
         channel = ChannelSim(
             ChannelConfig(sim=config), lambda: MoatPolicy(ath=16)
         )
-        recorder = TraceRecorder(channel.subchannel)
+        recorder = TraceRecorder()
+        channel.attach_recorder(recorder)
         t_refi = channel.timing.t_refi
         for interval in range(40):
             channel.advance_to(interval * t_refi)
@@ -134,7 +180,7 @@ class TestReplay:
                 for row in rows:
                     channel.activate(row, bank=1)
         channel.flush()
-        trace = recorder.stop()
+        trace = ActivationTrace.from_recorder(recorder)
         recorded = channel.subchannel.stats()
         assert len(trace) == recorded["total_acts"] == 40 * 18
         assert recorded["alerts"] > 0
