@@ -26,6 +26,7 @@ the closed-form queue dynamics (validated against the full simulator by
 from __future__ import annotations
 
 import random
+from itertools import compress
 from typing import Callable, Dict, List, Optional
 
 from repro.attacks.base import (
@@ -237,6 +238,13 @@ def iteration_acts_closed_form(
     return to_enqueue + threshold * (ahead + 1)
 
 
+#: Iterations sampled per bulk step of :func:`randomized_jailbreak_curve`:
+#: bounds its transient draw buffers to about 0.4 MB.
+_CHUNK_ITERATIONS = 512
+#: Byte translation table keeping only the lowest bit.
+_LOW_BIT = bytes(b & 1 for b in range(256))
+
+
 def randomized_jailbreak_curve(
     iteration_counts: List[int],
     threshold: int = 128,
@@ -249,23 +257,88 @@ def randomized_jailbreak_curve(
     Samples iteration outcomes (decoy counters uniform over 0-255, the
     probability-relevant quantity) and applies the closed-form queue
     dynamics per iteration. Returns ``{iterations: best_acts}``.
+
+    Each iteration draws ``queue_entries`` decoy counters, then the
+    attack row's counter, as ``random.Random(seed).randrange(2 *
+    threshold)`` would. The draws are taken in bulk with the same
+    values: ``randrange(n)`` takes the top ``n.bit_length()`` bits of
+    one Mersenne Twister word and draws again while they are not below
+    ``n`` (CPython's ``_randbelow_with_getrandbits``), and
+    ``getrandbits(32 * m)`` returns m such words, least significant
+    first. Each word is processed in its own 32-bit lane of that one
+    integer, so no Python code runs per draw.
     """
+    if not 1 <= threshold < 2**30:
+        # ``at_least`` needs every lane's draw below 2**31.
+        raise ValueError("threshold must be in 1..2**30 - 1")
+    if not 1 <= queue_entries <= 255:
+        # Heavy-decoy counts are summed one byte per iteration.
+        raise ValueError("queue_entries must be in 1..255")
+    counter_range = 2 * threshold
+    bits = counter_range.bit_length()
+    # is_heavy_weight: the counter mod threshold is at least ``cutoff``.
+    cutoff = threshold - min(max(prime_acts, 0), threshold)
+    stride = queue_entries + 1
+    # Words per refill: one chunk's draws at the acceptance rate.
+    words = (_CHUNK_ITERATIONS * stride << bits) // counter_range
+    lane_ones = int.from_bytes(b"\x01\x00\x00\x00" * words, "little")
+    draw_mask = lane_ones * ((1 << bits) - 1)
+
+    def at_least(lanes: int, bound: int) -> int:
+        """1 in each lane (below 2**31) holding at least ``bound``."""
+        return ((lanes + lane_ones * ((1 << 31) - bound)) >> 31) & lane_ones
+
+    # X waits behind max(0, h - 1) entries when h decoys are heavy;
+    # ``ahead_masks[a]`` marks the heavy counts that put a entries ahead.
+    ahead_masks = [
+        bytes(max(h - 1, 0) == ahead for h in range(256))
+        for ahead in range(queue_entries)
+    ]
     rng = random.Random(seed)
+    # Accepted draws not yet used, in draw order: 4 little-endian bytes
+    # each, holding 2 * (counter mod threshold) + is-heavy.
+    pool = b""
     results: Dict[int, int] = {}
     best = 0
     done = 0
-    counter_range = 2 * threshold
     for target in sorted(iteration_counts):
         while done < target:
-            decoys = [rng.randrange(counter_range) for _ in range(queue_entries)]
-            attack_counter = rng.randrange(counter_range)
+            iterations = min(target - done, _CHUNK_ITERATIONS)
+            need = 4 * iterations * stride
+            while len(pool) < need:
+                drawn = (rng.getrandbits(32 * words) >> (32 - bits)) & draw_mask
+                remainders = drawn - threshold * at_least(drawn, threshold)
+                # A rejected draw's lane becomes all ones; an accepted
+                # lane's top byte is below 0x80, so the deleted pattern
+                # only ever matches whole lanes.
+                lanes = (
+                    remainders << 1
+                    | at_least(remainders, cutoff)
+                    | at_least(drawn, counter_range) * 0xFFFFFFFF
+                )
+                pool += lanes.to_bytes(4 * words, "little").replace(
+                    b"\xff\xff\xff\xff", b"")
+            draws, pool = pool[:need], pool[need:]
+            # One byte per iteration: each decoy's 0/1 flags, summed as
+            # big integers (a count of at most 255 never carries).
             heavy = sum(
-                1 for c in decoys if is_heavy_weight(c, threshold, prime_acts)
+                int.from_bytes(
+                    draws[4 * decoy::4 * stride].translate(_LOW_BIT), "big")
+                for decoy in range(queue_entries)
+            ).to_bytes(iterations, "big")
+            ahead = max(max(heavy) - 1, 0)
+            # Among the iterations with the most entries ahead of X, the
+            # best is the one whose X needs the fewest ACTs to enqueue.
+            attack_lanes = compress(
+                range(4 * queue_entries, need, 4 * stride),
+                heavy.translate(ahead_masks[ahead]),
             )
-            acts = iteration_acts_closed_form(
-                heavy, attack_counter, threshold, queue_entries
-            )
-            best = max(best, acts)
-            done += 1
+            remainder = min(
+                int.from_bytes(draws[at:at + 4], "little")
+                for at in attack_lanes
+            ) >> 1
+            best = max(best, iteration_acts_closed_form(
+                ahead + 1, remainder, threshold, queue_entries))
+            done += iterations
         results[target] = best
     return results

@@ -19,7 +19,8 @@ while ``danger`` keeps accumulating across the refresh boundary.
 The PRAC counters live in one preallocated flat array with a slot per
 row, as PRAC inlines a counter in every DRAM row. The engine's batched
 activate loop and the memory controller's serve loop index it directly,
-so it must stay a plain sequence.
+and the refresh engine resets a group with one slice assignment, so it
+must stay a flat ``array("q")``.
 """
 
 from __future__ import annotations

@@ -24,6 +24,7 @@ paper's four-victim mitigation), costing 2 bytes of SRAM per bank.
 from __future__ import annotations
 
 import enum
+from array import array
 from typing import Dict, List
 
 from repro.dram.bank import Bank
@@ -77,6 +78,8 @@ class RefreshEngine:
         #: since the row's victims were last refreshed). At most
         #: ``bank.blast_radius`` entries, per the SAFE policy.
         self.shadow: Dict[int, int] = {}
+        #: One group of zero counters: a reset is one slice assignment.
+        self._zeros = array("q", bytes(8 * self.rows_per_group))
 
     # ------------------------------------------------------------------
     # Defense-visible counter value
@@ -135,26 +138,26 @@ class RefreshEngine:
         Returns the group index that was refreshed.
         """
         group = self.pointer
-        rows = self.group_rows(group)
+        bank = self.bank
+        low = group * self.rows_per_group
+        high = low + self.rows_per_group
 
         # Data refresh: every row in the group has its charge restored,
         # so its accumulated hammer exposure clears.
-        for row in rows:
-            self.bank.refresh_row_data(row)
+        if bank.track_danger:
+            for row in range(low, high):
+                bank.refresh_row_data(row)
 
-        if self.reset_policy is CounterResetPolicy.UNSAFE:
-            for row in rows:
-                self.bank.reset_prac(row)
-        elif self.reset_policy is CounterResetPolicy.SAFE:
+        if self.reset_policy is CounterResetPolicy.SAFE:
             # The previous group's boundary rows are now safe: their
             # high-side victims (first rows of this group) were just
             # refreshed.
             self.shadow.clear()
-            boundary = rows[-self.bank.blast_radius:]
-            for row in boundary:
-                self.shadow[row] = self.bank.prac_count(row)
-            for row in rows:
-                self.bank.reset_prac(row)
+            prac = bank._prac
+            for row in range(max(low, high - bank.blast_radius), high):
+                self.shadow[row] = prac[row]
+        if self.reset_policy is not CounterResetPolicy.FREE_RUNNING:
+            bank._prac[low:high] = self._zeros
 
         self.pointer = (self.pointer + 1) % self.num_groups
         if self.postponed > 0:

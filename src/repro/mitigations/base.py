@@ -11,8 +11,9 @@ only its SRAM-resident tracking state.
 from __future__ import annotations
 
 import abc
+import math
 from array import array
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Container, Dict, Iterator, List, Optional, Tuple
 
 
 #: Rows per block of :class:`CounterTable`'s running maxima, and log2.
@@ -145,6 +146,14 @@ class MitigationPolicy(abc.ABC):
     #: Set by policies that need the list of refreshed rows in
     #: :meth:`on_ref` (the engine skips materializing it otherwise).
     wants_refresh_notifications: bool = False
+    #: Activation interest. An ACT whose defense-visible count is at or
+    #: below ``act_floor``, on a row not in ``tracked_rows``, must leave
+    #: the policy's state and :attr:`alert_requested` unchanged, so the
+    #: engine's batched path may skip :meth:`on_activate` for it.
+    #: ``tracked_rows`` is a live container: the policy updates it in
+    #: place. The default floor makes every ACT matter.
+    act_floor: float = -math.inf
+    tracked_rows: Container[int] = frozenset()
 
     def __init__(self) -> None:
         #: Set when the policy wants an ALERT; the simulator forwards it

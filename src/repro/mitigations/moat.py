@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Set
 
 from repro.dram.timing import check_abo_level
 from repro.mitigations.base import MitigationPolicy
@@ -81,6 +81,11 @@ class MoatPolicy(MitigationPolicy):
         self._rows = array("q", bytes(8 * level))
         self._counts = array("q", bytes(8 * level))
         self._fill = 0
+        #: The live tracker rows, and the ETH floor: an ACT on any other
+        #: row at or below ETH changes nothing (the activation-interest
+        #: contract of :class:`MitigationPolicy`).
+        self.tracked_rows: Set[int] = set()
+        self.act_floor = self.eth
         #: Row currently undergoing proactive mitigation (CMA register).
         self.cma: Optional[int] = None
         #: Count of ALERT requests raised (episodes, not rows).
@@ -118,6 +123,7 @@ class MoatPolicy(MitigationPolicy):
             self._rows[fill] = row
             self._counts[fill] = count
             self._fill = fill + 1
+            self.tracked_rows.add(row)
             return
         counts = self._counts
         weakest = 0
@@ -126,6 +132,8 @@ class MoatPolicy(MitigationPolicy):
                 weakest = i
         if only_if_stronger and count <= counts[weakest]:
             return
+        self.tracked_rows.discard(self._rows[weakest])
+        self.tracked_rows.add(row)
         self._rows[weakest] = row
         counts[weakest] = count
 
@@ -186,6 +194,7 @@ class MoatPolicy(MitigationPolicy):
         """Drop one slot, preserving the order of the others."""
         fill = self._fill
         rows, counts = self._rows, self._counts
+        self.tracked_rows.discard(rows[slot])
         for i in range(slot + 1, fill):
             rows[i - 1] = rows[i]
             counts[i - 1] = counts[i]
@@ -208,6 +217,7 @@ class MoatPolicy(MitigationPolicy):
             candidates.append(self.cma)
         rows = candidates[:max_rows]
         self._fill = 0
+        self.tracked_rows.clear()
         if self.cma in rows:
             self.cma = None
         return rows

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from typing import List, Optional
 
 from repro.mitigations.base import MitigationPolicy
@@ -11,6 +12,7 @@ class NullPolicy(MitigationPolicy):
     """Performs no tracking and no mitigation (unprotected DRAM)."""
 
     name = "none"
+    act_floor = math.inf  # no ACT changes anything
 
     def on_activate(self, row: int, count: int) -> None:
         pass

@@ -225,14 +225,17 @@ class SubchannelSim:
         """Issue a batch of ACTs to one bank; returns the last issue time.
 
         Semantically identical to calling :meth:`activate` once per row
-        (same event interleaving, same policy observations, same
-        statistics) minus the per-ACT :class:`ActResult`. When danger
+        (same event interleaving, same policy state, same statistics)
+        minus the per-ACT :class:`ActResult`. When danger
         tracking is off and no recorder is attached, runs spans between
         scheduled events (REF boundaries, external services, ALERT
         episodes) through a flat-array inner loop that skips the
-        per-ACT method-call chain; any ACT that may interact with an
-        event falls back to :meth:`activate`. A traced batch issues
-        every ACT through :meth:`activate`, its one emission site.
+        per-ACT method-call chain and calls the policy only for the ACTs
+        it declares an interest in (``act_floor``/``tracked_rows``, see
+        :class:`~repro.mitigations.base.MitigationPolicy`); any ACT that
+        may interact with an event falls back to :meth:`activate`, which
+        calls the policy on every ACT. A traced batch issues every ACT
+        through :meth:`activate`, its one emission site.
         """
         if not rows:
             return None
@@ -249,6 +252,8 @@ class SubchannelSim:
         shadow = self.refresh[bank].shadow
         policy = self.policies[bank]
         on_activate = policy.on_activate
+        floor = policy.act_floor
+        tracked = policy.tracked_rows
         abo = self.abo
         i = 0
         n = len(rows)
@@ -289,10 +294,12 @@ class SubchannelSim:
                 last_start = start
                 channel_free = start + gap
                 bank_free = complete
-                on_activate(row, count)
-                if policy.alert_requested:
-                    alerting = True
-                    break
+                # Skip the ACTs the policy declares no interest in.
+                if count > floor or row in tracked:
+                    on_activate(row, count)
+                    if policy.alert_requested:
+                        alerting = True
+                        break
             self.now = now
             self._channel_free = channel_free
             self._bank_free[bank] = bank_free

@@ -1,5 +1,7 @@
 """Tests for the Jailbreak attack on Panopticon (paper Section 3)."""
 
+import random
+
 import pytest
 
 from repro.attacks.jailbreak import (
@@ -93,3 +95,74 @@ class TestRandomizedCurve:
         a = randomized_jailbreak_curve([256], seed=5)
         b = randomized_jailbreak_curve([256], seed=5)
         assert a == b
+
+
+def reference_curve(iteration_counts, threshold=128, queue_entries=8,
+                    prime_acts=32, seed=0):
+    """The per-draw sampler: one ``randrange`` call per counter, the
+    oracle for the bulk draws of :func:`randomized_jailbreak_curve`."""
+    rng = random.Random(seed)
+    results = {}
+    best = 0
+    done = 0
+    counter_range = 2 * threshold
+    for target in sorted(iteration_counts):
+        while done < target:
+            decoys = [rng.randrange(counter_range) for _ in range(queue_entries)]
+            attack_counter = rng.randrange(counter_range)
+            heavy = sum(
+                1 for c in decoys if is_heavy_weight(c, threshold, prime_acts)
+            )
+            acts = iteration_acts_closed_form(
+                heavy, attack_counter, threshold, queue_entries
+            )
+            best = max(best, acts)
+            done += 1
+        results[target] = best
+    return results
+
+
+#: The iteration budgets of the fig5-curve model preset.
+FIG5_BUDGETS = [2**k for k in range(2, 21, 3)]
+
+
+class TestBulkSampler:
+    """The bulk draws reproduce the per-draw sampler exactly."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_fig5_curve_budgets(self, seed):
+        # One call covers every budget: they share one stream prefix.
+        assert (randomized_jailbreak_curve(FIG5_BUDGETS, seed=seed)
+                == reference_curve(FIG5_BUDGETS, seed=seed))
+
+    @pytest.mark.parametrize("threshold,queue_entries,prime_acts", [
+        (1, 8, 32),      # 2 * threshold = 2: one-bit draws
+        (64, 8, 32),
+        (100, 8, 32),    # 2 * threshold not a power of two
+        (128, 8, 128),   # prime_acts == threshold: every decoy heavy
+        (128, 2, 32),
+        (128, 4, 32),
+        (200, 8, 32),    # 2 * threshold above 256
+        (1000, 4, 250),
+        (128, 8, 0),     # no decoy is ever heavy
+        (5, 3, -3),
+        (2**29, 8, 2**28),
+    ])
+    @pytest.mark.parametrize("seed", range(2))
+    def test_non_default_parameters(self, threshold, queue_entries,
+                                    prime_acts, seed):
+        budgets = [1, 3, 1024, 1025, 5000]
+        kwargs = dict(threshold=threshold, queue_entries=queue_entries,
+                      prime_acts=prime_acts, seed=seed)
+        assert (randomized_jailbreak_curve(budgets, **kwargs)
+                == reference_curve(budgets, **kwargs))
+
+    @pytest.mark.parametrize("kwargs", [
+        {"queue_entries": 0},
+        {"queue_entries": 256},  # heavy counts are one byte each
+        {"threshold": 0},
+        {"threshold": 2**30},
+    ])
+    def test_out_of_range_parameters_rejected(self, kwargs):
+        with pytest.raises(ValueError):
+            randomized_jailbreak_curve([4], **kwargs)

@@ -1,5 +1,7 @@
 """Tests for the refresh engine: groups, postponement, counter reset."""
 
+import random
+
 import pytest
 
 from repro.dram.bank import Bank
@@ -137,3 +139,62 @@ class TestPostponement:
         bank = Bank(num_rows=64)
         engine = RefreshEngine(bank, num_groups=8, max_postponed=0)
         assert not engine.postpone()
+
+
+def per_row_ref(engine):
+    """One REF applied row by row: the reference for the one-slice
+    counter reset of :meth:`RefreshEngine.execute_ref`."""
+    bank = engine.bank
+    group = engine.pointer
+    rows = engine.group_rows(group)
+    for row in rows:
+        bank.refresh_row_data(row)
+    if engine.reset_policy is CounterResetPolicy.UNSAFE:
+        for row in rows:
+            bank.reset_prac(row)
+    elif engine.reset_policy is CounterResetPolicy.SAFE:
+        engine.shadow.clear()
+        for row in rows[-bank.blast_radius:]:
+            engine.shadow[row] = bank.prac_count(row)
+        for row in rows:
+            bank.reset_prac(row)
+    engine.pointer = (engine.pointer + 1) % engine.num_groups
+    if engine.postponed > 0:
+        engine.postponed -= 1
+    return group
+
+
+class TestSliceReset:
+    @pytest.mark.parametrize("policy", list(CounterResetPolicy))
+    @pytest.mark.parametrize("rows,groups,blast_radius", [
+        (64, 8, 2),
+        (64, 8, 1),
+        (16, 8, 2),  # blast radius == rows per group
+        (16, 8, 3),  # blast radius > rows per group
+        (64, 1, 2),  # one group: every REF wraps to group 0
+    ])
+    @pytest.mark.parametrize("track_danger", [True, False])
+    def test_matches_per_row_reference(self, policy, rows, groups,
+                                       blast_radius, track_danger):
+        rng = random.Random(rows * groups + blast_radius)
+        pairs = []
+        for _ in range(2):
+            bank = Bank(num_rows=rows, blast_radius=blast_radius,
+                        track_danger=track_danger)
+            pairs.append((bank, RefreshEngine(bank, num_groups=groups,
+                                              reset_policy=policy)))
+        (bank, engine), (ref_bank, ref_engine) = pairs
+        # Three waves: every group is refreshed, and the pointer wraps
+        # from the last group to group 0, more than once.
+        for _ in range(3 * groups):
+            for _ in range(rng.randrange(20)):
+                row = rng.randrange(rows)
+                for b, e in pairs:
+                    b.activate(row)
+                    e.note_activation(row)
+            assert engine.execute_ref() == per_row_ref(ref_engine)
+            assert bank.touched_rows() == ref_bank.touched_rows()
+            assert engine.shadow == ref_engine.shadow
+            assert engine.pointer == ref_engine.pointer
+            assert ([bank.danger_count(r) for r in range(rows)]
+                    == [ref_bank.danger_count(r) for r in range(rows)])

@@ -163,3 +163,72 @@ class TestBatchedProperties:
         batched = drive(SubchannelSim(config, factory2), schedule, batched=True)
         assert serial == batched
 
+
+def tracked_reset_schedule(ath: int, intervals: int = 96):
+    """Per-tREFI rows on a 64-row bank of eight 8-row refresh groups.
+
+    Interval ``i`` hammers a row of group ``i % 8`` past ETH = ATH / 2
+    (every third interval past ATH too), just before the next REF
+    resets that group. The interval after gives that row a few ACTs
+    first: its count restarts at 1 while the tracker may still hold it,
+    the case where an ACT at or below ETH still matters to MOAT. The
+    next row then stays below the stale count: replace-minimum and the
+    proactive pick see the difference.
+    """
+    schedule = []
+    hot = None
+    for i in range(intervals):
+        rows = [hot] * 3 if hot is not None else []
+        # Rows 0-5 of the group: 6 and 7 keep SAFE shadow counters.
+        hot = 8 * (i % 8) + (i // 8) % 6
+        rows += [hot] * (ath // 2 + (8, 4, ath // 2 + 4)[i % 3])
+        rows += [(hot + 19) % 64, (hot + 37) % 64]
+        schedule.append(rows)
+    return schedule
+
+
+def policy_view(sim, log):
+    """What the batch contract promises per interval: the mitigation
+    sequence so far, MOAT's tracker and CMA registers, and the stats."""
+    policy = sim.policies[0]
+    tracker = [(e.row, e.count) for e in getattr(policy, "tracker", [])]
+    return list(log), tracker, getattr(policy, "cma", None), sim.stats()
+
+
+class TestPolicyInterest:
+    """``activate_many`` skips the policy call for the ACTs a policy
+    declares no interest in; ``activate`` calls it on every ACT. The two
+    must agree interval by interval, including on MOAT's registers."""
+
+    @pytest.mark.parametrize("kind,level,eth", [
+        ("moat", level, eth)
+        for level in (1, 2, 4)
+        for eth in (0, 32, 64)  # 0, ATH / 2 and ATH
+    ] + [("null", 1, 32)])
+    def test_interval_by_interval(self, kind, level, eth):
+        ath = 64
+        params = RunParams(ath=ath, eth=eth, abo_level=level)
+        config = SimConfig(
+            track_danger=False, rows_per_bank=64, num_refresh_groups=8,
+            abo_level=level,
+        )
+        sims, logs = [], []
+        for _ in range(2):
+            sim = SubchannelSim(config, PolicySpec(kind).make_factory(params))
+            log = []
+            sim.mitigation_listeners.append(
+                lambda *event, log=log: log.append(event))
+            sims.append(sim)
+            logs.append(log)
+        serial, batched = sims
+        for interval, rows in enumerate(tracked_reset_schedule(ath)):
+            for sim in sims:
+                if sim.now < interval * TREFI:
+                    sim.advance_to(interval * TREFI)
+            for row in rows:
+                serial.activate(row)
+            batched.activate_many(rows)
+            assert (policy_view(batched, logs[1])
+                    == policy_view(serial, logs[0])), f"interval {interval}"
+        if kind == "moat":
+            assert logs[0]  # the stream reaches the mitigation paths

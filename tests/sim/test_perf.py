@@ -1,13 +1,19 @@
 """Tests for the workload performance front-end."""
 
+import dataclasses
+
 import pytest
 
+import repro.sim.perf as perf
 from repro.sim.perf import (
     PerfResult,
     RunConfig,
     run_workload,
 )
-from repro.workloads.generator import generate_schedule
+from repro.workloads.generator import (
+    generate_channel_schedules,
+    generate_schedule,
+)
 from repro.workloads.profiles import profile_by_name
 
 
@@ -212,3 +218,60 @@ class TestChannelFrontEnd:
         config = RunConfig(subchannels=2)
         assert config.subchannels == 2
         assert RunConfig().subchannels == 1
+
+
+class TestScheduleReuse:
+    """``run_workload`` keeps the schedules it generated last for the
+    next run with the same (profile, sub-channels, banks, n_trefi,
+    seed). Each test uses seeds no other test runs, so it starts with
+    nothing to reuse."""
+
+    @pytest.fixture
+    def generated(self, monkeypatch):
+        """Every schedule set ``run_workload`` generates, in order."""
+        generated = []
+
+        def counting(*args, **kwargs):
+            generated.append(generate_channel_schedules(*args, **kwargs))
+            return generated[-1]
+
+        monkeypatch.setattr(perf, "generate_channel_schedules", counting)
+        return generated
+
+    def test_same_key_generates_once(self, generated):
+        config = small_config(n_trefi=64, seed=4201)
+        first = run_workload(profile_by_name("roms"), config)
+        assert run_workload(profile_by_name("roms"), config) == first
+        assert len(generated) == 1
+
+    @pytest.mark.parametrize("change", [
+        {"seed": 4203}, {"n_trefi": 32}, {"workload": "mcf"},
+        {"subchannels": 2}, {"banks_simulated": 2},
+    ], ids=["seed", "n_trefi", "profile", "subchannels", "banks"])
+    def test_changed_key_regenerates(self, generated, change):
+        change = dict(change)
+        workload = change.pop("workload", "roms")
+        base = small_config(n_trefi=64, seed=4202)
+        run_workload(profile_by_name("roms"), base)
+        before = len(generated)
+        run_workload(profile_by_name(workload),
+                     small_config(**{"n_trefi": 64, "seed": 4202, **change}))
+        # Only the most recent schedules are kept.
+        run_workload(profile_by_name("roms"), base)
+        assert len(generated) == before + 2
+
+    def test_run_leaves_its_schedule_unchanged(self, generated):
+        roms = profile_by_name("roms")
+        config = RunConfig(n_trefi=512, seed=4204, ath=32)
+        unaided = run_workload(
+            roms, dataclasses.replace(config, model_cross_bank_service=False))
+        # The unaided run alerts, so the cross-bank solver below runs
+        # seven times over the same schedule.
+        assert unaided.alerts > 0
+        solved = run_workload(roms, config)
+        (used,) = generated
+        fresh = generate_channel_schedules(roms, n_trefi=512, seed=4204)
+        assert ([(s.per_trefi, s.planned_row_acts) for s in used[0]]
+                == [(s.per_trefi, s.planned_row_acts) for s in fresh[0]])
+        assert run_workload(roms, config) == solved
+        assert len(generated) == 1
