@@ -72,6 +72,7 @@ from repro.sim.mc import (
 from repro.sim.perf import (
     PerfResult,
     RunConfig,
+    replay,
     run_trace,
     run_workload,
 )
@@ -86,8 +87,6 @@ from repro.trace import (
     ActivationTrace,
     AddressTrace,
     load_trace,
-    replay,
-    replay_addresses,
 )
 from repro.workloads import (
     McWorkload,
@@ -149,7 +148,6 @@ __all__ = [
     "AddressTrace",
     "load_trace",
     "replay",
-    "replay_addresses",
     "TABLE4_PROFILES",
     "WorkloadProfile",
     "profile_by_name",

@@ -83,10 +83,11 @@ class FileContext:
         self.source = source
         self.tree = tree
         self.suppressions = parse_suppressions(source)
-        self._parents: Dict[int, ast.AST] = {}
+        #: child -> parent; AST nodes hash by identity.
+        self._parents: Dict[ast.AST, ast.AST] = {}
         for node in ast.walk(tree):
             for child in ast.iter_child_nodes(node):
-                self._parents[id(child)] = node
+                self._parents[child] = node
 
     @property
     def path_parts(self) -> Tuple[str, ...]:
@@ -96,8 +97,8 @@ class FileContext:
     def ancestors(self, node: ast.AST) -> Iterator[ast.AST]:
         """Enclosing nodes of ``node``, innermost first."""
         current = node
-        while id(current) in self._parents:
-            current = self._parents[id(current)]
+        while current in self._parents:
+            current = self._parents[current]
             yield current
 
     def finding(self, rule: str, node: ast.AST, message: str) -> Finding:

@@ -27,8 +27,8 @@ Layering:
   (:meth:`MemoryController._serve_soa`).
 * **Scheduler** — a pluggable policy from the :mod:`repro.mc.sched`
   registry. ``"fcfs"`` issues strictly in arrival order (replaying a
-  trace through it is bit-identical to
-  :func:`repro.trace.replay_addresses`); ``"frfcfs"`` picks, among the
+  trace through it is bit-identical to the open-loop
+  :func:`repro.sim.perf.replay`); ``"frfcfs"`` picks, among the
   requests that can issue earliest, row-buffer hits first and then the
   oldest (the classic FR-FCFS priority), exploiting bank-level
   parallelism. The QoS kinds (``"priority"``, ``"bw-cap"``, ``"slo"``)
@@ -64,8 +64,8 @@ from repro.mc.request import (
     Request,
     RequestStream,
     as_stream,
+    check_stream,
     concat_column,
-    misplaced_tag,
 )
 from repro.mc.sched import (
     BOOST,
@@ -189,7 +189,6 @@ class MemoryController:
         self.config = config
         self._num_subchannels = channel.config.num_subchannels
         self._num_banks = channel.config.sim.num_banks
-        self._rows_per_bank = channel.config.sim.rows_per_bank
         self._t_rc = channel.timing.t_rc
         #: Service time of a row-buffer hit (open page only).
         self._t_col = channel.timing.t_act
@@ -276,7 +275,7 @@ class MemoryController:
         columns = []
         for client, stream in enumerate(streams):
             stream = as_stream(stream, client)
-            self._validate(stream, client)
+            check_stream(stream, client, self.channel)
             columns.append(stream)
         return columns, priorities
 
@@ -963,46 +962,6 @@ class MemoryController:
             streams=streams, ridx=out_ridx, enqueue_ns=out_enq,
             start_ns=out_start, complete_ns=out_complete,
         )
-
-    # ------------------------------------------------------------------
-    # Validation
-    # ------------------------------------------------------------------
-
-    def _validate(self, stream: RequestStream, client: int) -> None:
-        """Reject stream ``client`` unless it carries tag ``client`` and
-        every coordinate and time is in range (checked column by
-        column: a range check per column, a scan only on failure)."""
-        if stream.client != client:
-            raise misplaced_tag(stream.client, client)
-        if not len(stream):
-            return
-        sub = _outside(stream.subchannel, self._num_subchannels)
-        if sub is not None:
-            raise ValueError(
-                f"request targets sub-channel {sub} but the "
-                f"channel has {self._num_subchannels}"
-            )
-        bank = _outside(stream.bank, self._num_banks)
-        if bank is not None:
-            raise ValueError(
-                f"request targets bank {bank} but the channel has "
-                f"{self._num_banks} banks per sub-channel"
-            )
-        row = _outside(stream.row, self._rows_per_bank)
-        if row is not None:
-            raise ValueError(
-                f"request targets row {row} but banks have "
-                f"{self._rows_per_bank} rows"
-            )
-        if stream.issue_ns[0] < 0:  # the earliest: streams are in order
-            raise ValueError("request issue_ns must be non-negative")
-
-
-def _outside(values: List[int], bound: int) -> Optional[int]:
-    """The first of ``values`` outside ``[0, bound)``, else ``None``."""
-    if min(values) >= 0 and max(values) < bound:
-        return None
-    return next(v for v in values if not 0 <= v < bound)
 
 
 def _engine_sync(

@@ -21,7 +21,7 @@ import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import islice
-from typing import Iterable, Iterator, List, Union
+from typing import Iterable, Iterator, List, Optional, Union
 
 
 @dataclass(frozen=True)
@@ -154,6 +154,49 @@ class RequestStream(Sequence):
 
     def __repr__(self) -> str:
         return f"RequestStream(<{len(self)} requests>, client={self.client})"
+
+
+def check_stream(stream: RequestStream, client: int, channel) -> None:
+    """Reject stream ``client`` unless it carries tag ``client`` and
+    every coordinate and time is in range of ``channel`` (a
+    :class:`~repro.sim.channel.ChannelSim`): the one check every stream
+    passes on its way into a channel, served or replayed. Checked
+    column by column: a range check per column, a scan only on
+    failure."""
+    if stream.client != client:
+        raise misplaced_tag(stream.client, client)
+    if not len(stream):
+        return
+    num_subchannels = channel.config.num_subchannels
+    num_banks = channel.config.sim.num_banks
+    rows_per_bank = channel.config.sim.rows_per_bank
+    sub = _outside(stream.subchannel, num_subchannels)
+    if sub is not None:
+        raise ValueError(
+            f"request targets sub-channel {sub} but the "
+            f"channel has {num_subchannels}"
+        )
+    bank = _outside(stream.bank, num_banks)
+    if bank is not None:
+        raise ValueError(
+            f"request targets bank {bank} but the channel has "
+            f"{num_banks} banks per sub-channel"
+        )
+    row = _outside(stream.row, rows_per_bank)
+    if row is not None:
+        raise ValueError(
+            f"request targets row {row} but banks have "
+            f"{rows_per_bank} rows"
+        )
+    if stream.issue_ns[0] < 0:  # the earliest: streams are in order
+        raise ValueError("request issue_ns must be non-negative")
+
+
+def _outside(values: List[int], bound: int) -> Optional[int]:
+    """The first of ``values`` outside ``[0, bound)``, else ``None``."""
+    if min(values) >= 0 and max(values) < bound:
+        return None
+    return next(v for v in values if not 0 <= v < bound)
 
 
 def as_stream(requests: Sequence, client: int) -> RequestStream:

@@ -290,15 +290,16 @@ class PrioritySched(_QosSched):
         self._limit = (
             None if depth is None else max(1, int(depth * share))
         )
-        #: id(request) -> actual admission time. The queue tuples'
-        #: enqueue stamp inherits issue-time floors (a policy-throttled
-        #: stream's stamps stay at its arrival times), so measuring
-        #: starvation from it would re-create the backlogged-flood bug
-        #: the admission side already guards against: every entry of a
-        #: saturating stream would read as permanently starved. Age is
-        #: measured from the grant instead. Keyed by identity — the
-        #: serving loop holds every request alive for the whole run.
-        self._admitted: Dict[int, float] = {}
+        #: Actual admission time per queue entry ``seq``. The queue
+        #: tuples' enqueue stamp inherits issue-time floors (a
+        #: policy-throttled stream's stamps stay at its arrival times),
+        #: so measuring starvation from it would re-create the
+        #: backlogged-flood bug the admission side already guards
+        #: against: every entry of a saturating stream would read as
+        #: permanently starved. Age is measured from the grant instead.
+        #: The serving loop calls :meth:`note_admit` once per admission,
+        #: in ``seq`` order, so the n-th entry is the one of ``seq`` n.
+        self._admitted: List[float] = []
         #: client -> [head request, first time it was seen eligible].
         self._head: Dict[int, list] = {}
         #: Last client granted a pick; rotation scans past it (same
@@ -326,7 +327,7 @@ class PrioritySched(_QosSched):
 
     def note_admit(self, client: int, req: Request, now: float) -> None:
         super().note_admit(client, req, now)
-        self._admitted[id(req)] = now
+        self._admitted.append(now)
         self._head.pop(client, None)
 
     def pick(
@@ -336,9 +337,9 @@ class PrioritySched(_QosSched):
         best = None
         for sub, bank_queues in enumerate(queues):
             for bank, queue in enumerate(bank_queues):
-                for pos, (entry_seq, req, enq) in enumerate(queue):
+                for pos, (entry_seq, req, _) in enumerate(queue):
                     client = req.client
-                    admitted = self._admitted.get(id(req), enq)
+                    admitted = self._admitted[entry_seq]
                     if now - admitted >= self.age_bound_ns:
                         rank = (0, admitted, 0, entry_seq)
                     else:
@@ -357,7 +358,6 @@ class PrioritySched(_QosSched):
         hit = self._hit(req, sub, bank, cmd_free, now, open_page,
                         open_row, open_until, bank_free)
         self._last_pick = req.client
-        self._admitted.pop(id(req), None)
         self._note_pick(req, sub, bank)
         return sub, bank, pos, hit
 

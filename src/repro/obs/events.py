@@ -31,8 +31,7 @@ kind            emitted by / meaning
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
 #: Registered event kinds, in display order (Perfetto track order).
 EVENT_KINDS: Tuple[str, ...] = (
@@ -46,9 +45,9 @@ EVENT_KINDS: Tuple[str, ...] = (
 )
 
 
-@dataclass(frozen=True)
-class TraceEvent:
-    """One recorded event.
+class TraceEvent(NamedTuple):
+    """One recorded event: a named tuple, so a traced run's hundreds of
+    thousands of events carry no per-instance ``__dict__``.
 
     Attributes:
         kind: One of :data:`EVENT_KINDS`.
@@ -71,8 +70,7 @@ class TraceEvent:
 
     def to_row(self) -> List[object]:
         """Compact JSON row (the ``repro.obs/v2`` events encoding)."""
-        return [self.kind, self.ts_ns, self.dur_ns, self.sub,
-                self.bank, self.client, self.value]
+        return list(self)
 
     @classmethod
     def from_row(cls, row: Sequence[object]) -> "TraceEvent":

@@ -73,8 +73,8 @@ class TraceRecorder:
              value: float = 0.0) -> None:
         """Record one event (see :class:`~repro.obs.events.TraceEvent`)."""
         self.events.append(TraceEvent(
-            kind=kind, ts_ns=float(ts_ns), dur_ns=float(dur_ns),
-            sub=sub, bank=bank, client=client, value=float(value),
+            kind, float(ts_ns), float(dur_ns), sub, bank, client,
+            float(value),
         ))
 
     def __len__(self) -> int:

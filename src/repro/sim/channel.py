@@ -6,11 +6,13 @@ two 32-bit sub-channels that operate independently except for the
 memory controller's shared command-issue front-end. :class:`ChannelSim`
 composes that hierarchy explicitly:
 
-* **Channel** — owns the sub-channels, demultiplexes physical-address
-  traffic through an :class:`~repro.sim.mapping.AddressMapping`, and
-  enforces the cross-sub-channel command-issue constraint: the MC
-  issues at most one command per command gap, so commands to
-  *different* sub-channels still contend for issue slots.
+* **Channel** — owns the sub-channels and enforces the
+  cross-sub-channel command-issue constraint: the MC issues at most
+  one command per command gap, so commands to *different*
+  sub-channels still contend for issue slots. It takes (sub-channel,
+  bank, row) coordinates only: physical addresses are decoded once,
+  at the stream's edge (:func:`~repro.workloads.requests.
+  requests_from_trace`).
 * **Sub-channel** — one :class:`~repro.sim.engine.SubchannelSim` per
   sub-channel: the clock, REF stream, ABO/ALERT machinery, and banks.
 * **Bank** — per-row PRAC counters plus one mitigation policy each.
@@ -27,7 +29,7 @@ Batched traffic (:meth:`ChannelSim.activate_many`) applies the
 cross-sub-channel constraint at batch granularity: the batch's first
 command waits for the channel's command front, and the batch then owns
 the front until it completes. Per-command interleaving across
-sub-channels uses :meth:`ChannelSim.access` / :meth:`ChannelSim.activate`.
+sub-channels uses :meth:`ChannelSim.activate`.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ from typing import Callable, Dict, List, Optional
 
 from repro.mitigations.base import MitigationPolicy
 from repro.sim.engine import T_ISSUE_GAP, ActResult, SimConfig, SubchannelSim
-from repro.sim.mapping import AddressMapping
 
 
 @dataclass(frozen=True)
@@ -48,45 +49,14 @@ class ChannelConfig:
         sim: Per-sub-channel configuration (every sub-channel is
             identical, as in the paper's Table 3 system).
         num_subchannels: Sub-channels in the channel (DDR5: 2).
-        mapping: Optional address mapping for physical-address traffic
-            (:meth:`ChannelSim.access`). When provided, its geometry
-            must agree with ``sim`` — see :meth:`validate_mapping`.
     """
 
     sim: SimConfig = field(default_factory=SimConfig)
     num_subchannels: int = 1
-    mapping: Optional[AddressMapping] = None
 
     def __post_init__(self) -> None:
         if self.num_subchannels < 1:
             raise ValueError("num_subchannels must be at least 1")
-        if self.mapping is not None:
-            self.validate_mapping(self.mapping)
-
-    def validate_mapping(self, mapping: AddressMapping) -> None:
-        """Guard that the mapping's geometry matches the simulation.
-
-        A mapping that decodes more banks (or sub-channels) than the
-        simulation instantiates would silently fold distinct DRAM
-        resources onto one simulated structure and corrupt every
-        per-bank counter, so the mismatch is an error, not a warning.
-        """
-        if mapping.num_banks != self.sim.num_banks:
-            raise ValueError(
-                f"mapping decodes {mapping.num_banks} banks but "
-                f"SimConfig.num_banks is {self.sim.num_banks}"
-            )
-        if mapping.num_subchannels != self.num_subchannels:
-            raise ValueError(
-                f"mapping decodes {mapping.num_subchannels} sub-channels "
-                f"but the channel has {self.num_subchannels}"
-            )
-        rows = 1 << mapping.row_bits
-        if rows != self.sim.rows_per_bank:
-            raise ValueError(
-                f"mapping decodes {rows} rows per bank but "
-                f"SimConfig.rows_per_bank is {self.sim.rows_per_bank}"
-            )
 
     @property
     def t_cmd_gap_resolved(self) -> float:
@@ -116,7 +86,6 @@ class ChannelSim:
             SubchannelSim(config.sim, policy_factory)
             for _ in range(config.num_subchannels)
         ]
-        self.mapping = config.mapping
         self._t_cmd_gap = config.t_cmd_gap_resolved
         #: Earliest time the channel front-end may issue a command.
         self._cmd_free = 0.0
@@ -144,18 +113,6 @@ class ChannelSim:
     # ------------------------------------------------------------------
     # Traffic entry points
     # ------------------------------------------------------------------
-
-    def access(self, addr: int) -> ActResult:
-        """Activate the row a physical byte address decodes to.
-
-        Requires a configured mapping; the decoded sub-channel and bank
-        route the command, the column is ignored (closed-page policy:
-        every access is an ACT).
-        """
-        if self.mapping is None:
-            raise ValueError("ChannelConfig.mapping is required for access()")
-        decoded = self.mapping.decode(addr)
-        return self.activate(decoded.row, bank=decoded.bank, subchannel=decoded.subchannel)
 
     def activate(self, row: int, bank: int = 0, subchannel: int = 0) -> ActResult:
         """Issue one ACT through the channel command front-end."""

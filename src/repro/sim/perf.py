@@ -43,13 +43,16 @@ from typing import Dict, List, Optional
 from repro.dram.refresh import CounterResetPolicy
 from repro.dram.timing import DramTiming, DDR5_PRAC_TIMING, check_abo_level
 from repro.mitigations.registry import PolicySpec, RunParams
+from repro.mc.request import check_stream
 from repro.sim.channel import ChannelConfig, ChannelSim
 from repro.sim.engine import SimConfig
+from repro.sim.mapping import CoffeeLakeMapping
 from repro.workloads.generator import (
     ActivationSchedule,
     generate_channel_schedules,
 )
 from repro.workloads.profiles import WorkloadProfile
+from repro.workloads.requests import requests_from_trace
 
 
 @dataclass(frozen=True)
@@ -275,13 +278,12 @@ def build_run_channel(
     num_subchannels: int,
     num_banks: int,
     rows_per_bank: int,
-    mapping=None,
     external_service_interval_ns: Optional[float] = None,
 ) -> ChannelSim:
     """The channel of one policy run, for every front end: the
     open-loop and trace runs here, and the closed-loop and system runs
     (:func:`repro.sim.mc.build_mc_channel`). The front ends differ
-    only in geometry, mapping and external services.
+    only in geometry and external services.
     """
     sim_config = SimConfig(
         timing=config.timing,
@@ -303,9 +305,7 @@ def build_run_channel(
         rows_per_bank=rows_per_bank,
     )
     return ChannelSim(
-        ChannelConfig(
-            sim=sim_config, num_subchannels=num_subchannels, mapping=mapping,
-        ),
+        ChannelConfig(sim=sim_config, num_subchannels=num_subchannels),
         config.policy.make_factory(run_params),
     )
 
@@ -373,19 +373,42 @@ def _run_once(
     )
 
 
+def replay(trace, channel: ChannelSim, mapping=None) -> None:
+    """Replay a recorded trace open-loop through ``channel``.
+
+    The trace is decoded once (:func:`~repro.workloads.requests.
+    requests_from_trace`, through ``mapping`` for an address trace) and
+    range-checked against the channel like every served stream
+    (:func:`~repro.mc.request.check_stream`); each ACT then issues in
+    order through :meth:`ChannelSim.activate`, the clock idling to its
+    recorded arrival first, so idle gaps reproduce. This is the
+    controller's infinite-depth FCFS discipline without its queues: the
+    controller takes its scalar reference loop for an unbounded queue,
+    which replays a trace 2-3x slower.
+    """
+    stream = requests_from_trace(trace, mapping)
+    check_stream(stream, 0, channel)
+    for time, sub, bank, row in zip(
+        stream.issue_ns, stream.subchannel, stream.bank, stream.row
+    ):
+        if channel.now < time:
+            channel.advance_to(time)
+        channel.activate(row, bank=bank, subchannel=sub)
+    channel.flush()
+
+
 def run_trace(
     trace,
     config: RunConfig = RunConfig(),
     mapping=None,
-    honor_timing: bool = True,
 ) -> PerfResult:
     """Replay a physical-address trace as a first-class workload.
 
     Builds a channel whose geometry matches the mapping (every bank of
     every sub-channel simulated, so no cross-bank service modelling is
     needed — partial-simulation scaling factors all collapse to 1),
-    replays the trace through it, and reports the standard
-    :class:`PerfResult` metrics over the trace's window
+    replays the trace through it (:func:`replay`), and reports the
+    standard :class:`PerfResult` metrics over the trace's window
     (:meth:`~repro.trace.AddressTrace.window_trefi`).
 
     Args:
@@ -393,20 +416,16 @@ def run_trace(
         config: Policy parameters (ATH/ETH/level/policy/cadence); the
             scale fields (``banks_simulated``, ``subchannels``,
             ``n_trefi``) are taken from the mapping and trace instead.
-        mapping: Address mapping used to demultiplex the trace
+        mapping: Address mapping used to decode the trace
             (default: :class:`~repro.sim.mapping.CoffeeLakeMapping`).
-        honor_timing: See :func:`repro.trace.replay_addresses`.
     """
-    from repro.sim.mapping import CoffeeLakeMapping
-    from repro.trace import replay_addresses
-
     if mapping is None:
         mapping = CoffeeLakeMapping()
     channel = build_run_channel(
         config, mapping.num_subchannels, mapping.num_banks,
-        1 << mapping.row_bits, mapping=mapping,
+        1 << mapping.row_bits,
     )
-    replay_addresses(trace, channel, honor_timing=honor_timing)
+    replay(trace, channel, mapping)
     elapsed_ns = max(channel.now, trace.duration_ns)
     return _perf_result(
         config, channel, str(trace.metadata.get("workload", "trace")),

@@ -1,4 +1,4 @@
-"""Activation- and address-trace files, and their replay.
+"""Activation- and address-trace files.
 
 Traces let you capture the exact memory stream an attack or workload
 produced, persist it as JSON-lines, and replay it against a different
@@ -10,16 +10,20 @@ Two trace kinds exist, matching the two layers of the simulation
 hierarchy:
 
 * :class:`ActivationTrace` — DRAM-coordinate events ``(time, bank,
-  row)``, replayed into one :class:`~repro.sim.engine.SubchannelSim`
-  (format v1: ``{"t": <issue_ns>, "b": <bank>, "r": <row>}``).
+  row)`` of one sub-channel (format v1: ``{"t": <issue_ns>, "b":
+  <bank>, "r": <row>}``).
 * :class:`AddressTrace` — physical byte-address events ``(time,
-  addr)``, replayed into a :class:`~repro.sim.channel.ChannelSim`
-  whose address mapping demultiplexes each access to its sub-channel,
-  bank, and row (format v2: ``{"t": <issue_ns>, "a": <addr>}``).
-  This is the first-class workload path: the performance front-end
-  (:func:`repro.sim.perf.run_trace`) turns a replayed address trace
-  into the same :class:`~repro.sim.perf.PerfResult` metrics a
-  synthetic workload run produces.
+  addr)`` of a whole channel (format v2: ``{"t": <issue_ns>, "a":
+  <addr>}``). This is the first-class workload path: the performance
+  front-end (:func:`repro.sim.perf.run_trace`) turns a replayed
+  address trace into the same :class:`~repro.sim.perf.PerfResult`
+  metrics a synthetic workload run produces.
+
+This module knows the two file formats only. Either kind enters a
+channel as one decoded request stream
+(:func:`repro.workloads.requests.requests_from_trace`, the one address
+decoder): :func:`repro.sim.perf.replay` issues it open-loop,
+:func:`repro.sim.mc.run_mc_trace` through the memory controller.
 
 Recording is the job of the one recorder, :class:`repro.obs.
 TraceRecorder`: attach it to the channel (:meth:`~repro.sim.channel.
@@ -43,9 +47,6 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, Iterable, Iterator, List, Tuple, Union
-
-from repro.sim.channel import ChannelSim
-from repro.sim.engine import SubchannelSim
 
 _HEADER_KEY = "repro-trace"
 _FORMAT_VERSION = 1
@@ -228,48 +229,3 @@ def load_trace(path: str | Path) -> Union[ActivationTrace, AddressTrace]:
         return AddressTrace.load(path)
     raise ValueError(f"{path}: not a repro trace file (format {version!r})")
 
-
-def replay(
-    trace: ActivationTrace,
-    sim: SubchannelSim,
-    honor_timing: bool = True,
-) -> None:
-    """Replay a trace into a simulator.
-
-    Args:
-        trace: The recorded stream.
-        honor_timing: Advance the clock to each event's original issue
-            time (idle gaps reproduce); when False, events are issued
-            back-to-back at the engine's natural pacing.
-    """
-    for time, bank, row in trace.events:
-        if honor_timing and sim.now < time:
-            sim.advance_to(time)
-        sim.activate(row, bank=bank)
-    sim.flush()
-
-
-def replay_addresses(
-    trace: AddressTrace,
-    channel: ChannelSim,
-    honor_timing: bool = True,
-) -> None:
-    """Replay an address trace through a channel simulator.
-
-    Every event is demultiplexed by the channel's address mapping (the
-    channel must be configured with one) and issued through the shared
-    command front-end, so cross-sub-channel issue constraints apply at
-    per-command granularity.
-
-    Args:
-        trace: The recorded address stream.
-        channel: Target channel (its mapping decodes the addresses).
-        honor_timing: Advance the clock to each event's original issue
-            time (idle gaps reproduce); when False, events are issued
-            back-to-back at the channel's natural pacing.
-    """
-    for time, addr in trace.events:
-        if honor_timing and channel.now < time:
-            channel.advance_to(time)
-        channel.access(addr)
-    channel.flush()

@@ -4,10 +4,11 @@ For each bank and refresh window the generator plans:
 
 * **Hot rows** — the profile's ACT-32+/64+/128+ row counts, each hot
   row receiving an activation count drawn from its bracket ([32,64),
-  [64,128), or [128,192]) spread over a burst of a few hundred tREFI
-  starting at a random point in the window. Burst pacing is what
-  determines whether proactive mitigation catches a row before it
-  reaches ATH, so it is an explicit, documented knob.
+  [64,128), or [128,192]) spread over a burst (median
+  :data:`BURST_TREFI_MEDIAN` tREFI, capped at the window) starting at
+  a random point in the window. Burst pacing is what determines
+  whether proactive mitigation catches a row before it reaches ATH, so
+  it is an explicit, documented constant.
 * **Cold traffic** — the remaining activation budget (from ACT-PKI) as
   short-lived rows with a handful of activations each, modelling the
   long tail of row-buffer misses under a closed-page policy.
@@ -23,7 +24,17 @@ import zlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from repro.trace import AddressTrace
 from repro.workloads.profiles import WorkloadProfile
+
+#: Median hot-row burst length in tREFI; each burst's length is drawn
+#: lognormally around it (at least 8 tREFI).
+BURST_TREFI_MEDIAN = 1500
+#: Activations per cold row visit: below 32, so a visit alone never
+#: puts a cold row in the ACT-32+ bracket.
+COLD_ROW_REUSE = 6
+#: Upper end of the ACT-128+ bracket's activation count per hot row.
+MAX_HOT_ACTS = 192
 
 
 @dataclass
@@ -52,9 +63,6 @@ def generate_schedule(
     rows_per_bank: int = 64 * 1024,
     seed: int = 0,
     total_banks: int = 64,
-    burst_trefi_median: int = 1500,
-    cold_row_reuse: int = 6,
-    max_hot_acts: int = 192,
 ) -> ActivationSchedule:
     """Build one bank's activation schedule for ``n_trefi`` intervals.
 
@@ -102,11 +110,11 @@ def generate_schedule(
 
     def burst_duration() -> int:
         # Lognormal spread around the median burst length.
-        return max(8, int(rng.lognormvariate(0.0, 0.5) * burst_trefi_median))
+        return max(8, int(rng.lognormvariate(0.0, 0.5) * BURST_TREFI_MEDIAN))
 
     hot_bursts: List[tuple] = []
     for _ in range(n128):
-        hot_bursts.append((rng.randint(128, max_hot_acts), burst_duration()))
+        hot_bursts.append((rng.randint(128, MAX_HOT_ACTS), burst_duration()))
     for _ in range(n64):
         hot_bursts.append((rng.randint(64, 127), burst_duration()))
     for _ in range(n32):
@@ -131,7 +139,7 @@ def generate_schedule(
         rng.shuffle(cold_rows)
         pointer = 0
         while budget > 0:
-            acts = min(budget, max(1, min(cold_row_reuse, 31)))
+            acts = min(budget, COLD_ROW_REUSE)
             row = cold_rows[pointer % len(cold_rows)]
             pointer += 1
             start = rng.randrange(n_trefi)
@@ -220,8 +228,6 @@ def generate_address_trace(
     Returns:
         A :class:`repro.trace.AddressTrace`.
     """
-    from repro.trace import AddressTrace  # circular-import guard
-
     subchannels = mapping.num_subchannels
     banks = mapping.num_banks if banks_per_subchannel is None else banks_per_subchannel
     if not 1 <= banks <= mapping.num_banks:

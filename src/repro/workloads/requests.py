@@ -27,8 +27,9 @@ sub-channels re-seed when the bank count changes, exactly as the
 schedule generator does.
 
 Recorded traces and open-loop schedules convert to request streams via
-:func:`requests_from_trace` and :func:`requests_from_schedule` — the
-bridges the round-trip and cross-check tests are built on.
+:func:`requests_from_trace` (the one address decoder) and
+:func:`requests_from_schedule` — the bridges the round-trip and
+cross-check tests are built on.
 
 Every producer returns a :class:`~repro.mc.request.RequestStream`:
 parallel columns in stable issue-time order, filled straight from the
@@ -45,6 +46,8 @@ from dataclasses import dataclass
 from typing import List
 
 from repro.mc.request import RequestStream
+from repro.sim.mapping import CoffeeLakeMapping
+from repro.trace import ActivationTrace
 
 #: Processes implemented by :func:`generate_requests`.
 ARRIVAL_PROCESSES = ("poisson", "bursty")
@@ -260,28 +263,37 @@ def _bursty_arrivals(
 
 
 def requests_from_trace(trace, mapping=None) -> RequestStream:
-    """Convert a v2 address trace into a timed request stream.
+    """Decode a recorded trace into a timed request stream.
 
-    Every event is demultiplexed through the mapping (default:
-    :class:`~repro.sim.mapping.CoffeeLakeMapping`) exactly as
-    :func:`repro.trace.replay_addresses` would route it, so replaying
-    the result through the controller at infinite queue depth with the
-    FCFS scheduler reproduces the open-loop replay bit-for-bit.
+    The one address decoder: every trace enters a channel in this form,
+    replayed open-loop (:func:`repro.sim.perf.replay`) or served by the
+    controller (:func:`repro.sim.mc.run_mc_trace`). A v2 address
+    trace's events are decoded through the mapping (default:
+    :class:`~repro.sim.mapping.CoffeeLakeMapping`); a v1 activation
+    trace's ``(time, bank, row)`` events are already coordinates, of
+    sub-channel 0. Serving the result through the controller at
+    infinite queue depth with the FCFS scheduler reproduces the
+    open-loop replay bit-for-bit.
     """
-    from repro.sim.mapping import CoffeeLakeMapping
-
-    if mapping is None:
-        mapping = CoffeeLakeMapping()
     issue: List[float] = []
     subs: List[int] = []
     banks: List[int] = []
     rows: List[int] = []
-    for time, addr in trace.events:
-        decoded = mapping.decode(addr)
-        issue.append(time)
-        subs.append(decoded.subchannel)
-        banks.append(decoded.bank)
-        rows.append(decoded.row)
+    if isinstance(trace, ActivationTrace):
+        for time, bank, row in trace.events:
+            issue.append(time)
+            banks.append(bank)
+            rows.append(row)
+        subs = [0] * len(issue)
+    else:
+        if mapping is None:
+            mapping = CoffeeLakeMapping()
+        for time, addr in trace.events:
+            decoded = mapping.decode(addr)
+            issue.append(time)
+            subs.append(decoded.subchannel)
+            banks.append(decoded.bank)
+            rows.append(decoded.row)
     return RequestStream(issue, subs, banks, rows, [False] * len(issue))
 
 

@@ -1,8 +1,8 @@
-"""Trace -> request replay round-trip (PR satellite).
+"""Trace -> request replay round-trip.
 
 A v2 address trace pushed through the mc layer at infinite queue depth
 with the FCFS scheduler must be *bit-identical* to the open-loop
-replay path (:func:`repro.trace.replay_addresses` /
+replay path (:func:`repro.sim.perf.replay` /
 :func:`repro.sim.perf.run_trace`): same activation ordering — every
 (issue time, sub-channel, bank, row) — and same end-of-run statistics.
 This pins the controller's timing model to the established replay
@@ -15,8 +15,7 @@ import pytest
 from repro.mc import McConfig, MemoryController
 from repro.sim.mapping import CoffeeLakeMapping
 from repro.sim.mc import McRunConfig, run_mc_trace
-from repro.sim.perf import RunConfig, build_run_channel, run_trace
-from repro.trace import replay_addresses
+from repro.sim.perf import RunConfig, build_run_channel, replay, run_trace
 from repro.workloads.generator import generate_address_trace
 from repro.workloads.profiles import profile_by_name
 from repro.workloads.requests import requests_from_trace
@@ -49,7 +48,7 @@ def trace():
 def _fresh_channel(config):
     return build_run_channel(
         config, MAPPING.num_subchannels, MAPPING.num_banks,
-        1 << MAPPING.row_bits, mapping=MAPPING,
+        1 << MAPPING.row_bits,
     )
 
 
@@ -60,7 +59,7 @@ class TestRoundTrip:
         open_loop = _fresh_channel(config)
         open_log = []
         record_activations(open_loop, open_log)
-        replay_addresses(trace, open_loop)
+        replay(trace, open_loop, MAPPING)
 
         closed_loop = _fresh_channel(config)
         closed_log = []

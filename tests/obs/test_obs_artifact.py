@@ -82,6 +82,14 @@ def test_event_row_roundtrip():
     assert TraceEvent.from_row(event.to_row()) == event
 
 
+def test_recorded_events_carry_no_instance_dict():
+    """A traced run holds one event per ACT: each is a bare tuple of
+    its seven fields, with no per-instance ``__dict__``."""
+    event = _sample_recorder().events[0]
+    assert not hasattr(event, "__dict__")
+    assert event.to_row() == ["act", 100.0, 0.0, 0, 1, -1, 3.0]
+
+
 def test_summarize_rows_cover_counts_and_provenance():
     artifact = make_obs_artifact(_sample_recorder(), n_trefi=4,
                                  t_refi_ns=3900.0)

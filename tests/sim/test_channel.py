@@ -1,26 +1,14 @@
-"""Tests for the channel layer: demux, command front-end, hierarchy."""
+"""Tests for the channel layer: routing, command front-end, hierarchy."""
 
 import pytest
 
 from repro.mitigations.moat import MoatPolicy
 from repro.sim.channel import ChannelConfig, ChannelSim
 from repro.sim.engine import T_ISSUE_GAP, SimConfig, SubchannelSim
-from repro.sim.mapping import AddressMapping, CoffeeLakeMapping
 
 
 def moat_factory():
     return MoatPolicy(ath=64)
-
-
-def small_mapping() -> AddressMapping:
-    """2 banks, 2 sub-channels, 256 rows: cheap to simulate fully."""
-    return AddressMapping(
-        bank_functions=[[13, 18]],
-        subchannel_bits=[6, 12],
-        row_shift=18,
-        row_bits=8,
-        column_mask_bits=13,
-    )
 
 
 def small_sim_config(**kwargs) -> SimConfig:
@@ -45,35 +33,6 @@ class TestChannelConfig:
         with pytest.raises(ValueError):
             ChannelConfig(num_subchannels=0)
 
-    def test_rejects_bank_count_mismatch(self):
-        # CoffeeLake decodes 32 banks; the default SimConfig has 1.
-        with pytest.raises(ValueError, match="banks"):
-            ChannelConfig(mapping=CoffeeLakeMapping(), num_subchannels=2)
-
-    def test_rejects_subchannel_mismatch(self):
-        with pytest.raises(ValueError, match="sub-channels"):
-            ChannelConfig(
-                sim=small_sim_config(),
-                mapping=small_mapping(),
-                num_subchannels=1,
-            )
-
-    def test_rejects_row_count_mismatch(self):
-        with pytest.raises(ValueError, match="rows"):
-            ChannelConfig(
-                sim=small_sim_config(rows_per_bank=512, num_refresh_groups=128),
-                mapping=small_mapping(),
-                num_subchannels=2,
-            )
-
-    def test_accepts_matching_geometry(self):
-        config = ChannelConfig(
-            sim=small_sim_config(),
-            mapping=small_mapping(),
-            num_subchannels=2,
-        )
-        assert config.mapping is not None
-
 
 class TestSingleSubchannelEquivalence:
     """A 1-sub-channel channel must be bit-identical to a bare engine."""
@@ -97,40 +56,26 @@ class TestSingleSubchannelEquivalence:
         assert chan_stats == {k: float(v) for k, v in bare_stats.items()}
 
 
-class TestAddressDemux:
+class TestSubchannelRouting:
     def make(self):
         return ChannelSim(
-            ChannelConfig(
-                sim=small_sim_config(),
-                mapping=small_mapping(),
-                num_subchannels=2,
-            ),
+            ChannelConfig(sim=small_sim_config(), num_subchannels=2),
             moat_factory,
         )
 
-    def test_access_routes_by_decode(self):
+    def test_activate_routes_by_coordinates(self):
         channel = self.make()
-        mapping = channel.mapping
-        addr = mapping.compose(1, 1, 17)
-        channel.access(addr)
+        channel.activate(17, bank=1, subchannel=1)
         sub = channel.subchannels[1]
         assert sub.total_acts == 1
         assert sub.banks[1].prac_count(17) == 1
         assert channel.subchannels[0].total_acts == 0
 
-    def test_access_requires_mapping(self):
-        channel = ChannelSim(
-            ChannelConfig(sim=small_sim_config(num_banks=1)), moat_factory
-        )
-        with pytest.raises(ValueError, match="mapping"):
-            channel.access(0)
-
     def test_stats_aggregate_subchannels(self):
         channel = self.make()
-        mapping = channel.mapping
         for row in range(8):
-            channel.access(mapping.compose(0, 0, row))
-            channel.access(mapping.compose(1, 1, row))
+            channel.activate(row, bank=0, subchannel=0)
+            channel.activate(row, bank=1, subchannel=1)
         stats = channel.stats()
         assert stats["total_acts"] == 16
         assert stats["subchannels"] == 2

@@ -126,31 +126,3 @@ class TestGenericRoundTrip:
             decoded.row,
         )
 
-
-class TestGeometryGuard:
-    """SimConfig.num_banks must agree with the mapping's bank count
-    before any address-driven traffic is simulated."""
-
-    def test_channel_rejects_disagreeing_bank_count(self):
-        from repro.sim.channel import ChannelConfig
-        from repro.sim.engine import SimConfig
-
-        mapping = CoffeeLakeMapping()
-        with pytest.raises(ValueError, match="num_banks"):
-            ChannelConfig(
-                sim=SimConfig(num_banks=8),
-                mapping=mapping,
-                num_subchannels=2,
-            )
-
-    def test_channel_accepts_agreeing_geometry(self):
-        from repro.sim.channel import ChannelConfig
-        from repro.sim.engine import SimConfig
-
-        mapping = CoffeeLakeMapping()
-        config = ChannelConfig(
-            sim=SimConfig(num_banks=mapping.num_banks),
-            mapping=mapping,
-            num_subchannels=mapping.num_subchannels,
-        )
-        assert config.sim.num_banks == mapping.num_banks

@@ -1,5 +1,8 @@
 """Tests for trace recording, persistence, and replay."""
 
+import hashlib
+import json
+
 import pytest
 
 from repro.mitigations.moat import MoatPolicy
@@ -7,15 +10,21 @@ from repro.mitigations.null import NullPolicy
 from repro.obs import NULL_RECORDER, TraceRecorder
 from repro.sim.channel import ChannelConfig, ChannelSim
 from repro.sim.engine import SimConfig, SubchannelSim
-from repro.trace import ActivationTrace, replay
+from repro.sim.perf import replay
+from repro.trace import ActivationTrace
+
+SMALL = SimConfig(rows_per_bank=1024, num_refresh_groups=128)
 
 
 def small_sim(policy=NullPolicy, recorder=NULL_RECORDER) -> SubchannelSim:
-    sim = SubchannelSim(
-        SimConfig(rows_per_bank=1024, num_refresh_groups=128), policy
-    )
+    sim = SubchannelSim(SMALL, policy)
     sim.recorder = recorder
     return sim
+
+
+def small_channel(policy=NullPolicy) -> ChannelSim:
+    """A one-sub-channel channel: bit-identical to :func:`small_sim`."""
+    return ChannelSim(ChannelConfig(sim=SMALL), policy)
 
 
 class TestRecorder:
@@ -123,7 +132,7 @@ class TestReplay:
             sim.activate(7)
         trace = ActivationTrace.from_recorder(recorder)
 
-        fresh = small_sim()
+        fresh = small_channel()
         replay(trace, fresh)
         assert fresh.bank.prac_count(7) == 10
         assert fresh.total_acts == 10
@@ -136,8 +145,8 @@ class TestReplay:
         sim.activate(1)
         trace = ActivationTrace.from_recorder(recorder)
 
-        fresh = small_sim()
-        replay(trace, fresh, honor_timing=True)
+        fresh = small_channel()
+        replay(trace, fresh)
         assert fresh.now >= 50_000.0
 
     def test_replay_against_different_policy(self):
@@ -150,7 +159,7 @@ class TestReplay:
         trace = ActivationTrace.from_recorder(recorder)
         assert sim.alerts == 0
 
-        protected = small_sim(lambda: MoatPolicy(ath=64))
+        protected = small_channel(lambda: MoatPolicy(ath=64))
         replay(trace, protected)
         assert protected.alerts >= 2
         assert protected.bank.max_danger <= 99
@@ -160,7 +169,8 @@ class TestReplay:
         """A run driven through ChannelSim.activate and activate_many
         (the batched fast path, or its per-ACT fallback under danger
         tracking) records every ACT, and replaying the trace into a
-        fresh engine reproduces the run's statistics."""
+        fresh one-sub-channel channel reproduces the run's
+        statistics."""
         config = SimConfig(
             num_banks=2, rows_per_bank=1024, num_refresh_groups=128,
             track_danger=track_danger,
@@ -185,9 +195,23 @@ class TestReplay:
         assert len(trace) == recorded["total_acts"] == 40 * 18
         assert recorded["alerts"] > 0
 
-        fresh = SubchannelSim(config, lambda: MoatPolicy(ath=16))
+        fresh = ChannelSim(
+            ChannelConfig(sim=config), lambda: MoatPolicy(ath=16)
+        )
         replay(trace, fresh)
-        assert fresh.stats() == recorded
+        assert fresh.subchannel.stats() == recorded
+
+    def test_activation_trace_beyond_the_channel_is_rejected(self):
+        """An activation trace names banks and rows directly; the
+        replay range-checks them like every stream into a channel."""
+        bank = ActivationTrace(events=[(0.0, 0, 1), (60.0, 1, 1)])
+        with pytest.raises(ValueError, match="targets bank 1 but the "
+                                             "channel has 1 banks"):
+            replay(bank, small_channel())
+        row = ActivationTrace(events=[(0.0, 0, 1024)])
+        with pytest.raises(ValueError, match="targets row 1024 but banks "
+                                             "have 1024 rows"):
+            replay(row, small_channel())
 
 
 class TestAddressTrace:
@@ -203,18 +227,12 @@ class TestAddressTrace:
         )
 
     def small_channel(self):
-        from repro.mitigations.null import NullPolicy
-        from repro.sim.channel import ChannelConfig, ChannelSim
-        from repro.sim.engine import SimConfig
-
-        mapping = self.small_mapping()
         return ChannelSim(
             ChannelConfig(
                 sim=SimConfig(
                     num_banks=2, rows_per_bank=256, num_refresh_groups=128
                 ),
                 num_subchannels=2,
-                mapping=mapping,
             ),
             NullPolicy,
         )
@@ -256,30 +274,30 @@ class TestAddressTrace:
             ActivationTrace.load(address)
 
     def test_replay_demuxes_through_mapping(self):
-        from repro.trace import AddressTrace, replay_addresses
+        from repro.trace import AddressTrace
 
         channel = self.small_channel()
-        mapping = channel.mapping
+        mapping = self.small_mapping()
         events = [
             (0.0, mapping.compose(0, 0, 10)),
             (60.0, mapping.compose(1, 1, 20)),
             (120.0, mapping.compose(1, 1, 20)),
         ]
-        replay_addresses(AddressTrace(events=events), channel)
+        replay(AddressTrace(events=events), channel, mapping)
         assert channel.subchannels[0].banks[0].prac_count(10) == 1
         assert channel.subchannels[1].banks[1].prac_count(20) == 2
         assert channel.total_acts == 3
 
     def test_replay_honors_timing(self):
-        from repro.trace import AddressTrace, replay_addresses
+        from repro.trace import AddressTrace
 
         channel = self.small_channel()
-        mapping = channel.mapping
+        mapping = self.small_mapping()
         trace = AddressTrace(
             events=[(0.0, mapping.compose(0, 0, 1)),
                     (90_000.0, mapping.compose(0, 0, 1))]
         )
-        replay_addresses(trace, channel, honor_timing=True)
+        replay(trace, channel, mapping)
         assert channel.now >= 90_000.0
 
 
@@ -321,3 +339,25 @@ class TestRunTrace:
         first = run_trace(trace, RunConfig())
         second = run_trace(trace, RunConfig())
         assert first.as_metrics() == second.as_metrics()
+
+    @pytest.mark.parametrize("workload, n_trefi, seed, banks, digest", [
+        ("mcf", 48, 3, None, "791bd9ab939642ff"),
+        ("roms", 64, 0, 2, "52a8d6f8ef805c68"),
+        ("lbm", 32, 1, 4, "7f0a1646cccd9d96"),
+    ])
+    def test_replay_metrics_are_pinned(self, workload, n_trefi, seed,
+                                       banks, digest):
+        """Any change to how a replay decodes, paces or orders its ACTs
+        moves these digests of its metrics."""
+        from repro.sim.mapping import CoffeeLakeMapping
+        from repro.sim.perf import RunConfig, run_trace
+        from repro.workloads.generator import generate_address_trace
+        from repro.workloads.profiles import profile_by_name
+
+        trace = generate_address_trace(
+            profile_by_name(workload), CoffeeLakeMapping(),
+            n_trefi=n_trefi, seed=seed, banks_per_subchannel=banks,
+        )
+        metrics = run_trace(trace, RunConfig(ath=64)).as_metrics()
+        encoded = json.dumps(metrics, sort_keys=True).encode()
+        assert hashlib.sha256(encoded).hexdigest()[:16] == digest

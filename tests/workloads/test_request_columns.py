@@ -7,7 +7,8 @@ frozen :class:`Request` per arrival, then a sort on
 ``(time, sub-channel, bank, index)`` tuples. Every stream the
 generators produce must equal it column for column, ties included,
 and the controller must reject a bad stream with the same message
-whether it arrives as columns or as a list of requests.
+whether it arrives as columns or as a list of requests — the message
+the open-loop replay of the same stream, recorded as a trace, raises.
 """
 
 import dataclasses
@@ -20,12 +21,15 @@ from repro.attacks.registry import AttackSpec
 from repro.dram.timing import DDR5_PRAC_TIMING
 from repro.mc.controller import MemoryController
 from repro.mc.request import Request, RequestStream
+from repro.sim.mapping import AddressMapping
 from repro.sim.mc import McRunConfig, build_mc_channel
+from repro.sim.perf import replay
 from repro.system.crossbar import (
     ATTACK_ROW_BASE,
     STREAMABLE_ATTACKS,
     attack_request_stream,
 )
+from repro.trace import AddressTrace
 from repro.workloads import requests as requests_module
 from repro.workloads.requests import McWorkload, generate_requests
 
@@ -296,6 +300,15 @@ FAULTS = {
 }
 
 
+#: A mapping wider than the channel in every coordinate (2 sub-channels,
+#: 16 banks, 2**17 rows), so it composes every faulty coordinate.
+WIDE_MAPPING = AddressMapping(
+    bank_functions=[[13, 18], [14, 19], [15, 20], [16, 21]],
+    subchannel_bits=[6, 12],
+    row_bits=17,
+)
+
+
 def faulty_requests(fault):
     requests = [Request(issue_ns=10.0 * i, bank=i % 2, row=i)
                 for i in range(6)]
@@ -320,5 +333,15 @@ def test_bad_streams_raise_one_message(fault):
                 with pytest.raises(ValueError) as error:
                     getattr(controller, serve)([form])
                 messages.add(str(error.value))
+        if "client" not in changes:  # a replayed trace carries no tag
+            trace = AddressTrace(events=[
+                (r.issue_ns, WIDE_MAPPING.compose(r.subchannel, r.bank, r.row))
+                for r in requests
+            ])
+            channel = build_mc_channel(config)
+            with pytest.raises(ValueError) as error:
+                replay(trace, channel, WIDE_MAPPING)
+            messages.add(str(error.value))
+            assert channel.total_acts == 0
     assert len(messages) == 1, messages
     assert expected in messages.pop()
