@@ -89,12 +89,14 @@ def run_feinting(
             # survivor receives the fractional share n/r, which is what the
             # harmonic bound assumes. Without rotation the back of the pool
             # starves whenever n < r (e.g. rate k=1: 67 ACTs, 8192 rows).
+            # The period is open-loop, so it issues as one batch.
+            batch: List[int] = []
             for index in range(remaining):
                 row = survivors[(cursor + index) % remaining]
                 count = share + (1 if index < extra else 0)
-                for _ in range(count):
-                    sim.activate(row)
-                    issued[row] += 1
+                batch += [row] * count
+                issued[row] += count
+            sim.activate_many(batch)
             cursor += extra
             # Let the period elapse (mitigation fires at its boundary).
             sim.advance_to(period_start + period_ns)

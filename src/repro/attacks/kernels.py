@@ -7,8 +7,9 @@ an unprotected bank. For MOAT with ATH=64 both kernels lose ~10%.
 
 The patterns are open-loop (the row sequence never depends on the
 defense state), so they batch through
-:meth:`~repro.sim.channel.ChannelSim.activate_many` without danger
-tracking — the engine's fast path — and geometry comes from the shared
+:meth:`~repro.sim.channel.ChannelSim.activate_many` — the engine's fast
+path — without danger tracking, which a throughput measurement does
+not read. Geometry comes from the shared
 :class:`~repro.attacks.base.AttackRunConfig` instead of the hardcoded
 dimensions this module used to carry.
 """

@@ -937,7 +937,10 @@ class MemoryController:
             out_complete[out_n] = complete
             out_n += 1
             policy = policies[b]
-            policy.on_activate(row, count)
+            # Skip the ACTs the policy declares no interest in; its
+            # live floor is read per ACT.
+            if count > policy.act_floor or row in policy.tracked_rows:
+                policy.on_activate(row, count)
             # A fresh request, or a latched one (which may assert on
             # any ACT: the per-ACT check sub.activate performs).
             if policy.alert_requested or abo.alert_pending:

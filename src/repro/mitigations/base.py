@@ -148,10 +148,14 @@ class MitigationPolicy(abc.ABC):
     wants_refresh_notifications: bool = False
     #: Activation interest. An ACT whose defense-visible count is at or
     #: below ``act_floor``, on a row not in ``tracked_rows``, must leave
-    #: the policy's state and :attr:`alert_requested` unchanged, so the
-    #: engine's batched path may skip :meth:`on_activate` for it.
-    #: ``tracked_rows`` is a live container: the policy updates it in
-    #: place. The default floor makes every ACT matter.
+    #: the policy's state and :attr:`alert_requested` unchanged, so a
+    #: batched caller (the engine's ``activate_many``, the controller's
+    #: serve loop) may skip :meth:`on_activate` for it. Both are live:
+    #: ``tracked_rows`` is updated in place, and ``act_floor`` may change,
+    #: but only inside the policy's own methods, so a batched caller
+    #: re-reads it after every call into the policy (MOAT raises it to
+    #: its weakest tracked copy once its tracker is full). The default
+    #: floor makes every ACT matter.
     act_floor: float = -math.inf
     tracked_rows: Container[int] = frozenset()
 
@@ -159,6 +163,10 @@ class MitigationPolicy(abc.ABC):
         #: Set when the policy wants an ALERT; the simulator forwards it
         #: to the ABO protocol and clears it when the ALERT is serviced.
         self.alert_requested = False
+        # Batched callers read the interest declaration per ACT, and an
+        # instance attribute reads faster than a class attribute.
+        self.act_floor = type(self).act_floor
+        self.tracked_rows = type(self).tracked_rows
 
     # ------------------------------------------------------------------
     # Event hooks

@@ -81,9 +81,10 @@ class MoatPolicy(MitigationPolicy):
         self._rows = array("q", bytes(8 * level))
         self._counts = array("q", bytes(8 * level))
         self._fill = 0
-        #: The live tracker rows, and the ETH floor: an ACT on any other
-        #: row at or below ETH changes nothing (the activation-interest
-        #: contract of :class:`MitigationPolicy`).
+        #: The live tracker rows, and the live interest floor: an ACT on
+        #: any other row at or below the floor changes nothing (the
+        #: activation-interest contract of :class:`MitigationPolicy`;
+        #: see :meth:`_refloor`).
         self.tracked_rows: Set[int] = set()
         self.act_floor = self.eth
         #: Row currently undergoing proactive mitigation (CMA register).
@@ -124,6 +125,7 @@ class MoatPolicy(MitigationPolicy):
             self._counts[fill] = count
             self._fill = fill + 1
             self.tracked_rows.add(row)
+            self._refloor()
             return
         counts = self._counts
         weakest = 0
@@ -136,12 +138,31 @@ class MoatPolicy(MitigationPolicy):
         self.tracked_rows.add(row)
         self._rows[weakest] = row
         counts[weakest] = count
+        self._refloor()
+
+    def _refloor(self) -> None:
+        """Recompute :attr:`act_floor` from the tracker.
+
+        While a slot is free, an untracked row enters the tracker once
+        its count passes ETH. Once every slot is live, it enters only by
+        beating the weakest copy (``_insert`` with ``only_if_stronger``),
+        and at or below ATH it cannot request an ALERT either: so an
+        untracked ACT at or below ``min(ATH, max(ETH, weakest copy))``
+        changes nothing. Called wherever a slot or its copy changes.
+        """
+        floor = self.eth
+        if self._fill == self.level:
+            weakest = min(self._counts)
+            if weakest > floor:
+                floor = weakest if weakest < self.ath else self.ath
+        self.act_floor = floor
 
     def on_activate(self, row: int, count: int) -> None:
         slot = self._slot_of(row)
         if slot >= 0:
             # The tracker keeps a live copy of the row's counter.
             self._counts[slot] = count
+            self._refloor()
         elif count > self.eth:
             self._insert(row, count, only_if_stronger=True)
         if count > self.ath and not self.alert_requested:
@@ -199,6 +220,7 @@ class MoatPolicy(MitigationPolicy):
             rows[i - 1] = rows[i]
             counts[i - 1] = counts[i]
         self._fill = fill - 1
+        self._refloor()
 
     def select_reactive(self, max_rows: int) -> List[int]:
         """Pick up to ``max_rows`` rows for the ALERT's RFMs.
@@ -218,6 +240,7 @@ class MoatPolicy(MitigationPolicy):
         rows = candidates[:max_rows]
         self._fill = 0
         self.tracked_rows.clear()
+        self._refloor()
         if self.cma in rows:
             self.cma = None
         return rows

@@ -225,98 +225,104 @@ class SubchannelSim:
         """Issue a batch of ACTs to one bank; returns the last issue time.
 
         Semantically identical to calling :meth:`activate` once per row
-        (same event interleaving, same policy state, same statistics)
-        minus the per-ACT :class:`ActResult`. When danger
-        tracking is off and no recorder is attached, runs spans between
-        scheduled events (REF boundaries, external services, ALERT
-        episodes) through a flat-array inner loop that skips the
-        per-ACT method-call chain and calls the policy only for the ACTs
-        it declares an interest in (``act_floor``/``tracked_rows``, see
-        :class:`~repro.mitigations.base.MitigationPolicy`); any ACT that
-        may interact with an event falls back to :meth:`activate`, which
+        (same event interleaving, same policy state, danger accounting
+        and statistics) minus the per-ACT :class:`ActResult`. A row
+        outside the bank raises :class:`IndexError` before any ACT
+        issues. Without a recorder, each span between scheduled events
+        (REF boundaries, external services, ALERT episodes) runs through
+        a flat-array inner loop:
+
+        * After a span's first ACT at ``s``, the next one starts at
+          ``s + max(T_ISSUE_GAP, tRC)``: one add per ACT, and the
+          clock, issue floors and ACT counts are written back once per
+          span.
+        * The policy is called only for the ACTs it declares an interest
+          in (``act_floor``/``tracked_rows``, see
+          :class:`~repro.mitigations.base.MitigationPolicy`). The floor
+          is live, so it is re-read at each span start and after each
+          call into the policy.
+        * Danger accounting spreads each ACT to its victims right after
+          the PRAC increment, as :meth:`Bank.activate` does.
+
+        An ACT that may interact with an event, or that issues while an
+        ALERT request is latched, falls back to :meth:`activate`, which
         calls the policy on every ACT. A traced batch issues every ACT
         through :meth:`activate`, its one emission site.
         """
         if not rows:
             return None
-        last_start: Optional[float] = None
         bank_obj = self.banks[bank]
-        if bank_obj.track_danger or self.recorder.enabled:
+        bank_obj._check_row(min(rows))
+        bank_obj._check_row(max(rows))
+        last_start: Optional[float] = None
+        if self.recorder.enabled:
             for row in rows:
                 last_start = self.activate(row, bank, not_before).time
             return last_start
 
         t_rc = self._t_rc
         gap = T_ISSUE_GAP
+        step = t_rc if t_rc > gap else gap
         prac = bank_obj._prac
+        spread = bank_obj._spread_danger if bank_obj.track_danger else None
         shadow = self.refresh[bank].shadow
         policy = self.policies[bank]
         on_activate = policy.on_activate
-        floor = policy.act_floor
         tracked = policy.tracked_rows
         abo = self.abo
         i = 0
         n = len(rows)
         while i < n:
-            if abo.alert_pending:
-                # A latched request may assert on any ACT: stay on the
-                # slow path until the episode machinery settles.
+            start = max(self.now, self._channel_free, self._bank_free[bank],
+                        not_before)
+            horizon = min(self._next_ref, abo.window_end)
+            next_external = self._next_external
+            if (abo.alert_pending or start + t_rc > horizon
+                    or next_external <= start):
+                # A latched request may assert on any ACT, and an ACT
+                # next to a scheduled event must retire it: slow path.
                 last_start = self.activate(rows[i], bank, not_before).time
                 i += 1
                 continue
-            # Snapshot event state; valid until the next slow-path call.
-            now = self.now
-            channel_free = self._channel_free
-            bank_free = self._bank_free[bank]
-            next_ref = self._next_ref
-            next_external = self._next_external
-            window_end = abo.window_end
-            acts = 0
+            floor = policy.act_floor
+            first = i
             alerting = False
-            while i < n:
-                start = now if now > channel_free else channel_free
-                if bank_free > start:
-                    start = bank_free
-                if not_before > start:
-                    start = not_before
-                complete = start + t_rc
-                if next_ref < complete or next_external <= start or complete > window_end:
-                    break
+            while True:
                 row = rows[i]
                 count = prac[row] + 1
                 prac[row] = count
+                if spread is not None:
+                    spread(row)
                 if shadow and row in shadow:
                     count = shadow[row] + 1
                     shadow[row] = count
                 i += 1
-                acts += 1
-                now = start
-                last_start = start
-                channel_free = start + gap
-                bank_free = complete
                 # Skip the ACTs the policy declares no interest in.
                 if count > floor or row in tracked:
                     on_activate(row, count)
                     if policy.alert_requested:
                         alerting = True
                         break
-            self.now = now
-            self._channel_free = channel_free
-            self._bank_free[bank] = bank_free
-            if acts:
-                self.total_acts += acts
-                abo.note_activations(acts)
+                    floor = policy.act_floor
+                if i == n:
+                    break
+                following = start + step
+                if (following + t_rc > horizon
+                        or next_external <= following):
+                    break
+                start = following
+            self.now = start
+            self._channel_free = start + gap
+            self._bank_free[bank] = start + t_rc
+            self.total_acts += i - first
+            abo.note_activations(i - first)
+            last_start = start
             if alerting:
                 policy.alert_requested = False
                 abo.request_alert()
                 # The ALERT asserts during the precharge of the
                 # triggering ACT, exactly as in activate().
-                self._maybe_assert_alert(bank_free)
-                continue
-            if acts == 0 and i < n:
-                # Next ACT overlaps a scheduled event: slow path for one.
-                last_start = self.activate(rows[i], bank, not_before).time
-                i += 1
+                self._maybe_assert_alert(start + t_rc)
         return last_start
 
     def occupy(

@@ -442,6 +442,69 @@ class TestClientTags:
             )
 
 
+def floor_cycle_requests(eth: int):
+    """Bank-0 bursts (arrival, row, ACTs) that raise MOAT's live floor
+    and drop it again; the REF at ``k`` tREFI resets rows
+    ``8(k-1)..8k-1``. Row 8 displaces row 16, so the floor rises with
+    it; REF 2 resets row 8, whose re-activation drops its tracked copy
+    to 2 and the floor to ETH; row 24 then climbs to ETH + 5, no higher
+    than the floor row 8 held, and must displace it, so REF 5 latches
+    row 24 into the CMA. Row 32 then passes ATH (an ALERT), and the
+    later bursts run past the proactive pick at REF 10."""
+    bursts = [
+        (0.0, 16, eth + 4), (0.0, 8, eth + 8),
+        (8300.0, 8, 2), (8300.0, 24, eth + 5),
+        (20000.0, 32, 2 * eth + 1),
+        (24000.0, 40, eth + 3), (40000.0, 16, 2),
+    ]
+    requests = [
+        Request(issue_ns=t, bank=0, row=row)
+        for t, row, acts in bursts for _ in range(acts)
+    ]
+    # Bank 1 stays under ATH, so its policy never calls an ALERT whose
+    # RFMs would mitigate bank 0's rows.
+    requests += [
+        Request(issue_ns=100.0 * i, bank=1, row=3 + i % 5) for i in range(60)
+    ]
+    return sorted(requests, key=lambda request: request.issue_ns)
+
+
+class TestPolicyInterest:
+    """``_serve_soa`` calls the policy only for the ACTs it declares an
+    interest in, reading MOAT's live floor per ACT; the reference loop
+    calls it on every ACT. The two must agree on the mitigation
+    sequence and MOAT's registers, not only on the served batch."""
+
+    @staticmethod
+    def serve(config, requests, soa: bool):
+        channel, controller = build(config)
+        sub = channel.subchannels[0]
+        log = []
+        sub.mitigation_listeners.append(lambda *event: log.append(event))
+        if soa:
+            batch = controller.serve_streams([requests])
+            assert batch.path == "soa"
+        else:
+            batch = controller.run_streams_reference([requests])
+        registers = [
+            ([(entry.row, entry.count) for entry in policy.tracker],
+             policy.cma)
+            for policy in sub.policies
+        ]
+        return completion_key(batch), sub.stats(), log, registers
+
+    @pytest.mark.parametrize("level", [1, 2])
+    def test_moat_floor_rises_and_falls(self, level):
+        eth = 8
+        config = make_config(ath=2 * eth, eth=eth, abo_level=level)
+        requests = floor_cycle_requests(eth)
+        soa = self.serve(config, requests, soa=True)
+        reference = self.serve(config, requests, soa=False)
+        assert soa == reference
+        assert reference[1]["alerts"] > 0
+        assert any(not reactive for _, _, reactive, _ in reference[2])
+
+
 class TestResultPurity:
     def test_batch_fields_are_plain_python(self):
         """Batch fields are plain Python floats, ints and bools on both

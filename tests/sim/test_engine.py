@@ -164,6 +164,35 @@ class TestAlertBehaviour:
         assert max(gaps) >= DDR5_PRAC_TIMING.t_rfm
 
 
+class TestIdleKeepsStalls:
+    """Idling past a REF or an ALERT's RFM stall must not let the next
+    ACT start inside it. Today ``_drain_events`` drops the end times
+    that ``_do_ref`` and ``_finish_episode`` return, and ``advance_to``
+    only sets ``now = max(now, time)``. Mending it moves every
+    open-loop baseline (each interval starts with an ``advance_to``),
+    so these pin the fault until that result-changing fix lands."""
+
+    @pytest.mark.xfail(strict=True,
+                       reason="advance_to drops the end of the REF it runs")
+    def test_act_after_idle_waits_out_trfc(self):
+        sim = null_sim()
+        trefi, trfc = DDR5_PRAC_TIMING.t_refi, DDR5_PRAC_TIMING.t_rfc
+        # Without the idle, the same ACT waits: not_before=tREFI gives
+        # tREFI + tRFC.
+        sim.advance_to(trefi)
+        assert sim.activate(1).time >= trefi + trfc
+
+    @pytest.mark.xfail(strict=True,
+                       reason="advance_to drops the end of the RFM stall")
+    def test_act_after_idle_waits_out_rfm_stall(self):
+        sim = moat_sim(ath=8)
+        while sim.alerts == 0:
+            sim.activate(5)
+        stall_end = sim.abo.stall_end
+        sim.advance_to(sim.abo.window_end + 1)
+        assert sim.activate(6).time >= stall_end
+
+
 class TestPostponement:
     def test_postponed_refs_batch(self):
         sim = null_sim()

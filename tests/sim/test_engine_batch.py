@@ -8,9 +8,13 @@ every event the engine schedules (REFs, proactive mitigations, ALERT
 episodes, external services) and for every policy kind.
 """
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.dram.timing import DDR5_PRAC_TIMING
+from repro.mitigations.null import NullPolicy
 from repro.mitigations.registry import POLICY_KINDS, PolicySpec, RunParams
 from repro.sim.backend import resolve_backend
 from repro.sim.engine import SimConfig, SubchannelSim
@@ -37,6 +41,22 @@ def drive(sim, schedule, batched: bool) -> dict:
                 sim.activate(row)
     sim.flush()
     return sim.stats()
+
+
+def danger_views(config, kind, params, schedule) -> list:
+    """One schedule driven per ACT, then batched: each run's
+    ``stats()`` plus each bank's danger accounting (the victim row of
+    the high-water mark and the exposure of every row)."""
+    views = []
+    for batched in (False, True):
+        sim = SubchannelSim(config, PolicySpec(kind).make_factory(params))
+        drive(sim, schedule, batched=batched)
+        views.append((sim.stats(), [
+            (bank.max_danger_row,
+             [bank.danger_count(row) for row in range(bank.num_rows)])
+            for bank in sim.banks
+        ]))
+    return views
 
 
 def workload_schedule(n_trefi=512, seed=0):
@@ -80,8 +100,8 @@ class TestBatchedEquivalence:
         assert serial == batched
 
     def test_track_danger_fallback_matches(self):
-        """With danger tracking on, the batch entry point runs the
-        per-ACT loop, so the security metric matches too."""
+        """With danger tracking on, the flat loop spreads each ACT to
+        its victims, so the security metric matches too."""
         schedule = workload_schedule(n_trefi=128)
         config = SimConfig(track_danger=True)
         factory = PolicySpec("moat").make_factory(RunParams(ath=64, eth=32))
@@ -104,6 +124,43 @@ class TestBatchedEquivalence:
         sim = SubchannelSim(config, factory)
         assert sim.activate_many([]) is None
         assert sim.total_acts == 0
+
+    @pytest.mark.parametrize("kind", ["moat", "null"])
+    def test_trc_below_issue_gap(self, kind):
+        """A tRC under the issue gap paces one bank's ACTs by the gap:
+        the flat loop steps by ``max(T_ISSUE_GAP, tRC)``, and starting
+        each ACT at the previous one's completion would run early."""
+        timing = dataclasses.replace(DDR5_PRAC_TIMING, t_rc=2.0)
+        config = SimConfig(timing=timing, track_danger=False)
+        params = RunParams(ath=32, eth=16)
+        schedule = [[7, 7, 9, 7] * 30 for _ in range(40)]
+        sims = [SubchannelSim(config, PolicySpec(kind).make_factory(params))
+                for _ in range(2)]
+        serial, batched = sims
+        for interval, rows in enumerate(schedule):
+            for sim in sims:
+                sim.advance_to(interval * TREFI)
+            last = [serial.activate(row).time for row in rows][-1]
+            assert batched.activate_many(rows) == last, f"interval {interval}"
+            assert batched.stats() == serial.stats(), f"interval {interval}"
+
+
+class TestRowRange:
+    """``activate_many`` range-checks the batch before issuing any ACT,
+    with :meth:`SubchannelSim.activate`'s message."""
+
+    @pytest.mark.parametrize("row", [-1, 64])
+    def test_out_of_range_row_issues_nothing(self, row):
+        config = SimConfig(rows_per_bank=64, num_refresh_groups=8)
+        sim = SubchannelSim(config, NullPolicy)
+        sim.activate_many([1, 2])
+        before = (sim.total_acts, sim.now, sim.bank.touched_rows())
+        with pytest.raises(IndexError) as per_act:
+            SubchannelSim(config, NullPolicy).activate(row)
+        with pytest.raises(IndexError) as batch:
+            sim.activate_many([3, row, 4])
+        assert str(batch.value) == str(per_act.value)
+        assert (sim.total_acts, sim.now, sim.bank.touched_rows()) == before
 
 
 class TestBackendEquivalence:
@@ -143,6 +200,50 @@ random_schedules = st.lists(
     st.lists(st.integers(min_value=0, max_value=23), max_size=16),
     max_size=48,
 )
+
+
+class TestDangerTrackedBatches:
+    """A danger-tracked batch takes the flat loop: every victim's
+    exposure, not only the high-water mark, must match the per-ACT
+    path."""
+
+    @pytest.mark.parametrize("kind", sorted(POLICY_KINDS.names()))
+    def test_every_policy_kind(self, kind):
+        serial, batched = danger_views(
+            SimConfig(track_danger=True), kind, RunParams(ath=64, eth=32),
+            workload_schedule(n_trefi=128),
+        )
+        assert batched == serial
+        assert serial[0]["max_danger"] > 0
+
+    def test_alert_heavy_run(self):
+        serial, batched = danger_views(
+            SimConfig(track_danger=True, rows_per_bank=64,
+                      num_refresh_groups=8),
+            "moat", RunParams(ath=32, eth=16),
+            [[7, 7, 7, 9, 7] for _ in range(300)],
+        )
+        assert batched == serial
+        assert serial[0]["alerts"] > 0
+
+    @given(
+        schedule=st.lists(
+            st.lists(st.integers(min_value=0, max_value=63), max_size=24),
+            max_size=48,
+        ),
+        kind=st.sampled_from(sorted(POLICY_KINDS.names())),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_random_schedules(self, schedule, kind):
+        """A 64-row bank of eight refresh groups: the REF wave clears
+        exposure every eight intervals, and rows 0 and 63 clip the
+        blast radius."""
+        serial, batched = danger_views(
+            SimConfig(track_danger=True, rows_per_bank=64,
+                      num_refresh_groups=8),
+            kind, RunParams(ath=12, eth=6), schedule,
+        )
+        assert batched == serial
 
 
 class TestBatchedProperties:
@@ -187,12 +288,70 @@ def tracked_reset_schedule(ath: int, intervals: int = 96):
     return schedule
 
 
+def floor_cycle_schedule(level: int, eth: int):
+    """Per-tREFI rows that raise MOAT's live floor and drop it again,
+    on the 64-row bank of eight 8-row refresh groups (the REF that
+    closes interval ``i`` resets group ``i % 8``).
+
+    * Interval 0 tracks ``level - 1`` strong rows of group 5.
+    * Interval 1 fills the last slot with row 16 (ETH + 4), then row 8
+      displaces it at ETH + 5: the floor rises to that count and then
+      with row 8's copy, to ETH + 8. The closing REF resets group 1,
+      row 8's PRAC counter with it.
+    * Interval 2 re-activates row 8: its tracked copy falls to 2, and
+      the floor to ETH. Row 24 then climbs to ETH + 5, above ETH but
+      no higher than any floor row 8 held, so it must displace row 8.
+    * Later intervals run through the proactive picks.
+    """
+    strong = []
+    for j in range(level - 1):
+        strong += [40 + j] * (eth + 16)
+    schedule = [
+        strong,
+        [16] * (eth + 4) + [8] * (eth + 8),
+        [8] * 2 + [24] * (eth + 5),
+    ]
+    for i in range(3, 12):
+        schedule.append([24, 8] * 3 + [48 + i % 6] * (eth + 10))
+    return schedule
+
+
 def policy_view(sim, log):
     """What the batch contract promises per interval: the mitigation
     sequence so far, MOAT's tracker and CMA registers, and the stats."""
     policy = sim.policies[0]
     tracker = [(e.row, e.count) for e in getattr(policy, "tracker", [])]
     return list(log), tracker, getattr(policy, "cma", None), sim.stats()
+
+
+def lockstep(kind, params, schedule):
+    """Drive ``schedule`` per ACT and batched side by side on a 64-row
+    bank of eight 8-row refresh groups, compare :func:`policy_view`
+    after every interval, and yield the per-ACT engine and its
+    mitigation log after each one."""
+    config = SimConfig(
+        track_danger=False, rows_per_bank=64, num_refresh_groups=8,
+        abo_level=params.abo_level,
+    )
+    sims, logs = [], []
+    for _ in range(2):
+        sim = SubchannelSim(config, PolicySpec(kind).make_factory(params))
+        log = []
+        sim.mitigation_listeners.append(
+            lambda *event, log=log: log.append(event))
+        sims.append(sim)
+        logs.append(log)
+    serial, batched = sims
+    for interval, rows in enumerate(schedule):
+        for sim in sims:
+            if sim.now < interval * TREFI:
+                sim.advance_to(interval * TREFI)
+        for row in rows:
+            serial.activate(row)
+        batched.activate_many(rows)
+        assert (policy_view(batched, logs[1])
+                == policy_view(serial, logs[0])), f"interval {interval}"
+        yield serial, logs[0]
 
 
 class TestPolicyInterest:
@@ -208,27 +367,24 @@ class TestPolicyInterest:
     def test_interval_by_interval(self, kind, level, eth):
         ath = 64
         params = RunParams(ath=ath, eth=eth, abo_level=level)
-        config = SimConfig(
-            track_danger=False, rows_per_bank=64, num_refresh_groups=8,
-            abo_level=level,
-        )
-        sims, logs = [], []
-        for _ in range(2):
-            sim = SubchannelSim(config, PolicySpec(kind).make_factory(params))
-            log = []
-            sim.mitigation_listeners.append(
-                lambda *event, log=log: log.append(event))
-            sims.append(sim)
-            logs.append(log)
-        serial, batched = sims
-        for interval, rows in enumerate(tracked_reset_schedule(ath)):
-            for sim in sims:
-                if sim.now < interval * TREFI:
-                    sim.advance_to(interval * TREFI)
-            for row in rows:
-                serial.activate(row)
-            batched.activate_many(rows)
-            assert (policy_view(batched, logs[1])
-                    == policy_view(serial, logs[0])), f"interval {interval}"
+        for _, log in lockstep(kind, params, tracked_reset_schedule(ath)):
+            pass
         if kind == "moat":
-            assert logs[0]  # the stream reaches the mitigation paths
+            assert log  # the stream reaches the mitigation paths
+
+    @pytest.mark.parametrize("level", [1, 2, 4])
+    def test_floor_follows_the_tracker(self, level):
+        """MOAT's floor rises with its weakest tracked copy and falls
+        when a REF-reset row is re-activated (see
+        :func:`floor_cycle_schedule`)."""
+        eth = 4
+        params = RunParams(ath=64, eth=eth, abo_level=level)
+        floors, tracked = [], []
+        for serial, log in lockstep(
+                "moat", params, floor_cycle_schedule(level, eth)):
+            floors.append(serial.policy.act_floor)
+            tracked.append({entry.row for entry in serial.policy.tracker})
+        assert floors[:3] == [eth, eth + 8, eth + 5]
+        assert 8 in tracked[1] and 16 not in tracked[1]
+        assert 24 in tracked[2] and 8 not in tracked[2]
+        assert log  # the proactive picks ran
