@@ -166,7 +166,10 @@ class ChannelSim:
     @property
     def now(self) -> float:
         """Channel time: the furthest sub-channel clock."""
-        return max(sub.now for sub in self.subchannels)
+        subchannels = self.subchannels
+        if len(subchannels) == 1:
+            return subchannels[0].now
+        return max(sub.now for sub in subchannels)
 
     def advance_to(self, time: float) -> None:
         """Advance every sub-channel's clock, retiring its events."""

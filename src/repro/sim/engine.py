@@ -136,6 +136,12 @@ class SubchannelSim:
             bool(getattr(p, "wants_refresh_notifications", False))
             for p in self.policies
         ]
+        #: Whether a REF calls the policy at all: one that keeps the
+        #: base no-op ``on_ref`` and wants no rows is skipped.
+        self._notify_ref: List[bool] = [
+            wants or type(p).on_ref is not MitigationPolicy.on_ref
+            for p, wants in zip(self.policies, self._wants_ref_rows)
+        ]
         self._proactive_batch: List[int] = [
             int(getattr(p, "proactive_batch", 1)) for p in self.policies
         ]
@@ -252,8 +258,11 @@ class SubchannelSim:
         if not rows:
             return None
         bank_obj = self.banks[bank]
-        bank_obj._check_row(min(rows))
-        bank_obj._check_row(max(rows))
+        low = min(rows)
+        high = max(rows)
+        if low < 0 or high >= bank_obj.num_rows:
+            bank_obj._check_row(low)
+            bank_obj._check_row(high)
         last_start: Optional[float] = None
         if self.recorder.enabled:
             for row in rows:
@@ -384,7 +393,8 @@ class SubchannelSim:
             return
         # A pending ALERT whose ACT-count constraint is already met
         # asserts as soon as the attacker goes idle.
-        self._maybe_assert_alert(self.now)
+        if self.abo.alert_pending:
+            self._maybe_assert_alert(self.now)
         self._drain_events(time)
         self.now = max(self.now, time)
 
@@ -505,6 +515,8 @@ class SubchannelSim:
         self.refs += 1
         for index, engine in enumerate(self.refresh):
             refreshed_group = engine.execute_ref()
+            if not self._notify_ref[index]:
+                continue
             policy = self.policies[index]
             if self._wants_ref_rows[index]:
                 policy.on_ref(engine.group_rows(refreshed_group))
@@ -524,7 +536,8 @@ class SubchannelSim:
             self.recorder.emit("ref", start, self.timing.t_rfc,
                                sub=self._rec_sub)
         # An ALERT request raised during REF may assert right after it.
-        self._maybe_assert_alert(end)
+        if self.abo.alert_pending:
+            self._maybe_assert_alert(end)
         return end
 
     def _proactive_mitigation(self, bank_index: int, time: float) -> None:

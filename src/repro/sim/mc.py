@@ -51,7 +51,7 @@ from dataclasses import asdict, dataclass, field, replace
 from typing import Any, Dict, Iterable, List, Optional, Sequence
 
 from repro.mc.controller import McConfig, MemoryController, ServedBatch
-from repro.mc.request import Request
+from repro.mc.request import Request, RequestStream
 from repro.mc.sched import LINE_BYTES, sched_display
 from repro.sim.channel import ChannelSim
 from repro.sim.perf import PolicyRunConfig, build_run_channel
@@ -379,8 +379,42 @@ def mc_result(
     )
 
 
+@functools.lru_cache(maxsize=1)
+def _request_stream(
+    workload: McWorkload,
+    subchannels: int,
+    banks: int,
+    n_trefi: int,
+    rows_per_bank: int,
+    seed: int,
+    trefi_ns: float,
+) -> RequestStream:
+    """The request stream of one :func:`run_mc` key (workload,
+    sub-channels, banks, n_trefi, rows_per_bank, seed, tREFI), kept for
+    the next run with the same key: an mc preset varies the policy or
+    the controller over one workload, so its points mostly share one
+    stream. One entry only; a stream at full scale is several MB.
+    Every serve path only reads it (a single stream reaches the serve
+    loop as its own column lists, see
+    :func:`~repro.mc.request.concat_column`), so reuse is exact."""
+    return generate_requests(
+        workload,
+        num_subchannels=subchannels,
+        banks_per_subchannel=banks,
+        n_trefi=n_trefi,
+        rows_per_bank=rows_per_bank,
+        seed=seed,
+        trefi_ns=trefi_ns,
+    )
+
+
 def run_mc(config: McRunConfig = McRunConfig(), recorder=None) -> McResult:
-    """Synthesize the configured request stream and serve it.
+    """Serve the configured request stream.
+
+    The stream is generated once per key and kept for the next run
+    with the same key (:func:`_request_stream`), so the points of a
+    preset that share a workload serve one stream, which no serve path
+    writes.
 
     Args:
         config: Workload, policy, and controller parameters.
@@ -388,14 +422,9 @@ def run_mc(config: McRunConfig = McRunConfig(), recorder=None) -> McResult:
             the engine and controller emit their event streams into it.
             Results are bit-identical either way.
     """
-    requests = generate_requests(
-        config.workload,
-        num_subchannels=config.subchannels,
-        banks_per_subchannel=config.banks,
-        n_trefi=config.n_trefi,
-        rows_per_bank=config.rows_per_bank,
-        seed=config.seed,
-        trefi_ns=config.timing.t_refi,
+    requests = _request_stream(
+        config.workload, config.subchannels, config.banks, config.n_trefi,
+        config.rows_per_bank, config.seed, config.timing.t_refi,
     )
     return run_mc_requests(
         requests, config, workload_name=config.workload.display_name(),

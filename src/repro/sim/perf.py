@@ -37,8 +37,10 @@ from __future__ import annotations
 
 import functools
 import math
+from array import array
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.dram.refresh import CounterResetPolicy
 from repro.dram.timing import DramTiming, DDR5_PRAC_TIMING, check_abo_level
@@ -197,9 +199,10 @@ def run_workload(
     Args:
         profile: Table 4 workload profile.
         config: Policy and simulation parameters.
-        schedule: Pre-generated schedule for bank 0 (one is generated
-            per (sub-channel, bank) otherwise; supplying one forces
-            single-bank, single-sub-channel mode).
+        schedule: Pre-generated schedule for bank 0 (otherwise one
+            per (sub-channel, bank), generated once per process for
+            each key, see :func:`_channel_schedules`; supplying one
+            forces single-bank, single-sub-channel mode).
     """
     if schedule is not None:
         banks, subchannels = 1, 1
@@ -252,6 +255,67 @@ def run_workload(
     )
 
 
+#: Distinct open-loop schedule keys :func:`_packed_schedules` keeps:
+#: more than the 21 Table 4 profiles, as sweep grids cycle through every
+#: workload and an LRU smaller than the cycle would hit nothing.
+SCHEDULE_MEMO_ENTRIES = 32
+
+
+class _PackedSchedule:
+    """One bank's :class:`ActivationSchedule` in two flat arrays: every
+    planned ACT's row in issue order (16 bits each, as the generator's
+    banks have 64K rows; ``array`` raises ``OverflowError`` on a wider
+    row), and each interval's start offset into it, plus the end. About
+    an eighth of the list form's memory."""
+
+    __slots__ = ("rows", "offsets")
+
+    def __init__(self, schedule: ActivationSchedule) -> None:
+        self.rows = array("H")
+        self.offsets = array("I", [0])
+        for rows in schedule.per_trefi:
+            self.rows.extend(rows)
+            self.offsets.append(len(self.rows))
+
+    def unpack(self) -> ActivationSchedule:
+        """The list form back, with one int object per distinct row as
+        the generator's has (half the memory of one per ACT).
+        ``planned_row_acts`` is rebuilt from the rows: it is exactly
+        their multiset, so only its key order (which no reader uses)
+        differs from the generator's."""
+        planned = dict(Counter(self.rows))
+        rows = list(map(dict(zip(planned, planned)).__getitem__, self.rows))
+        offsets = self.offsets
+        return ActivationSchedule(
+            n_trefi=len(offsets) - 1,
+            per_trefi=[rows[a:b] for a, b in zip(offsets, offsets[1:])],
+            planned_row_acts=planned,
+        )
+
+
+@functools.lru_cache(maxsize=SCHEDULE_MEMO_ENTRIES)
+def _packed_schedules(
+    profile: WorkloadProfile,
+    subchannels: int,
+    banks: int,
+    n_trefi: int,
+    seed: int,
+) -> Tuple[Tuple[_PackedSchedule, ...], ...]:
+    """The open-loop schedules of a key, generated once per process
+    and kept packed (:class:`_PackedSchedule`) for every later run with
+    the same key."""
+    return tuple(
+        tuple(map(_PackedSchedule, bank_schedules))
+        for bank_schedules in generate_channel_schedules(
+            profile,
+            num_subchannels=subchannels,
+            banks_per_subchannel=banks,
+            n_trefi=n_trefi,
+            seed=seed,
+        )
+    )
+
+
 @functools.lru_cache(maxsize=1)
 def _channel_schedules(
     profile: WorkloadProfile,
@@ -260,17 +324,22 @@ def _channel_schedules(
     n_trefi: int,
     seed: int,
 ) -> List[List[ActivationSchedule]]:
-    """The open-loop schedules of one run, kept for the next run with
-    the same key: sweep grids are workload-major, so consecutive points
-    mostly share them. One entry only, as one schedule at full scale is
-    several MB. Runs only read their schedules."""
-    return generate_channel_schedules(
-        profile,
-        num_subchannels=subchannels,
-        banks_per_subchannel=banks,
-        n_trefi=n_trefi,
-        seed=seed,
-    )
+    """``schedules[sub][bank]`` of one open-loop run, keyed on
+    (profile, sub-channels, banks, n_trefi, seed): exactly
+    :func:`~repro.workloads.generator.generate_channel_schedules` of
+    the key, which runs once per key and process
+    (:func:`_packed_schedules` keeps up to
+    :data:`SCHEDULE_MEMO_ENTRIES` keys packed). Only the last key's
+    lists are kept unpacked, as one schedule's lists at full scale
+    take several MB; sweep grids are workload-major, so consecutive
+    points mostly share them. Readers must not modify them: every run
+    with the key gets the same lists."""
+    return [
+        [packed.unpack() for packed in bank_schedules]
+        for bank_schedules in _packed_schedules(
+            profile, subchannels, banks, n_trefi, seed
+        )
+    ]
 
 
 def build_run_channel(

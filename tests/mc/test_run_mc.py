@@ -2,17 +2,26 @@
 metric sanity, the ABO-level latency staircase, and the cross-check
 against the open-loop stall-fraction front-end."""
 
+import dataclasses
 import math
 
 import pytest
 
+import repro.sim.mc as sim_mc
+from repro.dram.timing import DDR5_PRAC_TIMING
+from repro.mc.controller import MemoryController
 from repro.mitigations.registry import PolicySpec
+from repro.obs import TraceRecorder
 from repro.sim.mc import McRunConfig, run_mc, run_mc_requests
 from repro.sim.perf import RunConfig, run_workload
-from repro.sweep.mc_spec import HAMMER_WORKLOAD
+from repro.sweep.mc_spec import HAMMER_WORKLOAD, mc_preset
 from repro.workloads.generator import generate_schedule
 from repro.workloads.profiles import profile_by_name
-from repro.workloads.requests import McWorkload, requests_from_schedule
+from repro.workloads.requests import (
+    McWorkload,
+    generate_requests,
+    requests_from_schedule,
+)
 
 QUIET = McWorkload(reads_per_trefi_per_bank=16.0)
 
@@ -184,3 +193,103 @@ class TestPerfCrossCheck:
                         banks=1, n_trefi=n_trefi),
         )
         assert mc.stall_fraction == pytest.approx(perf.slowdown)
+
+
+class TestStreamReuse:
+    """``run_mc`` generates the request stream of a (workload,
+    sub-channels, banks, n_trefi, rows_per_bank, seed, tREFI) key once
+    and keeps it for the next run with the same key, so no serve path
+    may write a column of it. Each test starts and ends with the memo
+    empty."""
+
+    @pytest.fixture
+    def generated(self, monkeypatch):
+        """Every stream ``run_mc`` generates, in order."""
+        generated = []
+
+        def counting(*args, **kwargs):
+            generated.append(generate_requests(*args, **kwargs))
+            return generated[-1]
+
+        monkeypatch.setattr(sim_mc, "generate_requests", counting)
+        sim_mc._request_stream.cache_clear()
+        yield generated
+        sim_mc._request_stream.cache_clear()
+
+    @pytest.fixture
+    def paths(self, monkeypatch):
+        """The serve path of every batch served, in order."""
+        paths = []
+        serve = MemoryController.serve_streams
+
+        def recording(self, *args, **kwargs):
+            batch = serve(self, *args, **kwargs)
+            paths.append(batch.path)
+            return batch
+
+        monkeypatch.setattr(MemoryController, "serve_streams", recording)
+        return paths
+
+    @staticmethod
+    def fresh_stream(config):
+        return generate_requests(
+            config.workload, num_subchannels=config.subchannels,
+            banks_per_subchannel=config.banks, n_trefi=config.n_trefi,
+            rows_per_bank=config.rows_per_bank, seed=config.seed,
+            trefi_ns=config.timing.t_refi,
+        )
+
+    @pytest.mark.parametrize("change", [
+        {"seed": 1}, {"n_trefi": 64}, {"banks": 1}, {"workload": QUIET},
+        {"rows_per_bank": 32 * 1024}, {"subchannels": 2},
+        {"timing": dataclasses.replace(DDR5_PRAC_TIMING, t_refi=7800.0)},
+    ], ids=["seed", "n_trefi", "banks", "workload", "rows", "subchannels",
+            "trefi"])
+    def test_changed_key_regenerates(self, generated, change):
+        base = McRunConfig(ath=32, workload=HAMMER_WORKLOAD, banks=2,
+                           n_trefi=128)
+        changed = dataclasses.replace(base, **change)
+        first = run_mc(base)
+        run_mc(changed)
+        assert len(generated) == 2
+        assert generated[1] == self.fresh_stream(changed)
+        assert run_mc(base) == first
+
+    def test_policy_points_equal_in_any_order(self, generated):
+        configs = [p.config for p in
+                   mc_preset("mc-policy").with_overrides(n_trefi=128).points()]
+        forward = [run_mc(c) for c in configs]
+        assert len(generated) == 1
+        backward = [run_mc(c) for c in reversed(configs)]
+        assert backward[::-1] == forward
+        assert len(generated) == 1
+        cleared = []
+        for config in configs:
+            sim_mc._request_stream.cache_clear()
+            cleared.append(run_mc(config))
+        assert cleared == forward
+        assert len(generated) == 1 + len(configs)
+
+    @pytest.mark.parametrize("overrides,path", [
+        ({}, "soa"),
+        ({"queue_depth": None}, "reference:unbounded-queue"),
+        ({"row_policy": "open", "workload": McWorkload(
+            reads_per_trefi_per_bank=24.0, hot_fraction=0.6, hot_rows=2)},
+         "reference:open-page"),
+        ({"recorder": True}, "soa"),
+    ], ids=["soa", "reference", "open-page", "recorder"])
+    def test_serving_leaves_the_stream_unchanged(self, generated, paths,
+                                                 overrides, path):
+        overrides = dict(overrides)
+        recorder = TraceRecorder() if overrides.pop("recorder", False) else None
+        config = McRunConfig(**{
+            "ath": 32, "workload": HAMMER_WORKLOAD, "banks": 2,
+            "n_trefi": 128, **overrides,
+        })
+        first = run_mc(config, recorder=recorder)
+        assert paths == [path]
+        assert first.alerts > 0 or config.row_policy == "open"
+        (stream,) = generated
+        assert stream == self.fresh_stream(config)
+        assert run_mc(config) == first
+        assert len(generated) == 1

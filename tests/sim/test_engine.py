@@ -4,8 +4,10 @@ import pytest
 
 from repro.dram.refresh import CounterResetPolicy
 from repro.dram.timing import DDR5_PRAC_TIMING
+from repro.mitigations.base import MitigationPolicy
 from repro.mitigations.moat import MoatPolicy
 from repro.mitigations.null import NullPolicy
+from repro.mitigations.panopticon import PanopticonPolicy
 from repro.sim.engine import SimConfig, SubchannelSim
 
 
@@ -79,6 +81,40 @@ class TestRefScheduling:
         assert sim.bank.prac_count(0) == 1
         sim.advance_to(DDR5_PRAC_TIMING.t_refi + DDR5_PRAC_TIMING.t_rfc + 1)
         assert sim.bank.prac_count(0) == 0
+
+    def test_on_ref_override_hears_every_ref(self, monkeypatch):
+        """Panopticon overrides ``on_ref`` but wants no rows: each bank's
+        policy still gets one call per REF."""
+        calls = []
+        monkeypatch.setattr(PanopticonPolicy, "on_ref",
+                            lambda self, rows: calls.append((self, rows)))
+        sim = SubchannelSim(
+            SimConfig(num_banks=2, rows_per_bank=64, num_refresh_groups=8),
+            PanopticonPolicy,
+        )
+        sim.advance_to(10 * DDR5_PRAC_TIMING.t_refi + 1)
+        assert sim.refs == 10
+        assert [policy for policy, _ in calls] == sim.policies * 10
+        assert all(rows == [] for _, rows in calls)
+
+    def test_base_on_ref_is_not_called(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(MitigationPolicy, "on_ref",
+                            lambda self, rows: calls.append(rows))
+        sim = null_sim()
+        sim.advance_to(10 * DDR5_PRAC_TIMING.t_refi + 1)
+        assert sim.refs == 10
+        assert calls == []
+
+    def test_drain_all_panopticon_alerts_after_ref(self):
+        sim = SubchannelSim(
+            SimConfig(rows_per_bank=64, num_refresh_groups=8),
+            lambda: PanopticonPolicy(drain_all_on_ref=True),
+        )
+        sim.policy.queue.extend([1, 2, 3])
+        sim.advance_to(DDR5_PRAC_TIMING.t_refi + 1)
+        assert sim.refs == 1
+        assert sim.alerts == 1
 
 
 class TestProactiveMitigation:

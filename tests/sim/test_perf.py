@@ -220,11 +220,16 @@ class TestChannelFrontEnd:
         assert RunConfig().subchannels == 1
 
 
+def clear_schedule_memos() -> None:
+    perf._packed_schedules.cache_clear()
+    perf._channel_schedules.cache_clear()
+
+
 class TestScheduleReuse:
-    """``run_workload`` keeps the schedules it generated last for the
-    next run with the same (profile, sub-channels, banks, n_trefi,
-    seed). Each test uses seeds no other test runs, so it starts with
-    nothing to reuse."""
+    """``run_workload`` generates the schedules of a (profile,
+    sub-channels, banks, n_trefi, seed) key once per process and keeps
+    every key it generated, packed, for later runs with the same key.
+    Each test starts and ends with both memos empty."""
 
     @pytest.fixture
     def generated(self, monkeypatch):
@@ -236,7 +241,9 @@ class TestScheduleReuse:
             return generated[-1]
 
         monkeypatch.setattr(perf, "generate_channel_schedules", counting)
-        return generated
+        clear_schedule_memos()
+        yield generated
+        clear_schedule_memos()
 
     def test_same_key_generates_once(self, generated):
         config = small_config(n_trefi=64, seed=4201)
@@ -252,13 +259,13 @@ class TestScheduleReuse:
         change = dict(change)
         workload = change.pop("workload", "roms")
         base = small_config(n_trefi=64, seed=4202)
-        run_workload(profile_by_name("roms"), base)
-        before = len(generated)
+        first = run_workload(profile_by_name("roms"), base)
         run_workload(profile_by_name(workload),
                      small_config(**{"n_trefi": 64, "seed": 4202, **change}))
-        # Only the most recent schedules are kept.
-        run_workload(profile_by_name("roms"), base)
-        assert len(generated) == before + 2
+        assert len(generated) == 2
+        # A key seen before does not regenerate, and replays exactly.
+        assert run_workload(profile_by_name("roms"), base) == first
+        assert len(generated) == 2
 
     def test_run_leaves_its_schedule_unchanged(self, generated):
         roms = profile_by_name("roms")
@@ -269,9 +276,45 @@ class TestScheduleReuse:
         # seven times over the same schedule.
         assert unaided.alerts > 0
         solved = run_workload(roms, config)
-        (used,) = generated
-        fresh = generate_channel_schedules(roms, n_trefi=512, seed=4204)
-        assert ([(s.per_trefi, s.planned_row_acts) for s in used[0]]
-                == [(s.per_trefi, s.planned_row_acts) for s in fresh[0]])
+        (used,) = perf._channel_schedules(roms, 1, 1, 512, 4204)
+        (fresh,) = generate_channel_schedules(roms, n_trefi=512, seed=4204)
+        assert ([(s.per_trefi, s.planned_row_acts) for s in used]
+                == [(s.per_trefi, s.planned_row_acts) for s in fresh])
         assert run_workload(roms, config) == solved
         assert len(generated) == 1
+
+    @pytest.mark.parametrize("workload", ["cc", "roms"])
+    @pytest.mark.parametrize("subchannels,banks", [(1, 1), (1, 2), (2, 1), (2, 2)])
+    def test_packed_schedules_unpack_exactly(self, generated, workload,
+                                             subchannels, banks):
+        profile = profile_by_name(workload)
+        memo = perf._channel_schedules(profile, subchannels, banks, 128, 7)
+        fresh = generate_channel_schedules(
+            profile, num_subchannels=subchannels,
+            banks_per_subchannel=banks, n_trefi=128, seed=7)
+        assert len(memo) == subchannels
+        for got_banks, want_banks in zip(memo, fresh):
+            assert len(got_banks) == banks
+            for got, want in zip(got_banks, want_banks):
+                assert got.n_trefi == want.n_trefi
+                assert got.per_trefi == want.per_trefi
+                assert got.planned_row_acts == want.planned_row_acts
+        # Unpacked again after another key evicts the unpacked lists.
+        perf._channel_schedules(profile_by_name("tc"), 1, 1, 16, 7)
+        again = perf._channel_schedules(profile, subchannels, banks, 128, 7)
+        assert again is not memo
+        assert ([[s.per_trefi for s in b] for b in again]
+                == [[s.per_trefi for s in b] for b in fresh])
+        assert len(generated) == 2
+
+    def test_cyclic_pass_generates_each_workload_once(self, generated):
+        from repro.workloads.profiles import TABLE4_PROFILES
+
+        config = small_config(n_trefi=8, seed=4205)
+        passes = [
+            [run_workload(profile, config) for profile in TABLE4_PROFILES]
+            for _ in range(2)
+        ]
+        assert passes[0] == passes[1]
+        assert len(generated) == len(TABLE4_PROFILES) == 21
+        assert perf.SCHEDULE_MEMO_ENTRIES >= len(TABLE4_PROFILES)

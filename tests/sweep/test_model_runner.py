@@ -65,3 +65,26 @@ class TestArtifact:
         assert point["kind"] == "abo-config"
         assert point["params"] == {"level": 2}
         assert point["metrics"]["min_acts_between_alerts"] == 5.0
+
+
+class TestWorkloadStats:
+    def test_table4_points_equal_a_fresh_schedule(self):
+        from repro.workloads.generator import (
+            generate_schedule,
+            measure_characteristics,
+        )
+        from repro.workloads.profiles import profile_by_name
+
+        spec = MODEL_FAMILY.preset("table4").with_overrides(n_trefi=512)
+        points = spec.points()
+        assert len(points) == 21
+        for point in points:
+            params = point.model.param_dict()
+            profile = profile_by_name(params["workload"])
+            want = measure_characteristics(generate_schedule(
+                profile, n_trefi=params["n_trefi"],
+                seed=params.get("seed", 0)))
+            got = execute_model_point(point).metrics
+            assert {k: got[k] for k in want} == {
+                k: float(v) for k, v in want.items()}
+            assert got["paper_act_32_plus"] == profile.act_32_plus
