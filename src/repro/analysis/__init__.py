@@ -12,7 +12,6 @@ from repro.analysis.ratchet_model import (
 )
 from repro.analysis.throughput import (
     alert_window_throughput,
-    benign_slowdown_model,
     continuous_alert_slowdown,
     single_bank_attack_throughput,
 )
@@ -27,7 +26,6 @@ __all__ = [
     "RatchetModel",
     "ratchet_safe_trh",
     "alert_window_throughput",
-    "benign_slowdown_model",
     "continuous_alert_slowdown",
     "single_bank_attack_throughput",
     "moat_sram_bytes",

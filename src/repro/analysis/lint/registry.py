@@ -2,8 +2,8 @@
 
 Mirrors the repo's registration idiom (``mitigations/registry.py``,
 ``mc/sched.py``): each rule is a frozen :class:`RuleSpec` carrying its
-name, scope, checker, one-line description, and default params, held
-in a single ``_REGISTRY`` dict that both the CLI (``repro lint
+name, scope, checker and one-line description, held in a single
+``_REGISTRY`` dict that both the CLI (``repro lint
 --list-rules``, ``--select``/``--ignore`` validation) and the runner
 read — so the rule list printed to users can never drift from the
 rules that actually run.
@@ -24,7 +24,6 @@ disable=<rule>`` suppressions centrally, and returns a sorted
 
 from __future__ import annotations
 
-import subprocess
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -43,6 +42,7 @@ from repro.analysis.lint.core import (
     load_context,
     parse_suppressions,
 )
+from repro.sweep.artifacts import git_toplevel
 
 
 @dataclass(frozen=True)
@@ -54,19 +54,17 @@ class RuleSpec:
             and the ``disable=`` suppression token).
         scope: ``"file"`` (checker runs per parsed file) or
             ``"repo"`` (checker runs once against the lint root).
-        checker: The checker callable — ``checker(ctx, **params)``
-            for file scope, ``checker(root, **params)`` for repo
-            scope — yielding/returning findings.
+        checker: The checker callable — ``checker(ctx)`` for file
+            scope, ``checker(root)`` for repo scope — yielding/returning
+            findings. Its defaults (packages, exemptions, allow-lists)
+            live in its own signature.
         description: One-line summary printed by ``--list-rules``.
-        params: Default keyword params, as a sorted tuple of pairs so
-            the spec stays hashable.
     """
 
     name: str
     scope: str
     checker: Callable = field(compare=False)
     description: str = ""
-    params: Tuple[Tuple[str, object], ...] = ()
 
 
 _REGISTRY: Dict[str, RuleSpec] = {
@@ -77,14 +75,12 @@ _REGISTRY: Dict[str, RuleSpec] = {
             scope="file",
             checker=determinism.check,
             description=determinism.DESCRIPTION,
-            params=(("packages", determinism.DEFAULT_PACKAGES),),
         ),
         RuleSpec(
             name=hash_neutrality.NAME,
             scope="file",
             checker=hash_neutrality.check,
             description=hash_neutrality.DESCRIPTION,
-            params=(("exempt", hash_neutrality.DEFAULT_EXEMPT),),
         ),
         RuleSpec(
             name=registry_coverage.NAME,
@@ -103,7 +99,6 @@ _REGISTRY: Dict[str, RuleSpec] = {
             scope="file",
             checker=telemetry_purity.check,
             description=telemetry_purity.DESCRIPTION,
-            params=(("allowed", telemetry_purity.DEFAULT_ALLOWED),),
         ),
     )
 }
@@ -149,17 +144,9 @@ def resolve_rules(select: Optional[Sequence[str]] = None,
 
 
 def default_root() -> Path:
-    """Git toplevel when available, else the current directory."""
-    try:
-        out = subprocess.run(
-            ["git", "rev-parse", "--show-toplevel"],
-            capture_output=True, text=True, check=True,
-        ).stdout.strip()
-        if out:
-            return Path(out)
-    except (OSError, subprocess.CalledProcessError):
-        pass
-    return Path(".").resolve()
+    """Git toplevel of the current directory when available, else the
+    current directory."""
+    return git_toplevel(Path.cwd()) or Path(".").resolve()
 
 
 def _repo_suppressed(finding: Finding, root: Path,
@@ -204,7 +191,7 @@ def run_lint(paths: Optional[Sequence[Path]] = None,
             findings.append(ctx)
             continue
         for spec in file_rules:
-            for finding in spec.checker(ctx, **dict(spec.params)):
+            for finding in spec.checker(ctx):
                 if ctx.is_suppressed(finding):
                     suppressed += 1
                 else:
@@ -212,7 +199,7 @@ def run_lint(paths: Optional[Sequence[Path]] = None,
 
     suppression_cache: Dict[str, Dict[int, set]] = {}
     for spec in repo_rules:
-        for finding in spec.checker(root, **dict(spec.params)):
+        for finding in spec.checker(root):
             if _repo_suppressed(finding, root, suppression_cache):
                 suppressed += 1
             else:

@@ -87,9 +87,3 @@ class BenignSlowdownModel:
             return float("inf")
         return (self.ath + 1) / hostile
 
-
-def benign_slowdown_model(
-    benign_act_fraction: float = 0.996, ath: int = 64
-) -> BenignSlowdownModel:
-    """Convenience constructor for the Section 7.4 model."""
-    return BenignSlowdownModel(benign_act_fraction, ath)

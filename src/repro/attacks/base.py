@@ -52,18 +52,12 @@ class AttackRunConfig:
         num_refresh_groups: Refresh groups per tREFW window.
         subchannels: Sub-channels in the simulated channel. ``1``
             reproduces the pre-port single-engine runs bit-for-bit.
-        seed: Reserved for stochastic attacks; every *registered*
-            attack is deterministic today, so a non-default seed
-            changes point identity without changing results (the sweep
-            layer keeps ``seed=0`` out of keys/hashes for exactly this
-            reason).
         timing: DRAM timing parameters.
     """
 
     rows_per_bank: int = 64 * 1024
     num_refresh_groups: int = 8192
     subchannels: int = 1
-    seed: int = 0
     timing: DramTiming = field(default_factory=lambda: DDR5_PRAC_TIMING)
 
     def __post_init__(self) -> None:
@@ -142,8 +136,9 @@ class AttackResult:
         Numeric ``details`` flatten to ``detail:<name>`` keys. Only
         finite values are emitted: an undefined rate (``throughput``
         of a run that never advanced, a ``detail:`` derived from one)
-        is *absent*, never a JSON-breaking ``NaN`` token — and an
-        absent gated metric fails the baseline diff explicitly.
+        is *absent*, never a JSON-breaking ``NaN`` token — and a
+        metric the baseline recorded but the run lacks fails the
+        baseline diff explicitly.
         """
         metrics = {
             "acts_on_attack_row": float(self.acts_on_attack_row),

@@ -23,7 +23,7 @@ Commands:
   crossbar over one or more channels.
 * ``perf`` — evaluate a mitigation policy on a Table 4 workload (or a
   recorded address trace via ``--trace``), optionally across multiple
-  sub-channels (``--channels``); ``--list-policies`` prints the
+  sub-channels (``--subchannels``); ``--list-policies`` prints the
   mitigation registry.
 * ``report`` — the unified paper report: ``report all`` (or ``report
   run <figure>...``) renders every registered paper figure/table from
@@ -200,7 +200,7 @@ def _cmd_attack_run(args: argparse.Namespace) -> int:
     # Bad or missing parameters (AttackSpec validation), impossible
     # geometry, or an adaptive attack at subchannels > 1 raise
     # ValueError: a usage error.
-    run_config = AttackRunConfig(subchannels=args.subchannels, seed=args.seed)
+    run_config = AttackRunConfig(subchannels=args.subchannels)
     _print_attack(run_attack(AttackSpec.of(args.name, **params), run_config))
     return 0
 
@@ -247,8 +247,8 @@ def _cmd_perf(args: argparse.Namespace) -> int:
             ["policy", "tREFI/mitigation", "description"], rows,
             title="Registered mitigation policies"))
         return 0
-    if args.channels < 1:
-        raise ValueError("--channels must be at least 1")
+    if args.subchannels < 1:
+        raise ValueError("--subchannels must be at least 1")
     if not (args.trace or args.workload):
         raise ValueError(
             "a workload name (or --trace/--list-policies) is required")
@@ -257,7 +257,7 @@ def _cmd_perf(args: argparse.Namespace) -> int:
         eth=args.eth,
         abo_level=args.level,
         policy=PolicySpec(args.policy),
-        subchannels=args.channels,
+        subchannels=args.subchannels,
         n_trefi=args.trefi,
     )
     if args.trace:
@@ -690,7 +690,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     """The one ``<family> sweep`` command body.
 
     Everything family-specific arrives through the registry entry
-    (preset table, runner, schema, gated metrics, baseline naming), the
+    (preset table, runner, schema, baseline naming), the
     spec's ``with_overrides`` (a seed it has no axis for is a usage
     error) and the summary table in :data:`_SWEEP_COMMANDS`.
     """
@@ -1094,7 +1094,6 @@ def build_parser() -> argparse.ArgumentParser:
                             help="sub-channels in the simulated channel "
                             "(open-loop patterns replicate across them; "
                             "adaptive attacks require 1)")
-    attack_run.add_argument("--seed", type=int, default=0)
     attack_run.set_defaults(func=_cmd_attack_run)
 
     attack_list = attack_sub.add_parser(
@@ -1113,7 +1112,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="mitigation policy (default: moat)")
     perf.add_argument("--list-policies", action="store_true",
                       help="list the registered mitigation policies and exit")
-    perf.add_argument("--channels", type=int, default=1, metavar="N",
+    perf.add_argument("--subchannels", type=int, default=1, metavar="N",
                       help="sub-channels simulated per run (synthetic "
                       "workloads; trace replay takes its geometry from "
                       "the mapping)")

@@ -8,13 +8,12 @@ counter-reset policies (:mod:`repro.dram.refresh`). Command timing
 (ACT, REF, RFM) is the simulator's job (:mod:`repro.sim.engine`).
 """
 
-from repro.dram.bank import Bank, RowState
+from repro.dram.bank import Bank
 from repro.dram.refresh import CounterResetPolicy, RefreshEngine
 from repro.dram.timing import DramTiming, SystemConfig, DDR5_PRAC_TIMING
 
 __all__ = [
     "Bank",
-    "RowState",
     "CounterResetPolicy",
     "RefreshEngine",
     "DramTiming",

@@ -26,17 +26,7 @@ must stay a flat ``array("q")``.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Optional
-
-
-@dataclass(frozen=True)
-class RowState:
-    """Read-only snapshot of one row's counters (for tests/inspection)."""
-
-    row: int
-    prac: int
-    danger: int
 
 
 class Bank:
@@ -96,10 +86,6 @@ class Bank:
         """Ground-truth hammer exposure of victim ``row``."""
         self._check_row(row)
         return self._danger.get(row, 0)
-
-    def row_state(self, row: int) -> RowState:
-        """Snapshot of one row's counters."""
-        return RowState(row, self.prac_count(row), self.danger_count(row))
 
     def victims_of(self, row: int) -> Iterable[int]:
         """Victim rows of aggressor ``row`` within the blast radius."""
@@ -174,10 +160,6 @@ class Bank:
     def touched_rows(self) -> Dict[int, int]:
         """Rows with a nonzero PRAC counter (row -> count)."""
         return {row: count for row, count in enumerate(self._prac) if count}
-
-    def rows_with_prac_at_least(self, threshold: int) -> int:
-        """Number of rows whose PRAC counter is >= ``threshold``."""
-        return sum(1 for count in self._prac if count >= threshold)
 
     def _check_row(self, row: int) -> None:
         if not 0 <= row < self.num_rows:

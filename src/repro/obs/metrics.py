@@ -52,10 +52,6 @@ class LogHistogram:
         exponent = math.frexp(value)[1]
         self.counts[exponent] = self.counts.get(exponent, 0) + 1
 
-    def add_many(self, values: Iterable[float]) -> None:
-        for value in values:
-            self.add(value)
-
     def merge(self, other: "LogHistogram") -> None:
         """Fold ``other`` into this histogram, exactly."""
         for exponent, count in other.counts.items():

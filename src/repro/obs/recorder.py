@@ -80,10 +80,6 @@ class TraceRecorder:
     def __len__(self) -> int:
         return len(self.events)
 
-    def of_kind(self, kind: str) -> List[TraceEvent]:
-        """Every recorded event of ``kind``, in emission order."""
-        return [event for event in self.events if event.kind == kind]
-
     def count(self, kind: str) -> int:
         """Number of recorded events of ``kind``."""
         return sum(1 for event in self.events if event.kind == kind)

@@ -40,7 +40,7 @@ from repro.report import paper_values as pv
 
 #: Artifact families a figure source can come from, mapped by the
 #: pipeline onto (preset table, runner, artifact builder, baseline
-#: naming, schema, gated metrics).
+#: naming, schema).
 FAMILIES = ("sweep", "attack", "model", "system")
 
 Artifacts = Dict[str, Dict]

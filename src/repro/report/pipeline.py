@@ -28,13 +28,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.report.figures import FIGURES, FigureSpec, SourceRef, figure
 from repro.report.tables import format_table
-from repro.sweep.artifacts import (
-    BASELINE_DIR,
-    git_revision,
-    git_toplevel,
-    utc_now,
-    write_artifact,
-)
+from repro.sweep.artifacts import git_revision, utc_now, write_artifact
 from repro.sweep.attack_runner import run_attack_sweep
 from repro.sweep.family import get_family
 from repro.sweep.model_runner import run_model_sweep
@@ -222,15 +216,11 @@ def write_baselines(
 ) -> List[Path]:
     """Write every distinct source artifact as its committed baseline.
 
-    With no explicit ``root`` the write anchors exactly like the check
-    path resolves (CWD when it already holds ``benchmarks/baselines/``,
-    otherwise the repro checkout), so regenerating from any working
-    directory updates the same files ``--check`` will read.
+    With no explicit ``root`` each path resolves as the check path does
+    (:func:`~repro.sweep.artifacts.baseline_root`), so regenerating
+    from any working directory updates the same files ``--check`` will
+    read.
     """
-    if root is None:
-        root = Path(".")
-        if not (root / BASELINE_DIR).is_dir():
-            root = git_toplevel() or root
     written: Dict[str, Path] = {}
     for result in results:
         for ref in result.spec.sources:

@@ -418,10 +418,6 @@ class SubchannelSim:
         """The first bank's policy (single-bank attack convenience)."""
         return self.policies[0]
 
-    def trefi_index(self) -> int:
-        """Index of the current tREFI interval."""
-        return int(self.now // self.timing.t_refi)
-
     # ------------------------------------------------------------------
     # Event processing
     # ------------------------------------------------------------------

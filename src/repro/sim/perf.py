@@ -190,29 +190,20 @@ class PerfResult:
 
 
 def run_workload(
-    profile: WorkloadProfile,
-    config: RunConfig = RunConfig(),
-    schedule: Optional[ActivationSchedule] = None,
+    profile: WorkloadProfile, config: RunConfig = RunConfig()
 ) -> PerfResult:
     """Simulate one workload against the configured policy.
 
     Args:
         profile: Table 4 workload profile.
-        config: Policy and simulation parameters.
-        schedule: Pre-generated schedule for bank 0 (otherwise one
-            per (sub-channel, bank), generated once per process for
-            each key, see :func:`_channel_schedules`; supplying one
-            forces single-bank, single-sub-channel mode).
+        config: Policy and simulation parameters. Each simulated
+            (sub-channel, bank) replays its own schedule, generated
+            once per process for each key (:func:`_channel_schedules`).
     """
-    if schedule is not None:
-        banks, subchannels = 1, 1
-        schedules = [[schedule]]
-    else:
-        banks, subchannels = config.banks_simulated, config.subchannels
-        schedules = _channel_schedules(
-            profile, subchannels, banks, config.n_trefi, config.seed
-        )
-
+    banks, subchannels = config.banks_simulated, config.subchannels
+    schedules = _channel_schedules(
+        profile, subchannels, banks, config.n_trefi, config.seed
+    )
     result = _run_once(profile, config, schedules, banks, subchannels, None)
     if not config.model_cross_bank_service or result.alerts == 0:
         return result

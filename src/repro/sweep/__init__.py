@@ -37,9 +37,9 @@ declarative, cacheable, parallel evaluation backbone:
   ``repro attack sweep <preset> --check``).
 * :mod:`repro.sweep.family` — the :class:`~repro.sweep.family.
   SweepFamily` registry tying each family's presets, runner, schema,
-  gated metrics, aggregates, and baseline prefix into one table (the
-  CLI, report pipeline, and artifact builder derive from it; look
-  presets up with ``FAMILY.preset(name)``).
+  aggregates, and baseline prefix into one table (the CLI, report
+  pipeline, and artifact builder derive from it; look presets up with
+  ``FAMILY.preset(name)``).
 """
 
 from repro.sweep.artifacts import diff_artifacts, load_artifact, write_artifact

@@ -2,7 +2,7 @@
 
 Every sweep family serializes to a ``BENCH_<family>_<preset>.json``
 artifact of one shared layout; the family-specific parts (schema id,
-gated metrics, baseline prefix, aggregates) live on its
+baseline prefix, aggregates) live on its
 :class:`~repro.sweep.family.SweepFamily` registry entry, whose
 :meth:`~repro.sweep.family.SweepFamily.make_artifact` builds the
 artifact. A performance artifact looks like:
@@ -46,7 +46,7 @@ import math
 import subprocess
 import time
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 #: Default relative location of committed baselines.
 BASELINE_DIR = Path("benchmarks") / "baselines"
@@ -102,6 +102,19 @@ def git_toplevel(cwd: Optional[Path] = None) -> Optional[Path]:
     return Path(top) if top else None
 
 
+def baseline_root(root: Optional[Path] = None) -> Path:
+    """The directory whose :data:`BASELINE_DIR` holds the committed
+    baselines: ``root`` when given, else the CWD when it has that
+    directory, else the repro checkout. Checking and writing resolve
+    alike, so the installed ``repro`` script reads and regenerates the
+    same files from any working directory."""
+    if root is not None:
+        return Path(root)
+    if BASELINE_DIR.is_dir():
+        return Path(".")
+    return git_toplevel() or Path(".")
+
+
 def write_artifact(path: Path, artifact: Dict) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -123,16 +136,14 @@ def diff_artifacts(
     current: Dict,
     rtol: float = 0.0,
     atol: float = 0.0,
-    gated_metrics: Optional[Tuple[str, ...]] = None,
 ) -> List[str]:
     """Compare ``current`` against ``baseline``; returns problems.
 
     An empty list means the run matches the baseline. Problems are
     human-readable strings: missing points, config-hash drift, or
     metrics that differ from the baseline (by more than
-    ``atol + rtol * |baseline|``, both 0 by default).
-    ``gated_metrics=None`` gates every metric recorded in the baseline
-    point.
+    ``atol + rtol * |baseline|``, both 0 by default). Every family
+    gates the same set: each metric the baseline point recorded.
     """
     problems: List[str] = []
     base_points = baseline.get("points", {})
@@ -160,23 +171,17 @@ def diff_artifacts(
                 "generator semantics changed; regenerate the baseline)"
             )
             continue
-        metrics_to_gate = (
-            tuple(base.get("metrics", {})) if gated_metrics is None
-            else gated_metrics
-        )
-        for metric in metrics_to_gate:
-            if metric not in base.get("metrics", {}):
-                continue
+        for metric, want_raw in base.get("metrics", {}).items():
             got_raw = point.get("metrics", {}).get(metric)
             try:
-                want = float(base["metrics"][metric])
+                want = float(want_raw)
                 got = float("nan") if got_raw is None else float(got_raw)
             except (TypeError, ValueError):
                 # Hand-edited values like "0.5%" fail the gate with a
                 # problem line, never a traceback.
                 problems.append(
                     f"unparseable metric: {key}: {metric} = {got_raw!r} "
-                    f"(baseline {base['metrics'][metric]!r})"
+                    f"(baseline {want_raw!r})"
                 )
                 continue
             # NaN compares False against every tolerance, so it must
@@ -185,7 +190,7 @@ def diff_artifacts(
             if math.isnan(got) or math.isnan(want):
                 problems.append(
                     f"metric missing or NaN: {key}: {metric} = {got_raw!r} "
-                    f"(baseline {base['metrics'][metric]!r})"
+                    f"(baseline {want_raw!r})"
                 )
                 continue
             if abs(got - want) > atol + rtol * abs(want):

@@ -32,12 +32,8 @@ from repro.sweep.identity import (
 )
 
 #: Axes mapped to the neutral value at which they leave the simulation
-#: unchanged (see :mod:`repro.sweep.identity`). ``seed`` is neutral at
-#: 0 because no *registered* attack is stochastic today — the axis is
-#: reserved for future randomized attacks, and keeping the default out
-#: of point identity means baselines and cache entries survive the day
-#: one starts consuming it.
-_NEUTRAL_AXES = {"subchannels": 1, "seed": 0}
+#: unchanged (see :mod:`repro.sweep.identity`).
+_NEUTRAL_AXES = {"subchannels": 1}
 
 
 @dataclass(frozen=True)
@@ -55,8 +51,7 @@ class AttackSweepPoint:
         valid when an axis is introduced later.
         """
         sc = f"|sc={self.run.subchannels}" if self.run.subchannels != 1 else ""
-        seed = f"|seed={self.run.seed}" if self.run.seed != 0 else ""
-        return f"{self.attack.display_name()}{sc}{seed}"
+        return f"{self.attack.display_name()}{sc}"
 
     def config_hash(self) -> str:
         """Content hash of everything that determines the result.
@@ -74,24 +69,23 @@ class AttackSweepPoint:
 
 @dataclass(frozen=True)
 class AttackSweepSpec(SweepSpecBase):
-    """Grid of attack runs (attacks crossed with the channel axes)."""
+    """Grid of attack runs (attacks crossed with the channel axes).
 
-    # Attack points have no window and no workload.
-    _OVERRIDES = ("seed",)
+    Attack points have no window, no workload and no seed: every
+    registered attack is deterministic."""
 
     name: str
     description: str = ""
     attacks: Tuple[AttackSpec, ...] = ()
     #: Sub-channels per simulated channel (the ChannelSim axis).
     subchannels: Tuple[int, ...] = (1,)
-    seed: int = 0
 
     def points(self) -> List[AttackSweepPoint]:
         """Expand the grid in deterministic order, deduplicated by key."""
         return unique_by_key(
             AttackSweepPoint(
                 attack=attack,
-                run=AttackRunConfig(subchannels=sc, seed=self.seed),
+                run=AttackRunConfig(subchannels=sc),
             )
             for attack, sc in itertools.product(self.attacks, self.subchannels)
         )

@@ -3,12 +3,13 @@
 Five artifact families share one execution/caching/gating stack (spec
 → points → :func:`~repro.sweep.runner.run_grid` → artifact → baseline
 gate); what distinguishes them is declarative: which spec class, which
-preset table, which schema id, which metrics gate, which baseline
-filename prefix, which aggregates summarize a run. A
-:class:`SweepFamily` captures exactly that declarative surface, and
-:data:`FAMILIES` registers all five — perf, attack, model, mc, system
-— so the CLI, the report pipeline, the artifact builder, and the
-baseline gate are derived from one table.
+preset table, which schema id, which baseline filename prefix, which
+aggregates summarize a run. A :class:`SweepFamily` captures exactly
+that declarative surface, and :data:`FAMILIES` registers all five —
+perf, attack, model, mc, system — so the CLI, the report pipeline, the
+artifact builder, and the baseline gate are derived from one table.
+The gate has one rule for every family: it compares each metric the
+baseline point recorded.
 
 The registry is purely descriptive: hashes, keys, and artifact layouts
 are pinned by the committed baselines passing ``--check`` unchanged,
@@ -25,9 +26,9 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.sweep.artifacts import (
     BASELINE_DIR,
+    baseline_root,
     diff_artifacts,
     git_revision,
-    git_toplevel,
     load_artifact,
     utc_now,
 )
@@ -61,9 +62,6 @@ class SweepFamily:
         list_title: Title of the family's ``--list-presets`` table.
         presets: Named preset table (``name -> spec``).
         run: ``run(spec, jobs=, cache_dir=, progress=) -> SweepResult``.
-        gated_metrics: Metrics the baseline gate compares; ``None``
-            gates every metric recorded in the baseline (the model and
-            system convention).
         aggregate: Cross-point summary of a run's point results (the
             artifact's ``aggregates`` block).
     """
@@ -74,7 +72,6 @@ class SweepFamily:
     list_title: str
     presets: Mapping[str, Any]
     run: Callable[..., SweepResult]
-    gated_metrics: Optional[Tuple[str, ...]]
     aggregate: Callable[[List[PointResult]], Dict[str, float]]
 
     @property
@@ -93,21 +90,10 @@ class SweepFamily:
     def default_baseline_path(
         self, preset_name: str, root: Optional[Path] = None
     ) -> Path:
-        """Committed baseline location for a preset (``--check``).
-
-        Without a ``root`` the path resolves under the CWD when the
-        baseline exists there, else under the repro checkout — so the
-        installed ``repro`` script finds the committed baselines from
-        any working directory inside the checkout.
-        """
-        if root is not None:
-            return Path(root) / BASELINE_DIR / self.baseline_name(preset_name)
-        path = BASELINE_DIR / self.baseline_name(preset_name)
-        if not path.is_file():
-            toplevel = git_toplevel()
-            if toplevel is not None:
-                return toplevel / path
-        return path
+        """Committed baseline location for a preset (``--check`` and
+        ``--write-baselines``), under :func:`baseline_root`."""
+        return (baseline_root(root) / BASELINE_DIR
+                / self.baseline_name(preset_name))
 
     def make_artifact(
         self,
@@ -169,8 +155,8 @@ class SweepFamily:
         atol: float = 0.0,
     ) -> Tuple[bool, List[str]]:
         """Gate an artifact on a baseline file with this family's
-        schema and gated-metric set (exactly, unless given a
-        tolerance)."""
+        schema: every metric the baseline recorded, exactly unless
+        given a tolerance."""
         path = Path(baseline_path)
         if not path.is_file():
             return False, [
@@ -183,10 +169,7 @@ class SweepFamily:
             # Truncated, hand-edited, or wrong-schema baselines must
             # fail the gate with a problem line, not a traceback.
             return False, [f"unreadable baseline: {exc}"]
-        problems = diff_artifacts(
-            baseline, artifact, rtol=rtol, atol=atol,
-            gated_metrics=self.gated_metrics,
-        )
+        problems = diff_artifacts(baseline, artifact, rtol=rtol, atol=atol)
         return not problems, problems
 
 
@@ -242,18 +225,6 @@ PERF_FAMILY = SweepFamily(
     list_title="Sweep presets",
     presets=PRESETS,
     run=run_sweep,
-    # Wall-clock is recorded but never gated (machine-dependent).
-    gated_metrics=(
-        "alerts",
-        "alerts_per_trefi",
-        "slowdown",
-        "normalized_performance",
-        "mitigations_per_trefw_per_bank",
-        "activation_overhead",
-        "total_acts",
-        "proactive_mitigations",
-        "reactive_mitigations",
-    ),
     aggregate=_perf_aggregate,
 )
 
@@ -265,20 +236,6 @@ ATTACK_FAMILY = SweepFamily(
     list_title="Attack sweep presets",
     presets=ATTACK_PRESETS,
     run=run_attack_sweep,
-    # Everything a deterministic attack reports is gateable; per-attack
-    # ``detail:`` metrics missing from a point are skipped by the diff.
-    gated_metrics=(
-        "acts_on_attack_row",
-        "max_danger",
-        "alerts",
-        "total_acts",
-        "elapsed_ns",
-        "throughput",
-        "detail:throughput_loss",
-        "detail:normalized_throughput",
-        "detail:baseline_ns",
-        "detail:survivors",
-    ),
     aggregate=_attack_aggregate,
 )
 
@@ -290,9 +247,6 @@ MODEL_FAMILY = SweepFamily(
     list_title="Model sweep presets",
     presets=MODEL_PRESETS,
     run=run_model_sweep,
-    # The evaluators are pure functions, so every metric they emit is a
-    # stable, gateable quantity.
-    gated_metrics=None,
     aggregate=lambda results: {"points": float(len(results))},
 )
 
@@ -304,25 +258,6 @@ MC_FAMILY = SweepFamily(
     list_title="Memory-controller sweep presets",
     presets=MC_PRESETS,
     run=run_mc_sweep,
-    # Request streams and stochastic policies derive from the point
-    # config, so every latency/bandwidth/queueing metric is gateable.
-    gated_metrics=(
-        "requests",
-        "reads",
-        "read_mean_ns",
-        "read_p50_ns",
-        "read_p99_ns",
-        "read_max_ns",
-        "avg_queue_ns",
-        "avg_queue_occupancy",
-        "achieved_gbps",
-        "requests_per_trefi",
-        "row_hit_rate",
-        "alerts",
-        "alerts_per_trefi",
-        "stall_fraction",
-        "total_acts",
-    ),
     aggregate=_latency_aggregate,
 )
 
@@ -334,9 +269,6 @@ SYSTEM_FAMILY = SweepFamily(
     list_title="System sweep presets",
     presets=SYSTEM_PRESETS,
     run=run_system_sweep,
-    # The per-client columns (``"{client}:read_p99_ns"`` …) vary by
-    # scenario, so the gate checks every metric the baseline recorded.
-    gated_metrics=None,
     aggregate=_latency_aggregate,
 )
 

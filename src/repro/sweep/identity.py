@@ -122,14 +122,25 @@ class SweepSpecBase:
     """The base of every family's spec (a dataclass with a ``name`` and
     a ``points()`` expansion): its grid identity and override path."""
 
-    #: The overrides a spec applies to its own same-named fields. The
-    #: others pass through: its points have no such axis.
+    #: The overrides a spec applies to its own same-named fields. A
+    #: ``seed`` it lacks is refused (:meth:`_refuse_seed`); a scale or
+    #: workload subset passes through, as the report hands both to
+    #: every family.
     _OVERRIDES: Sequence[str] = ()
 
     def sweep_hash(self) -> str:
         """Identity of the whole grid (order-independent)."""
         hashes = sorted(p.config_hash() for p in self.points())
         return content_hash([self.name, hashes])
+
+    def _refuse_seed(self, seed: Optional[int]) -> None:
+        """Raise ``ValueError`` for a ``seed`` when the points have no
+        seed axis (a run at another seed would repeat this one)."""
+        if seed is not None and "seed" not in self._OVERRIDES:
+            raise ValueError(
+                f"preset {self.name!r} has no seed axis: its points are "
+                "deterministic"
+            )
 
     def with_overrides(
         self,
@@ -139,5 +150,6 @@ class SweepSpecBase:
     ):
         """Copy at another scale, seed, or Table 4 workload subset; the
         spec itself when nothing it applies is given."""
+        self._refuse_seed(seed)
         given = {"n_trefi": n_trefi, "seed": seed, "workloads": workloads}
         return replace_given(self, **{k: given[k] for k in self._OVERRIDES})

@@ -273,11 +273,7 @@ class ModelSweepSpec(SweepSpecBase):
         and cut to ``workloads``; every other kind is scale-free and
         passes through. The evaluators are deterministic, so there is
         no seed axis: a ``seed`` raises ``ValueError``."""
-        if seed is not None:
-            raise ValueError(
-                f"model preset {self.name!r} has no seed axis: its "
-                "evaluators are deterministic"
-            )
+        self._refuse_seed(seed)
         if n_trefi is None and workloads is None:
             return self
         models: List[ModelSpec] = []

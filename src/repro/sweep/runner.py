@@ -161,9 +161,6 @@ class SweepResult:
         (unlike ``wall_clock_s``, which times cache-file reads then)."""
         return sum(r.wall_clock_s for r in self.results)
 
-    def by_key(self) -> Dict[str, PointResult]:
-        return {r.key: r for r in self.results}
-
 
 def execute_point(point: SweepPoint) -> PointResult:
     """Run one perf sweep point in the current process (worker entry)."""

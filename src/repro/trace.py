@@ -128,16 +128,6 @@ class ActivationTrace:
     def duration_ns(self) -> float:
         return self.events[-1][0] if self.events else 0.0
 
-    def rows_touched(self) -> Dict[int, int]:
-        """Activation count per (bank << 32 | row) key, flattened to
-        per-row counts for single-bank traces."""
-        counts: Dict[int, int] = {}
-        single_bank = all(bank == 0 for _, bank, _ in self.events)
-        for _, bank, row in self.events:
-            key = row if single_bank else (bank << 32) | row
-            counts[key] = counts.get(key, 0) + 1
-        return counts
-
     # ------------------------------------------------------------------
     # Persistence
     # ------------------------------------------------------------------

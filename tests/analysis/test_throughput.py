@@ -3,8 +3,8 @@
 import pytest
 
 from repro.analysis.throughput import (
+    BenignSlowdownModel,
     alert_window_throughput,
-    benign_slowdown_model,
     continuous_alert_slowdown,
     mixed_throughput,
     single_bank_attack_throughput,
@@ -70,12 +70,12 @@ class TestMixedThroughput:
 class TestBenignModel:
     def test_acts_per_alert_for_benign_workloads(self):
         # Section 7.4: 99.6% benign activations -> >6500 ACTs per ALERT.
-        model = benign_slowdown_model(0.996, ath=64)
+        model = BenignSlowdownModel(0.996, ath=64)
         assert model.acts_per_alert > 6500
 
     def test_attack_has_65_acts_per_alert(self):
-        model = benign_slowdown_model(0.0, ath=64)
+        model = BenignSlowdownModel(0.0, ath=64)
         assert model.acts_per_alert == 65
 
     def test_fully_benign_never_alerts(self):
-        assert benign_slowdown_model(1.0).acts_per_alert == float("inf")
+        assert BenignSlowdownModel(1.0).acts_per_alert == float("inf")

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.dram.bank import Bank, RowState
+from repro.dram.bank import Bank
 
 
 class TestConstruction:
@@ -143,10 +143,10 @@ class TestMitigation:
 
 
 class TestIntrospection:
-    def test_row_state(self, small_bank):
+    def test_row_counters(self, small_bank):
         small_bank.activate(5)
-        state = small_bank.row_state(5)
-        assert state == RowState(row=5, prac=1, danger=0)
+        assert small_bank.prac_count(5) == 1
+        assert small_bank.danger_count(5) == 0
 
     def test_touched_rows(self, small_bank):
         small_bank.activate(1)
@@ -154,13 +154,11 @@ class TestIntrospection:
         small_bank.activate(2)
         assert small_bank.touched_rows() == {1: 1, 2: 2}
 
-    def test_rows_with_prac_at_least(self, small_bank):
+    def test_prac_counts_accumulate_per_row(self, small_bank):
         for _ in range(5):
             small_bank.activate(1)
         small_bank.activate(2)
-        assert small_bank.rows_with_prac_at_least(2) == 1
-        assert small_bank.rows_with_prac_at_least(1) == 2
-        assert small_bank.rows_with_prac_at_least(6) == 0
+        assert [small_bank.prac_count(row) for row in (1, 2, 3)] == [5, 1, 0]
 
 
 class TestDangerInvariants:

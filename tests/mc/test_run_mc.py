@@ -160,7 +160,6 @@ class TestPerfCrossCheck:
             profile_by_name(workload),
             RunConfig(ath=ath, model_cross_bank_service=False,
                       n_trefi=n_trefi),
-            schedule=schedule,
         )
         mc = run_mc_requests(
             requests_from_schedule(schedule),
@@ -185,7 +184,6 @@ class TestPerfCrossCheck:
             profile_by_name("mcf"),
             RunConfig(ath=32, model_cross_bank_service=False,
                       banks_per_subchannel=1, n_trefi=n_trefi),
-            schedule=schedule,
         )
         mc = run_mc_requests(
             requests_from_schedule(schedule),

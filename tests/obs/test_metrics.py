@@ -22,7 +22,8 @@ _samples = st.lists(
 
 def _hist(values) -> LogHistogram:
     hist = LogHistogram()
-    hist.add_many(values)
+    for value in values:
+        hist.add(value)
     return hist
 
 

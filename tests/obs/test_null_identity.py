@@ -113,7 +113,7 @@ def test_alert_events_reconcile_under_pressure():
     recorder = TraceRecorder()
     result = run_mc(config, recorder=recorder)
     assert result.alerts > 0
-    alerts = recorder.of_kind("alert")
+    alerts = [e for e in recorder.events if e.kind == "alert"]
     assert len(alerts) == result.alerts
     # ALERT durations are the engine's stall windows, in sim time.
     assert all(event.dur_ns > 0 for event in alerts)
@@ -123,7 +123,7 @@ def test_alert_events_reconcile_under_pressure():
 def test_ref_events_follow_the_refresh_schedule():
     recorder = TraceRecorder()
     result = run_mc(_config("moat", "frfcfs"), recorder=recorder)
-    refs = recorder.of_kind("ref")
+    refs = [e for e in recorder.events if e.kind == "ref"]
     # One REF per elapsed tREFI per sub-channel (minus edge windows).
     assert result.requests > 0
     assert _N_TREFI - 2 <= len(refs) <= _N_TREFI
@@ -155,7 +155,8 @@ def test_system_events_carry_their_own_subchannel(subchannels):
     run_system(config, jobs=1, recorder=recorder)
     every_sub = set(range(config.channels * subchannels))
     for kind in _DERIVED_KINDS + ("ref",):
-        assert {e.sub for e in recorder.of_kind(kind)} == every_sub, kind
+        assert {e.sub for e in recorder.events
+                if e.kind == kind} == every_sub, kind
 
 
 def _open_loop(config: RunConfig, schedules, track_danger: bool,
@@ -202,4 +203,4 @@ def test_every_open_loop_act_is_recorded_once(policy, track_danger):
     assert traced.stats() == plain.stats()
     assert recorder.count("act") == traced.total_acts > 0
     assert recorder.count("alert") == traced.alerts
-    assert {event.sub for event in recorder.of_kind("act")} == {0, 1}
+    assert {e.sub for e in recorder.events if e.kind == "act"} == {0, 1}

@@ -316,7 +316,7 @@ class TestPipeline:
         """Outside any baseline-bearing directory the write anchors at
         the repo toplevel — the same files --check resolves — instead
         of silently scattering baselines under the CWD."""
-        import repro.report.pipeline as pipeline
+        import repro.sweep.artifacts as artifacts
 
         fake_checkout = tmp_path / "checkout"
         (fake_checkout / "benchmarks" / "baselines").mkdir(parents=True)
@@ -324,7 +324,7 @@ class TestPipeline:
         cwd.mkdir()
         monkeypatch.chdir(cwd)
         monkeypatch.setattr(
-            pipeline, "git_toplevel", lambda: fake_checkout
+            artifacts, "git_toplevel", lambda: fake_checkout
         )
         results = run_figures(["fig8"], self.OPTIONS)
         paths = write_baselines(results)

@@ -304,10 +304,11 @@ class TestStats:
         with pytest.raises(ValueError):
             sim.idle(-1.0)
 
-    def test_trefi_index(self):
+    def test_advance_to_moves_the_clock(self):
         sim = null_sim()
         sim.advance_to(2.5 * DDR5_PRAC_TIMING.t_refi)
-        assert sim.trefi_index() == 2
+        assert sim.now == 2.5 * DDR5_PRAC_TIMING.t_refi
+        assert sim.stats()["refs"] == 2
 
 
 class TestExternalServiceCounting:

@@ -37,19 +37,15 @@ class TestRunWorkload:
 
     def test_ath128_quieter_than_ath64(self):
         hot = profile_by_name("roms")
-        schedule = generate_schedule(hot, n_trefi=512, seed=0)
-        r64 = run_workload(hot, small_config(ath=64), schedule=schedule)
-        r128 = run_workload(hot, small_config(ath=128), schedule=schedule)
+        r64 = run_workload(hot, small_config(ath=64))
+        r128 = run_workload(hot, small_config(ath=128))
         assert r128.alerts <= r64.alerts
 
     def test_cross_bank_service_reduces_alerts(self):
         hot = profile_by_name("roms")
-        schedule = generate_schedule(hot, n_trefi=512, seed=0)
-        alone = run_workload(hot, small_config(), schedule=schedule)
+        alone = run_workload(hot, small_config())
         helped = run_workload(
-            hot,
-            RunConfig(n_trefi=512, model_cross_bank_service=True),
-            schedule=schedule,
+            hot, RunConfig(n_trefi=512, model_cross_bank_service=True)
         )
         assert helped.alerts <= alone.alerts
 

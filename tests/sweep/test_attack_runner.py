@@ -82,9 +82,7 @@ class TestArtifacts:
     def test_self_diff_is_clean(self, spec):
         result = run_attack_sweep(spec, jobs=1, cache_dir=None)
         artifact = ATTACK_FAMILY.make_artifact(result, git_rev="test")
-        assert diff_artifacts(
-            artifact, artifact, gated_metrics=ATTACK_FAMILY.gated_metrics
-        ) == []
+        assert diff_artifacts(artifact, artifact) == []
 
     def test_metric_regression_detected(self, spec):
         result = run_attack_sweep(spec, jobs=1, cache_dir=None)
@@ -92,10 +90,22 @@ class TestArtifacts:
         current = json.loads(json.dumps(baseline))
         key = next(iter(current["points"]))
         current["points"][key]["metrics"]["acts_on_attack_row"] += 50
-        problems = diff_artifacts(
-            baseline, current, gated_metrics=ATTACK_FAMILY.gated_metrics
-        )
+        problems = diff_artifacts(baseline, current)
         assert any("acts_on_attack_row" in p for p in problems)
+
+    def test_parameter_echo_is_gated(self, spec, tmp_path):
+        """The gate checks every metric the baseline recorded, the
+        attack's ``detail:`` echo of its parameters included."""
+        result = run_attack_sweep(spec, jobs=1, cache_dir=None)
+        artifact = ATTACK_FAMILY.make_artifact(result, git_rev="test")
+        baseline = json.loads(json.dumps(artifact))
+        metrics = baseline["points"]["postponement(threshold=64)"]["metrics"]
+        metrics["detail:threshold"] += 1
+        path = tmp_path / "attack_smoke.json"
+        write_artifact(path, baseline)
+        ok, problems = ATTACK_FAMILY.check_against_baseline(artifact, path)
+        assert not ok
+        assert any("detail:threshold" in p for p in problems), problems
 
     def test_baseline_gate_roundtrip(self, spec, tmp_path):
         result = run_attack_sweep(spec, jobs=1, cache_dir=None)

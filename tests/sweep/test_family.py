@@ -9,13 +9,16 @@ import pytest
 
 from repro.attacks.registry import AttackSpec
 from repro.report.pipeline import SMOKE_N_TREFI
-from repro.sweep.artifacts import load_artifact
+from repro.sim.mc import McRunConfig, run_mc
+from repro.sim.perf import RunConfig, run_workload
+from repro.sweep.artifacts import BASELINE_DIR, load_artifact
 from repro.sweep.attack_spec import AttackSweepSpec
 from repro.sweep.mc_spec import McSweepSpec
 from repro.sweep.model_spec import ModelSpec, ModelSweepSpec
 from repro.sweep.spec import SweepSpec
 from repro.sweep.system_spec import SystemSweepSpec
 from repro.system import SystemRunConfig
+from repro.workloads.profiles import profile_by_name
 from repro.sweep.family import (
     ATTACK_FAMILY,
     FAMILIES,
@@ -99,6 +102,23 @@ class TestRegistry:
             "system-smoke", root=Path("/x")
         ) == Path("/x/benchmarks/baselines/system_system-smoke.json")
 
+    def test_baseline_path_anchors_at_a_cwd_holding_the_directory(
+        self, tmp_path, monkeypatch
+    ):
+        """A CWD with ``benchmarks/baselines/`` anchors the path even
+        before the preset's file exists, which is where
+        ``--write-baselines`` and ``report all --write-baselines``
+        write it."""
+        import repro.sweep.artifacts as artifacts
+
+        (tmp_path / BASELINE_DIR).mkdir(parents=True)
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(artifacts, "git_toplevel",
+                            lambda: tmp_path / "checkout")
+        path = MODEL_FAMILY.default_baseline_path("fig8")
+        assert not path.exists()
+        assert path.resolve() == tmp_path / BASELINE_DIR / "model_fig8.json"
+
 
 class TestCommittedBaselines:
     """Every preset of every family has its baseline committed under
@@ -125,6 +145,33 @@ class TestCommittedBaselines:
                     continue
                 artifact = load_artifact(path, schema=family.schema)
                 assert artifact["preset"] == preset_name, str(path)
+
+
+class TestGatedMetrics:
+    """The gate compares every metric a baseline point recorded. Each
+    committed perf and mc baseline records exactly its result's
+    ``as_metrics()`` keys, so for those families that set is the one
+    the gate checked before it read the baseline's own metrics."""
+
+    @pytest.mark.parametrize("family, metrics", [
+        (PERF_FAMILY, lambda: run_workload(
+            profile_by_name("tc"),
+            RunConfig(n_trefi=16, model_cross_bank_service=False),
+        ).as_metrics()),
+        (MC_FAMILY, lambda: run_mc(
+            McRunConfig(banks=1, n_trefi=16)).as_metrics()),
+    ], ids=["sweep", "mc"])
+    def test_baselines_record_exactly_the_result_metrics(self, family,
+                                                        metrics):
+        names = set(metrics())
+        for preset_name in family.presets:
+            baseline = load_artifact(
+                family.default_baseline_path(preset_name,
+                                             root=BASELINE_ROOT),
+                family.schema,
+            )
+            for key, point in baseline["points"].items():
+                assert set(point["metrics"]) == names, (preset_name, key)
 
 
 class TestArtifactEquivalence:
@@ -188,8 +235,10 @@ class TestOverrideContract:
                 assert spec.with_overrides() is spec, spec.name
 
     def test_seed_without_a_seed_axis_raises(self):
-        with pytest.raises(ValueError, match="has no seed axis"):
-            MODEL_FAMILY.preset("fig8").with_overrides(seed=7)
+        for spec in (MODEL_FAMILY.preset("fig8"),
+                     ATTACK_FAMILY.preset("fig5")):
+            with pytest.raises(ValueError, match="has no seed axis"):
+                spec.with_overrides(seed=7)
 
     def test_axes_a_family_lacks_pass_through(self):
         attack = ATTACK_FAMILY.preset("fig5")
@@ -236,10 +285,13 @@ def _at_baseline_scale(family, spec, baseline):
     Perf and mc baselines record their ``n_trefi`` and ``seed`` at the
     top level; model baselines are written at the report's smoke scale
     (only ``workload-stats`` points take it); attack and system presets
-    run at their native scale.
+    run at their native scale (older attack baselines still record a
+    top-level ``seed`` of 0, which no attack reads).
     """
     if family is MODEL_FAMILY:
         return spec.with_overrides(n_trefi=SMOKE_N_TREFI)
+    if family in (ATTACK_FAMILY, SYSTEM_FAMILY):
+        return spec
     return spec.with_overrides(
         n_trefi=baseline.get("n_trefi"), seed=baseline.get("seed")
     )

@@ -104,7 +104,7 @@ class TestArtifact:
         assert ok, problems
 
     def test_baseline_gate_catches_per_client_regression(self, tmp_path):
-        """gated_metrics=None gates every metric — including the
+        """The gate checks every recorded metric — including the
         per-client prefixed tails."""
         result = run_system_sweep(TINY, jobs=1, cache_dir=None)
         artifact = SYSTEM_FAMILY.make_artifact(result, git_rev="test")

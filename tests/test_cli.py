@@ -189,14 +189,24 @@ class TestRegistryDrivenListings:
         assert "workload" in capsys.readouterr().err
 
 
-class TestPerfChannels:
-    def test_channels_flag(self, capsys):
-        assert main(["perf", "tc", "--trefi", "128", "--channels", "2"]) == 0
+class TestPerfSubchannels:
+    def test_subchannels_flag(self, capsys):
+        assert main(["perf", "tc", "--trefi", "128",
+                     "--subchannels", "2"]) == 0
         out = capsys.readouterr().out
         assert "2 sub-channels" in out
 
-    def test_channels_must_be_positive(self, capsys):
-        assert main(["perf", "tc", "--channels", "0"]) == 2
+    def test_subchannels_must_be_positive(self, capsys):
+        assert main(["perf", "tc", "--subchannels", "0"]) == 2
+
+    def test_channels_is_not_a_perf_flag(self, capsys):
+        """``--channels`` means independent channels (``system run``);
+        perf spells sub-channels ``--subchannels``, as mc and attack
+        runs do."""
+        with pytest.raises(SystemExit) as exc:
+            main(["perf", "tc", "--channels", "2"])
+        assert exc.value.code == 2
+        assert "--channels" in capsys.readouterr().err
 
 
 class TestTraceCommands:

@@ -160,6 +160,16 @@ class TestOverrides:
         assert "has no seed axis" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_attack_sweep_refuses_a_seed(self, tmp_path, capsys):
+        """No registered attack reads a seed: ``--seed`` would run the
+        same points again under other keys, so it is a usage error."""
+        out = tmp_path / "attack.json"
+        code = main(["attack", "sweep", "fig5", "--seed", "1", "--quiet",
+                     "--no-cache", "--out", str(out)])
+        assert code == 2
+        assert "no seed axis" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv", [
         ["sweep", "fig11"],
         ["model", "sweep", "table4"],

@@ -68,9 +68,10 @@ class TestRecorder:
         assert [row for _, _, row in ActivationTrace.from_recorder(
             recorder)] == [7]
 
-    def test_rows_touched(self):
+    def test_iterates_events_in_order(self):
         trace = ActivationTrace(events=[(0.0, 0, 5), (52.0, 0, 5), (104.0, 0, 7)])
-        assert trace.rows_touched() == {5: 2, 7: 1}
+        assert len(trace) == 3
+        assert [row for _, _, row in trace] == [5, 5, 7]
 
     def test_duration(self):
         trace = ActivationTrace(events=[(0.0, 0, 1), (99.0, 0, 2)])
