@@ -62,9 +62,9 @@ REQUIRED_SOA_SPEEDUP = 2.0
 #: measured 4.4-7.4x at 512 tREFI and 7-14x at 1024.
 MAX_TRACKER_COST_VS_NULL = 3.0
 #: Ceiling on generating the hammer stream as a multiple of serving it
-#: under the null policy. Columnar generation measures 0.3-0.45x; one
-#: frozen request object per arrival plus a tagged-tuple merge measured
-#: 1.2-2.2x.
+#: under the null policy. Columnar generation measures 0.46-0.56x at
+#: 1024 tREFI; one frozen request object per arrival plus a
+#: tagged-tuple merge measured 1.2-2.2x.
 MAX_GENERATION_COST_VS_SERVE = 0.75
 
 

@@ -674,15 +674,15 @@ def _render_system_table(result, args: argparse.Namespace) -> None:
 
 
 #: Per family: the ``sweep`` command's summary table and the override
-#: flags it takes besides ``--seed`` (the axes its points carry). The
-#: perf family's command is the top-level ``repro sweep``; the others
-#: are ``repro <family> sweep``.
+#: flags it offers (the axes its points carry). The perf family's
+#: command is the top-level ``repro sweep``; the others are ``repro
+#: <family> sweep``.
 _SWEEP_COMMANDS = {
-    "sweep": (_render_perf_table, ("--trefi", "--workloads")),
+    "sweep": (_render_perf_table, ("--trefi", "--workloads", "--seed")),
     "attack": (_render_attack_table, ()),
     "model": (_render_model_table, ("--trefi",)),
-    "mc": (_render_mc_table, ("--trefi",)),
-    "system": (_render_system_table, ("--trefi",)),
+    "mc": (_render_mc_table, ("--trefi", "--seed")),
+    "system": (_render_system_table, ("--trefi", "--seed")),
 }
 
 
@@ -1049,8 +1049,11 @@ def _add_sweep_flags(
     parser.add_argument("--list-presets", action="store_true",
                         help=f"list the {family.name} presets and exit")
     _add_jobs_flag(parser, "worker processes")
+    # Every family parses --seed, so a spec without a seed axis refuses
+    # it with a usage error that says so; only the others show it.
     parser.add_argument("--seed", type=int, default=None,
-                        help="override the sweep seed")
+                        help="override the sweep seed"
+                        if "--seed" in overrides else argparse.SUPPRESS)
     parser.add_argument("--out", default=None,
                         help="artifact path (default: "
                         f"BENCH_{family.name}_<preset>.json)")

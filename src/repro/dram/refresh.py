@@ -24,7 +24,6 @@ paper's four-victim mitigation), costing 2 bytes of SRAM per bank.
 from __future__ import annotations
 
 import enum
-from array import array
 from typing import Dict, List
 
 from repro.dram.bank import Bank
@@ -78,8 +77,9 @@ class RefreshEngine:
         #: since the row's victims were last refreshed). At most
         #: ``bank.blast_radius`` entries, per the SAFE policy.
         self.shadow: Dict[int, int] = {}
-        #: One group of zero counters: a reset is one slice assignment.
-        self._zeros = array("q", bytes(8 * self.rows_per_group))
+        #: One group of zero counters: a reset is one slice assignment
+        #: (a list, like the bank's counters it overwrites).
+        self._zeros = [0] * self.rows_per_group
 
     # ------------------------------------------------------------------
     # Defense-visible counter value

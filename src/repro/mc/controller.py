@@ -537,7 +537,9 @@ class MemoryController:
         ActResult`` is replaced by the engine's own between-events
         recurrence (the one :meth:`SubchannelSim.activate_many`
         batches), with the engine consulted only when a scheduled event
-        (REF, external service, ALERT window) actually interferes. The
+        (REF, external service, ALERT window) actually interferes. An
+        idle jump likewise enters the engine only when such an event
+        falls due by its target or an ALERT is latched. The
         engine's authoritative scalars are mirrored locally and handed
         back (:func:`_engine_sync`) before every real engine
         interaction and re-read (:func:`_engine_view`) after it, so the
@@ -776,13 +778,19 @@ class MemoryController:
                     if t < target:
                         target = t
                 if e_now < target:
-                    _engine_sync(channel, sub, pending_acts, e_now,
-                                 e_chfree, bank_free, cmd_free)
-                    pending_acts = 0
-                    channel.advance_to(float(target))
-                    e_now, e_chfree, next_ref_s, next_ext_s, window_end_s = (
-                        _engine_view(sub)
-                    )
+                    if (target < next_ref_s and target < next_ext_s
+                            and target < window_end_s
+                            and not abo.alert_pending):
+                        # No event falls due and no ALERT is latched:
+                        # advance_to would only set the clock.
+                        e_now = float(target)
+                    else:
+                        _engine_sync(channel, sub, pending_acts, e_now,
+                                     e_chfree, bank_free, cmd_free)
+                        pending_acts = 0
+                        channel.advance_to(float(target))
+                        (e_now, e_chfree, next_ref_s, next_ext_s,
+                         window_end_s) = _engine_view(sub)
                 if target > now:
                     now = target
                 continue

@@ -27,7 +27,7 @@ class CounterTable:
     Policies that keep one counter per row (victim counting, per-row
     shadow state) used to store them in a dict keyed by row; at
     workload scale the per-activation hash churn dominates the hot
-    path. This table preallocates one array slot per row for O(1)
+    path. This table preallocates one list slot per row for O(1)
     unhashed increments while preserving the *observable semantics* of
     an insertion-ordered dict — first-touch iteration order, first-max
     ``argmax`` tie-breaking, re-insertion after removal moving a row to
@@ -49,9 +49,14 @@ class CounterTable:
     def __init__(self, num_rows: int) -> None:
         if num_rows <= 0:
             raise ValueError("num_rows must be positive")
-        #: Flat counter per row; index directly for hot-path reads.
-        self.counts = array("q", bytes(8 * num_rows))
+        #: Flat counter per row; index directly for hot-path reads. A
+        #: list: a read-increment-store costs about a third of an
+        #: ``array("q")``'s, which boxes on read and unboxes on store.
+        self.counts = [0] * num_rows
         #: A row's first-touch stamp (meaningful only while it counts).
+        #: It stays an ``array("q")``: it is written once per first
+        #: touch, and as a list every stamp above 256 would be a boxed
+        #: int, which costs peak memory rather than time.
         self._stamp = array("q", bytes(8 * num_rows))
         #: Largest count in each ``_BLOCK_ROWS``-row block.
         self._block_max = [0] * (((num_rows - 1) >> _BLOCK_SHIFT) + 1)
@@ -119,8 +124,7 @@ class CounterTable:
         for _ in range(block_max.count(best)):
             block = block_max.index(best, block + 1)
             low = block << _BLOCK_SHIFT
-            # A list: ``array.index`` takes no start before Python 3.10.
-            segment = counts[low:low + _BLOCK_ROWS].tolist()
+            segment = counts[low:low + _BLOCK_ROWS]
             offset = -1
             for _ in range(segment.count(best)):
                 offset = segment.index(best, offset + 1)

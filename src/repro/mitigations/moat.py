@@ -29,7 +29,6 @@ level 1, 10 at level 2, 16 at level 4.
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 from typing import List, Optional, Set
 
@@ -42,7 +41,7 @@ class TrackerEntry:
     """One CTA-style tracker slot: a row address and its counter copy.
 
     Kept as the *inspection* view of the tracker: the live tracker
-    state is a pair of preallocated parallel arrays (the hardware's
+    state is a pair of preallocated parallel lists (the hardware's
     register file), and :attr:`MoatPolicy.tracker` materializes entries
     on demand.
     """
@@ -75,11 +74,13 @@ class MoatPolicy(MitigationPolicy):
             raise ValueError("require 0 <= eth <= ath")
         self.level = level
         self.name = f"MOAT-L{level}(ATH={ath},ETH={self.eth})"
-        #: Tracker register file: preallocated parallel arrays (row
+        #: Tracker register file: preallocated parallel lists (row
         #: address, counter copy), ``_fill`` slots live. Flat state
-        #: keeps the per-ACT hot path free of object allocation.
-        self._rows = array("q", bytes(8 * level))
-        self._counts = array("q", bytes(8 * level))
+        #: keeps the per-ACT hot path free of object allocation, and
+        #: lists, unlike ``array("q")``, store a count without unboxing
+        #: it and read it back without boxing a new int.
+        self._rows = [0] * level
+        self._counts = [0] * level
         self._fill = 0
         #: The live tracker rows, and the live interest floor: an ACT on
         #: any other row at or below the floor changes nothing (the

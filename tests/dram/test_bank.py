@@ -60,6 +60,17 @@ class TestCounters:
             row: row % 3 for row in range(16) if row % 3 and row != 4
         }
 
+    @pytest.mark.parametrize("value, error", [
+        (1.5, TypeError), ("7", TypeError), (2**63, OverflowError),
+        (-2**63 - 1, OverflowError),
+    ], ids=["float", "str", "above-int64", "below-int64"])
+    def test_initial_counter_must_be_an_int64(self, value, error):
+        """A PRAC counter is a 64-bit integer: an initial value of
+        another type or past that range fails construction instead of
+        landing in a counter."""
+        with pytest.raises(error):
+            Bank(num_rows=16, initial_counter=lambda row: value)
+
     @pytest.mark.parametrize("row", [-1, 256, 1000])
     def test_out_of_range_rows_rejected(self, small_bank, row):
         with pytest.raises(IndexError):

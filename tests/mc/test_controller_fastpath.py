@@ -11,6 +11,9 @@ the two halves of that design:
   and engine state bit-identical to the reference, across policies,
   schedulers, queue depths, client mixes, the system-qos scenarios,
   and hypothesis-random request streams.
+* **Idle jumps** — an idle gap enters the engine only when a REF, an
+  external service or an ALERT window end falls due in it or an ALERT
+  is latched, and each such gap serves as the reference does.
 * **Dispatch** — eligible configurations actually take the SoA loop
   under every policy and every scheduler kind, and every ineligible
   shape (open page, unbounded queue, several sub-channels, danger
@@ -28,11 +31,15 @@ from hypothesis import given, settings, strategies as st
 from repro.mc.controller import McConfig, MemoryController
 from repro.mc.request import Request
 from repro.mc.sched import SCHEDULERS, sched_display
+from repro.mitigations.moat import MoatPolicy
 from repro.mitigations.null import NullPolicy
 from repro.mitigations.registry import POLICY_KINDS, PolicySpec
 from repro.sim.channel import ChannelConfig, ChannelSim
 from repro.sim.engine import SimConfig
-from repro.sim.mc import ClosedLoopConfig, McRunConfig, build_mc_channel
+from repro.sim.mc import (
+    ClosedLoopConfig, McRunConfig, build_mc_channel, run_mc,
+)
+from repro.sweep.mc_spec import mc_preset
 from repro.sweep.system_spec import system_preset
 from repro.system.crossbar import client_requests
 from repro.workloads.requests import McWorkload, generate_requests
@@ -109,8 +116,9 @@ def serve_soa(built, streams, priorities=None):
     return completion_key(batch), sub.stats(), channel.now
 
 
-def plain_channel(**sim_overrides):
-    """A two-bank null-policy channel with overridable engine options."""
+def plain_channel(policy=NullPolicy, **sim_overrides):
+    """A two-bank channel (null policy by default) with overridable
+    engine options."""
     sim = dict(
         num_banks=2,
         rows_per_bank=1024,
@@ -118,7 +126,7 @@ def plain_channel(**sim_overrides):
         track_danger=False,
     )
     sim.update(sim_overrides)
-    return ChannelSim(ChannelConfig(sim=SimConfig(**sim)), NullPolicy)
+    return ChannelSim(ChannelConfig(sim=SimConfig(**sim)), policy)
 
 
 def scenario_streams(config):
@@ -503,6 +511,174 @@ class TestPolicyInterest:
         assert soa == reference
         assert reference[1]["alerts"] > 0
         assert any(not reactive for _, _, reactive, _ in reference[2])
+
+
+def dealt(arrivals, n_clients):
+    """Hand-built ``(issue_ns, bank, row)`` arrivals dealt round-robin
+    to ``n_clients`` client streams (each stays in issue-time order)."""
+    streams = [[] for _ in range(n_clients)]
+    for index, (issue_ns, bank, row) in enumerate(arrivals):
+        client = index % n_clients
+        streams[client].append(
+            Request(issue_ns=issue_ns, bank=bank, row=row, client=client))
+    return streams
+
+
+#: One idle gap per case holding what the case names, on a two-bank
+#: MOAT channel (ATH 8, ETH 4, level 1) with the DDR5 timing: a REF
+#: every 3900 ns lasting 410 ns, tRC 52 ns, a 180 ns ALERT window, one
+#: 350 ns RFM. Each gap ends on an arrival that sees the difference
+#: between entering the engine and jumping the clock alone.
+IDLE_GAPS = {
+    # The REF due at 3900 falls in the gap after the ACTs at 3000 and
+    # 3052; the arrivals land inside its tRFC.
+    "ref": (
+        [(3000.0, 0, 1), (3010.0, 0, 1), (3950.0, 1, 2), (3960.0, 0, 3)],
+        {},
+    ),
+    # Row 5 passes ATH on the ninth ACT: the ALERT asserts at 468, its
+    # window ends at 648 in the gap, and the arrivals land in the RFM
+    # stall (to 998).
+    "window-end": (
+        [(0.0, 0, 5)] * 9 + [(700.0, 1, 2), (705.0, 0, 3)],
+        {},
+    ),
+    # Row 5 enters the tracker at count 5; the external service at
+    # 1000 mitigates it in the gap.
+    "external": (
+        [(0.0, 0, 5)] * 6 + [(1100.0, 1, 2), (1110.0, 0, 6)],
+        {"external_service_interval_ns": 1000.0},
+    ),
+    # Bank 1 tracks row 10 at ATH and holds row 9 at 7, under its
+    # floor. Row 5 then raises an ALERT whose RFM mitigates rows 5 and
+    # 10; row 9 enters the emptied tracker at 8 and passes ATH at 9,
+    # two ACTs after that ALERT: the request stays latched through the
+    # gap, since an ALERT needs four ACTs since the last, and asserts
+    # on the second ACT after it.
+    "alert-latched": (
+        [(0.0, 1, 10)] * 8 + [(0.0, 1, 9)] * 7 + [(1000.0, 0, 5)] * 9
+        + [(2100.0, 1, 9)] * 2 + [(2600.0, 0, 1), (2600.0, 0, 2)],
+        {},
+    ),
+}
+
+
+class TestIdleRule:
+    """``_serve_soa`` jumps an idle gap by setting its own clock mirror
+    only when no REF, external service or ALERT window end falls due by
+    the jump's target and no ALERT is latched; ``advance_to`` would only
+    set the clock then. Each case's gap holds one of those four states:
+    the SoA loop must take that gap to the engine, and both loops must
+    agree on the batch arrays, ``stats()`` and every mitigation,
+    recorded with the engine clock at which it ran."""
+
+    @staticmethod
+    def serve(channel, streams, soa: bool):
+        """Serve ``streams``; returns what both loops must agree on and
+        the due events and latch each ``advance_to`` call found."""
+        sub = channel.subchannels[0]
+        abo = sub.abo
+        mitigations = []
+        sub.mitigation_listeners.append(
+            lambda *event: mitigations.append(event + (sub.now,))
+        )
+        calls = []
+        advance_to = channel.advance_to
+
+        def recording(time):
+            found = {
+                "ref": sub._next_ref <= time,
+                "external": sub._next_external <= time,
+                "window-end": abo.window_end <= time,
+                "alert-latched": abo.alert_pending,
+            }
+            calls.append((
+                {name for name, held in found.items() if held},
+                abo.acts_until_alert_allowed(),
+            ))
+            advance_to(time)
+
+        channel.advance_to = recording
+        controller = MemoryController(channel, McConfig(queue_depth=16))
+        if soa:
+            batch = controller.serve_streams(streams)
+            assert batch.path == "soa"
+        else:
+            batch = controller.run_streams_reference(streams)
+        return (completion_key(batch), sub.stats(), mitigations), calls
+
+    @pytest.mark.parametrize("n_clients", [1, 3])
+    @pytest.mark.parametrize("case", list(IDLE_GAPS))
+    def test_gap_enters_the_engine_and_matches_reference(
+        self, case, n_clients
+    ):
+        arrivals, sim = IDLE_GAPS[case]
+
+        def channel():
+            return plain_channel(lambda: MoatPolicy(ath=8, eth=4), **sim)
+
+        soa, calls = self.serve(channel(), dealt(arrivals, n_clients),
+                                soa=True)
+        reference, _ = self.serve(channel(), dealt(arrivals, n_clients),
+                                  soa=False)
+        assert soa == reference
+        # The gap reached the engine for its own state alone ...
+        assert any(found == {case} for found, _ in calls)
+        # ... and no gap did without a reason.
+        assert all(found for found, _ in calls)
+        if case == "alert-latched":
+            assert any(found == {case} and owed > 0 for found, owed in calls)
+
+
+class TestIdleEngineCalls:
+    def test_mc_policy_moat_point(self, monkeypatch):
+        """On mc-policy's MOAT point the SoA loop enters the engine on
+        an idle jump only for a REF, an external service or an ALERT
+        window end due by the jump's target, or for a latched ALERT.
+
+        The count: an event-due call retires what is due
+        (``advance_to`` drains every event at or before its target) and
+        each REF, external service and ALERT window is retired once, so
+        such calls number at most REFs + external services + ALERTs.
+        Every other call holds a latched ALERT, and idle jumps are
+        separated by ACTs (a jump lands on a request's arrival, which
+        the loop then issues), so those calls number at most the ACTs
+        issued under a latch. That is not a multiple of the ALERT
+        count: a latch outside an ALERT window lasts at most the
+        3 + level ACTs an ALERT needs, but one raised inside a window
+        lasts to the window's end, and how many arrivals find the
+        queue empty before then depends on the stream."""
+        point = next(p for p in mc_preset("mc-policy").points()
+                     if p.config.policy.kind == "moat")
+        calls = []
+        channels = set()
+        advance_to = ChannelSim.advance_to
+
+        def recording(channel, time):
+            sub = channel.subchannels[0]
+            abo = sub.abo
+            due = (sub._next_ref <= time or sub._next_external <= time
+                   or abo.window_end <= time)
+            latched = abo.alert_pending
+            events = (sub.refs, sub.external_services, abo.window_end)
+            acts = sub.total_acts
+            advance_to(channel, time)
+            retired = (sub.refs, sub.external_services,
+                       abo.window_end) != events
+            calls.append((due, latched, retired, acts))
+            channels.add(channel)
+
+        monkeypatch.setattr(ChannelSim, "advance_to", recording)
+        run_mc(point.config)
+        (channel,) = channels
+        sub = channel.subchannels[0]
+        assert sub.alerts > 0
+        assert all(due or latched for due, latched, _, _ in calls)
+        due_calls = [retired for due, _, retired, _ in calls if due]
+        assert all(due_calls)
+        assert len(due_calls) <= sub.refs + sub.external_services + sub.alerts
+        acts = [call[3] for call in calls]
+        assert all(a < b for a, b in zip(acts, acts[1:]))
 
 
 class TestResultPurity:

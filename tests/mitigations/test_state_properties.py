@@ -427,8 +427,10 @@ moat_observations = st.lists(
 
 
 class TestMoatRegisterFileProperties:
-    """The ``array('q')``-backed MOAT tracker must keep the exact slot
-    semantics of the documented register file."""
+    """MOAT's register file, two preallocated parallel lists (row
+    address, counter copy) with ``_fill`` live slots, must keep the
+    exact slot semantics of the documented tracker: fill in slot
+    order, replace the first weakest, stable compaction on removal."""
 
     @given(obs=moat_observations, level=st.sampled_from([1, 2, 4]))
     @settings(max_examples=60, deadline=None)

@@ -170,6 +170,23 @@ class TestOverrides:
         assert "no seed axis" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, has_seed_axis", [
+        (["sweep"], True),
+        (["attack", "sweep"], False),
+        (["model", "sweep"], False),
+        (["mc", "sweep"], True),
+        (["system", "sweep"], True),
+    ], ids=["sweep", "attack", "model", "mc", "system"])
+    def test_help_offers_seed_only_with_a_seed_axis(
+        self, argv, has_seed_axis, capsys
+    ):
+        """``--help`` lists ``--seed`` only for the families whose specs
+        take it; the others still parse it, to refuse it by name."""
+        with pytest.raises(SystemExit) as exited:
+            main(argv + ["--help"])
+        assert exited.value.code == 0
+        assert ("--seed" in capsys.readouterr().out) == has_seed_axis
+
     @pytest.mark.parametrize("argv", [
         ["sweep", "fig11"],
         ["model", "sweep", "table4"],
