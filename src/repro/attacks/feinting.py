@@ -84,14 +84,16 @@ def run_feinting(
 
         for remaining in range(periods, 0, -1):
             period_start = sim.now
+            seen = len(log.events)
             share, extra = divmod(acts_per_period, remaining)
             # Even spread with a rotating remainder: over time every
             # survivor receives the fractional share n/r, which is what the
             # harmonic bound assumes. Without rotation the back of the pool
             # starves whenever n < r (e.g. rate k=1: 67 ACTs, 8192 rows).
-            # The period is open-loop, so it issues as one batch.
+            # The period is open-loop, so it issues as one batch; with no
+            # even share only the first ``extra`` survivors get an ACT.
             batch: List[int] = []
-            for index in range(remaining):
+            for index in range(remaining if share else extra):
                 row = survivors[(cursor + index) % remaining]
                 count = share + (1 if index < extra else 0)
                 batch += [row] * count
@@ -100,8 +102,13 @@ def run_feinting(
             cursor += extra
             # Let the period elapse (mitigation fires at its boundary).
             sim.advance_to(period_start + period_ns)
-            # Drop whichever candidate the defender mitigated.
-            survivors = [row for row in survivors if not log.was_mitigated(row)]
+            # Drop whichever candidate the defender mitigated this period:
+            # every earlier one is already gone.
+            mitigated = {
+                row for bank, row, _, _ in log.events[seen:] if bank == 0
+            }
+            if mitigated:
+                survivors = [row for row in survivors if row not in mitigated]
             if not survivors:
                 break
 

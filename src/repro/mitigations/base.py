@@ -153,7 +153,7 @@ class MitigationPolicy(abc.ABC):
     #: Activation interest. An ACT whose defense-visible count is at or
     #: below ``act_floor``, on a row not in ``tracked_rows``, must leave
     #: the policy's state and :attr:`alert_requested` unchanged, so a
-    #: batched caller (the engine's ``activate_many``, the controller's
+    #: batched caller (the engine's batch loop, the controller's
     #: serve loop) may skip :meth:`on_activate` for it. Both are live:
     #: ``tracked_rows`` is updated in place, and ``act_floor`` may change,
     #: but only inside the policy's own methods, so a batched caller

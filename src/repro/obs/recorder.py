@@ -6,11 +6,15 @@ attached to a whole channel at once, through
 :meth:`repro.sim.channel.ChannelSim.attach_recorder`. Emission sites
 are guarded with ``if recorder.enabled:`` — on the disabled path that
 is one attribute read on *cold* code (a single ACT, a batch entering
-``activate_many``, REF execution, ALERT assertion), and nothing at all
-inside the struct-of-arrays hot loops: a traced ``activate_many``
-issues its ACTs one at a time instead, which the batch contract makes
-bit-identical. Results with tracing enabled are bit-identical to
-results without.
+the engine's batch loop, REF execution, ALERT assertion), and nothing
+at all inside the struct-of-arrays hot loops: a traced batch issues its
+ACTs one at a time instead, which the batch contract makes
+bit-identical. That holds for an ``activate_many`` batch and for each
+(interval, bank) batch of an open-loop run, whether the run is one
+``SubchannelSim.activate_intervals`` call (one sub-channel) or one
+``ChannelSim.activate_many`` call per batch through the channel's
+command front (several). Results with tracing enabled are
+bit-identical to results without.
 
 The closed loop's per-request events and its ACTs are not emitted from
 the serving loops at all: they are *derived* after the fact from the

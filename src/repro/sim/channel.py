@@ -30,12 +30,20 @@ cross-sub-channel constraint at batch granularity: the batch's first
 command waits for the channel's command front, and the batch then owns
 the front until it completes. Per-command interleaving across
 sub-channels uses :meth:`ChannelSim.activate`.
+
+A whole open-loop run (:meth:`ChannelSim.activate_intervals`) is one
+:meth:`SubchannelSim.activate_intervals` call when the channel has one
+sub-channel, since the channel floor then coincides with the engine's.
+With several it keeps the per-batch command front: for each tREFI the
+channel idles when its clock, the furthest sub-channel's, is behind the
+boundary (a sub-channel behind the others is not idled on its own),
+then issues one batch per sub-channel and bank, in that order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.mitigations.base import MitigationPolicy
 from repro.sim.engine import T_ISSUE_GAP, ActResult, SimConfig, SubchannelSim
@@ -133,6 +141,56 @@ class ChannelSim:
         last = sub.activate_many(rows, bank=bank, not_before=self._cmd_free)
         if last is not None:
             self._cmd_free = last + self._t_cmd_gap
+        return last
+
+    def activate_intervals(
+        self, lanes: Sequence[Sequence[Sequence[List[int]]]], period: float
+    ) -> Optional[float]:
+        """Issue a whole open-loop run; returns the last issue time.
+
+        ``lanes[sub][bank][k]`` holds the rows that (sub-channel, bank)
+        activates in interval ``k``. For every interval the channel
+        idles to ``k * period`` when its clock (:attr:`now`, the
+        furthest sub-channel clock) is behind it, then issues each
+        (sub-channel, bank) batch of the interval, sub-channel by
+        sub-channel and bank by bank, as :meth:`activate_many` would.
+        Every lane is range-checked before any ACT issues.
+
+        With one sub-channel that is one
+        :meth:`SubchannelSim.activate_intervals` call (module
+        docstring). With several, each batch is one
+        :meth:`activate_many` call that waits for the command front.
+        """
+        subchannels = self.subchannels
+        if len(lanes) != len(subchannels):
+            raise ValueError(
+                f"{len(lanes)} sub-channel lanes for {len(subchannels)} "
+                "sub-channels"
+            )
+        if len(subchannels) == 1:
+            last = subchannels[0].activate_intervals(
+                lanes[0], period, not_before=self._cmd_free
+            )
+            if last is not None:
+                self._cmd_free = last + self._t_cmd_gap
+            return last
+        for sub, sub_lanes in zip(subchannels, lanes):
+            sub._check_lanes(sub_lanes)
+        intervals = max(
+            (len(lane) for sub_lanes in lanes for lane in sub_lanes),
+            default=0,
+        )
+        last = None
+        for k in range(intervals):
+            boundary = k * period
+            if self.now < boundary:
+                self.advance_to(boundary)
+            for subchannel, sub_lanes in enumerate(lanes):
+                for bank, lane in enumerate(sub_lanes):
+                    if k < len(lane):
+                        issued = self.activate_many(lane[k], bank, subchannel)
+                        if issued is not None:
+                            last = issued
         return last
 
     def occupy(
@@ -254,6 +312,9 @@ class ChannelSim:
             "alerts": float(self.alerts),
             "proactive_mitigations": float(self.proactive_count),
             "reactive_mitigations": float(self.reactive_count),
+            "external_services": float(
+                sum(sub.external_services for sub in self.subchannels)
+            ),
             "max_danger": float(
                 max(
                     bank.max_danger

@@ -2,9 +2,17 @@
 
 The engine owns the clock, the banks, the refresh engines, the ABO
 protocol, and one mitigation policy per bank. Attack patterns and
-workload front-ends drive it through :meth:`SubchannelSim.activate` and
-:meth:`SubchannelSim.idle`; the engine interleaves the scheduled REF
-stream, proactive mitigations, and ALERT episodes in time order.
+workload front-ends drive it through :meth:`SubchannelSim.activate`
+(one ACT), :meth:`SubchannelSim.activate_many` (one bank's batch) and
+:meth:`SubchannelSim.idle`/:meth:`SubchannelSim.advance_to`; the open
+loop hands it a whole run in one :meth:`SubchannelSim.activate_intervals`
+call (idle to each tREFI boundary, then one batch per bank), which
+shares ``activate_many``'s batch loop. The engine interleaves the
+scheduled REF stream, proactive mitigations, and ALERT episodes in time
+order, with one known exception: a drain retires a due external
+service before an earlier due REF or ALERT window end
+(``tests/sim/test_engine.py::TestDrainOrder`` pins it until a
+result-changing fix lands).
 
 Timing rules implemented (paper Sections 2.2, 2.6):
 
@@ -37,7 +45,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from operator import length_hint
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.abo.protocol import AboConfig, AboProtocol
 from repro.dram.bank import Bank
@@ -52,6 +61,54 @@ MitigationListener = Callable[[int, int, bool, float], None]
 #: Channel command-issue gap between ACTs to different banks (ns): the
 #: tFAW-limited rate of about 17 ACTs per tRC (Section 7.3).
 T_ISSUE_GAP = 52.0 / 17.0
+
+
+def _span_length(
+    start: float, step: float, t_rc: float, remaining: int,
+    horizon: float, next_external: float,
+) -> int:
+    """How many of a batch's next ``remaining`` ACTs issue back to back
+    from ``start``, one every ``step``, before a scheduled event; 0 when
+    the batch loop may not compute their issue times as products.
+
+    ACT ``j`` issues at ``start + j * step`` and belongs to the span
+    while it completes by ``horizon`` (the next REF or ALERT window
+    end) and starts before ``next_external``, the test
+    :meth:`SubchannelSim.activate` applies through ``_resolve_start``;
+    ACT 0 has passed it. :meth:`SubchannelSim.activate` reaches
+    ``start + j * step`` by ``j`` additions. The product equals that
+    sum when every time up to the last one tested is a multiple of that
+    time's ``ulp``: then each partial sum is representable, so no
+    addition rounds. That holds for every one-bank open-loop span under
+    the DDR5 timings (its times are whole nanoseconds) and for every
+    span that stays inside one binade; a span that crosses a power of
+    two on a time with more low bits than the wider binade keeps, or
+    whose step is not a multiple of the ``ulp`` (tRC below
+    :data:`T_ISSUE_GAP`), returns 0.
+    """
+    last = start + (remaining - 1) * step
+    if last + t_rc <= horizon and last < next_external:
+        span = remaining
+    else:
+        # Settle the first ACT that does not fit, from an estimate, on
+        # the same float test; ``last`` is that ACT's start.
+        limit = min(horizon - t_rc, next_external)
+        span = min(max(int((limit - start) / step) + 1, 1), remaining - 1)
+        while span > 1:
+            before = start + (span - 1) * step
+            if before + t_rc <= horizon and before < next_external:
+                break
+            span -= 1
+        while span < remaining - 1:
+            last = start + span * step
+            if last + t_rc > horizon or last >= next_external:
+                break
+            span += 1
+        last = start + span * step
+    unit = math.ulp(last)
+    if start % unit or step % unit:
+        return 0
+    return span
 
 
 @dataclass(frozen=True)
@@ -163,8 +220,8 @@ class SubchannelSim:
         self.mitigation_listeners: List[MitigationListener] = []
         #: Observability sink (:mod:`repro.obs`). The null default keeps
         #: every emission guard a single attribute read on cold code;
-        #: the flat inner loop of :meth:`activate_many` has no emission
-        #: site (a traced batch bypasses it).
+        #: the flat inner loop of the batch path (:meth:`_issue_batch`)
+        #: has no emission site (a traced batch bypasses it).
         self.recorder = NULL_RECORDER
         #: Global sub-channel index stamped into emitted events.
         self._rec_sub = 0
@@ -216,10 +273,10 @@ class SubchannelSim:
 
         # ALERT asserts during the precharge of the triggering ACT.
         self._maybe_assert_alert(complete)
-        # The one ACT emission site: a traced activate_many takes the
-        # per-ACT branch. The closed loop, whose struct-of-arrays loop
-        # bypasses the engine, records its ACTs from the served batch
-        # (repro.obs.record_batch_events).
+        # The one ACT emission site: a traced batch (activate_many or
+        # activate_intervals) takes the per-ACT branch. The closed loop,
+        # whose struct-of-arrays loop bypasses the engine, records its
+        # ACTs from the served batch (repro.obs.record_batch_events).
         if self.recorder.enabled:
             self.recorder.emit("act", start, sub=self._rec_sub,
                                bank=bank, value=row)
@@ -234,14 +291,45 @@ class SubchannelSim:
         (same event interleaving, same policy state, danger accounting
         and statistics) minus the per-ACT :class:`ActResult`. A row
         outside the bank raises :class:`IndexError` before any ACT
-        issues. Without a recorder, each span between scheduled events
-        (REF boundaries, external services, ALERT episodes) runs through
-        a flat-array inner loop:
+        issues. It is the one-interval, one-bank case of
+        :meth:`activate_intervals`, with the same range check
+        (:meth:`_check_rows`) and the same flat span loop
+        (:meth:`_issue_batch`), described there.
+        """
+        if not rows:
+            return None
+        self._check_rows(bank, min(rows), max(rows))
+        return self._issue_batch(rows, not_before, self._bank_view(bank))
 
-        * After a span's first ACT at ``s``, the next one starts at
-          ``s + max(T_ISSUE_GAP, tRC)``: one add per ACT, and the
-          clock, issue floors and ACT counts are written back once per
-          span.
+    def activate_intervals(
+        self,
+        lanes: Sequence[Sequence[List[int]]],
+        period: float,
+        not_before: float = 0.0,
+    ) -> Optional[float]:
+        """Issue a whole open-loop run; returns the last issue time.
+
+        ``lanes[bank][k]`` holds the rows ``bank`` activates in interval
+        ``k``. For every interval ``k`` (up to the longest lane) the
+        clock first idles to ``k * period`` through :meth:`advance_to`
+        if it is behind it, empty intervals included; then each bank's
+        rows of that interval issue as one :meth:`activate_many` batch,
+        bank by bank. Every lane is range-checked before any ACT
+        issues, with :meth:`activate`'s :class:`IndexError`.
+
+        Without a recorder, each batch runs through a flat-array inner
+        loop, one span between scheduled events (REF boundaries,
+        external services, ALERT episodes) at a time. What it reads of
+        a bank and its policy (:meth:`_bank_view`) is bound once per run
+        and bank:
+
+        * ACT ``j`` of a span that starts at ``s`` starts at
+          ``s + j * max(T_ISSUE_GAP, tRC)``. The span's length comes
+          from one product per span (:func:`_span_length`), taken only
+          where it equals the ``j`` additions :meth:`activate` makes;
+          otherwise the span issues ACT by ACT. The inner loop does no
+          time arithmetic, and the clock, issue floors and ACT counts
+          are written back once per span.
         * The policy is called only for the ACTs it declares an interest
           in (``act_floor``/``tracked_rows``, see
           :class:`~repro.mitigations.base.MitigationPolicy`). The floor
@@ -252,52 +340,96 @@ class SubchannelSim:
 
         An ACT that may interact with an event, or that issues while an
         ALERT request is latched, falls back to :meth:`activate`, which
-        calls the policy on every ACT. A traced batch issues every ACT
+        calls the policy on every ACT. A traced run issues every ACT
         through :meth:`activate`, its one emission site.
         """
-        if not rows:
-            return None
+        self._check_lanes(lanes)
+        views = [
+            (lane, len(lane), self._bank_view(bank))
+            for bank, lane in enumerate(lanes)
+        ]
+        issue = self._issue_batch
+        last_start: Optional[float] = None
+        for k in range(max(map(len, lanes), default=0)):
+            boundary = k * period
+            if self.now < boundary:
+                self.advance_to(boundary)
+            for lane, length, view in views:
+                if k < length:
+                    rows = lane[k]
+                    if rows:
+                        last_start = issue(rows, not_before, view)
+        return last_start
+
+    def _check_lanes(self, lanes: Sequence[Sequence[List[int]]]) -> None:
+        """Range-check every row of ``lanes[bank][k]``, through the
+        lane's distinct rows (a set of small ints builds faster than
+        ``min`` and ``max`` compare every row)."""
+        for bank, lane in enumerate(lanes):
+            rows = set().union(*lane)
+            if rows:
+                self._check_rows(bank, min(rows), max(rows))
+
+    def _check_rows(self, bank: int, low: int, high: int) -> None:
+        """Raise :meth:`activate`'s :class:`IndexError` unless rows
+        ``low`` through ``high`` lie inside the bank."""
         bank_obj = self.banks[bank]
-        low = min(rows)
-        high = max(rows)
         if low < 0 or high >= bank_obj.num_rows:
             bank_obj._check_row(low)
             bank_obj._check_row(high)
-        last_start: Optional[float] = None
+
+    def _bank_view(self, bank: int) -> tuple:
+        """What the span loop of :meth:`_issue_batch` reads of one bank
+        and its policy: bound once per :meth:`activate_many` call, and
+        once per run and bank by :meth:`activate_intervals`."""
+        bank_obj = self.banks[bank]
+        policy = self.policies[bank]
+        return (
+            bank, bank_obj._prac,
+            bank_obj._spread_danger if bank_obj.track_danger else None,
+            self.refresh[bank].shadow, policy, policy.on_activate,
+            policy.tracked_rows,
+        )
+
+    def _issue_batch(
+        self, rows: List[int], not_before: float, view: tuple
+    ) -> float:
+        """Issue one non-empty, range-checked batch to the bank of
+        ``view`` (:meth:`_bank_view`); see :meth:`activate_intervals`."""
+        bank, prac, spread, shadow, policy, on_activate, tracked = view
         if self.recorder.enabled:
             for row in rows:
                 last_start = self.activate(row, bank, not_before).time
             return last_start
-
         t_rc = self._t_rc
         gap = T_ISSUE_GAP
         step = t_rc if t_rc > gap else gap
-        prac = bank_obj._prac
-        spread = bank_obj._spread_danger if bank_obj.track_danger else None
-        shadow = self.refresh[bank].shadow
-        policy = self.policies[bank]
-        on_activate = policy.on_activate
-        tracked = policy.tracked_rows
         abo = self.abo
+        bank_free = self._bank_free
         i = 0
         n = len(rows)
         while i < n:
-            start = max(self.now, self._channel_free, self._bank_free[bank],
+            start = max(self.now, self._channel_free, bank_free[bank],
                         not_before)
             horizon = min(self._next_ref, abo.window_end)
             next_external = self._next_external
-            if (abo.alert_pending or start + t_rc > horizon
+            span = 0
+            if not (abo.alert_pending or start + t_rc > horizon
                     or next_external <= start):
-                # A latched request may assert on any ACT, and an ACT
-                # next to a scheduled event must retire it: slow path.
+                span = _span_length(start, step, t_rc, n - i, horizon,
+                                    next_external)
+            if not span:
+                # A latched request may assert on any ACT, an ACT next
+                # to a scheduled event must retire it, and a span whose
+                # issue times are not exact products is issued ACT by
+                # ACT: slow path.
                 last_start = self.activate(rows[i], bank, not_before).time
                 i += 1
                 continue
             floor = policy.act_floor
-            first = i
             alerting = False
-            while True:
-                row = rows[i]
+            span_rows = iter(rows[i:i + span] if i or span < n else rows)
+            for row in span_rows:
                 count = prac[row] + 1
                 prac[row] = count
                 if spread is not None:
@@ -305,7 +437,6 @@ class SubchannelSim:
                 if shadow and row in shadow:
                     count = shadow[row] + 1
                     shadow[row] = count
-                i += 1
                 # Skip the ACTs the policy declares no interest in.
                 if count > floor or row in tracked:
                     on_activate(row, count)
@@ -313,18 +444,16 @@ class SubchannelSim:
                         alerting = True
                         break
                     floor = policy.act_floor
-                if i == n:
-                    break
-                following = start + step
-                if (following + t_rc > horizon
-                        or next_external <= following):
-                    break
-                start = following
+            if alerting:
+                # The span ends at the ACT that requested the ALERT.
+                span -= length_hint(span_rows)
+            i += span
+            start += (span - 1) * step
             self.now = start
             self._channel_free = start + gap
-            self._bank_free[bank] = start + t_rc
-            self.total_acts += i - first
-            abo.note_activations(i - first)
+            bank_free[bank] = start + t_rc
+            self.total_acts += span
+            abo.note_activations(span)
             last_start = start
             if alerting:
                 policy.alert_requested = False
@@ -622,5 +751,6 @@ class SubchannelSim:
             "alerts": self.alerts,
             "proactive_mitigations": self.proactive_count,
             "reactive_mitigations": self.reactive_count,
+            "external_services": self.external_services,
             "max_danger": max(bank.max_danger for bank in self.banks),
         }

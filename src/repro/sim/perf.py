@@ -4,9 +4,13 @@ Feeds a synthetic activation schedule (one or more banks, one or more
 sub-channels) through the channel simulation hierarchy
 (:class:`~repro.sim.channel.ChannelSim` over
 :class:`~repro.sim.engine.SubchannelSim`) with a mitigation policy,
-using the engine's batched ``activate_many`` hot path, and reports the
-paper's evaluation metrics. Recorded physical-address traces run
-through the same machinery via :func:`run_trace`. Metrics:
+and reports the paper's evaluation metrics. Each run is one
+:meth:`~repro.sim.channel.ChannelSim.activate_intervals` call: with one
+sub-channel (every report point) one engine call that idles to each
+tREFI boundary and issues each bank's rows of the interval as one
+batch; with several, one batch per (interval, sub-channel, bank)
+through the channel's command front. Recorded physical-address traces
+run through the same machinery via :func:`run_trace`. Metrics:
 
 * ALERTs per tREFI per sub-channel (Figure 11b / 17b) — per-bank alert
   counts scaled to the 32 banks of a sub-channel.
@@ -414,17 +418,11 @@ def _run_once(
     )
     n_trefi = schedules[0][0].n_trefi
     trefi = config.timing.t_refi
-
-    for interval in range(n_trefi):
-        target = interval * trefi
-        if channel.now < target:
-            channel.advance_to(target)
-        for sub, bank_schedules in enumerate(schedules):
-            for bank, sched in enumerate(bank_schedules):
-                if interval < sched.n_trefi:
-                    channel.activate_many(
-                        sched.per_trefi[interval], bank=bank, subchannel=sub
-                    )
+    channel.activate_intervals(
+        [[sched.per_trefi for sched in bank_schedules]
+         for bank_schedules in schedules],
+        trefi,
+    )
     channel.flush()
     return _perf_result(
         config, channel, profile.name, n_trefi,

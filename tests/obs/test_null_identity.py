@@ -12,6 +12,11 @@ system. Its events must reconcile exactly with the run's counters: one
 through ``_maybe_assert_alert``, the single emission site) and one
 ``act`` per ACT (the engine's ``activate`` in the open loop, the served
 batch in the closed loop).
+
+The open-loop cases drive a two-sub-channel channel both one interval
+at a time (:func:`_open_loop`) and in one ``activate_intervals`` call,
+and the per-interval driver is also the reference for the
+two-sub-channel runs of ``run_workload``.
 """
 
 from __future__ import annotations
@@ -26,7 +31,12 @@ from repro.mitigations.registry import POLICY_KINDS, PolicySpec
 from repro.obs import EVENT_KINDS, TraceRecorder
 from repro.sim.channel import ChannelSim
 from repro.sim.mc import McRunConfig, run_mc
-from repro.sim.perf import RunConfig, build_run_channel
+from repro.sim.perf import (
+    RunConfig,
+    _perf_result,
+    build_run_channel,
+    run_workload,
+)
 from repro.sweep.mc_spec import HAMMER_WORKLOAD
 from repro.system import ClientSpec, SystemRunConfig, run_system
 from repro.workloads.generator import generate_channel_schedules
@@ -159,11 +169,16 @@ def test_system_events_carry_their_own_subchannel(subchannels):
                 if e.kind == kind} == every_sub, kind
 
 
-def _open_loop(config: RunConfig, schedules, track_danger: bool,
-               recorder=None) -> ChannelSim:
-    """Drive a run channel over ``schedules[sub][bank]`` the way the
-    open-loop front end does, one batch per (tREFI, sub-channel, bank),
-    except that every other tREFI issues its ACTs one at a time."""
+def _lanes(schedules) -> list:
+    """``lanes[sub][bank][k]``: each schedule's per-tREFI rows."""
+    return [[schedule.per_trefi for schedule in bank_schedules]
+            for bank_schedules in schedules]
+
+
+def _run_channel(config: RunConfig, schedules, track_danger: bool,
+                 recorder=None) -> ChannelSim:
+    """A run channel shaped like ``schedules[sub][bank]``, with danger
+    tracking set and ``recorder`` attached."""
     channel = build_run_channel(
         config, len(schedules), len(schedules[0]), 64 * 1024,
     )
@@ -172,12 +187,28 @@ def _open_loop(config: RunConfig, schedules, track_danger: bool,
             bank.track_danger = track_danger
     if recorder is not None:
         channel.attach_recorder(recorder)
+    return channel
+
+
+def _open_loop(channel: ChannelSim, lanes, skewed=None) -> ChannelSim:
+    """Drive ``channel`` over ``lanes[sub][bank][k]`` one interval at a
+    time, the per-interval reference of ``ChannelSim.
+    activate_intervals``: one batch per (tREFI, sub-channel, bank),
+    except that every other tREFI issues its ACTs one at a time. The
+    channel idles only when its clock, the furthest sub-channel's, is
+    behind the boundary; ``skewed`` collects the intervals whose
+    boundary falls between the sub-channel clocks."""
     t_refi = channel.timing.t_refi
-    for interval in range(config.n_trefi):
-        channel.advance_to(interval * t_refi)
-        for sub, bank_schedules in enumerate(schedules):
-            for bank, schedule in enumerate(bank_schedules):
-                rows = schedule.per_trefi[interval]
+    for interval in range(len(lanes[0][0])):
+        boundary = interval * t_refi
+        behind = min(sub.now for sub in channel.subchannels)
+        if skewed is not None and behind < boundary <= channel.now:
+            skewed.append(interval)
+        if channel.now < boundary:
+            channel.advance_to(boundary)
+        for sub, bank_lanes in enumerate(lanes):
+            for bank, lane in enumerate(bank_lanes):
+                rows = lane[interval]
                 if interval % 2:
                     for row in rows:
                         channel.activate(row, bank=bank, subchannel=sub)
@@ -187,20 +218,95 @@ def _open_loop(config: RunConfig, schedules, track_danger: bool,
     return channel
 
 
+def _whole_run(channel: ChannelSim, lanes) -> ChannelSim:
+    channel.activate_intervals(lanes, channel.timing.t_refi)
+    channel.flush()
+    return channel
+
+
+@pytest.mark.parametrize("drive", [_open_loop, _whole_run],
+                         ids=["per-interval", "whole-run"])
 @pytest.mark.parametrize("track_danger", [False, True])
 @pytest.mark.parametrize("policy", ["moat", "panopticon", "para", "null"])
-def test_every_open_loop_act_is_recorded_once(policy, track_danger):
+def test_every_open_loop_act_is_recorded_once(policy, track_danger, drive):
     config = RunConfig(ath=16, policy=PolicySpec(policy), subchannels=2,
                        n_trefi=_N_TREFI)
     schedules = generate_channel_schedules(
         profile_by_name("roms"), num_subchannels=2, banks_per_subchannel=2,
         n_trefi=_N_TREFI,
     )
-    plain = _open_loop(config, schedules, track_danger)
+    plain = drive(_run_channel(config, schedules, track_danger),
+                  _lanes(schedules))
     recorder = TraceRecorder()
-    traced = _open_loop(config, schedules, track_danger, recorder)
+    traced = drive(_run_channel(config, schedules, track_danger, recorder),
+                   _lanes(schedules))
 
     assert traced.stats() == plain.stats()
     assert recorder.count("act") == traced.total_acts > 0
     assert recorder.count("alert") == traced.alerts
     assert {e.sub for e in recorder.events if e.kind == "act"} == {0, 1}
+
+
+@pytest.mark.parametrize("workload, banks", [("roms", 2), ("mcf", 1)])
+def test_two_subchannel_runs_match_the_per_interval_driver(workload, banks):
+    """``run_workload`` at two sub-channels issues its batches in the
+    per-interval order. Both points have boundaries that find one
+    sub-channel's clock ahead and the other's behind."""
+    profile = profile_by_name(workload)
+    config = RunConfig(ath=16, subchannels=2, banks_simulated=banks,
+                       n_trefi=_N_TREFI, model_cross_bank_service=False)
+    schedules = generate_channel_schedules(
+        profile, num_subchannels=2, banks_per_subchannel=banks,
+        n_trefi=_N_TREFI,
+    )
+    skewed = []
+    channel = _open_loop(_run_channel(config, schedules, False),
+                         _lanes(schedules), skewed)
+    expected = _perf_result(
+        config, channel, workload, _N_TREFI,
+        elapsed_ns=max(channel.now, _N_TREFI * channel.timing.t_refi),
+        banks_per_subchannel=config.banks_per_subchannel,
+    )
+    assert run_workload(profile, config) == expected
+    assert skewed
+
+
+def test_a_subchannel_behind_the_boundary_is_not_idled_on_its_own():
+    """Sub-channel 1's first batch runs past the tREFI boundary while
+    sub-channel 0's ends before it, so the channel does not idle there.
+    Sub-channel 0's next ACT then retires its REF (at tREFI) and its
+    external service (at 4000 ns) itself, the service first (the drain
+    order that ``tests/sim/test_engine.py::TestDrainOrder`` pins), and
+    the service takes Panopticon's queued row 7. Idling sub-channel 0 on
+    its own to the boundary would leave row 7 to the REF."""
+    config = RunConfig(ath=32, policy=PolicySpec("panopticon"),
+                       trefi_per_mitigation=1, subchannels=2)
+    lanes = [[[[7] * 32, [5]]], [[[9] * 50, [11]]]]
+    views = []
+    for drive in (_open_loop, _whole_run, _idle_each_subchannel):
+        channel = build_run_channel(config, 2, 1, 64 * 1024,
+                                    external_service_interval_ns=4000.0)
+        log = []
+        for index, sub in enumerate(channel.subchannels):
+            sub.mitigation_listeners.append(
+                lambda *event, index=index: log.append((index,) + event))
+        views.append((drive(channel, lanes).stats(), log))
+    reference, run, each = views
+    assert reference[1] == [(1, 0, 9, False, 3900.0), (0, 0, 7, True, 4000.0)]
+    assert run == reference
+    assert each[1] == [(1, 0, 9, False, 3900.0), (0, 0, 7, False, 3900.0)]
+
+
+def _idle_each_subchannel(channel: ChannelSim, lanes) -> ChannelSim:
+    """The per-interval driver with every sub-channel idled to each
+    boundary on its own (not what the open loop does)."""
+    t_refi = channel.timing.t_refi
+    for interval in range(len(lanes[0][0])):
+        for sub in channel.subchannels:
+            sub.advance_to(interval * t_refi)
+        for index, bank_lanes in enumerate(lanes):
+            for bank, lane in enumerate(bank_lanes):
+                channel.activate_many(lane[interval], bank=bank,
+                                      subchannel=index)
+    channel.flush()
+    return channel

@@ -105,6 +105,15 @@ class TestCommandFrontEnd:
         first1 = channel.activate(1, bank=0, subchannel=1)
         assert first1.time >= last0 + gap
 
+    def test_run_takes_one_lane_list_per_subchannel(self):
+        channel = ChannelSim(
+            ChannelConfig(sim=small_sim_config(), num_subchannels=2),
+            moat_factory,
+        )
+        with pytest.raises(ValueError, match="1 sub-channel lanes for 2"):
+            channel.activate_intervals([[[[1, 2]]]], 3900.0)
+        assert channel.total_acts == 0
+
     def test_single_subchannel_gap_is_neutral(self):
         """With one sub-channel the command floor coincides with the
         sub-channel's own issue gap: timestamps match a bare engine."""

@@ -229,6 +229,40 @@ class TestIdleKeepsStalls:
         assert sim.activate(6).time >= stall_end
 
 
+class TestDrainOrder:
+    """A drain must retire due events in time order, as the module
+    docstring says. Today ``_drain_events`` and ``_resolve_start`` test
+    ``_next_external`` before anything else, so a due external service
+    runs before an earlier due REF or ALERT window end (a cold report
+    pass retires 6 of its 83,169 external services before an earlier
+    REF and 100 before an earlier window end). Mending it moves the
+    open-loop baselines, so this pins the fault until that
+    result-changing fix lands."""
+
+    @pytest.mark.xfail(strict=True,
+                       reason="a drain retires a due external service "
+                       "before an earlier due REF")
+    def test_external_service_waits_for_an_earlier_ref(self):
+        calls = []
+
+        class Recording(NullPolicy):
+            def on_ref(self, refreshed_rows):
+                calls.append("ref")
+
+            def select_reactive(self, max_rows):
+                calls.append("external")
+                return []
+
+        trefi = DDR5_PRAC_TIMING.t_refi
+        sim = SubchannelSim(
+            SimConfig(rows_per_bank=64, num_refresh_groups=8,
+                      external_service_interval_ns=1.5 * trefi),
+            Recording,
+        )
+        sim.advance_to(2 * trefi + 1)
+        assert calls == ["ref", "external", "ref"]
+
+
 class TestPostponement:
     def test_postponed_refs_batch(self):
         sim = null_sim()
@@ -296,6 +330,7 @@ class TestStats:
             "alerts",
             "proactive_mitigations",
             "reactive_mitigations",
+            "external_services",
             "max_danger",
         }
 

@@ -1,10 +1,13 @@
 """Tests for the workload performance front-end."""
 
 import dataclasses
+from collections import Counter
 
 import pytest
 
 import repro.sim.perf as perf
+from repro.sim.channel import ChannelSim
+from repro.sim.engine import SubchannelSim
 from repro.sim.perf import (
     PerfResult,
     RunConfig,
@@ -314,3 +317,47 @@ class TestScheduleReuse:
         assert passes[0] == passes[1]
         assert len(generated) == len(TABLE4_PROFILES) == 21
         assert perf.SCHEDULE_MEMO_ENTRIES >= len(TABLE4_PROFILES)
+
+
+class TestRunEngineCalls:
+    """``run_workload`` hands each one-sub-channel run to the engine in
+    one ``activate_intervals`` call; with several sub-channels the
+    channel still issues one batch per (interval, sub-channel, bank)."""
+
+    @staticmethod
+    def calls(monkeypatch, workload, config) -> Counter:
+        calls = Counter()
+        targets = [
+            (ChannelSim, "advance_to"), (ChannelSim, "activate_many"),
+            (SubchannelSim, "activate_intervals"),
+        ]
+        for owner, name in targets:
+            def counted(*args, _inner=getattr(owner, name),
+                        _key=f"{owner.__name__}.{name}", **kwargs):
+                calls[_key] += 1
+                return _inner(*args, **kwargs)
+            monkeypatch.setattr(owner, name, counted)
+        run_once = perf._run_once
+
+        def counted_run(*args, **kwargs):
+            calls["runs"] += 1
+            return run_once(*args, **kwargs)
+        monkeypatch.setattr(perf, "_run_once", counted_run)
+        run_workload(profile_by_name(workload), config)
+        return calls
+
+    def test_one_engine_call_per_run(self, monkeypatch):
+        calls = self.calls(monkeypatch, "roms", RunConfig(ath=32, n_trefi=64))
+        # The unaided run alerts, so the equilibrium solver runs too.
+        assert calls["runs"] == 7
+        assert calls["SubchannelSim.activate_intervals"] == 7
+        assert calls["ChannelSim.advance_to"] == 0
+        assert calls["ChannelSim.activate_many"] == 0
+
+    def test_two_subchannels_batch_per_interval(self, monkeypatch):
+        config = small_config(n_trefi=64, subchannels=2, banks_simulated=3)
+        calls = self.calls(monkeypatch, "x264", config)
+        assert calls["runs"] == 1
+        assert calls["ChannelSim.activate_many"] == 64 * 2 * 3
+        assert 0 < calls["ChannelSim.advance_to"] <= 64
+        assert calls["SubchannelSim.activate_intervals"] == 0
